@@ -7,7 +7,14 @@
 //! order of magnitude apart, and a zero-clone kernel shows (near-)constant
 //! allocations per event while a clone-collect kernel grows linearly with
 //! the candidate count. `scripts/bench_snapshot.sh` folds the output into
-//! `BENCH_6.json` and enforces the flat-slope check.
+//! `BENCH_12.json` and enforces the flat-slope check.
+//!
+//! The same slope discipline covers failure detection and repair: the
+//! `fault-pump`, `heartbeat-round` and `digest-round` kernels run a lossy
+//! k=2 ring with the heartbeat detector on at two *held-state* sizes, and
+//! the cost of an idle pump tick (false confirmations included) and of a
+//! clean anti-entropy round must not depend on how many items the nodes
+//! hold.
 //!
 //! Usage: `alloc_audit [--quick]` (`--quick` shrinks event counts for CI).
 
@@ -16,7 +23,7 @@ use std::time::Instant;
 
 use cq_bench::alloc_count;
 use cq_engine::tables::{Alqt, StoredQuery, StoredRewritten, StoredTuple, Vlqt, Vltt};
-use cq_engine::{Algorithm, EngineConfig, Matches, Network};
+use cq_engine::{Algorithm, EngineConfig, FaultConfig, Matches, Network, SuspicionConfig};
 use cq_overlay::Id;
 use cq_relational::{
     parse_query, Catalog, DataType, QueryKey, QueryRef, RelationSchema, RewrittenQuery, Side,
@@ -99,6 +106,16 @@ fn measure(kernel: &'static str, size: usize, events: u64, mut f: impl FnMut()) 
         events_per_sec: 1e9 / ns,
         allocs_per_event: cfg!(feature = "count-allocs").then(|| allocs as f64 / events as f64),
     }
+}
+
+/// [`measure`] over five consecutive windows, keeping the fastest: a shared
+/// box only adds noise upward, and the kernels gated on a timing *ratio*
+/// run for milliseconds, well inside one noisy epoch.
+fn measure_best(kernel: &'static str, size: usize, events: u64, mut f: impl FnMut()) -> Row {
+    (0..5)
+        .map(|_| measure(kernel, size, events, &mut f))
+        .min_by(|a, b| a.ns_per_event.total_cmp(&b.ns_per_event))
+        .expect("five windows")
 }
 
 /// `match_against_vltt`'s inner loop: scan stored tuples under one value
@@ -261,10 +278,100 @@ fn audit_socket_pump(size: usize, events: u64) -> Row {
     })
 }
 
+/// A 32-node DAI-Q ring under 5 % loss with k=2 replication and the
+/// heartbeat detector on (the `churn_dait` fault profile), holding `size`
+/// tuples — each mirrored on two successors — that never join: the fault
+/// pump, the detector and anti-entropy are the only work that scales.
+fn churn_net(size: usize, suspicion: SuspicionConfig) -> Network {
+    let mut fault = FaultConfig::lossy(0.05, 12);
+    fault.replication = 2;
+    let mut net = Network::new(
+        EngineConfig::new(Algorithm::DaiQ)
+            .with_nodes(32)
+            .with_seed(12)
+            .with_fault(fault)
+            .with_suspicion(suspicion.with_suspect_after(4).with_confirm_after(4)),
+        catalog(),
+    );
+    let poser = net.node_at(0);
+    net.pose_query_sql(poser, "SELECT R.A, S.D FROM R, S WHERE R.B = S.C")
+        .unwrap();
+    for i in 0..size as i64 {
+        let from = net.node_at(i as usize % 32);
+        net.insert_tuple(from, "S", vec![Value::Int(i), Value::Int(i)])
+            .unwrap();
+    }
+    net.settle().unwrap();
+    net
+}
+
+/// One tuple insert through the whole robustness layer (loss draws, acks,
+/// retransmits, mirroring, heartbeats, false confirmations, digest rounds
+/// on their default cadence) with `size` items already held.
+fn audit_fault_pump(size: usize, events: u64) -> Row {
+    let mut net = churn_net(size, SuspicionConfig::active());
+    let mut i = size as i64;
+    measure("fault-pump", size, events, move || {
+        i += 1;
+        let from = net.node_at(i as usize % 32);
+        net.insert_tuple(from, "S", vec![Value::Int(i), Value::Int(i)])
+            .unwrap();
+    })
+}
+
+/// One idle pump tick: every fourth is a heartbeat round, and under 5 %
+/// loss a steady trickle of alive nodes gets falsely confirmed — each
+/// confirmation runs stabilization and replica promotion, which must cost
+/// the same whether the nodes hold `size` items or ten times as many.
+/// Anti-entropy is off so the tick cost is the detector's alone.
+fn audit_heartbeat_round(size: usize, events: u64) -> Row {
+    let mut net = churn_net(size, SuspicionConfig::active().with_anti_entropy_every(0));
+    let before = net.recovery_counters();
+    let row = measure_best("heartbeat-round", size, events, || net.tick_now().unwrap());
+    let after = net.recovery_counters();
+    assert!(after.heartbeats_sent > before.heartbeats_sent);
+    assert!(
+        after.confirms > before.confirms,
+        "the window must contain false-confirm ticks"
+    );
+    assert_eq!(after.detections, 0, "nobody died");
+    row
+}
+
+/// One clean anti-entropy round (every primary against both successors,
+/// nothing to repair) over `size` held items. The cadence is parked far in
+/// the future so only the explicit hook runs rounds.
+fn audit_digest_round(size: usize, events: u64) -> Row {
+    let parked = SuspicionConfig::active().with_anti_entropy_every(u64::MAX / 2);
+    let mut net = churn_net(size, parked);
+    // repair whatever the lossy fill left unmirrored; repair traffic is
+    // itself lossy, so iterate to the fixed point
+    loop {
+        let before = net.recovery_counters().repair_items;
+        net.anti_entropy_now().unwrap();
+        if net.recovery_counters().repair_items == before {
+            break;
+        }
+    }
+    let before = net.recovery_counters();
+    let row = measure_best("digest-round", size, events, || {
+        net.anti_entropy_now().unwrap()
+    });
+    let after = net.recovery_counters();
+    assert!(after.digest_exchanges > before.digest_exchanges);
+    assert_eq!(after.repair_items, before.repair_items, "rounds were clean");
+    row
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let cat = catalog();
     let (scan_events, e2e_events) = if quick { (200, 200) } else { (2_000, 5_000) };
+    // held items per ring for the failure-handling kernels, 10x apart; the
+    // gated kernels' events are microseconds each, so even `--quick` takes
+    // enough of them for a stable ratio
+    let (held_small, held_large) = if quick { (200, 2_000) } else { (1_000, 10_000) };
+    let round_events = e2e_events.max(1_000);
     let rows = [
         audit_vltt_scan(&cat, 1_000, scan_events),
         audit_vltt_scan(&cat, 10_000, scan_events.max(200) / 10),
@@ -275,6 +382,12 @@ fn main() {
         audit_insert_e2e(50, e2e_events, true),
         audit_insert_e2e(50, e2e_events, false),
         audit_socket_pump(256, e2e_events),
+        audit_fault_pump(held_small, scan_events),
+        audit_fault_pump(held_large, scan_events),
+        audit_heartbeat_round(held_small, round_events),
+        audit_heartbeat_round(held_large, round_events),
+        audit_digest_round(held_small, round_events),
+        audit_digest_round(held_large, round_events),
     ];
     println!("{{");
     println!("  \"count_allocs\": {},", cfg!(feature = "count-allocs"));

@@ -68,6 +68,7 @@ impl Network {
         st.vstore.drain_all();
         let offline = st.offline_store.len() as u64;
         st.offline_store.clear();
+        st.mirrored.clear();
         st.replicas.clear();
         if tracing {
             for (table, removed) in wiped {
@@ -111,18 +112,29 @@ impl Network {
     /// owns (its predecessor failed) and promotes them into its primary
     /// tables, then re-mirrors them onto its own successors to restore
     /// k-fold redundancy.
+    ///
+    /// Ownership is ground truth (`Ring::owns`), a function of the
+    /// membership epoch alone. A holder scanned under the current epoch
+    /// therefore has nothing promotable unless a `Replicate` for an
+    /// identifier it already owned arrived since — every other holder is
+    /// skipped without touching its store.
     pub(crate) fn promote_replicas(&mut self) -> Result<()> {
         let k = self.repl_k();
         if k == 0 {
             return Ok(());
         }
-        let handles: Vec<NodeHandle> = self.ring.alive_nodes().collect();
+        let epoch = self.ring.membership_epoch();
+        let handles: Vec<NodeHandle> = self
+            .ring
+            .alive_nodes()
+            .filter(|h| self.nodes[h.index()].replicas.promotion_scan_due(epoch))
+            .collect();
         for h in handles {
             let promoted = {
                 let ring = &self.ring;
-                self.nodes[h.index()]
-                    .replicas
-                    .take_owned(|id| ring.owns(h, id))
+                let store = &mut self.nodes[h.index()].replicas;
+                store.note_promotion_scan(epoch);
+                store.take_owned(|id| ring.owns(h, id))
             };
             if promoted.is_empty() {
                 continue;
@@ -189,7 +201,9 @@ impl Network {
             let in_range = move |x: Id| space.in_open_closed(x, pred, id);
             self.transfer_matching(succ, h, in_range)?;
         }
-        // Missed notifications addressed to us move into the inbox.
+        // Missed notifications addressed to us move into the inbox (the
+        // transfer above left `h`'s digest index invalidated, so this
+        // removal needs no bookkeeping of its own).
         let me = self.ring.node(h).key().to_string();
         let st = &mut self.nodes[h.index()];
         let mut kept = Vec::new();
@@ -227,6 +241,10 @@ impl Network {
                 let (l, r) = self.nodes.split_at_mut(a);
                 (&mut r[0], &mut l[b])
             };
+            // A bulk move: both digest indexes rebuild lazily at their next
+            // anti-entropy read instead of tracking every moved item.
+            src.mirrored.invalidate();
+            dst.mirrored.invalidate();
             for e in src.alqt.extract_where(&pred) {
                 moved += 1;
                 dst.alqt.insert(e);

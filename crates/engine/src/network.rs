@@ -457,7 +457,13 @@ impl Network {
         let flushed = self.flush_effects(at, &mut outbox);
         outbox.clear();
         self.outbox = outbox;
-        result.and(flushed)
+        let result = result.and(flushed);
+        if result.is_err() {
+            // An aborted flush may have dropped the `Replicate` of an item
+            // the handler already stored: let anti-entropy see the tables.
+            self.nodes[at.index()].mirrored.invalidate();
+        }
+        result
     }
 
     /// Maps each deferred [`Effect`] onto its transport primitive, in push
@@ -558,7 +564,17 @@ impl Network {
                 self.nodes[at.index()].inbox.extend(notifications);
                 Ok(())
             }
-            Message::Replicate { item } => self.nodes[at.index()].replicas.insert(*item),
+            Message::Replicate { item } => {
+                // A mirror of something `at` already owns (its primary died
+                // with this message in flight) is promotable right away:
+                // tell the epoch gate in `promote_replicas`.
+                let owned = self.ring.owns(at, item.index_id());
+                let store = &mut self.nodes[at.index()].replicas;
+                if owned {
+                    store.note_owned_arrival();
+                }
+                store.insert(*item)
+            }
             Message::Ping { from, seq } => {
                 // Heartbeat probe: answer directly to the prober. The pong
                 // is itself a probe message — fire-and-forget, never acked.

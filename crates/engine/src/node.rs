@@ -6,7 +6,10 @@ use cq_overlay::Id;
 use cq_relational::Notification;
 
 use crate::jfrt::Jfrt;
-use crate::replication::ReplicaStore;
+use crate::replication::{
+    hash_offline, hash_query, hash_rewritten, hash_tuple, hash_value_tuple, DigestIndex,
+    ReplicaStore,
+};
 use crate::tables::keys::{bucket_mut, lookup_key, StrPair};
 use crate::tables::{Alqt, VStore, Vlqt, Vltt};
 
@@ -71,6 +74,11 @@ pub struct NodeState {
     /// replication); dormant until promoted after a failure. Excluded from
     /// [`NodeState::storage_load`] — replicas are redundancy, not load.
     pub replicas: ReplicaStore,
+    /// Digest keys of the primary state above, for anti-entropy: fed item
+    /// by item as each is mirrored (`Network::replicate`, so only while
+    /// replication is on), invalidated by the bulk churn paths and rebuilt
+    /// by [`NodeState::primary_digests`].
+    pub(crate) mirrored: DigestIndex,
 }
 
 impl NodeState {
@@ -121,6 +129,27 @@ impl NodeState {
     /// the E8/E9 experiments.
     pub fn evaluator_storage(&self) -> usize {
         self.vlqt.len() + self.vltt.len() + self.vstore.len()
+    }
+
+    /// The digest index over this node's primary state, rebuilt from the
+    /// tables first if a bulk path (state loss, key transfer) invalidated it.
+    pub(crate) fn primary_digests(&mut self) -> &mut DigestIndex {
+        if self.mirrored.is_stale() {
+            let alqt = self.alqt.entries().map(|e| (e.index_id, hash_query(e)));
+            let vlqt = self.vlqt.entries().map(|e| (e.index_id, hash_rewritten(e)));
+            let vltt = self.vltt.entries().map(|e| (e.index_id, hash_tuple(e)));
+            let vstore = self
+                .vstore
+                .entries()
+                .map(|(group, value_key, e)| (e.index_id, hash_value_tuple(group, value_key, e)));
+            let offline = self
+                .offline_store
+                .iter()
+                .map(|(id, n)| (*id, hash_offline(*id, n)));
+            self.mirrored
+                .rebuild(alqt.chain(vlqt).chain(vltt).chain(vstore).chain(offline));
+        }
+        &mut self.mirrored
     }
 
     /// Number of mirrored replica items held for other nodes (the

@@ -31,7 +31,6 @@
 use std::collections::BTreeMap;
 
 use cq_fasthash::FxHashMap;
-use cq_fasthash::FxHashSet;
 use cq_overlay::{Id, NodeHandle};
 
 use crate::error::{EngineError, Result};
@@ -40,7 +39,8 @@ use crate::messages::Message;
 use crate::network::Network;
 use crate::node::NodeState;
 use crate::replication::{
-    digest_of, hash_offline, hash_query, hash_rewritten, hash_tuple, hash_value_tuple, ReplicaItem,
+    hash_offline, hash_query, hash_rewritten, hash_tuple, hash_value_tuple, DigestIndex,
+    ReplicaItem,
 };
 use crate::trace::TraceEvent;
 use crate::transport::Transport as _;
@@ -160,6 +160,10 @@ pub(crate) struct Recovery {
     next_heartbeat: u64,
     /// Next tick an anti-entropy round fires.
     next_anti_entropy: u64,
+    /// Scratch for [`Network::heartbeat_round`]: this round's probers and
+    /// the current prober's targets, kept allocated across rounds.
+    probers: Vec<NodeHandle>,
+    targets: Vec<NodeHandle>,
 }
 
 impl Recovery {
@@ -175,6 +179,8 @@ impl Recovery {
             repair_pending: Vec::new(),
             next_heartbeat: 1,
             next_anti_entropy: cfg.anti_entropy_every.max(1),
+            probers: Vec::new(),
+            targets: Vec::new(),
         }
     }
 
@@ -185,11 +191,30 @@ impl Recovery {
     }
 }
 
-/// Digest hashes of the primary state `st` holds under identifiers
-/// satisfying `pred` (the anti-entropy reference side; the replica side is
-/// [`crate::replication::ReplicaStore::hashes_where`]).
-fn primary_hashes(st: &NodeState, pred: impl Fn(Id) -> bool + Copy) -> FxHashSet<u64> {
-    let mut out = FxHashSet::default();
+/// One primary-vs-successor digest comparison of an anti-entropy round (see
+/// [`Network::digest_pairs`]). Digests are `(distinct item count, wrapping
+/// sum of item hashes)` over the primary's owned arc.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DigestPair {
+    /// The node whose owned state is the reference side.
+    pub primary: NodeHandle,
+    /// One of its `k` successors, holding the mirror.
+    pub successor: NodeHandle,
+    /// The primary's ownership arc `(pred, id]`.
+    pub arc: (Id, Id),
+    /// Digest of the primary's tables over the arc.
+    pub primary_digest: (u64, u64),
+    /// Digest of the successor's replica store over the arc.
+    pub successor_digest: (u64, u64),
+}
+
+/// From-scratch oracle for the primary side of the digest
+/// ([`NodeState::primary_digests`]): re-hashes every primary item `st`
+/// holds under identifiers satisfying `pred` into a fresh set.
+#[cfg(test)]
+fn primary_hashes(st: &NodeState, pred: impl Fn(Id) -> bool + Copy) -> cq_fasthash::FxHashSet<u64> {
+    let mut out = cq_fasthash::FxHashSet::default();
     for e in st.alqt.entries() {
         if pred(e.index_id) {
             out.insert(hash_query(e));
@@ -218,31 +243,33 @@ fn primary_hashes(st: &NodeState, pred: impl Fn(Id) -> bool + Copy) -> FxHashSet
     out
 }
 
-/// Primary items under `pred` whose digest hash the replica side (`have`)
-/// is missing — the anti-entropy repair payload.
-fn missing_primary_items(
-    st: &NodeState,
-    pred: impl Fn(Id) -> bool + Copy,
-    have: &FxHashSet<u64>,
-) -> Vec<ReplicaItem> {
+/// Primary items the replica side (`have`) is missing — the anti-entropy
+/// repair payload, in table order. Runs only for a pair whose digests
+/// differ, and `suspects` (sorted; from the two digest indexes) names the
+/// index ids the missing items live under, so only those items are hashed.
+fn missing_primary_items(st: &NodeState, suspects: &[Id], have: &DigestIndex) -> Vec<ReplicaItem> {
     let mut out = Vec::new();
+    if suspects.is_empty() {
+        return out; // the replica side only holds extras
+    }
+    let pred = |id: Id| suspects.binary_search(&id).is_ok();
     for e in st.alqt.entries() {
-        if pred(e.index_id) && !have.contains(&hash_query(e)) {
+        if pred(e.index_id) && !have.contains(e.index_id, hash_query(e)) {
             out.push(ReplicaItem::Query(e.clone()));
         }
     }
     for e in st.vlqt.entries() {
-        if pred(e.index_id) && !have.contains(&hash_rewritten(e)) {
+        if pred(e.index_id) && !have.contains(e.index_id, hash_rewritten(e)) {
             out.push(ReplicaItem::Rewritten(e.clone()));
         }
     }
     for e in st.vltt.entries() {
-        if pred(e.index_id) && !have.contains(&hash_tuple(e)) {
+        if pred(e.index_id) && !have.contains(e.index_id, hash_tuple(e)) {
             out.push(ReplicaItem::Tuple(e.clone()));
         }
     }
     for (group, value_key, e) in st.vstore.entries() {
-        if pred(e.index_id) && !have.contains(&hash_value_tuple(group, value_key, e)) {
+        if pred(e.index_id) && !have.contains(e.index_id, hash_value_tuple(group, value_key, e)) {
             out.push(ReplicaItem::ValueTuple {
                 group: group.to_string(),
                 value_key: value_key.to_string(),
@@ -251,7 +278,7 @@ fn missing_primary_items(
         }
     }
     for (id, n) in &st.offline_store {
-        if pred(*id) && !have.contains(&hash_offline(*id, n)) {
+        if pred(*id) && !have.contains(*id, hash_offline(*id, n)) {
             out.push(ReplicaItem::Offline {
                 id: *id,
                 notification: n.clone(),
@@ -326,18 +353,22 @@ impl Network {
             return Ok(());
         }
         rec.next_heartbeat = rec.now + rec.cfg.heartbeat_every.max(1);
-        let probers: Vec<NodeHandle> = self.ring.alive_nodes().collect();
-        for p in probers {
+        let mut probers = std::mem::take(&mut rec.probers);
+        let mut targets = std::mem::take(&mut rec.targets);
+        probers.clear();
+        probers.extend(self.ring.alive_nodes());
+        for &p in &probers {
             let slot = p.index() as u32;
-            let targets: Vec<NodeHandle> = self
-                .ring
-                .node(p)
-                .successor_list()
-                .iter()
-                .copied()
-                .filter(|t| *t != p)
-                .collect();
-            for t in targets {
+            targets.clear();
+            targets.extend(
+                self.ring
+                    .node(p)
+                    .successor_list()
+                    .iter()
+                    .copied()
+                    .filter(|t| *t != p),
+            );
+            for &t in &targets {
                 let tslot = t.index() as u32;
                 rec.watches
                     .entry((slot, tslot))
@@ -348,6 +379,8 @@ impl Network {
                 self.push_direct(p, t, Message::Ping { from: slot, seq });
             }
         }
+        rec.probers = probers;
+        rec.targets = targets;
         Ok(())
     }
 
@@ -438,6 +471,38 @@ impl Network {
         Ok(())
     }
 
+    /// The digest comparisons one anti-entropy round makes, in round order:
+    /// every alive primary's owned arc against each of its `k` successors'
+    /// replica stores. Both sides read their incrementally maintained
+    /// `DigestIndex`; nothing is re-hashed.
+    #[doc(hidden)]
+    pub fn digest_pairs(&mut self) -> Result<Vec<DigestPair>> {
+        let k = self.repl_k();
+        let epoch = self.ring.membership_epoch();
+        let mut out = Vec::with_capacity(self.ring.len() * k);
+        for p in self.ring.alive_nodes() {
+            let succs = self.ring.successors_of(p, k);
+            if succs.is_empty() {
+                continue;
+            }
+            // `p` owns exactly the arc `(pred, id]` (ground truth).
+            let (pred, id) = self.ring.owned_range(p)?;
+            let primary_digest = self.nodes[p.index()]
+                .primary_digests()
+                .digest(epoch, pred, id);
+            for s in succs {
+                out.push(DigestPair {
+                    primary: p,
+                    successor: s,
+                    arc: (pred, id),
+                    primary_digest,
+                    successor_digest: self.nodes[s.index()].replicas.digest(epoch, pred, id),
+                });
+            }
+        }
+        Ok(out)
+    }
+
     /// One anti-entropy round: every alive primary digests its owned state
     /// against each of its `k` successors' replica stores and re-mirrors
     /// only the missing items. A globally clean round (nothing missing
@@ -449,41 +514,29 @@ impl Network {
         }
         rec.next_anti_entropy = rec.now + rec.cfg.anti_entropy_every;
         let now = rec.now;
-        // Plan immutably first (digests borrow node state), then send.
+        // Plan first (digests borrow node state), then send. Only a pair
+        // whose digests differ walks the primary's tables for the diff.
         let mut plans: Vec<(NodeHandle, NodeHandle, Vec<ReplicaItem>)> = Vec::new();
         let mut exchanges: Vec<(u32, u32, u64, u64)> = Vec::new();
-        {
-            let ring = &self.ring;
-            let primaries: Vec<NodeHandle> = ring.alive_nodes().collect();
-            for p in primaries {
-                let succs = ring.successors_of(p, k);
-                if succs.is_empty() {
-                    continue;
-                }
-                let owned = |id: Id| ring.owns(p, id);
-                let primary = primary_hashes(&self.nodes[p.index()], owned);
-                let pdig = digest_of(&primary);
-                for s in succs {
-                    let sdig = self.nodes[s.index()].replicas.digest_where(owned);
-                    let missing = if sdig == pdig {
-                        Vec::new()
-                    } else {
-                        let mut have = FxHashSet::default();
-                        self.nodes[s.index()]
-                            .replicas
-                            .hashes_where(owned, &mut have);
-                        missing_primary_items(&self.nodes[p.index()], owned, &have)
-                    };
-                    exchanges.push((
-                        p.index() as u32,
-                        s.index() as u32,
-                        pdig.0,
-                        missing.len() as u64,
-                    ));
-                    if !missing.is_empty() {
-                        plans.push((p, s, missing));
-                    }
-                }
+        for pair in self.digest_pairs()? {
+            let (p, s, (pred, id)) = (pair.primary, pair.successor, pair.arc);
+            let missing = if pair.successor_digest == pair.primary_digest {
+                Vec::new()
+            } else {
+                let have = self.nodes[s.index()].replicas.index();
+                let suspects = self.nodes[p.index()]
+                    .mirrored
+                    .ids_missing_from(have, pred, id);
+                missing_primary_items(&self.nodes[p.index()], &suspects, have)
+            };
+            exchanges.push((
+                p.index() as u32,
+                s.index() as u32,
+                pair.primary_digest.0,
+                missing.len() as u64,
+            ));
+            if !missing.is_empty() {
+                plans.push((p, s, missing));
             }
         }
         for (node, to, items, missing) in exchanges {
@@ -559,22 +612,33 @@ impl Network {
                 });
                 break;
             }
-            let drained = loop {
-                match self.transport.next_delivery() {
-                    Ok(Some(p)) => self.transmit(&mut pipe, p),
-                    Ok(None) => break Ok(()),
-                    Err(e) => break Err(e),
-                }
-            };
-            if let Err(e) = drained {
-                result = Err(e);
-                break;
-            }
-            if let Err(e) = self.pump_tick(&mut pipe) {
+            if let Err(e) = self.forced_tick(&mut pipe) {
                 result = Err(e);
                 break;
             }
         }
+        self.transport.restore_pipe(pipe);
+        result
+    }
+
+    /// Folds queued sends into the pipe, then runs one pump tick whether or
+    /// not any protocol traffic is due.
+    fn forced_tick(&mut self, pipe: &mut FaultPipe) -> Result<()> {
+        while let Some(p) = self.transport.next_delivery()? {
+            self.transmit(pipe, p);
+        }
+        self.pump_tick(pipe)
+    }
+
+    /// Forces one pump tick regardless of pending work (test and benchmark
+    /// hook: lets the detector's heartbeat, deadline and digest cadences be
+    /// driven without protocol traffic). A no-op without a fault pipe.
+    #[doc(hidden)]
+    pub fn tick_now(&mut self) -> Result<()> {
+        let Some(mut pipe) = self.transport.take_pipe() else {
+            return Ok(());
+        };
+        let result = self.forced_tick(&mut pipe);
         self.transport.restore_pipe(pipe);
         result
     }
@@ -660,6 +724,105 @@ mod tests {
             .with_confirm_after(9)
             .with_suspect_after(6);
         assert_eq!((cfg.suspect_after, cfg.confirm_after), (6, 9));
+    }
+
+    fn churn_net(k: usize) -> Network {
+        use cq_relational::{Catalog, DataType, RelationSchema};
+        let mut catalog = Catalog::new();
+        for (name, a, b) in [("R", "A", "B"), ("S", "D", "E")] {
+            let schema = RelationSchema::of(name, &[(a, DataType::Int), (b, DataType::Int)]);
+            catalog.register(schema.unwrap()).unwrap();
+        }
+        let fault = crate::FaultConfig {
+            replication: k,
+            reliable: true,
+            ..crate::FaultConfig::default()
+        };
+        let config = crate::EngineConfig::new(crate::Algorithm::DaiT)
+            .with_nodes(12)
+            .with_seed(3)
+            .with_fault(fault)
+            .with_suspicion(SuspicionConfig::active());
+        Network::new(config, catalog)
+    }
+
+    fn offline_item(id: Id, v: i64) -> ReplicaItem {
+        ReplicaItem::Offline {
+            id,
+            notification: cq_relational::Notification {
+                query_key: cq_relational::QueryKey::derive("n", 0),
+                subscriber: "n".into(),
+                values: vec![cq_relational::Value::Int(v)],
+            },
+        }
+    }
+
+    #[test]
+    fn replicate_in_flight_from_a_dead_primary_is_promoted_within_the_epoch() {
+        // The epoch gate's edge: promotion scans a holder once per
+        // membership epoch — unless a mirror lands under an identifier the
+        // holder already owns, which only a `Replicate` still in flight
+        // when its primary died can do.
+        let mut net = churn_net(1);
+        let p = net.node_at(5);
+        let s = net.ring.successors_of(p, 1)[0];
+        let id = net.ring.id_of(p);
+        net.node_fail(p).unwrap();
+        // Some other (false) confirmation already ran promotion under the
+        // new epoch: `s` was scanned and held nothing promotable.
+        net.promote_replicas().unwrap();
+        let epoch = net.ring.membership_epoch();
+        assert!(!net.nodes[s.index()].replicas.promotion_scan_due(epoch));
+        // A late mirror for an arc `s` does not own leaves the gate shut …
+        let pred = net.ring.owned_range(s).unwrap().0;
+        assert!(!net.ring.owns(s, pred));
+        let stray = Box::new(offline_item(pred, 0));
+        net.dispatch(s, Message::Replicate { item: stray }).unwrap();
+        assert!(!net.nodes[s.index()].replicas.promotion_scan_due(epoch));
+        // … the dead primary's does not: `s` owns `id` since the failure.
+        assert!(net.ring.owns(s, id));
+        let late = Box::new(offline_item(id, 1));
+        net.dispatch(s, Message::Replicate { item: late }).unwrap();
+        assert!(net.nodes[s.index()].replicas.promotion_scan_due(epoch));
+        assert!(net.nodes[s.index()].offline_store.is_empty());
+        // The detector now confirms `p`; that confirmation's promotion
+        // finds the late arrival although the epoch has not moved.
+        net.settle().unwrap();
+        assert_eq!(net.recovery_counters().detections, 1);
+        assert_eq!(net.ring.membership_epoch(), epoch);
+        let ReplicaItem::Offline { notification, .. } = offline_item(id, 1) else {
+            unreachable!()
+        };
+        assert_eq!(net.nodes[s.index()].offline_store, vec![(id, notification)]);
+        assert_eq!(net.nodes[s.index()].replicas.len(), 1, "the stray mirror");
+    }
+
+    #[test]
+    fn digest_pairs_agree_with_the_from_scratch_oracles() {
+        use crate::replication::digest_of;
+        use cq_relational::Value;
+        let mut net = churn_net(2);
+        let a = net.node_at(0);
+        net.pose_query_sql(a, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E")
+            .unwrap();
+        for i in 0..12i64 {
+            let (rel, node) = (["R", "S"][i as usize % 2], net.node_at(i as usize % 7));
+            net.insert_tuple(node, rel, vec![Value::Int(i), Value::Int(i % 3)])
+                .unwrap();
+        }
+        net.node_fail(net.node_at(4)).unwrap();
+        net.settle().unwrap();
+        net.node_leave(net.node_at(6)).unwrap();
+        let pairs = net.digest_pairs().unwrap();
+        assert!(pairs.iter().any(|pair| pair.primary_digest.0 > 0));
+        for pair in pairs {
+            let (p, s) = (pair.primary, pair.successor);
+            let owned = |id: Id| net.ring.owns(p, id);
+            let primary = digest_of(&primary_hashes(&net.nodes[p.index()], owned));
+            assert_eq!(pair.primary_digest, primary, "primary {p:?}");
+            let mirror = net.nodes[s.index()].replicas.digest_where(owned);
+            assert_eq!(pair.successor_digest, mirror, "mirror of {p:?} at {s:?}");
+        }
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //! `transfer_matching` churn machinery uses — then re-mirrors the promoted
 //! entries onto its own successors to restore redundancy.
 
+use std::collections::BTreeSet;
+use std::ops::Bound;
+
 use cq_fasthash::FxHashSet;
 use cq_overlay::Id;
 use cq_relational::Notification;
@@ -125,6 +128,175 @@ pub(crate) fn hash_offline(id: Id, n: &Notification) -> u64 {
     fx_hash(5, &(id.0, n))
 }
 
+/// The incremental side of the anti-entropy digest: the `(index id, digest
+/// hash)` key of every mirrorable item a node holds, ordered by index id.
+///
+/// The digest of an ownership arc `(pred, id]` is `(count, wrapping sum)`
+/// over the *distinct* keys inside it — a set digest, because a primary may
+/// legitimately hold two equal items (two identical offline notifications)
+/// where the replica side dedups. Each side keeps one index — the primary
+/// over its tables, every [`ReplicaStore`] over its holdings — current on
+/// insert and extract, so a digest round folds an ordered integer range
+/// instead of re-hashing every held item, and an arc folded once is then
+/// adjusted in place until the membership epoch (and with it the arc) moves.
+///
+/// A `BTreeSet`, not a hash set: digests must agree across runs and
+/// `--jobs` workers, and arcs are ranges of the order.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct DigestIndex {
+    keys: BTreeSet<(u64, u64)>,
+    /// Digests of the arcs asked for under `epoch`, kept equal to a fresh
+    /// fold by [`DigestIndex::insert`] and [`DigestIndex::remove`].
+    arcs: Vec<ArcDigest>,
+    /// Membership epoch `arcs` belongs to; a new epoch drops them.
+    epoch: u64,
+    /// Set by bulk paths that rewrite the indexed tables wholesale; the
+    /// owner rebuilds before the next read (see
+    /// [`crate::node::NodeState::primary_digests`]).
+    stale: bool,
+}
+
+/// The digest of one ownership arc `(pred, id]`.
+#[derive(Clone, Copy, Debug)]
+struct ArcDigest {
+    pred: u64,
+    id: u64,
+    count: u64,
+    sum: u64,
+}
+
+/// Whether `x` lies in the ring arc `(pred, id]`; `pred == id` is the whole
+/// ring (a single node owns everything), as in
+/// [`cq_overlay::IdSpace::in_open_closed`].
+#[inline]
+fn in_arc(x: u64, pred: u64, id: u64) -> bool {
+    if pred < id {
+        pred < x && x <= id
+    } else {
+        x > pred || x <= id
+    }
+}
+
+impl DigestIndex {
+    /// Indexes one item key; a key already present is ignored (set
+    /// semantics). No-op while stale — the rebuild will pick it up.
+    pub(crate) fn insert(&mut self, id: Id, hash: u64) {
+        if !self.stale && self.keys.insert((id.0, hash)) {
+            for a in self.arcs_over(id.0) {
+                a.count += 1;
+                a.sum = a.sum.wrapping_add(hash);
+            }
+        }
+    }
+
+    /// Drops one item key (the item left the indexed tables).
+    pub(crate) fn remove(&mut self, id: Id, hash: u64) {
+        if !self.stale && self.keys.remove(&(id.0, hash)) {
+            for a in self.arcs_over(id.0) {
+                a.count -= 1;
+                a.sum = a.sum.wrapping_sub(hash);
+            }
+        }
+    }
+
+    /// The memoized arcs that contain index id `x`.
+    fn arcs_over(&mut self, x: u64) -> impl Iterator<Item = &mut ArcDigest> {
+        self.arcs
+            .iter_mut()
+            .filter(move |a| in_arc(x, a.pred, a.id))
+    }
+
+    /// Whether the item key is indexed (the anti-entropy diff side).
+    pub(crate) fn contains(&self, id: Id, hash: u64) -> bool {
+        debug_assert!(!self.stale, "rebuild before reading");
+        self.keys.contains(&(id.0, hash))
+    }
+
+    /// Forgets everything (the holder lost its state).
+    pub(crate) fn clear(&mut self) {
+        *self = DigestIndex::default();
+    }
+
+    /// Marks the index out of date: a bulk path moved items in or out of
+    /// the indexed tables without reporting each one.
+    pub(crate) fn invalidate(&mut self) {
+        self.clear();
+        self.stale = true;
+    }
+
+    /// Whether a bulk path invalidated the index since the last rebuild.
+    pub(crate) fn is_stale(&self) -> bool {
+        self.stale
+    }
+
+    /// Replaces the contents with `keys` and clears the stale mark.
+    pub(crate) fn rebuild(&mut self, keys: impl Iterator<Item = (Id, u64)>) {
+        self.clear();
+        self.keys.extend(keys.map(|(id, hash)| (id.0, hash)));
+    }
+
+    /// The keys inside the arc `(pred, id]`: one ordered range, or two when
+    /// the arc wraps past zero (`pred >= id`, the whole ring if equal).
+    fn arc_keys(&self, pred: u64, id: u64) -> impl Iterator<Item = &(u64, u64)> {
+        let after_pred = Bound::Excluded((pred, u64::MAX));
+        let upto_id = Bound::Included((id, u64::MAX));
+        let (head, tail) = if pred < id {
+            ((after_pred, upto_id), None)
+        } else {
+            (
+                (after_pred, Bound::Unbounded),
+                Some((Bound::Unbounded, upto_id)),
+            )
+        };
+        self.keys
+            .range(head)
+            .chain(tail.into_iter().flat_map(|r| self.keys.range(r)))
+    }
+
+    /// The index ids inside `(pred, id]` under which this index holds a key
+    /// `other` lacks — where the items an anti-entropy repair must re-send
+    /// live. Integer comparisons only; sorted and deduplicated.
+    pub(crate) fn ids_missing_from(&self, other: &DigestIndex, pred: Id, id: Id) -> Vec<Id> {
+        debug_assert!(!self.stale && !other.stale, "rebuild before reading");
+        let mut out: Vec<Id> = Vec::new();
+        for key in self.arc_keys(pred.0, id.0) {
+            // keys come in arc order, so a run of equal ids is adjacent
+            if !other.keys.contains(key) && out.last() != Some(&Id(key.0)) {
+                out.push(Id(key.0));
+            }
+        }
+        out.sort_unstable(); // arc order wraps past zero
+        out
+    }
+
+    /// The `(count, wrapping sum)` digest of the arc `(pred, id]` under
+    /// membership epoch `epoch`. The first call per arc and epoch folds the
+    /// ordered range; later calls read the incrementally maintained value.
+    pub(crate) fn digest(&mut self, epoch: u64, pred: Id, id: Id) -> (u64, u64) {
+        debug_assert!(!self.stale, "rebuild before reading");
+        if self.epoch != epoch {
+            self.epoch = epoch;
+            self.arcs.clear();
+        }
+        let (pred, id) = (pred.0, id.0);
+        if let Some(a) = self.arcs.iter().find(|a| a.pred == pred && a.id == id) {
+            return (a.count, a.sum);
+        }
+        let (count, sum) = self
+            .arc_keys(pred, id)
+            .fold((0u64, 0u64), |(n, sum), &(_, h)| {
+                (n + 1, sum.wrapping_add(h))
+            });
+        self.arcs.push(ArcDigest {
+            pred,
+            id,
+            count,
+            sum,
+        });
+        (count, sum)
+    }
+}
+
 /// Primary state promoted out of a replica store after a failure, ready to
 /// be inserted into the new owner's tables.
 #[derive(Debug, Default)]
@@ -206,6 +378,14 @@ pub struct ReplicaStore {
     vltt_seen: FxHashSet<(u64, Box<str>)>,
     vstore_seen: FxHashSet<(u64, Box<str>)>,
     offline_seen: FxHashSet<(Id, Notification)>,
+    /// Digest keys of everything held, kept current by `insert` and
+    /// `take_owned`.
+    index: DigestIndex,
+    /// Membership epoch of the last promotion scan (`None`: never scanned).
+    scanned_epoch: Option<u64>,
+    /// An item arrived under an identifier the holder already owned (its
+    /// primary died with the `Replicate` in flight) since the last scan.
+    owned_arrival: bool,
 }
 
 impl ReplicaStore {
@@ -219,38 +399,44 @@ impl ReplicaStore {
     /// tuple whose schema lacks its index attribute) so a corrupted
     /// `Replicate` payload fails the run with context instead of aborting.
     pub fn insert(&mut self, item: ReplicaItem) -> Result<()> {
-        match item {
-            ReplicaItem::Query(e) => {
-                self.alqt.insert(e);
-            }
-            ReplicaItem::Rewritten(e) => {
-                self.vlqt.insert(e)?;
-            }
+        let (id, hash) = (item.index_id(), item.digest_hash());
+        let fresh = match item {
+            ReplicaItem::Query(e) => self.alqt.insert(e),
+            ReplicaItem::Rewritten(e) => self.vlqt.insert(e)?,
             ReplicaItem::Tuple(e) => {
-                if self
+                let fresh = self
                     .vltt_seen
-                    .insert((e.tuple.seq(), e.attr.as_str().into()))
-                {
+                    .insert((e.tuple.seq(), e.attr.as_str().into()));
+                if fresh {
                     self.vltt.insert(e)?;
                 }
+                fresh
             }
             ReplicaItem::ValueTuple {
                 group,
                 value_key,
                 entry,
             } => {
-                if self
+                let fresh = self
                     .vstore_seen
-                    .insert((entry.tuple.seq(), group.as_str().into()))
-                {
+                    .insert((entry.tuple.seq(), group.as_str().into()));
+                if fresh {
                     self.vstore.insert(&group, &value_key, entry);
                 }
+                fresh
             }
             ReplicaItem::Offline { id, notification } => {
-                if self.offline_seen.insert((id, notification.clone())) {
+                let fresh = self.offline_seen.insert((id, notification.clone()));
+                if fresh {
                     self.offline.push((id, notification));
                 }
+                fresh
             }
+        };
+        // Only what was actually stored is digested: the tables' dedup
+        // decides, exactly as a from-scratch pass over them would.
+        if fresh {
+            self.index.insert(id, hash);
         }
         Ok(())
     }
@@ -278,19 +464,29 @@ impl ReplicaStore {
         let rewritten = self.vlqt.extract_where(&pred);
         let tuples = self.vltt.extract_where(&pred);
         let value_tuples = self.vstore.extract_where(&pred);
+        for e in &queries {
+            self.index.remove(e.index_id, hash_query(e));
+        }
+        for e in &rewritten {
+            self.index.remove(e.index_id, hash_rewritten(e));
+        }
         for e in &tuples {
             self.vltt_seen
                 .remove(&(e.tuple.seq(), e.attr.as_str().into()));
+            self.index.remove(e.index_id, hash_tuple(e));
         }
-        for (group, _, e) in &value_tuples {
+        for (group, value_key, e) in &value_tuples {
             self.vstore_seen
                 .remove(&(e.tuple.seq(), group.as_str().into()));
+            self.index
+                .remove(e.index_id, hash_value_tuple(group, value_key, e));
         }
         let mut offline = Vec::new();
         let mut kept = Vec::new();
         for (id, n) in std::mem::take(&mut self.offline) {
             if pred(id) {
                 self.offline_seen.remove(&(id, n.clone()));
+                self.index.remove(id, hash_offline(id, &n));
                 offline.push((id, n));
             } else {
                 kept.push((id, n));
@@ -312,50 +508,78 @@ impl ReplicaStore {
         self.take_owned(|_| true).into_items()
     }
 
-    /// Collects the digest hashes of every held item whose index identifier
-    /// satisfies `pred` into `out` (the anti-entropy diff side).
-    pub(crate) fn hashes_where(&self, pred: impl Fn(Id) -> bool, out: &mut FxHashSet<u64>) {
-        for e in self.alqt.entries() {
-            if pred(e.index_id) {
-                out.insert(hash_query(e));
-            }
-        }
-        for e in self.vlqt.entries() {
-            if pred(e.index_id) {
-                out.insert(hash_rewritten(e));
-            }
-        }
-        for e in self.vltt.entries() {
-            if pred(e.index_id) {
-                out.insert(hash_tuple(e));
-            }
-        }
-        for (group, value_key, e) in self.vstore.entries() {
-            if pred(e.index_id) {
-                out.insert(hash_value_tuple(group, value_key, e));
-            }
-        }
-        for (id, n) in &self.offline {
-            if pred(*id) {
-                out.insert(hash_offline(*id, n));
-            }
-        }
+    /// Whether a promotion scan at membership epoch `epoch` could find
+    /// anything: ownership is a function of the epoch alone, so after a
+    /// scan the store holds nothing promotable until the epoch moves or an
+    /// item arrives under an identifier the holder already owns.
+    pub(crate) fn promotion_scan_due(&self, epoch: u64) -> bool {
+        self.scanned_epoch != Some(epoch) || self.owned_arrival
     }
 
-    /// Order-independent digest `(entry count, commutative hash sum)` over
-    /// the held items whose index identifier satisfies `pred`. Two stores
-    /// holding the same item multiset produce the same digest regardless of
-    /// insertion or iteration order.
+    /// Records a completed promotion scan at membership epoch `epoch`.
+    pub(crate) fn note_promotion_scan(&mut self, epoch: u64) {
+        self.scanned_epoch = Some(epoch);
+        self.owned_arrival = false;
+    }
+
+    /// Records that a mirrored item arrived under an identifier the holder
+    /// already owns — the next promotion must scan even within the epoch.
+    pub(crate) fn note_owned_arrival(&mut self) {
+        self.owned_arrival = true;
+    }
+
+    /// The `(count, wrapping sum)` set digest of the held items whose index
+    /// identifier lies in the arc `(pred, id]` (see [`DigestIndex`]).
+    pub(crate) fn digest(&mut self, epoch: u64, pred: Id, id: Id) -> (u64, u64) {
+        self.index.digest(epoch, pred, id)
+    }
+
+    /// The digest keys of everything held (the anti-entropy diff side).
+    pub(crate) fn index(&self) -> &DigestIndex {
+        &self.index
+    }
+
+    /// Clones out every mirrored item (tests and diagnostics; the order is
+    /// unspecified).
+    pub fn items(&self) -> Vec<ReplicaItem> {
+        let mut out = Vec::with_capacity(self.len());
+        out.extend(self.alqt.entries().cloned().map(ReplicaItem::Query));
+        out.extend(self.vlqt.entries().cloned().map(ReplicaItem::Rewritten));
+        out.extend(self.vltt.entries().cloned().map(ReplicaItem::Tuple));
+        out.extend(
+            self.vstore
+                .entries()
+                .map(|(group, value_key, e)| ReplicaItem::ValueTuple {
+                    group: group.to_string(),
+                    value_key: value_key.to_string(),
+                    entry: e.clone(),
+                }),
+        );
+        out.extend(self.offline.iter().map(|(id, n)| ReplicaItem::Offline {
+            id: *id,
+            notification: n.clone(),
+        }));
+        out
+    }
+
+    /// From-scratch oracle for [`ReplicaStore::digest`]: re-hashes every
+    /// held item under `pred` into a fresh set and folds it.
+    #[cfg(test)]
     pub(crate) fn digest_where(&self, pred: impl Fn(Id) -> bool) -> (u64, u64) {
-        let mut set = FxHashSet::default();
-        self.hashes_where(pred, &mut set);
+        let set: FxHashSet<u64> = self
+            .items()
+            .iter()
+            .filter(|item| pred(item.index_id()))
+            .map(ReplicaItem::digest_hash)
+            .collect();
         digest_of(&set)
     }
 }
 
-/// Folds a hash set into the `(count, sum)` digest the anti-entropy round
-/// compares. Wrapping addition keeps the combination commutative without
-/// the cancellation a plain XOR would allow.
+/// Folds a hash set into the `(count, sum)` digest (from-scratch oracle of
+/// [`DigestIndex::digest`]). Wrapping addition keeps the combination
+/// commutative without the cancellation a plain XOR would allow.
+#[cfg(test)]
 pub(crate) fn digest_of(hashes: &FxHashSet<u64>) -> (u64, u64) {
     let mut sum = 0u64;
     for h in hashes {
@@ -391,6 +615,80 @@ mod tests {
             subscriber: "n".into(),
             values: vec![Value::Int(v)],
         }
+    }
+
+    /// `(count, sum)` of the keys of `keys` inside `(pred, id]`, the slow way.
+    fn fold(keys: &[(u64, u64)], pred: u64, id: u64) -> (u64, u64) {
+        let set: FxHashSet<u64> = keys
+            .iter()
+            .filter(|(x, _)| in_arc(*x, pred, id))
+            .map(|(_, h)| *h)
+            .collect();
+        digest_of(&set)
+    }
+
+    #[test]
+    fn digest_index_arcs_stay_equal_to_a_fresh_fold() {
+        // ids 0..40 step 3, hash = a mix of the id, so sums are telling
+        let mut keys: Vec<(u64, u64)> = (0..14).map(|i| (i * 3, (i * 3 + 1) << 40)).collect();
+        let mut index = DigestIndex::default();
+        for &(id, h) in &keys[..7] {
+            index.insert(Id(id), h);
+        }
+        // plain, wrapping, whole-ring and empty arcs, first folded …
+        let arcs = [(5, 20), (30, 8), (12, 12), (1, 2)];
+        for (pred, id) in arcs {
+            let got = index.digest(1, Id(pred), Id(id));
+            assert_eq!(got, fold(&keys[..7], pred, id), "({pred}, {id}]");
+        }
+        // … then kept current through inserts, a duplicate, and removals
+        for &(id, h) in &keys[7..] {
+            index.insert(Id(id), h);
+        }
+        index.insert(Id(keys[0].0), keys[0].1);
+        let (gone_id, gone_hash) = keys.remove(4);
+        index.remove(Id(gone_id), gone_hash);
+        index.remove(Id(gone_id), gone_hash);
+        assert!(!index.contains(Id(gone_id), gone_hash));
+        for (pred, id) in arcs {
+            let got = index.digest(1, Id(pred), Id(id));
+            assert_eq!(got, fold(&keys, pred, id), "({pred}, {id}]");
+        }
+        // a new membership epoch re-folds
+        assert_eq!(index.digest(2, Id(5), Id(20)), fold(&keys, 5, 20));
+        assert_eq!(index.arcs.len(), 1);
+        // a bulk invalidation ignores trickle updates until the rebuild
+        index.invalidate();
+        index.insert(Id(1), 1);
+        assert!(index.is_stale());
+        index.rebuild(keys.iter().map(|&(id, h)| (Id(id), h)));
+        assert!(!index.is_stale());
+        assert_eq!(index.digest(2, Id(30), Id(8)), fold(&keys, 30, 8));
+    }
+
+    #[test]
+    fn store_digest_follows_insert_and_extract() {
+        let mut s = ReplicaStore::new();
+        let item = |id: u64, seq: u64| {
+            ReplicaItem::Tuple(StoredTuple {
+                index_id: Id(id),
+                attr: "A".into(),
+                tuple: tuple(seq),
+            })
+        };
+        for (id, seq) in [(10, 1), (20, 2), (30, 3)] {
+            s.insert(item(id, seq)).unwrap();
+        }
+        s.insert(item(20, 2)).unwrap(); // duplicate: stored and digested once
+        let in_arc = |id: Id| id.0 > 5 && id.0 <= 25;
+        assert_eq!(s.digest(1, Id(5), Id(25)), s.digest_where(in_arc));
+        assert_eq!(s.digest(1, Id(5), Id(25)).0, 2);
+        assert!(s.index().contains(Id(20), item(20, 2).digest_hash()));
+        let promoted = s.take_owned(|id| id == Id(20));
+        assert_eq!(promoted.len(), 1);
+        assert_eq!(s.digest(1, Id(5), Id(25)), s.digest_where(in_arc));
+        assert_eq!(s.digest(1, Id(5), Id(25)).0, 1);
+        assert!(!s.index().contains(Id(20), item(20, 2).digest_hash()));
     }
 
     #[test]

@@ -453,12 +453,17 @@ impl Network {
     }
 
     /// Mirrors one freshly inserted primary item onto `at`'s `k` first alive
-    /// successors (no-op when replication is off).
+    /// successors (no-op when replication is off). Every primary insert
+    /// passes through here while replication is on, so this is also where
+    /// the item enters `at`'s anti-entropy digest index.
     pub(crate) fn replicate(&mut self, at: NodeHandle, item: ReplicaItem) {
         let k = self.repl_k();
         if k == 0 {
             return;
         }
+        self.nodes[at.index()]
+            .mirrored
+            .insert(item.index_id(), item.digest_hash());
         for succ in self.ring.successors_of(at, k) {
             self.metrics.faults.replica_messages += 1;
             let (tick, node, to) = (self.trace_tick(), at.index() as u32, succ.index() as u32);
@@ -683,7 +688,10 @@ impl Network {
             let tick = pipe.tick;
             self.trace(|| TraceEvent::FaultDuplicate { tick, node, id });
         }
-        for _ in 0..copies {
+        // The last copy carries the payload itself; only a surviving first
+        // copy of a duplicated transmission clones it.
+        let mut msg = Some(msg);
+        for copy in 0..copies {
             if pipe.cfg.loss_rate > 0.0 && pipe.rng.gen::<f64>() < pipe.cfg.loss_rate {
                 self.metrics.faults.messages_lost += 1;
                 let tick = pipe.tick;
@@ -706,14 +714,14 @@ impl Network {
                     extra,
                 });
             }
-            pipe.schedule(
-                at,
-                Delivery::Data {
-                    id,
-                    to,
-                    msg: msg.clone(),
-                },
-            );
+            let payload = if copy + 1 == copies {
+                msg.take()
+            } else {
+                msg.clone()
+            };
+            // Invariant: only the final iteration takes the payload.
+            let msg = payload.expect("payload outlives every copy but the last");
+            pipe.schedule(at, Delivery::Data { id, to, msg });
         }
     }
 

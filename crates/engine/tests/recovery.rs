@@ -294,3 +294,197 @@ fn detection_disabled_by_default_is_inert() {
     assert!(net.detection_windows().is_empty());
     assert_eq!(net.inbox(a).len(), 1);
 }
+
+// ---------------------------------------------------------------------
+// Incremental digests vs a from-scratch pass over the same state
+// ---------------------------------------------------------------------
+
+use cq_engine::{NodeState, ReplicaItem};
+use cq_overlay::{Id, NodeHandle};
+use proptest::prelude::*;
+
+/// Every primary item `st` holds, as the mirrorable item it is replicated as.
+fn primary_items(st: &NodeState) -> Vec<ReplicaItem> {
+    let mut out = Vec::new();
+    out.extend(st.alqt.entries().cloned().map(ReplicaItem::Query));
+    out.extend(st.vlqt.entries().cloned().map(ReplicaItem::Rewritten));
+    out.extend(st.vltt.entries().cloned().map(ReplicaItem::Tuple));
+    out.extend(
+        st.vstore
+            .entries()
+            .map(|(group, value_key, e)| ReplicaItem::ValueTuple {
+                group: group.to_string(),
+                value_key: value_key.to_string(),
+                entry: e.clone(),
+            }),
+    );
+    out.extend(st.offline_store.iter().map(|(id, n)| ReplicaItem::Offline {
+        id: *id,
+        notification: n.clone(),
+    }));
+    out
+}
+
+/// The digest the anti-entropy round used to compute every round: hash every
+/// item under `owned` into a fresh set, fold `(count, wrapping sum)`.
+fn from_scratch(items: &[ReplicaItem], owned: impl Fn(Id) -> bool) -> (u64, u64) {
+    let set: std::collections::HashSet<u64> = items
+        .iter()
+        .filter(|item| owned(item.index_id()))
+        .map(ReplicaItem::digest_hash)
+        .collect();
+    let sum = set.iter().fold(0u64, |sum, h| sum.wrapping_add(*h));
+    (set.len() as u64, sum)
+}
+
+/// Asserts that, for every (primary, successor) pair an anti-entropy round
+/// would compare, both incrementally maintained digests equal a from-scratch
+/// pass over the tables as they are right now. Ownership is ground truth
+/// (`Ring::owns`), independent of the arcs the index folds.
+fn assert_digests_exact(net: &mut Network, context: &str) {
+    for pair in net.digest_pairs().unwrap() {
+        let (p, s) = (pair.primary, pair.successor);
+        let ring = net.ring();
+        let owned = |id: Id| ring.owns(p, id);
+        assert_eq!(
+            pair.primary_digest,
+            from_scratch(&primary_items(net.node_state(p)), owned),
+            "{context}: primary {p:?} digest drifted from its tables"
+        );
+        assert_eq!(
+            pair.successor_digest,
+            from_scratch(&net.node_state(s).replicas.items(), owned),
+            "{context}: replica store at {s:?} drifted (arc of {p:?})"
+        );
+    }
+}
+
+fn churn_net(alg: Algorithm, seed: u64) -> Network {
+    let mut fault = FaultConfig::lossy(0.1, seed);
+    fault.replication = 2;
+    Network::new(
+        EngineConfig::new(alg)
+            .with_nodes(16)
+            .with_seed(seed)
+            .with_fault(fault)
+            .with_suspicion(
+                SuspicionConfig::active()
+                    .with_suspect_after(4)
+                    .with_confirm_after(4),
+            ),
+        catalog(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random insert / fail / leave / rejoin / promotion / settle schedules
+    /// on all four algorithms: after every step the incremental digests
+    /// equal the from-scratch ones for every (primary, successor) pair.
+    #[test]
+    fn incremental_digests_match_from_scratch(
+        seed in 0u64..1_000,
+        ops in prop::collection::vec((0u8..10, 0usize..64, 0i64..6), 1..40),
+    ) {
+        for alg in Algorithm::ALL {
+            let mut net = churn_net(alg, seed);
+            let poser = net.node_at(0);
+            net.pose_query_sql(poser, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E").unwrap();
+            net.pose_query_sql(poser, "SELECT S.D, R.B FROM S, R WHERE S.D = R.A").unwrap();
+            for (step, &(kind, pick, v)) in ops.iter().enumerate() {
+                let alive: Vec<NodeHandle> = net.ring().alive_nodes().collect();
+                let departed: Vec<NodeHandle> = (0..net.ring().slot_count())
+                    .map(NodeHandle::from_index)
+                    .filter(|&h| !net.ring().node(h).is_alive())
+                    .collect();
+                let node = alive[pick % alive.len()];
+                // A victim that rejoins, or is stabilized out of every
+                // successor list, before the detector confirmed it is never
+                // confirmed, and `settle` would spin to its tick limit.
+                let detected = net.detection_windows().iter().all(|w| w.1 != u64::MAX);
+                // Errors are legal here (e.g. routing through a ring that
+                // is mid-repair); the digests must stay exact regardless.
+                match kind {
+                    0 if alive.len() > 12 => drop(net.node_fail(node)),
+                    1 if alive.len() > 12 => drop(net.node_leave(node)),
+                    2 if !departed.is_empty() && detected => {
+                        drop(net.node_rejoin(departed[pick % departed.len()]))
+                    }
+                    3 if detected => drop(net.stabilize(1)),
+                    4 => drop(net.settle()),
+                    5 => drop(net.anti_entropy_now()),
+                    k if k % 2 == 0 => {
+                        drop(net.insert_tuple(node, "R", vec![Value::Int(v), Value::Int(v % 3)]))
+                    }
+                    _ => drop(net.insert_tuple(node, "S", vec![Value::Int(v), Value::Int(v % 3)])),
+                }
+                assert_digests_exact(&mut net, &format!("{alg} seed {seed} step {step} op {kind}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn equal_offline_notifications_digest_as_a_set() {
+    // The set-semantics trap: the subscriber is offline, and two S tuples
+    // with equal values join the same stored R tuple — two *equal*
+    // notifications. The primary's offline store
+    // keeps both (it is a log); the replica store dedups. A multiset digest
+    // would see 2 vs 1 and re-mirror forever; the set digest must call the
+    // pair clean.
+    let fault = FaultConfig {
+        replication: 2,
+        reliable: true,
+        ..FaultConfig::default()
+    };
+    let mut net = Network::new(
+        EngineConfig::new(Algorithm::Sai)
+            .with_nodes(16)
+            .with_seed(29)
+            .with_fault(fault)
+            .with_suspicion(SuspicionConfig::active()),
+        catalog(),
+    );
+    let (poser, other) = (net.node_at(3), net.node_at(9));
+    net.pose_query_sql(poser, "SELECT S.D FROM R, S WHERE R.B = S.E")
+        .unwrap();
+    net.node_leave(poser).unwrap();
+    net.insert_tuple(other, "R", vec![Value::Int(1), Value::Int(7)])
+        .unwrap();
+    net.insert_tuple(other, "S", vec![Value::Int(5), Value::Int(7)])
+        .unwrap();
+    net.insert_tuple(other, "S", vec![Value::Int(5), Value::Int(7)])
+        .unwrap();
+
+    let holder = net
+        .ring()
+        .alive_nodes()
+        .find(|&h| net.node_state(h).offline_store.len() == 2)
+        .expect("both notifications are held for the offline subscriber");
+    let store = &net.node_state(holder).offline_store;
+    assert_eq!(store[0], store[1], "the two notifications are equal");
+    let mirrored: usize = net
+        .ring()
+        .successors_of(holder, 2)
+        .iter()
+        .map(|&s| {
+            let items = net.node_state(s).replicas.items();
+            items
+                .iter()
+                .filter(|i| matches!(i, ReplicaItem::Offline { .. }))
+                .count()
+        })
+        .sum();
+    assert_eq!(mirrored, 2, "each of the 2 successors dedups to one copy");
+
+    assert_digests_exact(&mut net, "equal offline notifications");
+    for pair in net.digest_pairs().unwrap() {
+        assert_eq!(pair.primary_digest, pair.successor_digest, "{pair:?}");
+    }
+    let before = net.recovery_counters();
+    net.anti_entropy_now().unwrap();
+    let after = net.recovery_counters();
+    assert!(after.digest_exchanges > before.digest_exchanges);
+    assert_eq!(after.repair_items, before.repair_items, "nothing to repair");
+}

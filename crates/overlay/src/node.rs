@@ -101,4 +101,11 @@ impl Node {
     pub fn fingers(&self) -> &[Option<NodeHandle>] {
         &self.fingers
     }
+
+    /// The round-robin cursor of `fix_fingers()`: the 0-based index of the
+    /// finger the next refresh step rewrites.
+    #[inline]
+    pub fn next_finger(&self) -> u32 {
+        self.next_finger
+    }
 }

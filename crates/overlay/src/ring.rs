@@ -25,6 +25,16 @@ pub struct Ring {
     /// Alive nodes ordered by identifier — the ground truth used to verify
     /// routing and to implement perfect pointer construction.
     by_id: BTreeMap<u64, NodeHandle>,
+    /// Bumped by every change to `by_id` (node insert, join, rejoin, leave,
+    /// fail). Ownership is a function of `by_id` alone, so anything derived
+    /// from ownership stays valid exactly as long as the epoch stands still.
+    epoch: u64,
+    /// `true` when the last full [`Ring::stabilize_all`] round changed no
+    /// pointer and nothing has mutated the ring since. A round is a
+    /// deterministic function of the ring state, so at such a fixed point
+    /// the next round would change nothing either and is skipped. Every
+    /// mutator clears the flag; only `stabilize_all` sets it.
+    converged: bool,
 }
 
 impl Ring {
@@ -41,6 +51,8 @@ impl Ring {
             succ_len,
             slots: Vec::new(),
             by_id: BTreeMap::new(),
+            epoch: 0,
+            converged: false,
         }
     }
 
@@ -78,6 +90,21 @@ impl Ring {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.by_id.is_empty()
+    }
+
+    /// The membership epoch: a counter that moves whenever the set of alive
+    /// nodes — and with it any ownership arc — changes. Equal epochs mean
+    /// [`Ring::owner_of`] answers identically for every identifier.
+    #[inline]
+    pub fn membership_epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Records a change to `by_id`.
+    #[inline]
+    fn membership_changed(&mut self) {
+        self.epoch += 1;
+        self.converged = false;
     }
 
     /// Total number of slots ever allocated (alive + departed).
@@ -160,6 +187,7 @@ impl Ring {
         self.slots
             .push(Node::new(key.to_string(), id, self.space.bits()));
         self.by_id.insert(id.0, h);
+        self.membership_changed();
         Ok(h)
     }
 
@@ -170,6 +198,7 @@ impl Ring {
         if handles.is_empty() {
             return;
         }
+        self.converged = false;
         let m = self.space.bits();
         for &h in &handles {
             let id = self.id_of(h);
@@ -219,9 +248,7 @@ impl Ring {
         }
         let id = hash_key(self.space, key);
         // Route before inserting, so the lookup sees the pre-join ring.
-        let route = self.route(via, id)?;
-        let succ = route.owner;
-        let hops = route.hops();
+        let (succ, hops) = self.route_owner(via, id)?;
         if let Some(&existing) = self.by_id.get(&id.0) {
             return Err(OverlayError::IdCollision {
                 id,
@@ -234,6 +261,7 @@ impl Ring {
         node.successors = vec![succ];
         self.slots.push(node);
         self.by_id.insert(id.0, h);
+        self.membership_changed();
         Ok((h, hops))
     }
 
@@ -247,9 +275,7 @@ impl Ring {
             return Err(OverlayError::NodeNotAlive);
         }
         let id = self.id_of(h);
-        let route = self.route(via, id)?;
-        let succ = route.owner;
-        let hops = route.hops();
+        let (succ, hops) = self.route_owner(via, id)?;
         debug_assert!(!self.by_id.contains_key(&id.0), "slot ids are unique");
         let node = &mut self.slots[h.index()];
         node.alive = true;
@@ -257,6 +283,7 @@ impl Ring {
         node.predecessor = None;
         node.fingers.iter_mut().for_each(|f| *f = None);
         self.by_id.insert(id.0, h);
+        self.membership_changed();
         Ok(hops)
     }
 
@@ -271,6 +298,7 @@ impl Ring {
         }
         let id = self.id_of(h);
         self.by_id.remove(&id.0);
+        self.membership_changed();
         let succ = self.first_alive_successor(h);
         let pred = self.node(h).predecessor.filter(|&p| self.node(p).alive);
         if let (Some(s), Some(p)) = (succ, pred) {
@@ -301,6 +329,7 @@ impl Ring {
         }
         let id = self.id_of(h);
         self.by_id.remove(&id.0);
+        self.membership_changed();
         self.slots[h.index()].alive = false;
         Ok(())
     }
@@ -348,28 +377,29 @@ impl Ring {
 
     /// One `stabilize()` round for node `h`: ask the successor for its
     /// predecessor, adopt it if it sits between us, notify the successor,
-    /// and refresh the successor list from the successor's list.
-    pub fn stabilize(&mut self, h: NodeHandle) {
+    /// and refresh the successor list from the successor's list. Returns
+    /// whether any pointer changed.
+    pub fn stabilize(&mut self, h: NodeHandle) -> bool {
         if !self.node(h).alive {
-            return;
+            return false;
         }
+        let mut changed = false;
         if self.first_alive_successor(h).is_none() {
             // The whole successor list died at once (more than `r` adjacent
             // failures). Fall back to the closest alive node we still know
             // of — fingers or predecessor; if nothing is alive we must be
             // alone and point at ourselves, as Chord's single node does.
             match self.emergency_successor(h) {
-                Some(s) => self.slots[h.index()].successors = vec![s],
+                Some(s) => changed |= self.set_successors(h, vec![s]),
                 None => {
-                    let node = &mut self.slots[h.index()];
-                    node.successors = vec![h];
-                    node.predecessor = Some(h);
-                    return;
+                    changed |= self.set_successors(h, vec![h]);
+                    changed |= self.set_predecessor(h, Some(h));
+                    return changed;
                 }
             }
         }
         let Some(succ) = self.first_alive_successor(h) else {
-            return;
+            return changed;
         };
         let id = self.id_of(h);
         // Adopt a recently joined node sitting between us and our successor.
@@ -393,7 +423,7 @@ impl Ring {
                 list.push(s);
             }
         }
-        self.slots[h.index()].successors = list;
+        changed |= self.set_successors(h, list);
         // notify(new_succ): "h might be your predecessor"
         let ns_id = self.id_of(new_succ);
         let adopt = match self.node(new_succ).predecessor {
@@ -401,23 +431,58 @@ impl Ring {
             _ => true,
         };
         if adopt && new_succ != h {
-            self.slots[new_succ.index()].predecessor = Some(h);
+            changed |= self.set_predecessor(new_succ, Some(h));
         }
+        changed
+    }
+
+    /// Assigns `h`'s successor list; returns whether it differed. A change
+    /// leaves the stabilization fixed point.
+    fn set_successors(&mut self, h: NodeHandle, list: Vec<NodeHandle>) -> bool {
+        let node = &mut self.slots[h.index()];
+        if node.successors == list {
+            return false;
+        }
+        node.successors = list;
+        self.converged = false;
+        true
+    }
+
+    /// Assigns `h`'s predecessor pointer; returns whether it differed. A
+    /// change leaves the stabilization fixed point.
+    fn set_predecessor(&mut self, h: NodeHandle, pred: Option<NodeHandle>) -> bool {
+        let node = &mut self.slots[h.index()];
+        if node.predecessor == pred {
+            return false;
+        }
+        node.predecessor = pred;
+        self.converged = false;
+        true
     }
 
     /// One `fix_fingers()` step for node `h`: refresh the next finger entry
     /// (round-robin), using greedy routing through the current ring state.
-    pub fn fix_finger(&mut self, h: NodeHandle) {
+    /// Returns whether the finger pointer changed.
+    ///
+    /// The round-robin cursor always advances, so a lone step leaves the
+    /// stabilization fixed point; only the full cycle [`Ring::stabilize_all`]
+    /// runs brings the cursor back to where it started.
+    pub fn fix_finger(&mut self, h: NodeHandle) -> bool {
         if !self.node(h).alive {
-            return;
+            return false;
         }
+        self.converged = false;
         let m = self.space.bits();
         let j = (self.node(h).next_finger % m) + 1; // 1-based finger index
         self.slots[h.index()].next_finger = j % m;
         let start = self.space.finger_start(self.id_of(h), j);
-        if let Ok(route) = self.route(h, start) {
-            self.slots[h.index()].fingers[(j - 1) as usize] = Some(route.owner);
-        }
+        let Ok((owner, _)) = self.route_owner(h, start) else {
+            return false;
+        };
+        let finger = &mut self.slots[h.index()].fingers[(j - 1) as usize];
+        let changed = *finger != Some(owner);
+        *finger = Some(owner);
+        changed
     }
 
     /// The closest alive node clockwise from `h` among everything `h` still
@@ -446,32 +511,42 @@ impl Ring {
     }
 
     /// `check_predecessor()`: clear the predecessor pointer if it has failed.
-    pub fn check_predecessor(&mut self, h: NodeHandle) {
+    /// Returns whether the pointer changed.
+    pub fn check_predecessor(&mut self, h: NodeHandle) -> bool {
         if !self.node(h).alive {
-            return;
+            return false;
         }
-        if let Some(p) = self.node(h).predecessor {
-            if !self.node(p).alive {
-                self.slots[h.index()].predecessor = None;
-            }
+        match self.node(h).predecessor {
+            Some(p) if !self.node(p).alive => self.set_predecessor(h, None),
+            _ => false,
         }
     }
 
     /// Runs `rounds` full stabilization sweeps over every alive node
     /// (stabilize + check_predecessor + a full finger refresh).
+    ///
+    /// A sweep is a deterministic function of the ring state, and a full
+    /// finger refresh returns every round-robin cursor to where it started.
+    /// So once a sweep has changed no pointer, every further sweep is the
+    /// identity until something mutates the ring — and is skipped.
     pub fn stabilize_all(&mut self, rounds: usize) {
         let m = self.space.bits();
         for _ in 0..rounds {
+            if self.converged {
+                return;
+            }
             let handles: Vec<NodeHandle> = self.alive_nodes().collect();
+            let mut changed = false;
             for &h in &handles {
-                self.check_predecessor(h);
-                self.stabilize(h);
+                changed |= self.check_predecessor(h);
+                changed |= self.stabilize(h);
             }
             for &h in &handles {
                 for _ in 0..m {
-                    self.fix_finger(h);
+                    changed |= self.fix_finger(h);
                 }
             }
+            self.converged = !changed;
         }
     }
 }

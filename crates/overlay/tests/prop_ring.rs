@@ -1,7 +1,24 @@
 //! Property-based tests for the Chord ring invariants.
 
-use cq_overlay::{Id, IdSpace, Ring};
+use cq_overlay::{Id, IdSpace, NodeHandle, Ring};
 use proptest::prelude::*;
+
+/// One stabilization sweep, step by step through the public single-node
+/// API — the reference `Ring::stabilize_all` is compared against. Single
+/// steps never consult the fixed-point flag, so this never skips.
+fn sweep_unskipped(ring: &mut Ring) {
+    let m = ring.space().bits();
+    let handles: Vec<NodeHandle> = ring.alive_nodes().collect();
+    for &h in &handles {
+        ring.check_predecessor(h);
+        ring.stabilize(h);
+    }
+    for &h in &handles {
+        for _ in 0..m {
+            ring.fix_finger(h);
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -84,6 +101,69 @@ proptest! {
             let succ = ring.first_alive_successor(h).unwrap();
             let expect = ring.owner_of(ring.space().add(ring.id_of(h), 1)).unwrap();
             prop_assert_eq!(succ, expect);
+        }
+    }
+
+    /// `stabilize_all` skips sweeps at a fixed point. Drive random
+    /// join/leave/fail/rejoin/stabilize sequences against a reference ring
+    /// whose sweeps go through the single-step API (which never skips):
+    /// every pointer and every finger cursor of every slot must agree after
+    /// every operation.
+    #[test]
+    fn fixed_point_skip_is_exact(
+        n in 2usize..20,
+        ops in prop::collection::vec((0u8..8, 0usize..64, 0usize..4), 1..40),
+    ) {
+        let mut ring = Ring::build(IdSpace::new(12), n, "f-");
+        let mut reference = ring.clone();
+        let mut joined = 0usize;
+        for (kind, pick, rounds) in ops {
+            let alive: Vec<_> = ring.alive_nodes().collect();
+            let departed: Vec<_> = (0..ring.slot_count())
+                .map(NodeHandle::from_index)
+                .filter(|&h| !ring.node(h).is_alive())
+                .collect();
+            let victim = alive[pick % alive.len()];
+            match kind {
+                0 => {
+                    let key = format!("late-{joined}");
+                    joined += 1;
+                    let a = ring.join(&key, victim).map(|(_, hops)| hops).ok();
+                    let b = reference.join(&key, victim).map(|(_, hops)| hops).ok();
+                    prop_assert_eq!(a, b);
+                }
+                1 if alive.len() > 2 => {
+                    ring.leave(victim).unwrap();
+                    reference.leave(victim).unwrap();
+                }
+                2 if alive.len() > 2 => {
+                    ring.fail(victim).unwrap();
+                    reference.fail(victim).unwrap();
+                }
+                3 if !departed.is_empty() => {
+                    let h = departed[pick % departed.len()];
+                    let a = ring.rejoin(h, alive[0]).ok();
+                    let b = reference.rejoin(h, alive[0]).ok();
+                    prop_assert_eq!(a, b);
+                }
+                // stabilization is the common case, as in the engine
+                _ => {
+                    ring.stabilize_all(rounds);
+                    for _ in 0..rounds {
+                        sweep_unskipped(&mut reference);
+                    }
+                }
+            }
+            prop_assert_eq!(ring.membership_epoch(), reference.membership_epoch());
+            for slot in 0..ring.slot_count() {
+                let h = NodeHandle::from_index(slot);
+                let (a, b) = (ring.node(h), reference.node(h));
+                prop_assert_eq!(a.is_alive(), b.is_alive());
+                prop_assert_eq!(a.successor_list(), b.successor_list());
+                prop_assert_eq!(a.predecessor(), b.predecessor());
+                prop_assert_eq!(a.fingers(), b.fingers());
+                prop_assert_eq!(a.next_finger(), b.next_finger());
+            }
         }
     }
 
