@@ -82,6 +82,5 @@ pub use replication::{PromotedState, ReplicaItem, ReplicaStore};
 pub use transport_tcp::{SocketStats, TcpOptions};
 
 pub use trace::{
-    BinarySummarySink, JsonlSink, JsonlSummarySink, NoopSink, RingBufferSink, SummarySink, TeeSink,
-    TraceEvent, TraceSink, TraceSummary,
+    FileSink, RingBufferSink, TeeSink, TraceEvent, TraceFormat, TraceSink, TraceSummary,
 };

@@ -126,8 +126,9 @@ pub struct ValueJoin {
 }
 
 impl Message {
-    /// All kind labels, in [`Message::kind_index`] order (used by the
-    /// per-kind wire-byte counters).
+    /// All kind labels, in [`Message::kind_index`] order — the one
+    /// message-kind vocabulary (per-kind wire-byte counters, and the `kind`
+    /// label of traced sends and deliveries in both trace encodings).
     pub const KINDS: [&'static str; 11] = [
         "query",
         "al-index",
@@ -162,19 +163,7 @@ impl Message {
 
     /// A short label for debugging/tracing.
     pub fn kind(&self) -> &'static str {
-        match self {
-            Message::IndexQuery { .. } => "query",
-            Message::AlIndexTuple { .. } => "al-index",
-            Message::VlIndexTuple { .. } => "vl-index",
-            Message::Join { .. } => "join",
-            Message::JoinV(_) => "join-v",
-            Message::StoreNotifications { .. } => "store-notify",
-            Message::Notify { .. } => "notify",
-            Message::Replicate { .. } => "replicate",
-            Message::Ping { .. } => "ping",
-            Message::Pong { .. } => "pong",
-            Message::Bundle(_) => "bundle",
-        }
+        Self::KINDS[self.kind_index()]
     }
 }
 

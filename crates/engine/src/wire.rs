@@ -13,6 +13,10 @@
 //! +----------------+-----------+------------------------+
 //! ```
 //!
+//! Message bodies are defined here; a trace event's body (its kind tag and
+//! fields) is generated from the one schema in [`crate::trace`] on top of
+//! this module's `Sink`/`Reader` primitives, and only framed here.
+//!
 //! The length covers the version byte plus the payload, so a framed reader
 //! needs exactly two reads per message: 4 bytes of length, then `length`
 //! bytes of frame. [`encoded_len`] is *exact by construction*: the encoder
@@ -73,7 +77,7 @@ const BINOPS: [cq_relational::BinOp; 4] = [
 /// (expressions and bundles).
 const MAX_DEPTH: u32 = 64;
 
-fn err(detail: impl Into<String>) -> EngineError {
+pub(crate) fn err(detail: impl Into<String>) -> EngineError {
     EngineError::Protocol {
         detail: detail.into(),
     }
@@ -84,7 +88,7 @@ fn err(detail: impl Into<String>) -> EngineError {
 // exact length comes from running the same code against a counter.
 // ---------------------------------------------------------------------------
 
-trait Sink {
+pub(crate) trait Sink {
     fn put(&mut self, bytes: &[u8]);
 }
 
@@ -105,17 +109,17 @@ impl Sink for Count {
 }
 
 #[inline]
-fn put_u8<S: Sink>(s: &mut S, v: u8) {
+pub(crate) fn put_u8<S: Sink>(s: &mut S, v: u8) {
     s.put(&[v]);
 }
 
 #[inline]
-fn put_u32<S: Sink>(s: &mut S, v: u32) {
+pub(crate) fn put_u32<S: Sink>(s: &mut S, v: u32) {
     s.put(&v.to_le_bytes());
 }
 
 #[inline]
-fn put_u64<S: Sink>(s: &mut S, v: u64) {
+pub(crate) fn put_u64<S: Sink>(s: &mut S, v: u64) {
     s.put(&v.to_le_bytes());
 }
 
@@ -125,11 +129,11 @@ fn put_i64<S: Sink>(s: &mut S, v: i64) {
 }
 
 #[inline]
-fn put_bool<S: Sink>(s: &mut S, v: bool) {
+pub(crate) fn put_bool<S: Sink>(s: &mut S, v: bool) {
     put_u8(s, v as u8);
 }
 
-fn put_str<S: Sink>(s: &mut S, v: &str) {
+pub(crate) fn put_str<S: Sink>(s: &mut S, v: &str) {
     put_u32(s, v.len() as u32);
     s.put(v.as_bytes());
 }
@@ -138,7 +142,7 @@ fn put_str<S: Sink>(s: &mut S, v: &str) {
 // Bounds-checked reader.
 // ---------------------------------------------------------------------------
 
-struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
@@ -164,16 +168,16 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    fn u8(&mut self) -> Result<u8> {
+    pub(crate) fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32> {
+    pub(crate) fn u32(&mut self) -> Result<u32> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    fn u64(&mut self) -> Result<u64> {
+    pub(crate) fn u64(&mut self) -> Result<u64> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
@@ -184,7 +188,7 @@ impl<'a> Reader<'a> {
         Ok(self.u64()? as i64)
     }
 
-    fn boolean(&mut self) -> Result<bool> {
+    pub(crate) fn boolean(&mut self) -> Result<bool> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
@@ -192,7 +196,7 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String> {
+    pub(crate) fn string(&mut self) -> Result<String> {
         let n = self.u32()? as usize;
         let bytes = self.take(n)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| err("string field is not valid UTF-8"))
@@ -201,7 +205,7 @@ impl<'a> Reader<'a> {
     /// Reads a count prefix, sanity-checking it against the bytes that
     /// remain so a corrupt count cannot trigger a huge allocation (every
     /// element occupies at least one byte).
-    fn count(&mut self) -> Result<usize> {
+    pub(crate) fn count(&mut self) -> Result<usize> {
         let n = self.u32()? as usize;
         if n > self.remaining() {
             return Err(err(format!(
@@ -751,390 +755,6 @@ fn get_message(r: &mut Reader<'_>, catalog: &Catalog, depth: u32) -> Result<Mess
 }
 
 // ---------------------------------------------------------------------------
-// Trace-event bodies.
-// ---------------------------------------------------------------------------
-
-/// The interned `&'static str` vocabularies trace events carry. Decoding
-/// restores the static strings by table lookup; a string outside its table
-/// is a protocol error (the engine never emits one).
-const MESSAGE_KIND_LABELS: [&str; 11] = [
-    "query",
-    "al-index",
-    "vl-index",
-    "join",
-    "join-v",
-    "store-notify",
-    "notify",
-    "replicate",
-    "ping",
-    "pong",
-    "bundle",
-];
-
-const TABLE_LABELS: [&str; 6] = ["alqt", "vlqt", "vltt", "vstore", "offline-store", "all"];
-
-const REASON_LABELS: [&str; 3] = ["fail", "leave", "transfer"];
-
-fn put_interned<S: Sink>(s: &mut S, table: &[&'static str], v: &str) {
-    // Encoded as a one-byte table index; every emitted value is in its
-    // table, but fall back to the raw string (index 0xff + string) so the
-    // encoder stays total even for a label added without a table update.
-    match table.iter().position(|t| *t == v) {
-        Some(i) => put_u8(s, i as u8),
-        None => {
-            put_u8(s, 0xff);
-            put_str(s, v);
-        }
-    }
-}
-
-fn get_interned(r: &mut Reader<'_>, table: &'static [&'static str]) -> Result<&'static str> {
-    let i = r.u8()?;
-    if i == 0xff {
-        let s = r.string()?;
-        return table
-            .iter()
-            .find(|t| **t == s)
-            .copied()
-            .ok_or_else(|| err(format!("unknown interned label {s:?}")));
-    }
-    table
-        .get(i as usize)
-        .copied()
-        .ok_or_else(|| err(format!("interned label index {i} out of range")))
-}
-
-fn put_msg_id<S: Sink>(s: &mut S, id: crate::faults::MsgId) {
-    put_u32(s, id.0);
-    put_u64(s, id.1);
-}
-
-fn get_msg_id(r: &mut Reader<'_>) -> Result<crate::faults::MsgId> {
-    Ok((r.u32()?, r.u64()?))
-}
-
-fn put_trace_event<S: Sink>(s: &mut S, ev: &TraceEvent) {
-    put_u8(s, ev.kind_index() as u8);
-    match ev {
-        TraceEvent::MsgSend {
-            tick,
-            node,
-            id,
-            to,
-            target,
-            kind,
-            path,
-        } => {
-            put_u64(s, *tick);
-            put_u32(s, *node);
-            put_msg_id(s, *id);
-            put_u32(s, *to);
-            put_u64(s, target.0);
-            put_interned(s, &MESSAGE_KIND_LABELS, kind);
-            match path {
-                None => put_u8(s, 0),
-                Some(p) => {
-                    put_u8(s, 1);
-                    put_u32(s, p.len() as u32);
-                    for n in p {
-                        put_u32(s, *n);
-                    }
-                }
-            }
-        }
-        TraceEvent::MsgDeliver {
-            tick,
-            node,
-            id,
-            kind,
-        } => {
-            put_u64(s, *tick);
-            put_u32(s, *node);
-            put_msg_id(s, *id);
-            put_interned(s, &MESSAGE_KIND_LABELS, kind);
-        }
-        TraceEvent::FaultDrop { tick, node, id }
-        | TraceEvent::FaultDuplicate { tick, node, id }
-        | TraceEvent::DedupSuppressed { tick, node, id } => {
-            put_u64(s, *tick);
-            put_u32(s, *node);
-            put_msg_id(s, *id);
-        }
-        TraceEvent::FaultDelay {
-            tick,
-            node,
-            id,
-            extra,
-        } => {
-            put_u64(s, *tick);
-            put_u32(s, *node);
-            put_msg_id(s, *id);
-            put_u64(s, *extra);
-        }
-        TraceEvent::Retransmit {
-            tick,
-            node,
-            id,
-            attempt,
-        } => {
-            put_u64(s, *tick);
-            put_u32(s, *node);
-            put_msg_id(s, *id);
-            put_u32(s, *attempt);
-        }
-        TraceEvent::NodeFailed { tick, node } => {
-            put_u64(s, *tick);
-            put_u32(s, *node);
-        }
-        TraceEvent::IndexInsert {
-            tick,
-            node,
-            table,
-            fresh,
-        } => {
-            put_u64(s, *tick);
-            put_u32(s, *node);
-            put_interned(s, &TABLE_LABELS, table);
-            put_bool(s, *fresh);
-        }
-        TraceEvent::IndexRemove {
-            tick,
-            node,
-            table,
-            removed,
-            reason,
-        } => {
-            put_u64(s, *tick);
-            put_u32(s, *node);
-            put_interned(s, &TABLE_LABELS, table);
-            put_u64(s, *removed);
-            put_interned(s, &REASON_LABELS, reason);
-        }
-        TraceEvent::JoinEval {
-            tick,
-            node,
-            candidates,
-            matches,
-        } => {
-            put_u64(s, *tick);
-            put_u32(s, *node);
-            put_u64(s, *candidates);
-            put_u64(s, *matches);
-        }
-        TraceEvent::NotifyDelivered {
-            tick,
-            node,
-            count,
-            offline,
-        } => {
-            put_u64(s, *tick);
-            put_u32(s, *node);
-            put_u64(s, *count);
-            put_bool(s, *offline);
-        }
-        TraceEvent::Replicate { tick, node, to } => {
-            put_u64(s, *tick);
-            put_u32(s, *node);
-            put_u32(s, *to);
-        }
-        TraceEvent::Promote { tick, node, items } => {
-            put_u64(s, *tick);
-            put_u32(s, *node);
-            put_u64(s, *items);
-        }
-        TraceEvent::Phase { tick, name } => {
-            put_u64(s, *tick);
-            put_str(s, name);
-        }
-        TraceEvent::Suspect { tick, node, target }
-        | TraceEvent::FalseSuspect { tick, node, target } => {
-            put_u64(s, *tick);
-            put_u32(s, *node);
-            put_u32(s, *target);
-        }
-        TraceEvent::Confirm {
-            tick,
-            node,
-            target,
-            dead,
-        } => {
-            put_u64(s, *tick);
-            put_u32(s, *node);
-            put_u32(s, *target);
-            put_bool(s, *dead);
-        }
-        TraceEvent::DigestExchange {
-            tick,
-            node,
-            to,
-            items,
-            missing,
-        } => {
-            put_u64(s, *tick);
-            put_u32(s, *node);
-            put_u32(s, *to);
-            put_u64(s, *items);
-            put_u64(s, *missing);
-        }
-        TraceEvent::Repair {
-            tick,
-            node,
-            to,
-            items,
-            bytes,
-        } => {
-            put_u64(s, *tick);
-            put_u32(s, *node);
-            put_u32(s, *to);
-            put_u64(s, *items);
-            put_u64(s, *bytes);
-        }
-    }
-}
-
-fn get_trace_event(r: &mut Reader<'_>) -> Result<TraceEvent> {
-    let tag = r.u8()?;
-    Ok(match tag {
-        0 => {
-            let tick = r.u64()?;
-            let node = r.u32()?;
-            let id = get_msg_id(r)?;
-            let to = r.u32()?;
-            let target = Id(r.u64()?);
-            let kind = get_interned(r, &MESSAGE_KIND_LABELS)?;
-            let path = match r.u8()? {
-                0 => None,
-                1 => {
-                    let n = r.count()?;
-                    let mut p = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        p.push(r.u32()?);
-                    }
-                    Some(p)
-                }
-                t => return Err(err(format!("invalid path flag {t}"))),
-            };
-            TraceEvent::MsgSend {
-                tick,
-                node,
-                id,
-                to,
-                target,
-                kind,
-                path,
-            }
-        }
-        1 => TraceEvent::MsgDeliver {
-            tick: r.u64()?,
-            node: r.u32()?,
-            id: get_msg_id(r)?,
-            kind: get_interned(r, &MESSAGE_KIND_LABELS)?,
-        },
-        2 => TraceEvent::FaultDrop {
-            tick: r.u64()?,
-            node: r.u32()?,
-            id: get_msg_id(r)?,
-        },
-        3 => TraceEvent::FaultDuplicate {
-            tick: r.u64()?,
-            node: r.u32()?,
-            id: get_msg_id(r)?,
-        },
-        4 => TraceEvent::FaultDelay {
-            tick: r.u64()?,
-            node: r.u32()?,
-            id: get_msg_id(r)?,
-            extra: r.u64()?,
-        },
-        5 => TraceEvent::Retransmit {
-            tick: r.u64()?,
-            node: r.u32()?,
-            id: get_msg_id(r)?,
-            attempt: r.u32()?,
-        },
-        6 => TraceEvent::DedupSuppressed {
-            tick: r.u64()?,
-            node: r.u32()?,
-            id: get_msg_id(r)?,
-        },
-        7 => TraceEvent::NodeFailed {
-            tick: r.u64()?,
-            node: r.u32()?,
-        },
-        8 => TraceEvent::IndexInsert {
-            tick: r.u64()?,
-            node: r.u32()?,
-            table: get_interned(r, &TABLE_LABELS)?,
-            fresh: r.boolean()?,
-        },
-        9 => TraceEvent::IndexRemove {
-            tick: r.u64()?,
-            node: r.u32()?,
-            table: get_interned(r, &TABLE_LABELS)?,
-            removed: r.u64()?,
-            reason: get_interned(r, &REASON_LABELS)?,
-        },
-        10 => TraceEvent::JoinEval {
-            tick: r.u64()?,
-            node: r.u32()?,
-            candidates: r.u64()?,
-            matches: r.u64()?,
-        },
-        11 => TraceEvent::NotifyDelivered {
-            tick: r.u64()?,
-            node: r.u32()?,
-            count: r.u64()?,
-            offline: r.boolean()?,
-        },
-        12 => TraceEvent::Replicate {
-            tick: r.u64()?,
-            node: r.u32()?,
-            to: r.u32()?,
-        },
-        13 => TraceEvent::Promote {
-            tick: r.u64()?,
-            node: r.u32()?,
-            items: r.u64()?,
-        },
-        14 => TraceEvent::Phase {
-            tick: r.u64()?,
-            name: r.string()?,
-        },
-        15 => TraceEvent::Suspect {
-            tick: r.u64()?,
-            node: r.u32()?,
-            target: r.u32()?,
-        },
-        16 => TraceEvent::Confirm {
-            tick: r.u64()?,
-            node: r.u32()?,
-            target: r.u32()?,
-            dead: r.boolean()?,
-        },
-        17 => TraceEvent::FalseSuspect {
-            tick: r.u64()?,
-            node: r.u32()?,
-            target: r.u32()?,
-        },
-        18 => TraceEvent::DigestExchange {
-            tick: r.u64()?,
-            node: r.u32()?,
-            to: r.u32()?,
-            items: r.u64()?,
-            missing: r.u64()?,
-        },
-        19 => TraceEvent::Repair {
-            tick: r.u64()?,
-            node: r.u32()?,
-            to: r.u32()?,
-            items: r.u64()?,
-            bytes: r.u64()?,
-        },
-        t => return Err(err(format!("invalid trace-event tag {t}"))),
-    })
-}
-
-// ---------------------------------------------------------------------------
 // Framing.
 // ---------------------------------------------------------------------------
 
@@ -1179,7 +799,7 @@ pub fn encode_trace_event(ev: &TraceEvent, out: &mut Vec<u8>) {
     let at = out.len();
     out.extend_from_slice(&[0u8; 4]);
     out.push(VERSION);
-    put_trace_event(out, ev);
+    ev.put_body(out);
     let framed = (out.len() - at - 4) as u32;
     out[at..at + 4].copy_from_slice(&framed.to_le_bytes());
 }
@@ -1187,7 +807,7 @@ pub fn encode_trace_event(ev: &TraceEvent, out: &mut Vec<u8>) {
 /// The exact length in bytes of [`encode_trace_event`]'s output.
 pub fn trace_encoded_len(ev: &TraceEvent) -> u64 {
     let mut c = Count(0);
-    put_trace_event(&mut c, ev);
+    ev.put_body(&mut c);
     4 + 1 + c.0
 }
 
@@ -1247,7 +867,7 @@ pub fn decode_message(buf: &[u8], catalog: &Catalog) -> Result<(Message, usize)>
 pub fn decode_trace_event(buf: &[u8]) -> Result<(TraceEvent, usize)> {
     let (payload, total) = read_frame(buf)?;
     let mut r = Reader::new(payload);
-    let ev = get_trace_event(&mut r)?;
+    let ev = TraceEvent::get_body(&mut r)?;
     if r.remaining() != 0 {
         return Err(err(format!(
             "{} garbage bytes after the trace-event payload",

@@ -5,9 +5,10 @@
 use std::sync::Arc;
 
 use cq_engine::{
-    Algorithm, BinarySummarySink, EngineConfig, FaultConfig, JsonlSink, Network, RingBufferSink,
-    TeeSink, TraceEvent,
+    Algorithm, EngineConfig, FaultConfig, FileSink, Message, Network, RingBufferSink, TeeSink,
+    TraceEvent, TraceFormat,
 };
+use cq_overlay::Id;
 use cq_relational::{Catalog, DataType, RelationSchema, Value};
 
 fn catalog() -> Catalog {
@@ -102,7 +103,7 @@ fn jsonl_file_round_trips_the_in_memory_event_stream() {
     let path =
         std::env::temp_dir().join(format!("cq-trace-roundtrip-{}.jsonl", std::process::id()));
     let ring = Arc::new(RingBufferSink::new(1 << 20));
-    let jsonl = Arc::new(JsonlSink::create(&path).unwrap());
+    let jsonl = Arc::new(FileSink::create(&path, TraceFormat::Jsonl).unwrap());
     let mut net = Network::new(
         EngineConfig::new(Algorithm::DaiQ)
             .with_nodes(16)
@@ -139,8 +140,8 @@ fn binary_trace_dumps_back_to_byte_identical_jsonl() {
     let pid = std::process::id();
     let jsonl_path = std::env::temp_dir().join(format!("cq-trace-bin-rt-{pid}.jsonl"));
     let bin_path = std::env::temp_dir().join(format!("cq-trace-bin-rt-{pid}.trace"));
-    let jsonl = Arc::new(JsonlSink::create(&jsonl_path).unwrap());
-    let binary = Arc::new(BinarySummarySink::create(&bin_path).unwrap());
+    let jsonl = Arc::new(FileSink::create(&jsonl_path, TraceFormat::Jsonl).unwrap());
+    let binary = Arc::new(FileSink::create(&bin_path, TraceFormat::Binary).unwrap());
     let mut net = Network::new(
         EngineConfig::new(Algorithm::DaiQ)
             .with_nodes(16)
@@ -286,4 +287,267 @@ fn dai_v_two_phase_value_hop_path_is_visible_event_by_event() {
         }]
     );
     check_ordering(&events, "DAI-V two-phase");
+}
+
+/// The events pinned by `tests/fixtures/trace_v1.{jsonl,trace}`: one per
+/// kind, the non-default twin of every boolean the JSONL form elides, a
+/// `msg-send` with and without a route (one long enough to outgrow the
+/// serializer's stack buffer), one event per label of every vocabulary,
+/// extreme integers, and a phase name exercising every JSON escape.
+fn fixture_events() -> Vec<TraceEvent> {
+    let id = (5u32, 12u64);
+    let mut evs = vec![
+        TraceEvent::MsgSend {
+            tick: 3,
+            node: 5,
+            id,
+            to: 9,
+            target: Id(0xDEAD_BEEF),
+            kind: "join-v",
+            path: Some(vec![5, 7, 9]),
+        },
+        TraceEvent::MsgSend {
+            tick: 3,
+            node: 5,
+            id: (5, 13),
+            to: 2,
+            target: Id(7),
+            kind: "al-index",
+            path: None,
+        },
+        TraceEvent::MsgSend {
+            tick: u64::MAX,
+            node: u32::MAX,
+            id: (u32::MAX, u64::MAX),
+            to: u32::MAX,
+            target: Id(u64::MAX),
+            kind: "query",
+            path: Some((0..100).map(|i| i * 40_000_000).collect()),
+        },
+        TraceEvent::MsgSend {
+            tick: 0,
+            node: 0,
+            id: (0, 0),
+            to: 0,
+            target: Id(0),
+            kind: "join",
+            path: Some(Vec::new()),
+        },
+        TraceEvent::MsgDeliver {
+            tick: 3,
+            node: 9,
+            id,
+            kind: "join-v",
+        },
+        TraceEvent::FaultDrop {
+            tick: 4,
+            node: 9,
+            id,
+        },
+        TraceEvent::FaultDuplicate {
+            tick: 4,
+            node: 9,
+            id,
+        },
+        TraceEvent::FaultDelay {
+            tick: 4,
+            node: 9,
+            id,
+            extra: 3,
+        },
+        TraceEvent::Retransmit {
+            tick: 6,
+            node: 5,
+            id,
+            attempt: 2,
+        },
+        TraceEvent::DedupSuppressed {
+            tick: 7,
+            node: 9,
+            id,
+        },
+        TraceEvent::NodeFailed { tick: 8, node: 4 },
+        TraceEvent::IndexInsert {
+            tick: 9,
+            node: 1,
+            table: "vlqt",
+            fresh: true,
+        },
+        TraceEvent::IndexInsert {
+            tick: 9,
+            node: 1,
+            table: "vlqt",
+            fresh: false,
+        },
+        TraceEvent::IndexRemove {
+            tick: 9,
+            node: 4,
+            table: "alqt",
+            removed: 17,
+            reason: "fail",
+        },
+        TraceEvent::JoinEval {
+            tick: 10,
+            node: 2,
+            candidates: 8,
+            matches: 3,
+        },
+        TraceEvent::NotifyDelivered {
+            tick: 10,
+            node: 0,
+            count: 3,
+            offline: false,
+        },
+        TraceEvent::NotifyDelivered {
+            tick: 10,
+            node: 0,
+            count: 1,
+            offline: true,
+        },
+        TraceEvent::Replicate {
+            tick: 11,
+            node: 2,
+            to: 3,
+        },
+        TraceEvent::Promote {
+            tick: 12,
+            node: 3,
+            items: 5,
+        },
+        TraceEvent::Phase {
+            tick: 0,
+            name: "install".to_string(),
+        },
+        TraceEvent::Phase {
+            tick: 1 << 40,
+            name: "q\"uote back\\slash new\nline bell\u{7} tab\t nul\u{0} λ→✓ \u{1F600}"
+                .to_string(),
+        },
+        TraceEvent::Suspect {
+            tick: 13,
+            node: 6,
+            target: 4,
+        },
+        TraceEvent::Confirm {
+            tick: 15,
+            node: 6,
+            target: 4,
+            dead: true,
+        },
+        TraceEvent::Confirm {
+            tick: 15,
+            node: 6,
+            target: 7,
+            dead: false,
+        },
+        TraceEvent::FalseSuspect {
+            tick: 14,
+            node: 6,
+            target: 7,
+        },
+        TraceEvent::DigestExchange {
+            tick: 16,
+            node: 2,
+            to: 3,
+            items: 40,
+            missing: 2,
+        },
+        TraceEvent::Repair {
+            tick: 16,
+            node: 2,
+            to: 3,
+            items: 2,
+            bytes: 160,
+        },
+    ];
+    for (i, kind) in Message::KINDS.iter().enumerate() {
+        let tick = 100 + i as u64;
+        evs.push(TraceEvent::MsgSend {
+            tick,
+            node: 1,
+            id: (1, tick),
+            to: 2,
+            target: Id(tick << 20),
+            kind,
+            path: None,
+        });
+        evs.push(TraceEvent::MsgDeliver {
+            tick,
+            node: 2,
+            id: (1, tick),
+            kind,
+        });
+    }
+    for (i, table) in TraceEvent::TABLES.iter().enumerate() {
+        evs.push(TraceEvent::IndexInsert {
+            tick: 200 + i as u64,
+            node: 3,
+            table,
+            fresh: true,
+        });
+    }
+    for (i, reason) in TraceEvent::REASONS.iter().enumerate() {
+        evs.push(TraceEvent::IndexRemove {
+            tick: 300 + i as u64,
+            node: 3,
+            table: TraceEvent::TABLES[i],
+            removed: i as u64,
+            reason,
+        });
+    }
+    evs
+}
+
+/// Pins both trace encodings against files generated by the encoders of
+/// commit af5338f (the last one with hand-written per-kind codecs): a
+/// writer and reader that drift *together* pass every same-build round-trip
+/// test, but cannot reproduce these bytes.
+#[test]
+fn both_encodings_reproduce_the_committed_v1_fixtures() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let want_jsonl = std::fs::read_to_string(dir.join("trace_v1.jsonl")).unwrap();
+    let want_binary = std::fs::read(dir.join("trace_v1.trace")).unwrap();
+    let events = fixture_events();
+    for (i, label) in TraceEvent::KINDS.iter().enumerate() {
+        assert!(
+            events.iter().any(|e| e.kind_index() == i),
+            "fixture covers no {label} event"
+        );
+    }
+
+    let mut jsonl = String::new();
+    let mut binary = Vec::new();
+    for ev in &events {
+        ev.to_jsonl(&mut jsonl);
+        jsonl.push('\n');
+        let at = binary.len();
+        cq_engine::wire::encode_trace_event(ev, &mut binary);
+        assert_eq!(
+            (binary.len() - at) as u64,
+            cq_engine::wire::trace_encoded_len(ev)
+        );
+    }
+    assert!(
+        jsonl == want_jsonl,
+        "JSONL encoder drifted from trace_v1.jsonl"
+    );
+    assert!(
+        binary == want_binary,
+        "binary encoder drifted from trace_v1.trace"
+    );
+
+    let parsed: Vec<TraceEvent> = want_jsonl
+        .lines()
+        .map(|l| TraceEvent::parse_jsonl(l).unwrap_or_else(|| panic!("unparseable: {l}")))
+        .collect();
+    assert_eq!(parsed, events, "JSONL decoder");
+    let mut decoded = Vec::new();
+    let mut pos = 0;
+    while pos < want_binary.len() {
+        let (ev, used) = cq_engine::wire::decode_trace_event(&want_binary[pos..])
+            .unwrap_or_else(|e| panic!("bad fixture frame at byte {pos}: {e}"));
+        pos += used;
+        decoded.push(ev);
+    }
+    assert_eq!(decoded, events, "binary decoder");
 }

@@ -1,8 +1,8 @@
 //! Property-based checks of the wire codec: encode∘decode is the identity
 //! over randomized instances of every [`Message`] and [`TraceEvent`]
-//! variant, `encoded_len` is byte-exact, and malformed frames — truncated,
-//! bit-flipped, or version-bumped — are rejected with a typed
-//! [`EngineError::Protocol`], never a panic.
+//! variant, `encoded_len` is byte-exact, and malformed message and
+//! trace-event frames — truncated, bit-flipped, or version-bumped — are
+//! rejected with a typed [`EngineError::Protocol`], never a panic.
 //!
 //! Generation is seed-driven: the strategies pick a variant index and a
 //! `u64` seed, and a seeded [`StdRng`] expands them into a fully random
@@ -25,8 +25,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const MESSAGE_VARIANTS: usize = 11;
-const TRACE_VARIANTS: usize = 20;
+const MESSAGE_VARIANTS: usize = Message::KINDS.len();
+const TRACE_VARIANTS: usize = TraceEvent::KINDS.len();
 
 fn catalog() -> Catalog {
     let mut c = Catalog::new();
@@ -285,20 +285,6 @@ fn rand_message(variant: usize, rng: &mut StdRng, c: &Catalog) -> Message {
 /// A random trace event of the given variant (`variant` ∈
 /// `0..TRACE_VARIANTS`, in [`TraceEvent::kind_index`] order).
 fn rand_trace_event(variant: usize, rng: &mut StdRng) -> TraceEvent {
-    const KINDS: [&str; 10] = [
-        "query",
-        "al-index",
-        "vl-index",
-        "join",
-        "join-v",
-        "store-notify",
-        "notify",
-        "replicate",
-        "ping",
-        "pong",
-    ];
-    const TABLES: [&str; 6] = ["alqt", "vlqt", "vltt", "vstore", "offline-store", "all"];
-    const REASONS: [&str; 3] = ["fail", "leave", "transfer"];
     let tick = rng.gen_range(0..1u64 << 40);
     let node = rng.gen_range(0..10_000u32);
     let id: (u32, u64) = (rng.gen_range(0..10_000), rng.gen());
@@ -309,7 +295,7 @@ fn rand_trace_event(variant: usize, rng: &mut StdRng) -> TraceEvent {
             id,
             to: rng.gen_range(0..10_000),
             target: Id(rng.gen()),
-            kind: KINDS[rng.gen_range(0..KINDS.len())],
+            kind: Message::KINDS[rng.gen_range(0..Message::KINDS.len())],
             path: if rng.gen_bool(0.5) {
                 Some((0..rng.gen_range(0..6usize)).map(|_| rng.gen()).collect())
             } else {
@@ -320,7 +306,7 @@ fn rand_trace_event(variant: usize, rng: &mut StdRng) -> TraceEvent {
             tick,
             node,
             id,
-            kind: KINDS[rng.gen_range(0..KINDS.len())],
+            kind: Message::KINDS[rng.gen_range(0..Message::KINDS.len())],
         },
         2 => TraceEvent::FaultDrop { tick, node, id },
         3 => TraceEvent::FaultDuplicate { tick, node, id },
@@ -341,15 +327,15 @@ fn rand_trace_event(variant: usize, rng: &mut StdRng) -> TraceEvent {
         8 => TraceEvent::IndexInsert {
             tick,
             node,
-            table: TABLES[rng.gen_range(0..TABLES.len())],
+            table: TraceEvent::TABLES[rng.gen_range(0..TraceEvent::TABLES.len())],
             fresh: rng.gen_bool(0.5),
         },
         9 => TraceEvent::IndexRemove {
             tick,
             node,
-            table: TABLES[rng.gen_range(0..TABLES.len())],
+            table: TraceEvent::TABLES[rng.gen_range(0..TraceEvent::TABLES.len())],
             removed: rng.gen(),
-            reason: REASONS[rng.gen_range(0..REASONS.len())],
+            reason: TraceEvent::REASONS[rng.gen_range(0..TraceEvent::REASONS.len())],
         },
         10 => TraceEvent::JoinEval {
             tick,
@@ -436,18 +422,23 @@ proptest! {
         }
     }
 
-    /// encode∘decode = id for every trace-event variant.
+    /// encode∘decode = id for every trace-event variant, in both the binary
+    /// and the JSONL encoding.
     #[test]
     fn trace_event_encoding_round_trips(seed in 0u64..1 << 48) {
         for variant in 0..TRACE_VARIANTS {
             let mut rng = StdRng::seed_from_u64(seed ^ ((variant as u64) << 48));
             let ev = rand_trace_event(variant, &mut rng);
+            prop_assert_eq!(ev.kind_index(), variant);
             let mut buf = Vec::new();
             encode_trace_event(&ev, &mut buf);
             prop_assert_eq!(buf.len() as u64, trace_encoded_len(&ev), "variant {}", variant);
             let (back, used) = decode_trace_event(&buf).unwrap();
             prop_assert_eq!(used, buf.len());
-            prop_assert_eq!(back, ev);
+            prop_assert_eq!(&back, &ev);
+            let mut line = String::new();
+            ev.to_jsonl(&mut line);
+            prop_assert_eq!(TraceEvent::parse_jsonl(&line), Some(ev), "{}", line);
         }
     }
 
@@ -464,6 +455,18 @@ proptest! {
             match decode_message(&buf[..cut], &c) {
                 Err(EngineError::Protocol { .. }) => {}
                 other => prop_assert!(false, "cut at {}: {:?}", cut, other.map(|(m, _)| m.kind())),
+            }
+        }
+        // `.trace` files cross the same trust boundary (`trace_dump`).
+        for variant in 0..TRACE_VARIANTS {
+            let ev = rand_trace_event(variant, &mut rng);
+            let mut buf = Vec::new();
+            encode_trace_event(&ev, &mut buf);
+            for cut in 0..buf.len() {
+                match decode_trace_event(&buf[..cut]) {
+                    Err(EngineError::Protocol { .. }) => {}
+                    other => prop_assert!(false, "{} cut at {}: {:?}", ev.kind(), cut, other),
+                }
             }
         }
     }
@@ -485,6 +488,17 @@ proptest! {
         let pos = (pos_seed as usize) % buf.len();
         buf[pos] ^= flip as u8;
         let _ = decode_message(&buf, &c); // Ok or Err(Protocol), never a panic
+        for variant in 0..TRACE_VARIANTS {
+            let ev = rand_trace_event(variant, &mut rng);
+            let mut buf = Vec::new();
+            encode_trace_event(&ev, &mut buf);
+            let pos = (pos_seed as usize) % buf.len();
+            buf[pos] ^= flip as u8;
+            match decode_trace_event(&buf) {
+                Ok(_) | Err(EngineError::Protocol { .. }) => {}
+                Err(other) => prop_assert!(false, "{} byte {}: {}", ev.kind(), pos, other),
+            }
+        }
     }
 
     /// Any version byte other than the current one is rejected.
@@ -502,5 +516,19 @@ proptest! {
             }
             other => prop_assert!(false, "{:?}", other.map(|(m, _)| m.kind())),
         }
+    }
+}
+
+/// The first tag past the schema table is not an event kind.
+#[test]
+fn trace_tag_past_the_last_kind_is_rejected() {
+    let mut buf = Vec::new();
+    encode_trace_event(&TraceEvent::NodeFailed { tick: 1, node: 2 }, &mut buf);
+    buf[5] = TraceEvent::KINDS.len() as u8; // length prefix (4) + version (1), then the tag
+    match decode_trace_event(&buf) {
+        Err(EngineError::Protocol { detail }) => {
+            assert!(detail.contains("invalid trace-event tag"), "{detail}")
+        }
+        other => panic!("{other:?}"),
     }
 }

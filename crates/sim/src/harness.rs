@@ -7,9 +7,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use cq_engine::{
-    Algorithm, BinarySummarySink, EngineConfig, FaultConfig, FaultCounters, IndexStrategy,
-    JsonlSummarySink, Network, Oracle, RecoveryCounters, SuspicionConfig, TraceSummary,
-    TrafficKind,
+    Algorithm, EngineConfig, FaultConfig, FaultCounters, FileSink, IndexStrategy, Network, Oracle,
+    RecoveryCounters, SuspicionConfig, TraceFormat, TraceSummary, TrafficKind,
 };
 use cq_overlay::TrafficStats;
 use cq_workload::{Workload, WorkloadConfig};
@@ -23,27 +22,6 @@ static TRACE_FORMAT: Mutex<TraceFormat> = Mutex::new(TraceFormat::Jsonl);
 /// `--jobs` workers; the assignment order — not the file contents — depends
 /// on scheduling under parallelism).
 static TRACE_RUN: AtomicU64 = AtomicU64::new(0);
-
-/// Serialization of the per-run trace files.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TraceFormat {
-    /// One JSON object per line (`.jsonl`) — greppable, the default.
-    #[default]
-    Jsonl,
-    /// One length-prefixed `cq_engine::wire` frame per event (`.trace`) —
-    /// compact; convert back to JSONL with the `trace_dump` tool.
-    Binary,
-}
-
-impl TraceFormat {
-    /// The trace-file extension for this format.
-    fn extension(self) -> &'static str {
-        match self {
-            TraceFormat::Jsonl => "jsonl",
-            TraceFormat::Binary => "trace",
-        }
-    }
-}
 
 /// Enables tracing for every subsequent [`run`]: each run writes
 /// `trace-NNNN-<alg>-<nodes>n-seed<seed>.<ext>` into `dir` and fills
@@ -80,44 +58,6 @@ fn trace_file_name(dir: &Path, cfg: &RunConfig, format: TraceFormat) -> PathBuf 
         cfg.workload.seed,
         format.extension()
     ))
-}
-
-/// The fused trace sink a run installs, in either serialization. Both
-/// variants share the flush/summary surface the harness needs.
-enum HarnessSink {
-    Jsonl(Arc<JsonlSummarySink>),
-    Binary(Arc<BinarySummarySink>),
-}
-
-impl HarnessSink {
-    fn create(dir: &Path, cfg: &RunConfig) -> (Self, Arc<dyn cq_engine::TraceSink>) {
-        let format = trace_format();
-        let path = trace_file_name(dir, cfg, format);
-        match format {
-            TraceFormat::Jsonl => {
-                let sink = Arc::new(JsonlSummarySink::create(path).expect("create trace file"));
-                (HarnessSink::Jsonl(sink.clone()), sink)
-            }
-            TraceFormat::Binary => {
-                let sink = Arc::new(BinarySummarySink::create(path).expect("create trace file"));
-                (HarnessSink::Binary(sink.clone()), sink)
-            }
-        }
-    }
-
-    fn flush(&self) -> std::io::Result<()> {
-        match self {
-            HarnessSink::Jsonl(s) => s.flush(),
-            HarnessSink::Binary(s) => s.flush(),
-        }
-    }
-
-    fn summary(&self) -> TraceSummary {
-        match self {
-            HarnessSink::Jsonl(s) => s.summary(),
-            HarnessSink::Binary(s) => s.summary(),
-        }
-    }
 }
 
 /// Parameters of one simulation run.
@@ -319,13 +259,15 @@ pub fn run(cfg: &RunConfig) -> RunResult {
     let mut net = Network::with_protocol(engine_cfg, workload.catalog().clone(), protocol);
 
     // When tracing is enabled, stream every event into a trace file (JSONL
-    // or wire-framed binary per `set_trace_format`) while accumulating an
-    // in-memory summary (one fused sink, one lock). Sinks only observe: the
-    // run's results are identical with or without them.
+    // or wire-framed binary per `set_trace_format`), which also accumulates
+    // the in-memory summary. Sinks only observe: the run's results are
+    // identical with or without them.
     let trace_sink = trace_dir().map(|dir| {
-        let (harness_sink, tracer) = HarnessSink::create(&dir, cfg);
-        net.set_tracer(tracer);
-        harness_sink
+        let format = trace_format();
+        let path = trace_file_name(&dir, cfg, format);
+        let sink = Arc::new(FileSink::create(path, format).expect("create trace file"));
+        net.set_tracer(sink.clone());
+        sink
     });
 
     // Warm-up stream (before queries exist, so it only builds statistics

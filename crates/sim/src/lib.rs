@@ -23,7 +23,7 @@ pub mod parallel;
 pub mod report;
 pub mod stats;
 
-pub use cq_engine::{FaultConfig, FaultCounters, TraceEvent, TraceSummary};
-pub use harness::{run, set_trace_dir, set_trace_format, RunConfig, RunResult, TraceFormat};
+pub use cq_engine::{FaultConfig, FaultCounters, TraceEvent, TraceFormat, TraceSummary};
+pub use harness::{run, set_trace_dir, set_trace_format, RunConfig, RunResult};
 pub use parallel::{run_many, set_jobs};
 pub use report::Report;
