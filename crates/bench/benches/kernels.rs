@@ -161,38 +161,34 @@ fn bench_rewrite_fanout(c: &mut Criterion) {
     group.finish();
 }
 
-/// Per-destination batch enqueue vs per-message enqueue: the same
-/// steady-state insert workload with `batch_delivery` on and off.
+/// Per-destination batch enqueue: the steady-state insert workload through
+/// the bundling send path.
 fn bench_batch_enqueue(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernels/batch-enqueue");
-    for &batch in &[true, false] {
-        let mut net = Network::new(
-            EngineConfig::new(Algorithm::Sai)
-                .with_nodes(256)
-                .with_seed(7)
-                .with_batch_delivery(batch),
-            catalog(),
-        );
-        let sql = "SELECT R.A, S.D FROM R, S WHERE R.B = S.C";
-        for i in 0..100 {
-            let poser = net.node_at(i % 256);
-            net.pose_query_sql(poser, sql).unwrap();
-        }
-        let mut i = 0i64;
-        let id = if batch { "bundled" } else { "per-message" };
-        group.bench_with_input(BenchmarkId::from_parameter(id), &batch, |b, _| {
-            b.iter(|| {
-                i += 1;
-                let from = net.node_at((i as usize) % 256);
-                let (rel, values) = if i % 2 == 0 {
-                    ("R", vec![Value::Int(i), Value::Int(i % 32)])
-                } else {
-                    ("S", vec![Value::Int(i % 32), Value::Int(i)])
-                };
-                black_box(net.insert_tuple(from, rel, values).unwrap())
-            })
-        });
+    let mut net = Network::new(
+        EngineConfig::new(Algorithm::Sai)
+            .with_nodes(256)
+            .with_seed(7),
+        catalog(),
+    );
+    let sql = "SELECT R.A, S.D FROM R, S WHERE R.B = S.C";
+    for i in 0..100 {
+        let poser = net.node_at(i % 256);
+        net.pose_query_sql(poser, sql).unwrap();
     }
+    let mut i = 0i64;
+    group.bench_function("bundled", |b| {
+        b.iter(|| {
+            i += 1;
+            let from = net.node_at((i as usize) % 256);
+            let (rel, values) = if i % 2 == 0 {
+                ("R", vec![Value::Int(i), Value::Int(i % 32)])
+            } else {
+                ("S", vec![Value::Int(i % 32), Value::Int(i)])
+            };
+            black_box(net.insert_tuple(from, rel, values).unwrap())
+        })
+    });
     group.finish();
 }
 

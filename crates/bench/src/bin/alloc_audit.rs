@@ -209,12 +209,11 @@ fn audit_alqt_scan(cat: &Catalog, size: usize, events: u64) -> Row {
 /// here are *not* expected to be flat in the query count (each extra match
 /// legitimately produces notification work); the scan kernels above isolate
 /// the allocation-free parts.
-fn audit_insert_e2e(size: usize, events: u64, batch: bool) -> Row {
+fn audit_insert_e2e(size: usize, events: u64) -> Row {
     let mut net = Network::new(
         EngineConfig::new(Algorithm::Sai)
             .with_nodes(256)
-            .with_seed(7)
-            .with_batch_delivery(batch),
+            .with_seed(7),
         catalog(),
     );
     let sql = "SELECT R.A, S.D FROM R, S WHERE R.B = S.C";
@@ -223,12 +222,9 @@ fn audit_insert_e2e(size: usize, events: u64, batch: bool) -> Row {
         net.pose_query_sql(poser, sql).unwrap();
     }
     let mut i = 0i64;
-    let kernel = if batch {
-        "insert-e2e-bundled"
-    } else {
-        "insert-e2e-per-message"
-    };
-    measure(kernel, size, events, move || {
+    // The name predates the removal of per-message delivery; it stays so
+    // `BENCH_N.json` rows remain comparable across snapshots.
+    measure("insert-e2e-bundled", size, events, move || {
         i += 1;
         let from = net.node_at((i as usize) % 256);
         let (rel, values) = if i % 2 == 0 {
@@ -379,8 +375,7 @@ fn main() {
         audit_vlqt_scan(&cat, 10_000, scan_events.max(200) / 10),
         audit_alqt_scan(&cat, 50, scan_events),
         audit_alqt_scan(&cat, 500, scan_events),
-        audit_insert_e2e(50, e2e_events, true),
-        audit_insert_e2e(50, e2e_events, false),
+        audit_insert_e2e(50, e2e_events),
         audit_socket_pump(256, e2e_events),
         audit_fault_pump(held_small, scan_events),
         audit_fault_pump(held_large, scan_events),

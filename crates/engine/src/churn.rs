@@ -190,6 +190,7 @@ impl Network {
             .next()
             .ok_or(EngineError::UnknownNode)?;
         self.ring.rejoin(h, via)?;
+        self.note_rejoin(h.index() as u32);
         self.ring.stabilize_all(2);
         let (pred, id) = self.ring.owned_range(h)?;
         let succ = self

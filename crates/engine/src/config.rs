@@ -131,13 +131,6 @@ pub struct EngineConfig {
     /// algorithms, but destroys rewritten-query grouping — the paper
     /// measured roughly a 250× traffic increase. Kept as an ablation knob.
     pub dai_v_keyed: bool,
-    /// Coalesce each multisend batch's messages per destination into a
-    /// single queue entry ([`crate::Message::Bundle`]) on the
-    /// perfect-delivery, untraced transport path. Dispatch order — and
-    /// therefore every experiment table — is provably unchanged (see
-    /// DESIGN.md); the knob exists so equivalence tests can compare both
-    /// paths.
-    pub batch_delivery: bool,
     /// RNG seed for all randomized decisions (deterministic runs).
     pub seed: u64,
     /// Fault-injection and recovery knobs (message loss/duplication/delay,
@@ -163,7 +156,6 @@ impl EngineConfig {
             recursive_multisend: true,
             retain_notifications: true,
             dai_v_keyed: false,
-            batch_delivery: true,
             seed: 42,
             fault: FaultConfig::default(),
             suspicion: SuspicionConfig::default(),
@@ -205,13 +197,6 @@ impl EngineConfig {
     pub fn with_replication(mut self, k: usize) -> Self {
         assert!(k >= 1, "replication factor must be at least 1");
         self.replication = k;
-        self
-    }
-
-    /// Enables/disables per-destination batch delivery (see
-    /// [`EngineConfig::batch_delivery`]).
-    pub fn with_batch_delivery(mut self, on: bool) -> Self {
-        self.batch_delivery = on;
         self
     }
 

@@ -17,8 +17,12 @@
 //! With [`FaultConfig::default`] the layer is completely inert: messages take
 //! the original perfect-FIFO path and every run is byte-identical to a build
 //! without this module.
+//!
+//! The pump is not part of any transport: `FaultPipe` is state the network
+//! owns, it decides *what* is transmitted and *when*, and every copy that
+//! survives its draws is carried by whichever backend is installed.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use cq_fasthash::FxHashMap;
 use rand::rngs::StdRng;
@@ -27,6 +31,7 @@ use rand::{Rng, SeedableRng};
 use cq_overlay::{Id, NodeHandle};
 
 use crate::messages::Message;
+use crate::transport::Envelope;
 
 /// Fault-injection knobs. All rates are probabilities in `[0, 1]`; all
 /// durations are simulated ticks (one tick ≈ one message-delivery round).
@@ -266,15 +271,9 @@ pub(crate) struct Outstanding {
 /// One scheduled arrival at a node.
 #[derive(Clone, Debug)]
 pub(crate) enum Delivery {
-    /// A data message copy.
-    Data {
-        /// Reliable-delivery identifier.
-        id: MsgId,
-        /// Receiving node.
-        to: NodeHandle,
-        /// The payload carried by this copy.
-        msg: Message,
-    },
+    /// A data message copy, as the envelope that will ride the transport
+    /// (its `id` is always set: the reliable-delivery identifier).
+    Data(Envelope),
     /// An acknowledgement for `id`, returning to the sender.
     Ack {
         /// The acknowledged message.
@@ -290,16 +289,17 @@ impl Delivery {
     pub fn is_probe(&self) -> bool {
         matches!(
             self,
-            Delivery::Data {
+            Delivery::Data(Envelope {
                 msg: Message::Ping { .. } | Message::Pong { .. },
                 ..
-            }
+            })
         )
     }
 }
 
 /// The runtime state of the fault-injection + reliable-delivery layer.
-/// Owned by the network when [`FaultConfig::perturbs_delivery`] is true.
+/// Owned by the network (`Network::pump`) when
+/// [`FaultConfig::perturbs_delivery`] is true or the detector is enabled.
 #[derive(Debug)]
 pub(crate) struct FaultPipe {
     /// The configuration (rates, timeouts, schedule).
@@ -312,6 +312,9 @@ pub(crate) struct FaultPipe {
     pub next_seq: Vec<u64>,
     /// Deliveries scheduled per tick, in deterministic insertion order.
     pub in_flight: BTreeMap<u64, Vec<Delivery>>,
+    /// What is left of the current tick's deliveries, in schedule order
+    /// (the pump hands data copies to the transport run by run).
+    pub arriving: VecDeque<Delivery>,
     /// Retransmission checks scheduled per tick.
     pub retry_at: BTreeMap<u64, Vec<MsgId>>,
     /// Unacknowledged messages by identifier.
@@ -362,6 +365,7 @@ impl FaultPipe {
             tick: 0,
             next_seq: vec![0; slots],
             in_flight: BTreeMap::new(),
+            arriving: VecDeque::new(),
             retry_at: BTreeMap::new(),
             outstanding: FxHashMap::default(),
             dedup: (0..slots).map(|_| FxHashMap::default()).collect(),

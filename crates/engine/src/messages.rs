@@ -98,12 +98,12 @@ pub enum Message {
         seq: u64,
     },
     /// Several messages of one multisend batch coalesced for a single
-    /// destination — one queue entry instead of one per message. The
-    /// receiver unwraps them in order, so dispatch order is exactly what
-    /// separate enqueues would produce. Only the perfect-delivery,
-    /// untraced transport path bundles (the fault pump's per-transmission
-    /// draws and the tracer's per-message send events both observe logical
-    /// messages individually); bundles are never nested.
+    /// destination — one queue entry and one frame instead of one per
+    /// message. Every multisend bundles, on every path: the receiver unwraps
+    /// the members in order, so dispatch order is exactly what separate
+    /// enqueues would produce, and the two observers of *logical* messages
+    /// (the tracer and the fault pump) read a bundle member by member through
+    /// the splitter, `Message::logical`. The engine never nests bundles.
     Bundle(Vec<Message>),
 }
 
@@ -164,6 +164,50 @@ impl Message {
     /// A short label for debugging/tracing.
     pub fn kind(&self) -> &'static str {
         Self::KINDS[self.kind_index()]
+    }
+
+    /// The identifier an identifier-routed message is addressed to (`None`
+    /// for node-addressed kinds and bundles).
+    pub fn index_id(&self) -> Option<Id> {
+        match self {
+            Message::IndexQuery { index_id, .. }
+            | Message::AlIndexTuple { index_id, .. }
+            | Message::VlIndexTuple { index_id, .. }
+            | Message::Join { index_id, .. } => Some(*index_id),
+            Message::JoinV(join) => Some(join.index_id),
+            Message::StoreNotifications { subscriber_id, .. } => Some(*subscriber_id),
+            _ => None,
+        }
+    }
+
+    /// The splitter: the logical messages an envelope payload stands for —
+    /// a bundle's members, anything else itself — in dispatch order, each
+    /// with the identifier it targets: the one it carries
+    /// ([`Message::index_id`]; the engine addresses every identifier-routed
+    /// message to it), or the envelope's `target` for node-addressed kinds.
+    pub(crate) fn logical(&self, target: Id) -> impl Iterator<Item = (Id, &Message)> {
+        let members = match self {
+            Message::Bundle(members) => members.as_slice(),
+            single => std::slice::from_ref(single),
+        };
+        members
+            .iter()
+            .map(move |m| (m.index_id().unwrap_or(target), m))
+    }
+
+    /// The payload taken apart: a bundle's members, anything else itself.
+    pub(crate) fn into_members(self) -> impl Iterator<Item = Message> {
+        let (single, members) = match self {
+            Message::Bundle(members) => (None, members),
+            single => (Some(single), Vec::new()),
+        };
+        single.into_iter().chain(members)
+    }
+
+    /// [`Message::logical`] by value.
+    pub(crate) fn into_logical(self, target: Id) -> impl Iterator<Item = (Id, Message)> {
+        self.into_members()
+            .map(move |m| (m.index_id().unwrap_or(target), m))
     }
 }
 

@@ -102,9 +102,10 @@ pub struct FaultCounters {
     /// [`Message::KINDS`] — sized with the `engine::wire` codec, so reports
     /// state the true serialized cost of every transmission (initial sends
     /// and retransmissions; acks carry no payload frame and are excluded).
-    /// Populated by the fault pump and by the TCP backend; the default
-    /// perfect-delivery simulator path skips serialization sizing entirely
-    /// and leaves these at zero.
+    /// Populated by the fault pump when one is installed (whatever the
+    /// backend), otherwise by the TCP backend; the default perfect-delivery
+    /// simulator path skips serialization sizing entirely and leaves these
+    /// at zero.
     ///
     /// [`Message::KINDS`]: crate::messages::Message::KINDS
     pub bytes_sent: [u64; 11],

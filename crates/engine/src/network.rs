@@ -37,7 +37,7 @@ use crate::recovery::Recovery;
 use crate::replication::ReplicaItem;
 use crate::tables::StoredQuery;
 use crate::trace::{TraceEvent, TraceSink};
-use crate::transport::{ActiveTransport, SimTransport, Transport as _};
+use crate::transport::{ActiveTransport, Pending, SimTransport, Transport as _};
 use crate::transport_tcp::{SocketStats, TcpOptions, TcpTransport};
 
 /// The whole simulated network.
@@ -60,17 +60,24 @@ pub struct Network {
     /// each [`NodeCtx`] so kernels build keys without allocating.
     scratch: String,
     /// The installed transport backend: the deterministic in-memory queue
-    /// (with its optional fault pipe) by default, or framed TCP loopback
-    /// sockets after [`Network::enable_tcp_transport`].
+    /// by default, or framed TCP loopback sockets after
+    /// [`Network::enable_tcp_transport`].
     pub(crate) transport: ActiveTransport,
     /// The trace sink; `None` (the default) keeps every emission site a
     /// single untaken branch, so the hot path is unchanged.
     pub(crate) tracer: Option<Arc<dyn TraceSink>>,
-    /// Per-slot send counters backing trace [`MsgId`]s on the perfect
-    /// delivery path (the fault pipe allocates its own when installed).
+    /// Per-slot send counters backing the trace [`MsgId`]s allocated at
+    /// enqueue (the fault pump allocates its own at transmit).
     ///
     /// [`MsgId`]: crate::faults::MsgId
     pub(crate) trace_seq: Vec<u64>,
+    /// The fault-injection + reliable-delivery pump; `None` when message
+    /// delivery is perfect (the default). Moved out while it runs.
+    pub(crate) pump: Option<Box<FaultPipe>>,
+    /// Fresh sends awaiting their fault draws at the next tick boundary.
+    /// `Some` exactly when a pump is installed — and it stays in place while
+    /// `pump` is moved out, which is how a handler's sends find it.
+    pub(crate) staged: Option<Vec<Pending>>,
     /// The in-protocol failure detector (`engine::recovery`); `None` (the
     /// default) leaves failure handling to oracle `stabilize` calls.
     pub(crate) recovery: Option<Box<Recovery>>,
@@ -103,8 +110,8 @@ impl Network {
         let seed = config.seed;
         // The detector needs the tick pump: probes, timeouts and digest
         // rounds all live in pump time, so enabling suspicion installs the
-        // pipe even when no delivery fault is configured.
-        let pipe = (config.fault.perturbs_delivery() || config.suspicion.enabled)
+        // pump even when no delivery fault is configured.
+        let pump = (config.fault.perturbs_delivery() || config.suspicion.enabled)
             .then(|| Box::new(FaultPipe::new(config.fault.clone(), slots)));
         let recovery = config
             .suspicion
@@ -123,8 +130,10 @@ impl Network {
             outbox: Vec::new(),
             scratch: String::with_capacity(64),
             tracer: None,
-            trace_seq: Vec::new(),
-            transport: ActiveTransport::Sim(SimTransport::new(pipe)),
+            trace_seq: vec![0; slots],
+            transport: ActiveTransport::Sim(SimTransport::default()),
+            staged: pump.is_some().then(Vec::new),
+            pump,
             recovery,
             subscribers: FxHashMap::default(),
             posed_queries: Vec::new(),
@@ -137,12 +146,10 @@ impl Network {
     /// serialized through [`crate::wire`] and read back off the socket
     /// before dispatch. Envelope order is preserved exactly, so a TCP run
     /// delivers the same notification set as a simulator run of the same
-    /// seed.
-    ///
-    /// Incompatible with the fault-injection pipe and the failure detector
-    /// (both simulate time inside the in-memory pump): enabling TCP on such
-    /// a configuration is a protocol error. Call before posing queries so
-    /// no envelopes are queued on the old backend.
+    /// seed. That holds under fault and suspicion configs too: the pump
+    /// decides what is sent, and the copies that survive its draws cross the
+    /// sockets. Call before posing queries so no envelopes are queued on the
+    /// old backend.
     pub fn enable_tcp_transport(&mut self) -> Result<()> {
         self.enable_tcp_transport_with(TcpOptions::default())
     }
@@ -152,13 +159,6 @@ impl Network {
     /// userspace backpressure, or shorten the stall timeout so
     /// lost-frame scenarios fail fast.
     pub fn enable_tcp_transport_with(&mut self, opts: TcpOptions) -> Result<()> {
-        if self.transport.has_pipe() || self.recovery.is_some() {
-            return Err(EngineError::Protocol {
-                detail: "TCP transport requires perfect delivery: disable fault injection and \
-                         the suspicion detector"
-                    .to_string(),
-            });
-        }
         if !self.transport.is_idle() {
             return Err(EngineError::Protocol {
                 detail: "TCP transport must be enabled before any message is queued".to_string(),
@@ -590,16 +590,10 @@ impl Network {
                 self.on_pong(at, from);
                 Ok(())
             }
-            Message::Bundle(msgs) => {
-                // Unwrap in order: dispatching members back-to-back is
-                // exactly equivalent to popping them consecutively off the
-                // queue, because each member's effects enqueue at the back —
-                // behind the rest of the run in both schedules.
-                for m in msgs {
-                    self.dispatch(at, m)?;
-                }
-                Ok(())
-            }
+            // Delivery takes envelopes apart before dispatching, so only a
+            // nested bundle — legal on the wire, never built here — lands in
+            // this arm.
+            Message::Bundle(msgs) => msgs.into_iter().try_for_each(|m| self.dispatch(at, m)),
         }
     }
 

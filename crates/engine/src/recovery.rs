@@ -43,7 +43,6 @@ use crate::replication::{
     ReplicaItem,
 };
 use crate::trace::TraceEvent;
-use crate::transport::Transport as _;
 use crate::wire;
 
 /// Failure-detection knobs. All durations are pump ticks (the same unit the
@@ -301,6 +300,21 @@ impl Network {
         let clock = self.trace_tick();
         if let Some(rec) = self.recovery.as_mut() {
             rec.undetected.insert(slot, (rec.now, clock));
+        }
+    }
+
+    /// Slot `slot` is back on the ring. If it failed and no watcher had
+    /// confirmed that yet, there is nothing left to detect: its window
+    /// closes at the current clock (only a confirmation would otherwise, and
+    /// none can come — [`Network::settle`] would wait for it forever). The
+    /// watches on it go too, or they would end up confirming an alive node.
+    pub(crate) fn note_rejoin(&mut self, slot: u32) {
+        let clock = self.trace_tick();
+        if let Some(rec) = self.recovery.as_mut() {
+            if let Some((_, fail_clock)) = rec.undetected.remove(&slot) {
+                rec.windows.push((fail_clock, clock));
+            }
+            rec.watches.retain(|&(_, target), _| target != slot);
         }
     }
 
@@ -590,57 +604,30 @@ impl Network {
     /// the successor lists cover).
     pub fn settle(&mut self) -> Result<()> {
         self.process_all()?;
-        if self.recovery.is_none() {
-            return Ok(());
-        }
-        let Some(mut pipe) = self.transport.take_pipe() else {
-            return Ok(());
-        };
-        let mut result = Ok(());
         let mut forced = 0u64;
-        loop {
-            let pending = self.recovery.as_ref().is_some_and(|r| r.pending());
-            if !pending && !pipe.busy() && self.transport.is_idle() {
-                break;
-            }
+        while self.recovery.as_ref().is_some_and(|r| r.pending())
+            || self.pump.as_ref().is_some_and(|p| p.busy())
+            || self.staged.as_ref().is_some_and(|s| !s.is_empty())
+        {
             forced += 1;
             if forced > 100_000 {
-                result = Err(EngineError::Protocol {
+                return Err(EngineError::Protocol {
                     detail: "failure detection did not converge within 100000 forced ticks \
                              (more consecutive failures than successor lists cover?)"
                         .to_string(),
                 });
-                break;
             }
-            if let Err(e) = self.forced_tick(&mut pipe) {
-                result = Err(e);
-                break;
-            }
+            self.drive(true)?;
         }
-        self.transport.restore_pipe(pipe);
-        result
-    }
-
-    /// Folds queued sends into the pipe, then runs one pump tick whether or
-    /// not any protocol traffic is due.
-    fn forced_tick(&mut self, pipe: &mut FaultPipe) -> Result<()> {
-        while let Some(p) = self.transport.next_delivery()? {
-            self.transmit(pipe, p);
-        }
-        self.pump_tick(pipe)
+        Ok(())
     }
 
     /// Forces one pump tick regardless of pending work (test and benchmark
     /// hook: lets the detector's heartbeat, deadline and digest cadences be
-    /// driven without protocol traffic). A no-op without a fault pipe.
+    /// driven without protocol traffic). A no-op without a fault pump.
     #[doc(hidden)]
     pub fn tick_now(&mut self) -> Result<()> {
-        let Some(mut pipe) = self.transport.take_pipe() else {
-            return Ok(());
-        };
-        let result = self.forced_tick(&mut pipe);
-        self.transport.restore_pipe(pipe);
-        result
+        self.drive(true)
     }
 
     /// The detection windows observed so far, as closed logical-clock

@@ -26,9 +26,10 @@ use crate::replication::ReplicaItem;
 use crate::trace::TraceEvent;
 use crate::wire;
 
-/// One enqueued protocol message: the payload plus the transport envelope
-/// the reliable-delivery layer needs (sender, resolved receiver, target
-/// identifier, and whether retransmissions re-route by identifier).
+/// One send as its sender describes it: the payload plus what the
+/// reliable-delivery layer needs to know about it (sender, resolved
+/// receiver, target identifier, and whether retransmissions re-route by
+/// identifier).
 pub(crate) struct Pending {
     /// Sending node (retransmissions originate here).
     pub(crate) from: NodeHandle,
@@ -42,17 +43,13 @@ pub(crate) struct Pending {
     pub(crate) reroute: bool,
     /// The payload.
     pub(crate) msg: Message,
-    /// Trace identifier assigned at enqueue on the perfect-delivery path
-    /// (the fault pipe allocates its own in `transmit`). Always `None` when
-    /// tracing is off.
-    pub(crate) trace_id: Option<MsgId>,
     /// Hop-by-hop route captured at routing time when tracing is on
     /// (unicast sends only; multisend batch members share a fan-out tree).
     pub(crate) trace_path: Option<Vec<u32>>,
 }
 
 impl Pending {
-    /// An envelope with tracing fields unset (the enqueue path fills them).
+    /// A send with no captured route.
     pub(crate) fn new(
         from: NodeHandle,
         to: NodeHandle,
@@ -66,20 +63,36 @@ impl Pending {
             target,
             reroute,
             msg,
-            trace_id: None,
             trace_path: None,
         }
     }
 }
 
+/// What a transport carries between two nodes: a payload and, while anybody
+/// observes logical messages (a tracer, the fault pump), the identifier of
+/// the first one in it — a bundle's members follow consecutively.
+#[derive(Clone, Debug)]
+pub(crate) struct Envelope {
+    /// Sending node.
+    pub(crate) from: NodeHandle,
+    /// Receiving node.
+    pub(crate) to: NodeHandle,
+    /// `(sender, seq)` of the first logical message, if observed.
+    pub(crate) id: Option<MsgId>,
+    /// The payload.
+    pub(crate) msg: Message,
+}
+
 /// The transport abstraction every backend implements: how envelopes enter
-/// the delivery substrate, how they come back out in global FIFO order, and
-/// the hooks the fault-injection / reliable-delivery pump needs.
+/// the delivery substrate and how they come back out in global FIFO order.
+/// Faults are not a transport concern — the pump (`Network::pump`) decides
+/// what is sent and when, and whatever survives its draws rides the
+/// installed backend like any other envelope.
 ///
 /// Backends are selected by **enum dispatch** through [`ActiveTransport`]
 /// (never `dyn`): the simulator's hot loop calls `enqueue`/`next_delivery`
-/// once per protocol message, and a vtable there would defeat the batching
-/// and kernel wins the delivery path is built around.
+/// once per envelope, and a vtable there would defeat the batching and
+/// kernel wins the delivery path is built around.
 ///
 /// The contract `Network` relies on:
 ///
@@ -88,22 +101,18 @@ impl Pending {
 /// * `next_delivery` yields envelopes in exactly the order they were
 ///   enqueued, network-wide. The deterministic simulator and the TCP
 ///   backend therefore dispatch identical sequences for the same seed.
-/// * The fault-pipe hooks (`take_pipe`/`restore_pipe`/`has_pipe`) expose
-///   the optional reliable-delivery pump state. Only [`SimTransport`]
-///   carries a pipe; backends without one return `None`/`false`, and the
-///   pump paths are never entered for them.
 pub(crate) trait Transport {
     /// Queues one envelope for delivery. Must not fail: backends with
     /// fallible sends record the error and report it from
     /// [`Transport::next_delivery`].
-    fn enqueue(&mut self, p: Pending);
+    fn enqueue(&mut self, e: Envelope);
 
     /// Removes and returns the next envelope in network-global FIFO order.
     /// **Never blocks**: `None` means either the queue is drained
     /// ([`Transport::is_idle`] true) or the head envelope's payload has not
     /// finished arriving yet (socket backends; the driver calls
     /// [`Transport::poll`] and retries). Deferred send errors surface here.
-    fn next_delivery(&mut self) -> Result<Option<Pending>>;
+    fn next_delivery(&mut self) -> Result<Option<Envelope>>;
 
     /// The explicit I/O progress hook: socket backends flush backpressured
     /// writes, accept pending connections, and drain readable sockets. With
@@ -115,20 +124,8 @@ pub(crate) trait Transport {
     /// flight on their wires either).
     fn is_idle(&self) -> bool;
 
-    /// Detaches the fault-injection + reliable-delivery pipe so the pump
-    /// can run against `&mut Network`. `None` when the backend has no pipe.
-    fn take_pipe(&mut self) -> Option<Box<FaultPipe>>;
-
-    /// Reattaches a pipe detached by [`Transport::take_pipe`].
-    fn restore_pipe(&mut self, pipe: Box<FaultPipe>);
-
-    /// Whether a fault pipe is installed (drives the trace-id allocation
-    /// and bundle-coalescing gates).
-    fn has_pipe(&self) -> bool;
-
     /// Drains the backend's per-message-kind wire-byte counters, indexed
-    /// like [`Message::KINDS`]. `None` for backends that don't serialize
-    /// (the simulator accounts wire bytes in the fault pump instead).
+    /// like [`Message::KINDS`]. `None` for backends that don't serialize.
     fn take_wire_bytes(&mut self) -> Option<[u64; 11]>;
 
     /// Drains the backend's aggregate socket statistics (syscalls, bytes,
@@ -137,37 +134,21 @@ pub(crate) trait Transport {
     fn take_socket_stats(&mut self) -> Option<crate::transport_tcp::SocketStats>;
 }
 
-/// The deterministic in-memory backend: a FIFO queue of envelopes and the
-/// optional fault-injection pipe. This is the seed engine's transport,
-/// unchanged in behavior, now behind the [`Transport`] trait.
+/// The deterministic in-memory backend: a FIFO queue of envelopes.
+#[derive(Default)]
 pub(crate) struct SimTransport {
-    /// FIFO queue of sent-but-not-yet-handled messages.
-    pending: VecDeque<Pending>,
-    /// The fault-injection + reliable-delivery pipe; `None` when message
-    /// delivery is perfect (the default), in which case `pending` is
-    /// drained FIFO exactly as the original engine did.
-    pipe: Option<Box<FaultPipe>>,
-}
-
-impl SimTransport {
-    /// Perfect-delivery transport (`pipe` installed at construction when
-    /// faults are configured).
-    pub(crate) fn new(pipe: Option<Box<FaultPipe>>) -> Self {
-        SimTransport {
-            pending: VecDeque::new(),
-            pipe,
-        }
-    }
+    /// Sent-but-not-yet-handled envelopes.
+    pending: VecDeque<Envelope>,
 }
 
 impl Transport for SimTransport {
     #[inline]
-    fn enqueue(&mut self, p: Pending) {
-        self.pending.push_back(p);
+    fn enqueue(&mut self, e: Envelope) {
+        self.pending.push_back(e);
     }
 
     #[inline]
-    fn next_delivery(&mut self) -> Result<Option<Pending>> {
+    fn next_delivery(&mut self) -> Result<Option<Envelope>> {
         Ok(self.pending.pop_front())
     }
 
@@ -179,19 +160,6 @@ impl Transport for SimTransport {
     #[inline]
     fn is_idle(&self) -> bool {
         self.pending.is_empty()
-    }
-
-    fn take_pipe(&mut self) -> Option<Box<FaultPipe>> {
-        self.pipe.take()
-    }
-
-    fn restore_pipe(&mut self, pipe: Box<FaultPipe>) {
-        self.pipe = Some(pipe);
-    }
-
-    #[inline]
-    fn has_pipe(&self) -> bool {
-        self.pipe.is_some()
     }
 
     fn take_wire_bytes(&mut self) -> Option<[u64; 11]> {
@@ -215,15 +183,15 @@ pub(crate) enum ActiveTransport {
 
 impl Transport for ActiveTransport {
     #[inline]
-    fn enqueue(&mut self, p: Pending) {
+    fn enqueue(&mut self, e: Envelope) {
         match self {
-            ActiveTransport::Sim(t) => t.enqueue(p),
-            ActiveTransport::Tcp(t) => t.enqueue(p),
+            ActiveTransport::Sim(t) => t.enqueue(e),
+            ActiveTransport::Tcp(t) => t.enqueue(e),
         }
     }
 
     #[inline]
-    fn next_delivery(&mut self) -> Result<Option<Pending>> {
+    fn next_delivery(&mut self) -> Result<Option<Envelope>> {
         match self {
             ActiveTransport::Sim(t) => t.next_delivery(),
             ActiveTransport::Tcp(t) => t.next_delivery(),
@@ -246,28 +214,6 @@ impl Transport for ActiveTransport {
         }
     }
 
-    fn take_pipe(&mut self) -> Option<Box<FaultPipe>> {
-        match self {
-            ActiveTransport::Sim(t) => t.take_pipe(),
-            ActiveTransport::Tcp(t) => t.take_pipe(),
-        }
-    }
-
-    fn restore_pipe(&mut self, pipe: Box<FaultPipe>) {
-        match self {
-            ActiveTransport::Sim(t) => t.restore_pipe(pipe),
-            ActiveTransport::Tcp(t) => t.restore_pipe(pipe),
-        }
-    }
-
-    #[inline]
-    fn has_pipe(&self) -> bool {
-        match self {
-            ActiveTransport::Sim(t) => t.has_pipe(),
-            ActiveTransport::Tcp(t) => t.has_pipe(),
-        }
-    }
-
     fn take_wire_bytes(&mut self) -> Option<[u64; 11]> {
         match self {
             ActiveTransport::Sim(t) => t.take_wire_bytes(),
@@ -287,32 +233,60 @@ impl Transport for ActiveTransport {
 // of `Network` operating on the transport state; they touch routing, hop
 // accounting and queues only — never algorithm logic.
 impl Network {
-    /// Queues one envelope. On the perfect-delivery path with tracing on,
-    /// this is where the send becomes observable: a trace [`MsgId`] is
-    /// allocated and a [`TraceEvent::MsgSend`] emitted (the fault pipe path
-    /// defers both to `transmit`, which owns the real sequence allocator).
+    /// Hands one send to the delivery path: onto the transport, or — under
+    /// the fault pump — staged until the tick boundary, where
+    /// [`Network::transmit`] puts each of its logical messages through the
+    /// draws. The envelope is the same whether or not a tracer listens; the
+    /// tracer is only told about the logical sends it carries.
     pub(crate) fn enqueue(&mut self, mut p: Pending) {
-        if self.trace_on() && !self.transport.has_pipe() {
+        // `pump` is `None` without a fault pump — and while one runs, moved
+        // out. Sends made by a running pump's handlers are therefore
+        // announced here *and* again at `transmit`, under the two allocators'
+        // own ids and ticks. That echo predates this layout and is kept so
+        // traces stay byte-identical; see ROADMAP item 3.
+        let mut first = None;
+        if self.trace_on() && self.pump.is_none() {
+            let tick = self.trace_tick();
             let slot = p.from.index();
-            if slot >= self.trace_seq.len() {
-                self.trace_seq.resize(slot + 1, 0);
+            let mut path = p.trace_path.take();
+            for (target, m) in p.msg.logical(p.target) {
+                let id = (slot as u32, self.trace_seq[slot]);
+                self.trace_seq[slot] += 1;
+                first.get_or_insert(id);
+                self.trace_send(tick, id, p.to, target, m, path.take());
             }
-            let id = (slot as u32, self.trace_seq[slot]);
-            self.trace_seq[slot] += 1;
-            p.trace_id = Some(id);
-            let path = p.trace_path.take();
-            let (tick, to, target, kind) = (self.trace_tick(), p.to, p.target, p.msg.kind());
-            self.trace(|| TraceEvent::MsgSend {
-                tick,
-                node: slot as u32,
-                id,
-                to: to.index() as u32,
-                target,
-                kind,
-                path,
-            });
         }
-        self.transport.enqueue(p);
+        match &mut self.staged {
+            Some(staged) => staged.push(p),
+            None => self.transport.enqueue(Envelope {
+                from: p.from,
+                to: p.to,
+                id: first,
+                msg: p.msg,
+            }),
+        }
+    }
+
+    /// Emits the [`TraceEvent::MsgSend`] of one logical message.
+    fn trace_send(
+        &self,
+        tick: u64,
+        id: MsgId,
+        to: NodeHandle,
+        target: Id,
+        msg: &Message,
+        path: Option<Vec<u32>>,
+    ) {
+        let kind = msg.kind();
+        self.trace(|| TraceEvent::MsgSend {
+            tick,
+            node: id.0,
+            id,
+            to: to.index() as u32,
+            target,
+            kind,
+            path,
+        });
     }
 
     /// Routes `from → id`, returning the owner and hop count — and, only
@@ -359,40 +333,24 @@ impl Network {
         for (id, msg) in targets {
             by_id.entry(id).or_default().push(msg);
         }
-        // On the perfect-delivery, untraced path, coalesce each delivery
-        // entry's consecutive run of messages into one `Bundle` envelope:
-        // the receiver unwraps in order, so global dispatch order is exactly
-        // the per-message order (the run sat consecutively at the queue head
-        // either way, and its handler effects join the queue *behind* it).
-        // The fault pipe must see logical messages individually (its RNG
-        // draws are per transmission) and the tracer emits one `MsgSend` per
-        // message, so both paths keep per-message enqueues.
-        let bundle = self.config.batch_delivery && !self.transport.has_pipe() && !self.trace_on();
+        // Coalesce each delivery entry's consecutive run of messages into one
+        // envelope: the receiver unwraps a `Bundle` in order, so global
+        // dispatch order is exactly the per-message order (the run would sit
+        // consecutively at the queue head either way, and its handler
+        // effects join the queue *behind* it).
         for (owner, ids) in outcome.deliveries {
-            if bundle {
-                let mut run: Vec<Message> = Vec::new();
-                let first = ids[0];
-                for id in ids {
-                    run.extend(by_id.remove(&id).into_iter().flatten());
-                }
-                match run.len() {
-                    0 => {}
-                    1 => {
-                        // Invariant: the match arm guarantees exactly one element.
-                        let msg = run.pop().expect("len checked");
-                        self.enqueue(Pending::new(node, owner, first, true, msg));
-                    }
-                    _ => {
-                        self.enqueue(Pending::new(node, owner, first, true, Message::Bundle(run)));
-                    }
-                }
-            } else {
-                for id in ids {
-                    for msg in by_id.remove(&id).into_iter().flatten() {
-                        self.enqueue(Pending::new(node, owner, id, true, msg));
-                    }
-                }
+            let first = ids[0];
+            let mut run: Vec<Message> = Vec::new();
+            for id in ids {
+                run.extend(by_id.remove(&id).into_iter().flatten());
             }
+            let msg = match run.len() {
+                0 => continue,
+                // Invariant: the match arm guarantees exactly one element.
+                1 => run.pop().expect("len checked"),
+                _ => Message::Bundle(run),
+            };
+            self.enqueue(Pending::new(node, owner, first, true, msg));
         }
         debug_assert!(by_id.is_empty(), "every target id must be delivered");
         Ok(())
@@ -478,203 +436,254 @@ impl Network {
         }
     }
 
-    /// Processes queued protocol messages until quiescence — through the
-    /// perfect FIFO queue by default, or through the fault-injection pipe
-    /// when one is configured.
+    /// Processes queued protocol messages until quiescence.
     pub(crate) fn process_all(&mut self) -> Result<()> {
-        if self.transport.has_pipe() {
-            // Invariant: has_pipe() held on the previous line; take-and-restore
-            // releases the &mut self borrow for the pump loop below.
-            let mut pipe = self.transport.take_pipe().expect("checked above");
-            let result = self.pump_faulty(&mut pipe);
-            self.transport.restore_pipe(pipe);
-            result
-        } else {
-            loop {
-                // Opportunistically service ready sockets (no-op for the
-                // simulator) so frames drain even while envelopes are ready.
-                self.transport.poll(false)?;
-                while let Some(p) = self.transport.next_delivery()? {
-                    if let Some(id) = p.trace_id {
-                        let (tick, node, kind) =
-                            (self.trace_tick(), p.to.index() as u32, p.msg.kind());
-                        self.trace(|| TraceEvent::MsgDeliver {
-                            tick,
-                            node,
-                            id,
-                            kind,
-                        });
-                    }
-                    self.dispatch(p.to, p.msg)?;
+        self.drive(false)
+    }
+
+    /// Drives delivery: drains the transport and, when a fault pump is
+    /// installed, ticks it while it has protocol work due — or, with
+    /// `one_tick`, through exactly one tick whether or not anything is due
+    /// (how [`Network::settle`] keeps the detector's clock moving).
+    pub(crate) fn drive(&mut self, one_tick: bool) -> Result<()> {
+        // The pump state moves out for the duration so handlers can borrow
+        // the network whole; `staged` stays behind to catch their sends.
+        let mut pipe = self.pump.take();
+        let result = self.drain(pipe.as_deref_mut(), one_tick);
+        self.pump = pipe;
+        result
+    }
+
+    /// The one drain loop. Every envelope — a perfect-path send, or a copy
+    /// that survived the pump's draws — comes back off the installed backend
+    /// here, in the order it went on.
+    fn drain(&mut self, mut pipe: Option<&mut FaultPipe>, one_tick: bool) -> Result<()> {
+        let mut ticked = false;
+        loop {
+            // Opportunistically service ready sockets (no-op for the
+            // simulator) so frames drain even while envelopes are ready.
+            self.transport.poll(false)?;
+            while let Some(e) = self.transport.next_delivery()? {
+                match pipe.as_deref_mut() {
+                    Some(pipe) => self.arrive(pipe, e)?,
+                    None => self.deliver(e)?,
                 }
-                if self.transport.is_idle() {
-                    break;
-                }
+            }
+            if !self.transport.is_idle() {
                 // Envelopes are outstanding but the head frame has not
                 // arrived: block (bounded) for socket readiness and retry.
                 // The backend's stall timeout turns a lost frame into a
                 // typed error instead of an infinite wait.
                 self.transport.poll(true)?;
+                continue;
             }
-            // Socket backends count real frame bytes as they write; fold
-            // whatever this drain produced into the per-kind counters.
-            if let Some(bytes) = self.transport.take_wire_bytes() {
-                for (kind, b) in bytes.into_iter().enumerate() {
-                    self.metrics.faults.bytes_sent[kind] += b;
+            let Some(pipe) = pipe.as_deref_mut() else {
+                // Socket backends count real frame bytes as they write; fold
+                // whatever this drain produced into the per-kind counters.
+                // (Under the pump, `transmit` charges every transmission
+                // itself — lost copies included — whatever the backend.)
+                if let Some(bytes) = self.transport.take_wire_bytes() {
+                    for (kind, b) in bytes.into_iter().enumerate() {
+                        self.metrics.faults.bytes_sent[kind] += b;
+                    }
                 }
-            }
-            Ok(())
-        }
-    }
-
-    /// The tick-based message pump used when faults are injected: sends pass
-    /// through loss/duplication/delay draws, receivers dedup on `(sender,
-    /// seq)`, unacknowledged messages retransmit with exponential backoff,
-    /// and abrupt node failures strike between ticks.
-    fn pump_faulty(&mut self, pipe: &mut FaultPipe) -> Result<()> {
-        loop {
-            // Fold freshly produced sends into the pipe (handlers and
-            // promotions push onto the queue).
-            while let Some(p) = self.transport.next_delivery()? {
-                self.transmit(pipe, p);
-            }
-            if !pipe.busy() {
-                // In-flight heartbeat probes may remain; they deliver
-                // passively on ticks later work (or `Network::settle`)
-                // forces.
+                return Ok(());
+            };
+            if !self.pump_step(pipe, one_tick, &mut ticked)? {
                 return Ok(());
             }
-            self.pump_tick(pipe)?;
         }
     }
 
-    /// One pump tick: advance the clock, inject failures, run the failure
-    /// detector, deliver this tick's arrivals, fire retry checks. Also
-    /// driven directly by [`Network::settle`] when the detector must make
-    /// progress without protocol traffic.
-    pub(crate) fn pump_tick(&mut self, pipe: &mut FaultPipe) -> Result<()> {
-        pipe.tick += 1;
-        self.inject_failures(pipe)?;
-        self.recovery_tick(pipe)?;
-        let now = pipe.tick;
-        let batch = pipe.in_flight.remove(&now).unwrap_or_default();
-        pipe.note_removed(&batch);
-        for delivery in batch {
-            match delivery {
-                Delivery::Data { id, to, msg } => {
-                    let node = to.index() as u32;
-                    if !self.ring.node(to).is_alive() {
-                        self.metrics.faults.messages_lost += 1;
-                        // A non-probe message swallowed by a failed-but-
-                        // undetected receiver is the recovery blind spot.
-                        let probe = matches!(msg, Message::Ping { .. } | Message::Pong { .. });
-                        if !probe
-                            && self
-                                .recovery
-                                .as_ref()
-                                .is_some_and(|r| r.undetected.contains_key(&node))
-                        {
-                            self.metrics.recovery.lost_in_detection_window += 1;
-                            if matches!(
-                                msg,
-                                Message::Notify { .. } | Message::StoreNotifications { .. }
-                            ) {
-                                self.metrics.recovery.notifications_lost_in_window += 1;
-                            }
-                        }
-                        self.trace(|| TraceEvent::FaultDrop {
-                            tick: now,
-                            node,
-                            id,
-                        });
-                        continue;
-                    }
-                    if pipe.record_arrival(id, to) {
-                        self.metrics.faults.dedup_suppressed += 1;
-                        self.trace(|| TraceEvent::DedupSuppressed {
-                            tick: now,
-                            node,
-                            id,
-                        });
-                    } else {
-                        let kind = msg.kind();
-                        self.trace(|| TraceEvent::MsgDeliver {
-                            tick: now,
-                            node,
-                            id,
-                            kind,
-                        });
-                        self.dispatch(to, msg)?;
-                    }
-                    // Ack every arrival (a duplicate usually means the
-                    // previous ack was lost). Acks are subject to loss
-                    // like any transmission. Probes never have an
-                    // outstanding window, so they are never acked.
-                    if pipe.cfg.retries_enabled() {
-                        if let Some(o) = pipe.outstanding.get(&id) {
-                            let sender = o.from;
-                            if pipe.cfg.loss_rate > 0.0
-                                && pipe.rng.gen::<f64>() < pipe.cfg.loss_rate
-                            {
-                                self.metrics.faults.messages_lost += 1;
-                                self.trace(|| TraceEvent::FaultDrop {
-                                    tick: now,
-                                    node: sender.index() as u32,
-                                    id,
-                                });
-                            } else {
-                                pipe.schedule(now + 1, Delivery::Ack { id, to: sender });
-                            }
-                        }
-                    }
-                }
-                Delivery::Ack { id, to } => {
-                    // An ack addressed to a node that died in flight
-                    // never closes the window; `maybe_retransmit` drops
-                    // the dead sender's window on its next firing.
-                    if self.ring.node(to).is_alive() {
-                        pipe.outstanding.remove(&id);
-                    }
-                }
+    /// Dispatches the logical messages of one delivered envelope in order,
+    /// announcing each to the tracer when the envelope carries identifiers.
+    fn deliver(&mut self, e: Envelope) -> Result<()> {
+        let (to, mut id) = (e.to, e.id);
+        for m in e.msg.into_members() {
+            if let Some((sender, seq)) = id {
+                let (tick, node, kind) = (self.trace_tick(), to.index() as u32, m.kind());
+                self.trace(|| TraceEvent::MsgDeliver {
+                    tick,
+                    node,
+                    id: (sender, seq),
+                    kind,
+                });
+                id = Some((sender, seq + 1));
             }
-        }
-        for id in pipe.retry_at.remove(&now).unwrap_or_default() {
-            self.maybe_retransmit(pipe, id, now);
+            self.dispatch(to, m)?;
         }
         Ok(())
     }
 
-    /// Registers one fresh send with the pipe: assigns a `(sender, seq)`
-    /// identifier, opens the ack window when retries are enabled, and
-    /// schedules the transmission copies through the fault draws.
-    pub(crate) fn transmit(&mut self, pipe: &mut FaultPipe, mut p: Pending) {
-        let id = pipe.alloc_seq(p.from);
-        // Exact wire cost of this transmission (acks are not payload frames
-        // and are not counted). Only the fault pump pays for serialization
-        // sizing; the perfect-delivery path never reaches here.
-        self.metrics.faults.bytes_sent[p.msg.kind_index()] += wire::encoded_len(&p.msg);
-        if self.trace_on() {
-            let path = p.trace_path.take();
-            let (tick, to, target, kind) = (pipe.tick, p.to, p.target, p.msg.kind());
-            let node = p.from.index() as u32;
-            self.trace(|| TraceEvent::MsgSend {
-                tick,
+    /// Advances the fault pump until it has put at least one copy on the
+    /// transport (`true`: drain, then call again) or has nothing left to do
+    /// (`false`). Sends pass through loss/duplication/delay draws, receivers
+    /// dedup on `(sender, seq)`, unacknowledged messages retransmit with
+    /// exponential backoff, and abrupt node failures strike between ticks.
+    ///
+    /// One tick is: advance the clock, inject failures, run the failure
+    /// detector, walk this tick's arrivals in schedule order — data copies
+    /// ride the transport and come back through [`Network::arrive`], acks are
+    /// handled here — then fire retry checks. An ack is never overtaken by a
+    /// copy scheduled behind it (nor the reverse): whether a late copy still
+    /// finds its ack window open decides a fault draw.
+    fn pump_step(
+        &mut self,
+        pipe: &mut FaultPipe,
+        one_tick: bool,
+        ticked: &mut bool,
+    ) -> Result<bool> {
+        loop {
+            let mut handed = false;
+            while let Some(delivery) = pipe.arriving.pop_front() {
+                match delivery {
+                    Delivery::Data(copy) => {
+                        self.transport.enqueue(copy);
+                        handed = true;
+                    }
+                    Delivery::Ack { .. } if handed => {
+                        pipe.arriving.push_front(delivery);
+                        break;
+                    }
+                    Delivery::Ack { id, to } => {
+                        // An ack addressed to a node that died in flight
+                        // never closes the window; `maybe_retransmit` drops
+                        // the dead sender's window on its next firing.
+                        if self.ring.node(to).is_alive() {
+                            pipe.outstanding.remove(&id);
+                        }
+                    }
+                }
+            }
+            if handed {
+                return Ok(true);
+            }
+            // The tick's arrivals are all in: fire its retry checks (none
+            // are left when this is reached a second time for one tick).
+            let now = pipe.tick;
+            for id in pipe.retry_at.remove(&now).unwrap_or_default() {
+                self.maybe_retransmit(pipe, id, now);
+            }
+            if one_tick && *ticked {
+                return Ok(false);
+            }
+            // Fold freshly produced sends into the pipe (handlers, the
+            // detector and promotions staged them during the tick).
+            // (`transmit` only schedules, so nothing looks for `staged`
+            // while it is out; putting it back keeps its capacity.)
+            let mut fresh = self.staged.take().unwrap_or_default();
+            for p in fresh.drain(..) {
+                self.transmit(pipe, p);
+            }
+            self.staged = Some(fresh);
+            if !one_tick && !pipe.busy() {
+                // In-flight heartbeat probes may remain; they deliver
+                // passively on ticks later work (or `Network::settle`)
+                // forces.
+                return Ok(false);
+            }
+            *ticked = true;
+            pipe.tick += 1;
+            self.inject_failures(pipe)?;
+            self.recovery_tick(pipe)?;
+            let batch = pipe.in_flight.remove(&pipe.tick).unwrap_or_default();
+            pipe.note_removed(&batch);
+            pipe.arriving = batch.into();
+        }
+    }
+
+    /// One data copy came off the transport under the pump: drop it at a
+    /// dead receiver, suppress it as a duplicate or dispatch it, then ack.
+    fn arrive(&mut self, pipe: &mut FaultPipe, e: Envelope) -> Result<()> {
+        let (now, to, msg) = (pipe.tick, e.to, e.msg);
+        // Invariant: `pump_step` stamps every copy it hands to the transport.
+        let id = e.id.expect("pump copies carry their identifier");
+        let node = to.index() as u32;
+        if !self.ring.node(to).is_alive() {
+            self.metrics.faults.messages_lost += 1;
+            // A non-probe message swallowed by a failed-but-undetected
+            // receiver is the recovery blind spot.
+            let probe = matches!(msg, Message::Ping { .. } | Message::Pong { .. });
+            if !probe
+                && self
+                    .recovery
+                    .as_ref()
+                    .is_some_and(|r| r.undetected.contains_key(&node))
+            {
+                self.metrics.recovery.lost_in_detection_window += 1;
+                if matches!(
+                    msg,
+                    Message::Notify { .. } | Message::StoreNotifications { .. }
+                ) {
+                    self.metrics.recovery.notifications_lost_in_window += 1;
+                }
+            }
+            self.trace(|| TraceEvent::FaultDrop {
+                tick: now,
                 node,
                 id,
-                to: to.index() as u32,
-                target,
-                kind,
-                path,
             });
+            return Ok(());
         }
-        // Heartbeat probes are fire-and-forget: no ack window, no
-        // retransmission — an unanswered probe *is* the detector's signal.
-        let probe = matches!(p.msg, Message::Ping { .. } | Message::Pong { .. });
-        if pipe.cfg.retries_enabled() && !probe {
-            pipe.open_window(id, &p.from, p.target, p.reroute, &p.to, &p.msg);
-            pipe.schedule_retry(pipe.tick + pipe.cfg.ack_timeout, id);
+        if pipe.record_arrival(id, to) {
+            self.metrics.faults.dedup_suppressed += 1;
+            self.trace(|| TraceEvent::DedupSuppressed {
+                tick: now,
+                node,
+                id,
+            });
+        } else {
+            let kind = msg.kind();
+            self.trace(|| TraceEvent::MsgDeliver {
+                tick: now,
+                node,
+                id,
+                kind,
+            });
+            self.dispatch(to, msg)?;
         }
-        self.schedule_copies(pipe, id, p.to, p.msg);
+        // Ack every arrival (a duplicate usually means the previous ack was
+        // lost). Acks are subject to loss like any transmission. Probes
+        // never have an outstanding window, so they are never acked.
+        if pipe.cfg.retries_enabled() {
+            if let Some(o) = pipe.outstanding.get(&id) {
+                let sender = o.from;
+                if pipe.cfg.loss_rate > 0.0 && pipe.rng.gen::<f64>() < pipe.cfg.loss_rate {
+                    self.metrics.faults.messages_lost += 1;
+                    self.trace(|| TraceEvent::FaultDrop {
+                        tick: now,
+                        node: sender.index() as u32,
+                        id,
+                    });
+                } else {
+                    pipe.schedule(now + 1, Delivery::Ack { id, to: sender });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Registers the logical messages of one fresh send with the pipe: each
+    /// gets its `(sender, seq)` identifier, an ack window when retries are
+    /// enabled, and its transmission copies scheduled through the fault
+    /// draws. The logical message — not the envelope — is the unit of loss.
+    fn transmit(&mut self, pipe: &mut FaultPipe, p: Pending) {
+        let (from, to, reroute, mut path) = (p.from, p.to, p.reroute, p.trace_path);
+        for (target, msg) in p.msg.into_logical(p.target) {
+            let id = pipe.alloc_seq(from);
+            self.trace_send(pipe.tick, id, to, target, &msg, path.take());
+            // Exact wire cost of this transmission (acks are not payload
+            // frames and are not counted), charged here for every backend.
+            self.metrics.faults.bytes_sent[msg.kind_index()] += wire::encoded_len(&msg);
+            // Heartbeat probes are fire-and-forget: no ack window, no
+            // retransmission — an unanswered probe *is* the detector's signal.
+            let probe = matches!(msg, Message::Ping { .. } | Message::Pong { .. });
+            if pipe.cfg.retries_enabled() && !probe {
+                pipe.open_window(id, &from, target, reroute, &to, &msg);
+                pipe.schedule_retry(pipe.tick + pipe.cfg.ack_timeout, id);
+            }
+            self.schedule_copies(pipe, id, to, msg);
+        }
     }
 
     /// Draws duplication, loss and delay for one logical transmission and
@@ -721,7 +730,13 @@ impl Network {
             };
             // Invariant: only the final iteration takes the payload.
             let msg = payload.expect("payload outlives every copy but the last");
-            pipe.schedule(at, Delivery::Data { id, to, msg });
+            let copy = Envelope {
+                from: NodeHandle::from_index(id.0 as usize),
+                to,
+                id: Some(id),
+                msg,
+            };
+            pipe.schedule(at, Delivery::Data(copy));
         }
     }
 

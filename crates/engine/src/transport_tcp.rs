@@ -21,8 +21,8 @@
 //!   envelopes are outstanding but no frame is ready.
 //!
 //! The backend keeps a userspace FIFO of *envelopes* (sender, receiver,
-//! target, trace fields) in exact enqueue order while only the message
-//! payload crosses the wire; because each stream preserves order, frames
+//! message id) in exact enqueue order while only the message payload
+//! crosses the wire; because each stream preserves order, frames
 //! carry per-stream sequence numbers, and the FIFO fixes the global order,
 //! a run over sockets dispatches the identical message sequence as the
 //! in-memory simulator at the same seed — delivered sets and metrics match
@@ -36,9 +36,11 @@
 //! repaired silently**: every stream numbers its frames, a reconnect hello
 //! announces the sender's next sequence number, and any gap (frames that
 //! died buffered in a broken connection) or replay surfaces as a typed
-//! protocol error instead of decoding the wrong message. The
-//! fault-injection pipe is a simulator construct and is never installed
-//! here.
+//! protocol error instead of decoding the wrong message. Injected faults
+//! are not this backend's business: the pump (`Network::pump`) draws loss,
+//! duplication and delay before anything is enqueued here, and only the
+//! copies that survive cross a socket — so a frame lost to a broken
+//! connection is still a typed error, not a retransmit.
 
 use std::collections::VecDeque;
 use std::io::{self, Read};
@@ -49,10 +51,9 @@ use cq_fasthash::FxHashMap;
 use cq_poll::{Event, Interest, Poller};
 
 use crate::error::{EngineError, Result};
-use crate::faults::FaultPipe;
 use crate::frames::{BufPool, ConnCounters, FrameConn, RawFrame};
 use crate::messages::Message;
-use crate::transport::{Pending, Transport};
+use crate::transport::{Envelope, Transport};
 use crate::wire;
 
 use cq_relational::Catalog;
@@ -66,11 +67,16 @@ const HELLO_LEN: usize = 12;
 /// before returning to the driver.
 const POLL_SLICE: Duration = Duration::from_millis(25);
 
+/// The coalesced-flush bound: `enqueue` only buffers frames, and the reactor
+/// flushes each connection once per poll — unless a connection's queued
+/// bytes reach this bound, which forces an immediate flush so userspace
+/// queueing (and therefore added latency) stays bounded.
+const MAX_COALESCE_BYTES: usize = 256 * 1024;
+
 /// Tuning knobs for the TCP backend — all optional; the defaults match
 /// production behavior and tests override them to force specific paths
 /// (tiny kernel buffers exercise backpressure, a short stall timeout makes
-/// deadlock tests fast, `max_coalesce_bytes: 0` restores eager
-/// flush-per-message for ordering-equivalence checks).
+/// deadlock tests fast).
 #[derive(Clone, Copy, Debug)]
 pub struct TcpOptions {
     /// Kernel send-buffer size (`SO_SNDBUF`) applied to every outgoing
@@ -84,14 +90,6 @@ pub struct TcpOptions {
     /// envelope's frame is outstanding before the run fails with a typed
     /// stall error (a lost frame would otherwise hang the drive loop).
     pub stall_timeout: Duration,
-    /// The coalesced-flush bound: `enqueue` only buffers frames, and the
-    /// reactor flushes each connection once per poll — unless a
-    /// connection's queued bytes reach this bound, which forces an
-    /// immediate flush so userspace queueing (and therefore added latency)
-    /// stays bounded. `0` disables coalescing entirely: every enqueue
-    /// flushes eagerly, one syscall per frame, exactly the pre-coalescing
-    /// behavior.
-    pub max_coalesce_bytes: usize,
 }
 
 impl Default for TcpOptions {
@@ -100,7 +98,6 @@ impl Default for TcpOptions {
             send_buffer: None,
             recv_buffer: None,
             stall_timeout: Duration::from_secs(10),
-            max_coalesce_bytes: 256 * 1024,
         }
     }
 }
@@ -174,15 +171,12 @@ impl SocketStats {
     }
 }
 
-/// The queued metadata for one in-flight message: everything [`Pending`]
-/// carries except the payload, which is on the wire.
-struct Envelope {
+/// The queued metadata for one in-flight message: everything an
+/// [`Envelope`] carries except the payload, which is on the wire.
+struct InFlight {
     from: cq_overlay::NodeHandle,
     to: cq_overlay::NodeHandle,
-    target: cq_overlay::Id,
-    reroute: bool,
-    trace_id: Option<crate::faults::MsgId>,
-    trace_path: Option<Vec<u32>>,
+    id: Option<crate::faults::MsgId>,
 }
 
 /// Maps an I/O failure into the transport's typed protocol error.
@@ -261,7 +255,7 @@ pub(crate) struct TcpTransport {
     /// Next expected frame sequence number per incoming logical stream.
     recv_seq: FxHashMap<(u32, u32), u64>,
     /// Envelope metadata in network-global FIFO order.
-    queue: VecDeque<Envelope>,
+    queue: VecDeque<InFlight>,
     /// A send failure parked until the next `next_delivery` call.
     deferred: Option<EngineError>,
     /// Messages discarded while `deferred` was parked (reported in the
@@ -480,9 +474,8 @@ impl TcpTransport {
     /// stream's write queue (no scratch buffer, no memcpy) and applies the
     /// coalesced flush policy: the frame normally just buffers — the
     /// reactor flushes once per poll — but a queue at or past
-    /// `max_coalesce_bytes` (or any queueing at all when the bound is 0,
-    /// the eager mode) flushes immediately. Returns the exact stream bytes
-    /// queued: the codec frame plus its 8-byte sequence header.
+    /// [`MAX_COALESCE_BYTES`] flushes immediately. Returns the exact stream
+    /// bytes queued: the codec frame plus its 8-byte sequence header.
     fn enqueue_frame(&mut self, from: u32, to: u32, msg: &Message) -> Result<usize> {
         let idx = self.ensure_out(from, to)?;
         let seq = self.send_seq.entry((from, to)).or_insert(0);
@@ -493,7 +486,7 @@ impl TcpTransport {
         let appended = conn
             .fc
             .append_frame_with(frame_seq, |buf| wire::encode_message(msg, buf));
-        if conn.fc.queued_write_bytes() >= self.opts.max_coalesce_bytes {
+        if conn.fc.queued_write_bytes() >= MAX_COALESCE_BYTES {
             self.flush_conn(idx)?;
         }
         Ok(appended)
@@ -811,41 +804,26 @@ impl TcpTransport {
 }
 
 impl Transport for TcpTransport {
-    fn enqueue(&mut self, p: Pending) {
+    fn enqueue(&mut self, e: Envelope) {
         if self.deferred.is_some() {
             // The transport already failed; the error surfaces first and
             // reports how many messages were discarded behind it.
             self.dropped_after_error += 1;
             return;
         }
-        let Pending {
-            from,
-            to,
-            target,
-            reroute,
-            msg,
-            trace_id,
-            trace_path,
-        } = p;
+        let Envelope { from, to, id, msg } = e;
         match self.enqueue_frame(from.index() as u32, to.index() as u32, &msg) {
             Ok(appended) => {
                 // Exact stream cost: the codec frame plus the 8-byte
                 // sequence header, as queued in place by enqueue_frame.
                 self.bytes_sent[msg.kind_index()] += appended as u64;
-                self.queue.push_back(Envelope {
-                    from,
-                    to,
-                    target,
-                    reroute,
-                    trace_id,
-                    trace_path,
-                });
+                self.queue.push_back(InFlight { from, to, id });
             }
             Err(e) => self.defer(e),
         }
     }
 
-    fn next_delivery(&mut self) -> Result<Option<Pending>> {
+    fn next_delivery(&mut self) -> Result<Option<Envelope>> {
         if let Some(e) = self.take_deferred() {
             return Err(e);
         }
@@ -865,14 +843,11 @@ impl Transport for TcpTransport {
         // whether or not the decode succeeded.
         self.pool.put(frame);
         let (msg, _) = decoded?;
-        Ok(Some(Pending {
+        Ok(Some(Envelope {
             from: env.from,
             to: env.to,
-            target: env.target,
-            reroute: env.reroute,
+            id: env.id,
             msg,
-            trace_id: env.trace_id,
-            trace_path: env.trace_path,
         }))
     }
 
@@ -882,18 +857,6 @@ impl Transport for TcpTransport {
 
     fn is_idle(&self) -> bool {
         self.queue.is_empty() && self.deferred.is_none()
-    }
-
-    fn take_pipe(&mut self) -> Option<Box<FaultPipe>> {
-        None
-    }
-
-    fn restore_pipe(&mut self, _pipe: Box<FaultPipe>) {
-        unreachable!("the TCP transport never hands out a fault pipe");
-    }
-
-    fn has_pipe(&self) -> bool {
-        false
     }
 
     fn take_wire_bytes(&mut self) -> Option<[u64; 11]> {

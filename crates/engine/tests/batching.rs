@@ -1,18 +1,11 @@
-//! Batched per-destination delivery must be a pure transport optimization:
-//! a network with `batch_delivery` on and one with it off, driven by the
-//! same workload, must agree on every per-node inbox *sequence* (delivery
-//! order, not just content), the delivered notification set, and the full
-//! metrics block — with and without an active fault pipe (with faults the
-//! transport bypasses bundling entirely, so equivalence is by
-//! construction; the property pins that the bypass actually happens).
-//!
-//! Also pins the zero-clone join-evaluation kernels against the oracle for
-//! all four algorithms: iterating table entries in place must produce
-//! exactly the match sets the clone-and-collect implementation did.
+//! The zero-clone join-evaluation kernels pinned against the oracle for all
+//! four algorithms: iterating table entries in place must produce exactly
+//! the match sets the clone-and-collect implementation did. (That bundled
+//! delivery equals per-message delivery is pinned byte for byte by
+//! `tests/delivery.rs` against fixtures the per-message build wrote.)
 
-use cq_engine::{Algorithm, EngineConfig, FaultConfig, Network, Oracle};
-use cq_relational::{Catalog, DataType, Notification, RelationSchema, Value};
-use proptest::prelude::*;
+use cq_engine::{Algorithm, EngineConfig, Network, Oracle};
+use cq_relational::{Catalog, DataType, RelationSchema, Value};
 
 fn catalog() -> Catalog {
     let mut c = Catalog::new();
@@ -23,7 +16,7 @@ fn catalog() -> Catalog {
     c
 }
 
-/// One step of a random workload.
+/// One step of the workload.
 #[derive(Clone, Debug)]
 enum Step {
     PoseSimple,
@@ -32,22 +25,9 @@ enum Step {
     InsertS(i64, i64),
 }
 
-fn step_strategy() -> impl Strategy<Value = Step> {
-    prop_oneof![
-        1 => Just(Step::PoseSimple),
-        1 => (-2i64..2).prop_map(Step::PoseWithFilter),
-        4 => ((-20i64..20), (-3i64..3)).prop_map(|(a, b)| Step::InsertR(a, b)),
-        4 => ((-20i64..20), (-3i64..3)).prop_map(|(d, e)| Step::InsertS(d, e)),
-    ]
-}
-
-fn run(alg: Algorithm, steps: &[Step], seed: u64, fault: FaultConfig, batch: bool) -> Network {
+fn run(alg: Algorithm, steps: &[Step], seed: u64) -> Network {
     let mut net = Network::new(
-        EngineConfig::new(alg)
-            .with_nodes(32)
-            .with_seed(seed)
-            .with_fault(fault)
-            .with_batch_delivery(batch),
+        EngineConfig::new(alg).with_nodes(32).with_seed(seed),
         catalog(),
     );
     for (n, step) in steps.iter().enumerate() {
@@ -77,61 +57,6 @@ fn run(alg: Algorithm, steps: &[Step], seed: u64, fault: FaultConfig, batch: boo
     net
 }
 
-/// Every per-node inbox sequence — order-sensitive, unlike
-/// [`Network::delivered_set`].
-fn inbox_sequences(net: &Network) -> Vec<Vec<Notification>> {
-    (0..net.alive_count())
-        .map(|i| net.inbox(net.node_at(i)).to_vec())
-        .collect()
-}
-
-fn assert_equivalent(alg: Algorithm, steps: &[Step], seed: u64, fault: FaultConfig) {
-    let bundled = run(alg, steps, seed, fault.clone(), true);
-    let per_msg = run(alg, steps, seed, fault, false);
-    assert_eq!(
-        inbox_sequences(&bundled),
-        inbox_sequences(&per_msg),
-        "{alg}: inbox order diverged between bundled and per-message delivery"
-    );
-    assert_eq!(
-        bundled.delivered_set(),
-        per_msg.delivered_set(),
-        "{alg}: delivered set diverged"
-    );
-    assert_eq!(
-        format!("{:?}", bundled.metrics()),
-        format!("{:?}", per_msg.metrics()),
-        "{alg}: metrics diverged"
-    );
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn bundled_delivery_is_byte_identical_to_per_message(
-        steps in prop::collection::vec(step_strategy(), 1..40),
-        seed in 0u64..1000,
-    ) {
-        for alg in Algorithm::ALL {
-            assert_equivalent(alg, &steps, seed, FaultConfig::default());
-        }
-    }
-
-    #[test]
-    fn bundled_delivery_is_byte_identical_under_faults(
-        steps in prop::collection::vec(step_strategy(), 1..30),
-        seed in 0u64..1000,
-        loss_pct in 0u32..31,
-        fault_seed in 0u64..1000,
-    ) {
-        let loss = f64::from(loss_pct) / 100.0;
-        for alg in Algorithm::ALL {
-            assert_equivalent(alg, &steps, seed, FaultConfig::lossy(loss, fault_seed));
-        }
-    }
-}
-
 /// The zero-clone kernels (in-place ALQT/VLQT/VLTT/value-store scans) must
 /// produce exactly the oracle's match set for every algorithm — T1 for all
 /// four, plus the paper's T2 example under DAI-V.
@@ -149,7 +74,7 @@ fn zero_clone_kernels_match_oracle_for_all_algorithms() {
         }))
         .collect();
     for alg in Algorithm::ALL {
-        let net = run(alg, &steps, 7, FaultConfig::default(), true);
+        let net = run(alg, &steps, 7);
         let mut oracle = Oracle::new();
         oracle.ingest(net.posed_queries(), net.inserted_tuples());
         assert_eq!(

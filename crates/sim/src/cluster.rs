@@ -105,8 +105,7 @@ pub fn run_once_timed(cfg: &ClusterConfig, tcp: bool) -> (ClusterRun, RunStats) 
         .with_retained_notifications(true);
     let mut net = Network::new(engine_cfg, workload.catalog().clone());
     if tcp {
-        net.enable_tcp_transport()
-            .expect("perfect-delivery config accepts the TCP transport");
+        net.enable_tcp_transport().expect("loopback listeners bind");
     }
     let start = Instant::now();
     for _ in 0..cfg.queries {
@@ -328,8 +327,7 @@ pub fn run_throughput(cfg: &ThroughputConfig) -> ThroughputReport {
         .with_seed(cfg.seed)
         .with_retained_notifications(true);
     let mut net = Network::new(engine_cfg, catalog);
-    net.enable_tcp_transport()
-        .expect("perfect-delivery config accepts the TCP transport");
+    net.enable_tcp_transport().expect("loopback listeners bind");
     for sql in [
         "SELECT R.A, S.H FROM R, S WHERE R.B = S.G",
         "SELECT R.C, S.J FROM R, S WHERE R.D = S.I",

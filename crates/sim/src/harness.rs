@@ -248,7 +248,6 @@ pub fn run(cfg: &RunConfig) -> RunResult {
         // scale, so bodies are kept only when a run needs recall.
         retain_notifications: cfg.retain_notifications,
         dai_v_keyed: false,
-        batch_delivery: true,
         seed: cfg.workload.seed,
         fault: cfg.fault.clone(),
         suspicion: cfg.suspicion,

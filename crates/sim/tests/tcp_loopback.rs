@@ -1,6 +1,7 @@
 //! End-to-end socket suite: a quick experiment over real TCP loopback
 //! sockets must deliver exactly what the in-memory simulator delivers at
-//! the same seed, for every algorithm.
+//! the same seed, for every algorithm — on a perfect channel, and under
+//! injected faults with the failure detector running.
 
 use cq_engine::Algorithm;
 use cq_sim::cluster::{compare, run_multi_client, run_once, ClusterConfig};
@@ -62,18 +63,71 @@ fn multi_client_event_loop_matches_sequential_run() {
 }
 
 #[test]
-fn tcp_rejects_fault_configs() {
-    use cq_engine::{EngineConfig, FaultConfig, Network};
+fn lossy_detector_schedules_match_the_simulator() {
+    // Faults are drawn by the pump, not by the transport: under 10% loss
+    // with duplication, delay and retransmits, k = 2 mirrors, the heartbeat
+    // detector and one abrupt failure, a run whose surviving copies cross
+    // real sockets must be indistinguishable from the in-memory run — same
+    // deliveries in the same order, same detection and repair history, and
+    // the same fault counters down to the bytes charged per transmission.
+    use cq_engine::{EngineConfig, FaultConfig, Network, SuspicionConfig};
     use cq_workload::{Workload, WorkloadConfig};
 
-    let workload = Workload::new(WorkloadConfig::default());
-    let cfg = EngineConfig::new(Algorithm::DaiT)
-        .with_nodes(8)
-        .with_fault(FaultConfig {
-            loss_rate: 0.1,
-            ..FaultConfig::default()
-        });
-    let mut net = Network::new(cfg, workload.catalog().clone());
-    let err = net.enable_tcp_transport().expect_err("pipe configs refuse");
-    assert!(err.to_string().contains("perfect delivery"), "{err}");
+    for (i, algorithm) in Algorithm::ALL.into_iter().enumerate() {
+        let seed = 20 + i as u64;
+        let run = |tcp: bool| {
+            let mut workload = Workload::new(WorkloadConfig {
+                seed,
+                ..WorkloadConfig::default()
+            });
+            let fault = FaultConfig {
+                replication: 2,
+                ..FaultConfig::lossy(0.1, seed)
+            };
+            let cfg = EngineConfig::new(algorithm)
+                .with_nodes(8)
+                .with_seed(seed)
+                .with_fault(fault)
+                .with_suspicion(SuspicionConfig::active());
+            let mut net = Network::new(cfg, workload.catalog().clone());
+            if tcp {
+                net.enable_tcp_transport()
+                    .expect("fault and suspicion configs accept the TCP transport");
+            }
+            for _ in 0..4 {
+                let poser = net.random_node();
+                let sql = workload.query_between(0, 1);
+                net.pose_query_sql(poser, &sql).unwrap();
+            }
+            for t in 0..14 {
+                if t == 7 {
+                    net.node_fail(net.node_at(5)).unwrap(); // no stabilize
+                }
+                let rel = workload.next_stream_relation();
+                let values = workload.random_tuple_values();
+                let from = net.random_node();
+                net.insert_tuple(from, &rel, values).unwrap();
+            }
+            net.settle().unwrap();
+            let crossed_sockets = net.take_socket_stats().is_some_and(|s| s.frames_sent > 0);
+            assert_eq!(crossed_sockets, tcp);
+            let inboxes: Vec<_> = (0..net.alive_count())
+                .map(|i| net.inbox(net.node_at(i)).to_vec())
+                .collect();
+            (
+                net.delivered_set(),
+                inboxes,
+                net.recovery_counters(),
+                net.metrics().faults,
+            )
+        };
+        let (sim, tcp) = (run(false), run(true));
+        assert!(!sim.0.is_empty(), "{algorithm}: nothing was delivered");
+        assert_eq!(sim.2.detections, 1, "{algorithm}: the failure is detected");
+        assert!(
+            sim.3.retransmissions > 0,
+            "{algorithm}: the channel is lossy"
+        );
+        assert_eq!(sim, tcp, "{algorithm}: the socket run diverged");
+    }
 }

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Captures a perf snapshot of the quick experiment suite, the
 # join-evaluation kernels, the failure-handling kernels, and the socket hot
-# path, writing BENCH_12.json at the repo root so future PRs have a
+# path, writing BENCH_14.json at the repo root so future PRs have a
 # trajectory to compare against.
 #
-#   scripts/bench_snapshot.sh            full snapshot -> BENCH_12.json
+#   scripts/bench_snapshot.sh            full snapshot -> BENCH_14.json
 #   scripts/bench_snapshot.sh --check    CI smoke mode: one quick-suite run,
 #                                        shrunk kernel audit and throughput
 #                                        bench, output to a temp file (the
@@ -39,7 +39,7 @@ for arg in "$@"; do
   esac
 done
 
-out=BENCH_12.json
+out=BENCH_14.json
 runs=3
 audit_args=()
 socket_args=()
@@ -73,10 +73,10 @@ jq -n \
   --argjson audit "$audit" \
   --argjson socket "$socket" \
   '{
-    snapshot: "BENCH_12",
+    snapshot: "BENCH_14",
     baseline: {
       quick_suite_wall_ms: 4230,
-      note: "main before PR 6 (zero-clone kernels + batched delivery), same box; PR 10 adds the socket hot-path snapshot, PR 12 the fault-pump / heartbeat-round / digest-round kernels"
+      note: "main before PR 6 (zero-clone kernels + batched delivery), same box; PR 10 adds the socket hot-path snapshot, PR 12 the fault-pump / heartbeat-round / digest-round kernels, PR 14 drops the insert-e2e-per-message row with the path it measured"
     },
     quick_suite: { wall_ms_min: $wall, runs: $runs },
     alloc_audit: $audit,
