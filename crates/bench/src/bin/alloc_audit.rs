@@ -7,7 +7,7 @@
 //! order of magnitude apart, and a zero-clone kernel shows (near-)constant
 //! allocations per event while a clone-collect kernel grows linearly with
 //! the candidate count. `scripts/bench_snapshot.sh` folds the output into
-//! `BENCH_12.json` and enforces the flat-slope check.
+//! `BENCH_15.json` and enforces the flat-slope check.
 //!
 //! The same slope discipline covers failure detection and repair: the
 //! `fault-pump`, `heartbeat-round` and `digest-round` kernels run a lossy
@@ -15,6 +15,12 @@
 //! the cost of an idle pump tick (false confirmations included) and of a
 //! clean anti-entropy round must not depend on how many items the nodes
 //! hold.
+//!
+//! The `socket-pump` and `join-decode` kernels cover the TCP receive path:
+//! a frame through a loopback `FrameConn` pair must allocate nothing, and
+//! decoding a `Join` through a receiver's query interner must allocate for
+//! the rewritten queries' own fields only — the same whether the queries
+//! they carry are one or fifty distinct ones.
 //!
 //! Usage: `alloc_audit [--quick]` (`--quick` shrinks event counts for CI).
 
@@ -274,6 +280,50 @@ fn audit_socket_pump(size: usize, events: u64) -> Row {
     })
 }
 
+/// The receive side of a rewritten-query shipment: one `Join` frame of 8
+/// rewritten queries decoded through a receiver's
+/// [`cq_engine::wire::QueryInterner`] — what `TcpTransport` keeps per node —
+/// with the frames drawing on `size` distinct queries. Once the interner has
+/// seen each query, a decode allocates only what the rewritten queries
+/// themselves own (keys, bound values, targets), however many distinct
+/// queries they reference.
+fn audit_join_decode(cat: &Catalog, size: usize, events: u64) -> Row {
+    use cq_engine::wire::{decode_message_interned, encode_message, QueryInterner};
+    use cq_engine::Message;
+
+    let tuple = r_tuple(cat, 1, 7);
+    let rewritten: Vec<RewrittenQuery> = (0..size as u64)
+        .map(|i| {
+            RewrittenQuery::rewrite_attribute(&query(cat, i), Side::Left, "B", "C", &tuple)
+                .unwrap()
+                .unwrap()
+        })
+        .collect();
+    let frames: Vec<Vec<u8>> = (0..50)
+        .map(|f| {
+            let items = (0..8).map(|j| rewritten[(8 * f + j) % size].clone());
+            let mut buf = Vec::new();
+            encode_message(
+                &Message::Join {
+                    items: items.collect(),
+                    index_id: Id(f as u64),
+                },
+                &mut buf,
+            );
+            buf
+        })
+        .collect();
+    let mut queries = QueryInterner::new();
+    let mut next = 0;
+    measure("join-decode", size, events, move || {
+        let frame = &frames[next % frames.len()];
+        next += 1;
+        let (msg, used) = decode_message_interned(frame, cat, &mut queries).unwrap();
+        assert_eq!(used, frame.len());
+        std::hint::black_box(msg);
+    })
+}
+
 /// A 32-node DAI-Q ring under 5 % loss with k=2 replication and the
 /// heartbeat detector on (the `churn_dait` fault profile), holding `size`
 /// tuples — each mirrored on two successors — that never join: the fault
@@ -377,6 +427,8 @@ fn main() {
         audit_alqt_scan(&cat, 500, scan_events),
         audit_insert_e2e(50, e2e_events),
         audit_socket_pump(256, e2e_events),
+        audit_join_decode(&cat, 1, e2e_events),
+        audit_join_decode(&cat, 50, e2e_events),
         audit_fault_pump(held_small, scan_events),
         audit_fault_pump(held_large, scan_events),
         audit_heartbeat_round(held_small, round_events),

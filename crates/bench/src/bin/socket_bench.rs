@@ -5,23 +5,60 @@
 //! one JSON object to stdout: per payload size, messages and wire bytes
 //! moved, wall time, msgs/sec, MB/s, and the socket-level counters that
 //! prove the zero-copy hot path is doing its job (write syscalls, frames
-//! per vectored flush, bytes per syscall, pool hit rate).
-//! `scripts/bench_snapshot.sh` folds the output into `BENCH_10.json`.
+//! per vectored flush, bytes per syscall, pool hit rate). The payload rows
+//! run on 2 nodes — one stream pair, whose buffers stay cache-resident and
+//! whose flushes coalesce — so a last row repeats the medium payload on
+//! [`MANY_NODES`] nodes, where costs paid per connection or per `read`
+//! (rather than per byte) and the topology's frames-per-flush ceiling show.
+//! `scripts/bench_snapshot.sh` folds the output into `BENCH_15.json`.
 //!
 //! Usage: `socket_bench [--quick] [--check]`
 //!
 //! `--quick` shrinks the tuple count for CI. `--check` additionally
 //! enforces the structural gates in-process and exits nonzero on failure:
 //! every payload size must coalesce more than one frame per flush on
-//! average, recycle inbox buffers at a ≥ 90% pool hit rate, and move
-//! messages at a nonzero rate — the same invariants the committed
-//! `BENCH_10.json` records.
+//! average, and every row must recycle inbox buffers at a ≥ 90% pool hit
+//! rate and move messages at a nonzero rate — the same invariants the
+//! committed snapshot records. Nothing is gated on time, and the many-node
+//! row is not gated on frames per flush: with a stream per node pair that
+//! ratio is set by the topology, not by the flush policy.
 
 use cq_sim::cluster::{run_throughput, ThroughputConfig, ThroughputReport};
 
 /// The payload sizes measured — small (header-dominated), medium (the
 /// steady-state shape), and large (payload-dominated, multiple KiB frames).
 const PAYLOADS: [usize; 3] = [16, 256, 4096];
+
+/// Network size of the per-connection row.
+const MANY_NODES: usize = 32;
+
+fn print_row(r: &ThroughputReport, last: bool) {
+    let s = &r.socket;
+    println!(
+        "    {{\"nodes\": {}, \"payload\": {}, \"tuples\": {}, \"messages\": {}, \
+         \"wire_bytes\": {}, \"wall_ms\": {:.1}, \"msgs_per_sec\": {:.0}, \
+         \"mb_per_sec\": {:.2}, \"frames_sent\": {}, \"frames_received\": {}, \
+         \"write_syscalls\": {}, \"read_syscalls\": {}, \
+         \"frames_per_flush\": {:.2}, \"bytes_per_syscall\": {:.0}, \
+         \"pool_hit_rate\": {:.4}}}{}",
+        r.nodes,
+        r.payload,
+        r.tuples,
+        r.messages,
+        r.wire_bytes,
+        r.wall.as_secs_f64() * 1e3,
+        r.msgs_per_sec(),
+        r.mb_per_sec(),
+        s.frames_sent,
+        s.frames_received,
+        s.write_syscalls,
+        s.read_syscalls,
+        s.frames_per_flush(),
+        s.bytes_per_syscall(),
+        s.pool_hit_rate(),
+        if last { "" } else { "," }
+    );
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -45,35 +82,21 @@ fn main() {
         })
         .collect();
 
+    let many = run_throughput(&ThroughputConfig {
+        nodes: MANY_NODES,
+        payload: PAYLOADS[1],
+        tuples,
+        ..ThroughputConfig::default()
+    });
+
     println!("{{");
     println!("  \"payloads\": [");
     for (i, r) in reports.iter().enumerate() {
-        let s = &r.socket;
-        let comma = if i + 1 < reports.len() { "," } else { "" };
-        println!(
-            "    {{\"payload\": {}, \"tuples\": {}, \"messages\": {}, \
-             \"wire_bytes\": {}, \"wall_ms\": {:.1}, \"msgs_per_sec\": {:.0}, \
-             \"mb_per_sec\": {:.2}, \"frames_sent\": {}, \"frames_received\": {}, \
-             \"write_syscalls\": {}, \"read_syscalls\": {}, \
-             \"frames_per_flush\": {:.2}, \"bytes_per_syscall\": {:.0}, \
-             \"pool_hit_rate\": {:.4}}}{}",
-            r.payload,
-            r.tuples,
-            r.messages,
-            r.wire_bytes,
-            r.wall.as_secs_f64() * 1e3,
-            r.msgs_per_sec(),
-            r.mb_per_sec(),
-            s.frames_sent,
-            s.frames_received,
-            s.write_syscalls,
-            s.read_syscalls,
-            s.frames_per_flush(),
-            s.bytes_per_syscall(),
-            s.pool_hit_rate(),
-            comma
-        );
+        print_row(r, i + 1 == reports.len());
     }
+    println!("  ],");
+    println!("  \"many_nodes\": [");
+    print_row(&many, true);
     println!("  ]");
     println!("}}");
 
@@ -89,16 +112,22 @@ fn main() {
                     s.frames_per_flush()
                 ));
             }
-            if s.pool_hit_rate() < 0.9 {
+        }
+        for r in reports.iter().chain([&many]) {
+            if r.socket.pool_hit_rate() < 0.9 {
                 failures.push(format!(
-                    "payload {}: pool hit rate {:.3} — steady-state inbox \
-                     frames must recycle pooled buffers",
+                    "{} nodes, payload {}: pool hit rate {:.3} — steady-state \
+                     inbox frames must recycle pooled buffers",
+                    r.nodes,
                     r.payload,
-                    s.pool_hit_rate()
+                    r.socket.pool_hit_rate()
                 ));
             }
             if r.msgs_per_sec() <= 0.0 || r.wire_bytes == 0 {
-                failures.push(format!("payload {}: no throughput measured", r.payload));
+                failures.push(format!(
+                    "{} nodes, payload {}: no throughput measured",
+                    r.nodes, r.payload
+                ));
             }
         }
         if !failures.is_empty() {
@@ -108,7 +137,7 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!(
-            "socket_bench --check passed ({} payload sizes)",
+            "socket_bench --check passed ({} payload sizes, and {MANY_NODES} nodes)",
             PAYLOADS.len()
         );
     }

@@ -4,20 +4,28 @@
 //! A [`FrameConn`] owns one nonblocking `TcpStream`, a read-reassembly
 //! buffer, and a **segmented write queue**:
 //!
-//! * **Read side** — bytes are pulled off the socket in bounded chunks
-//!   ([`READ_CHUNK`] at a time, never `frame_len` up front) and reassembled
-//!   into complete frames. The frame length is validated as soon as the
-//!   header arrives — a hostile or corrupt peer announcing a zero or
-//!   oversized length is rejected *before* any body byte is read or
-//!   buffered, so an attacker cannot make the receiver allocate
-//!   `MAX_FRAME`-sized buffers from a 12-byte header. Completed frames are
-//!   copied into buffers drawn from a caller-supplied [`BufPool`]; once the
-//!   consumer is done decoding it returns the buffer with
-//!   [`BufPool::put`], so steady-state frame traffic recycles a fixed set
-//!   of buffers instead of allocating per frame. After a genuinely large
-//!   frame is consumed the reassembly buffer is shrunk back (see
-//!   [`SHRINK_AT`]/[`SHRINK_TO`]), so one big message does not pin its
-//!   high-water allocation for the rest of the run.
+//! * **Read side** — every `read` lands in the one initialised
+//!   [`READ_CHUNK`] buffer owned by the [`BufPool`] the caller passes to
+//!   [`FrameConn::read_frames`] (the reactor has one pool, so one read
+//!   buffer serves every connection and stays cache-resident). Complete
+//!   frames are copied straight from it into pooled frame buffers; only a
+//!   *trailing partial frame* is copied into the connection's own
+//!   reassembly buffer, to be topped up by the next read. A stream that
+//!   only ever delivers whole frames therefore never allocates a
+//!   reassembly buffer at all (capacity 0), and no read pays a zero-fill:
+//!   the receive path costs O(bytes received), not O(`READ_CHUNK`) per
+//!   `read` or per connection. The frame length is validated as soon as
+//!   the header arrives — a hostile or corrupt peer announcing a zero or
+//!   oversized length is rejected *before* any body byte is buffered, and
+//!   a large frame is reassembled chunk by chunk (never `frame_len` up
+//!   front), so an attacker cannot make the receiver allocate
+//!   `MAX_FRAME`-sized buffers from a 12-byte header. Once the consumer is
+//!   done decoding a frame it returns the buffer with [`BufPool::put`], so
+//!   steady-state frame traffic recycles a fixed set of buffers instead of
+//!   allocating per frame. After a genuinely large frame is consumed the
+//!   reassembly buffer is shrunk back (see [`SHRINK_AT`]/[`SHRINK_TO`]),
+//!   so one big message does not pin its high-water allocation for the
+//!   rest of the run.
 //! * **Write side** — frames are *encoded in place* at the end of the open
 //!   tail segment ([`FrameConn::append_frame_with`] hands the encoder a
 //!   `&mut Vec<u8>` positioned after the sequence header), so queueing a
@@ -65,13 +73,14 @@ use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
 
-/// Bytes pulled off the socket per `read` call — the reassembly buffer
-/// grows by at most this much at a time, regardless of the announced
-/// frame length.
+/// Bytes pulled off the socket per `read` call — the size of the shared
+/// read buffer a [`BufPool`] owns. A partial frame's reassembly buffer
+/// grows by at most this much at a time, regardless of the announced frame
+/// length.
 pub const READ_CHUNK: usize = 64 * 1024;
 
-/// Frames at least this large mark the read buffer for shrinking once
-/// consumed; pooled buffers above this capacity are shrunk on return.
+/// Reassembly and pooled buffers above this capacity are shrunk once their
+/// frame is consumed.
 pub const SHRINK_AT: usize = 256 * 1024;
 
 /// Capacity the buffers shrink back to after servicing a large frame.
@@ -102,24 +111,41 @@ const POOL_MAX: usize = 64;
 /// [`BufPool::put`] once decoded to keep the steady state allocation-free.
 pub type RawFrame = (u64, Vec<u8>);
 
-/// A recycling pool of frame buffers shared across connections.
+/// The receive-side buffers shared across connections: the one read buffer
+/// every `read` lands in, and a recycling pool of frame buffers.
 ///
-/// [`FrameConn::read_frames`] draws the buffer for each completed frame
-/// from here instead of allocating, and the consumer returns it after
-/// decoding. Oversized buffers are shrunk to [`SHRINK_TO`] on return (the
-/// same discipline as the reassembly buffer), and at most `POOL_MAX`
-/// buffers are retained.
-#[derive(Debug, Default)]
+/// [`FrameConn::read_frames`] reads into the pool's [`READ_CHUNK`] buffer —
+/// initialised once here, never zero-filled again — and draws the buffer
+/// for each completed frame from the pool instead of allocating; the
+/// consumer returns it after decoding. Oversized buffers are shrunk to
+/// [`SHRINK_TO`] on return (the same discipline as the reassembly buffer),
+/// and at most `POOL_MAX` buffers are retained.
+#[derive(Debug)]
 pub struct BufPool {
+    /// Where reads land. Its contents are only meaningful to the
+    /// `read_frames` call that filled them: everything a connection needs
+    /// past that call is copied out before it returns.
+    chunk: Vec<u8>,
     bufs: Vec<Vec<u8>>,
     hits: u64,
     misses: u64,
 }
 
+impl Default for BufPool {
+    fn default() -> BufPool {
+        BufPool::new()
+    }
+}
+
 impl BufPool {
-    /// An empty pool.
+    /// An empty pool with its read buffer.
     pub fn new() -> BufPool {
-        BufPool::default()
+        BufPool {
+            chunk: vec![0; READ_CHUNK],
+            bufs: Vec::new(),
+            hits: 0,
+            misses: 0,
+        }
     }
 
     /// A cleared buffer: recycled when one is available (a pool *hit*),
@@ -213,9 +239,10 @@ impl ConnCounters {
 #[derive(Debug)]
 pub struct FrameConn {
     stream: TcpStream,
-    /// Unparsed received bytes; `rpos` is the parse cursor.
+    /// The head of the one frame the last read left unfinished (sequence
+    /// header included); empty — and never allocated — while reads end on
+    /// frame boundaries.
     rbuf: Vec<u8>,
-    rpos: usize,
     /// Sealed (immutable) outgoing segments, oldest first.
     wsegs: VecDeque<Vec<u8>>,
     /// The open tail segment frames are encoded into.
@@ -232,8 +259,6 @@ pub struct FrameConn {
     max_frame: u32,
     /// The peer closed its write half (a clean EOF was observed).
     eof: bool,
-    /// A frame ≥ [`SHRINK_AT`] was consumed; shrink at the next compaction.
-    shrink_pending: bool,
     /// I/O tallies (see [`ConnCounters`]).
     counters: ConnCounters,
 }
@@ -247,7 +272,6 @@ impl FrameConn {
         Ok(FrameConn {
             stream,
             rbuf: Vec::new(),
-            rpos: 0,
             wsegs: VecDeque::new(),
             wtail: Vec::new(),
             wpos: 0,
@@ -255,7 +279,6 @@ impl FrameConn {
             wspare: None,
             max_frame,
             eof: false,
-            shrink_pending: false,
             counters: ConnCounters::default(),
         })
     }
@@ -352,8 +375,9 @@ impl FrameConn {
         self.eof
     }
 
-    /// Current capacity of the read-reassembly buffer (observable effect of
-    /// the post-large-frame shrink).
+    /// Current capacity of the partial-frame reassembly buffer: 0 until a
+    /// read first ends mid-frame, and back under [`SHRINK_AT`] once a large
+    /// frame is consumed.
     pub fn read_buffer_capacity(&self) -> usize {
         self.rbuf.capacity()
     }
@@ -451,106 +475,131 @@ impl FrameConn {
         Ok(true)
     }
 
-    /// Reads everything currently available (in [`READ_CHUNK`]-bounded
-    /// chunks) and appends every completed frame to `out`, with frame
-    /// buffers drawn from `pool` (return them with [`BufPool::put`] after
-    /// decoding). Returns `true` while the connection is open, `false` on a
-    /// clean EOF at a frame boundary. Errors on malformed lengths —
-    /// rejected as soon as the header is visible — and on an EOF that
-    /// truncates a frame.
+    /// Reads everything currently available (one [`READ_CHUNK`] at a time,
+    /// into `pool`'s shared read buffer) and appends every completed frame
+    /// to `out`, with frame buffers drawn from `pool` (return them with
+    /// [`BufPool::put`] after decoding). Returns `true` while the connection
+    /// is open, `false` on a clean EOF at a frame boundary. Errors on
+    /// malformed lengths — rejected as soon as the header is visible — and
+    /// on an EOF that truncates a frame.
     pub fn read_frames(&mut self, out: &mut Vec<RawFrame>, pool: &mut BufPool) -> io::Result<bool> {
         if self.eof {
             return Ok(false);
         }
+        // Borrowed out of the pool for the call so frames can be drawn from
+        // the pool while the bytes just read are still being parsed.
+        let mut chunk = std::mem::take(&mut pool.chunk);
+        debug_assert_eq!(chunk.len(), READ_CHUNK);
+        let res = self.read_through(&mut chunk, out, pool);
+        pool.chunk = chunk;
+        res
+    }
+
+    /// [`FrameConn::read_frames`]' read loop over the borrowed read buffer.
+    fn read_through(
+        &mut self,
+        chunk: &mut [u8],
+        out: &mut Vec<RawFrame>,
+        pool: &mut BufPool,
+    ) -> io::Result<bool> {
         loop {
-            let start = self.rbuf.len();
-            self.rbuf.resize(start + READ_CHUNK, 0);
-            let res = self.stream.read(&mut self.rbuf[start..]);
+            let res = self.stream.read(chunk);
             self.counters.read_syscalls += 1;
             match res {
                 Ok(0) => {
-                    self.rbuf.truncate(start);
-                    self.parse_available(out, pool)?;
                     self.eof = true;
-                    let pending = self.rbuf.len() - self.rpos;
+                    let pending = self.rbuf.len();
                     if pending > 0 {
                         return Err(io::Error::new(
                             io::ErrorKind::UnexpectedEof,
                             format!("connection closed mid-frame ({pending} bytes of an unfinished frame buffered)"),
                         ));
                     }
-                    self.compact();
                     return Ok(false);
                 }
                 Ok(n) => {
                     self.counters.bytes_read += n as u64;
-                    self.rbuf.truncate(start + n);
-                    self.parse_available(out, pool)?;
+                    self.take_frames(&chunk[..n], out, pool)?;
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.rbuf.truncate(start);
-                    self.compact();
-                    return Ok(true);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                    self.rbuf.truncate(start);
-                }
-                Err(e) => {
-                    self.rbuf.truncate(start);
-                    return Err(e);
-                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(true),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
             }
         }
     }
 
-    /// Extracts every complete frame sitting in the reassembly buffer.
-    fn parse_available(&mut self, out: &mut Vec<RawFrame>, pool: &mut BufPool) -> io::Result<()> {
-        loop {
-            let avail = self.rbuf.len() - self.rpos;
-            if avail < FRAME_HEADER {
-                return Ok(());
+    /// Splits a frame header into `(seq, len)`, judging the length the
+    /// moment the header is complete — before any body byte of the frame is
+    /// buffered.
+    fn header(&self, bytes: &[u8]) -> io::Result<(u64, usize)> {
+        let seq = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
+        let len = u32::from_le_bytes(bytes[8..FRAME_HEADER].try_into().expect("4 bytes"));
+        if len == 0 || len > self.max_frame {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("frame length {len} outside (0, {}]", self.max_frame),
+            ));
+        }
+        Ok((seq, len as usize))
+    }
+
+    /// Extracts every complete frame from `data`, the bytes one `read` just
+    /// returned: first the frame an earlier read left unfinished in the
+    /// reassembly buffer, then whole frames straight out of `data`; only a
+    /// trailing partial frame is kept (copied) for the next read.
+    fn take_frames(
+        &mut self,
+        mut data: &[u8],
+        out: &mut Vec<RawFrame>,
+        pool: &mut BufPool,
+    ) -> io::Result<()> {
+        if !self.rbuf.is_empty() {
+            if self.rbuf.len() < FRAME_HEADER {
+                let (head, rest) = data.split_at((FRAME_HEADER - self.rbuf.len()).min(data.len()));
+                self.rbuf.extend_from_slice(head);
+                data = rest;
+                if self.rbuf.len() < FRAME_HEADER {
+                    return Ok(());
+                }
             }
-            let at = self.rpos;
-            let seq = u64::from_le_bytes(self.rbuf[at..at + 8].try_into().expect("8 bytes"));
-            let len = u32::from_le_bytes(self.rbuf[at + 8..at + 12].try_into().expect("4 bytes"));
-            // Early abort: the length is judged the moment the header is
-            // complete, before any body byte is read for this frame.
-            if len == 0 || len > self.max_frame {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("frame length {len} outside (0, {}]", self.max_frame),
-                ));
-            }
-            let total = FRAME_HEADER + len as usize;
-            if avail < total {
+            let (seq, len) = self.header(&self.rbuf)?;
+            let total = FRAME_HEADER + len;
+            let (body, rest) = data.split_at((total - self.rbuf.len()).min(data.len()));
+            self.rbuf.extend_from_slice(body);
+            data = rest;
+            if self.rbuf.len() < total {
                 return Ok(()); // body still arriving, chunk by chunk
             }
-            // The emitted frame keeps its length prefix: `[len][bytes]` is
-            // exactly what `wire::decode_message` consumes. The buffer is
-            // recycled, not allocated, once the pool is warm.
-            let mut frame = pool.get();
-            frame.extend_from_slice(&self.rbuf[at + 8..at + total]);
-            out.push((seq, frame));
+            emit(seq, &self.rbuf, out, pool);
             self.counters.frames_in += 1;
-            self.rpos += total;
-            if len as usize >= SHRINK_AT {
-                self.shrink_pending = true;
+            // Release a large frame's high-water allocation.
+            self.rbuf.clear();
+            if self.rbuf.capacity() > SHRINK_AT {
+                self.rbuf.shrink_to(SHRINK_TO);
             }
         }
+        while data.len() >= FRAME_HEADER {
+            let (seq, len) = self.header(data)?;
+            let total = FRAME_HEADER + len;
+            if data.len() < total {
+                break;
+            }
+            let (whole, rest) = data.split_at(total);
+            emit(seq, whole, out, pool);
+            self.counters.frames_in += 1;
+            data = rest;
+        }
+        self.rbuf.extend_from_slice(data);
+        Ok(())
     }
+}
 
-    /// Drops consumed bytes and releases a large frame's high-water
-    /// allocation once the buffer is back to ordinary size.
-    fn compact(&mut self) {
-        if self.rpos == self.rbuf.len() {
-            self.rbuf.clear();
-        } else {
-            self.rbuf.drain(..self.rpos);
-        }
-        self.rpos = 0;
-        if self.shrink_pending && self.rbuf.len() <= SHRINK_TO {
-            self.rbuf.shrink_to(SHRINK_TO);
-            self.shrink_pending = false;
-        }
-    }
+/// Emits one complete frame, `stream` being its `[seq][len][bytes]` stream
+/// form. The emitted frame keeps its length prefix: `[len][bytes]` is
+/// exactly what `wire::decode_message` consumes. The buffer is recycled, not
+/// allocated, once the pool is warm.
+fn emit(seq: u64, stream: &[u8], out: &mut Vec<RawFrame>, pool: &mut BufPool) {
+    let mut frame = pool.get();
+    frame.extend_from_slice(&stream[8..]);
+    out.push((seq, frame));
 }

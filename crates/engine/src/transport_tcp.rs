@@ -9,12 +9,15 @@
 //!
 //! * a [`cq_poll::Poller`] (epoll on Linux) reports which sockets are
 //!   readable or writable;
-//! * each connection is a [`crate::frames::FrameConn`] with its own framed
-//!   read/write buffers — partial frames reassemble across reads, and a
-//!   full kernel send buffer parks the remaining bytes in userspace
-//!   (**write backpressure**) until the poller reports the socket writable;
-//! * [`Transport::poll`] is the explicit progress hook: it flushes
-//!   backpressured writers, accepts pending connections, and drains
+//! * each connection is a [`crate::frames::FrameConn`] with its own
+//!   segmented write queue — a full kernel send buffer parks the remaining
+//!   bytes in userspace (**write backpressure**) until the poller reports
+//!   the socket writable — while every read of every connection lands in
+//!   the reactor's one read buffer (owned by its [`BufPool`]); a connection
+//!   keeps bytes of its own only while a frame is partly received;
+//! * [`Transport::poll`] is the explicit progress hook: it flushes the
+//!   connections that queued bytes since the last call (a list, not a walk
+//!   over the connection table), accepts pending connections, and drains
 //!   readable sockets. [`Transport::next_delivery`] never blocks — it hands
 //!   out the head envelope only once its frame has fully arrived, and the
 //!   driver (`Network::process_all`) calls `poll(block = true)` whenever
@@ -41,6 +44,30 @@
 //! duplication and delay before anything is enqueued here, and only the
 //! copies that survive cross a socket — so a frame lost to a broken
 //! connection is still a typed error, not a retransmit.
+//!
+//! # What a message costs here
+//!
+//! The receive path costs O(bytes received): no per-read zero-fill, no read
+//! buffer per connection, no walk over idle connections, and a query's bytes
+//! are rebuilt and validated once per *receiving node*
+//! ([`wire::QueryInterner`], one per node slot, never shared across nodes —
+//! what one process per node would see). On `cqbench`'s `tcp_dait` (32
+//! nodes, ≈ 24 messages in ≈ 21 frames per insert, all 992 directed
+//! streams opened lazily over a round) scoped timers put one insert at, µs before → after:
+//! flush `writev` 137 → 129, reads 199 → 59, decode 105 → 45, enqueue 46 →
+//! 41 (lazy connects 28 → 24 of it), accept + hello 51 → 11, slot scan 16 →
+//! 2, `epoll_wait` 9 → 8 (EXPERIMENTS.md has the table and the method). Three things the numbers settle:
+//!
+//! * **Frames per flush is bound by the topology, not the flush policy.**
+//!   The critical path of an insert is 2 deep and each of its ≈ 21 frames
+//!   goes to a different peer, so 1.06 frames per `writev` is the ceiling;
+//!   what is left of a flush is the kernel's loopback send path.
+//! * **The `WouldBlock` probe read stays.** Every readable event costs a
+//!   second `read` that returns `WouldBlock`; dropping it measured 2–3 %
+//!   and would change when an EOF is observed.
+//! * **Connects stay lazy.** Opening the ≈ 990 streams a round uses costs
+//!   ≈ 24–28 µs per insert amortised; opening them eagerly would only move
+//!   that into set-up, and on a larger ring open pairs that never talk.
 
 use std::collections::VecDeque;
 use std::io::{self, Read};
@@ -264,11 +291,21 @@ pub(crate) struct TcpTransport {
     /// Exact stream bytes written per message kind ([`crate::messages::Message::KINDS`]
     /// order): the codec frame plus its 8-byte sequence header.
     bytes_sent: [u64; 11],
-    /// Recycling pool for inbox frame buffers, shared across every
-    /// connection: `read_frames` draws from it and `next_delivery` returns
-    /// each frame after decoding, so steady-state inbox traffic allocates
-    /// nothing.
+    /// The reactor's one read buffer and its recycling pool of inbox frame
+    /// buffers, shared across every connection: `read_frames` reads into
+    /// and draws from it and `next_delivery` returns each frame after
+    /// decoding, so steady-state inbox traffic allocates nothing and no
+    /// connection owns a read buffer.
     pool: BufPool,
+    /// The queries each node slot has decoded so far. Per *receiving* node
+    /// and never shared: a node skips re-validating only bytes it decoded
+    /// itself, as one process per node would.
+    interners: Vec<wire::QueryInterner>,
+    /// Connections that went from nothing queued to bytes queued since the
+    /// last reactor flush, in that order (the head envelope's stream comes
+    /// first). A connection parked under backpressure is not listed: its
+    /// armed write interest brings it back.
+    dirty: VecDeque<usize>,
     /// Aggregate socket statistics (closed connections fold in here; live
     /// connection tallies are folded on [`Transport::take_socket_stats`]).
     stats: SocketStats,
@@ -325,6 +362,8 @@ impl TcpTransport {
             dropped_after_error: 0,
             bytes_sent: [0; 11],
             pool: BufPool::new(),
+            interners: (0..slots).map(|_| wire::QueryInterner::new()).collect(),
+            dirty: VecDeque::new(),
             stats: SocketStats::default(),
             events: Vec::new(),
             scratch: Vec::new(),
@@ -467,6 +506,7 @@ impl TcpTransport {
             armed_write: false,
         })?;
         self.out.insert((from, to), idx);
+        self.dirty.push_back(idx); // the hello is queued
         Ok(idx)
     }
 
@@ -483,6 +523,9 @@ impl TcpTransport {
         *seq += 1;
         // Invariant: ensure_out returned a live table entry.
         let conn = self.conns[idx].as_mut().expect("live outgoing conn");
+        if !conn.fc.wants_write() {
+            self.dirty.push_back(idx);
+        }
         let appended = conn
             .fc
             .append_frame_with(frame_seq, |buf| wire::encode_message(msg, buf));
@@ -743,22 +786,25 @@ impl TcpTransport {
         Ok(())
     }
 
-    /// One reactor turn: flush every connection with queued bytes — this is
-    /// the **coalesced flush point**, one vectored write per connection for
-    /// everything buffered since the last poll — wait for readiness (up to
-    /// [`POLL_SLICE`] when `block`), and service every event. Tracks
+    /// One reactor turn: flush every connection that queued bytes since the
+    /// last turn — this is the **coalesced flush point**, one vectored write
+    /// per connection for everything buffered since the last poll, found
+    /// through the `dirty` list rather than a walk over the connection
+    /// table — wait for readiness (up to [`POLL_SLICE`] when `block`), and
+    /// service every event. Tracks
     /// consecutive empty blocking waits so a frame lost to a broken stream
     /// fails the run with a typed stall error instead of hanging it.
     fn poll_reactor(&mut self, block: bool) -> Result<()> {
         if self.deferred.is_some() {
             return Ok(()); // next_delivery surfaces it first
         }
-        for idx in 0..self.conns.len() {
-            let wants = self.conns[idx].as_ref().is_some_and(|c| c.fc.wants_write());
-            if !wants {
-                continue;
+        // A failed flush leaves the rest listed for the next turn. An entry
+        // can be stale (flushed early at `MAX_COALESCE_BYTES`, or closed and
+        // its slot reused): then there is nothing to write.
+        while let Some(idx) = self.dirty.pop_front() {
+            if self.conns[idx].as_ref().is_some_and(|c| c.fc.wants_write()) {
+                self.flush_conn(idx)?;
             }
-            self.flush_conn(idx)?;
         }
         let timeout = if block {
             Some(POLL_SLICE)
@@ -838,7 +884,8 @@ impl Transport for TcpTransport {
         };
         // Invariant: peeked non-empty above.
         let env = self.queue.pop_front().expect("peeked above");
-        let decoded = wire::decode_message(&frame, &self.catalog);
+        let queries = &mut self.interners[env.to.index()];
+        let decoded = wire::decode_message_interned(&frame, &self.catalog, queries);
         // The frame buffer is pool-backed: recycle it for the next read,
         // whether or not the decode succeeded.
         self.pool.put(frame);

@@ -37,6 +37,15 @@
 //!   their validating constructors against the receiver's [`Catalog`], so a
 //!   frame that decodes successfully yields the same invariant-checked
 //!   values the sender held.
+//! * **A receiver validates a query's bytes once.** A rewritten query
+//!   carries its whole `JoinQuery`, so one tuple insert ships the same few
+//!   encoded queries dozens of times. A receiver that keeps a
+//!   [`QueryInterner`] ([`decode_message_interned`]) finds the encoded
+//!   query's span without allocating, and rebuilds and re-validates it only
+//!   when those exact bytes are new to it; see [`QueryInterner`] for the
+//!   key, scope and bound. It is the same decoder either way — a lookup in
+//!   front of the one `JoinQuery` constructor — so results and error texts
+//!   do not depend on whether an interner is present.
 //!
 //! Version policy: the version byte is checked on every frame; a reader
 //! that sees an unknown version rejects the frame (there is exactly one
@@ -44,6 +53,7 @@
 //! width — must bump [`VERSION`]; readers never attempt cross-version
 //! decoding.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use cq_overlay::Id;
@@ -330,7 +340,144 @@ fn put_query<S: Sink>(s: &mut S, q: &JoinQuery) {
     }
 }
 
-fn get_query(r: &mut Reader<'_>, catalog: &Catalog) -> Result<QueryRef> {
+/// Most decoded queries a [`QueryInterner`] retains.
+pub const INTERN_CAP: usize = 1024;
+
+/// A receiver's memory of the queries it has already decoded:
+/// content-addressed, `encoded bytes → QueryRef`.
+///
+/// * **Key** — the exact bytes `put_query` wrote, all of them. Two
+///   encodings that differ anywhere (same [`QueryKey`] or not) are two
+///   entries and never alias; equal bytes decode to equal queries because
+///   the decoder is a deterministic function of the bytes and the catalog.
+///   A hit hands out a clone of the `Arc` the first decode built, so the
+///   rewritten queries a node stores share one `JoinQuery` per query.
+/// * **Scope** — one receiver and one [`Catalog`] (validation depends on
+///   it). The TCP transport keeps one per receiving node: a node profits
+///   only from bytes *it* decoded before, which is what one process per
+///   node would see.
+/// * **Bound** — the bytes come from a peer, so the table holds at most
+///   [`INTERN_CAP`] entries, each proportional to bytes that peer actually
+///   sent and that decoded to a valid query; an insert into a full table
+///   clears it first (the `Arc`s already handed out live on). For the same
+///   reason the table keeps `std`'s seeded hasher rather than the engine's
+///   Fx tables: a peer cannot craft keys that collide. It is never
+///   iterated, so the seed reaches no result.
+#[derive(Debug, Default)]
+pub struct QueryInterner {
+    map: HashMap<Box<[u8]>, QueryRef>,
+}
+
+impl QueryInterner {
+    /// An empty interner.
+    pub fn new() -> QueryInterner {
+        QueryInterner::default()
+    }
+
+    /// Queries currently retained (never more than [`INTERN_CAP`]).
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// Whether nothing is retained.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+
+    fn insert(&mut self, bytes: &[u8], query: &QueryRef) {
+        if self.map.len() >= INTERN_CAP {
+            self.map.clear();
+        }
+        self.map.insert(bytes.into(), Arc::clone(query));
+    }
+}
+
+/// What decoding a message reads besides the bytes: the receiver's catalog
+/// and, when the receiver keeps one, its query interner.
+struct Decoder<'a> {
+    catalog: &'a Catalog,
+    queries: Option<&'a mut QueryInterner>,
+}
+
+fn skim_str(r: &mut Reader<'_>) -> Option<()> {
+    let n = r.u32().ok()? as usize;
+    r.take(n).ok().map(drop)
+}
+
+fn skim_value(r: &mut Reader<'_>) -> Option<()> {
+    match r.u8().ok()? {
+        0 => r.take(8).ok().map(drop),
+        1 => skim_str(r),
+        _ => None,
+    }
+}
+
+fn skim_expr(r: &mut Reader<'_>, depth: u32) -> Option<()> {
+    if depth > MAX_DEPTH {
+        return None;
+    }
+    match r.u8().ok()? {
+        0 => skim_str(r),
+        1 => skim_value(r),
+        2 => {
+            r.u8().ok()?;
+            skim_expr(r, depth + 1)?;
+            skim_expr(r, depth + 1)
+        }
+        _ => None,
+    }
+}
+
+/// Walks one encoded query without building anything — the same bounds,
+/// count and depth checks as [`decode_query`], no UTF-8, tag-range or
+/// catalog checks — and returns the length of its span. `None` means only
+/// "let the decoder judge these bytes".
+fn skim_query(buf: &[u8]) -> Option<usize> {
+    let r = &mut Reader::new(buf);
+    skim_str(r)?; // key
+    skim_str(r)?; // subscriber
+    r.u64().ok()?; // ins_time
+    skim_str(r)?; // relations
+    skim_str(r)?;
+    for _ in 0..r.count().ok()? {
+        r.u8().ok()?;
+        skim_str(r)?;
+    }
+    skim_expr(r, 0)?;
+    skim_expr(r, 0)?;
+    for _ in 0..r.count().ok()? {
+        r.u8().ok()?;
+        skim_str(r)?;
+        skim_value(r)?;
+    }
+    Some(r.pos)
+}
+
+/// Decodes one query: through the receiver's interner when it has one and
+/// these bytes are known to it, else by rebuilding and validating.
+///
+/// An entry's key is the bytes [`decode_query`] itself consumed, so a hit
+/// returns exactly what decoding here would rebuild, whatever the skim
+/// says; a skim that fails, or that disagrees with the decoder, can only
+/// cost a miss.
+fn get_query(r: &mut Reader<'_>, dec: &mut Decoder<'_>) -> Result<QueryRef> {
+    let Some(queries) = dec.queries.as_deref_mut() else {
+        return decode_query(r, dec.catalog);
+    };
+    let rest = &r.buf[r.pos..];
+    if let Some(span) = skim_query(rest) {
+        if let Some(query) = queries.map.get(&rest[..span]) {
+            r.pos += span;
+            return Ok(Arc::clone(query));
+        }
+    }
+    let start = r.pos;
+    let query = decode_query(r, dec.catalog)?;
+    queries.insert(&r.buf[start..r.pos], &query);
+    Ok(query)
+}
+
+fn decode_query(r: &mut Reader<'_>, catalog: &Catalog) -> Result<QueryRef> {
     let key = QueryKey(r.string()?);
     let subscriber = r.string()?;
     let ins_time = Timestamp(r.u64()?);
@@ -405,9 +552,9 @@ fn put_rewritten<S: Sink>(s: &mut S, rq: &RewrittenQuery) {
     put_u64(s, rq.trigger_time().0);
 }
 
-fn get_rewritten(r: &mut Reader<'_>, catalog: &Catalog) -> Result<RewrittenQuery> {
+fn get_rewritten(r: &mut Reader<'_>, dec: &mut Decoder<'_>) -> Result<RewrittenQuery> {
     let key = r.string()?;
-    let query = get_query(r, catalog)?;
+    let query = get_query(r, dec)?;
     let bound_side = get_side(r)?;
     let bound_values = get_values(r)?;
     let target = match r.u8()? {
@@ -439,11 +586,11 @@ fn put_rewrittens<S: Sink>(s: &mut S, items: &[RewrittenQuery]) {
     }
 }
 
-fn get_rewrittens(r: &mut Reader<'_>, catalog: &Catalog) -> Result<Vec<RewrittenQuery>> {
+fn get_rewrittens(r: &mut Reader<'_>, dec: &mut Decoder<'_>) -> Result<Vec<RewrittenQuery>> {
     let n = r.count()?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        out.push(get_rewritten(r, catalog)?);
+        out.push(get_rewritten(r, dec)?);
     }
     Ok(out)
 }
@@ -518,11 +665,11 @@ fn put_replica_item<S: Sink>(s: &mut S, item: &ReplicaItem) {
     }
 }
 
-fn get_replica_item(r: &mut Reader<'_>, catalog: &Catalog) -> Result<ReplicaItem> {
+fn get_replica_item(r: &mut Reader<'_>, dec: &mut Decoder<'_>) -> Result<ReplicaItem> {
     match r.u8()? {
         0 => {
             let index_id = Id(r.u64()?);
-            let query = get_query(r, catalog)?;
+            let query = get_query(r, dec)?;
             let index_side = get_side(r)?;
             let index_attr = r.string()?;
             Ok(ReplicaItem::Query(StoredQuery {
@@ -534,13 +681,13 @@ fn get_replica_item(r: &mut Reader<'_>, catalog: &Catalog) -> Result<ReplicaItem
         }
         1 => {
             let index_id = Id(r.u64()?);
-            let rq = get_rewritten(r, catalog)?;
+            let rq = get_rewritten(r, dec)?;
             Ok(ReplicaItem::Rewritten(StoredRewritten { index_id, rq }))
         }
         2 => {
             let index_id = Id(r.u64()?);
             let attr = r.string()?;
-            let tuple = get_tuple(r, catalog)?;
+            let tuple = get_tuple(r, dec.catalog)?;
             Ok(ReplicaItem::Tuple(StoredTuple {
                 index_id,
                 attr,
@@ -552,7 +699,7 @@ fn get_replica_item(r: &mut Reader<'_>, catalog: &Catalog) -> Result<ReplicaItem
             let value_key = r.string()?;
             let index_id = Id(r.u64()?);
             let side = get_side(r)?;
-            let tuple = get_tuple(r, catalog)?;
+            let tuple = get_tuple(r, dec.catalog)?;
             Ok(ReplicaItem::ValueTuple {
                 group,
                 value_key,
@@ -660,13 +807,13 @@ fn put_message<S: Sink>(s: &mut S, m: &Message) {
     }
 }
 
-fn get_message(r: &mut Reader<'_>, catalog: &Catalog, depth: u32) -> Result<Message> {
+fn get_message(r: &mut Reader<'_>, dec: &mut Decoder<'_>, depth: u32) -> Result<Message> {
     if depth > MAX_DEPTH {
         return Err(err("bundle nesting exceeds the decoder depth limit"));
     }
     match r.u8()? {
         0 => {
-            let query = get_query(r, catalog)?;
+            let query = get_query(r, dec)?;
             let index_side = get_side(r)?;
             let index_attr = r.string()?;
             let index_id = Id(r.u64()?);
@@ -678,7 +825,7 @@ fn get_message(r: &mut Reader<'_>, catalog: &Catalog, depth: u32) -> Result<Mess
             })
         }
         1 => {
-            let tuple = get_tuple(r, catalog)?;
+            let tuple = get_tuple(r, dec.catalog)?;
             let attr = r.string()?;
             let index_id = Id(r.u64()?);
             Ok(Message::AlIndexTuple {
@@ -688,7 +835,7 @@ fn get_message(r: &mut Reader<'_>, catalog: &Catalog, depth: u32) -> Result<Mess
             })
         }
         2 => {
-            let tuple = get_tuple(r, catalog)?;
+            let tuple = get_tuple(r, dec.catalog)?;
             let attr = r.string()?;
             let index_id = Id(r.u64()?);
             Ok(Message::VlIndexTuple {
@@ -698,14 +845,14 @@ fn get_message(r: &mut Reader<'_>, catalog: &Catalog, depth: u32) -> Result<Mess
             })
         }
         3 => {
-            let items = get_rewrittens(r, catalog)?;
+            let items = get_rewrittens(r, dec)?;
             let index_id = Id(r.u64()?);
             Ok(Message::Join { items, index_id })
         }
         4 => {
             let group = r.string()?;
-            let items = get_rewrittens(r, catalog)?;
-            let tuple = get_tuple(r, catalog)?;
+            let items = get_rewrittens(r, dec)?;
+            let tuple = get_tuple(r, dec.catalog)?;
             let side = get_side(r)?;
             let value_key = r.string()?;
             let index_id = Id(r.u64()?);
@@ -730,7 +877,7 @@ fn get_message(r: &mut Reader<'_>, catalog: &Catalog, depth: u32) -> Result<Mess
             notifications: get_notifications(r)?,
         }),
         7 => Ok(Message::Replicate {
-            item: Box::new(get_replica_item(r, catalog)?),
+            item: Box::new(get_replica_item(r, dec)?),
         }),
         8 => {
             let from = r.u32()?;
@@ -746,7 +893,7 @@ fn get_message(r: &mut Reader<'_>, catalog: &Catalog, depth: u32) -> Result<Mess
             let n = r.count()?;
             let mut members = Vec::with_capacity(n);
             for _ in 0..n {
-                members.push(get_message(r, catalog, depth + 1)?);
+                members.push(get_message(r, dec, depth + 1)?);
             }
             Ok(Message::Bundle(members))
         }
@@ -850,9 +997,29 @@ fn read_frame(buf: &[u8]) -> Result<(&[u8], usize)> {
 /// against `catalog`; every malformed input yields
 /// [`EngineError::Protocol`].
 pub fn decode_message(buf: &[u8], catalog: &Catalog) -> Result<(Message, usize)> {
+    decode_with(buf, catalog, None)
+}
+
+/// [`decode_message`] for a receiver that remembers the queries it has
+/// decoded: the same decoder, results and errors, with `queries` consulted
+/// before a query is rebuilt. `queries` must only ever see this `catalog`.
+pub fn decode_message_interned(
+    buf: &[u8],
+    catalog: &Catalog,
+    queries: &mut QueryInterner,
+) -> Result<(Message, usize)> {
+    decode_with(buf, catalog, Some(queries))
+}
+
+fn decode_with(
+    buf: &[u8],
+    catalog: &Catalog,
+    queries: Option<&mut QueryInterner>,
+) -> Result<(Message, usize)> {
+    let mut dec = Decoder { catalog, queries };
     let (payload, total) = read_frame(buf)?;
     let mut r = Reader::new(payload);
-    let msg = get_message(&mut r, catalog, 0)?;
+    let msg = get_message(&mut r, &mut dec, 0)?;
     if r.remaining() != 0 {
         return Err(err(format!(
             "{} garbage bytes after the message payload",

@@ -8,7 +8,9 @@ use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
-use cq_engine::frames::{BufPool, FrameConn, SHRINK_AT, SHRINK_TO, WRITE_SEG};
+use cq_engine::frames::{
+    BufPool, FrameConn, RawFrame, READ_CHUNK, SHRINK_AT, SHRINK_TO, WRITE_SEG,
+};
 use cq_engine::{Algorithm, EngineConfig, Network, TcpOptions};
 use cq_relational::{Catalog, DataType, RelationSchema, Value};
 
@@ -228,33 +230,159 @@ fn frameconn_rejects_oversized_header_immediately() {
     assert!(out.is_empty());
 }
 
+/// A connected loopback pair: the raw sending socket and the receiving
+/// `FrameConn`.
+fn loopback(max_frame: u32) -> (TcpStream, FrameConn) {
+    let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    let (server, _) = listener.accept().unwrap();
+    (client, FrameConn::new(server, max_frame).unwrap())
+}
+
+/// Reads until `out` holds `want` frames (the peer stays open).
+fn read_until(fc: &mut FrameConn, pool: &mut BufPool, out: &mut Vec<RawFrame>, want: usize) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while out.len() < want {
+        assert!(std::time::Instant::now() < deadline, "frames never arrived");
+        assert!(fc.read_frames(out, pool).unwrap(), "peer stays open");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn malformed_length_is_rejected_with_no_body_byte_buffered() {
+    // The header arrives together with body bytes, and — the harder case —
+    // split across two reads, so it completes inside the reassembly buffer.
+    for len in [0u32, 2000] {
+        let mut stream = raw_frame(0, &[0x5A; 512]);
+        stream[8..12].copy_from_slice(&len.to_le_bytes());
+        let mut pool = BufPool::new();
+        let mut out = Vec::new();
+
+        let (mut client, mut fc) = loopback(1024);
+        client.write_all(&stream).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        let err = fc.read_frames(&mut out, &mut pool).unwrap_err();
+        assert!(err.to_string().contains("outside (0, 1024]"), "{err}");
+        assert_eq!(fc.read_buffer_capacity(), 0, "nothing was buffered");
+
+        let (mut client, mut fc) = loopback(1024);
+        client.write_all(&stream[..6]).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(fc.read_frames(&mut out, &mut pool).unwrap());
+        client.write_all(&stream[6..]).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        let err = fc.read_frames(&mut out, &mut pool).unwrap_err();
+        assert!(err.to_string().contains("outside (0, 1024]"), "{err}");
+        assert!(
+            fc.read_buffer_capacity() < 32,
+            "only the 12 header bytes may be buffered (capacity {})",
+            fc.read_buffer_capacity()
+        );
+        assert!(out.is_empty());
+    }
+}
+
+#[test]
+fn connections_sharing_a_pool_never_see_each_others_bytes() {
+    // One BufPool means one read buffer under both connections. Each
+    // delivers half a frame, the reads interleave, then the other halves
+    // arrive: whatever a connection needs past a read must have been copied
+    // out of the shared buffer before the other connection reads into it.
+    let (mut client_a, mut a) = loopback(cq_engine::wire::MAX_FRAME);
+    let (mut client_b, mut b) = loopback(cq_engine::wire::MAX_FRAME);
+    let mut pool = BufPool::new();
+    let body_a: Vec<u8> = (0..3000u32).map(|i| (i % 97) as u8).collect();
+    let body_b: Vec<u8> = (0..3000u32).map(|i| 128 + (i % 89) as u8).collect();
+    let (stream_a, stream_b) = (raw_frame(7, &body_a), raw_frame(9, &body_b));
+    let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
+    // Cuts inside the header (a) and inside the body (b).
+    for (cut_a, cut_b) in [(5, 1500), (1500, 5), (12, 13)] {
+        client_a.write_all(&stream_a[..cut_a]).unwrap();
+        client_b.write_all(&stream_b[..cut_b]).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(a.read_frames(&mut out_a, &mut pool).unwrap());
+        assert!(b.read_frames(&mut out_b, &mut pool).unwrap());
+        assert!(a.read_frames(&mut out_a, &mut pool).unwrap());
+        assert!(out_a.is_empty() && out_b.is_empty());
+        client_b.write_all(&stream_b[cut_b..]).unwrap();
+        client_a.write_all(&stream_a[cut_a..]).unwrap();
+        read_until(&mut b, &mut pool, &mut out_b, 1);
+        read_until(&mut a, &mut pool, &mut out_a, 1);
+        let (seq_a, frame_a) = out_a.pop().unwrap();
+        let (seq_b, frame_b) = out_b.pop().unwrap();
+        assert_eq!((seq_a, seq_b), (7, 9));
+        assert!(
+            frame_a == stream_a[8..],
+            "stream a corrupted at cut {cut_a}"
+        );
+        assert!(
+            frame_b == stream_b[8..],
+            "stream b corrupted at cut {cut_b}"
+        );
+        pool.put(frame_a);
+        pool.put(frame_b);
+    }
+}
+
+#[test]
+fn whole_frame_traffic_never_allocates_a_reassembly_buffer() {
+    let (mut client, mut fc) = loopback(cq_engine::wire::MAX_FRAME);
+    let mut pool = BufPool::new();
+    let mut out = Vec::new();
+    for seq in 0..20u64 {
+        // Several frames per read as well as one.
+        for burst in 0..=(seq % 3) {
+            client
+                .write_all(&raw_frame(3 * seq + burst, &[seq as u8; 300]))
+                .unwrap();
+        }
+        read_until(&mut fc, &mut pool, &mut out, 1 + (seq % 3) as usize);
+        for (_, buf) in out.drain(..) {
+            assert_eq!(buf[4..], [seq as u8; 300]);
+            pool.put(buf);
+        }
+    }
+    assert_eq!(
+        fc.read_buffer_capacity(),
+        0,
+        "reads that end on frame boundaries leave nothing to reassemble"
+    );
+}
+
 #[test]
 fn frameconn_shrinks_after_a_large_frame() {
-    let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-    let addr = listener.local_addr().unwrap();
-    let client = TcpStream::connect(addr).unwrap();
-    let (server, _) = listener.accept().unwrap();
-    let mut fc = FrameConn::new(server, cq_engine::wire::MAX_FRAME).unwrap();
+    let (mut client, mut fc) = loopback(cq_engine::wire::MAX_FRAME);
     let body = vec![0xABu8; SHRINK_AT + 4096];
-    let writer = std::thread::spawn(move || {
-        let mut client = client;
-        client.write_all(&raw_frame(0, &body)).unwrap();
-        client // keep the connection open
-    });
+    let stream = raw_frame(0, &body);
     let mut out = Vec::new();
     let mut pool = BufPool::new();
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while out.is_empty() {
-        assert!(std::time::Instant::now() < deadline, "frame never arrived");
-        assert!(
-            fc.read_frames(&mut out, &mut pool).unwrap(),
-            "peer stays open"
-        );
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    // The header and a sliver of the body first: the announced length must
+    // not size the reassembly buffer — it grows with the bytes that arrive.
+    client.write_all(&stream[..100]).unwrap();
+    std::thread::sleep(Duration::from_millis(20));
+    assert!(fc.read_frames(&mut out, &mut pool).unwrap());
+    assert!(out.is_empty());
+    assert!(
+        (100..4096).contains(&fc.read_buffer_capacity()),
+        "100 buffered bytes, not the announced {} (capacity {})",
+        body.len(),
+        fc.read_buffer_capacity()
+    );
+    let writer = std::thread::spawn(move || {
+        client.write_all(&stream[100..]).unwrap();
+        client // keep the connection open
+    });
+    read_until(&mut fc, &mut pool, &mut out, 1);
     let _client = writer.join().unwrap();
     assert_eq!(out.len(), 1);
     assert_eq!(out[0].1.len(), 4 + SHRINK_AT + 4096);
+    assert!(out[0].1[4..].iter().all(|&b| b == 0xAB));
+    assert!(
+        fc.counters().read_syscalls > (SHRINK_AT / READ_CHUNK) as u64,
+        "a read moves at most {READ_CHUNK} bytes ({} reads)",
+        fc.counters().read_syscalls
+    );
     assert!(
         fc.read_buffer_capacity() < SHRINK_AT,
         "the reassembly buffer must release the large frame's allocation \

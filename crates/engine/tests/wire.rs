@@ -2,7 +2,10 @@
 //! over randomized instances of every [`Message`] and [`TraceEvent`]
 //! variant, `encoded_len` is byte-exact, and malformed message and
 //! trace-event frames — truncated, bit-flipped, or version-bumped — are
-//! rejected with a typed [`EngineError::Protocol`], never a panic.
+//! rejected with a typed [`EngineError::Protocol`], never a panic. A
+//! receiver's [`QueryInterner`] must be invisible in all of it: same values,
+//! same error details, no aliasing across distinct bytes, never more than
+//! [`INTERN_CAP`] entries.
 //!
 //! Generation is seed-driven: the strategies pick a variant index and a
 //! `u64` seed, and a seeded [`StdRng`] expands them into a fully random
@@ -12,8 +15,8 @@
 use std::sync::Arc;
 
 use cq_engine::wire::{
-    decode_message, decode_trace_event, encode_message, encode_trace_event, encoded_len,
-    trace_encoded_len, VERSION,
+    decode_message, decode_message_interned, decode_trace_event, encode_message,
+    encode_trace_event, encoded_len, trace_encoded_len, QueryInterner, INTERN_CAP, VERSION,
 };
 use cq_engine::{EngineError, Message, ReplicaItem, TraceEvent, ValueJoin};
 use cq_overlay::Id;
@@ -501,6 +504,51 @@ proptest! {
         }
     }
 
+    /// A receiver's interner changes nothing observable: over a message
+    /// sequence in which every query recurs (bundles included), and over
+    /// every truncation and a corruption of each frame, decoding with the
+    /// interner yields the same value or the same `Protocol` detail as
+    /// decoding without — while the interner is warm, so hits are followed
+    /// by truncated and corrupted bytes too.
+    #[test]
+    fn interned_decoding_is_indistinguishable(seed in 0u64..1 << 48, flip in 1u32..256) {
+        let c = catalog();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut frames: Vec<Vec<u8>> = (0..12)
+            .map(|_| {
+                let msg = rand_message(rng.gen_range(0..MESSAGE_VARIANTS), &mut rng, &c);
+                let mut buf = Vec::new();
+                encode_message(&msg, &mut buf);
+                buf
+            })
+            .collect();
+        // Second pass, reversed: every query in it has been decoded before.
+        frames.extend(frames.clone().into_iter().rev());
+        let mut queries = QueryInterner::new();
+        let outcome = |r: cq_engine::Result<(Message, usize)>| format!("{r:?}");
+        for buf in &frames {
+            prop_assert_eq!(
+                outcome(decode_message_interned(buf, &c, &mut queries)),
+                outcome(decode_message(buf, &c))
+            );
+            for cut in 0..buf.len() {
+                let interned = decode_message_interned(&buf[..cut], &c, &mut queries);
+                let typed = matches!(interned, Err(EngineError::Protocol { .. }));
+                prop_assert!(typed, "cut at {}", cut);
+                prop_assert_eq!(outcome(interned), outcome(decode_message(&buf[..cut], &c)), "cut at {}", cut);
+            }
+            let mut bad = buf.clone();
+            let pos = rng.gen_range(0..bad.len());
+            bad[pos] ^= flip as u8;
+            prop_assert_eq!(
+                outcome(decode_message_interned(&bad, &c, &mut queries)),
+                outcome(decode_message(&bad, &c)),
+                "byte {} flipped", pos
+            );
+            prop_assert!(queries.len() <= INTERN_CAP);
+        }
+    }
+
     /// Any version byte other than the current one is rejected.
     #[test]
     fn version_mismatch_is_rejected(seed in 0u64..1 << 48, bump in 1u32..256) {
@@ -531,4 +579,133 @@ fn trace_tag_past_the_last_kind_is_rejected() {
         }
         other => panic!("{other:?}"),
     }
+}
+
+fn index_query(query: &QueryRef) -> Vec<u8> {
+    let mut buf = Vec::new();
+    encode_message(
+        &Message::IndexQuery {
+            query: Arc::clone(query),
+            index_side: Side::Left,
+            index_attr: "A".into(),
+            index_id: Id(1),
+        },
+        &mut buf,
+    );
+    buf
+}
+
+fn decoded_query(buf: &[u8], c: &Catalog, queries: &mut QueryInterner) -> QueryRef {
+    match decode_message_interned(buf, c, queries).unwrap().0 {
+        Message::IndexQuery { query, .. } => query,
+        other => panic!("{other:?}"),
+    }
+}
+
+/// Equal bytes share one decoded query wherever they occur — a bare
+/// `IndexQuery`, inside rewritten queries, inside a bundle — while the
+/// public decoder never shares.
+#[test]
+fn a_repeated_query_is_decoded_once() {
+    let c = catalog();
+    let mut rng = StdRng::seed_from_u64(15);
+    let rq = rand_rewritten(&mut rng, &c);
+    let mut buf = Vec::new();
+    encode_message(
+        &Message::Bundle(vec![
+            Message::Join {
+                items: vec![rq.clone(), rq.clone()],
+                index_id: Id(2),
+            },
+            Message::Ping { from: 1, seq: 1 },
+        ]),
+        &mut buf,
+    );
+    let mut queries = QueryInterner::new();
+    let first = decoded_query(&index_query(rq.query()), &c, &mut queries);
+    let (Message::Bundle(members), _) = decode_message_interned(&buf, &c, &mut queries).unwrap()
+    else {
+        panic!("a bundle")
+    };
+    let Message::Join { items, .. } = &members[0] else {
+        panic!("a join")
+    };
+    assert_eq!(items.len(), 2);
+    for item in items {
+        assert!(Arc::ptr_eq(item.query(), &first));
+        assert_eq!(format!("{item:?}"), format!("{rq:?}"));
+    }
+    assert_eq!(queries.len(), 1);
+
+    let (Message::Bundle(members), _) = decode_message(&buf, &c).unwrap() else {
+        panic!("a bundle")
+    };
+    let Message::Join { items, .. } = &members[0] else {
+        panic!("a join")
+    };
+    assert!(!Arc::ptr_eq(items[0].query(), items[1].query()));
+}
+
+/// The interner is keyed by content, not by `QueryKey`: two queries that
+/// claim the same key but differ in any byte stay two queries.
+#[test]
+fn same_key_different_bytes_never_alias() {
+    let c = catalog();
+    let spec = |ins_time: u64, filter: i64| QuerySpec {
+        key: QueryKey::derive("n1", 0),
+        subscriber: "n1".into(),
+        ins_time: Timestamp(ins_time),
+        relations: ["R".into(), "S".into()],
+        select: vec![SelectItem {
+            side: Side::Right,
+            attr: "D".into(),
+        }],
+        conditions: [Expr::attr("A"), Expr::attr("C")],
+        filters: vec![Filter {
+            side: Side::Right,
+            attr: "D".into(),
+            value: Value::Int(filter),
+        }],
+    };
+    let variants: Vec<QueryRef> = [(3, 9), (4, 9), (3, 8)]
+        .into_iter()
+        .map(|(t, f)| Arc::new(JoinQuery::new(spec(t, f), &c).unwrap()))
+        .collect();
+    let mut queries = QueryInterner::new();
+    let mut decoded = Vec::new();
+    for _ in 0..2 {
+        for q in &variants {
+            let back = decoded_query(&index_query(q), &c, &mut queries);
+            assert_eq!(back.key(), variants[0].key());
+            assert_eq!(format!("{back:?}"), format!("{q:?}"));
+            decoded.push(back);
+        }
+    }
+    assert_eq!(queries.len(), 3);
+    for i in 0..3 {
+        assert!(Arc::ptr_eq(&decoded[i], &decoded[i + 3]));
+        assert!(!Arc::ptr_eq(&decoded[i], &decoded[(i + 1) % 3]));
+    }
+}
+
+/// The entry cap holds under a stream of distinct valid queries, decoding
+/// stays correct across the clear, and queries handed out before it live on.
+#[test]
+fn the_interner_never_exceeds_its_cap() {
+    let c = catalog();
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut queries = QueryInterner::new();
+    let first = rand_query(&mut rng, &c);
+    let held = decoded_query(&index_query(&first), &c, &mut queries);
+    let mut peak = 0;
+    for _ in 0..INTERN_CAP + 64 {
+        let q = rand_query(&mut rng, &c);
+        let back = decoded_query(&index_query(&q), &c, &mut queries);
+        assert_eq!(format!("{back:?}"), format!("{q:?}"));
+        assert!(queries.len() <= INTERN_CAP);
+        peak = peak.max(queries.len());
+    }
+    assert_eq!(peak, INTERN_CAP, "distinct queries must fill the table");
+    assert!(queries.len() < INTERN_CAP, "and a full table starts over");
+    assert_eq!(format!("{held:?}"), format!("{first:?}"));
 }

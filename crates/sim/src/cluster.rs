@@ -256,6 +256,8 @@ impl Default for ThroughputConfig {
 /// What one throughput run moved and how fast.
 #[derive(Clone, Copy, Debug)]
 pub struct ThroughputReport {
+    /// Network size.
+    pub nodes: usize,
     /// Tuples streamed.
     pub tuples: usize,
     /// Payload bytes per tuple.
@@ -366,6 +368,7 @@ pub fn run_throughput(cfg: &ThroughputConfig) -> ThroughputReport {
         .expect("tcp transport reports socket stats");
     let m = net.metrics();
     ThroughputReport {
+        nodes: cfg.nodes,
         tuples: cfg.tuples,
         payload: cfg.payload,
         messages: m.total_traffic().messages,

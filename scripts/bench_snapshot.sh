@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Captures a perf snapshot of the quick experiment suite, the
 # join-evaluation kernels, the failure-handling kernels, and the socket hot
-# path, writing BENCH_14.json at the repo root so future PRs have a
+# path, writing BENCH_15.json at the repo root so future PRs have a
 # trajectory to compare against.
 #
-#   scripts/bench_snapshot.sh            full snapshot -> BENCH_14.json
+#   scripts/bench_snapshot.sh            full snapshot -> BENCH_15.json
 #   scripts/bench_snapshot.sh --check    CI smoke mode: one quick-suite run,
 #                                        shrunk kernel audit and throughput
 #                                        bench, output to a temp file (the
@@ -14,13 +14,17 @@
 # The snapshot records wall times (min over N runs — min, not mean, because
 # a shared box only adds noise upward), kernel events/sec, heap allocations
 # per event from the counting-allocator build, and loopback throughput at
-# three payload sizes through the real TCP reactor.
+# three payload sizes through the real TCP reactor, plus one many-node row
+# (a stream per node pair: per-connection and per-read costs, not gated).
 #
 # Gates enforced in both modes:
 #   - scan-kernel allocations stay flat in the table size (slope < 0.5)
 #   - the ALQT group scan is allocation-free (< 0.01 allocs/event)
 #   - the socket pump is allocation-free in steady state (< 0.01
 #     allocs/frame: encode-in-place write, vectored flush, pooled read)
+#   - decoding a Join of 8 rewritten queries through a receiver's query
+#     interner allocates for the rewritten queries' own fields only (< 32
+#     allocs/event), the same for 1 and for 50 distinct queries
 #   - failure handling costs O(change), not O(state): an idle pump tick
 #     (heartbeats + false confirmations) and a clean anti-entropy round
 #     cost the same with 10x the held items (ns within 3x — the rescans
@@ -39,7 +43,7 @@ for arg in "$@"; do
   esac
 done
 
-out=BENCH_14.json
+out=BENCH_15.json
 runs=3
 audit_args=()
 socket_args=()
@@ -73,10 +77,10 @@ jq -n \
   --argjson audit "$audit" \
   --argjson socket "$socket" \
   '{
-    snapshot: "BENCH_14",
+    snapshot: "BENCH_15",
     baseline: {
       quick_suite_wall_ms: 4230,
-      note: "main before PR 6 (zero-clone kernels + batched delivery), same box; PR 10 adds the socket hot-path snapshot, PR 12 the fault-pump / heartbeat-round / digest-round kernels, PR 14 drops the insert-e2e-per-message row with the path it measured"
+      note: "main before PR 6 (zero-clone kernels + batched delivery), same box; PR 10 adds the socket hot-path snapshot, PR 12 the fault-pump / heartbeat-round / digest-round kernels, PR 14 drops the insert-e2e-per-message row with the path it measured, PR 15 adds the join-decode kernel and the many_nodes socket row"
     },
     quick_suite: { wall_ms_min: $wall, runs: $runs },
     alloc_audit: $audit,
@@ -113,6 +117,18 @@ jq -e '
   )
 ' "$out" > /dev/null || { echo "FAIL: socket-pump allocates per frame" >&2; exit 1; }
 
+# Interned query decoding: a warm receiver allocates what the 8 rewritten
+# queries own (3 each, plus the item vector) and nothing per carried
+# JoinQuery (~25 each when rebuilt), however many distinct queries recur.
+jq -e '
+  .alloc_audit.count_allocs == false or (
+    [ .alloc_audit.kernels[] | select(.kernel == "join-decode") ]
+    | length == 2
+      and all(.allocs_per_event < 32)
+      and (max_by(.size).allocs_per_event - min_by(.size).allocs_per_event < 0.5)
+  )
+' "$out" > /dev/null || { echo "FAIL: join-decode re-allocates the queries it has already decoded" >&2; exit 1; }
+
 # O(change) failure handling: with ten times the held items, an idle pump
 # tick (heartbeat rounds and false confirmations included) and a clean
 # anti-entropy round must cost the same. The whole-state rescans they
@@ -131,13 +147,15 @@ for kernel in heartbeat-round digest-round; do
   ' "$out" > /dev/null || { echo "FAIL: $kernel cost grows with the number of held items" >&2; exit 1; }
 done
 # Throughput-bench structure: >= 3 payload sizes, every size moves
-# messages, coalesces > 1 frame per flush, and recycles pool buffers.
+# messages, coalesces > 1 frame per flush, and recycles pool buffers; the
+# many-node row moves messages too (its frames/flush is topology-bound).
 jq -e '
   .socket_bench.payloads | length >= 3
 ' "$out" > /dev/null || { echo "FAIL: socket_bench must cover >= 3 payload sizes" >&2; exit 1; }
 jq -e '
-  [ .socket_bench.payloads[] | .msgs_per_sec > 0 and .wire_bytes > 0 ] | all
-' "$out" > /dev/null || { echo "FAIL: a payload size moved no traffic" >&2; exit 1; }
+  [ .socket_bench.payloads[], .socket_bench.many_nodes[] | .msgs_per_sec > 0 and .wire_bytes > 0 ]
+  | length >= 4 and all
+' "$out" > /dev/null || { echo "FAIL: a socket_bench row moved no traffic" >&2; exit 1; }
 jq -e '
   [ .socket_bench.payloads[].frames_per_flush ] | all(. > 1)
 ' "$out" > /dev/null || { echo "FAIL: coalesced flushes must batch > 1 frame on average" >&2; exit 1; }
