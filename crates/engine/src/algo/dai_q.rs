@@ -94,9 +94,18 @@ impl Protocol for DaiQProtocol {
         let _ = index_id; // evaluate, never store
         let (st, mut fx) = ctx.split();
         let mut matches = fx.new_matches();
-        for rq in items {
-            common::match_against_vltt(&mut fx, &st.vltt, &rq, &mut matches)?;
+        let mut value_key = fx.take_scratch();
+        let mut items = items.as_slice();
+        while let Some(head) = items.first() {
+            let (run, rest) = items.split_at(common::target_run_len(items));
+            let (rel, attr) = common::attribute_target(&fx, head, &mut value_key)?;
+            let tuples = st.vltt.bucket(rel, attr, &value_key);
+            for rq in run {
+                common::match_against_vltt(&mut fx, tuples, rq, &mut matches)?;
+            }
+            items = rest;
         }
+        fx.restore_scratch(value_key);
         fx.push(Effect::Deliver { matches });
         Ok(())
     }

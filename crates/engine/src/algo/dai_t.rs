@@ -88,29 +88,34 @@ impl Protocol for DaiTProtocol {
         index_id: Id,
     ) -> Result<()> {
         // Store, never evaluate (tuples will come to us).
-        let matches = ctx.new_matches();
-        for rq in items {
-            let entry = StoredRewritten { index_id, rq };
-            let fresh;
-            if ctx.repl_k() > 0 {
-                fresh = ctx.state().vlqt.insert(entry.clone())?;
-                if fresh {
-                    ctx.push(Effect::Replicate {
-                        item: ReplicaItem::Rewritten(entry),
+        let (st, mut fx) = ctx.split();
+        let repl = fx.repl_k() > 0;
+        let matches = fx.new_matches();
+        let mut value_key = fx.take_scratch();
+        let mut items = items.into_iter();
+        while let Some(head) = items.as_slice().first() {
+            let run = common::target_run_len(items.as_slice());
+            let (rel, attr) = common::attribute_target(&fx, head, &mut value_key)?;
+            let mut bucket = st.vlqt.bucket_mut(rel, attr, &value_key);
+            for rq in items.by_ref().take(run) {
+                let stored = bucket.insert_fresh(StoredRewritten { index_id, rq });
+                let fresh = stored.is_some();
+                if let (Some(entry), true) = (stored, repl) {
+                    fx.push(Effect::Replicate {
+                        item: ReplicaItem::Rewritten(entry.clone()),
                     });
                 }
-            } else {
-                fresh = ctx.state().vlqt.insert(entry)?;
+                let (tick, node) = (fx.tick(), fx.node().index() as u32);
+                fx.trace(|| TraceEvent::IndexInsert {
+                    tick,
+                    node,
+                    table: "vlqt",
+                    fresh,
+                });
             }
-            let (tick, node) = (ctx.tick(), ctx.node().index() as u32);
-            ctx.trace(|| TraceEvent::IndexInsert {
-                tick,
-                node,
-                table: "vlqt",
-                fresh,
-            });
         }
-        ctx.push(Effect::Deliver { matches });
+        fx.restore_scratch(value_key);
+        fx.push(Effect::Deliver { matches });
         Ok(())
     }
 }

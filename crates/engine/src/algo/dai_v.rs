@@ -91,16 +91,16 @@ impl Protocol for DaiVProtocol {
                     else {
                         continue;
                     };
-                    let val = rq.target().value().clone();
+                    let value_key = rq.target().value().canonical();
                     let qkey = sq.query.key().0.clone();
-                    let id = indexing::vindex_value_keyed(space, &qkey, &val);
+                    let id = indexing::vindex_value_keyed(space, &qkey, &value_key);
                     let msg = Message::JoinV(ValueJoin {
                         // matching is scoped per query under this variant
                         group: format!("K|{qkey}"),
                         items: vec![rq],
                         tuple: Arc::clone(&tuple),
                         side: sq.index_side,
-                        value_key: val.canonical(),
+                        value_key,
                         index_id: id,
                     });
                     fx.push(Effect::Send { id, msg });
@@ -109,7 +109,6 @@ impl Protocol for DaiVProtocol {
                 // One message per (group, valJC): rewritten queries + tuple.
                 let mut items: Vec<RewrittenQuery> = Vec::new();
                 let mut side = None;
-                let mut val = None;
                 for sq in stored {
                     if sq.index_id != index_id {
                         continue;
@@ -122,18 +121,19 @@ impl Protocol for DaiVProtocol {
                         RewrittenQuery::rewrite_value(&sq.query, sq.index_side, &tuple)?
                     {
                         side = Some(sq.index_side);
-                        val = Some(rq.target().value().clone());
                         items.push(rq);
                     }
                 }
-                if let (Some(side), Some(val)) = (side, val) {
-                    let id = indexing::vindex_value(space, &val);
+                // A group shares its join condition, hence one valJC.
+                if let (Some(side), Some(last)) = (side, items.last()) {
+                    let value_key = last.target().value().canonical();
+                    let id = indexing::vindex_value_canonical(space, &value_key);
                     let msg = Message::JoinV(ValueJoin {
                         group: group.to_string(),
                         items,
                         tuple: Arc::clone(&tuple),
                         side,
-                        value_key: val.canonical(),
+                        value_key,
                         index_id: id,
                     });
                     fx.push(Effect::Send { id, msg });

@@ -145,30 +145,39 @@ impl Protocol for SaiProtocol {
         let NodeState { vlqt, vltt, .. } = st;
         let repl = fx.repl_k() > 0;
         let mut matches = fx.new_matches();
-        for rq in items {
-            // Store first (dedup by key); only a *new* rewritten query is
-            // evaluated against stored tuples — a duplicate "need only
-            // store the information related to tuple t". `insert_fresh`
-            // hands back the stored entry so the fresh path borrows it
-            // instead of cloning the rewritten query.
-            let stored = vlqt.insert_fresh(StoredRewritten { index_id, rq })?;
-            let fresh = stored.is_some();
-            let (tick, node) = (fx.tick(), fx.node().index() as u32);
-            fx.trace(|| TraceEvent::IndexInsert {
-                tick,
-                node,
-                table: "vlqt",
-                fresh,
-            });
-            if let Some(entry) = stored {
-                if repl {
-                    fx.push(Effect::Replicate {
-                        item: ReplicaItem::Rewritten(entry.clone()),
-                    });
+        let mut value_key = fx.take_scratch();
+        let mut items = items.into_iter();
+        while let Some(head) = items.as_slice().first() {
+            let run = common::target_run_len(items.as_slice());
+            let (rel, attr) = common::attribute_target(&fx, head, &mut value_key)?;
+            let tuples = vltt.bucket(rel, attr, &value_key);
+            let mut bucket = vlqt.bucket_mut(rel, attr, &value_key);
+            for rq in items.by_ref().take(run) {
+                // Store first (dedup by key); only a *new* rewritten query
+                // is evaluated against stored tuples — a duplicate "need
+                // only store the information related to tuple t".
+                // `insert_fresh` hands back the stored entry so the fresh
+                // path borrows it instead of cloning the rewritten query.
+                let stored = bucket.insert_fresh(StoredRewritten { index_id, rq });
+                let fresh = stored.is_some();
+                let (tick, node) = (fx.tick(), fx.node().index() as u32);
+                fx.trace(|| TraceEvent::IndexInsert {
+                    tick,
+                    node,
+                    table: "vlqt",
+                    fresh,
+                });
+                if let Some(entry) = stored {
+                    if repl {
+                        fx.push(Effect::Replicate {
+                            item: ReplicaItem::Rewritten(entry.clone()),
+                        });
+                    }
+                    common::match_against_vltt(&mut fx, tuples, &entry.rq, &mut matches)?;
                 }
-                common::match_against_vltt(&mut fx, vltt, &entry.rq, &mut matches)?;
             }
         }
+        fx.restore_scratch(value_key);
         fx.push(Effect::Deliver { matches });
         Ok(())
     }

@@ -24,11 +24,22 @@ pub fn aindex_replica(space: IdSpace, relation: &str, attr: &str, i: usize, k: u
     if k == 1 {
         return aindex(space, relation, attr);
     }
+    // "#<i>" without a `format!`: replica counts are small, but any `i`
+    // fits a `usize`'s 20 decimal digits.
+    let mut suffix = [b'#'; 21];
+    let mut at = suffix.len();
+    let mut rest = i;
+    loop {
+        at -= 1;
+        suffix[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    let suffix = std::str::from_utf8(&suffix[at - 1..]).expect("'#' and ASCII digits");
     let mut h = KeyHasher::new();
-    h.write("A")
-        .write(relation)
-        .write(attr)
-        .write(&format!("#{i}"));
+    h.write("A").write(relation).write(attr).write(suffix);
     h.finish(space)
 }
 
@@ -40,25 +51,29 @@ pub fn aindex_replicas(space: IdSpace, relation: &str, attr: &str, k: usize) -> 
 }
 
 /// Which replica an incoming tuple's value is routed to: deterministic in the
-/// value so every tuple with a given value meets every query at the same
-/// replica (preserving completeness).
-pub fn replica_for_value(value: &Value, k: usize) -> usize {
+/// value (given by its canonical form — a [`Tuple`] caches one per
+/// attribute) so every tuple with a given value meets every query at the
+/// same replica (preserving completeness).
+pub fn replica_for_value(canonical: &str, k: usize) -> usize {
     if k <= 1 {
         return 0;
     }
     let mut h = KeyHasher::new();
-    h.write(&value.canonical());
+    h.write(canonical);
     (h.finish_raw() % k as u64) as usize
 }
 
 /// `Hash(R + A + v)`: the value-level identifier used by SAI, DAI-Q and
 /// DAI-T.
 pub fn vindex_attr(space: IdSpace, relation: &str, attr: &str, value: &Value) -> Id {
+    vindex_attr_canonical(space, relation, attr, &value.canonical())
+}
+
+/// [`vindex_attr`] for a caller that already holds the value's canonical
+/// form.
+pub fn vindex_attr_canonical(space: IdSpace, relation: &str, attr: &str, canonical: &str) -> Id {
     let mut h = KeyHasher::new();
-    h.write("V")
-        .write(relation)
-        .write(attr)
-        .write(&value.canonical());
+    h.write("V").write(relation).write(attr).write(canonical);
     h.finish(space)
 }
 
@@ -66,18 +81,25 @@ pub fn vindex_attr(space: IdSpace, relation: &str, attr: &str, value: &Value) ->
 /// identifier creation is based on the value that the left- or right-hand
 /// side of the join condition takes" (Section 4.5).
 pub fn vindex_value(space: IdSpace, value: &Value) -> Id {
+    vindex_value_canonical(space, &value.canonical())
+}
+
+/// [`vindex_value`] for a caller that already holds the value's canonical
+/// form.
+pub fn vindex_value_canonical(space: IdSpace, canonical: &str) -> Id {
     let mut h = KeyHasher::new();
-    h.write("J").write(&value.canonical());
+    h.write("J").write(canonical);
     h.finish(space)
 }
 
 /// `Hash(Key(q) + valJC)`: the keyed DAI-V variant of Section 4.5 — one
-/// evaluator per (query, value) pair instead of per value. Load spreads like
-/// the attribute-prefixed algorithms, but rewritten queries can no longer be
-/// grouped, multiplying reindex traffic.
-pub fn vindex_value_keyed(space: IdSpace, query_key: &str, value: &Value) -> Id {
+/// evaluator per (query, value) pair instead of per value, the value given
+/// by its canonical form. Load spreads like the attribute-prefixed
+/// algorithms, but rewritten queries can no longer be grouped, multiplying
+/// reindex traffic.
+pub fn vindex_value_keyed(space: IdSpace, query_key: &str, canonical: &str) -> Id {
     let mut h = KeyHasher::new();
-    h.write("JK").write(query_key).write(&value.canonical());
+    h.write("JK").write(query_key).write(canonical);
     h.finish(space)
 }
 
@@ -103,11 +125,12 @@ pub fn tuple_index_ids(
         .schema()
         .attributes()
         .iter()
-        .zip(tuple.values())
-        .map(|(a, v)| {
-            let replica = replica_for_value(v, replication);
+        .enumerate()
+        .map(|(i, a)| {
+            let canonical = tuple.canonical_at(i);
+            let replica = replica_for_value(canonical, replication);
             let ai = aindex_replica(space, rel, &a.name, replica, replication.max(1));
-            let vi = value_level.then(|| vindex_attr(space, rel, &a.name, v));
+            let vi = value_level.then(|| vindex_attr_canonical(space, rel, &a.name, canonical));
             (a.name.clone(), ai, vi)
         })
         .collect()
@@ -163,6 +186,38 @@ mod tests {
     }
 
     #[test]
+    fn replica_suffix_is_the_decimal_index() {
+        let s = space();
+        for (i, k) in [
+            (0, 2),
+            (1, 2),
+            (9, 10),
+            (10, 11),
+            (123, 124),
+            (usize::MAX - 1, usize::MAX),
+        ] {
+            assert_eq!(
+                aindex_replica(s, "R", "B", i, k),
+                cq_overlay::hash_parts(s, &["A", "R", "B", &format!("#{i}")]),
+                "replica {i} of {k}"
+            );
+        }
+    }
+
+    #[test]
+    fn canonical_entry_points_agree_with_the_value_ones() {
+        let s = space();
+        for v in [Value::Int(-3), Value::Str("x y".into())] {
+            let c = v.canonical();
+            assert_eq!(
+                vindex_attr(s, "R", "B", &v),
+                vindex_attr_canonical(s, "R", "B", &c)
+            );
+            assert_eq!(vindex_value(s, &v), vindex_value_canonical(s, &c));
+        }
+    }
+
+    #[test]
     fn replicas_are_distinct() {
         let s = space();
         let ids = aindex_replicas(s, "R", "B", 4);
@@ -178,9 +233,10 @@ mod tests {
     fn replica_choice_is_deterministic_and_in_range() {
         for k in 1..6 {
             for v in 0..50 {
-                let r = replica_for_value(&Value::Int(v), k);
+                let canonical = Value::Int(v).canonical();
+                let r = replica_for_value(&canonical, k);
                 assert!(r < k);
-                assert_eq!(r, replica_for_value(&Value::Int(v), k));
+                assert_eq!(r, replica_for_value(&canonical, k));
             }
         }
     }

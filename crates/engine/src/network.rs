@@ -32,7 +32,7 @@ use crate::faults::FaultPipe;
 use crate::messages::Message;
 use crate::metrics::Metrics;
 use crate::node::NodeState;
-use crate::protocol::{Effect, NodeCtx, Protocol};
+use crate::protocol::{Effect, NodeCtx, Protocol, Scratch};
 use crate::recovery::Recovery;
 use crate::replication::ReplicaItem;
 use crate::tables::StoredQuery;
@@ -56,9 +56,9 @@ pub struct Network {
     /// Reusable effect buffer handlers push into (drained after each
     /// handler, kept allocated across invocations).
     outbox: Vec<Effect>,
-    /// Reusable string buffer for per-arrival value keys, threaded into
-    /// each [`NodeCtx`] so kernels build keys without allocating.
-    scratch: String,
+    /// Reusable handler buffers (value keys, the counts accumulator),
+    /// threaded into each [`NodeCtx`] so kernels work without allocating.
+    pub(crate) scratch: Scratch,
     /// The installed transport backend: the deterministic in-memory queue
     /// by default, or framed TCP loopback sockets after
     /// [`Network::enable_tcp_transport`].
@@ -128,7 +128,7 @@ impl Network {
             rng: StdRng::seed_from_u64(seed),
             protocol,
             outbox: Vec::new(),
-            scratch: String::with_capacity(64),
+            scratch: Scratch::default(),
             tracer: None,
             trace_seq: vec![0; slots],
             transport: ActiveTransport::Sim(SimTransport::default()),

@@ -34,6 +34,7 @@ use crate::messages::{Message, ValueJoin};
 use crate::metrics::{Metrics, TrafficKind};
 use crate::node::NodeState;
 use crate::replication::ReplicaItem;
+use crate::tables::keys::FirstIndex;
 use crate::trace::{TraceEvent, TraceSink};
 
 /// A deferred transport action emitted by a protocol handler.
@@ -75,14 +76,14 @@ pub enum Effect {
 /// Accumulated join matches at an evaluator (see [`NodeCtx::new_matches`]).
 ///
 /// With notification retention on, full bodies are built; with retention
-/// off only per-subscriber counts are kept (delivery traffic and counters
-/// stay identical, the bodies are never materialized).
+/// off only per-query counts are kept (delivery traffic and counters stay
+/// identical, the bodies are never materialized).
 #[derive(Debug)]
 pub enum Matches {
     /// Full notification bodies (retention on).
     Full(Vec<Notification>),
-    /// Per-subscriber match counts (retention off).
-    Counts(FxHashMap<String, u64>),
+    /// Per-query match counts (retention off).
+    Counts(QueryCounts),
 }
 
 impl Matches {
@@ -91,16 +92,15 @@ impl Matches {
         if retain {
             Matches::Full(Vec::new())
         } else {
-            Matches::Counts(FxHashMap::default())
+            Matches::Counts(QueryCounts::default())
         }
     }
 
-    /// Total matches accumulated so far (notification bodies, or the sum of
-    /// the per-subscriber counts).
+    /// Total matches accumulated so far.
     pub fn len(&self) -> u64 {
         match self {
             Matches::Full(v) => v.len() as u64,
-            Matches::Counts(c) => c.values().sum(),
+            Matches::Counts(c) => c.total,
         }
     }
 
@@ -113,16 +113,118 @@ impl Matches {
     pub fn add(&mut self, rq: &RewrittenQuery, t: &Tuple) -> cq_relational::Result<()> {
         match self {
             Matches::Full(v) => v.push(rq.notification_with(t)?),
-            Matches::Counts(c) => {
-                // avoid one String allocation per match on the hot path
-                if let Some(v) = c.get_mut(rq.query().subscriber()) {
-                    *v += 1;
-                } else {
-                    c.insert(rq.query().subscriber().to_string(), 1);
+            Matches::Counts(c) => c.add(rq.query()),
+        }
+        Ok(())
+    }
+
+    /// Empties the accumulator, keeping its buffers.
+    pub fn clear(&mut self) {
+        match self {
+            Matches::Full(v) => v.clear(),
+            Matches::Counts(c) => c.clear(),
+        }
+    }
+}
+
+/// Match counts per query, in first-match order — what an evaluator
+/// accumulates per candidate when bodies are not retained.
+///
+/// A query is recognised by the address of its [`QueryRef`], so counting a
+/// match hashes one word, not the subscriber's name. The address is an
+/// optimisation key only: one query may arrive under two `Arc`s (over TCP a
+/// receiver's interner forgets, then decodes the same bytes again), which
+/// merely yields two entries. Whoever needs counts per *subscriber* folds
+/// by name ([`QueryCounts::by_subscriber`]). An entry holds its `Arc`, so no
+/// address can be reused while it is counted.
+#[derive(Debug, Default)]
+pub struct QueryCounts {
+    entries: Vec<(QueryRef, u64)>,
+    /// `Arc` address → position in `entries`.
+    positions: FxHashMap<usize, usize>,
+    total: u64,
+    /// [`QueryCounts::by_subscriber`]'s result, `(entry naming the
+    /// subscriber, count)`, and its name index. Kept here so the fold
+    /// reuses its buffers along with the rest.
+    folded: Vec<(usize, u64)>,
+    folded_names: FirstIndex,
+}
+
+impl QueryCounts {
+    fn add(&mut self, query: &QueryRef) {
+        self.total += 1;
+        let address = Arc::as_ptr(query) as usize;
+        match self.positions.get(&address) {
+            Some(&i) => self.entries[i].1 += 1,
+            None => {
+                self.positions.insert(address, self.entries.len());
+                self.entries.push((Arc::clone(query), 1));
+            }
+        }
+    }
+
+    /// Empties the accumulator, keeping its buffers.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.positions.clear();
+        self.total = 0;
+    }
+
+    /// The counts summed per subscriber name, in first-match order.
+    pub fn by_subscriber(&mut self) -> impl Iterator<Item = (&str, u64)> {
+        let QueryCounts {
+            entries,
+            folded,
+            folded_names,
+            ..
+        } = self;
+        folded.clear();
+        folded_names.clear();
+        for (i, (query, count)) in entries.iter().enumerate() {
+            let name = query.subscriber();
+            let hash = FirstIndex::hash(name);
+            let seen = folded_names.find(hash, folded.len(), |j| {
+                entries[folded[j].0].0.subscriber() == name
+            });
+            match seen {
+                Some(j) => folded[j].1 += count,
+                None => {
+                    folded_names.note(hash, folded.len());
+                    folded.push((i, *count));
                 }
             }
         }
-        Ok(())
+        folded
+            .iter()
+            .map(|&(i, count)| (entries[i].0.subscriber(), count))
+    }
+}
+
+/// The buffers the orchestrator lends every handler invocation, so that a
+/// handler's working memory is allocated once per network, not per message.
+#[derive(Debug, Default)]
+pub struct Scratch {
+    /// Per-arrival value keys ([`EffectCtx::take_scratch`]).
+    value_key: String,
+    /// The counts accumulator, between one `Deliver` and the next handler.
+    counts: QueryCounts,
+}
+
+impl Scratch {
+    /// An empty match accumulator honoring the retention setting; in counts
+    /// mode it is the one [`Scratch::recycle`] last took back.
+    fn new_matches(&mut self, retain: bool) -> Matches {
+        if retain {
+            Matches::Full(Vec::new())
+        } else {
+            Matches::Counts(std::mem::take(&mut self.counts))
+        }
+    }
+
+    /// Takes a delivered counts accumulator back for the next handler.
+    pub(crate) fn recycle(&mut self, mut counts: QueryCounts) {
+        counts.clear();
+        self.counts = counts;
     }
 }
 
@@ -142,9 +244,9 @@ pub struct NodeCtx<'a> {
     metrics: &'a mut Metrics,
     rng: &'a mut StdRng,
     outbox: &'a mut Vec<Effect>,
-    /// A reusable string buffer for per-arrival value keys (owned by the
-    /// orchestrator so its capacity survives across handler invocations).
-    scratch: &'a mut String,
+    /// Reusable buffers (owned by the orchestrator so their capacity
+    /// survives across handler invocations).
+    scratch: &'a mut Scratch,
     /// The trace sink when tracing is on. Handlers emit through
     /// [`NodeCtx::trace`], which is a single branch when off.
     tracer: Option<&'a dyn TraceSink>,
@@ -164,7 +266,7 @@ impl<'a> NodeCtx<'a> {
         metrics: &'a mut Metrics,
         rng: &'a mut StdRng,
         outbox: &'a mut Vec<Effect>,
-        scratch: &'a mut String,
+        scratch: &'a mut Scratch,
     ) -> Self {
         NodeCtx {
             node,
@@ -245,8 +347,8 @@ impl<'a> NodeCtx<'a> {
     }
 
     /// An empty match accumulator honoring the retention setting.
-    pub fn new_matches(&self) -> Matches {
-        Matches::new(self.config.retain_notifications)
+    pub fn new_matches(&mut self) -> Matches {
+        self.scratch.new_matches(self.config.retain_notifications)
     }
 
     /// Asks the rewriter responsible for `id` for its `(count, distinct)`
@@ -311,7 +413,7 @@ pub struct EffectCtx<'a> {
     metrics: &'a mut Metrics,
     rng: &'a mut StdRng,
     outbox: &'a mut Vec<Effect>,
-    scratch: &'a mut String,
+    scratch: &'a mut Scratch,
     tracer: Option<&'a dyn TraceSink>,
     tick: u64,
 }
@@ -353,8 +455,8 @@ impl EffectCtx<'_> {
     }
 
     /// An empty match accumulator honoring the retention setting.
-    pub fn new_matches(&self) -> Matches {
-        Matches::new(self.config.retain_notifications)
+    pub fn new_matches(&mut self) -> Matches {
+        self.scratch.new_matches(self.config.retain_notifications)
     }
 
     /// The logical clock value events are stamped with.
@@ -375,14 +477,14 @@ impl EffectCtx<'_> {
     /// arrivals; on error paths the buffer is simply dropped and the next
     /// taker starts from an empty one.
     pub fn take_scratch(&mut self) -> String {
-        let mut s = std::mem::take(self.scratch);
+        let mut s = std::mem::take(&mut self.scratch.value_key);
         s.clear();
         s
     }
 
     /// Returns the scratch buffer after use.
     pub fn restore_scratch(&mut self, s: String) {
-        *self.scratch = s;
+        self.scratch.value_key = s;
     }
 
     /// A typed protocol-violation error.

@@ -12,7 +12,7 @@
 //! trait object so that owned and borrowed forms hash identically.
 
 use std::borrow::Borrow;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 
 /// An owned pair of interned strings used as a bucket key.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -127,6 +127,46 @@ pub fn str_bucket_mut<'m, V: Default>(
         map.get_mut(key).expect("checked above")
     } else {
         map.entry(key.into()).or_default()
+    }
+}
+
+/// A `hash → first position` index over a sequence the caller owns: it
+/// finds an item by a key the *sequence* stores, without holding a second
+/// copy of any key.
+///
+/// [`FirstIndex::find`] starts at the first position filed under the hash
+/// and asks the caller which item is the wanted one. Nearly always that is
+/// the first one asked about; when two keys share all 64 bits the later one
+/// is found by walking on, so a collision costs time and never a wrong
+/// answer. Items are only ever appended; a sequence that loses items clears
+/// the index and notes what is left again.
+#[derive(Clone, Debug, Default)]
+pub struct FirstIndex {
+    first: cq_fasthash::FxHashMap<u64, usize>,
+}
+
+impl FirstIndex {
+    /// The hash keys are filed under. Public so that tests can construct two
+    /// keys that share it.
+    pub fn hash(key: &str) -> u64 {
+        cq_fasthash::FxBuildHasher::default().hash_one(key)
+    }
+
+    /// The position in `0..len` that `is_it` accepts, given the wanted
+    /// key's [`FirstIndex::hash`].
+    pub fn find(&self, hash: u64, len: usize, is_it: impl Fn(usize) -> bool) -> Option<usize> {
+        let first = *self.first.get(&hash)?;
+        (first..len).find(|&i| is_it(i))
+    }
+
+    /// Files position `pos` (the item just appended) under its key's hash.
+    pub fn note(&mut self, hash: u64, pos: usize) {
+        self.first.entry(hash).or_insert(pos);
+    }
+
+    /// Forgets every position, keeping the capacity.
+    pub fn clear(&mut self) {
+        self.first.clear();
     }
 }
 

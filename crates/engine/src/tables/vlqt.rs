@@ -3,14 +3,21 @@
 //! "At the first level rewritten queries are indexed according to their load
 //! distributing attribute, while at the second level according to the value
 //! that this attribute must take" — incoming tuples find the rewritten
-//! queries they might match in one step. Entries are keyed by the rewritten
-//! query's unique key, giving the deduplication of Section 4.3.3.
+//! queries they might match in one step. Entries are deduplicated by the
+//! rewritten query's unique key (Section 4.3.3).
+//!
+//! A value bucket is what an arriving tuple scans, so it is laid out for
+//! the scan: the entries sit contiguously in one `Vec`, in **insertion
+//! order** — the order [`Vlqt::candidates`] yields them in, and therefore
+//! the order notifications are produced in. The hasher decides nothing a
+//! result depends on. Deduplication goes through a side index that holds
+//! no second copy of any key (see [`Bucket`]).
 
 use cq_fasthash::FxHashMap;
 use cq_overlay::Id;
 use cq_relational::{MatchTarget, RewrittenQuery};
 
-use super::keys::{bucket_mut, lookup_key, str_bucket_mut, StrPair};
+use super::keys::{bucket_mut, lookup_key, str_bucket_mut, FirstIndex, StrPair};
 use crate::error::{EngineError, Result};
 
 /// A rewritten query stored at an evaluator together with the value-level
@@ -23,20 +30,76 @@ pub struct StoredRewritten {
     pub rq: RewrittenQuery,
 }
 
+/// The rewritten queries waiting for one `(relation, attr, value)`, in
+/// insertion order, with the dedup index over their keys (a
+/// [`FirstIndex`]: a key is stored once, in its entry).
+#[derive(Clone, Debug, Default)]
+struct Bucket {
+    entries: Vec<StoredRewritten>,
+    by_key: FirstIndex,
+}
+
+impl Bucket {
+    fn insert_fresh(&mut self, entry: StoredRewritten) -> Option<&StoredRewritten> {
+        let key = entry.rq.key();
+        let hash = FirstIndex::hash(key);
+        let entries = &self.entries;
+        let stored = self
+            .by_key
+            .find(hash, entries.len(), |i| entries[i].rq.key() == key);
+        if stored.is_some() {
+            return None;
+        }
+        self.by_key.note(hash, self.entries.len());
+        self.entries.push(entry);
+        self.entries.last()
+    }
+
+    /// Moves the entries `pred` selects to `out`, keeping the rest in order.
+    fn extract_where(&mut self, pred: &mut impl FnMut(Id) -> bool, out: &mut Vec<StoredRewritten>) {
+        let before = out.len();
+        out.extend(self.entries.extract_if(.., |e| pred(e.index_id)));
+        if out.len() > before {
+            self.by_key.clear();
+            for (i, e) in self.entries.iter().enumerate() {
+                self.by_key.note(FirstIndex::hash(e.rq.key()), i);
+            }
+        }
+    }
+}
+
+/// One value bucket resolved for a run of inserts that share
+/// `(relation, attr, value)` — see [`Vlqt::bucket_mut`].
+pub(crate) struct BucketMut<'a> {
+    bucket: &'a mut Bucket,
+    len: &'a mut usize,
+}
+
+impl BucketMut<'_> {
+    /// [`Vlqt::insert_fresh`] without the two-level lookup. The entry must
+    /// target the `(relation, attr, value)` this bucket was resolved for.
+    pub(crate) fn insert_fresh(&mut self, entry: StoredRewritten) -> Option<&StoredRewritten> {
+        let stored = self.bucket.insert_fresh(entry);
+        if stored.is_some() {
+            *self.len += 1;
+        }
+        stored
+    }
+}
+
 /// The two-level value-level query table.
 ///
 /// First-level buckets are keyed by the load-distributing attribute as an
-/// owned `(relation, attr)` [`StrPair`]; the second level by the value's
-/// canonical form; the third by the rewritten query's dedup key. Lookups
-/// borrow the caller's `&str`s instead of allocating (see [`super::keys`]).
+/// owned `(relation, attr)` [`StrPair`], the second level by the value's
+/// canonical form; lookups borrow the caller's `&str`s instead of
+/// allocating (see [`super::keys`]). Below that sits one [`Bucket`].
 #[derive(Clone, Debug, Default)]
 pub struct Vlqt {
-    buckets: FxHashMap<StrPair, ByValue>,
+    buckets: FxHashMap<StrPair, FxHashMap<Box<str>, Bucket>>,
     len: usize,
+    /// Reused for the canonical value of an entry inserted on its own.
+    value_key: String,
 }
-
-/// Second level (canonical value) → third level (rewritten-query dedup key).
-type ByValue = FxHashMap<Box<str>, FxHashMap<Box<str>, StoredRewritten>>;
 
 impl Vlqt {
     /// An empty table.
@@ -66,49 +129,68 @@ impl Vlqt {
                 ),
             });
         };
-        let mut vkey = String::new();
-        value.canonical_into(&mut vkey);
+        let mut value_key = std::mem::take(&mut self.value_key);
+        value_key.clear();
+        value.canonical_into(&mut value_key);
         let by_value = bucket_mut(&mut self.buckets, entry.rq.free_relation(), attr);
-        let by_key = str_bucket_mut(by_value, &vkey);
-        if by_key.contains_key(entry.rq.key()) {
-            return Ok(None);
+        let bucket = str_bucket_mut(by_value, &value_key);
+        self.value_key = value_key;
+        let stored = bucket.insert_fresh(entry);
+        if stored.is_some() {
+            self.len += 1;
         }
-        self.len += 1;
-        let key: Box<str> = entry.rq.key().into();
-        Ok(Some(by_key.entry(key).or_insert(entry)))
+        Ok(stored)
+    }
+
+    /// Resolves (creating it if need be) the bucket of
+    /// `(relation, attr, value)` once, for a run of inserts that all target
+    /// it: the items of one `Join` message share their evaluator bucket.
+    pub(crate) fn bucket_mut(
+        &mut self,
+        relation: &str,
+        attr: &str,
+        value_key: &str,
+    ) -> BucketMut<'_> {
+        let by_value = bucket_mut(&mut self.buckets, relation, attr);
+        BucketMut {
+            bucket: str_bucket_mut(by_value, value_key),
+            len: &mut self.len,
+        }
+    }
+
+    fn bucket(&self, relation: &str, attr: &str, value_key: &str) -> &[StoredRewritten] {
+        self.buckets
+            .get(lookup_key(&(relation, attr)))
+            .and_then(|m| m.get(value_key))
+            .map_or(&[], |b| &b.entries)
     }
 
     /// The rewritten queries an incoming tuple of `(relation, attr = value)`
-    /// might trigger — the evaluator's level-1 + level-2 lookup.
+    /// might trigger — the evaluator's level-1 + level-2 lookup — in the
+    /// order they were stored.
     pub fn candidates(
         &self,
         relation: &str,
         attr: &str,
         value_key: &str,
     ) -> impl Iterator<Item = &StoredRewritten> {
-        self.buckets
-            .get(lookup_key(&(relation, attr)))
-            .and_then(|m| m.get(value_key))
-            .into_iter()
-            .flat_map(|m| m.values())
+        self.bucket(relation, attr, value_key).iter()
     }
 
     /// Number of candidates for a given `(relation, attr, value)` — the
     /// evaluator's filtering work for one incoming tuple.
     pub fn candidate_count(&self, relation: &str, attr: &str, value_key: &str) -> usize {
-        self.buckets
-            .get(lookup_key(&(relation, attr)))
-            .and_then(|m| m.get(value_key))
-            .map_or(0, FxHashMap::len)
+        self.bucket(relation, attr, value_key).len()
     }
 
-    /// Iterates every stored entry, in arbitrary order (anti-entropy
-    /// digests; the digest combination is order-independent).
+    /// Iterates every stored entry: buckets in arbitrary order, each in
+    /// insertion order (anti-entropy digests; the digest combination is
+    /// order-independent).
     pub fn entries(&self) -> impl Iterator<Item = &StoredRewritten> {
         self.buckets
             .values()
             .flat_map(|by_value| by_value.values())
-            .flat_map(|by_key| by_key.values())
+            .flat_map(|bucket| &bucket.entries)
     }
 
     /// Total stored rewritten queries.
@@ -122,23 +204,14 @@ impl Vlqt {
     }
 
     /// Removes entries whose index identifier satisfies the predicate
-    /// (key transfer on churn).
+    /// (key transfer on churn). What stays keeps its order.
     pub fn extract_where(&mut self, mut pred: impl FnMut(Id) -> bool) -> Vec<StoredRewritten> {
         let mut out = Vec::new();
         for by_value in self.buckets.values_mut() {
-            for by_key in by_value.values_mut() {
-                let keys: Vec<Box<str>> = by_key
-                    .iter()
-                    .filter(|(_, e)| pred(e.index_id))
-                    .map(|(k, _)| k.clone())
-                    .collect();
-                for k in keys {
-                    // Invariant: `keys` was collected from this same map
-                    // two lines up, with no removals in between.
-                    out.push(by_key.remove(&*k).expect("key listed above"));
-                }
+            for bucket in by_value.values_mut() {
+                bucket.extract_where(&mut pred, &mut out);
             }
-            by_value.retain(|_, m| !m.is_empty());
+            by_value.retain(|_, b| !b.entries.is_empty());
         }
         self.buckets.retain(|_, m| !m.is_empty());
         self.len -= out.len();

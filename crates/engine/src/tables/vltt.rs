@@ -49,36 +49,39 @@ impl Vltt {
     /// the tuple's schema lacks the index attribute (a corrupted entry —
     /// e.g. a malformed replica payload — rather than a caller bug).
     pub fn insert(&mut self, entry: StoredTuple) -> Result<()> {
-        let tuple = Arc::clone(&entry.tuple);
-        let value_key = tuple.canonical_of(&entry.attr)?;
-        let by_value = bucket_mut(&mut self.buckets, tuple.relation(), &entry.attr);
-        str_bucket_mut(by_value, value_key).push(entry);
+        let value_key = entry.tuple.canonical_of(&entry.attr)?;
+        let by_value = bucket_mut(&mut self.buckets, entry.tuple.relation(), &entry.attr);
+        let bucket = str_bucket_mut(by_value, value_key);
+        bucket.push(entry);
         self.len += 1;
         Ok(())
     }
 
     /// The stored tuples a rewritten query targeting
-    /// `(relation, attr = value)` must be matched against.
+    /// `(relation, attr = value)` must be matched against, as one slice:
+    /// the items of a `Join` message share their target, so the evaluator
+    /// resolves it once for all of them.
+    pub fn bucket(&self, relation: &str, attr: &str, value_key: &str) -> &[StoredTuple] {
+        self.buckets
+            .get(lookup_key(&(relation, attr)))
+            .and_then(|m| m.get(value_key))
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// [`Vltt::bucket`] as an iterator.
     pub fn candidates(
         &self,
         relation: &str,
         attr: &str,
         value_key: &str,
     ) -> impl Iterator<Item = &StoredTuple> {
-        self.buckets
-            .get(lookup_key(&(relation, attr)))
-            .and_then(|m| m.get(value_key))
-            .into_iter()
-            .flatten()
+        self.bucket(relation, attr, value_key).iter()
     }
 
     /// Number of candidates for one arriving rewritten query — the
     /// evaluator's filtering work.
     pub fn candidate_count(&self, relation: &str, attr: &str, value_key: &str) -> usize {
-        self.buckets
-            .get(lookup_key(&(relation, attr)))
-            .and_then(|m| m.get(value_key))
-            .map_or(0, Vec::len)
+        self.bucket(relation, attr, value_key).len()
     }
 
     /// Iterates every stored entry, in arbitrary order (anti-entropy

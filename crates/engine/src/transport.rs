@@ -850,18 +850,15 @@ impl Network {
     pub(crate) fn deliver_matches(&mut self, from: NodeHandle, matches: Matches) -> Result<()> {
         match matches {
             Matches::Full(notifications) => self.deliver_notifications(from, notifications),
-            Matches::Counts(counts) => {
+            Matches::Counts(mut counts) => {
                 // Counts mode sends no real messages, so delivery is
                 // accounted here. A count only counts as *delivered* when
                 // the subscriber is online to receive it; offline counts are
                 // `notifications_stored_offline` only — mirroring the
                 // full-retention path, where a store happens but no inbox
                 // delivery (see DESIGN.md, "Fault model").
-                for (subscriber, count) in counts {
-                    if count == 0 {
-                        continue;
-                    }
-                    match self.subscribers.get(&subscriber) {
+                for (subscriber, count) in counts.by_subscriber() {
+                    match self.subscribers.get(subscriber) {
                         Some(&h) if self.ring.node(h).is_alive() => {
                             self.metrics.notifications_delivered += count;
                             self.metrics.record_traffic(TrafficKind::Notify, 1);
@@ -875,7 +872,7 @@ impl Network {
                         }
                         _ => {
                             self.metrics.notifications_stored_offline += count;
-                            let id = indexing::subscriber_id(self.ring.space(), &subscriber);
+                            let id = indexing::subscriber_id(self.ring.space(), subscriber);
                             let (owner, hops) = self.ring.route_owner(from, id)?;
                             self.metrics.record_traffic(TrafficKind::Notify, hops);
                             let (tick, node) = (self.trace_tick(), owner.index() as u32);
@@ -888,6 +885,7 @@ impl Network {
                         }
                     }
                 }
+                self.scratch.recycle(counts);
                 Ok(())
             }
         }

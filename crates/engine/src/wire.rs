@@ -206,10 +206,13 @@ impl<'a> Reader<'a> {
         }
     }
 
-    pub(crate) fn string(&mut self) -> Result<String> {
+    fn str(&mut self) -> Result<&'a str> {
         let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| err("string field is not valid UTF-8"))
+        std::str::from_utf8(self.take(n)?).map_err(|_| err("string field is not valid UTF-8"))
+    }
+
+    pub(crate) fn string(&mut self) -> Result<String> {
+        self.str().map(str::to_string)
     }
 
     /// Reads a count prefix, sanity-checking it against the bytes that
@@ -559,7 +562,9 @@ fn get_rewritten(r: &mut Reader<'_>, dec: &mut Decoder<'_>) -> Result<RewrittenQ
     let bound_values = get_values(r)?;
     let target = match r.u8()? {
         0 => {
-            let attr = r.string()?;
+            // `from_parts` swaps in the query's own copy of its join
+            // attribute, so this one is not kept.
+            let attr = r.str()?.into();
             let value = get_value(r)?;
             MatchTarget::Attribute { attr, value }
         }

@@ -1,0 +1,212 @@
+//! `RewrittenQuery::matches` reads the target attribute by a schema
+//! position resolved when the rewriting is built. This file checks it
+//! against the predicate it replaces — `triggered_by`, then the attribute
+//! looked up *by name* — over random schemas, queries and tuples, for every
+//! way a rewriting comes into being: rewritten locally, decoded from the
+//! wire, and assembled from parts around a target attribute that is not the
+//! query's join attribute (which no column was resolved for).
+
+use std::sync::Arc;
+
+use cq_engine::wire::{decode_message, encode_message};
+use cq_engine::Message;
+use cq_overlay::Id;
+use cq_relational::{
+    Attribute, Catalog, DataType, Expr, Filter, JoinQuery, MatchTarget, QueryKey, QueryRef,
+    QuerySpec, RelationSchema, RewrittenQuery, SelectItem, Side, Timestamp, Tuple, Value,
+};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Values come from a domain of three per type, so equalities happen.
+fn rand_value(rng: &mut StdRng, ty: DataType) -> Value {
+    match ty {
+        DataType::Int => Value::Int(rng.gen_range(0..3)),
+        DataType::Str => Value::from(["x", "y", "z"][rng.gen_range(0..3usize)]),
+    }
+}
+
+/// Relations `L`, `R` and the bystander `X`, each with 1–6 attributes
+/// `a0..` of random types. Attribute 0 of `L` and `R` is an `Int`, so a
+/// type-correct join always exists; `X` repeats `R`'s attributes under
+/// another name, so a tuple of the wrong relation can look just like one of
+/// the right one.
+fn rand_catalog(rng: &mut StdRng) -> Catalog {
+    let attributes = |rng: &mut StdRng| -> Vec<Attribute> {
+        (0..rng.gen_range(1..7usize))
+            .map(|i| Attribute {
+                name: format!("a{i}"),
+                ty: if i == 0 || rng.gen_bool(0.6) {
+                    DataType::Int
+                } else {
+                    DataType::Str
+                },
+            })
+            .collect()
+    };
+    let (left, right) = (attributes(rng), attributes(rng));
+    let mut c = Catalog::new();
+    c.register(RelationSchema::new("L", left).unwrap()).unwrap();
+    c.register(RelationSchema::new("R", right.clone()).unwrap())
+        .unwrap();
+    c.register(RelationSchema::new("X", right).unwrap())
+        .unwrap();
+    c
+}
+
+fn rand_attr<'c>(rng: &mut StdRng, c: &'c Catalog, rel: &str, ty: Option<DataType>) -> &'c str {
+    let fits: Vec<&Attribute> = c
+        .get(rel)
+        .unwrap()
+        .attributes()
+        .iter()
+        .filter(|a| ty.is_none_or(|ty| a.ty == ty))
+        .collect();
+    &fits[rng.gen_range(0..fits.len())].name
+}
+
+/// A T1 query `L ⋈ R` on two `Int` attributes, with a random select list,
+/// up to two filters and an insertion time some tuples predate.
+fn rand_query(rng: &mut StdRng, c: &Catalog) -> QueryRef {
+    let rel = |side| if side == Side::Left { "L" } else { "R" };
+    let side = |rng: &mut StdRng| {
+        if rng.gen_bool(0.5) {
+            Side::Left
+        } else {
+            Side::Right
+        }
+    };
+    let select = (0..rng.gen_range(1..4usize))
+        .map(|_| {
+            let side = side(rng);
+            SelectItem {
+                side,
+                attr: rand_attr(rng, c, rel(side), None).into(),
+            }
+        })
+        .collect();
+    let filters = (0..rng.gen_range(0..3usize))
+        .map(|_| {
+            let side = side(rng);
+            let attr = rand_attr(rng, c, rel(side), None);
+            let ty = c.get(rel(side)).unwrap().type_of(attr).unwrap();
+            Filter {
+                side,
+                attr: attr.into(),
+                value: rand_value(rng, ty),
+            }
+        })
+        .collect();
+    let spec = QuerySpec {
+        key: QueryKey::derive("n", rng.gen_range(0..1000)),
+        subscriber: "n".into(),
+        ins_time: Timestamp(rng.gen_range(0..4)),
+        relations: ["L".into(), "R".into()],
+        select,
+        conditions: [
+            Expr::attr(rand_attr(rng, c, "L", Some(DataType::Int))),
+            Expr::attr(rand_attr(rng, c, "R", Some(DataType::Int))),
+        ],
+        filters,
+    };
+    Arc::new(JoinQuery::new(spec, c).expect("generated query is valid"))
+}
+
+fn rand_tuple(rng: &mut StdRng, c: &Catalog, rel: &str) -> Tuple {
+    let schema = c.get(rel).unwrap().clone();
+    let values = schema
+        .attributes()
+        .iter()
+        .map(|a| rand_value(rng, a.ty))
+        .collect();
+    Tuple::new(schema, values, Timestamp(rng.gen_range(0..8)), rng.gen()).unwrap()
+}
+
+/// The predicate `matches` replaces, attribute looked up by name. Errors
+/// are compared as text.
+fn by_name(rq: &RewrittenQuery, t: &Tuple) -> Result<bool, String> {
+    let MatchTarget::Attribute { attr, value } = rq.target() else {
+        panic!("attribute targets only");
+    };
+    let check = || -> cq_relational::Result<bool> {
+        Ok(rq.query().triggered_by(rq.free_side(), t)? && t.get(attr)? == value)
+    };
+    check().map_err(|e| e.to_string())
+}
+
+/// `rq` after a trip through the wire codec.
+fn over_the_wire(rq: &RewrittenQuery, c: &Catalog) -> RewrittenQuery {
+    let mut frame = Vec::new();
+    encode_message(
+        &Message::Join {
+            items: vec![rq.clone()],
+            index_id: Id(1),
+        },
+        &mut frame,
+    );
+    match decode_message(&frame, c).expect("decodes what was encoded") {
+        (Message::Join { mut items, .. }, _) => items.pop().expect("one item"),
+        (other, _) => panic!("decoded {other:?}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn matching_by_column_is_matching_by_name(seed in 0u64..1 << 48) {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let c = rand_catalog(rng);
+        let q = rand_query(rng, &c);
+        let bound = if rng.gen_bool(0.5) { Side::Left } else { Side::Right };
+        let free = bound.other();
+        let (bound_rel, free_rel) = (q.relation(bound), q.relation(free));
+        let index_attr = q.join_attr(bound).expect("T1");
+        let dis_attr = q.join_attr(free).expect("T1");
+
+        // A triggering tuple of the bound side (retry: filters and
+        // insertion time reject some).
+        let Some(local) = (0..64).find_map(|_| {
+            let t = rand_tuple(rng, &c, bound_rel);
+            RewrittenQuery::rewrite_attribute(&q, bound, index_attr, dis_attr, &t).unwrap()
+        }) else {
+            return Ok(()); // e.g. two contradictory filters on one attribute
+        };
+        let decoded = over_the_wire(&local, &c);
+        prop_assert_eq!(decoded.key(), local.key());
+        prop_assert_eq!(decoded.target(), local.target());
+
+        // A target on some *other* attribute of the free relation, or on
+        // one it does not have: nothing to resolve, the name decides.
+        let other_attr = if rng.gen_bool(0.2) {
+            "missing"
+        } else {
+            rand_attr(rng, &c, free_rel, None)
+        };
+        let ty = c.get(free_rel).unwrap().type_of(other_attr).unwrap_or(DataType::Int);
+        let off_join = RewrittenQuery::from_parts(
+            "k".into(),
+            Arc::clone(&q),
+            bound,
+            local.bound_values().to_vec(),
+            MatchTarget::Attribute { attr: other_attr.into(), value: rand_value(rng, ty) },
+            local.trigger_time(),
+        );
+
+        for _ in 0..24 {
+            // Mostly the free relation; also the look-alike bystander and
+            // the bound relation itself.
+            let rel = match rng.gen_range(0..6) {
+                0 => "X",
+                1 => bound_rel,
+                _ => free_rel,
+            };
+            let t = rand_tuple(rng, &c, rel);
+            for rq in [&local, &decoded, &off_join] {
+                let got = rq.matches(&t).map_err(|e| e.to_string());
+                prop_assert_eq!(got, by_name(rq, &t), "{} against {}", rq, t);
+            }
+        }
+    }
+}

@@ -16,7 +16,7 @@ use cq_engine::tables::StoredQuery;
 use cq_engine::Oracle;
 use cq_engine::{
     Algorithm, Effect, EngineConfig, EngineError, Matches, Message, Metrics, NodeCtx, NodeState,
-    Protocol,
+    Protocol, Scratch,
 };
 use cq_overlay::{Id, NodeHandle, Ring};
 use cq_relational::{
@@ -92,7 +92,7 @@ impl Driver {
     ) -> cq_engine::Result<()> {
         let protocol = Arc::clone(&self.protocol);
         let mut outbox = Vec::new();
-        let mut scratch = String::new();
+        let mut scratch = Scratch::default();
         {
             let mut ctx = NodeCtx::new(
                 at,

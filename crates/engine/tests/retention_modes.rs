@@ -8,7 +8,7 @@
 //! or offline store, as delivered; counts mode splits the offline portion
 //! into `notifications_stored_offline` only.
 
-use cq_engine::{Algorithm, EngineConfig, FaultConfig, Network, Oracle};
+use cq_engine::{Algorithm, EngineConfig, FaultConfig, Network, Oracle, TrafficKind};
 use cq_relational::{Catalog, DataType, RelationSchema, Value};
 
 fn catalog() -> Catalog {
@@ -20,24 +20,47 @@ fn catalog() -> Catalog {
     c
 }
 
-/// ef01-style workload: two subscribers, one of which disconnects halfway
-/// through a lossy stream, so both the online and the offline delivery
-/// arms are exercised under retransmission pressure.
-fn run_mode(alg: Algorithm, retain: bool) -> Network {
+/// The two subscribers of the lossy run: one query each.
+const TWO_QUERIES: &[(usize, &str)] = &[
+    (0, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E"),
+    (7, "SELECT R.A FROM R, S WHERE R.B = S.E AND S.D = 2"),
+];
+
+/// Three subscribers with several queries each, so one evaluator's matches
+/// for one subscriber come from more than one query. Node 7 is again the
+/// one that leaves.
+const SEVERAL_QUERIES_EACH: &[(usize, &str)] = &[
+    (0, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E"),
+    (0, "SELECT S.D FROM R, S WHERE R.B = S.E"),
+    (0, "SELECT R.A FROM R, S WHERE R.B = S.E AND S.D = 3"),
+    (7, "SELECT R.A FROM R, S WHERE R.B = S.E AND S.D = 2"),
+    (7, "SELECT R.A, S.E FROM R, S WHERE R.B = S.E"),
+    (13, "SELECT S.E FROM R, S WHERE R.B = S.E"),
+    (13, "SELECT R.B, S.D FROM R, S WHERE R.B = S.E AND R.A = 4"),
+];
+
+/// ef01-style workload: subscribers at nodes 0 and 7 (and whoever else
+/// `queries` names), of which node 7 disconnects halfway through the
+/// stream, so both the online and the offline delivery arms are exercised
+/// — under retransmission pressure when `fault` is lossy.
+fn run_mode(
+    alg: Algorithm,
+    retain: bool,
+    fault: FaultConfig,
+    queries: &[(usize, &str)],
+) -> Network {
     let mut net = Network::new(
         EngineConfig::new(alg)
             .with_nodes(24)
             .with_seed(42)
-            .with_fault(FaultConfig::lossy(0.15, 77))
+            .with_fault(fault)
             .with_retained_notifications(retain),
         catalog(),
     );
-    let a = net.node_at(0);
     let b = net.node_at(7);
-    net.pose_query_sql(a, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E")
-        .unwrap();
-    net.pose_query_sql(b, "SELECT R.A FROM R, S WHERE R.B = S.E AND S.D = 2")
-        .unwrap();
+    for &(node, sql) in queries {
+        net.pose_query_sql(net.node_at(node), sql).unwrap();
+    }
     let insert = |net: &mut Network, i: i64| {
         net.insert_tuple(
             net.node_at((i % 20) as usize),
@@ -69,8 +92,9 @@ fn run_mode(alg: Algorithm, retain: bool) -> Network {
 #[test]
 fn counts_mode_agrees_with_full_retention_under_faults() {
     for alg in Algorithm::ALL {
-        let full = run_mode(alg, true);
-        let counts = run_mode(alg, false);
+        let lossy = FaultConfig::lossy(0.15, 77);
+        let full = run_mode(alg, true, lossy.clone(), TWO_QUERIES);
+        let counts = run_mode(alg, false, lossy, TWO_QUERIES);
 
         // Ground truth: full retention delivers exactly the oracle set
         // (inbox plus offline store), each notification exactly once.
@@ -106,6 +130,44 @@ fn counts_mode_agrees_with_full_retention_under_faults() {
             cm.notifications_delivered + cm.notifications_stored_offline,
             fm.notifications_delivered,
             "{alg}: counts mode must split, not double-count, offline matches"
+        );
+    }
+}
+
+/// Counts mode accumulates per *query* and folds to subscribers only at
+/// delivery. Without faults the two modes process the same messages in the
+/// same order, so beyond the totals they must agree on the `Notify` traffic
+/// itself: one message per (evaluation, subscriber) — not per query — for
+/// the online subscribers, one routed store per (evaluation, subscriber)
+/// for the offline one.
+#[test]
+fn counts_mode_sends_what_full_retention_sends_with_several_queries_per_subscriber() {
+    for alg in Algorithm::ALL {
+        let full = run_mode(alg, true, FaultConfig::default(), SEVERAL_QUERIES_EACH);
+        let counts = run_mode(alg, false, FaultConfig::default(), SEVERAL_QUERIES_EACH);
+
+        let mut oracle = Oracle::new();
+        oracle.ingest(full.posed_queries(), full.inserted_tuples());
+        assert_eq!(full.delivered_set(), oracle.expected().unwrap(), "{alg}");
+
+        let (fm, cm) = (full.metrics(), counts.metrics());
+        assert!(cm.notifications_stored_offline > 0, "{alg}: offline arm");
+        assert!(cm.notifications_delivered > 0, "{alg}: online arm");
+        assert_eq!(
+            cm.notifications_stored_offline, fm.notifications_stored_offline,
+            "{alg}: offline portion"
+        );
+        // The documented asymmetry: full retention counts an offline store
+        // as delivered too, counts mode does not.
+        assert_eq!(
+            cm.notifications_delivered + cm.notifications_stored_offline,
+            fm.notifications_delivered,
+            "{alg}: totals"
+        );
+        assert_eq!(
+            cm.traffic(TrafficKind::Notify),
+            fm.traffic(TrafficKind::Notify),
+            "{alg}: notify messages and hops"
         );
     }
 }

@@ -145,7 +145,7 @@ fn rand_rewritten(rng: &mut StdRng, c: &Catalog) -> RewrittenQuery {
         .collect();
     let target = if rng.gen_bool(0.5) {
         MatchTarget::Attribute {
-            attr: rand_name(rng),
+            attr: rand_name(rng).into(),
             value: rand_value(rng, DataType::Int),
         }
     } else {

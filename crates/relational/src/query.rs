@@ -146,6 +146,12 @@ pub struct JoinQuery {
     /// Precomputed at validation time so per-arrival index-attribute choices
     /// (T2 picks pseudo-randomly among these) don't re-walk the expression.
     cond_attrs: [Vec<String>; 2],
+    /// For a side whose condition is a bare attribute (both sides of a T1
+    /// query): that attribute's name and its position in the relation's
+    /// schema, resolved once at validation time. Rewritten queries share
+    /// the name and compare `t.values()[position]` instead of looking the
+    /// attribute up by name per candidate.
+    join_cols: [Option<(Arc<str>, usize)>; 2],
     filters: Vec<Filter>,
 }
 
@@ -185,6 +191,7 @@ impl JoinQuery {
             schema.index_of(&item.attr)?;
         }
         let mut cond_attrs: [Vec<String>; 2] = [Vec::new(), Vec::new()];
+        let mut join_cols = [None, None];
         for side in Side::BOTH {
             let expr = &conditions[side.idx()];
             let attrs = expr.attributes();
@@ -195,6 +202,9 @@ impl JoinQuery {
             }
             for a in &attrs {
                 schemas[side.idx()].index_of(a)?;
+            }
+            if let Some(a) = expr.as_single_attr() {
+                join_cols[side.idx()] = Some((Arc::from(a), schemas[side.idx()].index_of(a)?));
             }
             // `Expr::attributes` yields a BTreeSet, so this preserves the
             // sorted, deduplicated order callers historically observed.
@@ -223,6 +233,7 @@ impl JoinQuery {
             select,
             conditions,
             cond_attrs,
+            join_cols,
             filters,
         })
     }
@@ -288,7 +299,15 @@ impl JoinQuery {
     /// If the condition side is a bare attribute, its name — the candidate
     /// index/load-distributing attribute of the T1 algorithms.
     pub fn join_attr(&self, side: Side) -> Option<&str> {
-        self.condition(side).as_single_attr()
+        self.join_column(side).map(|(name, _)| &**name)
+    }
+
+    /// [`JoinQuery::join_attr`] as a shareable name plus its position in
+    /// `side`'s relation schema (the catalog the query was validated
+    /// against).
+    #[inline]
+    pub fn join_column(&self, side: Side) -> Option<(&Arc<str>, usize)> {
+        self.join_cols[side.idx()].as_ref().map(|(a, c)| (a, *c))
     }
 
     /// Attributes referenced by `side`'s condition expression, sorted and

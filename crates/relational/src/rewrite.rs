@@ -22,8 +22,10 @@ pub enum MatchTarget {
     /// T1 algorithms (SAI, DAI-Q, DAI-T): tuples of `DisR(q)` whose
     /// attribute `DisA(q)` equals `valDA(q, t)`.
     Attribute {
-        /// `DisA(q)` — the load-distributing attribute.
-        attr: String,
+        /// `DisA(q)` — the load-distributing attribute. Shared with the
+        /// query when it is the query's own join attribute (the only case
+        /// the algorithms produce), so a rewriting owns no copy of it.
+        attr: Arc<str>,
         /// `valDA(q, t)` — the value it must take.
         value: Value,
     },
@@ -53,7 +55,22 @@ pub struct RewrittenQuery {
     bound_side: Side,
     bound_values: Vec<Value>,
     target: MatchTarget,
+    /// Schema position of an attribute target in the free relation, when
+    /// the target is the query's own join attribute there (resolved once,
+    /// see [`JoinQuery::join_column`]); `None` sends [`Self::matches`]
+    /// through the lookup by name.
+    target_col: Option<u32>,
     trigger_time: Timestamp,
+}
+
+/// The free side's join attribute as `(shared name, column)` when `attr`
+/// names it.
+fn join_target(query: &JoinQuery, free: Side, attr: &str) -> Option<(Arc<str>, u32)> {
+    let (name, col) = query.join_column(free)?;
+    if **name != *attr {
+        return None;
+    }
+    Some((Arc::clone(name), u32::try_from(col).ok()?))
 }
 
 impl RewrittenQuery {
@@ -77,15 +94,20 @@ impl RewrittenQuery {
         let val_da = t.get(index_attr)?.clone();
         let bound_values = bound_select_values(query, index_side, t)?;
         let key = rewritten_key(query.key(), index_side, &bound_values, &val_da);
+        let (attr, target_col) = match join_target(query, index_side.other(), dis_attr) {
+            Some((attr, col)) => (attr, Some(col)),
+            None => (Arc::from(dis_attr), None),
+        };
         Ok(Some(RewrittenQuery {
             key,
             query: Arc::clone(query),
             bound_side: index_side,
             bound_values,
             target: MatchTarget::Attribute {
-                attr: dis_attr.to_string(),
+                attr,
                 value: val_da,
             },
+            target_col,
             trigger_time: t.pub_time(),
         }))
     }
@@ -109,6 +131,7 @@ impl RewrittenQuery {
             bound_side: side,
             bound_values,
             target: MatchTarget::ConditionValue { value: val_jc },
+            target_col: None,
             trigger_time: t.pub_time(),
         }))
     }
@@ -116,21 +139,31 @@ impl RewrittenQuery {
     /// Reassembles a rewritten query from its already-computed parts — the
     /// wire-decoding path. The key is carried on the wire rather than
     /// recomputed, so a decoded rewriting keeps the exact identity (and
-    /// dedup behavior) of the one the sender held.
+    /// dedup behavior) of the one the sender held. An attribute target is
+    /// resolved against `query` exactly as [`Self::rewrite_attribute`]
+    /// does, so a decoded rewriting matches by column too.
     pub fn from_parts(
         key: String,
         query: QueryRef,
         bound_side: Side,
         bound_values: Vec<Value>,
-        target: MatchTarget,
+        mut target: MatchTarget,
         trigger_time: Timestamp,
     ) -> RewrittenQuery {
+        let mut target_col = None;
+        if let MatchTarget::Attribute { attr, .. } = &mut target {
+            if let Some((shared, col)) = join_target(&query, bound_side.other(), attr) {
+                *attr = shared;
+                target_col = Some(col);
+            }
+        }
         RewrittenQuery {
             key,
             query,
             bound_side,
             bound_values,
             target,
+            target_col,
             trigger_time,
         }
     }
@@ -190,13 +223,23 @@ impl RewrittenQuery {
     /// Whether a tuple of the free relation completes the join: checks
     /// relation, the free side's filters, the match target, and the time
     /// semantics (`pubT(t) >= insT(q)`) — without building the notification.
+    ///
+    /// An attribute target that is the query's own join attribute is read
+    /// by its resolved schema position (`triggered_by` has established that
+    /// `t` is of the free relation); any other target attribute, or a tuple
+    /// too short for that position, is looked up by name.
     pub fn matches(&self, t: &Tuple) -> Result<bool> {
         let free = self.free_side();
         if !self.query.triggered_by(free, t)? {
             return Ok(false);
         }
         Ok(match &self.target {
-            MatchTarget::Attribute { attr, value } => t.get(attr)? == value,
+            MatchTarget::Attribute { attr, value } => {
+                match self.target_col.and_then(|c| t.values().get(c as usize)) {
+                    Some(v) => v == value,
+                    None => t.get(attr)? == value,
+                }
+            }
             MatchTarget::ConditionValue { value } => &self.query.condition(free).eval(t)? == value,
         })
     }

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Captures a perf snapshot of the quick experiment suite, the
 # join-evaluation kernels, the failure-handling kernels, and the socket hot
-# path, writing BENCH_15.json at the repo root so future PRs have a
+# path, writing BENCH_16.json at the repo root so future PRs have a
 # trajectory to compare against.
 #
-#   scripts/bench_snapshot.sh            full snapshot -> BENCH_15.json
+#   scripts/bench_snapshot.sh            full snapshot -> BENCH_16.json
 #   scripts/bench_snapshot.sh --check    CI smoke mode: one quick-suite run,
 #                                        shrunk kernel audit and throughput
 #                                        bench, output to a temp file (the
@@ -20,6 +20,8 @@
 # Gates enforced in both modes:
 #   - scan-kernel allocations stay flat in the table size (slope < 0.5)
 #   - the ALQT group scan is allocation-free (< 0.01 allocs/event)
+#   - an end-to-end insert against 50 queries stays <= 150 allocs/event
+#     (188.29 before the evaluator tables went contiguous, 85.48 after)
 #   - the socket pump is allocation-free in steady state (< 0.01
 #     allocs/frame: encode-in-place write, vectored flush, pooled read)
 #   - decoding a Join of 8 rewritten queries through a receiver's query
@@ -43,7 +45,7 @@ for arg in "$@"; do
   esac
 done
 
-out=BENCH_15.json
+out=BENCH_16.json
 runs=3
 audit_args=()
 socket_args=()
@@ -77,10 +79,10 @@ jq -n \
   --argjson audit "$audit" \
   --argjson socket "$socket" \
   '{
-    snapshot: "BENCH_15",
+    snapshot: "BENCH_16",
     baseline: {
       quick_suite_wall_ms: 4230,
-      note: "main before PR 6 (zero-clone kernels + batched delivery), same box; PR 10 adds the socket hot-path snapshot, PR 12 the fault-pump / heartbeat-round / digest-round kernels, PR 14 drops the insert-e2e-per-message row with the path it measured, PR 15 adds the join-decode kernel and the many_nodes socket row"
+      note: "main before PR 6 (zero-clone kernels + batched delivery), same box; PR 10 adds the socket hot-path snapshot, PR 12 the fault-pump / heartbeat-round / digest-round kernels, PR 14 drops the insert-e2e-per-message row with the path it measured, PR 15 adds the join-decode kernel and the many_nodes socket row, PR 16 recycles the match accumulator of the scan kernels as the engine does"
     },
     quick_suite: { wall_ms_min: $wall, runs: $runs },
     alloc_audit: $audit,
@@ -108,6 +110,17 @@ jq -e '
   )
 ' "$out" > /dev/null || { echo "FAIL: alqt-scan is not allocation-free" >&2; exit 1; }
 
+# The whole insert path: rewriter, VLQT/VLTT store-and-scan, accumulator
+# and delivery against 50 installed queries. Allocation counts do not
+# depend on timing, so the bound is tight enough to catch one stray
+# allocation per candidate.
+jq -e '
+  .alloc_audit.count_allocs == false or (
+    [ .alloc_audit.kernels[] | select(.kernel == "insert-e2e-bundled") | .allocs_per_event ]
+    | (length > 0 and all(. <= 150))
+  )
+' "$out" > /dev/null || { echo "FAIL: insert-e2e-bundled allocates more than 150 times per insert" >&2; exit 1; }
+
 # Zero-copy socket guarantee: the loopback frame pump (encode in place,
 # vectored flush, pooled read, recycle) must be allocation-free per frame.
 jq -e '
@@ -118,8 +131,10 @@ jq -e '
 ' "$out" > /dev/null || { echo "FAIL: socket-pump allocates per frame" >&2; exit 1; }
 
 # Interned query decoding: a warm receiver allocates what the 8 rewritten
-# queries own (3 each, plus the item vector) and nothing per carried
-# JoinQuery (~25 each when rebuilt), however many distinct queries recur.
+# queries own (3 each — key, bound values and the decoded target
+# attribute, which `from_parts` then swaps for the query's shared copy —
+# plus the item vector) and nothing per carried JoinQuery (~25 each when
+# rebuilt), however many distinct queries recur.
 jq -e '
   .alloc_audit.count_allocs == false or (
     [ .alloc_audit.kernels[] | select(.kernel == "join-decode") ]
