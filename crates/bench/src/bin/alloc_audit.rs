@@ -7,7 +7,7 @@
 //! order of magnitude apart, and a zero-clone kernel shows (near-)constant
 //! allocations per event while a clone-collect kernel grows linearly with
 //! the candidate count. `scripts/bench_snapshot.sh` folds the output into
-//! `BENCH_16.json` and enforces the flat-slope check.
+//! `BENCH_17.json` and enforces the flat-slope check.
 //!
 //! The same slope discipline covers failure detection and repair: the
 //! `fault-pump`, `heartbeat-round` and `digest-round` kernels run a lossy

@@ -208,11 +208,12 @@ pub(crate) fn t1_tuple_arrival(
             else {
                 continue;
             };
-            if dedup_reindex {
-                if reindexed.contains(rq.key()) {
-                    continue;
-                }
-                reindexed.insert(rq.key().to_string());
+            if dedup_reindex
+                && reindexed
+                    .insert_with(&rq, RewrittenQuery::to_identity)
+                    .is_none()
+            {
+                continue;
             }
             // A group shares its join condition, so one evaluator serves it:
             // `Hash(DisR + DisA + v)`, `v` being the tuple's value of `attr`.
@@ -269,8 +270,7 @@ pub(crate) fn attribute_target<'q>(
 ) -> Result<(&'q str, &'q str)> {
     let MatchTarget::Attribute { attr, value } = head.target() else {
         return Err(fx.violation(format!(
-            "rewritten query {} carries a value target; T1 evaluators match attribute targets only",
-            head.key()
+            "rewritten query {head} carries a value target; T1 evaluators match attribute targets only"
         )));
     };
     value_key.clear();

@@ -109,7 +109,7 @@ impl Protocol for DaiVProtocol {
                 // One message per (group, valJC): rewritten queries + tuple.
                 let mut items: Vec<RewrittenQuery> = Vec::new();
                 let mut side = None;
-                for sq in stored {
+                for (i, sq) in stored.iter().enumerate() {
                     if sq.index_id != index_id {
                         continue;
                     }
@@ -121,6 +121,9 @@ impl Protocol for DaiVProtocol {
                         RewrittenQuery::rewrite_value(&sq.query, sq.index_side, &tuple)?
                     {
                         side = Some(sq.index_side);
+                        if items.is_empty() {
+                            items.reserve(stored.len() - i);
+                        }
                         items.push(rq);
                     }
                 }
@@ -164,18 +167,17 @@ impl Protocol for DaiVProtocol {
         let node = fx.node().index();
         let mut matches = fx.new_matches();
         let mut checked = 0u64;
+        // The candidate list is the same for every item: look it up once,
+        // scan it in place per rewritten query — which keeps the
+        // filtering-work accounting per-rq, as the paper counts it.
+        let candidates = st.vstore.candidates(&group, &value_key, other);
         for rq in &items {
-            // Scan the store in place per rewritten query — the candidate
-            // list is identical for each, but iterating (rather than
-            // cloning it out once) keeps the filtering-work accounting
-            // per-rq, as the paper counts it.
-            let mut count = 0u64;
-            for e in st.vstore.candidates(&group, &value_key, other) {
-                count += 1;
+            for e in candidates.clone() {
                 if rq.matches(&e.tuple)? {
                     matches.add(rq, &e.tuple)?;
                 }
             }
+            let count = candidates.len() as u64;
             fx.metrics().add_evaluator_filtering(node, count);
             checked += count;
         }

@@ -153,7 +153,7 @@ impl Protocol for SaiProtocol {
             let tuples = vltt.bucket(rel, attr, &value_key);
             let mut bucket = vlqt.bucket_mut(rel, attr, &value_key);
             for rq in items.by_ref().take(run) {
-                // Store first (dedup by key); only a *new* rewritten query
+                // Store first (dedup by identity); only a *new* rewritten query
                 // is evaluated against stored tuples — a duplicate "need
                 // only store the information related to tuple t".
                 // `insert_fresh` hands back the stored entry so the fresh

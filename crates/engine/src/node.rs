@@ -3,14 +3,14 @@
 
 use cq_fasthash::{FxHashMap, FxHashSet};
 use cq_overlay::Id;
-use cq_relational::Notification;
+use cq_relational::{Notification, RewriteIdentity};
 
 use crate::jfrt::Jfrt;
 use crate::replication::{
     hash_offline, hash_query, hash_rewritten, hash_tuple, hash_value_tuple, DigestIndex,
     ReplicaStore,
 };
-use crate::tables::keys::{bucket_mut, lookup_key, StrPair};
+use crate::tables::keys::{bucket_mut, lookup_key, FirstSeen, StrPair};
 use crate::tables::{Alqt, VStore, Vlqt, Vltt};
 
 /// Arrival statistics a rewriter keeps per `(relation, attribute)` — "each
@@ -57,10 +57,10 @@ pub struct NodeState {
     pub vstore: VStore,
     /// Join Fingers Routing Table (rewriter role, Section 4.7).
     pub jfrt: Jfrt,
-    /// DAI-T rewriter memory of already-reindexed rewritten-query keys —
-    /// "a rewriter does not need to reindex the same rewritten query more
-    /// than once" (Section 4.4.3).
-    pub reindexed: FxHashSet<String>,
+    /// DAI-T rewriter memory of already-reindexed rewritten queries — "a
+    /// rewriter does not need to reindex the same rewritten query more
+    /// than once" (Section 4.4.3). It keeps each one's identity only.
+    pub reindexed: FirstSeen<RewriteIdentity>,
     /// Notifications this node has received as a subscriber.
     pub inbox: Vec<Notification>,
     /// Notifications held for offline subscribers whose key identifier this

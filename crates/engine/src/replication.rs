@@ -13,6 +13,7 @@
 //! `transfer_matching` churn machinery uses — then re-mirrors the promoted
 //! entries onto its own successors to restore redundancy.
 
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::ops::Bound;
 
@@ -107,10 +108,20 @@ pub(crate) fn hash_query(e: &StoredQuery) -> u64 {
     )
 }
 
-/// Digest hash of a VLQT entry. `Key(q')` is unique per (query, bound
-/// values, target value), so it identifies the rewriting's full content.
+/// Digest hash of a VLQT entry: its index id and its legacy `Key(q')` text
+/// (what this hash has always covered, so digest order — and with it what
+/// a repair walks first — stays as it was), formatted into a buffer the
+/// thread keeps. Two entries whose `Str` values merely print alike share a
+/// hash; anti-entropy then counts them as one item on both sides.
 pub(crate) fn hash_rewritten(e: &StoredRewritten) -> u64 {
-    fx_hash(2, &(e.index_id.0, e.rq.key()))
+    thread_local! {
+        static KEY: RefCell<String> = const { RefCell::new(String::new()) };
+    }
+    KEY.with_borrow_mut(|key| {
+        key.clear();
+        let _ = e.rq.write_key(key); // writing to a `String` cannot fail
+        fx_hash(2, &(e.index_id.0, key.as_str()))
+    })
 }
 
 /// Digest hash of a VLTT entry (tuple sequence numbers are globally unique).

@@ -13,6 +13,9 @@
 
 use std::borrow::Borrow;
 use std::hash::{BuildHasher, Hash, Hasher};
+use std::marker::PhantomData;
+
+use cq_relational::{RewriteIdentity, RewrittenQuery};
 
 /// An owned pair of interned strings used as a bucket key.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -159,14 +162,115 @@ impl FirstIndex {
         (first..len).find(|&i| is_it(i))
     }
 
-    /// Files position `pos` (the item just appended) under its key's hash.
-    pub fn note(&mut self, hash: u64, pos: usize) {
-        self.first.entry(hash).or_insert(pos);
+    /// Files position `pos` (the item being appended) under its key's hash
+    /// unless an earlier position is filed there, and returns the first
+    /// position under the hash — `pos` itself when the hash is new.
+    pub fn note(&mut self, hash: u64, pos: usize) -> usize {
+        *self.first.entry(hash).or_insert(pos)
     }
 
     /// Forgets every position, keeping the capacity.
     pub fn clear(&mut self) {
         self.first.clear();
+    }
+}
+
+/// An item of a [`FirstSeen`] set: something that is, or remembers, one
+/// rewritten query's identity ([`RewrittenQuery::same_identity`]).
+pub trait Rewriting {
+    /// [`RewrittenQuery::fingerprint`] of the identity.
+    fn fingerprint(&self) -> u64;
+    /// Whether the item has `rq`'s identity.
+    fn is_of(&self, rq: &RewrittenQuery) -> bool;
+}
+
+impl Rewriting for RewriteIdentity {
+    fn fingerprint(&self) -> u64 {
+        RewriteIdentity::fingerprint(self)
+    }
+
+    fn is_of(&self, rq: &RewrittenQuery) -> bool {
+        RewriteIdentity::is_of(self, rq)
+    }
+}
+
+/// What a [`FirstSeen`] set files a fingerprint under. [`AsIs`] everywhere
+/// but in tests, which file every item under one value to drive the set
+/// through its collision path.
+pub trait Filing {
+    /// The map key for an item with this fingerprint.
+    fn file_under(fingerprint: u64) -> u64;
+}
+
+/// Files an item under its own fingerprint.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct AsIs;
+
+impl Filing for AsIs {
+    #[inline]
+    fn file_under(fingerprint: u64) -> u64 {
+        fingerprint
+    }
+}
+
+/// An insertion-ordered set of rewritten-query identities: the items sit in
+/// one `Vec` and a [`FirstIndex`] over their fingerprints says where to
+/// start looking for an equal one — equality itself is always decided by
+/// comparing identities. VLQT value buckets and DAI-T's rewriter memory are
+/// both this.
+#[derive(Clone, Debug)]
+pub struct FirstSeen<T, F = AsIs> {
+    items: Vec<T>,
+    first: FirstIndex,
+    filing: PhantomData<F>,
+}
+
+impl<T, F> Default for FirstSeen<T, F> {
+    fn default() -> Self {
+        FirstSeen {
+            items: Vec::new(),
+            first: Default::default(),
+            filing: PhantomData,
+        }
+    }
+}
+
+impl<T: Rewriting, F: Filing> FirstSeen<T, F> {
+    /// Appends `make(probe)` unless an item with the probe's identity is in
+    /// the set, and hands back the stored item (`None` for a duplicate).
+    /// One index probe either way: it files the new position and says
+    /// where an equal item would have to sit.
+    pub fn insert_with<P: Borrow<RewrittenQuery>>(
+        &mut self,
+        probe: P,
+        make: impl FnOnce(P) -> T,
+    ) -> Option<&T> {
+        let rq = probe.borrow();
+        let pos = self.items.len();
+        let first = self.first.note(F::file_under(rq.fingerprint()), pos);
+        if self.items[first..].iter().any(|item| item.is_of(rq)) {
+            return None;
+        }
+        self.items.push(make(probe));
+        self.items.last()
+    }
+
+    /// The items in insertion order.
+    #[inline]
+    pub fn as_slice(&self) -> &[T] {
+        &self.items
+    }
+
+    /// Moves the items `pred` selects to `out`, keeping the rest in order.
+    pub fn extract_if(&mut self, pred: impl FnMut(&mut T) -> bool, out: &mut Vec<T>) {
+        let before = out.len();
+        out.extend(self.items.extract_if(.., pred));
+        if out.len() > before {
+            self.first.clear();
+            for (pos, item) in self.items.iter().enumerate() {
+                self.first.note(F::file_under(item.fingerprint()), pos);
+            }
+        }
     }
 }
 

@@ -4,20 +4,20 @@
 //! distributing attribute, while at the second level according to the value
 //! that this attribute must take" — incoming tuples find the rewritten
 //! queries they might match in one step. Entries are deduplicated by the
-//! rewritten query's unique key (Section 4.3.3).
+//! rewritten query's identity (`Key(q')`, Section 4.3.3).
 //!
 //! A value bucket is what an arriving tuple scans, so it is laid out for
 //! the scan: the entries sit contiguously in one `Vec`, in **insertion
 //! order** — the order [`Vlqt::candidates`] yields them in, and therefore
 //! the order notifications are produced in. The hasher decides nothing a
-//! result depends on. Deduplication goes through a side index that holds
-//! no second copy of any key (see [`Bucket`]).
+//! result depends on. Deduplication goes through a fingerprint index that
+//! holds no copy of any entry (see [`FirstSeen`]).
 
 use cq_fasthash::FxHashMap;
 use cq_overlay::Id;
 use cq_relational::{MatchTarget, RewrittenQuery};
 
-use super::keys::{bucket_mut, lookup_key, str_bucket_mut, FirstIndex, StrPair};
+use super::keys::{bucket_mut, lookup_key, str_bucket_mut, FirstSeen, Rewriting, StrPair};
 use crate::error::{EngineError, Result};
 
 /// A rewritten query stored at an evaluator together with the value-level
@@ -30,42 +30,25 @@ pub struct StoredRewritten {
     pub rq: RewrittenQuery,
 }
 
-/// The rewritten queries waiting for one `(relation, attr, value)`, in
-/// insertion order, with the dedup index over their keys (a
-/// [`FirstIndex`]: a key is stored once, in its entry).
-#[derive(Clone, Debug, Default)]
-struct Bucket {
-    entries: Vec<StoredRewritten>,
-    by_key: FirstIndex,
+impl Rewriting for StoredRewritten {
+    #[inline]
+    fn fingerprint(&self) -> u64 {
+        self.rq.fingerprint()
+    }
+
+    #[inline]
+    fn is_of(&self, rq: &RewrittenQuery) -> bool {
+        self.rq.same_identity(rq)
+    }
 }
 
-impl Bucket {
-    fn insert_fresh(&mut self, entry: StoredRewritten) -> Option<&StoredRewritten> {
-        let key = entry.rq.key();
-        let hash = FirstIndex::hash(key);
-        let entries = &self.entries;
-        let stored = self
-            .by_key
-            .find(hash, entries.len(), |i| entries[i].rq.key() == key);
-        if stored.is_some() {
-            return None;
-        }
-        self.by_key.note(hash, self.entries.len());
-        self.entries.push(entry);
-        self.entries.last()
-    }
+/// The rewritten queries waiting for one `(relation, attr, value)`, in
+/// insertion order, deduplicated by identity.
+type Bucket = FirstSeen<StoredRewritten>;
 
-    /// Moves the entries `pred` selects to `out`, keeping the rest in order.
-    fn extract_where(&mut self, pred: &mut impl FnMut(Id) -> bool, out: &mut Vec<StoredRewritten>) {
-        let before = out.len();
-        out.extend(self.entries.extract_if(.., |e| pred(e.index_id)));
-        if out.len() > before {
-            self.by_key.clear();
-            for (i, e) in self.entries.iter().enumerate() {
-                self.by_key.note(FirstIndex::hash(e.rq.key()), i);
-            }
-        }
-    }
+fn insert_fresh(bucket: &mut Bucket, entry: StoredRewritten) -> Option<&StoredRewritten> {
+    let StoredRewritten { index_id, rq } = entry;
+    bucket.insert_with(rq, |rq| StoredRewritten { index_id, rq })
 }
 
 /// One value bucket resolved for a run of inserts that share
@@ -79,7 +62,7 @@ impl BucketMut<'_> {
     /// [`Vlqt::insert_fresh`] without the two-level lookup. The entry must
     /// target the `(relation, attr, value)` this bucket was resolved for.
     pub(crate) fn insert_fresh(&mut self, entry: StoredRewritten) -> Option<&StoredRewritten> {
-        let stored = self.bucket.insert_fresh(entry);
+        let stored = insert_fresh(self.bucket, entry);
         if stored.is_some() {
             *self.len += 1;
         }
@@ -92,7 +75,7 @@ impl BucketMut<'_> {
 /// First-level buckets are keyed by the load-distributing attribute as an
 /// owned `(relation, attr)` [`StrPair`], the second level by the value's
 /// canonical form; lookups borrow the caller's `&str`s instead of
-/// allocating (see [`super::keys`]). Below that sits one [`Bucket`].
+/// allocating (see [`super::keys`]). Below that sits one [`FirstSeen`] bucket.
 #[derive(Clone, Debug, Default)]
 pub struct Vlqt {
     buckets: FxHashMap<StrPair, FxHashMap<Box<str>, Bucket>>,
@@ -108,7 +91,7 @@ impl Vlqt {
     }
 
     /// Stores a rewritten query. Returns `false` (and stores nothing) when a
-    /// rewritten query with the same key is already present — "x need only
+    /// rewritten query with the same identity is already present — "x need only
     /// store the information related to tuple t". Errors on a rewritten
     /// query without an attribute target (a mis-wired protocol or a
     /// corrupted replica payload — VLQT is attribute-indexed).
@@ -117,15 +100,15 @@ impl Vlqt {
     }
 
     /// Like [`Vlqt::insert`], but hands back a borrow of the freshly stored
-    /// entry (or `None` on a duplicate key). Lets the SAI evaluator keep
+    /// entry (or `None` on a duplicate). Lets the SAI evaluator keep
     /// working with the stored copy instead of cloning the rewritten query.
     pub fn insert_fresh(&mut self, entry: StoredRewritten) -> Result<Option<&StoredRewritten>> {
         let MatchTarget::Attribute { attr, value } = entry.rq.target() else {
             return Err(EngineError::Protocol {
                 detail: format!(
                     "VLQT stores attribute-targeted rewritten queries only, \
-                     got a value-targeted one for key {}",
-                    entry.rq.key()
+                     got a value-targeted one: {}",
+                    entry.rq
                 ),
             });
         };
@@ -135,7 +118,7 @@ impl Vlqt {
         let by_value = bucket_mut(&mut self.buckets, entry.rq.free_relation(), attr);
         let bucket = str_bucket_mut(by_value, &value_key);
         self.value_key = value_key;
-        let stored = bucket.insert_fresh(entry);
+        let stored = insert_fresh(bucket, entry);
         if stored.is_some() {
             self.len += 1;
         }
@@ -162,7 +145,7 @@ impl Vlqt {
         self.buckets
             .get(lookup_key(&(relation, attr)))
             .and_then(|m| m.get(value_key))
-            .map_or(&[], |b| &b.entries)
+            .map_or(&[], |b| b.as_slice())
     }
 
     /// The rewritten queries an incoming tuple of `(relation, attr = value)`
@@ -190,7 +173,7 @@ impl Vlqt {
         self.buckets
             .values()
             .flat_map(|by_value| by_value.values())
-            .flat_map(|bucket| &bucket.entries)
+            .flat_map(|bucket| bucket.as_slice())
     }
 
     /// Total stored rewritten queries.
@@ -209,9 +192,9 @@ impl Vlqt {
         let mut out = Vec::new();
         for by_value in self.buckets.values_mut() {
             for bucket in by_value.values_mut() {
-                bucket.extract_where(&mut pred, &mut out);
+                bucket.extract_if(|e| pred(e.index_id), &mut out);
             }
-            by_value.retain(|_, b| !b.entries.is_empty());
+            by_value.retain(|_, b| !b.as_slice().is_empty());
         }
         self.buckets.retain(|_, m| !m.is_empty());
         self.len -= out.len();
@@ -302,7 +285,7 @@ mod tests {
                 rq: rewritten(&c, &q, 1, 7)
             })
             .unwrap());
-        // identical select value and join value → same rewritten key
+        // identical select value and join value → same rewriting
         assert!(!t
             .insert(StoredRewritten {
                 index_id: Id(0),
@@ -310,7 +293,7 @@ mod tests {
             })
             .unwrap());
         assert_eq!(t.len(), 1);
-        // different select value → different key
+        // different select value → different rewriting
         assert!(t
             .insert(StoredRewritten {
                 index_id: Id(0),
@@ -318,6 +301,14 @@ mod tests {
             })
             .unwrap());
         assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn a_stored_entry_is_a_flat_value() {
+        // 8 index id + a 120-byte rewriting that owns no heap memory for up
+        // to two `Int` bound values (`cq_relational::rewrite` pins that and
+        // the 88 bytes DAI-T's rewriter memory keeps of it).
+        assert_eq!(std::mem::size_of::<StoredRewritten>(), 128);
     }
 
     #[test]

@@ -62,13 +62,14 @@ impl VStore {
     }
 
     /// Stored tuples of `side` for `(group, value)` — what a rewritten query
-    /// bound on the *other* side is matched against.
+    /// bound on the *other* side is matched against. The items of one join
+    /// message share the list: resolve it once and clone the iterator.
     pub fn candidates(
         &self,
         group: &str,
         value_key: &str,
         side: Side,
-    ) -> impl Iterator<Item = &StoredValueTuple> {
+    ) -> std::slice::Iter<'_, StoredValueTuple> {
         self.buckets
             .get(lookup_key(&(group, value_key)))
             .map(|slots| slots[side_slot(side)].as_slice())

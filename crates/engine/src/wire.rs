@@ -54,6 +54,7 @@
 //! decoding.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::Arc;
 
 use cq_overlay::Id;
@@ -98,14 +99,36 @@ pub(crate) fn err(detail: impl Into<String>) -> EngineError {
 // exact length comes from running the same code against a counter.
 // ---------------------------------------------------------------------------
 
-pub(crate) trait Sink {
+pub(crate) trait Sink: Sized {
     fn put(&mut self, bytes: &[u8]);
+
+    /// Puts the `len` bytes of text that `write` formats. A sink that only
+    /// counts takes `len` and never runs `write`.
+    fn put_text(&mut self, len: usize, write: impl FnOnce(&mut Text<'_, Self>) -> fmt::Result);
+}
+
+/// A sink as a formatting target, for [`Sink::put_text`].
+pub(crate) struct Text<'a, S>(&'a mut S);
+
+impl<S: Sink> fmt::Write for Text<'_, S> {
+    #[inline]
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.put(s.as_bytes());
+        Ok(())
+    }
 }
 
 impl Sink for Vec<u8> {
     #[inline]
     fn put(&mut self, bytes: &[u8]) {
         self.extend_from_slice(bytes);
+    }
+
+    fn put_text(&mut self, len: usize, write: impl FnOnce(&mut Text<'_, Self>) -> fmt::Result) {
+        let at = self.len();
+        // `Text` never fails, so `write` only could by its own choice.
+        let _ = write(&mut Text(self));
+        debug_assert_eq!(self.len() - at, len, "text length computed wrongly");
     }
 }
 
@@ -115,6 +138,11 @@ impl Sink for Count {
     #[inline]
     fn put(&mut self, bytes: &[u8]) {
         self.0 += bytes.len() as u64;
+    }
+
+    #[inline]
+    fn put_text(&mut self, len: usize, _: impl FnOnce(&mut Text<'_, Self>) -> fmt::Result) {
+        self.0 += len as u64;
     }
 }
 
@@ -537,7 +565,12 @@ fn get_tuple(r: &mut Reader<'_>, catalog: &Catalog) -> Result<Arc<Tuple>> {
 }
 
 fn put_rewritten<S: Sink>(s: &mut S, rq: &RewrittenQuery) {
-    put_str(s, rq.key());
+    // The legacy `Key(q')` text, formatted straight into the sink. No
+    // decoder reads it back (identity comes from the parts that follow);
+    // the field stays so frames keep their bytes until the fixture bump.
+    let key_len = rq.key_len();
+    put_u32(s, key_len as u32);
+    s.put_text(key_len, |text| rq.write_key(text));
     put_query(s, rq.query());
     put_side(s, rq.bound_side());
     put_values(s, rq.bound_values());
@@ -556,30 +589,27 @@ fn put_rewritten<S: Sink>(s: &mut S, rq: &RewrittenQuery) {
 }
 
 fn get_rewritten(r: &mut Reader<'_>, dec: &mut Decoder<'_>) -> Result<RewrittenQuery> {
-    let key = r.string()?;
+    // The sender's key text is read past, not trusted: `from_parts` takes
+    // the rewriting's identity from the decoded parts.
+    r.str()?;
     let query = get_query(r, dec)?;
     let bound_side = get_side(r)?;
-    let bound_values = get_values(r)?;
-    let target = match r.u8()? {
-        0 => {
-            // `from_parts` swaps in the query's own copy of its join
-            // attribute, so this one is not kept.
-            let attr = r.str()?.into();
-            let value = get_value(r)?;
-            MatchTarget::Attribute { attr, value }
-        }
-        1 => MatchTarget::ConditionValue {
-            value: get_value(r)?,
-        },
+    let bound_values = (0..r.count()?)
+        .map(|_| get_value(r))
+        .collect::<Result<_>>()?;
+    let target_attr = match r.u8()? {
+        0 => Some(r.str()?),
+        1 => None,
         t => return Err(err(format!("invalid match-target tag {t}"))),
     };
+    let target_value = get_value(r)?;
     let trigger_time = Timestamp(r.u64()?);
     Ok(RewrittenQuery::from_parts(
-        key,
         query,
         bound_side,
         bound_values,
-        target,
+        target_attr,
+        target_value,
         trigger_time,
     ))
 }
@@ -1113,6 +1143,43 @@ mod tests {
         let (decoded, used) = decode_message(&buf, c).unwrap();
         assert_eq!(used, buf.len(), "frame fully consumed");
         decoded
+    }
+
+    #[test]
+    fn a_rewriting_takes_its_identity_from_its_parts_not_from_the_key_field() {
+        let c = catalog();
+        let rq = RewrittenQuery::rewrite_attribute(&query(&c), Side::Left, "A", "C", &tuple(&c))
+            .unwrap()
+            .unwrap();
+        let msg = Message::Join {
+            items: vec![rq.clone()],
+            index_id: Id(1),
+        };
+        let mut frame = Vec::new();
+        encode_message(&msg, &mut frame);
+        // The key field carries the legacy text ...
+        let key = b"n1#0/L+s:x+i:7";
+        let at = frame
+            .windows(key.len())
+            .position(|w| w == key)
+            .expect("the frame carries the key text");
+        // ... which a decoder reads past: whatever a sender writes there,
+        // the rewriting is the one its parts describe.
+        frame[at..at + key.len()].fill(b'?');
+        let (Message::Join { items, .. }, _) = decode_message(&frame, &c).unwrap() else {
+            panic!("a join")
+        };
+        assert!(items[0].same_identity(&rq));
+        assert_eq!(items[0].fingerprint(), rq.fingerprint());
+        let mut again = Vec::new();
+        encode_message(
+            &Message::Join {
+                items,
+                index_id: Id(1),
+            },
+            &mut again,
+        );
+        assert!(again.windows(key.len()).any(|w| w == key));
     }
 
     #[test]

@@ -5,6 +5,13 @@
 //! way a rewriting comes into being: rewritten locally, decoded from the
 //! wire, and assembled from parts around a target attribute that is not the
 //! query's join attribute (which no column was resolved for).
+//!
+//! DAI-V's value targets get the same treatment: `rewrite_value` and the
+//! match against a `ConditionValue` read a bare-attribute condition side by
+//! position, and are checked against `Expr::eval` of both condition sides
+//! for T1 queries, for T2 queries (either side compound) and for tuples of
+//! the wrong relation. Along the way, a rewriting's identity must survive
+//! the wire and a rebuild from its parts.
 
 use std::sync::Arc;
 
@@ -12,7 +19,7 @@ use cq_engine::wire::{decode_message, encode_message};
 use cq_engine::Message;
 use cq_overlay::Id;
 use cq_relational::{
-    Attribute, Catalog, DataType, Expr, Filter, JoinQuery, MatchTarget, QueryKey, QueryRef,
+    Attribute, BinOp, Catalog, DataType, Expr, Filter, JoinQuery, MatchTarget, QueryKey, QueryRef,
     QuerySpec, RelationSchema, RewrittenQuery, SelectItem, Side, Timestamp, Tuple, Value,
 };
 use proptest::prelude::*;
@@ -66,9 +73,31 @@ fn rand_attr<'c>(rng: &mut StdRng, c: &'c Catalog, rel: &str, ty: Option<DataTyp
     &fits[rng.gen_range(0..fits.len())].name
 }
 
-/// A T1 query `L ⋈ R` on two `Int` attributes, with a random select list,
-/// up to two filters and an insertion time some tuples predate.
-fn rand_query(rng: &mut StdRng, c: &Catalog) -> QueryRef {
+/// One side of a join condition over `rel`'s `Int` attributes: a bare
+/// attribute, or — when `compound` — a sum or product with another
+/// attribute or a constant.
+fn rand_condition(rng: &mut StdRng, c: &Catalog, rel: &str, compound: bool) -> Expr {
+    let attr = |rng: &mut StdRng| Expr::attr(rand_attr(rng, c, rel, Some(DataType::Int)));
+    if !compound {
+        return attr(rng);
+    }
+    let op = if rng.gen_bool(0.5) {
+        BinOp::Add
+    } else {
+        BinOp::Mul
+    };
+    let rhs = if rng.gen_bool(0.5) {
+        attr(rng)
+    } else {
+        Expr::int(rng.gen_range(0..3))
+    };
+    Expr::bin(op, attr(rng), rhs)
+}
+
+/// A query `L ⋈ R` over `Int` attributes — T1 unless `t2`, which makes each
+/// condition side compound more often than not — with a random select
+/// list, up to two filters and an insertion time some tuples predate.
+fn rand_query(rng: &mut StdRng, c: &Catalog, t2: bool) -> QueryRef {
     let rel = |side| if side == Side::Left { "L" } else { "R" };
     let side = |rng: &mut StdRng| {
         if rng.gen_bool(0.5) {
@@ -104,10 +133,10 @@ fn rand_query(rng: &mut StdRng, c: &Catalog) -> QueryRef {
         ins_time: Timestamp(rng.gen_range(0..4)),
         relations: ["L".into(), "R".into()],
         select,
-        conditions: [
-            Expr::attr(rand_attr(rng, c, "L", Some(DataType::Int))),
-            Expr::attr(rand_attr(rng, c, "R", Some(DataType::Int))),
-        ],
+        conditions: ["L", "R"].map(|rel| {
+            let compound = t2 && rng.gen_bool(0.6);
+            rand_condition(rng, c, rel, compound)
+        }),
         filters,
     };
     Arc::new(JoinQuery::new(spec, c).expect("generated query is valid"))
@@ -135,6 +164,55 @@ fn by_name(rq: &RewrittenQuery, t: &Tuple) -> Result<bool, String> {
     check().map_err(|e| e.to_string())
 }
 
+/// The predicate a value target stands for: the free side's condition
+/// evaluated on the tuple.
+fn by_eval(rq: &RewrittenQuery, t: &Tuple) -> Result<bool, String> {
+    let MatchTarget::ConditionValue { value } = rq.target() else {
+        panic!("value targets only");
+    };
+    let free = rq.free_side();
+    let check = || -> cq_relational::Result<bool> {
+        Ok(rq.query().triggered_by(free, t)? && &rq.query().condition(free).eval(t)? == value)
+    };
+    check().map_err(|e| e.to_string())
+}
+
+/// `rq` put together again from what its accessors show.
+fn from_its_parts(rq: &RewrittenQuery) -> RewrittenQuery {
+    let target_attr = match rq.target() {
+        MatchTarget::Attribute { attr, .. } => Some(&**attr),
+        MatchTarget::ConditionValue { .. } => None,
+    };
+    RewrittenQuery::from_parts(
+        Arc::clone(rq.query()),
+        rq.bound_side(),
+        rq.bound_values().iter().cloned().collect(),
+        target_attr,
+        rq.target().value().clone(),
+        rq.trigger_time(),
+    )
+}
+
+fn key_text(rq: &RewrittenQuery) -> String {
+    let mut s = String::new();
+    rq.write_key(&mut s).unwrap();
+    s
+}
+
+/// Every way `local` comes into being again must give the same rewriting:
+/// same identity and fingerprint, same target, same key text.
+fn assert_same_rewriting(
+    local: &RewrittenQuery,
+    other: &RewrittenQuery,
+) -> Result<(), TestCaseError> {
+    prop_assert!(other.same_identity(local) && local.same_identity(other));
+    prop_assert_eq!(other.fingerprint(), local.fingerprint());
+    prop_assert!(local.to_identity().is_of(other));
+    prop_assert_eq!(other.target(), local.target());
+    prop_assert_eq!(key_text(other), key_text(local));
+    Ok(())
+}
+
 /// `rq` after a trip through the wire codec.
 fn over_the_wire(rq: &RewrittenQuery, c: &Catalog) -> RewrittenQuery {
     let mut frame = Vec::new();
@@ -158,7 +236,7 @@ proptest! {
     fn matching_by_column_is_matching_by_name(seed in 0u64..1 << 48) {
         let rng = &mut StdRng::seed_from_u64(seed);
         let c = rand_catalog(rng);
-        let q = rand_query(rng, &c);
+        let q = rand_query(rng, &c, false);
         let bound = if rng.gen_bool(0.5) { Side::Left } else { Side::Right };
         let free = bound.other();
         let (bound_rel, free_rel) = (q.relation(bound), q.relation(free));
@@ -174,8 +252,8 @@ proptest! {
             return Ok(()); // e.g. two contradictory filters on one attribute
         };
         let decoded = over_the_wire(&local, &c);
-        prop_assert_eq!(decoded.key(), local.key());
-        prop_assert_eq!(decoded.target(), local.target());
+        assert_same_rewriting(&local, &decoded)?;
+        assert_same_rewriting(&local, &from_its_parts(&local))?;
 
         // A target on some *other* attribute of the free relation, or on
         // one it does not have: nothing to resolve, the name decides.
@@ -186,11 +264,11 @@ proptest! {
         };
         let ty = c.get(free_rel).unwrap().type_of(other_attr).unwrap_or(DataType::Int);
         let off_join = RewrittenQuery::from_parts(
-            "k".into(),
             Arc::clone(&q),
             bound,
-            local.bound_values().to_vec(),
-            MatchTarget::Attribute { attr: other_attr.into(), value: rand_value(rng, ty) },
+            local.bound_values().iter().cloned().collect(),
+            Some(other_attr),
+            rand_value(rng, ty),
             local.trigger_time(),
         );
 
@@ -206,6 +284,61 @@ proptest! {
             for rq in [&local, &decoded, &off_join] {
                 let got = rq.matches(&t).map_err(|e| e.to_string());
                 prop_assert_eq!(got, by_name(rq, &t), "{} against {}", rq, t);
+            }
+        }
+    }
+
+    #[test]
+    fn value_matching_by_column_is_evaluating_the_condition(seed in 0u64..1 << 48) {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let c = rand_catalog(rng);
+        let t2 = rng.gen_bool(0.6);
+        let q = rand_query(rng, &c, t2);
+        let bound = if rng.gen_bool(0.5) { Side::Left } else { Side::Right };
+        let (bound_rel, free_rel) = (q.relation(bound), q.relation(bound.other()));
+
+        // `rewrite_value` is `triggered_by`, then the bound side's
+        // condition evaluated — for tuples of either relation and of the
+        // bystander.
+        let mut local = None;
+        for _ in 0..64 {
+            let rel = match rng.gen_range(0..6) {
+                0 => "X",
+                1 => free_rel,
+                _ => bound_rel,
+            };
+            let t = rand_tuple(rng, &c, rel);
+            let got = RewrittenQuery::rewrite_value(&q, bound, &t).map_err(|e| e.to_string());
+            let reference = || -> cq_relational::Result<Option<Value>> {
+                if !q.triggered_by(bound, &t)? {
+                    return Ok(None);
+                }
+                q.condition(bound).eval(&t).map(Some)
+            };
+            let expect = reference().map_err(|e| e.to_string());
+            let got_value = got.clone().map(|rq| rq.map(|rq| rq.target().value().clone()));
+            prop_assert_eq!(got_value, expect, "rewrite_value of {} by {}", q, t);
+            if let Ok(Some(rq)) = got {
+                local.get_or_insert(rq);
+            }
+        }
+        let Some(local) = local else {
+            return Ok(()); // e.g. two contradictory filters on one attribute
+        };
+        let decoded = over_the_wire(&local, &c);
+        assert_same_rewriting(&local, &decoded)?;
+        assert_same_rewriting(&local, &from_its_parts(&local))?;
+
+        for _ in 0..24 {
+            let rel = match rng.gen_range(0..6) {
+                0 => "X",
+                1 => bound_rel,
+                _ => free_rel,
+            };
+            let t = rand_tuple(rng, &c, rel);
+            for rq in [&local, &decoded] {
+                let got = rq.matches(&t).map_err(|e| e.to_string());
+                prop_assert_eq!(got, by_eval(rq, &t), "{} against {}", rq, t);
             }
         }
     }

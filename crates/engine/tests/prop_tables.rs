@@ -1,19 +1,21 @@
 //! Property tests for the node-local tables: `extract_where` must
 //! partition — every entry either stays or moves, nothing is lost or
-//! duplicated — because churn-time key transfer is built on it; and the
-//! VLQT must behave like its obvious model (a `Vec` of entries plus a set of
-//! keys per `(relation, attribute, value)`) under any interleaving of
-//! inserts, extractions and re-inserts, dedup-index collisions included.
+//! duplicated — because churn-time key transfer is built on it; the VLQT
+//! must behave like its obvious model (a `Vec` of entries per `(relation,
+//! attribute, value)`, searched by identity) under any interleaving of
+//! inserts, extractions and re-inserts; and the dedup set under both — VLQT
+//! buckets and DAI-T's rewriter memory — must do so even when every item is
+//! filed under one fingerprint.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use cq_engine::tables::keys::FirstIndex;
+use cq_engine::tables::keys::{AsIs, Filing, FirstSeen};
 use cq_engine::tables::{Alqt, StoredQuery, StoredRewritten, StoredTuple, Vlqt, Vltt};
 use cq_overlay::Id;
 use cq_relational::{
     Catalog, DataType, Expr, JoinQuery, QueryKey, QueryRef, QuerySpec, RelationSchema,
-    RewrittenQuery, SelectItem, Side, Timestamp, Tuple, Value,
+    RewriteIdentity, RewrittenQuery, SelectItem, Side, Timestamp, Tuple, Value,
 };
 use proptest::prelude::*;
 
@@ -27,12 +29,11 @@ fn catalog() -> Catalog {
 }
 
 // ---------------------------------------------------------------------------
-// VLQT against its model
+// VLQT and its dedup set against their models
 // ---------------------------------------------------------------------------
 
 /// `T(A str, B int) ⋈ U(C int, D str)` on `T.B = U.C`, selecting both
-/// strings: a rewriting's key is `"n#0/" + side + "+s:" + string + "+i:" +
-/// join value`, so the bound string steers the key.
+/// strings: a rewriting binds one string and targets the join value.
 fn string_catalog() -> (Catalog, QueryRef) {
     let mut c = Catalog::new();
     c.register(RelationSchema::of("T", &[("A", DataType::Str), ("B", DataType::Int)]).unwrap())
@@ -77,98 +78,68 @@ fn string_rewriting(
         .expect("no filters, fresh tuple")
 }
 
-/// Two 16-byte ASCII strings whose left-side rewritings share their
-/// dedup-index hash ([`FirstIndex::hash`]) for every join value.
-///
-/// The Fx hash folds a key 8 bytes at a time, `h' = (rotl(h, 5) ^ word) * K`,
-/// and the key's first 8 bytes are the fixed `"n#0/L+s:"`. Two strings that
-/// differ in their first word leave states `h1 != h2`; a second word chosen
-/// as `w ^ rotl(h1, 5) ^ rotl(h2, 5)` cancels the difference, after which
-/// the keys' equal tails keep the states equal. The search only has to find
-/// a first word for which that second word is ASCII. This mirrors
-/// `cq_fasthash`; the caller checks the outcome through the table's own
-/// hash, so a change of hash function fails there, not silently.
-fn colliding_strings() -> [String; 2] {
-    const K: u64 = 0x517c_c1b7_2722_0a95;
-    let step = |state: u64, word: u64| (state.rotate_left(5) ^ word).wrapping_mul(K);
-    let word = |s: &str| u64::from_le_bytes(s.as_bytes().try_into().expect("8 bytes"));
-    let after_prefix = step(0, word("n#0/L+s:"));
-    let (first, second) = ("aaaaaaaa", "bbbbbbbb");
-    let h1 = step(after_prefix, word(first));
-    for i in 0..1_000_000u32 {
-        // Fastest-changing digit first: a word's low bytes (the string's
-        // first characters) decide the low bits of every top-bit-of-a-byte.
-        let other_first: String = format!("{i:08}").chars().rev().collect();
-        let h2 = step(after_prefix, word(&other_first));
-        let cancel = h1.rotate_left(5) ^ h2.rotate_left(5);
-        if cancel & 0x8080_8080_8080_8080 == 0 {
-            let other_second = (word(second) ^ cancel).to_le_bytes();
-            let other_second = std::str::from_utf8(&other_second).expect("ASCII");
-            return [
-                format!("{first}{second}"),
-                format!("{other_first}{other_second}"),
-            ];
-        }
-    }
-    panic!("no ASCII cancelling word in a million tries (expected one in 256)");
+const STRINGS: [&str; 5] = ["x+s:y", "x", "y", "+", ""];
+
+/// The rewriting ops `(a, b)` select: a small domain, so duplicates are
+/// common.
+fn op_rewriting(c: &Catalog, q: &QueryRef, a: u64, b: u64) -> RewrittenQuery {
+    let side = if (a / 5).is_multiple_of(4) {
+        Side::Right
+    } else {
+        Side::Left
+    };
+    string_rewriting(c, q, side, STRINGS[(a % 5) as usize], (b % 3) as i64)
 }
 
-#[test]
-fn the_collision_the_model_test_relies_on_is_real() {
-    let (c, q) = string_catalog();
-    let [s1, s2] = colliding_strings();
-    assert_ne!(s1, s2);
-    for join in [0, 7, -3] {
-        let a = string_rewriting(&c, &q, Side::Left, &s1, join);
-        let b = string_rewriting(&c, &q, Side::Left, &s2, join);
-        assert_ne!(a.key(), b.key());
-        assert_eq!(
-            FirstIndex::hash(a.key()),
-            FirstIndex::hash(b.key()),
-            "the dedup index's hash changed: rebuild `colliding_strings` for it"
-        );
-    }
+/// A rewriting's identity, spelled out (there is one query): whether the
+/// left side is bound, the bound values, the target value.
+type Ident = (bool, Vec<Value>, Value);
+
+fn ident(rq: &RewrittenQuery) -> Ident {
+    (
+        rq.bound_side() == Side::Left,
+        rq.bound_values().to_vec(),
+        rq.target().value().clone(),
+    )
 }
 
-/// The model of one value bucket: what was stored, in order, and the keys.
-#[derive(Default)]
-struct ModelBucket {
-    entries: Vec<(String, Id)>,
-    keys: BTreeSet<String>,
-}
+/// The model of one value bucket: what was stored, in order.
+type ModelBucket = Vec<(Ident, Id)>;
 
 type Model = BTreeMap<(&'static str, &'static str, i64), ModelBucket>;
 
-fn model_insert(model: &mut Model, e: &StoredRewritten, join: i64) -> bool {
-    let at = match e.rq.free_side() {
-        Side::Left => ("T", "B", join),
-        Side::Right => ("U", "C", join),
-    };
-    let bucket = model.entry(at).or_default();
-    let fresh = bucket.keys.insert(e.rq.key().to_string());
+fn model_insert(bucket: &mut ModelBucket, e: &StoredRewritten) -> bool {
+    let id = ident(&e.rq);
+    let fresh = bucket.iter().all(|(stored, _)| *stored != id);
     if fresh {
-        bucket.entries.push((e.rq.key().to_string(), e.index_id));
+        bucket.push((id, e.index_id));
     }
     fresh
 }
 
-fn model_extract(model: &mut Model, pred: impl Fn(Id) -> bool) -> Vec<(String, Id)> {
-    let mut out = Vec::new();
-    for bucket in model.values_mut() {
-        let (gone, kept) = std::mem::take(&mut bucket.entries)
-            .into_iter()
-            .partition(|(_, id)| pred(*id));
-        bucket.entries = kept;
-        for (key, _) in &gone {
-            bucket.keys.remove(key);
-        }
-        out.extend(gone);
-    }
-    out
+fn model_bucket<'m>(model: &'m mut Model, e: &StoredRewritten) -> &'m mut ModelBucket {
+    let join = e.rq.target().value().as_int().expect("int join attribute");
+    model
+        .entry(match e.rq.free_side() {
+            Side::Left => ("T", "B", join),
+            Side::Right => ("U", "C", join),
+        })
+        .or_default()
 }
 
-fn join_of(e: &StoredRewritten) -> i64 {
-    e.rq.target().value().as_int().expect("int join attribute")
+fn model_extract(bucket: &mut ModelBucket, pred: impl Fn(Id) -> bool) -> Vec<(Ident, Id)> {
+    let (gone, kept) = std::mem::take(bucket)
+        .into_iter()
+        .partition(|(_, id)| pred(*id));
+    *bucket = kept;
+    gone
+}
+
+fn idents<'a>(entries: impl IntoIterator<Item = &'a StoredRewritten>) -> Vec<(Ident, Id)> {
+    entries
+        .into_iter()
+        .map(|e| (ident(&e.rq), e.index_id))
+        .collect()
 }
 
 fn sorted<T: Ord>(mut v: Vec<T>) -> Vec<T> {
@@ -176,16 +147,90 @@ fn sorted<T: Ord>(mut v: Vec<T>) -> Vec<T> {
     v
 }
 
+/// Files every item under one fingerprint: each probe then walks the whole
+/// set, and only identity comparison can tell items apart.
+struct OneFile;
+
+impl Filing for OneFile {
+    fn file_under(_: u64) -> u64 {
+        0
+    }
+}
+
+/// A VLQT bucket's insert: the entry goes in unless its rewriting is there.
+fn insert<F: Filing>(bucket: &mut FirstSeen<StoredRewritten, F>, e: StoredRewritten) -> bool {
+    let StoredRewritten { index_id, rq } = e;
+    bucket
+        .insert_with(rq, |rq| StoredRewritten { index_id, rq })
+        .is_some()
+}
+
+/// Drives one dedup set the way a VLQT bucket is driven (insert unless
+/// contained, extract by index id, re-insert) and one the way the rewriter
+/// memory is (remember unless contained), against linear-search models.
+fn first_seen_agrees_with_its_model<F: Filing>(
+    ops: &[(u8, u64, u64)],
+) -> Result<(), TestCaseError> {
+    let (c, q) = string_catalog();
+    let mut bucket: FirstSeen<StoredRewritten, F> = FirstSeen::default();
+    let mut memory: FirstSeen<RewriteIdentity, F> = FirstSeen::default();
+    let mut model_stored = ModelBucket::new();
+    let mut model_remembered: Vec<Ident> = Vec::new();
+    let mut parked: Vec<StoredRewritten> = Vec::new();
+    for &(op, a, b) in ops {
+        match op {
+            0..=6 => {
+                let rq = op_rewriting(&c, &q, a, b);
+                let fresh = !model_remembered.contains(&ident(&rq));
+                if fresh {
+                    model_remembered.push(ident(&rq));
+                }
+                let remembered = memory.insert_with(&rq, RewrittenQuery::to_identity);
+                prop_assert_eq!(remembered.is_some(), fresh, "memory verdict");
+                prop_assert!(remembered.is_none_or(|id| id.is_of(&rq)));
+                let entry = StoredRewritten {
+                    index_id: Id(b % 8),
+                    rq,
+                };
+                let fresh = model_insert(&mut model_stored, &entry);
+                prop_assert_eq!(insert(&mut bucket, entry), fresh, "dedup verdict");
+            }
+            7 | 8 => {
+                let pred = |id: Id| op == 8 || id.0 % 4 == a % 4;
+                let mut gone = Vec::new();
+                bucket.extract_if(|e| pred(e.index_id), &mut gone);
+                prop_assert_eq!(idents(&gone), model_extract(&mut model_stored, pred));
+                parked.extend(gone);
+            }
+            _ => {
+                for e in parked.drain(..) {
+                    let fresh = model_insert(&mut model_stored, &e);
+                    prop_assert_eq!(insert(&mut bucket, e), fresh, "re-insert verdict");
+                }
+            }
+        }
+        prop_assert_eq!(idents(bucket.as_slice()), model_stored.clone());
+        prop_assert_eq!(memory.as_slice().len(), model_remembered.len());
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn first_seen_agrees_with_its_model_when_every_fingerprint_collides(
+        ops in prop::collection::vec((0u8..10, 0u64..64, 0u64..64), 1..120),
+    ) {
+        first_seen_agrees_with_its_model::<OneFile>(&ops)?;
+        first_seen_agrees_with_its_model::<AsIs>(&ops)?;
+    }
 
     #[test]
     fn vlqt_agrees_with_its_model(
         ops in prop::collection::vec((0u8..10, 0u64..64, 0u64..64), 1..120),
     ) {
         let (c, q) = string_catalog();
-        let [s1, s2] = colliding_strings();
-        let strings = [s1.as_str(), s2.as_str(), "x", "y", ""];
         let mut table = Vlqt::new();
         let mut model = Model::new();
         // What extractions took out, to be put back by a later op.
@@ -193,61 +238,50 @@ proptest! {
 
         for (op, a, b) in ops {
             match op {
-                // Insert, through either entry point; small domains make
-                // duplicates (and both colliding keys in one bucket) common.
+                // Insert, through either entry point.
                 0..=6 => {
-                    let side = if (a / 5) % 4 == 0 { Side::Right } else { Side::Left };
-                    let join = (b % 3) as i64;
-                    let rq = string_rewriting(&c, &q, side, strings[(a % 5) as usize], join);
-                    let entry = StoredRewritten { index_id: Id(b % 8), rq };
-                    let expect = model_insert(&mut model, &entry, join);
+                    let entry = StoredRewritten { index_id: Id(b % 8), rq: op_rewriting(&c, &q, a, b) };
+                    let expect = model_insert(model_bucket(&mut model, &entry), &entry);
                     let got = if op % 2 == 0 {
                         table.insert(entry).unwrap()
                     } else {
-                        let key = entry.rq.key().to_string();
+                        let rq = entry.rq.clone();
                         let stored = table.insert_fresh(entry).unwrap();
-                        prop_assert!(stored.is_none_or(|e| e.rq.key() == key));
+                        prop_assert!(stored.is_none_or(|e| e.rq.same_identity(&rq)));
                         stored.is_some()
                     };
                     prop_assert_eq!(got, expect, "dedup verdict");
                 }
-                7 => {
-                    let pred = |id: Id| id.0 % 4 == a % 4;
+                7 | 8 => {
+                    let pred = |id: Id| op == 8 || id.0 % 4 == a % 4;
                     let gone = table.extract_where(pred);
-                    let expect = model_extract(&mut model, pred);
-                    prop_assert_eq!(
-                        sorted(gone.iter().map(|e| (e.rq.key().to_string(), e.index_id)).collect()),
-                        sorted(expect)
-                    );
-                    parked.extend(gone);
-                }
-                8 => {
-                    let gone = table.drain_all();
-                    let expect = model_extract(&mut model, |_| true);
-                    prop_assert_eq!(gone.len(), expect.len());
-                    prop_assert!(table.is_empty());
+                    let expect: Vec<_> =
+                        model.values_mut().flat_map(|b| model_extract(b, pred)).collect();
+                    prop_assert_eq!(sorted(idents(&gone)), sorted(expect));
+                    prop_assert!(op == 7 || table.is_empty());
                     parked.extend(gone);
                 }
                 _ => {
                     for e in parked.drain(..) {
-                        let expect = model_insert(&mut model, &e, join_of(&e));
+                        let expect = model_insert(model_bucket(&mut model, &e), &e);
                         prop_assert_eq!(table.insert(e).unwrap(), expect, "re-insert verdict");
                     }
                 }
             }
 
-            prop_assert_eq!(table.len(), model.values().map(|b| b.entries.len()).sum::<usize>());
+            prop_assert_eq!(table.len(), model.values().map(Vec::len).sum::<usize>());
             for ((rel, attr, join), bucket) in &model {
                 let value_key = Value::Int(*join).canonical();
-                let scanned: Vec<&str> =
-                    table.candidates(rel, attr, &value_key).map(|e| e.rq.key()).collect();
-                let expect: Vec<&str> = bucket.entries.iter().map(|(k, _)| k.as_str()).collect();
-                prop_assert_eq!(scanned, expect, "candidates() is insertion order");
-                prop_assert_eq!(table.candidate_count(rel, attr, &value_key), bucket.entries.len());
+                prop_assert_eq!(
+                    &idents(table.candidates(rel, attr, &value_key)),
+                    bucket,
+                    "candidates() is insertion order"
+                );
+                prop_assert_eq!(table.candidate_count(rel, attr, &value_key), bucket.len());
             }
             prop_assert_eq!(
-                sorted(table.entries().map(|e| e.rq.key()).collect()),
-                sorted(model.values().flat_map(|b| b.keys.iter().map(String::as_str)).collect()),
+                sorted(idents(table.entries())),
+                sorted(model.values().flatten().cloned().collect()),
                 "entries() is a permutation of what is stored"
             );
         }

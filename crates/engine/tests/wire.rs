@@ -21,8 +21,8 @@ use cq_engine::wire::{
 use cq_engine::{EngineError, Message, ReplicaItem, TraceEvent, ValueJoin};
 use cq_overlay::Id;
 use cq_relational::{
-    Catalog, DataType, Expr, Filter, JoinQuery, MatchTarget, Notification, QueryKey, QueryRef,
-    QuerySpec, RelationSchema, RewrittenQuery, SelectItem, Side, Timestamp, Tuple, Value,
+    Catalog, DataType, Expr, Filter, JoinQuery, Notification, QueryKey, QueryRef, QuerySpec,
+    RelationSchema, RewrittenQuery, SelectItem, Side, Timestamp, Tuple, Value,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -143,22 +143,13 @@ fn rand_rewritten(rng: &mut StdRng, c: &Catalog) -> RewrittenQuery {
             rand_value(rng, ty)
         })
         .collect();
-    let target = if rng.gen_bool(0.5) {
-        MatchTarget::Attribute {
-            attr: rand_name(rng).into(),
-            value: rand_value(rng, DataType::Int),
-        }
-    } else {
-        MatchTarget::ConditionValue {
-            value: rand_value(rng, DataType::Int),
-        }
-    };
+    let target_attr = rng.gen_bool(0.5).then(|| rand_name(rng));
     RewrittenQuery::from_parts(
-        rand_name(rng),
         query,
         bound_side,
         bound_values,
-        target,
+        target_attr.as_deref(),
+        rand_value(rng, DataType::Int),
         Timestamp(rng.gen_range(0..1 << 40)),
     )
 }

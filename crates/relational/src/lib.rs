@@ -49,7 +49,7 @@ pub use error::{RelationalError, Result};
 pub use expr::{BinOp, Expr};
 pub use parser::{parse_query, ParsedQuery};
 pub use query::{Filter, JoinQuery, QueryKey, QueryRef, QuerySpec, QueryType, SelectItem, Side};
-pub use rewrite::{MatchTarget, Notification, RewrittenQuery};
+pub use rewrite::{BoundValues, MatchTarget, Notification, RewriteIdentity, RewrittenQuery};
 pub use schema::{Attribute, Catalog, RelationSchema};
 pub use tuple::Tuple;
 pub use value::{DataType, Timestamp, Value};

@@ -141,6 +141,11 @@ pub struct JoinQuery {
     ins_time: Timestamp,
     relations: [String; 2],
     select: Vec<SelectItem>,
+    /// Schema position of each select item in its side's relation, parallel
+    /// to `select` and resolved once at validation time: rewriting and
+    /// notification building read `t.values()[position]` instead of looking
+    /// each attribute up by name.
+    select_cols: Vec<usize>,
     conditions: [Expr; 2],
     /// Attributes referenced by each condition side, sorted and deduplicated.
     /// Precomputed at validation time so per-arrival index-attribute choices
@@ -186,10 +191,10 @@ impl JoinQuery {
                 detail: "empty select list".to_string(),
             });
         }
-        for item in &select {
-            let schema = schemas[item.side.idx()];
-            schema.index_of(&item.attr)?;
-        }
+        let select_cols = select
+            .iter()
+            .map(|item| schemas[item.side.idx()].index_of(&item.attr))
+            .collect::<Result<Vec<usize>>>()?;
         let mut cond_attrs: [Vec<String>; 2] = [Vec::new(), Vec::new()];
         let mut join_cols = [None, None];
         for side in Side::BOTH {
@@ -204,7 +209,9 @@ impl JoinQuery {
                 schemas[side.idx()].index_of(a)?;
             }
             if let Some(a) = expr.as_single_attr() {
-                join_cols[side.idx()] = Some((Arc::from(a), schemas[side.idx()].index_of(a)?));
+                let schema = schemas[side.idx()];
+                let col = schema.index_of(a)?;
+                join_cols[side.idx()] = Some((Arc::clone(schema.shared_name(col)), col));
             }
             // `Expr::attributes` yields a BTreeSet, so this preserves the
             // sorted, deduplicated order callers historically observed.
@@ -231,6 +238,7 @@ impl JoinQuery {
             ins_time,
             relations,
             select,
+            select_cols,
             conditions,
             cond_attrs,
             join_cols,
@@ -279,6 +287,14 @@ impl JoinQuery {
     #[inline]
     pub fn select(&self) -> &[SelectItem] {
         &self.select
+    }
+
+    /// Schema position of each [`JoinQuery::select`] item in its side's
+    /// relation (the catalog the query was validated against), in select
+    /// order.
+    #[inline]
+    pub fn select_columns(&self) -> &[usize] {
+        &self.select_cols
     }
 
     /// The extra equality filters.

@@ -9,6 +9,7 @@
 //! ones.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::error::Result;
@@ -47,30 +48,171 @@ impl MatchTarget {
     }
 }
 
-/// A rewritten (select-project) query produced by a rewriter node.
+/// The select-clause values a rewriting has bound from the consumed tuple,
+/// in select-list order. Up to two values — the common case — live inline;
+/// only a longer list goes to the heap.
 #[derive(Clone, Debug)]
-pub struct RewrittenQuery {
-    key: String,
-    query: QueryRef,
-    bound_side: Side,
-    bound_values: Vec<Value>,
-    target: MatchTarget,
-    /// Schema position of an attribute target in the free relation, when
-    /// the target is the query's own join attribute there (resolved once,
-    /// see [`JoinQuery::join_column`]); `None` sends [`Self::matches`]
-    /// through the lookup by name.
-    target_col: Option<u32>,
-    trigger_time: Timestamp,
+pub struct BoundValues(Bound);
+
+#[derive(Clone, Debug)]
+enum Bound {
+    Zero,
+    One(Value),
+    Two([Value; 2]),
+    Many(Box<[Value]>),
 }
 
-/// The free side's join attribute as `(shared name, column)` when `attr`
-/// names it.
-fn join_target(query: &JoinQuery, free: Side, attr: &str) -> Option<(Arc<str>, u32)> {
-    let (name, col) = query.join_column(free)?;
+impl BoundValues {
+    /// The values as a slice.
+    #[inline]
+    pub fn as_slice(&self) -> &[Value] {
+        match &self.0 {
+            Bound::Zero => &[],
+            Bound::One(v) => std::slice::from_ref(v),
+            Bound::Two(vs) => vs,
+            Bound::Many(vs) => vs,
+        }
+    }
+}
+
+impl FromIterator<Value> for BoundValues {
+    fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {
+        let mut it = iter.into_iter();
+        let Some(a) = it.next() else {
+            return BoundValues(Bound::Zero);
+        };
+        let Some(b) = it.next() else {
+            return BoundValues(Bound::One(a));
+        };
+        let Some(c) = it.next() else {
+            return BoundValues(Bound::Two([a, b]));
+        };
+        BoundValues(Bound::Many([a, b, c].into_iter().chain(it).collect()))
+    }
+}
+
+/// What makes two rewritings the same rewriting (Section 4.3.3): the query
+/// they come from, the side whose tuple was consumed, the select values
+/// bound from it and the value the target must take — compared exactly.
+///
+/// The bound side is part of it: a `q_L` and a `q_R` rewriting of one query
+/// can bind the same select values and join value, and deduplication must
+/// not drop one of them.
+struct Identity<'a> {
+    query: &'a QueryRef,
+    bound_side: Side,
+    bound_values: &'a [Value],
+    target_value: &'a Value,
+}
+
+impl PartialEq for Identity<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        (Arc::ptr_eq(self.query, other.query) || self.query.key() == other.query.key())
+            && self.bound_side == other.bound_side
+            && self.target_value == other.target_value
+            && self.bound_values == other.bound_values
+    }
+}
+
+impl Identity<'_> {
+    /// A 64-bit digest of the identity. It only routes a dedup probe to
+    /// where an equal identity would sit; equality is decided by `==`.
+    fn fingerprint(&self) -> u64 {
+        let mut h = Mix(0);
+        self.query.key().hash(&mut h);
+        self.bound_side.hash(&mut h);
+        self.bound_values.hash(&mut h);
+        self.target_value.hash(&mut h);
+        h.finish()
+    }
+}
+
+/// The fingerprint's mixing function: Fx-style rotate-xor-multiply over
+/// 8-byte words. (`cq-fasthash` has the same function; depending on it
+/// would change this crate's dependency list, which the lock file of the
+/// frozen benchmark package records.)
+struct Mix(u64);
+
+impl Hasher for Mix {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.0 = (self.0.rotate_left(5) ^ u64::from_le_bytes(word))
+                .wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+        }
+    }
+}
+
+/// The identity of a rewritten query on its own — what a DAI-T rewriter
+/// remembers of a rewriting it has already reindexed (Section 4.4.3),
+/// without the rewriting's target attribute, column or trigger time.
+#[derive(Clone, Debug)]
+pub struct RewriteIdentity {
+    query: QueryRef,
+    bound_side: Side,
+    bound_values: BoundValues,
+    target_value: Value,
+}
+
+impl RewriteIdentity {
+    fn identity(&self) -> Identity<'_> {
+        Identity {
+            query: &self.query,
+            bound_side: self.bound_side,
+            bound_values: self.bound_values.as_slice(),
+            target_value: &self.target_value,
+        }
+    }
+
+    /// Whether `rq` is the rewriting this identity was taken from, or one
+    /// with the same identity.
+    pub fn is_of(&self, rq: &RewrittenQuery) -> bool {
+        self.identity() == rq.identity()
+    }
+
+    /// [`RewrittenQuery::fingerprint`] of the rewritings this identifies.
+    pub fn fingerprint(&self) -> u64 {
+        self.identity().fingerprint()
+    }
+}
+
+/// A rewritten (select-project) query produced by a rewriter node.
+///
+/// A flat value: a rewriting of a query with at most two bound select
+/// values of type `Int` owns no heap memory.
+#[derive(Clone, Debug)]
+pub struct RewrittenQuery {
+    query: QueryRef,
+    bound_values: BoundValues,
+    target: MatchTarget,
+    /// [`Identity::fingerprint`], computed once when the rewriting is built
+    /// or decoded.
+    fingerprint: u64,
+    trigger_time: Timestamp,
+    /// Schema position, in the free relation, of the value the target
+    /// constrains — when that is the free side's bare join attribute
+    /// (resolved once, see [`JoinQuery::join_column`]): the named attribute
+    /// of an attribute target, the condition side of a value target. `None`
+    /// sends [`Self::matches`] through the lookup by name, or through the
+    /// condition expression.
+    target_col: Option<u16>,
+    bound_side: Side,
+}
+
+/// `side`'s join attribute as `(shared name, column)` when `attr` names it.
+fn join_target<'q>(query: &'q JoinQuery, side: Side, attr: &str) -> Option<(&'q Arc<str>, u16)> {
+    let (name, col) = query.join_column(side)?;
     if **name != *attr {
         return None;
     }
-    Some((Arc::clone(name), u32::try_from(col).ok()?))
+    Some((name, u16::try_from(col).ok()?))
 }
 
 impl RewrittenQuery {
@@ -91,29 +233,33 @@ impl RewrittenQuery {
         if !query.triggered_by(index_side, t)? {
             return Ok(None);
         }
-        let val_da = t.get(index_attr)?.clone();
-        let bound_values = bound_select_values(query, index_side, t)?;
-        let key = rewritten_key(query.key(), index_side, &bound_values, &val_da);
+        let index_col = join_target(query, index_side, index_attr).map(|(_, col)| col.into());
+        let val_da = value_at(t, index_col, index_attr)?.clone();
         let (attr, target_col) = match join_target(query, index_side.other(), dis_attr) {
-            Some((attr, col)) => (attr, Some(col)),
+            Some((attr, col)) => (Arc::clone(attr), Some(col)),
             None => (Arc::from(dis_attr), None),
         };
-        Ok(Some(RewrittenQuery {
-            key,
-            query: Arc::clone(query),
-            bound_side: index_side,
+        let target = MatchTarget::Attribute {
+            attr,
+            value: val_da,
+        };
+        let bound_values = bound_select_values(query, index_side, t)?;
+        Ok(Some(Self::assemble(
+            Arc::clone(query),
+            index_side,
             bound_values,
-            target: MatchTarget::Attribute {
-                attr,
-                value: val_da,
-            },
+            target,
             target_col,
-            trigger_time: t.pub_time(),
-        }))
+            t.pub_time(),
+        )))
     }
 
     /// Rewrites `query` for DAI-V: the match target is the *value of the
     /// join-condition side* computed from `t` (`valJC(q, t)`, Section 4.5).
+    ///
+    /// A condition side that is a bare attribute (both sides of a T1 query)
+    /// is read at its resolved schema position; a compound one, or a tuple
+    /// too short for that position, is evaluated as an expression.
     pub fn rewrite_value(
         query: &QueryRef,
         side: Side,
@@ -122,59 +268,151 @@ impl RewrittenQuery {
         if !query.triggered_by(side, t)? {
             return Ok(None);
         }
-        let val_jc = query.condition(side).eval(t)?;
+        let val_jc = match query
+            .join_column(side)
+            .and_then(|(_, col)| t.values().get(col))
+        {
+            Some(v) => v.clone(),
+            None => query.condition(side).eval(t)?,
+        };
         let bound_values = bound_select_values(query, side, t)?;
-        let key = rewritten_key(query.key(), side, &bound_values, &val_jc);
-        Ok(Some(RewrittenQuery {
-            key,
-            query: Arc::clone(query),
-            bound_side: side,
+        Ok(Some(Self::assemble(
+            Arc::clone(query),
+            side,
             bound_values,
-            target: MatchTarget::ConditionValue { value: val_jc },
-            target_col: None,
-            trigger_time: t.pub_time(),
-        }))
+            MatchTarget::ConditionValue { value: val_jc },
+            condition_col(query, side.other()),
+            t.pub_time(),
+        )))
     }
 
     /// Reassembles a rewritten query from its already-computed parts — the
-    /// wire-decoding path. The key is carried on the wire rather than
-    /// recomputed, so a decoded rewriting keeps the exact identity (and
-    /// dedup behavior) of the one the sender held. An attribute target is
-    /// resolved against `query` exactly as [`Self::rewrite_attribute`]
-    /// does, so a decoded rewriting matches by column too.
+    /// wire-decoding path. `target_attr` is `Some(DisA)` for an attribute
+    /// target and `None` for a condition-value target. Identity is taken
+    /// from these parts, never from a key the sender wrote, and the target
+    /// is resolved against `query` exactly as [`Self::rewrite_attribute`]
+    /// and [`Self::rewrite_value`] do, so a decoded rewriting deduplicates
+    /// and matches like the one the sender held.
     pub fn from_parts(
-        key: String,
         query: QueryRef,
         bound_side: Side,
-        bound_values: Vec<Value>,
-        mut target: MatchTarget,
+        bound_values: BoundValues,
+        target_attr: Option<&str>,
+        target_value: Value,
         trigger_time: Timestamp,
     ) -> RewrittenQuery {
-        let mut target_col = None;
-        if let MatchTarget::Attribute { attr, .. } = &mut target {
-            if let Some((shared, col)) = join_target(&query, bound_side.other(), attr) {
-                *attr = shared;
-                target_col = Some(col);
+        let free = bound_side.other();
+        let (target, target_col) = match target_attr {
+            Some(attr) => {
+                let (attr, col) = match join_target(&query, free, attr) {
+                    Some((shared, col)) => (Arc::clone(shared), Some(col)),
+                    None => (Arc::from(attr), None),
+                };
+                let value = target_value;
+                (MatchTarget::Attribute { attr, value }, col)
             }
-        }
-        RewrittenQuery {
-            key,
+            None => (
+                MatchTarget::ConditionValue {
+                    value: target_value,
+                },
+                condition_col(&query, free),
+            ),
+        };
+        Self::assemble(
             query,
             bound_side,
             bound_values,
             target,
             target_col,
             trigger_time,
+        )
+    }
+
+    fn assemble(
+        query: QueryRef,
+        bound_side: Side,
+        bound_values: BoundValues,
+        target: MatchTarget,
+        target_col: Option<u16>,
+        trigger_time: Timestamp,
+    ) -> RewrittenQuery {
+        let fingerprint = Identity {
+            query: &query,
+            bound_side,
+            bound_values: bound_values.as_slice(),
+            target_value: target.value(),
+        }
+        .fingerprint();
+        RewrittenQuery {
+            query,
+            bound_values,
+            target,
+            fingerprint,
+            trigger_time,
+            target_col,
+            bound_side,
         }
     }
 
-    /// `Key(q')` — unique per (query, bound select values, target value), so
-    /// that "two rewritten queries have the same key if they are created
-    /// from the same query q but by different tuples that have the same
-    /// value for IndexA(q)" *and* the same projected values (Section 4.3.3).
+    fn identity(&self) -> Identity<'_> {
+        Identity {
+            query: &self.query,
+            bound_side: self.bound_side,
+            bound_values: self.bound_values.as_slice(),
+            target_value: self.target.value(),
+        }
+    }
+
+    /// Whether the two are the same rewriting in the sense of `Key(q')`
+    /// (Section 4.3.3): "created from the same query q but by different
+    /// tuples that have the same value for IndexA(q)" *and* the same
+    /// projected values — decided on the parts themselves, so values that
+    /// merely print alike stay apart.
+    pub fn same_identity(&self, other: &RewrittenQuery) -> bool {
+        self.identity() == other.identity()
+    }
+
+    /// A 64-bit digest of the identity, equal for rewritings with
+    /// [`Self::same_identity`]. Containers use it to find where an equal
+    /// rewriting would sit and then compare; two different rewritings may
+    /// share it.
     #[inline]
-    pub fn key(&self) -> &str {
-        &self.key
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// The identity alone, to be remembered after the rewriting is gone.
+    pub fn to_identity(&self) -> RewriteIdentity {
+        RewriteIdentity {
+            query: Arc::clone(&self.query),
+            bound_side: self.bound_side,
+            bound_values: self.bound_values.clone(),
+            target_value: self.target.value().clone(),
+        }
+    }
+
+    /// Writes the legacy `Key(q')` text: the query key, the bound side, and
+    /// the canonical form of every bound value and of the target value,
+    /// joined by `+`. It is a rendering for the wire field, the
+    /// anti-entropy digest and diagnostics — **not** the identity: a `Str`
+    /// value containing `+` can make two different rewritings print alike.
+    pub fn write_key<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        out.write_str(&self.query.key().0)?;
+        out.write_str(match self.bound_side {
+            Side::Left => "/L",
+            Side::Right => "/R",
+        })?;
+        for v in self.bound_values().iter().chain([self.target.value()]) {
+            out.write_char('+')?;
+            v.write_canonical(out)?;
+        }
+        Ok(())
+    }
+
+    /// Length in bytes of what [`Self::write_key`] writes.
+    pub fn key_len(&self) -> usize {
+        let values = self.bound_values().iter().chain([self.target.value()]);
+        self.query.key().0.len() + 2 + values.map(|v| 1 + v.canonical_len()).sum::<usize>()
     }
 
     /// The original query.
@@ -217,30 +455,31 @@ impl RewrittenQuery {
     /// (in select-list order, only the bound side's positions).
     #[inline]
     pub fn bound_values(&self) -> &[Value] {
-        &self.bound_values
+        self.bound_values.as_slice()
     }
 
     /// Whether a tuple of the free relation completes the join: checks
     /// relation, the free side's filters, the match target, and the time
     /// semantics (`pubT(t) >= insT(q)`) — without building the notification.
     ///
-    /// An attribute target that is the query's own join attribute is read
-    /// by its resolved schema position (`triggered_by` has established that
-    /// `t` is of the free relation); any other target attribute, or a tuple
-    /// too short for that position, is looked up by name.
+    /// A target on the free side's bare join attribute — an attribute
+    /// target naming it, or a value target whose condition side is that
+    /// attribute — is read by its resolved schema position (`triggered_by`
+    /// has established that `t` is of the free relation). Any other target
+    /// attribute is looked up by name, a compound condition is evaluated,
+    /// and so is either when the tuple is too short for the position.
     pub fn matches(&self, t: &Tuple) -> Result<bool> {
         let free = self.free_side();
         if !self.query.triggered_by(free, t)? {
             return Ok(false);
         }
-        Ok(match &self.target {
-            MatchTarget::Attribute { attr, value } => {
-                match self.target_col.and_then(|c| t.values().get(c as usize)) {
-                    Some(v) => v == value,
-                    None => t.get(attr)? == value,
-                }
+        let at_col = self.target_col.and_then(|c| t.values().get(usize::from(c)));
+        Ok(match (&self.target, at_col) {
+            (target, Some(v)) => v == target.value(),
+            (MatchTarget::Attribute { attr, value }, None) => t.get(attr)? == value,
+            (MatchTarget::ConditionValue { value }, None) => {
+                &self.query.condition(free).eval(t)? == value
             }
-            MatchTarget::ConditionValue { value } => &self.query.condition(free).eval(t)? == value,
         })
     }
 
@@ -257,8 +496,8 @@ impl RewrittenQuery {
     pub fn notification_with(&self, t: &Tuple) -> Result<Notification> {
         let free = self.free_side();
         let mut values = Vec::with_capacity(self.query.select().len());
-        let mut bound_iter = self.bound_values.iter();
-        for item in self.query.select() {
+        let mut bound_iter = self.bound_values().iter();
+        for (item, &col) in self.query.select().iter().zip(self.query.select_columns()) {
             if item.side == self.bound_side {
                 values.push(
                     bound_iter
@@ -268,7 +507,7 @@ impl RewrittenQuery {
                 );
             } else {
                 debug_assert_eq!(item.side, free);
-                values.push(t.get(&item.attr)?.clone());
+                values.push(value_at(t, Some(col), &item.attr)?.clone());
             }
         }
         Ok(Notification {
@@ -281,52 +520,44 @@ impl RewrittenQuery {
 
 impl fmt::Display for RewrittenQuery {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "SELECT <bound> FROM {} WHERE ", self.free_relation())?;
         match &self.target {
-            MatchTarget::Attribute { attr, value } => write!(
-                f,
-                "SELECT <bound> FROM {} WHERE {attr} = {value} [{}]",
-                self.free_relation(),
-                self.key
-            ),
-            MatchTarget::ConditionValue { value } => write!(
-                f,
-                "SELECT <bound> FROM {} WHERE {} = {value} [{}]",
-                self.free_relation(),
-                self.query.condition(self.free_side()),
-                self.key
-            ),
+            MatchTarget::Attribute { attr, value } => write!(f, "{attr} = {value} [")?,
+            MatchTarget::ConditionValue { value } => {
+                write!(f, "{} = {value} [", self.query.condition(self.free_side()))?
+            }
         }
+        self.write_key(f)?;
+        f.write_str("]")
     }
 }
 
-fn bound_select_values(query: &JoinQuery, side: Side, t: &Tuple) -> Result<Vec<Value>> {
+/// The schema position a value target on `free` compares at: the side's
+/// bare join attribute, when its condition is one.
+fn condition_col(query: &JoinQuery, free: Side) -> Option<u16> {
+    let (_, col) = query.join_column(free)?;
+    u16::try_from(col).ok()
+}
+
+/// The value of attribute `attr` in `t`, read at the schema position `col`
+/// it was resolved to; by name when there is none or the tuple is too short
+/// for it.
+#[inline]
+fn value_at<'t>(t: &'t Tuple, col: Option<usize>, attr: &str) -> Result<&'t Value> {
+    match col.and_then(|c| t.values().get(c)) {
+        Some(v) => Ok(v),
+        None => t.get(attr),
+    }
+}
+
+fn bound_select_values(query: &JoinQuery, side: Side, t: &Tuple) -> Result<BoundValues> {
     query
         .select()
         .iter()
-        .filter(|it| it.side == side)
-        .map(|it| t.get(&it.attr).cloned())
+        .zip(query.select_columns())
+        .filter(|(it, _)| it.side == side)
+        .map(|(it, &col)| value_at(t, Some(col), &it.attr).cloned())
         .collect()
-}
-
-fn rewritten_key(base: &QueryKey, side: Side, bound: &[Value], target_value: &Value) -> String {
-    // The bound side is part of the key: a q_L and a q_R rewriting of the
-    // same query can otherwise collide when their bound select values and
-    // join values coincide, and the DAI deduplication would drop one of
-    // them (losing notifications).
-    let mut s = String::with_capacity(base.0.len() + 16 * (bound.len() + 1));
-    s.push_str(&base.0);
-    s.push('/');
-    s.push_str(match side {
-        Side::Left => "L",
-        Side::Right => "R",
-    });
-    for v in bound {
-        s.push('+');
-        v.canonical_into(&mut s);
-    }
-    s.push('+');
-    target_value.canonical_into(&mut s);
-    s
 }
 
 /// The answer sent to a query's subscriber when its `WHERE` clause is
@@ -483,10 +714,17 @@ mod tests {
         assert!(rq.match_tuple(&old_r).unwrap().is_none());
     }
 
+    fn key_text(rq: &RewrittenQuery) -> String {
+        let mut s = String::new();
+        rq.write_key(&mut s).unwrap();
+        assert_eq!(s.len(), rq.key_len());
+        s
+    }
+
     #[test]
     fn keys_deduplicate_same_content() {
-        // Two S tuples with the same B and C values produce rewritten queries
-        // with the same key (set semantics of Section 4.3.3) …
+        // Two S tuples with the same B and C values produce the same
+        // rewritten query (set semantics of Section 4.3.3) …
         let (c, q) = setup();
         let t1 = s_tuple(&c, 4, 7, 5);
         let t2 = s_tuple(&c, 4, 7, 9);
@@ -496,21 +734,28 @@ mod tests {
         let rq2 = RewrittenQuery::rewrite_attribute(&q, Side::Right, "C", "C", &t2)
             .unwrap()
             .unwrap();
-        assert_eq!(rq1.key(), rq2.key());
-        // … while different select values yield different keys.
+        assert!(rq1.same_identity(&rq2));
+        assert_eq!(rq1.fingerprint(), rq2.fingerprint());
+        assert!(rq1.to_identity().is_of(&rq2));
+        assert_eq!(rq1.to_identity().fingerprint(), rq2.fingerprint());
+        assert_eq!(key_text(&rq1), "n#0/R+i:4+i:7");
+        assert_eq!(key_text(&rq1), key_text(&rq2));
+        // … while different select values yield different ones.
         let t3 = s_tuple(&c, 5, 7, 9);
         let rq3 = RewrittenQuery::rewrite_attribute(&q, Side::Right, "C", "C", &t3)
             .unwrap()
             .unwrap();
-        assert_ne!(rq1.key(), rq3.key());
+        assert!(!rq1.same_identity(&rq3));
+        assert!(!rq1.to_identity().is_of(&rq3));
+        assert_ne!(key_text(&rq1), key_text(&rq3));
     }
 
     #[test]
     fn left_and_right_rewritings_never_share_keys() {
         // Regression: SELECT R.A, S.B over R.C = S.C with tuples R(3,4) and
         // S(3,4) binds the same select value (3) and the same join value (4)
-        // on both sides — the keys must still differ, or DAI deduplication
-        // drops one side's rewriting and loses notifications.
+        // on both sides — the identities must still differ, or DAI
+        // deduplication drops one side's rewriting and loses notifications.
         let (c, q) = setup();
         let r = r_tuple(&c, 3, 4, 1);
         let s = s_tuple(&c, 3, 4, 1);
@@ -522,11 +767,91 @@ mod tests {
             .unwrap();
         assert_eq!(left.bound_values(), right.bound_values());
         assert_eq!(left.target().value(), right.target().value());
-        assert_ne!(
-            left.key(),
-            right.key(),
-            "bound side must be part of the key"
+        assert!(
+            !left.same_identity(&right),
+            "bound side must be part of the identity"
         );
+        assert_ne!(key_text(&left), key_text(&right));
+    }
+
+    #[test]
+    fn str_values_that_print_alike_are_different_rewritings() {
+        // SELECT R.A, R.B … WHERE R.C = S.C: R("a+s:b", "c", 7) and
+        // R("a", "b+s:c", 7) render to one key text. Identity compares the
+        // values, so neither deduplicates the other.
+        let mut c = Catalog::new();
+        c.register(
+            RelationSchema::of(
+                "R",
+                &[
+                    ("A", DataType::Str),
+                    ("B", DataType::Str),
+                    ("C", DataType::Int),
+                ],
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        c.register(RelationSchema::of("S", &[("B", DataType::Int), ("C", DataType::Int)]).unwrap())
+            .unwrap();
+        let q = Arc::new(
+            JoinQuery::new(
+                QuerySpec {
+                    key: QueryKey::derive("n", 0),
+                    subscriber: "n".into(),
+                    ins_time: Timestamp(0),
+                    relations: ["R".into(), "S".into()],
+                    select: ["A", "B"]
+                        .map(|a| SelectItem {
+                            side: Side::Left,
+                            attr: a.into(),
+                        })
+                        .into(),
+                    conditions: [Expr::attr("C"), Expr::attr("C")],
+                    filters: vec![],
+                },
+                &c,
+            )
+            .unwrap(),
+        );
+        let rewrite = |a: &str, b: &str| {
+            let t = Tuple::new(
+                c.get("R").unwrap().clone(),
+                vec![a.into(), b.into(), Value::Int(7)],
+                Timestamp(1),
+                0,
+            )
+            .unwrap();
+            RewrittenQuery::rewrite_attribute(&q, Side::Left, "C", "C", &t)
+                .unwrap()
+                .unwrap()
+        };
+        let (one, other) = (rewrite("a+s:b", "c"), rewrite("a", "b+s:c"));
+        assert_eq!(key_text(&one), "n#0/L+s:a+s:b+s:c+i:7");
+        assert_eq!(key_text(&one), key_text(&other));
+        assert!(!one.same_identity(&other));
+        assert!(!one.to_identity().is_of(&other));
+    }
+
+    #[test]
+    fn a_rewriting_is_a_flat_value() {
+        use std::mem::size_of;
+        // 8 query + 48 bound values (two inline) + 40 target + 8 fingerprint
+        // + 8 trigger time + 4 column + 1 side, padded to 8.
+        assert_eq!(size_of::<Value>(), 24);
+        assert_eq!(size_of::<BoundValues>(), 48);
+        assert_eq!(size_of::<MatchTarget>(), 40);
+        assert_eq!(size_of::<RewrittenQuery>(), 120);
+        // 8 query + 48 bound values + 24 target value + 1 side, padded.
+        assert_eq!(size_of::<RewriteIdentity>(), 88);
+        // No heap for up to two bound values, one allocation beyond.
+        let ints = |n: i64| (0..n).map(Value::Int).collect::<BoundValues>();
+        assert!(matches!(ints(2).0, Bound::Two(_)));
+        assert!(matches!(ints(3).0, Bound::Many(_)));
+        for n in 0..5 {
+            let want: Vec<Value> = (0..n).map(Value::Int).collect();
+            assert_eq!(ints(n).as_slice(), want);
+        }
     }
 
     #[test]

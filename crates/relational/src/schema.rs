@@ -24,6 +24,9 @@ pub struct Attribute {
 pub struct RelationSchema {
     name: String,
     attributes: Vec<Attribute>,
+    /// Each attribute's name once more, shareable: a query takes its join
+    /// attributes' names from here instead of allocating its own copies.
+    shared_names: Vec<Arc<str>>,
     by_name: HashMap<String, usize>,
 }
 
@@ -40,9 +43,11 @@ impl RelationSchema {
                 });
             }
         }
+        let shared_names = attributes.iter().map(|a| Arc::from(&*a.name)).collect();
         Ok(RelationSchema {
             name,
             attributes,
+            shared_names,
             by_name,
         })
     }
@@ -71,6 +76,12 @@ impl RelationSchema {
     #[inline]
     pub fn attributes(&self) -> &[Attribute] {
         &self.attributes
+    }
+
+    /// The name of the attribute at position `i`, shareable without a copy.
+    #[inline]
+    pub fn shared_name(&self, i: usize) -> &Arc<str> {
+        &self.shared_names[i]
     }
 
     /// Number of attributes (`h` in Section 4.2).

@@ -57,15 +57,32 @@ impl Value {
     /// [`crate::Tuple`], which caches its canonical forms) should prefer
     /// this over [`Value::canonical`].
     pub fn canonical_into(&self, out: &mut String) {
-        use std::fmt::Write;
+        let _ = self.write_canonical(out); // writing to a `String` cannot fail
+    }
+
+    /// Writes the canonical form to any formatter sink (a `String`, a
+    /// `Formatter`, an encoder's byte buffer).
+    pub fn write_canonical<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         match self {
-            Value::Int(i) => {
-                let _ = write!(out, "i:{i}");
-            }
+            Value::Int(i) => write!(out, "i:{i}"),
             Value::Str(s) => {
-                out.push_str("s:");
-                out.push_str(s);
+                out.write_str("s:")?;
+                out.write_str(s)
             }
+        }
+    }
+
+    /// Length in bytes of the canonical form, without producing it.
+    pub fn canonical_len(&self) -> usize {
+        2 + match self {
+            Value::Int(i) => {
+                let digits = i
+                    .unsigned_abs()
+                    .checked_ilog10()
+                    .map_or(1, |d| d as usize + 1);
+                digits + usize::from(*i < 0)
+            }
+            Value::Str(s) => s.len(),
         }
     }
 
@@ -140,6 +157,18 @@ mod tests {
     fn canonical_is_injective_on_ints() {
         assert_ne!(Value::Int(1).canonical(), Value::Int(11).canonical());
         assert_ne!(Value::Int(-1).canonical(), Value::Int(1).canonical());
+    }
+
+    #[test]
+    fn canonical_len_is_the_length_of_the_canonical_form() {
+        let ints = [0, 1, -1, 9, 10, -10, 99, 100, i64::MAX, i64::MIN];
+        let values = ints
+            .into_iter()
+            .map(Value::Int)
+            .chain(["", "x", "a+s:b", "héllo"].map(Value::from));
+        for v in values {
+            assert_eq!(v.canonical_len(), v.canonical().len(), "{v}");
+        }
     }
 
     #[test]
