@@ -7,14 +7,15 @@
 //! order of magnitude apart, and a zero-clone kernel shows (near-)constant
 //! allocations per event while a clone-collect kernel grows linearly with
 //! the candidate count. `scripts/bench_snapshot.sh` folds the output into
-//! `BENCH_17.json` and enforces the flat-slope check.
+//! `BENCH_21.json` and enforces the flat-slope check.
 //!
 //! The same slope discipline covers failure detection and repair: the
 //! `fault-pump`, `heartbeat-round` and `digest-round` kernels run a lossy
 //! k=2 ring with the heartbeat detector on at two *held-state* sizes, and
-//! the cost of an idle pump tick (false confirmations included) and of a
-//! clean anti-entropy round must not depend on how many items the nodes
-//! hold.
+//! the cost of an insert through the robustness layer, of an idle pump tick
+//! (false confirmations included) and of a clean anti-entropy round must
+//! not depend on how many items the nodes hold; the first two are also
+//! gated on their absolute allocation counts.
 //!
 //! The `socket-pump` and `join-decode` kernels cover the TCP receive path:
 //! a frame through a loopback `FrameConn` pair must allocate nothing, and

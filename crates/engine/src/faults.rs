@@ -10,9 +10,9 @@
 //! * every transmitted protocol message carries a `(sender, seq)` identifier;
 //! * senders keep an outstanding-ack window and retransmit on timeout with
 //!   exponential backoff (all in simulated ticks);
-//! * receivers keep a per-sender dedup window so duplicates and
-//!   retransmissions never double-index a tuple or query and never
-//!   double-deliver a notification.
+//! * receivers remember every identifier for as long as a copy of it can
+//!   still arrive, so duplicates and retransmissions never double-index a
+//!   tuple or query and never double-deliver a notification.
 //!
 //! With [`FaultConfig::default`] the layer is completely inert: messages take
 //! the original perfect-FIFO path and every run is byte-identical to a build
@@ -22,9 +22,9 @@
 //! owns, it decides *what* is transmitted and *when*, and every copy that
 //! survives its draws is carried by whichever backend is installed.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
-use cq_fasthash::FxHashMap;
+use cq_fasthash::{FxHashMap, FxHashSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -213,38 +213,170 @@ impl FaultConfig {
     pub fn retries_enabled(&self) -> bool {
         self.ack_timeout > 0
     }
+
+    /// The backoff delay before the n-th retransmission:
+    /// `ack_timeout << attempt`, with the shift capped so ticks stay sane.
+    pub(crate) fn backoff(&self, attempt: u32) -> u64 {
+        self.ack_timeout << attempt.min(6)
+    }
+
+    /// Upper bound on the ticks between a message's first transmission and
+    /// its last retransmission: the first retry check fires after
+    /// `ack_timeout`, the check after the n-th retransmission `backoff(n)`
+    /// later, and the sender gives up once `max_retries` attempts are spent.
+    /// Saturating.
+    fn retransmit_span(&self) -> u64 {
+        let capped = self.max_retries.min(6);
+        let flat = u64::from(self.max_retries - capped);
+        (1..=capped)
+            .map(|attempt| self.backoff(attempt))
+            .fold(self.ack_timeout, u64::saturating_add)
+            .saturating_add(flat.saturating_mul(self.backoff(6)))
+    }
 }
 
 /// A message identifier: `(sender slot, per-sender sequence number)`.
 pub type MsgId = (u32, u64);
 
-/// Per-sender receive-side dedup window: a low-water mark plus the set of
-/// out-of-order sequence numbers seen above it. Memory stays proportional to
-/// the reordering window, not to the total message count.
-#[derive(Clone, Debug, Default)]
-pub struct DedupWindow {
-    /// Every sequence number `< floor` has been seen.
-    floor: u64,
-    /// Seen sequence numbers `>= floor` (sparse, above the water mark).
-    above: BTreeSet<u64>,
+/// Receive-side dedup: per receiver, the identifiers whose copies can still
+/// arrive. Sequence numbers are allocated per *sender* across all of its
+/// receivers, so one receiver sees a sparse subsequence of them and no
+/// low-water mark ever advances; entries expire by message lifetime instead.
+/// A copy of a message first transmitted at tick `t` arrives in
+/// `t + 1 ..= t + 1 + max_delay` if nobody retransmits it, and no later than
+/// `t + ack_timeout + Σ backoff(1..max_retries) + 1 + max_delay` if its sender
+/// does ([`FaultPipe::new`] computes both lifetimes). The first arrival is
+/// later than `t`, so forgetting an identifier that many ticks after its
+/// first arrival never changes a verdict. Each class has one constant
+/// lifetime and ticks are monotone, so the two expiry queues stay sorted by
+/// being appended to.
+#[derive(Debug, Default)]
+pub(crate) struct Dedup {
+    /// Per-receiver-slot identifiers seen and not yet expired.
+    seen: Vec<FxHashSet<MsgId>>,
+    /// `(expiry tick, receiver slot, identifier)` of fire-and-forget
+    /// arrivals, in arrival order.
+    unacked_expiry: VecDeque<(u64, u32, MsgId)>,
+    /// The same for messages their sender retransmits until acknowledged.
+    acked_expiry: VecDeque<(u64, u32, MsgId)>,
+    /// Every identifier ever recorded, per receiver: debug builds check each
+    /// verdict of the expiring set against the set that never forgets.
+    #[cfg(debug_assertions)]
+    ever: Vec<FxHashSet<MsgId>>,
 }
 
-impl DedupWindow {
-    /// Records `seq`; returns `true` if it was seen before (a duplicate).
-    pub fn check_and_record(&mut self, seq: u64) -> bool {
-        if seq < self.floor || self.above.contains(&seq) {
-            return true;
+impl Dedup {
+    /// Records the arrival of `id` at receiver slot `to`; returns `true` if
+    /// it was seen before (a duplicate). A fresh entry is forgotten at tick
+    /// `expires` and joins the `acked` or the fire-and-forget expiry queue.
+    fn check_and_record(&mut self, id: MsgId, to: usize, expires: u64, acked: bool) -> bool {
+        if to >= self.seen.len() {
+            self.seen.resize_with(to + 1, FxHashSet::default);
         }
-        self.above.insert(seq);
-        while self.above.remove(&self.floor) {
-            self.floor += 1;
+        let fresh = self.seen[to].insert(id);
+        #[cfg(debug_assertions)]
+        {
+            if to >= self.ever.len() {
+                self.ever.resize_with(to + 1, FxHashSet::default);
+            }
+            assert_eq!(
+                fresh,
+                self.ever[to].insert(id),
+                "dedup entry {id:?} at receiver {to} expired while a copy was still in flight"
+            );
         }
-        false
+        if fresh {
+            let queue = if acked {
+                &mut self.acked_expiry
+            } else {
+                &mut self.unacked_expiry
+            };
+            debug_assert!(queue.back().is_none_or(|&(at, ..)| at <= expires));
+            queue.push_back((expires, to as u32, id));
+        }
+        !fresh
     }
 
-    /// Number of out-of-order entries currently buffered above the mark.
-    pub fn pending(&self) -> usize {
-        self.above.len()
+    /// Forgets every entry whose expiry tick is `<= now`.
+    fn expire(&mut self, now: u64) {
+        for queue in [&mut self.unacked_expiry, &mut self.acked_expiry] {
+            while let Some(&(at, to, id)) = queue.front() {
+                if at > now {
+                    break;
+                }
+                queue.pop_front();
+                self.seen[to as usize].remove(&id);
+            }
+        }
+    }
+
+    /// Identifiers currently remembered, summed over receivers.
+    pub fn entries(&self) -> usize {
+        self.unacked_expiry.len() + self.acked_expiry.len()
+    }
+}
+
+/// A tick-indexed timer wheel: items scheduled for a tick later than the
+/// current one, handed back tick by tick in the order they were scheduled.
+/// Slot `t & (len - 1)` holds tick `t`; the wheel doubles until it spans the
+/// farthest distance anyone schedules (`1 + max_delay` for deliveries,
+/// `ack_timeout << 6` for retry checks) and stays that size. Taking a tick
+/// swaps its slot with the caller's drained buffer, so buffers circulate and
+/// a steady-state tick neither allocates nor frees.
+#[derive(Debug)]
+pub(crate) struct Wheel<T> {
+    /// Power-of-two many slots.
+    slots: Vec<VecDeque<T>>,
+    /// Items scheduled and not yet taken.
+    len: usize,
+}
+
+impl<T> Wheel<T> {
+    fn new() -> Self {
+        Wheel {
+            slots: vec![VecDeque::new(), VecDeque::new()],
+            len: 0,
+        }
+    }
+
+    /// Schedules `item` for tick `at`, which must be later than `now` (the
+    /// last tick taken).
+    pub fn schedule(&mut self, now: u64, at: u64, item: T) {
+        assert!(at > now, "the wheel only schedules into the future");
+        let distance = usize::try_from(at - now).expect("wheel horizon fits in memory");
+        if distance >= self.slots.len() {
+            self.grow(now, distance);
+        }
+        let mask = self.slots.len() - 1;
+        self.slots[at as usize & mask].push_back(item);
+        self.len += 1;
+    }
+
+    /// Re-files the pending ticks `now + 1 ..` on a wheel wide enough for
+    /// `distance`.
+    fn grow(&mut self, now: u64, distance: usize) {
+        let mut old = std::mem::take(&mut self.slots);
+        let (span, wider) = (old.len() as u64, (distance + 1).next_power_of_two());
+        self.slots.resize_with(wider, VecDeque::new);
+        for tick in now + 1..=now + span {
+            let slot = std::mem::take(&mut old[(tick & (span - 1)) as usize]);
+            self.slots[tick as usize & (wider - 1)] = slot;
+        }
+    }
+
+    /// Moves everything scheduled for `tick` into `out` (which must be
+    /// empty; its buffer becomes the slot's), in schedule order. Every tick
+    /// must be taken, in order, before the next one is scheduled past.
+    pub fn take_due(&mut self, tick: u64, out: &mut VecDeque<T>) {
+        debug_assert!(out.is_empty(), "the previous tick was drained");
+        let mask = self.slots.len() - 1;
+        std::mem::swap(out, &mut self.slots[tick as usize & mask]);
+        self.len -= out.len();
+    }
+
+    /// Whether nothing is scheduled.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 }
 
@@ -287,13 +419,7 @@ impl Delivery {
     /// Whether this copy carries a heartbeat probe (ping or pong). Probes
     /// are fire-and-forget and excluded from [`FaultPipe::busy`].
     pub fn is_probe(&self) -> bool {
-        matches!(
-            self,
-            Delivery::Data(Envelope {
-                msg: Message::Ping { .. } | Message::Pong { .. },
-                ..
-            })
-        )
+        matches!(self, Delivery::Data(copy) if copy.msg.is_probe())
     }
 }
 
@@ -311,16 +437,26 @@ pub(crate) struct FaultPipe {
     /// Per-sender-slot next sequence number.
     pub next_seq: Vec<u64>,
     /// Deliveries scheduled per tick, in deterministic insertion order.
-    pub in_flight: BTreeMap<u64, Vec<Delivery>>,
+    in_flight: Wheel<Delivery>,
     /// What is left of the current tick's deliveries, in schedule order
     /// (the pump hands data copies to the transport run by run).
     pub arriving: VecDeque<Delivery>,
     /// Retransmission checks scheduled per tick.
-    pub retry_at: BTreeMap<u64, Vec<MsgId>>,
+    retry_at: Wheel<MsgId>,
+    /// What is left of the current tick's retry checks, in schedule order.
+    pub retrying: VecDeque<MsgId>,
     /// Unacknowledged messages by identifier.
     pub outstanding: FxHashMap<MsgId, Outstanding>,
-    /// Per-receiver-slot, per-sender-slot dedup windows.
-    pub dedup: Vec<FxHashMap<u32, DedupWindow>>,
+    /// Receive-side dedup state.
+    pub dedup: Dedup,
+    /// Ticks a fire-and-forget arrival is remembered: no copy of it is
+    /// scheduled later than `max_delay` ticks after its first.
+    unacked_life: u64,
+    /// Ticks an arrival whose sender awaits an ack is remembered: the last
+    /// retransmission fires `ack_timeout + Σ backoff(1..max_retries)` ticks
+    /// after the first transmission at the latest (saturating: `u64::MAX`
+    /// never expires).
+    acked_life: u64,
     /// Index into `cfg.scheduled_failures` already consumed.
     pub sched_idx: usize,
     /// Rate-driven failures injected so far.
@@ -359,16 +495,21 @@ impl FaultPipe {
                 }
             }
         }
+        let unacked_life = cfg.max_delay.saturating_add(1);
+        let acked_life = cfg.retransmit_span().saturating_add(unacked_life);
         FaultPipe {
             cfg,
             rng,
             tick: 0,
             next_seq: vec![0; slots],
-            in_flight: BTreeMap::new(),
+            in_flight: Wheel::new(),
             arriving: VecDeque::new(),
-            retry_at: BTreeMap::new(),
+            retry_at: Wheel::new(),
+            retrying: VecDeque::new(),
             outstanding: FxHashMap::default(),
-            dedup: (0..slots).map(|_| FxHashMap::default()).collect(),
+            dedup: Dedup::default(),
+            unacked_life,
+            acked_life,
             sched_idx: 0,
             failures_injected: 0,
             session_ends,
@@ -388,17 +529,25 @@ impl FaultPipe {
         (slot as u32, seq)
     }
 
+    /// Moves the clock to the next tick and forgets the dedup entries whose
+    /// messages can no longer arrive.
+    pub fn advance(&mut self) {
+        self.tick += 1;
+        self.dedup.expire(self.tick);
+    }
+
     /// Records a data arrival `(sender, seq)` at receiver `to`; returns
-    /// `true` when it is a duplicate that must be suppressed.
-    pub fn record_arrival(&mut self, id: MsgId, to: NodeHandle) -> bool {
-        let slot = to.index();
-        if slot >= self.dedup.len() {
-            self.dedup.resize_with(slot + 1, FxHashMap::default);
-        }
-        self.dedup[slot]
-            .entry(id.0)
-            .or_default()
-            .check_and_record(id.1)
+    /// `true` when it is a duplicate that must be suppressed. `probe` arrivals
+    /// are fire-and-forget whatever the retry configuration.
+    pub fn record_arrival(&mut self, id: MsgId, to: NodeHandle, probe: bool) -> bool {
+        let acked = !probe && self.cfg.retries_enabled();
+        let life = if acked {
+            self.acked_life
+        } else {
+            self.unacked_life
+        };
+        let expires = self.tick.saturating_add(life);
+        self.dedup.check_and_record(id, to.index(), expires, acked)
     }
 
     /// Opens an ack window for a fresh send: the message is retransmitted
@@ -436,24 +585,31 @@ impl FaultPipe {
         self.outstanding.insert(id, o);
     }
 
-    /// Schedules a delivery at an absolute tick.
+    /// Schedules a delivery at an absolute tick (later than the current).
     pub fn schedule(&mut self, at: u64, delivery: Delivery) {
         if !delivery.is_probe() {
             self.nonprobe_in_flight += 1;
         }
-        self.in_flight.entry(at).or_default().push(delivery);
+        self.in_flight.schedule(self.tick, at, delivery);
     }
 
-    /// Accounts for deliveries just removed from `in_flight` (the pump
-    /// calls this with each tick's batch before handing copies out).
-    pub fn note_removed(&mut self, deliveries: &[Delivery]) {
-        let nonprobe = deliveries.iter().filter(|d| !d.is_probe()).count();
+    /// Makes the current tick's deliveries `arriving` (drained by then).
+    pub fn take_arrivals(&mut self) {
+        self.in_flight.take_due(self.tick, &mut self.arriving);
+        let nonprobe = self.arriving.iter().filter(|d| !d.is_probe()).count();
         self.nonprobe_in_flight -= nonprobe;
     }
 
-    /// Schedules a retransmission check for `id` at an absolute tick.
+    /// Schedules a retransmission check for `id` at an absolute tick (later
+    /// than the current).
     pub fn schedule_retry(&mut self, at: u64, id: MsgId) {
-        self.retry_at.entry(at).or_default().push(id);
+        self.retry_at.schedule(self.tick, at, id);
+    }
+
+    /// Makes the current tick's retry checks `retrying`, in schedule order
+    /// (none when asked a second time for one tick).
+    pub fn take_retries(&mut self) {
+        self.retry_at.take_due(self.tick, &mut self.retrying);
     }
 
     /// Whether any non-probe deliveries or retransmission checks remain.
@@ -463,17 +619,86 @@ impl FaultPipe {
     pub fn busy(&self) -> bool {
         self.nonprobe_in_flight > 0 || !self.retry_at.is_empty()
     }
-
-    /// The backoff delay before the n-th retransmission:
-    /// `ack_timeout << attempt`, with the shift capped so ticks stay sane.
-    pub fn backoff(&self, attempt: u32) -> u64 {
-        self.cfg.ack_timeout << attempt.min(6)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A delivery that carries `n`: a probe, or an ack (which is not one).
+    fn numbered(probe: bool, n: u64) -> Delivery {
+        let node = NodeHandle::from_index(0);
+        if probe {
+            Delivery::Data(Envelope {
+                from: node,
+                to: node,
+                id: Some((0, n)),
+                msg: Message::Ping { from: 0, seq: n },
+            })
+        } else {
+            Delivery::Ack {
+                id: (0, n),
+                to: node,
+            }
+        }
+    }
+
+    fn number_of(d: &Delivery) -> (bool, u64) {
+        match d {
+            Delivery::Data(copy) => (true, copy.id.expect("numbered").1),
+            Delivery::Ack { id, .. } => (false, id.1),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Both wheels against `BTreeMap<tick, Vec<_>>`: every tick hands out
+        /// exactly what was scheduled for it, in schedule order — whatever
+        /// the horizon (`max_delay = 0` is distance 1, a capped backoff of
+        /// `ack_timeout = 2` is 128), across growth, through empty ticks and
+        /// through recycled buffers.
+        #[test]
+        fn wheels_agree_with_an_ordered_map(
+            ops in prop::collection::vec((0u8..10, 0u64..1000, prop::bool::ANY), 1..400),
+        ) {
+            let mut pipe = FaultPipe::new(FaultConfig::default(), 1);
+            let mut deliveries: BTreeMap<u64, Vec<(bool, u64)>> = BTreeMap::new();
+            let mut retries: BTreeMap<u64, Vec<MsgId>> = BTreeMap::new();
+            for (n, (op, a, probe)) in ops.into_iter().enumerate() {
+                let n = n as u64;
+                match op {
+                    0..=3 => {
+                        // next tick mostly, a short delay often, far rarely
+                        let delay = [0, 0, a % 4, a % 4, a % 7, a % 200][a as usize % 6];
+                        let at = pipe.tick + 1 + delay;
+                        pipe.schedule(at, numbered(probe, n));
+                        deliveries.entry(at).or_default().push((probe, n));
+                    }
+                    4 | 5 => {
+                        let at = pipe.tick + 1 + [a % 3, (2 << (a % 7)) - 1][a as usize % 2];
+                        pipe.schedule_retry(at, (0, n));
+                        retries.entry(at).or_default().push((0, n));
+                    }
+                    _ => {
+                        pipe.advance();
+                        pipe.take_arrivals();
+                        let got: Vec<_> = pipe.arriving.drain(..).map(|d| number_of(&d)).collect();
+                        prop_assert_eq!(got, deliveries.remove(&pipe.tick).unwrap_or_default());
+                        pipe.take_retries();
+                        let got: Vec<_> = pipe.retrying.drain(..).collect();
+                        prop_assert_eq!(got, retries.remove(&pipe.tick).unwrap_or_default());
+                        pipe.take_retries();
+                        prop_assert!(pipe.retrying.is_empty(), "a tick's checks fire once");
+                    }
+                }
+                let nonprobe = deliveries.values().flatten().filter(|(probe, _)| !probe).count();
+                prop_assert_eq!(pipe.nonprobe_in_flight, nonprobe);
+                prop_assert_eq!(pipe.busy(), nonprobe > 0 || !retries.is_empty());
+            }
+        }
+    }
 
     #[test]
     fn default_config_is_inert() {
@@ -503,18 +728,111 @@ mod tests {
     }
 
     #[test]
-    fn dedup_window_detects_duplicates_and_advances_floor() {
-        let mut w = DedupWindow::default();
-        assert!(!w.check_and_record(0));
-        assert!(!w.check_and_record(1));
-        assert!(w.check_and_record(0), "retransmission of 0 is a duplicate");
-        // out of order: 3 before 2
-        assert!(!w.check_and_record(3));
-        assert_eq!(w.pending(), 1, "3 buffered above the water mark");
-        assert!(!w.check_and_record(2));
-        assert_eq!(w.pending(), 0, "floor advanced past 3");
-        assert!(w.check_and_record(2));
-        assert!(w.check_and_record(3));
+    fn dedup_detects_duplicates_until_the_entry_expires() {
+        let cfg = FaultConfig {
+            max_delay: 3,
+            ..FaultConfig::default()
+        };
+        let mut pipe = FaultPipe::new(cfg, 2);
+        let (a, b) = (NodeHandle::from_index(0), NodeHandle::from_index(1));
+        pipe.advance();
+        assert!(!pipe.record_arrival((1, 7), a, true));
+        assert!(pipe.record_arrival((1, 7), a, true), "second copy");
+        assert!(
+            !pipe.record_arrival((1, 7), b, true),
+            "dedup is per receiver"
+        );
+        // sparse per-receiver subsequences of the sender's numbering
+        assert!(!pipe.record_arrival((1, 3), a, false));
+        assert_eq!(pipe.dedup.entries(), 3);
+        for _ in 0..3 {
+            pipe.advance();
+            assert_eq!(pipe.dedup.entries(), 3, "a delayed copy may still land");
+        }
+        assert!(
+            pipe.record_arrival((1, 7), a, true),
+            "the latest possible copy"
+        );
+        pipe.advance();
+        assert_eq!(pipe.dedup.entries(), 0, "1 + max_delay ticks after arrival");
+    }
+
+    /// The sender's side of one message first transmitted at `t0`, replayed
+    /// from `transmit` / `maybe_retransmit` / `schedule_copies`: the latest
+    /// tick a copy can land. `reroute_fails` makes every other retransmission
+    /// fail to resolve an owner — it sends nothing but spends its attempt.
+    fn last_possible_arrival(cfg: &FaultConfig, t0: u64, reroute_fails: bool) -> u64 {
+        let mut last = t0 + 1 + cfg.max_delay;
+        if !cfg.retries_enabled() {
+            return last;
+        }
+        let (mut check, mut attempt) = (t0 + cfg.ack_timeout, 0);
+        while attempt < cfg.max_retries {
+            attempt += 1;
+            if !(reroute_fails && attempt % 2 == 1) {
+                last = check + 1 + cfg.max_delay;
+            }
+            check += cfg.backoff(attempt);
+        }
+        last
+    }
+
+    #[test]
+    fn dedup_lifetime_covers_the_last_possible_arrival() {
+        for max_retries in [0, 1, 3, 16] {
+            for ack_timeout in [0, 2] {
+                for max_delay in [0, 3] {
+                    for reroute_fails in [false, true] {
+                        let cfg = FaultConfig {
+                            max_retries,
+                            ack_timeout,
+                            max_delay,
+                            ..FaultConfig::default()
+                        };
+                        let mut pipe = FaultPipe::new(cfg.clone(), 1);
+                        let to = NodeHandle::from_index(0);
+                        // transmitted at t0 = 5; the first copy lands at the
+                        // earliest, which expires the entry the earliest
+                        while pipe.tick < 6 {
+                            pipe.advance();
+                        }
+                        assert!(!pipe.record_arrival((0, 0), to, false));
+                        let last = last_possible_arrival(&cfg, 5, reroute_fails);
+                        while pipe.tick < last {
+                            pipe.advance();
+                        }
+                        assert!(
+                            pipe.record_arrival((0, 0), to, false),
+                            "{cfg:?}: a copy landing at tick {last} must still be a duplicate"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dedup_lifetime_saturates_instead_of_overflowing() {
+        let unbounded = FaultConfig {
+            max_retries: u32::MAX,
+            ack_timeout: 2,
+            max_delay: 3,
+            ..FaultConfig::default()
+        };
+        let pipe = FaultPipe::new(unbounded, 1);
+        assert!(pipe.acked_life >= (u64::from(u32::MAX) - 6) * pipe.cfg.backoff(6));
+        let saturating = FaultConfig {
+            max_retries: u32::MAX,
+            ack_timeout: u64::MAX >> 8,
+            max_delay: u64::MAX,
+            ..FaultConfig::default()
+        };
+        let mut pipe = FaultPipe::new(saturating, 1);
+        assert_eq!((pipe.unacked_life, pipe.acked_life), (u64::MAX, u64::MAX));
+        pipe.tick = u64::MAX - 2;
+        assert!(!pipe.record_arrival((0, 0), NodeHandle::from_index(0), false));
+        pipe.advance();
+        assert_eq!(pipe.dedup.entries(), 1, "expiry tick u64::MAX: never");
     }
 
     #[test]
@@ -529,16 +847,13 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_and_caps() {
-        let pipe = FaultPipe::new(
-            FaultConfig {
-                ack_timeout: 2,
-                ..FaultConfig::default()
-            },
-            1,
-        );
-        assert_eq!(pipe.backoff(0), 2);
-        assert_eq!(pipe.backoff(1), 4);
-        assert_eq!(pipe.backoff(3), 16);
-        assert_eq!(pipe.backoff(60), 2 << 6, "shift capped");
+        let cfg = FaultConfig {
+            ack_timeout: 2,
+            ..FaultConfig::default()
+        };
+        assert_eq!(cfg.backoff(0), 2);
+        assert_eq!(cfg.backoff(1), 4);
+        assert_eq!(cfg.backoff(3), 16);
+        assert_eq!(cfg.backoff(60), 2 << 6, "shift capped");
     }
 }

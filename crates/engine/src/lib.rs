@@ -68,7 +68,7 @@ pub mod wire;
 pub use algo::protocol_for;
 pub use config::{Algorithm, EngineConfig, IndexStrategy};
 pub use error::{EngineError, Result};
-pub use faults::{ChurnModel, DedupWindow, FaultConfig, SessionDist};
+pub use faults::{ChurnModel, FaultConfig, SessionDist};
 pub use jfrt::{Jfrt, JfrtLookup};
 pub use messages::{Message, ValueJoin};
 pub use metrics::{FaultCounters, Metrics, NodeLoad, RecoveryCounters, TrafficKind};

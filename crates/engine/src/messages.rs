@@ -166,6 +166,12 @@ impl Message {
         Self::KINDS[self.kind_index()]
     }
 
+    /// Whether this is a heartbeat probe (ping or pong): fire-and-forget,
+    /// never acknowledged, never counted as pending protocol work.
+    pub(crate) fn is_probe(&self) -> bool {
+        matches!(self, Message::Ping { .. } | Message::Pong { .. })
+    }
+
     /// The identifier an identifier-routed message is addressed to (`None`
     /// for node-addressed kinds and bundles).
     pub fn index_id(&self) -> Option<Id> {
@@ -204,10 +210,14 @@ impl Message {
         single.into_iter().chain(members)
     }
 
-    /// [`Message::logical`] by value.
-    pub(crate) fn into_logical(self, target: Id) -> impl Iterator<Item = (Id, Message)> {
-        self.into_members()
-            .map(move |m| (m.index_id().unwrap_or(target), m))
+    /// [`Message::logical`] by value, handed to `f` one at a time: a lone
+    /// message — every heartbeat probe — is never moved through an iterator.
+    pub(crate) fn for_each_logical(self, target: Id, mut f: impl FnMut(Id, Message)) {
+        let mut each = |m: Message| f(m.index_id().unwrap_or(target), m);
+        match self {
+            Message::Bundle(members) => members.into_iter().for_each(each),
+            single => each(single),
+        }
     }
 }
 

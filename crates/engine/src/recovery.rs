@@ -28,8 +28,6 @@
 //! With [`SuspicionConfig::default`] (disabled) none of this exists at
 //! runtime and every run is byte-identical to the pre-detection engine.
 
-use std::collections::BTreeMap;
-
 use cq_fasthash::FxHashMap;
 use cq_overlay::{Id, NodeHandle};
 
@@ -113,7 +111,7 @@ impl SuspicionConfig {
 }
 
 /// One watcher→target probe relationship.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum WatchState {
     /// A probe is out; `sent_at` is the tick of the *first* unanswered
     /// probe (later heartbeat rounds re-ping without resetting the clock).
@@ -126,6 +124,64 @@ enum WatchState {
         /// Tick the watch moved to suspected.
         suspected_at: u64,
     },
+}
+
+/// The active watches: one row per prober slot, each sorted by target slot.
+/// A prober watches its successor list, so a row holds at most `r` entries
+/// and every operation on it is a short scan; sweeps visit watches in
+/// `(prober, target)` order, which is the order suspicions and confirmations
+/// are reported and acted on.
+#[derive(Debug, Default)]
+struct WatchTable {
+    rows: Vec<Vec<(u32, WatchState)>>,
+}
+
+impl WatchTable {
+    /// Starts watching `prober → target` in `state` unless a watch exists.
+    fn or_insert(&mut self, prober: u32, target: u32, state: WatchState) {
+        if prober as usize >= self.rows.len() {
+            self.rows.resize_with(prober as usize + 1, Vec::new);
+        }
+        let row = &mut self.rows[prober as usize];
+        if let Err(at) = row.binary_search_by_key(&target, |&(t, _)| t) {
+            row.insert(at, (target, state));
+        }
+    }
+
+    /// Removes and returns the watch `prober → target`, if any.
+    fn remove(&mut self, prober: u32, target: u32) -> Option<WatchState> {
+        let row = self.rows.get_mut(prober as usize)?;
+        let at = row.binary_search_by_key(&target, |&(t, _)| t).ok()?;
+        Some(row.remove(at).1)
+    }
+
+    /// Drops every watch on `target`.
+    fn forget_target(&mut self, target: u32) {
+        for row in &mut self.rows {
+            row.retain(|&(t, _)| t != target);
+        }
+    }
+
+    /// Visits every watch in `(prober, target)` order. A prober that is not
+    /// `live` loses its whole row unvisited; `visit` returning `false`
+    /// removes the watch it was shown.
+    fn sweep(
+        &mut self,
+        mut live: impl FnMut(u32) -> bool,
+        mut visit: impl FnMut(u32, u32, &mut WatchState) -> bool,
+    ) {
+        for (prober, row) in self.rows.iter_mut().enumerate() {
+            if row.is_empty() {
+                continue;
+            }
+            let prober = prober as u32;
+            if live(prober) {
+                row.retain_mut(|(target, state)| visit(prober, *target, state));
+            } else {
+                row.clear();
+            }
+        }
+    }
 }
 
 /// Runtime state of the failure detector. Owned by [`Network`] when
@@ -141,9 +197,8 @@ pub(crate) struct Recovery {
     /// Probe sequence counter (shared across nodes; probes are
     /// fire-and-forget so uniqueness is all that matters).
     probe_seq: u64,
-    /// Active watches, keyed `(prober slot, target slot)`. A `BTreeMap`
-    /// so deadline sweeps iterate in a deterministic order.
-    watches: BTreeMap<(u32, u32), WatchState>,
+    /// Active watches.
+    watches: WatchTable,
     /// Failed-but-not-yet-confirmed nodes: slot → (failure pump tick,
     /// failure logical clock). Metrics/window bookkeeping only — the
     /// protocol never reads this map to decide anything, or the detector
@@ -172,7 +227,7 @@ impl Recovery {
             cfg,
             now: 0,
             probe_seq: 0,
-            watches: BTreeMap::new(),
+            watches: WatchTable::default(),
             undetected: FxHashMap::default(),
             windows: Vec::new(),
             repair_pending: Vec::new(),
@@ -314,7 +369,7 @@ impl Network {
             if let Some((_, fail_clock)) = rec.undetected.remove(&slot) {
                 rec.windows.push((fail_clock, clock));
             }
-            rec.watches.retain(|&(_, target), _| target != slot);
+            rec.watches.forget_target(slot);
         }
     }
 
@@ -327,7 +382,7 @@ impl Network {
         let node = prober.index() as u32;
         let now = rec.now;
         let was_suspected = matches!(
-            rec.watches.remove(&(node, from)),
+            rec.watches.remove(node, from),
             Some(WatchState::Suspected { .. })
         );
         if was_suspected {
@@ -385,8 +440,7 @@ impl Network {
             for &t in &targets {
                 let tslot = t.index() as u32;
                 rec.watches
-                    .entry((slot, tslot))
-                    .or_insert(WatchState::Waiting { sent_at: rec.now });
+                    .or_insert(slot, tslot, WatchState::Waiting { sent_at: rec.now });
                 let seq = rec.probe_seq;
                 rec.probe_seq += 1;
                 self.metrics.recovery.heartbeats_sent += 1;
@@ -406,33 +460,30 @@ impl Network {
         let now = rec.now;
         let mut confirmed: Vec<(u32, u32)> = Vec::new();
         let mut suspected: Vec<(u32, u32)> = Vec::new();
-        let mut dead_probers: Vec<(u32, u32)> = Vec::new();
-        for (&(p, t), state) in rec.watches.iter_mut() {
-            if !self
-                .ring
-                .node(NodeHandle::from_index(p as usize))
-                .is_alive()
-            {
-                dead_probers.push((p, t));
-                continue;
-            }
-            match *state {
+        let cfg = rec.cfg;
+        rec.watches.sweep(
+            |p| {
+                self.ring
+                    .node(NodeHandle::from_index(p as usize))
+                    .is_alive()
+            },
+            |p, t, state| match *state {
                 WatchState::Waiting { sent_at } => {
-                    if now >= sent_at + rec.cfg.suspect_after {
+                    if now >= sent_at + cfg.suspect_after {
                         *state = WatchState::Suspected { suspected_at: now };
                         suspected.push((p, t));
                     }
+                    true
                 }
                 WatchState::Suspected { suspected_at } => {
-                    if now >= suspected_at + rec.cfg.confirm_after {
+                    let confirm = now >= suspected_at + cfg.confirm_after;
+                    if confirm {
                         confirmed.push((p, t));
                     }
+                    !confirm
                 }
-            }
-        }
-        for key in dead_probers {
-            rec.watches.remove(&key);
-        }
+            },
+        );
         for (p, t) in suspected {
             self.metrics.recovery.suspects += 1;
             self.trace(|| TraceEvent::Suspect {
@@ -443,7 +494,6 @@ impl Network {
         }
         let mut repaired = false;
         for (p, t) in confirmed {
-            rec.watches.remove(&(p, t));
             let dead = !self
                 .ring
                 .node(NodeHandle::from_index(t as usize))
@@ -630,6 +680,13 @@ impl Network {
         self.drive(true)
     }
 
+    /// Receive-side dedup entries currently held, summed over receivers
+    /// (test hook: the count is bounded by message lifetime, not history).
+    #[doc(hidden)]
+    pub fn dedup_entries(&self) -> usize {
+        self.pump.as_ref().map_or(0, |pipe| pipe.dedup.entries())
+    }
+
     /// The detection windows observed so far, as closed logical-clock
     /// intervals `[fail, confirm]`; failures not yet confirmed yield
     /// half-open windows `[fail, u64::MAX]`. Tuples published inside any
@@ -675,6 +732,8 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn default_config_is_disabled() {
@@ -809,6 +868,64 @@ mod tests {
             assert_eq!(pair.primary_digest, primary, "primary {p:?}");
             let mirror = net.nodes[s.index()].replicas.digest_where(owned);
             assert_eq!(pair.successor_digest, mirror, "mirror of {p:?} at {s:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The watch table against the `BTreeMap<(prober, target), _>` it
+        /// replaced: the same watches after every operation, the same values
+        /// removed, and sweeps that visit in the map's iteration order.
+        #[test]
+        fn watch_table_agrees_with_an_ordered_map(
+            ops in prop::collection::vec((0u8..10, 0u32..6, 0u32..6, 0u64..64), 1..200),
+        ) {
+            let mut table = WatchTable::default();
+            let mut model: BTreeMap<(u32, u32), WatchState> = BTreeMap::new();
+            for (op, p, t, x) in ops {
+                match op {
+                    0..=3 => {
+                        let state = WatchState::Waiting { sent_at: x };
+                        table.or_insert(p, t, state);
+                        model.entry((p, t)).or_insert(state);
+                    }
+                    4 | 5 => prop_assert_eq!(table.remove(p, t), model.remove(&(p, t))),
+                    6 => {
+                        table.forget_target(t);
+                        model.retain(|&(_, target), _| target != t);
+                    }
+                    _ => {
+                        // probers in `x`'s low bits are dead; a visited watch
+                        // ages, and one in three is removed
+                        let live = |p: u32| x >> p & 1 == 0;
+                        let age = |state: &mut WatchState| {
+                            let (WatchState::Waiting { sent_at: at }
+                            | WatchState::Suspected { suspected_at: at }) = *state;
+                            *state = WatchState::Suspected { suspected_at: at + 1 };
+                            at % 3 != 0
+                        };
+                        let mut visited = Vec::new();
+                        table.sweep(live, |p, t, state| {
+                            visited.push((p, t, *state));
+                            age(state)
+                        });
+                        let mut expect = Vec::new();
+                        model.retain(|&(p, t), state| {
+                            live(p) && {
+                                expect.push((p, t, *state));
+                                age(state)
+                            }
+                        });
+                        prop_assert_eq!(visited, expect);
+                    }
+                }
+                let held = table.rows.iter().enumerate().flat_map(|(p, row)| {
+                    row.iter().map(move |&(t, state)| ((p as u32, t), state))
+                });
+                let expect: Vec<_> = model.iter().map(|(&watch, &state)| (watch, state)).collect();
+                prop_assert_eq!(held.collect::<Vec<_>>(), expect);
+            }
         }
     }
 

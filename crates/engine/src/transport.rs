@@ -561,7 +561,8 @@ impl Network {
             // The tick's arrivals are all in: fire its retry checks (none
             // are left when this is reached a second time for one tick).
             let now = pipe.tick;
-            for id in pipe.retry_at.remove(&now).unwrap_or_default() {
+            pipe.take_retries();
+            while let Some(id) = pipe.retrying.pop_front() {
                 self.maybe_retransmit(pipe, id, now);
             }
             if one_tick && *ticked {
@@ -583,12 +584,10 @@ impl Network {
                 return Ok(false);
             }
             *ticked = true;
-            pipe.tick += 1;
+            pipe.advance();
             self.inject_failures(pipe)?;
             self.recovery_tick(pipe)?;
-            let batch = pipe.in_flight.remove(&pipe.tick).unwrap_or_default();
-            pipe.note_removed(&batch);
-            pipe.arriving = batch.into();
+            pipe.take_arrivals();
         }
     }
 
@@ -599,11 +598,11 @@ impl Network {
         // Invariant: `pump_step` stamps every copy it hands to the transport.
         let id = e.id.expect("pump copies carry their identifier");
         let node = to.index() as u32;
+        let probe = msg.is_probe();
         if !self.ring.node(to).is_alive() {
             self.metrics.faults.messages_lost += 1;
             // A non-probe message swallowed by a failed-but-undetected
             // receiver is the recovery blind spot.
-            let probe = matches!(msg, Message::Ping { .. } | Message::Pong { .. });
             if !probe
                 && self
                     .recovery
@@ -625,7 +624,7 @@ impl Network {
             });
             return Ok(());
         }
-        if pipe.record_arrival(id, to) {
+        if pipe.record_arrival(id, to, probe) {
             self.metrics.faults.dedup_suppressed += 1;
             self.trace(|| TraceEvent::DedupSuppressed {
                 tick: now,
@@ -669,7 +668,7 @@ impl Network {
     /// draws. The logical message — not the envelope — is the unit of loss.
     fn transmit(&mut self, pipe: &mut FaultPipe, p: Pending) {
         let (from, to, reroute, mut path) = (p.from, p.to, p.reroute, p.trace_path);
-        for (target, msg) in p.msg.into_logical(p.target) {
+        p.msg.for_each_logical(p.target, |target, msg| {
             let id = pipe.alloc_seq(from);
             self.trace_send(pipe.tick, id, to, target, &msg, path.take());
             // Exact wire cost of this transmission (acks are not payload
@@ -677,13 +676,12 @@ impl Network {
             self.metrics.faults.bytes_sent[msg.kind_index()] += wire::encoded_len(&msg);
             // Heartbeat probes are fire-and-forget: no ack window, no
             // retransmission — an unanswered probe *is* the detector's signal.
-            let probe = matches!(msg, Message::Ping { .. } | Message::Pong { .. });
-            if pipe.cfg.retries_enabled() && !probe {
+            if pipe.cfg.retries_enabled() && !msg.is_probe() {
                 pipe.open_window(id, &from, target, reroute, &to, &msg);
                 pipe.schedule_retry(pipe.tick + pipe.cfg.ack_timeout, id);
             }
             self.schedule_copies(pipe, id, to, msg);
-        }
+        });
     }
 
     /// Draws duplication, loss and delay for one logical transmission and
@@ -751,7 +749,7 @@ impl Network {
             return; // sender died, or we give up
         }
         o.attempt += 1;
-        let next = now + pipe.backoff(o.attempt);
+        let next = now + pipe.cfg.backoff(o.attempt);
         if o.reroute {
             match self.ring.route_owner(o.from, o.target) {
                 Ok((owner, hops)) => {

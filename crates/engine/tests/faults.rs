@@ -471,3 +471,50 @@ fn replica_load_is_not_storage_load() {
     assert!(replicas > 0, "replication must actually mirror state");
     assert!(net.metrics().faults.replica_messages > 0);
 }
+
+#[test]
+fn receive_side_dedup_state_is_bounded_by_message_lifetime() {
+    // The `churn_dait` fault profile with nobody failing: 32 nodes, 5 %
+    // loss, k = 2, detector on. Sequence numbers are allocated per sender
+    // and every receiver sees a sparse subsequence of them, so dedup state
+    // must expire by message lifetime — a low-water mark never advances and
+    // keeps one entry per message ever received.
+    use cq_engine::SuspicionConfig;
+    let mut fault = FaultConfig::lossy(0.05, 12);
+    fault.replication = 2;
+    let suspicion = SuspicionConfig::active()
+        .with_suspect_after(4)
+        .with_confirm_after(4);
+    let mut net = Network::new(
+        EngineConfig::new(Algorithm::DaiT)
+            .with_nodes(32)
+            .with_seed(12)
+            .with_fault(fault)
+            .with_suspicion(suspicion),
+        catalog(),
+    );
+    stream(&mut net);
+    let probes_per_round = 2 * 32 * cq_overlay::DEFAULT_SUCCESSOR_LIST_LEN;
+    let mut at_2000 = 0;
+    for tick in 1..=4000 {
+        net.tick_now().unwrap();
+        let entries = net.dedup_entries();
+        // A probe entry lives `1 + max_delay` = 4 ticks and a round fires
+        // every 4 ticks, so at most two rounds' entries are alive at once;
+        // 4 rounds leaves room for the data messages false confirmations
+        // send (replica promotion, repair).
+        assert!(
+            entries <= 4 * probes_per_round,
+            "tick {tick}: {entries} dedup entries"
+        );
+        if tick == 2000 {
+            at_2000 = entries;
+        }
+    }
+    assert!(net.recovery_counters().heartbeats_sent > 100_000);
+    let at_4000 = net.dedup_entries();
+    assert!(
+        at_4000 <= at_2000 + probes_per_round,
+        "dedup state grew from {at_2000} to {at_4000} entries over 2000 idle ticks"
+    );
+}
