@@ -8,6 +8,7 @@ use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use cq_engine::algo::RunMatcher;
 use cq_engine::tables::{StoredRewritten, StoredTuple, Vlqt, Vltt};
 use cq_engine::{Algorithm, EngineConfig, Matches, Network};
 use cq_overlay::Id;
@@ -57,14 +58,16 @@ fn s_tuple(cat: &Catalog, c: i64, d: i64) -> Arc<Tuple> {
 }
 
 /// The evaluator's VLTT scan — a rewritten query arriving at its value
-/// target matched against stored tuples in place (the `match_against_vltt`
-/// inner loop): iterate candidates, test, accumulate counts.
+/// target matched against stored tuples in place, through the engine's run
+/// matcher (a run of one): decide each candidate, count.
 fn bench_candidate_scan_vltt(c: &mut Criterion) {
     let cat = catalog();
     let q = query(&cat, 0);
-    let rq = RewrittenQuery::rewrite_attribute(&q, Side::Left, "B", "C", &r_tuple(&cat, 1, 7))
-        .unwrap()
-        .unwrap();
+    let run = [
+        RewrittenQuery::rewrite_attribute(&q, Side::Left, "B", "C", &r_tuple(&cat, 1, 7))
+            .unwrap()
+            .unwrap(),
+    ];
     let mut group = c.benchmark_group("kernels/candidate-scan-vltt");
     for &n in &[1_000usize, 10_000] {
         let mut vltt = Vltt::new();
@@ -76,16 +79,17 @@ fn bench_candidate_scan_vltt(c: &mut Criterion) {
             })
             .unwrap();
         }
-        // Recycled across iterations, as the engine's accumulator is.
+        // Recycled across iterations, as the engine's accumulator and
+        // matcher are.
         let mut matches = Matches::new(false);
+        let mut matcher = RunMatcher::default();
+        let tuples = vltt.bucket("S", "C", "i:7");
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
                 matches.clear();
-                for e in vltt.candidates("S", "C", "i:7") {
-                    if rq.matches(&e.tuple).unwrap() {
-                        matches.add(&rq, &e.tuple).unwrap();
-                    }
-                }
+                matcher
+                    .match_run(&run, tuples, &mut matches, |_| {})
+                    .unwrap();
                 black_box(matches.len())
             })
         });

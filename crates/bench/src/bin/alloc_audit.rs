@@ -7,7 +7,12 @@
 //! order of magnitude apart, and a zero-clone kernel shows (near-)constant
 //! allocations per event while a clone-collect kernel grows linearly with
 //! the candidate count. `scripts/bench_snapshot.sh` folds the output into
-//! `BENCH_21.json` and enforces the flat-slope check.
+//! `BENCH_25.json` and enforces the flat-slope check.
+//!
+//! The VLTT side is measured through the engine's own `RunMatcher`: a run
+//! of one rewriting (`vltt-scan`), and a `Join` message's run of fifty
+//! against tuples half of which predate half of the queries (`join-run`),
+//! which must allocate nothing per run.
 //!
 //! The same slope discipline covers failure detection and repair: the
 //! `fault-pump`, `heartbeat-round` and `digest-round` kernels run a lossy
@@ -29,6 +34,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cq_bench::alloc_count;
+use cq_engine::algo::RunMatcher;
 use cq_engine::tables::{Alqt, StoredQuery, StoredRewritten, StoredTuple, Vlqt, Vltt};
 use cq_engine::{Algorithm, EngineConfig, FaultConfig, Matches, Network, SuspicionConfig};
 use cq_overlay::Id;
@@ -51,10 +57,14 @@ fn catalog() -> Catalog {
 }
 
 fn query(cat: &Catalog, n: u64) -> QueryRef {
+    query_posed_at(cat, n, Timestamp(0))
+}
+
+fn query_posed_at(cat: &Catalog, n: u64, ins_time: Timestamp) -> QueryRef {
     Arc::new(
         parse_query("SELECT R.A, S.D FROM R, S WHERE R.B = S.C", cat)
             .unwrap()
-            .into_query(QueryKey::derive("bench", n), "bench", Timestamp(0), cat)
+            .into_query(QueryKey::derive("bench", n), "bench", ins_time, cat)
             .unwrap(),
     )
 }
@@ -125,32 +135,87 @@ fn measure_best(kernel: &'static str, size: usize, events: u64, mut f: impl FnMu
         .expect("five windows")
 }
 
-/// `match_against_vltt`'s inner loop: scan stored tuples under one value
-/// key, test the rewritten query, accumulate counts.
-fn audit_vltt_scan(cat: &Catalog, size: usize, events: u64) -> Row {
-    let q = query(cat, 0);
-    let rq = RewrittenQuery::rewrite_attribute(&q, Side::Left, "B", "C", &r_tuple(cat, 1, 7))
-        .unwrap()
-        .unwrap();
+/// `size` S tuples stored under `C = 7`, the `i`-th published at
+/// `published(i)`.
+fn vltt_of(cat: &Catalog, size: usize, published: impl Fn(usize) -> Timestamp) -> Vltt {
     let mut vltt = Vltt::new();
-    for i in 0..size as i64 {
+    for i in 0..size {
+        let tuple = Tuple::new(
+            cat.get("S").unwrap().clone(),
+            vec![Value::Int(7), Value::Int(i as i64)],
+            published(i),
+            i as u64,
+        )
+        .unwrap();
         vltt.insert(StoredTuple {
             index_id: Id(i as u64),
             attr: "C".to_string(),
-            tuple: s_tuple(cat, 7, i),
+            tuple: Arc::new(tuple),
         })
         .unwrap();
     }
-    // Recycled across events, as the engine's accumulator is.
+    vltt
+}
+
+/// Rewrites each query for the R tuple `(1, 7)` published at time 20.
+fn rewritings(cat: &Catalog, queries: &[QueryRef]) -> Vec<RewrittenQuery> {
+    let trigger = Tuple::new(
+        cat.get("R").unwrap().clone(),
+        vec![Value::Int(1), Value::Int(7)],
+        Timestamp(20),
+        0,
+    )
+    .unwrap();
+    queries
+        .iter()
+        .map(|q| {
+            RewrittenQuery::rewrite_attribute(q, Side::Left, "B", "C", &trigger)
+                .unwrap()
+                .unwrap()
+        })
+        .collect()
+}
+
+/// One rewritten query against the tuples stored under its value key,
+/// through the engine's run matcher (a run of one).
+fn audit_vltt_scan(cat: &Catalog, size: usize, events: u64) -> Row {
+    let run = rewritings(cat, &[query(cat, 0)]);
+    let vltt = vltt_of(cat, size, |_| Timestamp(1));
+    let tuples = vltt.bucket("S", "C", "i:7");
+    // Recycled across events, as the engine's accumulator and matcher are.
     let mut matches = Matches::new(false);
+    let mut matcher = RunMatcher::default();
     measure("vltt-scan", size, events, || {
         matches.clear();
-        for e in vltt.candidates("S", "C", "i:7") {
-            if rq.matches(&e.tuple).unwrap() {
-                matches.add(&rq, &e.tuple).unwrap();
-            }
-        }
+        matcher
+            .match_run(&run, tuples, &mut matches, |_| {})
+            .unwrap();
         assert_eq!(matches.len(), size as u64);
+    })
+}
+
+/// A `Join` message's run at a DAI-Q evaluator: 50 rewritings of 50
+/// distinct queries of one join condition against `size` stored tuples,
+/// half of them published before half of the queries were posed. The run
+/// matcher decides the shape once per tuple and the time test per pair; a
+/// run must allocate nothing, whatever its size.
+fn audit_join_run(cat: &Catalog, size: usize, events: u64) -> Row {
+    let queries: Vec<QueryRef> = (0..50)
+        .map(|n| query_posed_at(cat, n, Timestamp(if n % 2 == 0 { 0 } else { 10 })))
+        .collect();
+    let run = rewritings(cat, &queries);
+    let vltt = vltt_of(cat, size, |i| Timestamp(if i % 2 == 0 { 5 } else { 15 }));
+    let tuples = vltt.bucket("S", "C", "i:7");
+    // every tuple for the early queries, the odd (late) ones for the others
+    let expected = (25 * size + 25 * (size / 2)) as u64;
+    let mut matches = Matches::new(false);
+    let mut matcher = RunMatcher::default();
+    measure("join-run", size, events, || {
+        matches.clear();
+        matcher
+            .match_run(&run, tuples, &mut matches, |_| {})
+            .unwrap();
+        assert_eq!(matches.len(), expected);
     })
 }
 
@@ -426,6 +491,8 @@ fn main() {
     let rows = [
         audit_vltt_scan(&cat, 1_000, scan_events),
         audit_vltt_scan(&cat, 10_000, scan_events.max(200) / 10),
+        audit_join_run(&cat, 1_000, scan_events.max(200) / 10),
+        audit_join_run(&cat, 10_000, scan_events.max(2_000) / 100),
         audit_vlqt_scan(&cat, 1_000, scan_events),
         audit_vlqt_scan(&cat, 10_000, scan_events.max(200) / 10),
         audit_alqt_scan(&cat, 50, scan_events),

@@ -10,7 +10,7 @@
 //! whose flushes coalesce — so a last row repeats the medium payload on
 //! [`MANY_NODES`] nodes, where costs paid per connection or per `read`
 //! (rather than per byte) and the topology's frames-per-flush ceiling show.
-//! `scripts/bench_snapshot.sh` folds the output into `BENCH_21.json`.
+//! `scripts/bench_snapshot.sh` folds the output into `BENCH_25.json`.
 //!
 //! Usage: `socket_bench [--quick] [--check]`
 //!

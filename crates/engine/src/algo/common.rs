@@ -9,7 +9,7 @@
 //! rewritten queries against stored tuples (Section 4.3.3) — while the
 //! per-algorithm differences stay in the [`Protocol`] impls.
 //!
-//! The join kernels ([`t1_tuple_arrival`], [`match_against_vltt`],
+//! The join kernels ([`t1_tuple_arrival`], [`RunMatcher`],
 //! [`match_vlqt_candidates`]) scan their tables **in place**: candidate
 //! entries are borrowed straight out of the index maps while matches,
 //! metrics and effects flow into the disjoint [`EffectCtx`] sinks. No
@@ -22,7 +22,9 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use cq_overlay::Id;
-use cq_relational::{JoinQuery, MatchTarget, QueryRef, RewrittenQuery, Side, Tuple};
+use cq_relational::{
+    JoinQuery, MatchTarget, QueryRef, RelationalError, RewrittenQuery, Side, Timestamp, Tuple,
+};
 use rand::Rng;
 
 use crate::error::{EngineError, Result};
@@ -259,6 +261,16 @@ pub(crate) fn target_run_len(items: &[RewrittenQuery]) -> usize {
     items.chunk_by(same_bucket).next().map_or(0, <[_]>::len)
 }
 
+/// How many of `items`' leading entries share the head's shape
+/// ([`RewrittenQuery::same_shape`]). A shape includes the target and the
+/// free relation, so such a run also shares its evaluator bucket.
+pub(crate) fn shape_run_len(items: &[RewrittenQuery]) -> usize {
+    items
+        .chunk_by(RewrittenQuery::same_shape)
+        .next()
+        .map_or(0, <[_]>::len)
+}
+
 /// The `(DisR, DisA)` a run headed by `head` targets, with the canonical
 /// form of the value written into `value_key`. Returns a typed protocol
 /// violation when the rewritten query carries a value target (those never
@@ -278,32 +290,159 @@ pub(crate) fn attribute_target<'q>(
     Ok((head.free_relation(), attr))
 }
 
-/// Matches one rewritten query against the tuples stored under its target
-/// (Section 4.3.3; `tuples` is [`Vltt::bucket`] of the run it belongs to)
-/// in place, accumulating notifications.
-pub(crate) fn match_against_vltt(
-    fx: &mut EffectCtx<'_>,
-    tuples: &[StoredTuple],
-    rq: &RewrittenQuery,
-    matches: &mut Matches,
-) -> Result<()> {
-    let node = fx.node().index();
-    let before = matches.len();
-    for e in tuples {
-        if rq.matches(&e.tuple)? {
-            matches.add(rq, &e.tuple)?;
+/// Matches runs of rewritten queries against one candidate list each — a
+/// `Join` message's items against the VLTT bucket they target (Section
+/// 4.3.3), a `JoinV` message's against the value store (Section 4.5).
+///
+/// `rq.matches(t)` is a time test, `pubT(t) >= insT(q)`, and a shape test —
+/// relation, free-side filters, target — that rewritings of
+/// [`RewrittenQuery::same_shape`] answer alike. The items of one message
+/// nearly always share their shape, as they share their group's join
+/// condition (Section 4.3.5). So per sub-run of equal shape the matcher
+/// decides the shape test once per candidate, into a verdict — no, yes
+/// with the candidate's `pubT`, or an error deferred with its `pubT` — and
+/// per rewriting only compares `insT(q)` with the yes verdicts' times: one
+/// integer comparison per pair. It arrives where the pairwise loop
+///
+/// ```text
+/// for rq in run { for t in candidates { if rq.matches(t)? { matches.add(rq, t)? } } }
+/// ```
+///
+/// arrives: the same per-query counts (added with one
+/// [`QueryCounts::add_n`](crate::protocol::QueryCounts::add_n) per
+/// rewriting that matched at all), the same notifications in the same
+/// rewriting-major, candidate-minor order, and the same error — a deferred
+/// error surfaces at the first pair, in that order, whose time test
+/// passes, because the pairwise loop never runs the shape test of a pair
+/// the time test rejects and stops at the first one that fails.
+///
+/// The buffers live as long as the matcher (one per network, lent to
+/// handlers through [`crate::protocol::Scratch`]), so steady-state
+/// matching allocates nothing.
+#[derive(Debug, Default)]
+pub struct RunMatcher {
+    /// The candidates whose shape verdict is yes, in candidate order: `pubT`
+    /// and position.
+    yes: Vec<(Timestamp, usize)>,
+    /// Candidates whose shape test failed: position, `pubT`, error.
+    failed: Vec<(usize, Timestamp, RelationalError)>,
+    /// How many candidates the verdicts cover; `None` until decided.
+    decided: Option<usize>,
+    /// The rewriting the verdicts were decided for.
+    #[cfg(debug_assertions)]
+    shape: Option<RewrittenQuery>,
+}
+
+impl RunMatcher {
+    /// Forgets the verdicts: the next rewriting starts a new shape.
+    pub fn reset(&mut self) {
+        self.decided = None;
+    }
+
+    /// Matches every rewriting of `run` against `candidates`, in order,
+    /// calling `matched` with how many matches each one produced.
+    pub fn match_run<C: AsRef<Tuple>>(
+        &mut self,
+        run: &[RewrittenQuery],
+        candidates: &[C],
+        matches: &mut Matches,
+        mut matched: impl FnMut(u64),
+    ) -> cq_relational::Result<()> {
+        for shape in run.chunk_by(RewrittenQuery::same_shape) {
+            self.reset();
+            for rq in shape {
+                matched(self.match_rewriting(rq, candidates, matches)?);
+            }
+        }
+        Ok(())
+    }
+
+    /// Matches one rewriting against `candidates`, returning how many
+    /// matches it produced. The first call after [`Self::reset`] decides
+    /// the verdicts; until the next reset, every call must pass a rewriting
+    /// of the same shape and the same candidates.
+    pub fn match_rewriting<C: AsRef<Tuple>>(
+        &mut self,
+        rq: &RewrittenQuery,
+        candidates: &[C],
+        matches: &mut Matches,
+    ) -> cq_relational::Result<u64> {
+        match self.decided {
+            None => self.decide(rq, candidates),
+            Some(covered) => {
+                debug_assert_eq!(covered, candidates.len(), "candidates changed");
+                #[cfg(debug_assertions)]
+                debug_assert!(
+                    self.shape.as_ref().is_some_and(|s| s.same_shape(rq)),
+                    "{rq} does not have the decided shape"
+                );
+            }
+        }
+        let ins = rq.query().ins_time();
+        let failed = self.failed.iter().find(|f| f.1 >= ins);
+        match matches {
+            Matches::Counts(counts) => {
+                if let Some((_, _, e)) = failed {
+                    return Err(e.clone());
+                }
+                let n = self.yes.iter().filter(|y| y.0 >= ins).count() as u64;
+                if n > 0 {
+                    counts.add_n(rq.query(), n);
+                }
+                Ok(n)
+            }
+            Matches::Full(out) => {
+                let before = out.len();
+                let stop = failed.map_or(candidates.len(), |f| f.0);
+                for &(time, at) in &self.yes {
+                    if at > stop {
+                        break;
+                    }
+                    if time >= ins {
+                        out.push(rq.notification_with(candidates[at].as_ref())?);
+                    }
+                }
+                if let Some((_, _, e)) = failed {
+                    return Err(e.clone());
+                }
+                Ok((out.len() - before) as u64)
+            }
         }
     }
-    let candidates = tuples.len() as u64;
+
+    /// Decides `shape`'s shape test for every candidate.
+    fn decide<C: AsRef<Tuple>>(&mut self, shape: &RewrittenQuery, candidates: &[C]) {
+        self.yes.clear();
+        self.failed.clear();
+        for (at, c) in candidates.iter().enumerate() {
+            let t = c.as_ref();
+            match shape.shape_matches(t) {
+                Ok(true) => self.yes.push((t.pub_time(), at)),
+                Ok(false) => {}
+                Err(e) => self.failed.push((at, t.pub_time(), e)),
+            }
+        }
+        self.decided = Some(candidates.len());
+        #[cfg(debug_assertions)]
+        {
+            self.shape = Some(shape.clone());
+        }
+    }
+}
+
+/// Charges one evaluated rewriting: the `candidates` it was checked
+/// against are the evaluator's filtering work (the paper counts it per
+/// rewriting), and one `JoinEval` event records what it produced.
+pub(crate) fn note_join_eval(fx: &mut EffectCtx<'_>, candidates: u64, produced: u64) {
+    let node = fx.node().index();
     fx.metrics().add_evaluator_filtering(node, candidates);
-    let (tick, produced) = (fx.tick(), matches.len() - before);
+    let tick = fx.tick();
     fx.trace(|| TraceEvent::JoinEval {
         tick,
         node: node as u32,
         candidates,
         matches: produced,
     });
-    Ok(())
 }
 
 /// Matches an arriving value-level tuple against the VLQT (Section 4.3.4)

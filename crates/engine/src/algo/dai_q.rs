@@ -94,17 +94,20 @@ impl Protocol for DaiQProtocol {
         let _ = index_id; // evaluate, never store
         let (st, mut fx) = ctx.split();
         let mut matches = fx.new_matches();
+        let mut matcher = fx.take_matcher();
         let mut value_key = fx.take_scratch();
         let mut items = items.as_slice();
         while let Some(head) = items.first() {
             let (run, rest) = items.split_at(common::target_run_len(items));
             let (rel, attr) = common::attribute_target(&fx, head, &mut value_key)?;
             let tuples = st.vltt.bucket(rel, attr, &value_key);
-            for rq in run {
-                common::match_against_vltt(&mut fx, tuples, rq, &mut matches)?;
-            }
+            let candidates = tuples.len() as u64;
+            matcher.match_run(run, tuples, &mut matches, |produced| {
+                common::note_join_eval(&mut fx, candidates, produced)
+            })?;
             items = rest;
         }
+        fx.restore_matcher(matcher);
         fx.restore_scratch(value_key);
         fx.push(Effect::Deliver { matches });
         Ok(())

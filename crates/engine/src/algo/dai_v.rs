@@ -166,21 +166,18 @@ impl Protocol for DaiVProtocol {
         let (st, mut fx) = ctx.split();
         let node = fx.node().index();
         let mut matches = fx.new_matches();
+        let mut matcher = fx.take_matcher();
         let mut checked = 0u64;
-        // The candidate list is the same for every item: look it up once,
-        // scan it in place per rewritten query — which keeps the
-        // filtering-work accounting per-rq, as the paper counts it.
-        let candidates = st.vstore.candidates(&group, &value_key, other);
-        for rq in &items {
-            for e in candidates.clone() {
-                if rq.matches(&e.tuple)? {
-                    matches.add(rq, &e.tuple)?;
-                }
-            }
-            let count = candidates.len() as u64;
+        // The candidate list is the same for every item: look it up once and
+        // match the whole run against it — still charging every rewritten
+        // query the whole list, as the paper counts filtering work.
+        let candidates = st.vstore.candidates(&group, &value_key, other).as_slice();
+        let count = candidates.len() as u64;
+        matcher.match_run(&items, candidates, &mut matches, |_| {
             fx.metrics().add_evaluator_filtering(node, count);
             checked += count;
-        }
+        })?;
+        fx.restore_matcher(matcher);
         let (tick, produced) = (fx.tick(), matches.len());
         fx.trace(|| TraceEvent::JoinEval {
             tick,

@@ -18,6 +18,7 @@ use std::sync::Arc;
 use crate::config::Algorithm;
 use crate::protocol::Protocol;
 
+pub use common::RunMatcher;
 pub use dai_q::DaiQProtocol;
 pub use dai_t::DaiTProtocol;
 pub use dai_v::DaiVProtocol;

@@ -145,13 +145,17 @@ impl Protocol for SaiProtocol {
         let NodeState { vlqt, vltt, .. } = st;
         let repl = fx.repl_k() > 0;
         let mut matches = fx.new_matches();
+        let mut matcher = fx.take_matcher();
         let mut value_key = fx.take_scratch();
         let mut items = items.into_iter();
         while let Some(head) = items.as_slice().first() {
-            let run = common::target_run_len(items.as_slice());
+            // A run of one shape shares its buckets and the matcher's
+            // verdicts, decided at its first fresh rewriting.
+            let run = common::shape_run_len(items.as_slice());
             let (rel, attr) = common::attribute_target(&fx, head, &mut value_key)?;
             let tuples = vltt.bucket(rel, attr, &value_key);
             let mut bucket = vlqt.bucket_mut(rel, attr, &value_key);
+            matcher.reset();
             for rq in items.by_ref().take(run) {
                 // Store first (dedup by identity); only a *new* rewritten query
                 // is evaluated against stored tuples — a duplicate "need
@@ -173,10 +177,12 @@ impl Protocol for SaiProtocol {
                             item: ReplicaItem::Rewritten(entry.clone()),
                         });
                     }
-                    common::match_against_vltt(&mut fx, tuples, &entry.rq, &mut matches)?;
+                    let produced = matcher.match_rewriting(&entry.rq, tuples, &mut matches)?;
+                    common::note_join_eval(&mut fx, tuples.len() as u64, produced);
                 }
             }
         }
+        fx.restore_matcher(matcher);
         fx.restore_scratch(value_key);
         fx.push(Effect::Deliver { matches });
         Ok(())

@@ -28,6 +28,7 @@ use cq_overlay::{Id, NodeHandle, Ring};
 use cq_relational::{JoinQuery, Notification, QueryRef, RewrittenQuery, Side, Tuple};
 use rand::rngs::StdRng;
 
+use crate::algo::RunMatcher;
 use crate::config::EngineConfig;
 use crate::error::{EngineError, Result};
 use crate::messages::{Message, ValueJoin};
@@ -113,7 +114,7 @@ impl Matches {
     pub fn add(&mut self, rq: &RewrittenQuery, t: &Tuple) -> cq_relational::Result<()> {
         match self {
             Matches::Full(v) => v.push(rq.notification_with(t)?),
-            Matches::Counts(c) => c.add(rq.query()),
+            Matches::Counts(c) => c.add_n(rq.query(), 1),
         }
         Ok(())
     }
@@ -151,14 +152,18 @@ pub struct QueryCounts {
 }
 
 impl QueryCounts {
-    fn add(&mut self, query: &QueryRef) {
-        self.total += 1;
+    /// Records `n` matches of `query` at once — an evaluator adds a
+    /// rewriting's whole count with one probe. `n` must be positive: a query
+    /// is entered in the order of its first match.
+    pub fn add_n(&mut self, query: &QueryRef, n: u64) {
+        debug_assert!(n > 0, "a query is entered at its first match");
+        self.total += n;
         let address = Arc::as_ptr(query) as usize;
         match self.positions.get(&address) {
-            Some(&i) => self.entries[i].1 += 1,
+            Some(&i) => self.entries[i].1 += n,
             None => {
                 self.positions.insert(address, self.entries.len());
-                self.entries.push((Arc::clone(query), 1));
+                self.entries.push((Arc::clone(query), n));
             }
         }
     }
@@ -208,6 +213,8 @@ pub struct Scratch {
     value_key: String,
     /// The counts accumulator, between one `Deliver` and the next handler.
     counts: QueryCounts,
+    /// The evaluators' verdict buffers ([`EffectCtx::take_matcher`]).
+    matcher: RunMatcher,
 }
 
 impl Scratch {
@@ -485,6 +492,17 @@ impl EffectCtx<'_> {
     /// Returns the scratch buffer after use.
     pub fn restore_scratch(&mut self, s: String) {
         self.scratch.value_key = s;
+    }
+
+    /// Takes the reusable run matcher; pair with
+    /// [`EffectCtx::restore_matcher`], as with [`EffectCtx::take_scratch`].
+    pub fn take_matcher(&mut self) -> RunMatcher {
+        std::mem::take(&mut self.scratch.matcher)
+    }
+
+    /// Returns the run matcher after use.
+    pub fn restore_matcher(&mut self, matcher: RunMatcher) {
+        self.scratch.matcher = matcher;
     }
 
     /// A typed protocol-violation error.

@@ -27,6 +27,12 @@ pub struct StoredTuple {
     pub tuple: Arc<Tuple>,
 }
 
+impl AsRef<Tuple> for StoredTuple {
+    fn as_ref(&self) -> &Tuple {
+        &self.tuple
+    }
+}
+
 /// The two-level value-level tuple table.
 ///
 /// Buckets are keyed by an owned `(relation, attr)` [`StrPair`] at the first

@@ -29,6 +29,12 @@ pub struct StoredValueTuple {
     pub tuple: Arc<Tuple>,
 }
 
+impl AsRef<Tuple> for StoredValueTuple {
+    fn as_ref(&self) -> &Tuple {
+        &self.tuple
+    }
+}
+
 /// DAI-V evaluator store.
 ///
 /// Keyed by `(query group, join-condition value)` — matching is scoped to a

@@ -12,15 +12,26 @@
 //! for T1 queries, for T2 queries (either side compound) and for tuples of
 //! the wrong relation. Along the way, a rewriting's identity must survive
 //! the wire and a rebuild from its parts.
+//!
+//! The evaluators do not call `matches` per pair: a `RunMatcher` decides
+//! the shape half once per candidate for a run of rewritings and leaves the
+//! time half per pair. Random runs — queries of one join condition with
+//! their own insertion times and now and then their own filters, T2
+//! conditions, off-join-attribute targets, candidates of the wrong relation
+//! and too short for their schema — must come out of it exactly as out of
+//! the pairwise loop it replaces: counts, notifications and their order,
+//! and the first error.
 
 use std::sync::Arc;
 
+use cq_engine::algo::RunMatcher;
 use cq_engine::wire::{decode_message, encode_message};
-use cq_engine::Message;
+use cq_engine::{Matches, Message};
 use cq_overlay::Id;
 use cq_relational::{
-    Attribute, BinOp, Catalog, DataType, Expr, Filter, JoinQuery, MatchTarget, QueryKey, QueryRef,
-    QuerySpec, RelationSchema, RewrittenQuery, SelectItem, Side, Timestamp, Tuple, Value,
+    Attribute, BinOp, Catalog, DataType, Expr, Filter, JoinQuery, MatchTarget, Notification,
+    QueryKey, QueryRef, QuerySpec, RelationSchema, RewrittenQuery, SelectItem, Side, Timestamp,
+    Tuple, Value,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -94,49 +105,74 @@ fn rand_condition(rng: &mut StdRng, c: &Catalog, rel: &str, compound: bool) -> E
     Expr::bin(op, attr(rng), rhs)
 }
 
-/// A query `L ⋈ R` over `Int` attributes — T1 unless `t2`, which makes each
-/// condition side compound more often than not — with a random select
-/// list, up to two filters and an insertion time some tuples predate.
-fn rand_query(rng: &mut StdRng, c: &Catalog, t2: bool) -> QueryRef {
-    let rel = |side| if side == Side::Left { "L" } else { "R" };
-    let side = |rng: &mut StdRng| {
-        if rng.gen_bool(0.5) {
-            Side::Left
-        } else {
-            Side::Right
-        }
-    };
-    let select = (0..rng.gen_range(1..4usize))
+fn rand_side(rng: &mut StdRng) -> Side {
+    if rng.gen_bool(0.5) {
+        Side::Left
+    } else {
+        Side::Right
+    }
+}
+
+fn relation_of(side: Side) -> &'static str {
+    match side {
+        Side::Left => "L",
+        Side::Right => "R",
+    }
+}
+
+/// Up to two `attr = const` filters on either side.
+fn rand_filters(rng: &mut StdRng, c: &Catalog) -> Vec<Filter> {
+    (0..rng.gen_range(0..3usize))
         .map(|_| {
-            let side = side(rng);
-            SelectItem {
-                side,
-                attr: rand_attr(rng, c, rel(side), None).into(),
-            }
-        })
-        .collect();
-    let filters = (0..rng.gen_range(0..3usize))
-        .map(|_| {
-            let side = side(rng);
-            let attr = rand_attr(rng, c, rel(side), None);
-            let ty = c.get(rel(side)).unwrap().type_of(attr).unwrap();
+            let side = rand_side(rng);
+            let attr = rand_attr(rng, c, relation_of(side), None);
+            let ty = c.get(relation_of(side)).unwrap().type_of(attr).unwrap();
             Filter {
                 side,
                 attr: attr.into(),
                 value: rand_value(rng, ty),
             }
         })
+        .collect()
+}
+
+/// A query `L ⋈ R` over `Int` attributes — T1 unless `t2`, which makes each
+/// condition side compound more often than not — with a random select
+/// list, up to two filters and an insertion time some tuples predate.
+fn rand_query(rng: &mut StdRng, c: &Catalog, t2: bool) -> QueryRef {
+    let conditions = ["L", "R"].map(|rel| {
+        let compound = t2 && rng.gen_bool(0.6);
+        rand_condition(rng, c, rel, compound)
+    });
+    let filters = rand_filters(rng, c);
+    query_on(rng, c, conditions, filters, "n")
+}
+
+/// A query posed by `subscriber` over `conditions` and `filters`, with a
+/// random select list and an insertion time some tuples predate.
+fn query_on(
+    rng: &mut StdRng,
+    c: &Catalog,
+    conditions: [Expr; 2],
+    filters: Vec<Filter>,
+    subscriber: &str,
+) -> QueryRef {
+    let select = (0..rng.gen_range(1..4usize))
+        .map(|_| {
+            let side = rand_side(rng);
+            SelectItem {
+                side,
+                attr: rand_attr(rng, c, relation_of(side), None).into(),
+            }
+        })
         .collect();
     let spec = QuerySpec {
-        key: QueryKey::derive("n", rng.gen_range(0..1000)),
-        subscriber: "n".into(),
+        key: QueryKey::derive(subscriber, rng.gen_range(0..1000)),
+        subscriber: subscriber.into(),
         ins_time: Timestamp(rng.gen_range(0..4)),
         relations: ["L".into(), "R".into()],
         select,
-        conditions: ["L", "R"].map(|rel| {
-            let compound = t2 && rng.gen_bool(0.6);
-            rand_condition(rng, c, rel, compound)
-        }),
+        conditions,
         filters,
     };
     Arc::new(JoinQuery::new(spec, c).expect("generated query is valid"))
@@ -211,6 +247,120 @@ fn assert_same_rewriting(
     prop_assert_eq!(other.target(), local.target());
     prop_assert_eq!(key_text(other), key_text(local));
     Ok(())
+}
+
+/// `c` with every relation cut to a prefix of its attributes. A tuple of it
+/// passes the relation test, but is too short for positions resolved
+/// against `c`, and may lack attributes a filter, target or condition
+/// names.
+fn truncated(rng: &mut StdRng, c: &Catalog) -> Catalog {
+    let mut short = Catalog::new();
+    for rel in ["L", "R", "X"] {
+        let attrs = c.get(rel).unwrap().attributes();
+        let keep = rng.gen_range(1..=attrs.len());
+        short
+            .register(RelationSchema::new(rel, attrs[..keep].to_vec()).unwrap())
+            .unwrap();
+    }
+    short
+}
+
+/// One rewriting of a random query of `queries` for a `Join` run: bound on
+/// `bound` (now and then on the other side, which splits the shape),
+/// triggered by a random tuple — or, for attribute targets, now and then
+/// assembled around a target attribute that is not the join attribute.
+fn rand_rewriting(
+    rng: &mut StdRng,
+    c: &Catalog,
+    queries: &[QueryRef],
+    bound: Side,
+    value_targets: bool,
+) -> Option<RewrittenQuery> {
+    let q = &queries[rng.gen_range(0..queries.len())];
+    let bound = if rng.gen_bool(0.1) {
+        bound.other()
+    } else {
+        bound
+    };
+    let rq = (0..16).find_map(|_| {
+        let t = rand_tuple(rng, c, q.relation(bound));
+        if value_targets {
+            RewrittenQuery::rewrite_value(q, bound, &t).unwrap()
+        } else {
+            let (index_attr, dis_attr) = (q.join_attr(bound)?, q.join_attr(bound.other())?);
+            RewrittenQuery::rewrite_attribute(q, bound, index_attr, dis_attr, &t).unwrap()
+        }
+    })?;
+    if value_targets || rng.gen_bool(0.8) {
+        return Some(rq);
+    }
+    let free_rel = q.relation(bound.other());
+    let attr = if rng.gen_bool(0.2) {
+        "missing"
+    } else {
+        rand_attr(rng, c, free_rel, None)
+    };
+    let ty = c
+        .get(free_rel)
+        .unwrap()
+        .type_of(attr)
+        .unwrap_or(DataType::Int);
+    Some(RewrittenQuery::from_parts(
+        Arc::clone(q),
+        bound,
+        rq.bound_values().iter().cloned().collect(),
+        Some(attr),
+        rand_value(rng, ty),
+        rq.trigger_time(),
+    ))
+}
+
+/// A stored candidate for rewritings bound on `bound`: mostly a tuple of the
+/// free relation, also one too short for it, one of the bound relation and
+/// one of the look-alike bystander.
+fn rand_candidate(rng: &mut StdRng, c: &Catalog, short: &Catalog, bound: Side) -> Arc<Tuple> {
+    let free = relation_of(bound.other());
+    Arc::new(match rng.gen_range(0..8) {
+        0 => rand_tuple(rng, c, "X"),
+        1 => rand_tuple(rng, c, relation_of(bound)),
+        2 => rand_tuple(rng, short, free),
+        _ => rand_tuple(rng, c, free),
+    })
+}
+
+/// What the run matcher replaces: every rewriting against every candidate,
+/// counting and (with `retain`) building notifications, stopping at the
+/// first error. Returns the match count of each rewriting that completed,
+/// the notifications built and the error, as text.
+fn pairwise(
+    run: &[RewrittenQuery],
+    candidates: &[Arc<Tuple>],
+    retain: bool,
+) -> (Vec<u64>, Vec<Notification>, Option<String>) {
+    fn pair(
+        rq: &RewrittenQuery,
+        t: &Tuple,
+        retain: bool,
+        out: &mut Vec<Notification>,
+    ) -> cq_relational::Result<bool> {
+        let matched = rq.matches(t)?;
+        if matched && retain {
+            out.push(rq.notification_with(t)?);
+        }
+        Ok(matched)
+    }
+    let (mut counts, mut out) = (Vec::new(), Vec::new());
+    for rq in run {
+        let mut n = 0;
+        for t in candidates {
+            match pair(rq, t, retain, &mut out) {
+                Ok(matched) => n += u64::from(matched),
+                Err(e) => return (counts, out, Some(e.to_string())),
+            }
+        }
+        counts.push(n);
+    }
+    (counts, out, None)
 }
 
 /// `rq` after a trip through the wire codec.
@@ -339,6 +489,83 @@ proptest! {
             for rq in [&local, &decoded] {
                 let got = rq.matches(&t).map_err(|e| e.to_string());
                 prop_assert_eq!(got, by_eval(rq, &t), "{} against {}", rq, t);
+            }
+        }
+    }
+
+    #[test]
+    fn the_run_matcher_is_the_pairwise_predicate(seed in 0u64..1 << 48) {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let c = rand_catalog(rng);
+        let short = truncated(rng, &c);
+        // A `JoinV` run (value targets, T1 or T2) or a `Join` run (attribute
+        // targets, T1): queries of one join condition — a group — each with
+        // its own select list, insertion time and subscriber, and with the
+        // group's filters or, now and then, filters of its own.
+        let value_targets = rng.gen_bool(0.4);
+        let t2 = value_targets && rng.gen_bool(0.6);
+        let base = rand_query(rng, &c, t2);
+        let conditions = Side::BOTH.map(|side| base.condition(side).clone());
+        let queries: Vec<QueryRef> = (0..rng.gen_range(1..4))
+            .map(|i| {
+                let filters = if rng.gen_bool(0.7) {
+                    base.filters().to_vec()
+                } else {
+                    rand_filters(rng, &c)
+                };
+                query_on(rng, &c, conditions.clone(), filters, &format!("s{i}"))
+            })
+            .collect();
+        let bound = rand_side(rng);
+        let run: Vec<RewrittenQuery> = (0..rng.gen_range(1..9))
+            .filter_map(|_| rand_rewriting(rng, &c, &queries, bound, value_targets))
+            .collect();
+        let candidates: Vec<Arc<Tuple>> = (0..rng.gen_range(0..13))
+            .map(|_| rand_candidate(rng, &c, &short, bound))
+            .collect();
+
+        // What the matcher rests on: `matches` is the time test and the shape
+        // test, and rewritings of one shape pass the shape test alike.
+        let shape = |rq: &RewrittenQuery, t: &Tuple| rq.shape_matches(t).map_err(|e| e.to_string());
+        for rq in &run {
+            for t in &candidates {
+                let split = if rq.admits_time(t) { shape(rq, t) } else { Ok(false) };
+                prop_assert_eq!(rq.matches(t).map_err(|e| e.to_string()), split, "{} against {}", rq, t);
+                for other in run.iter().filter(|o| o.same_shape(rq)) {
+                    prop_assert_eq!(shape(other, t), shape(rq, t), "{} and {} against {}", rq, other, t);
+                }
+            }
+        }
+
+        // One matcher for both modes, so each starts from the other's
+        // leftover verdicts.
+        let mut matcher = RunMatcher::default();
+        for retain in [false, true] {
+            let (want_counts, want_out, want_err) = pairwise(&run, &candidates, retain);
+            let mut matches = Matches::new(retain);
+            let mut counts = Vec::new();
+            let result = matcher.match_run(&run, &candidates, &mut matches, |n| counts.push(n));
+            // The same rewritings complete with the same counts, and the
+            // same error stops the same rewriting ...
+            prop_assert_eq!(&counts, &want_counts, "retain: {}", retain);
+            prop_assert_eq!(result.err().map(|e| e.to_string()), want_err.clone());
+            match &mut matches {
+                // ... at the same pair: the notifications before it, in order.
+                Matches::Full(out) => prop_assert_eq!(out, &want_out),
+                // Per query (a subscriber each), in first-match order; a run
+                // that failed is dropped whole, so its counts do not matter.
+                Matches::Counts(got) if want_err.is_none() => {
+                    let mut want: Vec<(&str, u64)> = Vec::new();
+                    for (rq, &n) in run.iter().zip(&want_counts).filter(|(_, &n)| n > 0) {
+                        match want.iter_mut().find(|(s, _)| *s == rq.query().subscriber()) {
+                            Some((_, total)) => *total += n,
+                            None => want.push((rq.query().subscriber(), n)),
+                        }
+                    }
+                    let got: Vec<(&str, u64)> = got.by_subscriber().collect();
+                    prop_assert_eq!(got, want);
+                }
+                Matches::Counts(_) => {}
             }
         }
     }

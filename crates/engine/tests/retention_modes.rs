@@ -8,7 +8,11 @@
 //! or offline store, as delivered; counts mode splits the offline portion
 //! into `notifications_stored_offline` only.
 
-use cq_engine::{Algorithm, EngineConfig, FaultConfig, Network, Oracle, TrafficKind};
+use std::sync::Arc;
+
+use cq_engine::{
+    Algorithm, EngineConfig, FaultConfig, Network, Oracle, RingBufferSink, TraceEvent, TrafficKind,
+};
 use cq_relational::{Catalog, DataType, RelationSchema, Value};
 
 fn catalog() -> Catalog {
@@ -163,6 +167,139 @@ fn counts_mode_sends_what_full_retention_sends_with_several_queries_per_subscrib
             cm.notifications_delivered + cm.notifications_stored_offline,
             fm.notifications_delivered,
             "{alg}: totals"
+        );
+        assert_eq!(
+            cm.traffic(TrafficKind::Notify),
+            fm.traffic(TrafficKind::Notify),
+            "{alg}: notify messages and hops"
+        );
+    }
+}
+
+/// `(posing node, the stream step it is posed before, query)`: one query per
+/// node, most of them posed between tuples. The S-side filter is a free-side
+/// filter whenever an R tuple did the rewriting.
+const POSED_MID_STREAM: &[(usize, i64, &str)] = &[
+    (0, 0, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E"),
+    (5, 3, "SELECT R.A FROM R, S WHERE R.B = S.E AND S.D = 2"),
+    (9, 5, "SELECT S.D FROM R, S WHERE R.B = S.E"),
+    (
+        13,
+        8,
+        "SELECT R.A, S.E FROM R, S WHERE R.B = S.E AND R.A = 4",
+    ),
+];
+
+/// DAI-V's extra query: a T2 condition with a filter on S, posed mid-stream.
+const POSED_MID_STREAM_T2: (usize, i64, &str) = (
+    17,
+    4,
+    "SELECT R.A, S.D FROM R, S WHERE R.B + 1 = S.E + 1 AND S.D = 3",
+);
+
+/// A fault-free stream with the queries of `queries` posed between its
+/// tuples, so that evaluators hold candidates published before some of the
+/// queries they match for: the time test `pubT(t) >= insT(q)` has to turn
+/// those pairs down. Counts are traced per receiving node.
+fn run_staggered(
+    alg: Algorithm,
+    retain: bool,
+    queries: &[(usize, i64, &str)],
+) -> (Network, Arc<RingBufferSink>) {
+    let mut net = Network::new(
+        EngineConfig::new(alg)
+            .with_nodes(24)
+            .with_seed(7)
+            .with_retained_notifications(retain),
+        catalog(),
+    );
+    let sink = Arc::new(RingBufferSink::new(1 << 20));
+    net.set_tracer(sink.clone());
+    for i in 0..12 {
+        for &(node, _, sql) in queries.iter().filter(|q| q.1 == i) {
+            net.pose_query_sql(net.node_at(node), sql).unwrap();
+        }
+        net.insert_tuple(
+            net.node_at((i % 20) as usize),
+            "R",
+            vec![Value::Int(i % 6), Value::Int(i % 3)],
+        )
+        .unwrap();
+        net.insert_tuple(
+            net.node_at(((i + 3) % 20) as usize),
+            "S",
+            vec![Value::Int(2 + i % 2), Value::Int(i % 3)],
+        )
+        .unwrap();
+    }
+    (net, sink)
+}
+
+/// Notifications delivered to each node's inbox, from the trace.
+fn delivered_per_node(sink: &RingBufferSink, nodes: usize) -> Vec<u64> {
+    let mut per_node = vec![0; nodes];
+    for e in sink.events() {
+        if let TraceEvent::NotifyDelivered {
+            node,
+            count,
+            offline: false,
+            ..
+        } = e
+        {
+            per_node[node as usize] += count;
+        }
+    }
+    per_node
+}
+
+/// With the queries posed mid-stream, the evaluators' time test excludes
+/// stored candidates — and counts mode must exclude exactly what full
+/// retention excludes, query by query, for every algorithm; DAI-V also over
+/// a T2 condition with a free-side filter.
+#[test]
+fn counts_mode_agrees_with_full_retention_when_queries_are_posed_mid_stream() {
+    for alg in Algorithm::ALL {
+        let mut queries = POSED_MID_STREAM.to_vec();
+        if alg == Algorithm::DaiV {
+            queries.push(POSED_MID_STREAM_T2);
+        }
+        let (full, full_trace) = run_staggered(alg, true, &queries);
+        let (counts, counts_trace) = run_staggered(alg, false, &queries);
+
+        let mut oracle = Oracle::new();
+        oracle.ingest(full.posed_queries(), full.inserted_tuples());
+        assert_eq!(full.delivered_set(), oracle.expected().unwrap(), "{alg}");
+
+        // The workload does exercise the time test: the last query posed
+        // has partners older than itself for newer tuples.
+        let late = full.posed_queries().last().unwrap();
+        let tuples = full.inserted_tuples();
+        let straddling = tuples.iter().filter(|r| r.relation() == "R").any(|r| {
+            tuples.iter().filter(|s| s.relation() == "S").any(|s| {
+                r.get("B").unwrap() == s.get("E").unwrap()
+                    && r.pub_time().min(s.pub_time()) < late.ins_time()
+                    && r.pub_time().max(s.pub_time()) >= late.ins_time()
+            })
+        });
+        assert!(straddling, "{alg}: no pair straddles {}'s insT", late.key());
+
+        let nodes = full.config().nodes;
+        let (want, got) = (
+            delivered_per_node(&full_trace, nodes),
+            delivered_per_node(&counts_trace, nodes),
+        );
+        for &(node, _, sql) in &queries {
+            let (h, slot) = (full.node_at(node), full.node_at(node).index());
+            let inbox = full.inbox(h);
+            assert!(!inbox.is_empty(), "{alg}: {sql} matched nothing");
+            assert!(inbox.iter().all(|n| n.query_key == inbox[0].query_key));
+            assert_eq!(want[slot], inbox.len() as u64, "{alg}: {sql}");
+            assert_eq!(got[slot], want[slot], "{alg}: {sql}");
+        }
+        let (fm, cm) = (full.metrics(), counts.metrics());
+        assert_eq!(
+            cm.notifications_delivered, fm.notifications_delivered,
+            "{alg}"
         );
         assert_eq!(
             cm.traffic(TrafficKind::Notify),

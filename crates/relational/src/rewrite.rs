@@ -458,19 +458,38 @@ impl RewrittenQuery {
         self.bound_values.as_slice()
     }
 
-    /// Whether a tuple of the free relation completes the join: checks
-    /// relation, the free side's filters, the match target, and the time
-    /// semantics (`pubT(t) >= insT(q)`) — without building the notification.
+    /// Whether a tuple of the free relation completes the join — the time
+    /// test [`Self::admits_time`], then the shape test
+    /// [`Self::shape_matches`] — without building the notification.
+    pub fn matches(&self, t: &Tuple) -> Result<bool> {
+        Ok(self.admits_time(t) && self.shape_matches(t)?)
+    }
+
+    /// The time half of [`Self::matches`]: `pubT(t) >= insT(q)`. It is
+    /// decided first, so a tuple it rejects never reaches the shape test
+    /// (nor any error the shape test would raise).
+    #[inline]
+    pub fn admits_time(&self, t: &Tuple) -> bool {
+        t.pub_time() >= self.query.ins_time()
+    }
+
+    /// The shape half of [`Self::matches`]: the tuple is of the free
+    /// relation, passes the free side's filters in order, and carries the
+    /// match target. Rewritings of [`Self::same_shape`] answer it alike for
+    /// every tuple, errors included — which is what lets an evaluator decide
+    /// it once per candidate for a whole run of them.
     ///
     /// A target on the free side's bare join attribute — an attribute
     /// target naming it, or a value target whose condition side is that
-    /// attribute — is read by its resolved schema position (`triggered_by`
-    /// has established that `t` is of the free relation). Any other target
-    /// attribute is looked up by name, a compound condition is evaluated,
-    /// and so is either when the tuple is too short for the position.
-    pub fn matches(&self, t: &Tuple) -> Result<bool> {
+    /// attribute — is read by its resolved schema position (the relation
+    /// test has established that `t` is of the free relation). Any other
+    /// target attribute is looked up by name, a compound condition is
+    /// evaluated, and so is either when the tuple is too short for the
+    /// position.
+    #[inline]
+    pub fn shape_matches(&self, t: &Tuple) -> Result<bool> {
         let free = self.free_side();
-        if !self.query.triggered_by(free, t)? {
+        if t.relation() != self.query.relation(free) || !self.query.filters_pass(free, t)? {
             return Ok(false);
         }
         let at_col = self.target_col.and_then(|c| t.values().get(usize::from(c)));
@@ -481,6 +500,32 @@ impl RewrittenQuery {
                 &self.query.condition(free).eval(t)? == value
             }
         })
+    }
+
+    /// Whether the two rewritings have the same shape: the same free
+    /// relation, the same free-side filters in the same order, the same
+    /// target (attribute name and value), the same resolved target column
+    /// and the same free-side condition. Everything
+    /// [`Self::shape_matches`] reads is then equal, so it returns the same
+    /// for both on every tuple. Two rewritings of one query with the same
+    /// free side and target compare without looking at the query.
+    pub fn same_shape(&self, other: &RewrittenQuery) -> bool {
+        if self.target != other.target || self.target_col != other.target_col {
+            return false;
+        }
+        let (free, other_free) = (self.free_side(), other.free_side());
+        if Arc::ptr_eq(&self.query, &other.query) && free == other_free {
+            return true;
+        }
+        fn free_filters(q: &JoinQuery, side: Side) -> impl Iterator<Item = (&str, &Value)> {
+            q.filters()
+                .iter()
+                .filter(move |f| f.side == side)
+                .map(|f| (f.attr.as_str(), &f.value))
+        }
+        self.query.relation(free) == other.query.relation(other_free)
+            && free_filters(&self.query, free).eq(free_filters(&other.query, other_free))
+            && self.query.condition(free) == other.query.condition(other_free)
     }
 
     /// Tries to match a tuple of the free relation; on success produces the

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Captures a perf snapshot of the quick experiment suite, the
 # join-evaluation kernels, the failure-handling kernels, and the socket hot
-# path, writing BENCH_21.json at the repo root so future PRs have a
+# path, writing BENCH_25.json at the repo root so future PRs have a
 # trajectory to compare against.
 #
-#   scripts/bench_snapshot.sh            full snapshot -> BENCH_21.json
+#   scripts/bench_snapshot.sh            full snapshot -> BENCH_25.json
 #   scripts/bench_snapshot.sh --check    CI smoke mode: one quick-suite run,
 #                                        shrunk kernel audit and throughput
 #                                        bench, output to a temp file (the
@@ -18,8 +18,10 @@
 # (a stream per node pair: per-connection and per-read costs, not gated).
 #
 # Gates enforced in both modes:
-#   - scan-kernel allocations stay flat in the table size (slope < 0.5)
-#   - the ALQT group scan is allocation-free (< 0.01 allocs/event)
+#   - scan-kernel and join-run allocations stay flat in the table size
+#     (slope < 0.5)
+#   - the ALQT group scan and a Join run of 50 rewritings through the run
+#     matcher are allocation-free (< 0.01 allocs/event)
 #   - an end-to-end insert against 50 queries stays <= 50 allocs/event
 #     (188.29 before the evaluator tables went contiguous, 83.33 after,
 #     33.33 since a rewriting owns no key string and no value vector;
@@ -53,7 +55,7 @@ for arg in "$@"; do
   esac
 done
 
-out=BENCH_21.json
+out=BENCH_25.json
 runs=3
 audit_args=()
 socket_args=()
@@ -87,11 +89,12 @@ jq -n \
   --argjson audit "$audit" \
   --argjson socket "$socket" \
   '{
-    snapshot: "BENCH_21",
+    snapshot: "BENCH_25",
     baseline: {
       quick_suite_wall_ms: 4230,
       note: "main before PR 6 (zero-clone kernels + batched delivery), same box; PR 10 adds the socket hot-path snapshot, PR 12 the fault-pump / heartbeat-round / digest-round kernels, PR 14 drops the insert-e2e-per-message row with the path it measured, PR 15 adds the join-decode kernel and the many_nodes socket row, PR 16 recycles the match accumulator of the scan kernels as the engine does, PR 17 changes no kernel (rewritings lose their key string and value vector under them), PR 21 changes none either (under the fault kernels the pump schedules become tick wheels, receive-side dedup a lifetime-bounded set, the detector watches flat rows)"
     },
+    kernels_note: "vltt-scan runs the engine run matcher over a run of one rewriting (it ran a hand-copied pairwise loop before); join-run is new: 50 rewritings of one shape against 1k and 10k tuples",
     quick_suite: { wall_ms_min: $wall, runs: $runs },
     alloc_audit: $audit,
     socket_bench: $socket
@@ -99,24 +102,26 @@ jq -n \
 
 echo "wrote $out (quick suite min ${best} ms over ${runs} run(s))" >&2
 
-# Zero-clone guarantee: per-event allocations of the scan kernels must be
-# flat in the table size (slope < 0.5 allocs/event between the small and
-# large size), and the ALQT group scan must be allocation-free.
+# Zero-clone guarantee: per-event allocations of the scan kernels and of a
+# Join run must be flat in the table size (slope < 0.5 allocs/event between
+# the small and large size), and the ALQT group scan and the Join run must
+# be allocation-free: the run matcher's verdicts live in buffers it keeps.
 jq -e '
   .alloc_audit.count_allocs == false or (
     [ .alloc_audit.kernels
       | group_by(.kernel)[]
-      | select(.[0].kernel | test("-scan$"))
+      | select(.[0].kernel | test("-scan$|^join-run$"))
       | (max_by(.size).allocs_per_event - min_by(.size).allocs_per_event)
     ] | all(. < 0.5)
   )
 ' "$out" > /dev/null || { echo "FAIL: scan-kernel allocations grow with table size" >&2; exit 1; }
 jq -e '
   .alloc_audit.count_allocs == false or (
-    [ .alloc_audit.kernels[] | select(.kernel == "alqt-scan") | .allocs_per_event ]
-    | all(. < 0.01)
+    [ .alloc_audit.kernels[] | select(.kernel == "alqt-scan" or .kernel == "join-run") ]
+    | (map(.kernel) | unique == ["alqt-scan", "join-run"])
+      and all(.allocs_per_event < 0.01)
   )
-' "$out" > /dev/null || { echo "FAIL: alqt-scan is not allocation-free" >&2; exit 1; }
+' "$out" > /dev/null || { echo "FAIL: alqt-scan or join-run is not allocation-free" >&2; exit 1; }
 
 # The whole insert path: rewriter, VLQT/VLTT store-and-scan, accumulator
 # and delivery against 50 installed queries. Allocation counts do not
