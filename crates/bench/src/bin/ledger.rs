@@ -1,0 +1,1073 @@
+//! The measurement ledger: one in-process run that times the join-evaluation
+//! kernels, the failure-handling kernels, the TCP hot path and every
+//! quick-registry experiment, prints one JSON object to stdout and enforces
+//! the gates in [`GATES`] on what it measured.
+//!
+//! ```text
+//! ledger [--check]
+//!
+//!   --check   shrink event and tuple counts for CI; table sizes, repeats
+//!             and gates are those of the full run
+//! ```
+//!
+//! `ledger > BENCH_N.json` writes a snapshot. Every timed quantity is
+//! measured [`REPEATS`] times and recorded as `{"min", "median", "max"}`; a
+//! shared host only adds noise upward, so ratio gates compare minima. The
+//! process exits 1 naming each failed gate.
+//!
+//! The kernels' point is the *slope*: each is measured at two table sizes an
+//! order of magnitude apart, and a zero-clone kernel shows (near-)constant
+//! allocations per event while a clone-collect kernel grows with the
+//! candidate count. The same discipline covers failure detection and repair:
+//! the `fault-pump`, `heartbeat-round` and `digest-round` kernels run a lossy
+//! k=2 ring at two held-state sizes, and their cost must not depend on how
+//! many items the nodes hold. Allocations are counted by the always-installed
+//! [`alloc_count::CountingAlloc`], one relaxed add per allocation.
+
+use std::fmt;
+use std::sync::Arc;
+use std::time::Instant;
+
+use cq_bench::alloc_count;
+use cq_engine::algo::RunMatcher;
+use cq_engine::tables::{Alqt, StoredQuery, StoredRewritten, StoredTuple, Vlqt, Vltt};
+use cq_engine::{Algorithm, EngineConfig, FaultConfig, Matches, Network, SuspicionConfig};
+use cq_overlay::Id;
+use cq_relational::{
+    parse_query, Catalog, DataType, QueryKey, QueryRef, RelationSchema, RewrittenQuery, Side,
+    Timestamp, Tuple, Value,
+};
+use cq_sim::cluster::{run_throughput, ThroughputConfig, ThroughputReport};
+use cq_sim::experiments::{self, Scale};
+
+#[global_allocator]
+static ALLOC: alloc_count::CountingAlloc = alloc_count::CountingAlloc;
+
+/// Windows per kernel row, runs per socket and experiment row.
+const REPEATS: usize = 5;
+
+/// Table sizes of the VLTT / VLQT scans and the `Join` run.
+const SCAN: [usize; 2] = [1_000, 10_000];
+/// Stored queries of the ALQT group scan.
+const ALQT: [usize; 2] = [50, 500];
+/// Distinct queries behind the decoded `Join` frames.
+const DECODE: [usize; 2] = [1, 50];
+/// Items held by the ring of the failure-handling kernels.
+const HELD: [usize; 2] = [1_000, 10_000];
+/// Standing queries of the end-to-end insert.
+const E2E_QUERIES: usize = 50;
+/// Payload bytes of one pumped frame.
+const FRAME: usize = 256;
+/// Socket rows on two nodes: small (header-dominated), medium (the
+/// steady-state shape) and large (multiple-KiB frames) payloads.
+const PAYLOADS: [usize; 3] = [16, 256, 4096];
+/// One socket row repeats the medium payload on this many nodes, where costs
+/// paid per connection or per `read` show and frames per flush is set by the
+/// topology rather than the flush policy.
+const MANY_NODES: usize = 32;
+
+/// Order statistics of one quantity over a row's repeats.
+struct Spread {
+    min: f64,
+    median: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn of(mut samples: Vec<f64>) -> Spread {
+        assert!(!samples.is_empty(), "a spread needs samples");
+        samples.sort_by(f64::total_cmp);
+        Spread {
+            min: samples[0],
+            median: samples[samples.len() / 2],
+            max: samples[samples.len() - 1],
+        }
+    }
+}
+
+impl fmt::Display for Spread {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{{\"min\": {:.1}, \"median\": {:.1}, \"max\": {:.1}}}",
+            self.min, self.median, self.max
+        )
+    }
+}
+
+/// One kernel at one size: ns per event over the windows, and the most
+/// allocations per event any window saw.
+struct KernelRow {
+    kernel: &'static str,
+    size: usize,
+    events: u64,
+    ns: Spread,
+    allocs: f64,
+}
+
+/// One throughput configuration. Its counters repeat exactly from run to
+/// run, so one run's report carries them; only the wall varies.
+struct SocketRow {
+    report: ThroughputReport,
+    wall_ms: Spread,
+}
+
+struct ExperimentRow {
+    id: &'static str,
+    wall_ms: Spread,
+}
+
+struct Ledger {
+    check: bool,
+    kernels: Vec<KernelRow>,
+    sockets: Vec<SocketRow>,
+    experiments: Vec<ExperimentRow>,
+    suite_wall_ms: Spread,
+}
+
+impl Ledger {
+    fn kernel(&self, kernel: &str, size: usize) -> Result<&KernelRow, String> {
+        self.kernels
+            .iter()
+            .find(|r| r.kernel == kernel && r.size == size)
+            .ok_or_else(|| format!("row ({kernel}, {size}) is missing"))
+    }
+
+    /// `kernel`'s rows at the smaller and the larger of `sizes`.
+    fn pair(&self, kernel: &str, sizes: [usize; 2]) -> Result<[&KernelRow; 2], String> {
+        Ok([
+            self.kernel(kernel, sizes[0])?,
+            self.kernel(kernel, sizes[1])?,
+        ])
+    }
+
+    fn socket(&self, nodes: usize, payload: usize) -> Result<&ThroughputReport, String> {
+        self.sockets
+            .iter()
+            .map(|r| &r.report)
+            .find(|r| r.nodes == nodes && r.payload == payload)
+            .ok_or_else(|| format!("socket row ({nodes} nodes, payload {payload}) is missing"))
+    }
+
+    /// Every socket row the gates name.
+    fn socket_rows(&self) -> Result<Vec<&ThroughputReport>, String> {
+        PAYLOADS
+            .iter()
+            .map(|&p| (2, p))
+            .chain([(MANY_NODES, PAYLOADS[1])])
+            .map(|(nodes, payload)| self.socket(nodes, payload))
+            .collect()
+    }
+}
+
+/// A pass/fail rule over the ledger. It looks up every row it needs by name
+/// and size, so a renamed or dropped row fails the gate.
+struct Gate {
+    name: &'static str,
+    holds: fn(&Ledger) -> Result<(), String>,
+}
+
+fn ensure(ok: bool, why: String) -> Result<(), String> {
+    ok.then_some(()).ok_or(why)
+}
+
+/// Allocations per event of `kernel` at `sizes` stay below `limit`.
+fn allocs_below(l: &Ledger, kernel: &str, sizes: [usize; 2], limit: f64) -> Result<(), String> {
+    for r in l.pair(kernel, sizes)? {
+        ensure(
+            r.allocs < limit,
+            format!("{kernel} at {}: {:.2} allocs/event", r.size, r.allocs),
+        )?;
+    }
+    Ok(())
+}
+
+/// Allocations per event of `kernel` grow by less than half an allocation
+/// from the smaller of `sizes` to the larger.
+fn allocs_flat(l: &Ledger, kernel: &str, sizes: [usize; 2]) -> Result<(), String> {
+    let [a, b] = l.pair(kernel, sizes)?;
+    ensure(
+        b.allocs - a.allocs < 0.5,
+        format!(
+            "{kernel}: {:.2} -> {:.2} allocs/event from size {} to {}",
+            a.allocs, b.allocs, a.size, b.size
+        ),
+    )
+}
+
+/// With ten times the held items, a failure-handling kernel costs the same.
+/// The whole-state rescans this replaced grew 5-10x per 10x step, while one
+/// kernel on a busy shared host reads up to 1.6x apart from run to run: a 3x
+/// band on the fastest window separates the two. Allocations do not depend
+/// on timing and get a tight band.
+fn o_change(l: &Ledger, kernel: &str) -> Result<(), String> {
+    let [a, b] = l.pair(kernel, HELD)?;
+    ensure(
+        b.ns.min < 3.0 * a.ns.min,
+        format!(
+            "{kernel}: {:.0} -> {:.0} ns/event from {} to {} held items",
+            a.ns.min, b.ns.min, a.size, b.size
+        ),
+    )?;
+    ensure(
+        b.allocs <= 1.25 * a.allocs,
+        format!(
+            "{kernel}: {:.2} -> {:.2} allocs/event from {} to {} held items",
+            a.allocs, b.allocs, a.size, b.size
+        ),
+    )
+}
+
+const GATES: [Gate; 13] = [
+    // Zero-clone guarantee: a scan or a `Join` run allocates the same per
+    // event whatever the number of candidates.
+    Gate {
+        name: "scan-allocs-flat",
+        holds: |l| {
+            allocs_flat(l, "vltt-scan", SCAN)?;
+            allocs_flat(l, "vlqt-scan", SCAN)?;
+            allocs_flat(l, "alqt-scan", ALQT)?;
+            allocs_flat(l, "join-run", SCAN)
+        },
+    },
+    // The run matcher's verdicts live in buffers it keeps.
+    Gate {
+        name: "scan-alloc-free",
+        holds: |l| {
+            allocs_below(l, "alqt-scan", ALQT, 0.01)?;
+            allocs_below(l, "join-run", SCAN, 0.01)
+        },
+    },
+    // Rewriter, VLQT/VLTT store-and-scan, accumulator and delivery against
+    // 50 queries: tight enough to catch one stray allocation per candidate
+    // (188.29 before the tables went contiguous, 33.33 since a rewriting
+    // owns no key string).
+    Gate {
+        name: "insert-e2e-allocs",
+        holds: |l| allocs_below(l, "insert-e2e-bundled", [E2E_QUERIES; 2], 50.0),
+    },
+    // Encode in place, vectored flush, pooled read, recycle.
+    Gate {
+        name: "socket-pump-alloc-free",
+        holds: |l| allocs_below(l, "socket-pump", [FRAME; 2], 0.01),
+    },
+    // A warm receiver allocates the item vector and nothing per carried
+    // query (~25 each when rebuilt), however many distinct ones recur.
+    Gate {
+        name: "join-decode-interned",
+        holds: |l| {
+            allocs_below(l, "join-decode", DECODE, 10.0)?;
+            allocs_flat(l, "join-decode", DECODE)
+        },
+    },
+    Gate {
+        name: "heartbeat-round-o-change",
+        holds: |l| o_change(l, "heartbeat-round"),
+    },
+    Gate {
+        name: "digest-round-o-change",
+        holds: |l| o_change(l, "digest-round"),
+    },
+    Gate {
+        name: "fault-pump-o-change",
+        holds: |l| o_change(l, "fault-pump"),
+    },
+    // Per-message bookkeeping allocates nothing: what is left per idle tick
+    // is the false confirmations' repair work (19.6 before tick wheels and
+    // flat watch rows, 1.3 after).
+    Gate {
+        name: "heartbeat-round-allocs",
+        holds: |l| allocs_below(l, "heartbeat-round", HELD, 4.0),
+    },
+    // Per insert: the payloads, their retransmission copies and the mirrors
+    // (270.5 before, 112 after).
+    Gate {
+        name: "fault-pump-allocs",
+        holds: |l| allocs_below(l, "fault-pump", HELD, 150.0),
+    },
+    Gate {
+        name: "socket-throughput",
+        holds: |l| {
+            for r in l.socket_rows()? {
+                let (nodes, payload) = (r.nodes, r.payload);
+                ensure(
+                    r.messages > 0 && r.wire_bytes > 0,
+                    format!("{nodes} nodes, payload {payload}: no traffic moved"),
+                )?;
+            }
+            Ok(())
+        },
+    },
+    // On two nodes the coalesced flush batches more than one frame per
+    // vectored write; with a stream per node pair the ratio is the
+    // topology's, so the many-node row is exempt.
+    Gate {
+        name: "socket-coalescing",
+        holds: |l| {
+            for payload in PAYLOADS {
+                let fpf = l.socket(2, payload)?.socket.frames_per_flush();
+                ensure(
+                    fpf > 1.0,
+                    format!("payload {payload}: {fpf:.2} frames/flush"),
+                )?;
+            }
+            Ok(())
+        },
+    },
+    Gate {
+        name: "socket-pool-reuse",
+        holds: |l| {
+            for r in l.socket_rows()? {
+                let (nodes, payload, hit) = (r.nodes, r.payload, r.socket.pool_hit_rate());
+                ensure(
+                    hit >= 0.9,
+                    format!("{nodes} nodes, payload {payload}: pool hit rate {hit:.3}"),
+                )?;
+            }
+            Ok(())
+        },
+    },
+];
+
+/// Each gate's name and verdict on `l`.
+fn verdicts(l: &Ledger) -> Vec<(&'static str, Result<(), String>)> {
+    GATES.iter().map(|g| (g.name, (g.holds)(l))).collect()
+}
+
+fn catalog() -> Catalog {
+    let mut c = Catalog::new();
+    c.register(RelationSchema::of("R", &[("A", DataType::Int), ("B", DataType::Int)]).unwrap())
+        .unwrap();
+    c.register(RelationSchema::of("S", &[("C", DataType::Int), ("D", DataType::Int)]).unwrap())
+        .unwrap();
+    c
+}
+
+fn query(cat: &Catalog, n: u64) -> QueryRef {
+    query_posed_at(cat, n, Timestamp(0))
+}
+
+fn query_posed_at(cat: &Catalog, n: u64, ins_time: Timestamp) -> QueryRef {
+    Arc::new(
+        parse_query("SELECT R.A, S.D FROM R, S WHERE R.B = S.C", cat)
+            .unwrap()
+            .into_query(QueryKey::derive("bench", n), "bench", ins_time, cat)
+            .unwrap(),
+    )
+}
+
+/// A tuple of `rel` (both relations have two `Int` columns).
+fn tuple(cat: &Catalog, rel: &str, values: [i64; 2], published: u64, seq: u64) -> Tuple {
+    let schema = cat.get(rel).unwrap().clone();
+    Tuple::new(
+        schema,
+        values.map(Value::Int).to_vec(),
+        Timestamp(published),
+        seq,
+    )
+    .unwrap()
+}
+
+/// Times [`REPEATS`] windows of `events` calls of `f` after a warm-up that
+/// faults in lazily allocated structures.
+fn measure(kernel: &'static str, size: usize, events: u64, mut f: impl FnMut()) -> KernelRow {
+    for _ in 0..events.min(100) {
+        f();
+    }
+    let mut ns = Vec::with_capacity(REPEATS);
+    let mut allocs = 0f64;
+    for _ in 0..REPEATS {
+        let a0 = alloc_count::allocations();
+        let t0 = Instant::now();
+        for _ in 0..events {
+            f();
+        }
+        let dt = t0.elapsed();
+        allocs = allocs.max((alloc_count::allocations() - a0) as f64 / events as f64);
+        ns.push(dt.as_nanos() as f64 / events as f64);
+    }
+    KernelRow {
+        kernel,
+        size,
+        events,
+        ns: Spread::of(ns),
+        allocs,
+    }
+}
+
+/// `size` S tuples stored under `C = 7`, the `i`-th published at
+/// `published(i)`.
+fn vltt_of(cat: &Catalog, size: usize, published: impl Fn(usize) -> u64) -> Vltt {
+    let mut vltt = Vltt::new();
+    for i in 0..size {
+        let tuple = tuple(cat, "S", [7, i as i64], published(i), i as u64);
+        vltt.insert(StoredTuple {
+            index_id: Id(i as u64),
+            attr: "C".to_string(),
+            tuple: Arc::new(tuple),
+        })
+        .unwrap();
+    }
+    vltt
+}
+
+/// Rewrites each query for the R tuple `(1, 7)` published at time 20.
+fn rewritings(cat: &Catalog, queries: &[QueryRef]) -> Vec<RewrittenQuery> {
+    let trigger = tuple(cat, "R", [1, 7], 20, 0);
+    queries
+        .iter()
+        .map(|q| {
+            RewrittenQuery::rewrite_attribute(q, Side::Left, "B", "C", &trigger)
+                .unwrap()
+                .unwrap()
+        })
+        .collect()
+}
+
+/// One rewritten query against the tuples stored under its value key,
+/// through the engine's run matcher (a run of one).
+fn vltt_scan(cat: &Catalog, size: usize, events: u64) -> KernelRow {
+    let run = rewritings(cat, &[query(cat, 0)]);
+    let vltt = vltt_of(cat, size, |_| 1);
+    let tuples = vltt.bucket("S", "C", "i:7");
+    // Recycled across events, as the engine's accumulator and matcher are.
+    let mut matches = Matches::new(false);
+    let mut matcher = RunMatcher::default();
+    measure("vltt-scan", size, events, || {
+        matches.clear();
+        matcher
+            .match_run(&run, tuples, &mut matches, |_| {})
+            .unwrap();
+        assert_eq!(matches.len(), size as u64);
+    })
+}
+
+/// A `Join` message's run at a DAI-Q evaluator: 50 rewritings of 50
+/// distinct queries of one join condition against `size` stored tuples,
+/// half of them published before half of the queries were posed.
+fn join_run(cat: &Catalog, size: usize, events: u64) -> KernelRow {
+    let queries: Vec<QueryRef> = (0..50)
+        .map(|n| query_posed_at(cat, n, Timestamp(if n % 2 == 0 { 0 } else { 10 })))
+        .collect();
+    let run = rewritings(cat, &queries);
+    let vltt = vltt_of(cat, size, |i| if i % 2 == 0 { 5 } else { 15 });
+    let tuples = vltt.bucket("S", "C", "i:7");
+    // every tuple for the early queries, the odd (late) ones for the others
+    let expected = (25 * size + 25 * (size / 2)) as u64;
+    let mut matches = Matches::new(false);
+    let mut matcher = RunMatcher::default();
+    measure("join-run", size, events, || {
+        matches.clear();
+        matcher
+            .match_run(&run, tuples, &mut matches, |_| {})
+            .unwrap();
+        assert_eq!(matches.len(), expected);
+    })
+}
+
+/// `match_vlqt_candidates`' inner loop: scan stored rewritten queries under
+/// one value key, test the arriving tuple.
+fn vlqt_scan(cat: &Catalog, size: usize, events: u64) -> KernelRow {
+    let trigger = tuple(cat, "R", [1, 7], 1, 1);
+    let tuple = tuple(cat, "S", [7, 99], 1, 99);
+    let mut vlqt = Vlqt::new();
+    for i in 0..size as u64 {
+        let q = query(cat, i);
+        let rq = RewrittenQuery::rewrite_attribute(&q, Side::Left, "B", "C", &trigger)
+            .unwrap()
+            .unwrap();
+        vlqt.insert(StoredRewritten {
+            index_id: Id(i),
+            rq,
+        })
+        .unwrap();
+    }
+    let mut matches = Matches::new(false);
+    measure("vlqt-scan", size, events, || {
+        matches.clear();
+        for e in vlqt.candidates("S", "C", "i:7") {
+            if e.rq.matches(&tuple).unwrap() {
+                matches.add(&e.rq, &tuple).unwrap();
+            }
+        }
+        assert_eq!(matches.len(), size as u64);
+    })
+}
+
+/// The rewriter's triggered-group scan (`t1_tuple_arrival` / DAI-V tuple
+/// arrival): iterate ALQT groups in place with borrowed group keys,
+/// filtering by index identifier and attribute.
+fn alqt_scan(cat: &Catalog, size: usize, events: u64) -> KernelRow {
+    let mut alqt = Alqt::new();
+    for i in 0..size as u64 {
+        alqt.insert(StoredQuery {
+            index_id: Id(7),
+            query: query(cat, i),
+            index_side: Side::Left,
+            index_attr: "B".to_string(),
+        });
+    }
+    measure("alqt-scan", size, events, || {
+        let mut checks = 0u64;
+        for (group, stored) in alqt.groups("R", "B") {
+            for sq in stored {
+                if sq.index_id != Id(7) {
+                    continue;
+                }
+                checks += 1;
+                if sq.index_attr != "B" {
+                    continue;
+                }
+                std::hint::black_box(group);
+            }
+        }
+        assert_eq!(checks, size as u64);
+    })
+}
+
+/// Steady-state SAI tuple insert on 256 nodes (routing, rewriting, matching,
+/// delivery) against `size` standing queries. Allocations here are not
+/// flat in the query count: each extra match is notification work.
+fn insert_e2e(size: usize, events: u64) -> KernelRow {
+    let mut net = Network::new(
+        EngineConfig::new(Algorithm::Sai)
+            .with_nodes(256)
+            .with_seed(7),
+        catalog(),
+    );
+    let sql = "SELECT R.A, S.D FROM R, S WHERE R.B = S.C";
+    for i in 0..size {
+        let poser = net.node_at(i % 256);
+        net.pose_query_sql(poser, sql).unwrap();
+    }
+    let mut i = 0i64;
+    // The name predates the removal of per-message delivery; it stays so
+    // snapshots remain comparable.
+    measure("insert-e2e-bundled", size, events, move || {
+        i += 1;
+        let from = net.node_at((i as usize) % 256);
+        let (rel, values) = if i % 2 == 0 {
+            ("R", vec![Value::Int(i), Value::Int(i % 32)])
+        } else {
+            ("S", vec![Value::Int(i % 32), Value::Int(i)])
+        };
+        net.insert_tuple(from, rel, values).unwrap();
+    })
+}
+
+/// One `size`-byte frame per event through a loopback
+/// [`cq_engine::frames::FrameConn`] pair: encoded in place at the write
+/// queue's tail, flushed with a vectored write, read back through the
+/// pooled-buffer path, and the buffer recycled.
+fn socket_pump(size: usize, events: u64) -> KernelRow {
+    use cq_engine::frames::{BufPool, FrameConn, RawFrame};
+    use std::net::{TcpListener, TcpStream};
+
+    let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind loopback");
+    let addr = listener.local_addr().expect("local addr");
+    let client = TcpStream::connect(addr).expect("connect");
+    let (server, _) = listener.accept().expect("accept");
+    let mut tx = FrameConn::new(client, cq_engine::wire::MAX_FRAME).expect("tx conn");
+    let mut rx = FrameConn::new(server, cq_engine::wire::MAX_FRAME).expect("rx conn");
+    let payload = vec![0xA5u8; size];
+    let mut pool = BufPool::new();
+    let mut out: Vec<RawFrame> = Vec::new();
+    let mut seq = 0u64;
+    measure("socket-pump", size, events, move || {
+        tx.append_frame_with(seq, |buf| {
+            buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            buf.extend_from_slice(&payload);
+        });
+        seq += 1;
+        while tx.wants_write() {
+            tx.flush().expect("flush");
+        }
+        while out.is_empty() {
+            rx.read_frames(&mut out, &mut pool).expect("read");
+        }
+        for (_, buf) in out.drain(..) {
+            pool.put(buf);
+        }
+    })
+}
+
+/// One `Join` frame of 8 rewritten queries decoded through a receiver's
+/// [`cq_engine::wire::QueryInterner`] — what `TcpTransport` keeps per node —
+/// with the frames drawing on `size` distinct queries.
+fn join_decode(cat: &Catalog, size: usize, events: u64) -> KernelRow {
+    use cq_engine::wire::{decode_message_interned, encode_message, QueryInterner};
+    use cq_engine::Message;
+
+    let tuple = tuple(cat, "R", [1, 7], 1, 1);
+    let rewritten: Vec<RewrittenQuery> = (0..size as u64)
+        .map(|i| {
+            RewrittenQuery::rewrite_attribute(&query(cat, i), Side::Left, "B", "C", &tuple)
+                .unwrap()
+                .unwrap()
+        })
+        .collect();
+    let frames: Vec<Vec<u8>> = (0..50)
+        .map(|f| {
+            let items = (0..8).map(|j| rewritten[(8 * f + j) % size].clone());
+            let mut buf = Vec::new();
+            encode_message(
+                &Message::Join {
+                    items: items.collect(),
+                    index_id: Id(f as u64),
+                },
+                &mut buf,
+            );
+            buf
+        })
+        .collect();
+    let mut queries = QueryInterner::new();
+    let mut next = 0;
+    measure("join-decode", size, events, move || {
+        let frame = &frames[next % frames.len()];
+        next += 1;
+        let (msg, used) = decode_message_interned(frame, cat, &mut queries).unwrap();
+        assert_eq!(used, frame.len());
+        std::hint::black_box(msg);
+    })
+}
+
+/// A 32-node DAI-Q ring under 5 % loss with k=2 replication and the
+/// heartbeat detector on (the `churn_dait` fault profile), holding `size`
+/// tuples — each mirrored on two successors — that never join: the fault
+/// pump, the detector and anti-entropy are the only work that scales.
+fn churn_net(size: usize, suspicion: SuspicionConfig) -> Network {
+    let mut fault = FaultConfig::lossy(0.05, 12);
+    fault.replication = 2;
+    let mut net = Network::new(
+        EngineConfig::new(Algorithm::DaiQ)
+            .with_nodes(32)
+            .with_seed(12)
+            .with_fault(fault)
+            .with_suspicion(suspicion.with_suspect_after(4).with_confirm_after(4)),
+        catalog(),
+    );
+    let poser = net.node_at(0);
+    net.pose_query_sql(poser, "SELECT R.A, S.D FROM R, S WHERE R.B = S.C")
+        .unwrap();
+    for i in 0..size as i64 {
+        let from = net.node_at(i as usize % 32);
+        net.insert_tuple(from, "S", vec![Value::Int(i), Value::Int(i)])
+            .unwrap();
+    }
+    net.settle().unwrap();
+    net
+}
+
+/// One tuple insert through the whole robustness layer (loss draws, acks,
+/// retransmits, mirroring, heartbeats, false confirmations, digest rounds
+/// on their default cadence) with `size` items already held.
+fn fault_pump(size: usize, events: u64) -> KernelRow {
+    let mut net = churn_net(size, SuspicionConfig::active());
+    let mut i = size as i64;
+    measure("fault-pump", size, events, move || {
+        i += 1;
+        let from = net.node_at(i as usize % 32);
+        net.insert_tuple(from, "S", vec![Value::Int(i), Value::Int(i)])
+            .unwrap();
+    })
+}
+
+/// One idle pump tick: every fourth is a heartbeat round, and under 5 %
+/// loss a steady trickle of alive nodes gets falsely confirmed — each
+/// confirmation runs stabilization and replica promotion. Anti-entropy is
+/// off so the tick cost is the detector's alone.
+fn heartbeat_round(size: usize, events: u64) -> KernelRow {
+    let mut net = churn_net(size, SuspicionConfig::active().with_anti_entropy_every(0));
+    let before = net.recovery_counters();
+    let row = measure("heartbeat-round", size, events, || net.tick_now().unwrap());
+    let after = net.recovery_counters();
+    assert!(after.heartbeats_sent > before.heartbeats_sent);
+    assert!(
+        after.confirms > before.confirms,
+        "the windows must contain false-confirm ticks"
+    );
+    assert_eq!(after.detections, 0, "nobody died");
+    row
+}
+
+/// One clean anti-entropy round (every primary against both successors,
+/// nothing to repair) over `size` held items. The cadence is parked far in
+/// the future so only the explicit hook runs rounds.
+fn digest_round(size: usize, events: u64) -> KernelRow {
+    let parked = SuspicionConfig::active().with_anti_entropy_every(u64::MAX / 2);
+    let mut net = churn_net(size, parked);
+    // repair whatever the lossy fill left unmirrored; repair traffic is
+    // itself lossy, so iterate to the fixed point
+    loop {
+        let before = net.recovery_counters().repair_items;
+        net.anti_entropy_now().unwrap();
+        if net.recovery_counters().repair_items == before {
+            break;
+        }
+    }
+    let before = net.recovery_counters();
+    let row = measure("digest-round", size, events, || {
+        net.anti_entropy_now().unwrap()
+    });
+    let after = net.recovery_counters();
+    assert!(after.digest_exchanges > before.digest_exchanges);
+    assert_eq!(after.repair_items, before.repair_items, "rounds were clean");
+    row
+}
+
+/// The wide-tuple throughput workload through the real nonblocking reactor.
+fn socket_row(nodes: usize, payload: usize, tuples: usize) -> SocketRow {
+    let runs: Vec<ThroughputReport> = (0..REPEATS)
+        .map(|_| {
+            run_throughput(&ThroughputConfig {
+                nodes,
+                payload,
+                tuples,
+                ..ThroughputConfig::default()
+            })
+        })
+        .collect();
+    SocketRow {
+        wall_ms: Spread::of(runs.iter().map(|r| r.wall.as_secs_f64() * 1e3).collect()),
+        report: runs[0],
+    }
+}
+
+/// Every quick-registry experiment, [`REPEATS`] rounds of the whole registry
+/// so that a noisy stretch of the host spreads over all of them.
+fn experiment_rows() -> (Vec<ExperimentRow>, Spread) {
+    let registry = experiments::all();
+    let mut walls = vec![Vec::with_capacity(REPEATS); registry.len()];
+    let mut suite = Vec::with_capacity(REPEATS);
+    for _ in 0..REPEATS {
+        let mut total = 0.0;
+        for ((_, run), wall) in registry.iter().zip(&mut walls) {
+            let t0 = Instant::now();
+            std::hint::black_box(run(Scale::Quick));
+            let ms = t0.elapsed().as_secs_f64() * 1e3;
+            wall.push(ms);
+            total += ms;
+        }
+        suite.push(total);
+    }
+    let rows = registry
+        .iter()
+        .zip(walls)
+        .map(|(&(id, _), wall)| ExperimentRow {
+            id,
+            wall_ms: Spread::of(wall),
+        })
+        .collect();
+    (rows, Spread::of(suite))
+}
+
+fn measure_ledger(check: bool) -> Ledger {
+    let cat = catalog();
+    // Events per window. `--check` shrinks these, never the sizes the gates
+    // name; the gated kernels' events are microseconds each, so even the
+    // shrunk windows give a stable ratio.
+    let (scan, e2e) = if check { (200, 200) } else { (2_000, 5_000) };
+    let rounds = e2e.max(1_000);
+    let kernels = vec![
+        vltt_scan(&cat, SCAN[0], scan),
+        vltt_scan(&cat, SCAN[1], scan / 10),
+        join_run(&cat, SCAN[0], scan / 10),
+        join_run(&cat, SCAN[1], 20),
+        vlqt_scan(&cat, SCAN[0], scan),
+        vlqt_scan(&cat, SCAN[1], scan / 10),
+        alqt_scan(&cat, ALQT[0], scan),
+        alqt_scan(&cat, ALQT[1], scan),
+        insert_e2e(E2E_QUERIES, e2e),
+        socket_pump(FRAME, e2e),
+        join_decode(&cat, DECODE[0], e2e),
+        join_decode(&cat, DECODE[1], e2e),
+        fault_pump(HELD[0], scan),
+        fault_pump(HELD[1], scan),
+        heartbeat_round(HELD[0], rounds),
+        heartbeat_round(HELD[1], rounds),
+        digest_round(HELD[0], rounds),
+        digest_round(HELD[1], rounds),
+    ];
+    let tuples = if check { 400 } else { 2_000 };
+    let sockets = PAYLOADS
+        .iter()
+        .map(|&payload| socket_row(2, payload, tuples))
+        .chain([socket_row(MANY_NODES, PAYLOADS[1], tuples)])
+        .collect();
+    let (experiments, suite_wall_ms) = experiment_rows();
+    Ledger {
+        check,
+        kernels,
+        sockets,
+        experiments,
+        suite_wall_ms,
+    }
+}
+
+/// `rows` as the JSON array `key`, one row per line.
+fn array(key: &str, rows: impl Iterator<Item = String>) -> String {
+    let rows: Vec<String> = rows.collect();
+    format!("  \"{key}\": [\n    {}\n  ]", rows.join(",\n    "))
+}
+
+impl fmt::Display for Ledger {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        writeln!(f, "{{\n  \"check\": {},", self.check)?;
+        writeln!(f, "  \"cores\": {cores},\n  \"repeats\": {REPEATS},")?;
+        let kernels = self.kernels.iter().map(|r| {
+            format!(
+                "{{\"kernel\": \"{}\", \"size\": {}, \"events\": {}, \
+                 \"ns_per_event\": {}, \"allocs_per_event\": {:.2}}}",
+                r.kernel, r.size, r.events, r.ns, r.allocs
+            )
+        });
+        writeln!(f, "{},", array("kernels", kernels))?;
+        let sockets = self.sockets.iter().map(|row| {
+            let (r, s) = (&row.report, &row.report.socket);
+            let secs = row.wall_ms.median / 1e3;
+            format!(
+                "{{\"nodes\": {}, \"payload\": {}, \"tuples\": {}, \"messages\": {}, \
+                 \"wire_bytes\": {}, \"wall_ms\": {}, \"msgs_per_sec\": {:.0}, \
+                 \"mb_per_sec\": {:.2}, \"frames_sent\": {}, \"frames_received\": {}, \
+                 \"write_syscalls\": {}, \"read_syscalls\": {}, \
+                 \"frames_per_flush\": {:.2}, \"bytes_per_syscall\": {:.0}, \
+                 \"pool_hit_rate\": {:.4}}}",
+                r.nodes,
+                r.payload,
+                r.tuples,
+                r.messages,
+                r.wire_bytes,
+                row.wall_ms,
+                r.messages as f64 / secs,
+                r.wire_bytes as f64 / (1024.0 * 1024.0) / secs,
+                s.frames_sent,
+                s.frames_received,
+                s.write_syscalls,
+                s.read_syscalls,
+                s.frames_per_flush(),
+                s.bytes_per_syscall(),
+                s.pool_hit_rate(),
+            )
+        });
+        writeln!(f, "{},", array("socket", sockets))?;
+        let experiments = self
+            .experiments
+            .iter()
+            .map(|r| format!("{{\"id\": \"{}\", \"wall_ms\": {}}}", r.id, r.wall_ms));
+        writeln!(f, "{},", array("experiments", experiments))?;
+        writeln!(f, "  \"quick_suite_wall_ms\": {},", self.suite_wall_ms)?;
+        let gates = verdicts(self).into_iter().map(|(name, verdict)| {
+            format!("{{\"gate\": \"{name}\", \"pass\": {}}}", verdict.is_ok())
+        });
+        writeln!(f, "{}\n}}", array("gates", gates))
+    }
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let check = match args.as_slice() {
+        [] => false,
+        [flag] if flag == "--check" => true,
+        _ => {
+            eprintln!("usage: ledger [--check]");
+            std::process::exit(2);
+        }
+    };
+    let ledger = measure_ledger(check);
+    print!("{ledger}");
+    let failed: Vec<_> = verdicts(&ledger)
+        .into_iter()
+        .filter_map(|(name, verdict)| verdict.err().map(|why| (name, why)))
+        .collect();
+    for (name, why) in &failed {
+        eprintln!("FAIL {name}: {why}");
+    }
+    if !failed.is_empty() {
+        std::process::exit(1);
+    }
+    eprintln!("ledger: all {} gates passed", GATES.len());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cq_engine::SocketStats;
+    use std::time::Duration;
+
+    fn flat(x: f64) -> Spread {
+        Spread {
+            min: x,
+            median: x,
+            max: x,
+        }
+    }
+
+    fn socket(
+        nodes: usize,
+        payload: usize,
+        wire_bytes: u64,
+        frames: u64,
+        writes: u64,
+    ) -> SocketRow {
+        SocketRow {
+            report: ThroughputReport {
+                nodes,
+                tuples: 2_000,
+                payload,
+                messages: 36_008,
+                wire_bytes,
+                wall: Duration::from_millis(100),
+                socket: SocketStats {
+                    frames_sent: frames,
+                    write_syscalls: writes,
+                    pool_hits: 9_997,
+                    pool_misses: 3,
+                    ..SocketStats::default()
+                },
+            },
+            wall_ms: flat(100.0),
+        }
+    }
+
+    /// The rows of `BENCH_25.json`, the last snapshot written before the
+    /// ledger existed.
+    fn bench_25() -> Ledger {
+        let kernels = [
+            ("vltt-scan", 1_000, 8019.4, 0.0),
+            ("vltt-scan", 10_000, 94722.2, 0.0),
+            ("join-run", 1_000, 26112.0, 0.0),
+            ("join-run", 10_000, 264646.5, 0.0),
+            ("vlqt-scan", 1_000, 26815.5, 0.0),
+            ("vlqt-scan", 10_000, 429906.9, 0.0),
+            ("alqt-scan", 50, 87.8, 0.0),
+            ("alqt-scan", 500, 787.8, 0.0),
+            ("insert-e2e-bundled", 50, 13573.2, 33.33),
+            ("socket-pump", 256, 3864.3, 0.0),
+            ("join-decode", 1, 1499.2, 1.0),
+            ("join-decode", 50, 1463.2, 1.0),
+            ("fault-pump", 1_000, 105434.3, 111.93),
+            ("fault-pump", 10_000, 151300.8, 112.24),
+            ("heartbeat-round", 1_000, 9464.7, 1.31),
+            ("heartbeat-round", 10_000, 9494.1, 1.31),
+            ("digest-round", 1_000, 2441.1, 38.0),
+            ("digest-round", 10_000, 2418.9, 38.0),
+        ];
+        Ledger {
+            check: false,
+            kernels: kernels
+                .into_iter()
+                .map(|(kernel, size, ns, allocs)| KernelRow {
+                    kernel,
+                    size,
+                    events: 1,
+                    ns: flat(ns),
+                    allocs,
+                })
+                .collect(),
+            sockets: vec![
+                socket(2, 16, 4_629_792, 12_007, 9_699),
+                socket(2, 256, 11_349_792, 12_007, 9_699),
+                socket(2, 4096, 118_869_792, 12_007, 9_699),
+                socket(32, 256, 11_568_969, 27_303, 27_244),
+            ],
+            experiments: Vec::new(),
+            suite_wall_ms: flat(2482.0),
+        }
+    }
+
+    fn kernel<'a>(l: &'a mut Ledger, name: &str, size: usize) -> &'a mut KernelRow {
+        l.kernels
+            .iter_mut()
+            .find(|r| r.kernel == name && r.size == size)
+            .expect("BENCH_25 has the row")
+    }
+
+    fn socket_mut(l: &mut Ledger, nodes: usize, payload: usize) -> &mut ThroughputReport {
+        l.sockets
+            .iter_mut()
+            .map(|r| &mut r.report)
+            .find(|r| r.nodes == nodes && r.payload == payload)
+            .expect("BENCH_25 has the row")
+    }
+
+    fn failed(l: &Ledger) -> Vec<&'static str> {
+        verdicts(l)
+            .into_iter()
+            .filter(|(_, v)| v.is_err())
+            .map(|(name, _)| name)
+            .collect()
+    }
+
+    #[test]
+    fn bench_25_passes_every_gate() {
+        assert_eq!(failed(&bench_25()), Vec::<&str>::new());
+    }
+
+    #[test]
+    fn each_gate_fails_alone_on_the_regression_it_guards() {
+        fn slower(l: &mut Ledger, name: &str) {
+            let small = l.kernel(name, HELD[0]).unwrap().ns.min;
+            kernel(l, name, HELD[1]).ns = flat(3.1 * small);
+        }
+        type Mutation = fn(&mut Ledger);
+        let cases: [(&str, Mutation); 13] = [
+            ("scan-allocs-flat", |l| {
+                l.kernels.retain(|r| r.kernel != "vltt-scan")
+            }),
+            ("scan-alloc-free", |l| {
+                kernel(l, "join-run", 10_000).allocs = 0.02
+            }),
+            ("insert-e2e-allocs", |l| {
+                kernel(l, "insert-e2e-bundled", 50).allocs = 50.01
+            }),
+            ("socket-pump-alloc-free", |l| {
+                kernel(l, "socket-pump", 256).allocs = 0.01
+            }),
+            ("join-decode-interned", |l| {
+                kernel(l, "join-decode", 50).allocs = 1.5
+            }),
+            ("heartbeat-round-o-change", |l| slower(l, "heartbeat-round")),
+            ("digest-round-o-change", |l| slower(l, "digest-round")),
+            ("fault-pump-o-change", |l| slower(l, "fault-pump")),
+            ("heartbeat-round-allocs", |l| {
+                kernel(l, "heartbeat-round", 1_000).allocs = 4.01
+            }),
+            ("fault-pump-allocs", |l| {
+                kernel(l, "fault-pump", 1_000).allocs = 150.01
+            }),
+            ("socket-throughput", |l| {
+                socket_mut(l, 32, 256).wire_bytes = 0
+            }),
+            ("socket-coalescing", |l| {
+                let s = &mut socket_mut(l, 2, 256).socket;
+                s.write_syscalls = s.frames_sent;
+            }),
+            ("socket-pool-reuse", |l| {
+                let s = &mut socket_mut(l, 32, 256).socket;
+                (s.pool_hits, s.pool_misses) = (89, 11);
+            }),
+        ];
+        let guarded: Vec<&str> = cases.iter().map(|(gate, _)| *gate).collect();
+        let gates: Vec<&str> = GATES.iter().map(|g| g.name).collect();
+        assert_eq!(guarded, gates, "one case per gate, in table order");
+        for (gate, mutate) in &cases {
+            let mut l = bench_25();
+            mutate(&mut l);
+            assert_eq!(failed(&l), [*gate], "mutation guarded by {gate}");
+        }
+    }
+
+    #[test]
+    fn a_missing_socket_row_fails_the_gates_that_name_it() {
+        let mut l = bench_25();
+        l.sockets.retain(|r| r.report.nodes != MANY_NODES);
+        assert_eq!(failed(&l), ["socket-throughput", "socket-pool-reuse"]);
+    }
+
+    #[test]
+    fn spread_orders_samples() {
+        let s = Spread::of(vec![3.0, 1.0, 5.0, 2.0, 4.0]);
+        assert_eq!((s.min, s.median, s.max), (1.0, 3.0, 5.0));
+    }
+}

@@ -1,23 +1,21 @@
-//! # cq-bench — criterion benchmark harness
+//! # cq-bench — the measurement ledger
 //!
-//! One benchmark group per reproduced figure/table (see DESIGN.md's
-//! experiment index) plus micro-benchmarks of the hot operations:
-//! routing, multisend, tuple insertion per algorithm, and SQL parsing.
+//! The `ledger` binary times the join-evaluation and failure-handling
+//! kernels, the TCP hot path and every quick-registry experiment in one
+//! process, records each timed row with its spread, and enforces the
+//! repository's allocation-slope and socket gates:
 //!
-//! Run with `cargo bench --workspace`. Each figure-level benchmark times a
-//! `Scale::Quick` run of the corresponding experiment; the full-scale
-//! numbers for EXPERIMENTS.md come from `cargo run --release -p cq-sim
-//! --bin experiments -- --full`.
+//! ```text
+//! cargo run --release -p cq-bench --bin ledger > BENCH_N.json
+//! cargo run --release -p cq-bench --bin ledger -- --check
+//! ```
 
-/// Re-export used by the benches to keep their imports uniform.
-pub use cq_sim::experiments::{self, Scale};
-
-/// An allocation-counting wrapper around the system allocator, used by the
-/// `alloc_audit` binary (behind the `count-allocs` feature) to verify that
-/// the join-evaluation kernels stay allocation-free per candidate: the
-/// audit measures allocations per event at two table sizes an order of
-/// magnitude apart and checks the per-event count does not grow with the
-/// candidate count.
+/// An allocation-counting wrapper around the system allocator, installed by
+/// the `ledger` binary (and by `cqbench`) to verify that the
+/// join-evaluation kernels stay allocation-free per candidate: the ledger
+/// measures allocations per event at two table sizes an order of magnitude
+/// apart and checks the per-event count does not grow with the candidate
+/// count.
 pub mod alloc_count {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::sync::atomic::{AtomicU64, Ordering};

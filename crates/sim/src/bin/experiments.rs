@@ -13,7 +13,8 @@
 //!   --trace-format FMT
 //!                trace serialization: `jsonl` (default) or `binary`
 //!                (wire-framed; convert back with the trace_dump tool)
-//!   ids          e01..e16, t01, a01, ef01 (default: all)
+//!   ids          e01..e16, t01, a01, ef01, ef02 (default: all); an unknown
+//!                id is an error
 //! ```
 
 use std::path::PathBuf;
@@ -103,6 +104,20 @@ fn main() {
     }
 
     let registry = all();
+    let unknown: Vec<&str> = ids
+        .iter()
+        .map(String::as_str)
+        .filter(|want| registry.iter().all(|(id, _)| id != want))
+        .collect();
+    if !unknown.is_empty() {
+        let known: Vec<&str> = registry.iter().map(|(id, _)| *id).collect();
+        eprintln!(
+            "unknown experiment id(s): {}; known ids: {}",
+            unknown.join(", "),
+            known.join(" ")
+        );
+        std::process::exit(2);
+    }
     let selected: Vec<_> = if ids.is_empty() {
         registry
     } else {
@@ -111,10 +126,6 @@ fn main() {
             .filter(|(id, _)| ids.iter().any(|want| want == *id))
             .collect()
     };
-    if selected.is_empty() {
-        eprintln!("no experiment matches; known ids: e01..e16, t01, a01, ef01, ef02");
-        std::process::exit(2);
-    }
 
     println!(
         "# Continuous equi-join experiments — scale: {}",

@@ -1,9 +1,10 @@
 //! One module per reproduced figure/table (ids from DESIGN.md).
 //!
 //! Every experiment exposes `run(scale) -> Report`. `Scale::Quick` finishes
-//! in milliseconds-to-seconds (used by tests and criterion benches);
-//! `Scale::Full` approaches the paper's set-up (used by the
-//! `experiments` binary that fills EXPERIMENTS.md).
+//! in milliseconds-to-seconds (used by tests, the golden check and the
+//! `ledger` binary's per-experiment walls); `Scale::Full` approaches the
+//! paper's set-up (used by the `experiments` binary that fills
+//! EXPERIMENTS.md).
 
 pub mod a01_dai_v_keyed;
 pub mod e01_multisend;
@@ -34,7 +35,7 @@ pub type ExperimentFn = fn(Scale) -> Report;
 /// How big an experiment run should be.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
-    /// Milliseconds-to-seconds versions for tests and benches.
+    /// Milliseconds-to-seconds versions for tests and the ledger.
     Quick,
     /// Paper-approaching versions for the experiments binary.
     Full,
