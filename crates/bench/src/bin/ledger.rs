@@ -678,9 +678,9 @@ fn fault_pump(size: usize, events: u64) -> KernelRow {
 /// off so the tick cost is the detector's alone.
 fn heartbeat_round(size: usize, events: u64) -> KernelRow {
     let mut net = churn_net(size, SuspicionConfig::active().with_anti_entropy_every(0));
-    let before = net.recovery_counters();
+    let before = net.metrics().recovery;
     let row = measure("heartbeat-round", size, events, || net.tick_now().unwrap());
-    let after = net.recovery_counters();
+    let after = net.metrics().recovery;
     assert!(after.heartbeats_sent > before.heartbeats_sent);
     assert!(
         after.confirms > before.confirms,
@@ -699,17 +699,17 @@ fn digest_round(size: usize, events: u64) -> KernelRow {
     // repair whatever the lossy fill left unmirrored; repair traffic is
     // itself lossy, so iterate to the fixed point
     loop {
-        let before = net.recovery_counters().repair_items;
+        let before = net.metrics().recovery.repair_items;
         net.anti_entropy_now().unwrap();
-        if net.recovery_counters().repair_items == before {
+        if net.metrics().recovery.repair_items == before {
             break;
         }
     }
-    let before = net.recovery_counters();
+    let before = net.metrics().recovery;
     let row = measure("digest-round", size, events, || {
         net.anti_entropy_now().unwrap()
     });
-    let after = net.recovery_counters();
+    let after = net.metrics().recovery;
     assert!(after.digest_exchanges > before.digest_exchanges);
     assert_eq!(after.repair_items, before.repair_items, "rounds were clean");
     row

@@ -33,6 +33,7 @@ use crate::messages::Message;
 use crate::metrics::TrafficKind;
 use crate::node::NodeState;
 use crate::protocol::{Effect, EffectCtx, Matches, NodeCtx, Protocol};
+use crate::replication::ReplicaItem;
 use crate::tables::{StoredTuple, Vlqt};
 use crate::trace::TraceEvent;
 
@@ -174,11 +175,11 @@ pub(crate) fn t1_tuple_arrival(
     // Split the node state: the group scan borrows the ALQT shared while
     // DAI-T's dedup memory is written through the disjoint `reindexed`.
     let NodeState {
-        alqt, reindexed, ..
+        tables, reindexed, ..
     } = st;
     let space = fx.space();
     let mut checks = 0u64;
-    for (_group, stored) in alqt.groups(rel, attr) {
+    for (_group, stored) in tables.alqt.groups(rel, attr) {
         let mut items: Vec<RewrittenQuery> = Vec::new();
         let mut target: Option<Id> = None;
         for (i, sq) in stored.iter().enumerate() {
@@ -475,8 +476,8 @@ pub(crate) fn match_vlqt_candidates(
     Ok(matches)
 }
 
-/// Stores a value-level tuple in the VLTT, mirroring it onto successors
-/// when k-successor replication is on.
+/// Stores a value-level tuple in the VLTT (mirrored when k-successor
+/// replication is on).
 pub(crate) fn store_value_tuple(
     st: &mut NodeState,
     fx: &mut EffectCtx<'_>,
@@ -489,13 +490,5 @@ pub(crate) fn store_value_tuple(
         table: "vltt",
         fresh: true, // the VLTT keeps every arrival (no dedup key)
     });
-    if fx.repl_k() > 0 {
-        st.vltt.insert(entry.clone())?;
-        fx.push(Effect::Replicate {
-            item: crate::replication::ReplicaItem::Tuple(entry),
-        });
-    } else {
-        st.vltt.insert(entry)?;
-    }
-    Ok(())
+    st.store(fx, ReplicaItem::Tuple(entry)).map(drop)
 }

@@ -100,7 +100,7 @@ impl Protocol for DaiQProtocol {
         while let Some(head) = items.first() {
             let (run, rest) = items.split_at(common::target_run_len(items));
             let (rel, attr) = common::attribute_target(&fx, head, &mut value_key)?;
-            let tuples = st.vltt.bucket(rel, attr, &value_key);
+            let tuples = st.tables.vltt.bucket(rel, attr, &value_key);
             let candidates = tuples.len() as u64;
             matcher.match_run(run, tuples, &mut matches, |produced| {
                 common::note_join_eval(&mut fx, candidates, produced)

@@ -76,7 +76,7 @@ impl Protocol for DaiTProtocol {
     ) -> Result<()> {
         let _ = index_id; // match only — tuples are never stored
         let (st, mut fx) = ctx.split();
-        let matches = common::match_vlqt_candidates(&mut fx, &st.vlqt, &tuple, &attr)?;
+        let matches = common::match_vlqt_candidates(&mut fx, &st.tables.vlqt, &tuple, &attr)?;
         fx.push(Effect::Deliver { matches });
         Ok(())
     }
@@ -96,7 +96,7 @@ impl Protocol for DaiTProtocol {
         while let Some(head) = items.as_slice().first() {
             let run = common::target_run_len(items.as_slice());
             let (rel, attr) = common::attribute_target(&fx, head, &mut value_key)?;
-            let mut bucket = st.vlqt.bucket_mut(rel, attr, &value_key);
+            let mut bucket = st.tables.vlqt.bucket_mut(rel, attr, &value_key);
             for rq in items.by_ref().take(run) {
                 let stored = bucket.insert_fresh(StoredRewritten { index_id, rq });
                 let fresh = stored.is_some();

@@ -75,7 +75,7 @@ impl Protocol for DaiVProtocol {
         let space = fx.space();
         let keyed = fx.config().dai_v_keyed;
         let mut checks = 0u64;
-        for (group, stored) in st.alqt.groups(rel, &attr) {
+        for (group, stored) in st.tables.alqt.groups(rel, &attr) {
             if keyed {
                 // Section 4.5's keyed extension: one evaluator — and one
                 // message — per (query, valJC); no grouping possible.
@@ -171,7 +171,8 @@ impl Protocol for DaiVProtocol {
         // The candidate list is the same for every item: look it up once and
         // match the whole run against it — still charging every rewritten
         // query the whole list, as the paper counts filtering work.
-        let candidates = st.vstore.candidates(&group, &value_key, other).as_slice();
+        let stored = st.tables.vstore.candidates(&group, &value_key, other);
+        let candidates = stored.as_slice();
         let count = candidates.len() as u64;
         matcher.match_run(&items, candidates, &mut matches, |_| {
             fx.metrics().add_evaluator_filtering(node, count);
@@ -196,18 +197,12 @@ impl Protocol for DaiVProtocol {
             side,
             tuple,
         };
-        if fx.repl_k() > 0 {
-            st.vstore.insert(&group, &value_key, entry.clone());
-            fx.push(Effect::Replicate {
-                item: ReplicaItem::ValueTuple {
-                    group,
-                    value_key,
-                    entry,
-                },
-            });
-        } else {
-            st.vstore.insert(&group, &value_key, entry);
-        }
+        let item = ReplicaItem::ValueTuple {
+            group,
+            value_key,
+            entry,
+        };
+        st.store(&mut fx, item)?;
         fx.push(Effect::Deliver { matches });
         Ok(())
     }

@@ -15,10 +15,9 @@ use rand::Rng;
 use super::common;
 use crate::config::{Algorithm, IndexStrategy};
 use crate::error::{EngineError, Result};
-use crate::node::NodeState;
 use crate::protocol::{Effect, NodeCtx, Protocol};
 use crate::replication::ReplicaItem;
-use crate::tables::{StoredRewritten, StoredTuple};
+use crate::tables::{StoredRewritten, StoredTuple, Tables};
 use crate::trace::TraceEvent;
 
 /// The SAI protocol (Section 4.3).
@@ -120,7 +119,7 @@ impl Protocol for SaiProtocol {
     ) -> Result<()> {
         // Match stored rewritten queries against the tuple (4.3.4) ...
         let (st, mut fx) = ctx.split();
-        let matches = common::match_vlqt_candidates(&mut fx, &st.vlqt, &tuple, &attr)?;
+        let matches = common::match_vlqt_candidates(&mut fx, &st.tables.vlqt, &tuple, &attr)?;
         fx.push(Effect::Deliver { matches });
         // ... then store it for rewritten queries still to come.
         common::store_value_tuple(
@@ -142,7 +141,7 @@ impl Protocol for SaiProtocol {
         index_id: Id,
     ) -> Result<()> {
         let (st, mut fx) = ctx.split();
-        let NodeState { vlqt, vltt, .. } = st;
+        let Tables { vlqt, vltt, .. } = &mut st.tables;
         let repl = fx.repl_k() > 0;
         let mut matches = fx.new_matches();
         let mut matcher = fx.take_matcher();

@@ -1,9 +1,12 @@
 //! Churn: voluntary leaves, abrupt failures, rejoins with key transfer, and
 //! replica promotion during stabilization (Sections 2.2, 4.6).
 //!
-//! These are state-layer operations on [`Network`]: they move table entries
-//! between nodes when ring ownership changes, independent of which
-//! evaluation algorithm produced the entries.
+//! These are state-layer operations on [`Network`]: they move a node's
+//! [`Tables`](crate::tables::Tables) when ring ownership changes,
+//! independent of which evaluation algorithm produced the entries. Every
+//! change of owner — promotion after a failure, transfer by a leave or a
+//! rejoin — ends in one hand-over, [`Network::store_all`]: the new owner
+//! stores each item once and re-mirrors it when k ≥ 1.
 
 use cq_overlay::{Id, NodeHandle};
 
@@ -14,29 +17,38 @@ use crate::trace::TraceEvent;
 
 impl Network {
     /// Voluntary departure: the node transfers every key it holds to its
-    /// successor, then leaves the ring. Replica duty moves with the range:
-    /// the successor also inherits the mirrored copies this node held for
-    /// its predecessors. (Dropping them — the old behavior — silently
-    /// reduced those primaries' redundancy below `k` until their next
-    /// re-mirroring, so one further failure in that window lost state.)
+    /// successor, then leaves the ring, and the hand-over's re-mirroring is
+    /// delivered before this returns. Replica duty moves too: each copy the
+    /// node held for a predecessor goes to that predecessor's new `k`-th
+    /// successor — unless the predecessor failed and the copy was not
+    /// promoted yet: its range is the successor's now, so it is promoted
+    /// into the hand-over.
     pub fn node_leave(&mut self, h: NodeHandle) -> Result<()> {
         let succ = self
             .ring
             .first_alive_successor(h)
             .ok_or(EngineError::UnknownNode)?;
         self.ring.leave(h)?;
-        if succ != h {
-            self.transfer_all(h, succ)?;
-            let inherited = self.nodes[h.index()].replicas.drain_items();
-            let store = &mut self.nodes[succ.index()].replicas;
-            for item in inherited {
-                store.insert(item)?;
-            }
-        } else {
+        let inherited = self.nodes[h.index()].replicas.take_owned(|_| true);
+        if succ == h {
             // Last node standing: nobody is left to hold replicas for.
-            self.nodes[h.index()].replicas.clear();
+            return Ok(());
         }
-        Ok(())
+        let mut items = self.take_primary(h, |_| true);
+        let mut promoted = 0;
+        for item in inherited {
+            let owner = self.ring.owner_of(item.index_id())?;
+            if owner == succ {
+                // Mirrored past `succ` instead, nobody would promote it.
+                promoted += 1;
+                items.push(item);
+            } else if let Some(&to) = self.ring.successors_of(owner, self.repl_k()).last() {
+                self.nodes[to.index()].replicas.insert(item)?;
+            }
+        }
+        self.note_promoted(succ, promoted);
+        self.hand_over(succ, items)?;
+        self.process_all()
     }
 
     /// Abrupt failure: the node's primary keys and replica holdings are
@@ -45,55 +57,24 @@ impl Network {
     /// enabled, the lost range is recovered from the successors' replica
     /// stores during the next [`Network::stabilize`].
     pub fn node_fail(&mut self, h: NodeHandle) -> Result<()> {
-        self.fail_node_state(h)
-    }
-
-    /// Ring-level failure plus primary/replica state loss at the victim.
-    pub(crate) fn fail_node_state(&mut self, h: NodeHandle) -> Result<()> {
         self.ring.fail(h)?;
-        let node = h.index() as u32;
-        let tick = self.trace_tick();
+        let (tick, node) = (self.trace_tick(), h.index() as u32);
         self.trace(|| TraceEvent::NodeFailed { tick, node });
-        let tracing = self.trace_on();
         let st = &mut self.nodes[h.index()];
-        let wiped: [(&'static str, u64); 4] = [
-            ("alqt", st.alqt.len() as u64),
-            ("vlqt", st.vlqt.len() as u64),
-            ("vltt", st.vltt.len() as u64),
-            ("vstore", st.vstore.len() as u64),
-        ];
-        st.alqt.drain_all();
-        st.vlqt.drain_all();
-        st.vltt.drain_all();
-        st.vstore.drain_all();
-        let offline = st.offline_store.len() as u64;
-        st.offline_store.clear();
+        let wiped = st.tables.wipe();
         st.mirrored.clear();
         st.replicas.clear();
-        if tracing {
-            for (table, removed) in wiped {
-                if removed > 0 {
-                    self.trace(|| TraceEvent::IndexRemove {
-                        tick,
-                        node,
-                        table,
-                        removed,
-                        reason: "fail",
-                    });
-                }
-            }
-            if offline > 0 {
-                self.trace(|| TraceEvent::IndexRemove {
-                    tick,
-                    node,
-                    table: "offline-store",
-                    removed: offline,
-                    reason: "fail",
-                });
-            }
+        for (table, removed) in wiped.into_iter().filter(|&(_, n)| n > 0) {
+            self.trace(|| TraceEvent::IndexRemove {
+                tick,
+                node,
+                table,
+                removed,
+                reason: "fail",
+            });
         }
         self.metrics.faults.nodes_failed += 1;
-        self.note_failure(h.index() as u32);
+        self.note_failure(node);
         Ok(())
     }
 
@@ -102,16 +83,14 @@ impl Network {
     /// replication is on) and processes the resulting re-mirroring traffic.
     pub fn stabilize(&mut self, rounds: usize) -> Result<()> {
         self.ring.stabilize_all(rounds);
-        if self.repl_k() > 0 {
-            self.promote_replicas()?;
-        }
+        self.promote_replicas()?;
         self.process_all()
     }
 
     /// Every alive node extracts the replica entries whose identifier it now
-    /// owns (its predecessor failed) and promotes them into its primary
-    /// tables, then re-mirrors them onto its own successors to restore
-    /// k-fold redundancy.
+    /// owns (its predecessor failed) and hands them to its primary tables,
+    /// re-mirroring them onto its own successors to restore k-fold
+    /// redundancy.
     ///
     /// Ownership is ground truth (`Ring::owns`), a function of the
     /// membership epoch alone. A holder scanned under the current epoch
@@ -119,8 +98,7 @@ impl Network {
     /// identifier it already owned arrived since — every other holder is
     /// skipped without touching its store.
     pub(crate) fn promote_replicas(&mut self) -> Result<()> {
-        let k = self.repl_k();
-        if k == 0 {
+        if self.repl_k() == 0 {
             return Ok(());
         }
         let epoch = self.ring.membership_epoch();
@@ -139,45 +117,20 @@ impl Network {
             if promoted.is_empty() {
                 continue;
             }
-            self.metrics.faults.replicas_promoted += promoted.len() as u64;
-            let (tick, node, items) = (self.trace_tick(), h.index() as u32, promoted.len() as u64);
-            self.trace(|| TraceEvent::Promote { tick, node, items });
-            let mut items: Vec<ReplicaItem> = Vec::with_capacity(promoted.len());
-            {
-                let st = &mut self.nodes[h.index()];
-                for e in promoted.queries {
-                    st.alqt.insert(e.clone());
-                    items.push(ReplicaItem::Query(e));
-                }
-                for e in promoted.rewritten {
-                    st.vlqt.insert(e.clone())?;
-                    items.push(ReplicaItem::Rewritten(e));
-                }
-                for e in promoted.tuples {
-                    st.vltt.insert(e.clone())?;
-                    items.push(ReplicaItem::Tuple(e));
-                }
-                for (group, value_key, e) in promoted.value_tuples {
-                    st.vstore.insert(&group, &value_key, e.clone());
-                    items.push(ReplicaItem::ValueTuple {
-                        group,
-                        value_key,
-                        entry: e,
-                    });
-                }
-                for (id, n) in promoted.offline {
-                    st.offline_store.push((id, n.clone()));
-                    items.push(ReplicaItem::Offline {
-                        id,
-                        notification: n,
-                    });
-                }
-            }
-            for item in items {
-                self.replicate(h, item);
-            }
+            self.note_promoted(h, promoted.len());
+            self.store_all(h, promoted)?;
         }
         Ok(())
+    }
+
+    /// Counts and traces `n` replicas becoming `h`'s primary state.
+    fn note_promoted(&mut self, h: NodeHandle, n: usize) {
+        if n == 0 {
+            return;
+        }
+        self.metrics.faults.replicas_promoted += n as u64;
+        let (tick, node, items) = (self.trace_tick(), h.index() as u32, n as u64);
+        self.trace(|| TraceEvent::Promote { tick, node, items });
     }
 
     /// A departed node rejoins with its old key: it takes back the key range
@@ -197,92 +150,57 @@ impl Network {
             .ring
             .first_alive_successor(h)
             .ok_or(EngineError::UnknownNode)?;
+        let me = self.ring.node(h).key().to_string();
         if succ != h {
             let space = self.ring.space();
-            let in_range = move |x: Id| space.in_open_closed(x, pred, id);
-            self.transfer_matching(succ, h, in_range)?;
+            let mut items = self.take_primary(succ, |x| space.in_open_closed(x, pred, id));
+            // Missed notifications addressed to us go to the inbox; the
+            // rest of the range is ours to hold.
+            let inbox = &mut self.nodes[h.index()].inbox;
+            items.retain(|item| match item {
+                ReplicaItem::Offline { notification, .. } if notification.subscriber == me => {
+                    inbox.push(notification.clone());
+                    false
+                }
+                _ => true,
+            });
+            self.hand_over(h, items)?;
         }
-        // Missed notifications addressed to us move into the inbox (the
-        // transfer above left `h`'s digest index invalidated, so this
-        // removal needs no bookkeeping of its own).
-        let me = self.ring.node(h).key().to_string();
-        let st = &mut self.nodes[h.index()];
-        let mut kept = Vec::new();
-        for (nid, n) in std::mem::take(&mut st.offline_store) {
-            if n.subscriber == me {
-                st.inbox.push(n);
-            } else {
-                kept.push((nid, n));
-            }
-        }
-        st.offline_store = kept;
         self.subscribers.insert(me, h);
         Ok(())
     }
 
-    fn transfer_all(&mut self, from: NodeHandle, to: NodeHandle) -> Result<()> {
-        self.transfer_matching(from, to, |_| true)
-    }
-
-    fn transfer_matching(
-        &mut self,
-        from: NodeHandle,
-        to: NodeHandle,
-        pred: impl Fn(Id) -> bool + Copy,
-    ) -> Result<()> {
-        debug_assert_ne!(from, to);
-        let (a, b) = (from.index(), to.index());
-        let mut moved = 0u64;
-        {
-            // Split the borrow: `from` and `to` are distinct slots.
-            let (src, dst) = if a < b {
-                let (l, r) = self.nodes.split_at_mut(b);
-                (&mut l[a], &mut r[0])
-            } else {
-                let (l, r) = self.nodes.split_at_mut(a);
-                (&mut r[0], &mut l[b])
-            };
-            // A bulk move: both digest indexes rebuild lazily at their next
-            // anti-entropy read instead of tracking every moved item.
-            src.mirrored.invalidate();
-            dst.mirrored.invalidate();
-            for e in src.alqt.extract_where(&pred) {
-                moved += 1;
-                dst.alqt.insert(e);
-            }
-            for e in src.vlqt.extract_where(&pred) {
-                moved += 1;
-                dst.vlqt.insert(e)?;
-            }
-            for e in src.vltt.extract_where(&pred) {
-                moved += 1;
-                dst.vltt.insert(e)?;
-            }
-            for (group, value, e) in src.vstore.extract_where(&pred) {
-                moved += 1;
-                dst.vstore.insert(&group, &value, e);
-            }
-            let mut kept = Vec::new();
-            for (id, n) in std::mem::take(&mut src.offline_store) {
-                if pred(id) {
-                    moved += 1;
-                    dst.offline_store.push((id, n));
-                } else {
-                    kept.push((id, n));
-                }
-            }
-            src.offline_store = kept;
-        }
-        if moved > 0 {
-            let (tick, node) = (self.trace_tick(), a as u32);
+    /// Takes `from`'s primary items under identifiers satisfying `pred` out
+    /// of its tables, for a transfer to their new owner.
+    fn take_primary(&mut self, from: NodeHandle, pred: impl Fn(Id) -> bool) -> Vec<ReplicaItem> {
+        let st = &mut self.nodes[from.index()];
+        let items = st.tables.take_where(pred);
+        // A bulk removal: the digest index rebuilds at its next read.
+        st.mirrored.invalidate();
+        if !items.is_empty() {
+            let (tick, node, removed) =
+                (self.trace_tick(), from.index() as u32, items.len() as u64);
             self.trace(|| TraceEvent::IndexRemove {
                 tick,
                 node,
                 table: "all",
-                removed: moved,
+                removed,
                 reason: "transfer",
             });
         }
-        Ok(())
+        items
+    }
+
+    /// Hands transferred `items` to their new owner `to`. What `to` mirrored
+    /// under their identifiers is its own state from now on, so those
+    /// mirrors go first — left in place, the next stabilization would
+    /// promote them and every item would be stored twice.
+    fn hand_over(&mut self, to: NodeHandle, items: Vec<ReplicaItem>) -> Result<()> {
+        let mut ids: Vec<Id> = items.iter().map(ReplicaItem::index_id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let mirrors = &mut self.nodes[to.index()].replicas;
+        mirrors.take_owned(|id| ids.binary_search(&id).is_ok());
+        self.store_all(to, items)
     }
 }

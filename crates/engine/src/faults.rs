@@ -311,7 +311,7 @@ impl Dedup {
     }
 
     /// Identifiers currently remembered, summed over receivers.
-    pub fn entries(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.unacked_expiry.len() + self.acked_expiry.len()
     }
 }
@@ -744,17 +744,17 @@ mod tests {
         );
         // sparse per-receiver subsequences of the sender's numbering
         assert!(!pipe.record_arrival((1, 3), a, false));
-        assert_eq!(pipe.dedup.entries(), 3);
+        assert_eq!(pipe.dedup.len(), 3);
         for _ in 0..3 {
             pipe.advance();
-            assert_eq!(pipe.dedup.entries(), 3, "a delayed copy may still land");
+            assert_eq!(pipe.dedup.len(), 3, "a delayed copy may still land");
         }
         assert!(
             pipe.record_arrival((1, 7), a, true),
             "the latest possible copy"
         );
         pipe.advance();
-        assert_eq!(pipe.dedup.entries(), 0, "1 + max_delay ticks after arrival");
+        assert_eq!(pipe.dedup.len(), 0, "1 + max_delay ticks after arrival");
     }
 
     /// The sender's side of one message first transmitted at `t0`, replayed
@@ -832,7 +832,7 @@ mod tests {
         pipe.tick = u64::MAX - 2;
         assert!(!pipe.record_arrival((0, 0), NodeHandle::from_index(0), false));
         pipe.advance();
-        assert_eq!(pipe.dedup.entries(), 1, "expiry tick u64::MAX: never");
+        assert_eq!(pipe.dedup.len(), 1, "expiry tick u64::MAX: never");
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub use oracle::Oracle;
 pub use pipeline::Pipeline;
 pub use protocol::{Effect, Matches, NodeCtx, Protocol, QueryCounts, Scratch};
 pub use recovery::SuspicionConfig;
-pub use replication::{PromotedState, ReplicaItem, ReplicaStore};
+pub use replication::{ReplicaItem, ReplicaStore};
 pub use transport_tcp::{SocketStats, TcpOptions};
 
 pub use trace::{

@@ -339,7 +339,7 @@ impl Network {
         let mut out = HashSet::new();
         for n in &self.nodes {
             out.extend(n.inbox.iter().cloned());
-            out.extend(n.offline_store.iter().map(|(_, n)| n.clone()));
+            out.extend(n.tables.offline.iter().map(|(_, n)| n.clone()));
         }
         out
     }
@@ -429,8 +429,9 @@ impl Network {
         self.config.fault.replication
     }
 
-    /// Runs one protocol handler at `at`, then flushes the effects it
-    /// pushed into the transport (in push order). Effects produced before a
+    /// Runs one protocol handler at `at` — or a storage-level action
+    /// written like one — then flushes the effects it pushed into the
+    /// transport (in push order). Effects produced before a
     /// handler error are still flushed — mirroring inline sends, which
     /// would already have left the node when the error surfaced.
     fn run_protocol<F>(&mut self, at: NodeHandle, f: F) -> Result<()>
@@ -491,23 +492,24 @@ impl Network {
                 index_attr,
                 index_id,
             } => {
-                let entry = StoredQuery {
+                let item = ReplicaItem::Query(StoredQuery {
                     index_id,
                     query,
                     index_side,
                     index_attr,
-                };
-                if self.repl_k() > 0 {
-                    let fresh = self.nodes[at.index()].alqt.insert(entry.clone());
-                    self.trace_index_insert(at, "alqt", fresh);
-                    if fresh {
-                        self.replicate(at, ReplicaItem::Query(entry));
-                    }
-                } else {
-                    let fresh = self.nodes[at.index()].alqt.insert(entry);
-                    self.trace_index_insert(at, "alqt", fresh);
-                }
-                Ok(())
+                });
+                self.run_protocol(at, |_, ctx| {
+                    let (st, mut fx) = ctx.split();
+                    let fresh = st.store(&mut fx, item)?;
+                    let (tick, node) = (fx.tick(), at.index() as u32);
+                    fx.trace(|| TraceEvent::IndexInsert {
+                        tick,
+                        node,
+                        table: "alqt",
+                        fresh,
+                    });
+                    Ok(())
+                })
             }
             Message::AlIndexTuple {
                 tuple,
@@ -537,20 +539,13 @@ impl Network {
                     count: notifications.len() as u64,
                     offline: true,
                 });
-                if self.repl_k() > 0 {
-                    for n in &notifications {
-                        self.replicate(
-                            at,
-                            ReplicaItem::Offline {
-                                id: subscriber_id,
-                                notification: n.clone(),
-                            },
-                        );
-                    }
-                }
-                let store = &mut self.nodes[at.index()].offline_store;
-                store.extend(notifications.into_iter().map(|n| (subscriber_id, n)));
-                Ok(())
+                let items = notifications
+                    .into_iter()
+                    .map(|notification| ReplicaItem::Offline {
+                        id: subscriber_id,
+                        notification,
+                    });
+                self.store_all(at, items)
             }
             Message::Notify { notifications } => {
                 // Counted here — at actual inbox arrival.
@@ -597,14 +592,21 @@ impl Network {
         }
     }
 
-    /// Emits an [`TraceEvent::IndexInsert`] for a storage-level insert.
-    #[inline]
-    fn trace_index_insert(&self, at: NodeHandle, table: &'static str, fresh: bool) {
-        self.trace(|| TraceEvent::IndexInsert {
-            tick: self.clock.0,
-            node: at.index() as u32,
-            table,
-            fresh,
-        });
+    /// Stores `items` as `at`'s primary state, each through
+    /// [`NodeState::store`], then sends the mirrors that asks for. Besides
+    /// offline notifications, this is where every hand-over ends: replicas
+    /// promoted after a failure and keys transferred by a leave or a rejoin.
+    pub(crate) fn store_all(
+        &mut self,
+        at: NodeHandle,
+        items: impl IntoIterator<Item = ReplicaItem>,
+    ) -> Result<()> {
+        self.run_protocol(at, |_, ctx| {
+            let (st, mut fx) = ctx.split();
+            for item in items {
+                st.store(&mut fx, item)?;
+            }
+            Ok(())
+        })
     }
 }

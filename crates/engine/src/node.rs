@@ -2,16 +2,14 @@
 //! statistics and the subscriber inbox.
 
 use cq_fasthash::{FxHashMap, FxHashSet};
-use cq_overlay::Id;
 use cq_relational::{Notification, RewriteIdentity};
 
+use crate::error::Result;
 use crate::jfrt::Jfrt;
-use crate::replication::{
-    hash_offline, hash_query, hash_rewritten, hash_tuple, hash_value_tuple, DigestIndex,
-    ReplicaStore,
-};
+use crate::protocol::{Effect, EffectCtx};
+use crate::replication::{DigestIndex, ReplicaItem, ReplicaStore};
 use crate::tables::keys::{bucket_mut, lookup_key, FirstSeen, StrPair};
-use crate::tables::{Alqt, VStore, Vlqt, Vltt};
+use crate::tables::Tables;
 
 /// Arrival statistics a rewriter keeps per `(relation, attribute)` — "each
 /// node can keep track of the total number of tuples that have arrived … in
@@ -47,14 +45,11 @@ impl ArrivalStats {
 /// The protocol state of one network node.
 #[derive(Clone, Debug, Default)]
 pub struct NodeState {
-    /// Attribute-level query table (rewriter role).
-    pub alqt: Alqt,
-    /// Value-level query table (evaluator role, SAI/DAI-T).
-    pub vlqt: Vlqt,
-    /// Value-level tuple table (evaluator role, SAI/DAI-Q).
-    pub vltt: Vltt,
-    /// DAI-V evaluator store.
-    pub vstore: VStore,
+    /// The primary state the node holds on behalf of the network: its
+    /// query, rewritten-query and tuple tables, the DAI-V store, and the
+    /// notifications held for offline subscribers whose key identifier it
+    /// is responsible for (Section 4.6).
+    pub tables: Tables,
     /// Join Fingers Routing Table (rewriter role, Section 4.7).
     pub jfrt: Jfrt,
     /// DAI-T rewriter memory of already-reindexed rewritten queries — "a
@@ -63,9 +58,6 @@ pub struct NodeState {
     pub reindexed: FirstSeen<RewriteIdentity>,
     /// Notifications this node has received as a subscriber.
     pub inbox: Vec<Notification>,
-    /// Notifications held for offline subscribers whose key identifier this
-    /// node is responsible for (Section 4.6), with that identifier.
-    pub offline_store: Vec<(Id, Notification)>,
     /// Per-(relation, attribute) arrival statistics.
     pub arrivals: FxHashMap<StrPair, ArrivalStats>,
     /// Counter for deriving this node's query keys.
@@ -74,8 +66,8 @@ pub struct NodeState {
     /// replication); dormant until promoted after a failure. Excluded from
     /// [`NodeState::storage_load`] — replicas are redundancy, not load.
     pub replicas: ReplicaStore,
-    /// Digest keys of the primary state above, for anti-entropy: fed item
-    /// by item as each is mirrored (`Network::replicate`, so only while
+    /// Digest keys of the primary `tables`, for anti-entropy: fed item by
+    /// item as each is mirrored (`Network::replicate`, so only while
     /// replication is on), invalidated by the bulk churn paths and rebuilt
     /// by [`NodeState::primary_digests`].
     pub(crate) mirrored: DigestIndex,
@@ -118,36 +110,37 @@ impl NodeState {
     /// The node's storage load: every item it holds on behalf of the
     /// network (queries, rewritten queries, tuples, offline notifications).
     pub fn storage_load(&self) -> usize {
-        self.alqt.len()
-            + self.vlqt.len()
-            + self.vltt.len()
-            + self.vstore.len()
-            + self.offline_store.len()
+        self.tables.len()
     }
 
     /// Storage held in the evaluator role only (value-level items), used by
     /// the E8/E9 experiments.
     pub fn evaluator_storage(&self) -> usize {
-        self.vlqt.len() + self.vltt.len() + self.vstore.len()
+        let t = &self.tables;
+        t.vlqt.len() + t.vltt.len() + t.vstore.len()
+    }
+
+    /// Stores `item` as primary state and, when it is fresh and k-successor
+    /// replication is on, asks for it to be mirrored — the one insert path
+    /// for every kind outside the evaluators' per-bucket VLQT runs. Returns
+    /// whether the item was fresh.
+    pub(crate) fn store(&mut self, fx: &mut EffectCtx<'_>, item: ReplicaItem) -> Result<bool> {
+        if fx.repl_k() == 0 {
+            return self.tables.insert(item);
+        }
+        let fresh = self.tables.insert(item.clone())?;
+        if fresh {
+            fx.push(Effect::Replicate { item });
+        }
+        Ok(fresh)
     }
 
     /// The digest index over this node's primary state, rebuilt from the
     /// tables first if a bulk path (state loss, key transfer) invalidated it.
     pub(crate) fn primary_digests(&mut self) -> &mut DigestIndex {
         if self.mirrored.is_stale() {
-            let alqt = self.alqt.entries().map(|e| (e.index_id, hash_query(e)));
-            let vlqt = self.vlqt.entries().map(|e| (e.index_id, hash_rewritten(e)));
-            let vltt = self.vltt.entries().map(|e| (e.index_id, hash_tuple(e)));
-            let vstore = self
-                .vstore
-                .entries()
-                .map(|(group, value_key, e)| (e.index_id, hash_value_tuple(group, value_key, e)));
-            let offline = self
-                .offline_store
-                .iter()
-                .map(|(id, n)| (*id, hash_offline(*id, n)));
-            self.mirrored
-                .rebuild(alqt.chain(vlqt).chain(vltt).chain(vstore).chain(offline));
+            let keys = self.tables.walk().map(|h| (h.index_id(), h.digest_hash()));
+            self.mirrored.rebuild(keys);
         }
         &mut self.mirrored
     }

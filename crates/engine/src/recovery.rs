@@ -36,10 +36,8 @@ use crate::faults::FaultPipe;
 use crate::messages::Message;
 use crate::network::Network;
 use crate::node::NodeState;
-use crate::replication::{
-    hash_offline, hash_query, hash_rewritten, hash_tuple, hash_value_tuple, DigestIndex,
-    ReplicaItem,
-};
+use crate::replication::{DigestIndex, ReplicaItem};
+use crate::tables::Held;
 use crate::trace::TraceEvent;
 use crate::wire;
 
@@ -191,7 +189,7 @@ pub(crate) struct Recovery {
     /// The configuration.
     cfg: SuspicionConfig,
     /// Mirror of the pipe's current tick (the pipe itself is moved out of
-    /// the network while the pump runs, so sites like `fail_node_state`
+    /// the network while the pump runs, so sites like `node_fail`
     /// read the tick here).
     pub(crate) now: u64,
     /// Probe sequence counter (shared across nodes; probes are
@@ -264,37 +262,14 @@ pub struct DigestPair {
 }
 
 /// From-scratch oracle for the primary side of the digest
-/// ([`NodeState::primary_digests`]): re-hashes every primary item `st`
-/// holds under identifiers satisfying `pred` into a fresh set.
+/// ([`NodeState::primary_digests`]): takes every primary item `st` holds
+/// under identifiers satisfying `pred` out of a copy of its tables — the
+/// five tables' own extraction, not the walk the digest index is built
+/// from — and hashes it into a fresh set.
 #[cfg(test)]
-fn primary_hashes(st: &NodeState, pred: impl Fn(Id) -> bool + Copy) -> cq_fasthash::FxHashSet<u64> {
-    let mut out = cq_fasthash::FxHashSet::default();
-    for e in st.alqt.entries() {
-        if pred(e.index_id) {
-            out.insert(hash_query(e));
-        }
-    }
-    for e in st.vlqt.entries() {
-        if pred(e.index_id) {
-            out.insert(hash_rewritten(e));
-        }
-    }
-    for e in st.vltt.entries() {
-        if pred(e.index_id) {
-            out.insert(hash_tuple(e));
-        }
-    }
-    for (group, value_key, e) in st.vstore.entries() {
-        if pred(e.index_id) {
-            out.insert(hash_value_tuple(group, value_key, e));
-        }
-    }
-    for (id, n) in &st.offline_store {
-        if pred(*id) {
-            out.insert(hash_offline(*id, n));
-        }
-    }
-    out
+fn primary_hashes(st: &NodeState, pred: impl Fn(Id) -> bool) -> cq_fasthash::FxHashSet<u64> {
+    let items = st.tables.clone().take_where(pred);
+    items.iter().map(ReplicaItem::digest_hash).collect()
 }
 
 /// Primary items the replica side (`have`) is missing — the anti-entropy
@@ -302,44 +277,15 @@ fn primary_hashes(st: &NodeState, pred: impl Fn(Id) -> bool + Copy) -> cq_fastha
 /// differ, and `suspects` (sorted; from the two digest indexes) names the
 /// index ids the missing items live under, so only those items are hashed.
 fn missing_primary_items(st: &NodeState, suspects: &[Id], have: &DigestIndex) -> Vec<ReplicaItem> {
-    let mut out = Vec::new();
     if suspects.is_empty() {
-        return out; // the replica side only holds extras
+        return Vec::new(); // the replica side only holds extras
     }
-    let pred = |id: Id| suspects.binary_search(&id).is_ok();
-    for e in st.alqt.entries() {
-        if pred(e.index_id) && !have.contains(e.index_id, hash_query(e)) {
-            out.push(ReplicaItem::Query(e.clone()));
-        }
-    }
-    for e in st.vlqt.entries() {
-        if pred(e.index_id) && !have.contains(e.index_id, hash_rewritten(e)) {
-            out.push(ReplicaItem::Rewritten(e.clone()));
-        }
-    }
-    for e in st.vltt.entries() {
-        if pred(e.index_id) && !have.contains(e.index_id, hash_tuple(e)) {
-            out.push(ReplicaItem::Tuple(e.clone()));
-        }
-    }
-    for (group, value_key, e) in st.vstore.entries() {
-        if pred(e.index_id) && !have.contains(e.index_id, hash_value_tuple(group, value_key, e)) {
-            out.push(ReplicaItem::ValueTuple {
-                group: group.to_string(),
-                value_key: value_key.to_string(),
-                entry: e.clone(),
-            });
-        }
-    }
-    for (id, n) in &st.offline_store {
-        if pred(*id) && !have.contains(*id, hash_offline(*id, n)) {
-            out.push(ReplicaItem::Offline {
-                id: *id,
-                notification: n.clone(),
-            });
-        }
-    }
-    out
+    let missing = |held: &Held<'_>| {
+        let id = held.index_id();
+        suspects.binary_search(&id).is_ok() && !have.contains(id, held.digest_hash())
+    };
+    let items = st.tables.walk().filter(missing);
+    items.map(Held::to_item).collect()
 }
 
 impl Network {
@@ -350,7 +296,7 @@ impl Network {
     }
 
     /// Records an abrupt failure with the detector (window/metric
-    /// bookkeeping only). Called by `fail_node_state`.
+    /// bookkeeping only). Called by `node_fail`.
     pub(crate) fn note_failure(&mut self, slot: u32) {
         let clock = self.trace_tick();
         if let Some(rec) = self.recovery.as_mut() {
@@ -684,7 +630,7 @@ impl Network {
     /// (test hook: the count is bounded by message lifetime, not history).
     #[doc(hidden)]
     pub fn dedup_entries(&self) -> usize {
-        self.pump.as_ref().map_or(0, |pipe| pipe.dedup.entries())
+        self.pump.as_ref().map_or(0, |pipe| pipe.dedup.len())
     }
 
     /// The detection windows observed so far, as closed logical-clock
@@ -702,11 +648,6 @@ impl Network {
         }
         out.sort_unstable();
         out
-    }
-
-    /// Failure-detection counters (alias for `metrics().recovery`).
-    pub fn recovery_counters(&self) -> crate::metrics::RecoveryCounters {
-        self.metrics.recovery
     }
 
     /// Runs one anti-entropy round immediately, regardless of cadence
@@ -830,16 +771,19 @@ mod tests {
         let late = Box::new(offline_item(id, 1));
         net.dispatch(s, Message::Replicate { item: late }).unwrap();
         assert!(net.nodes[s.index()].replicas.promotion_scan_due(epoch));
-        assert!(net.nodes[s.index()].offline_store.is_empty());
+        assert!(net.nodes[s.index()].tables.offline.is_empty());
         // The detector now confirms `p`; that confirmation's promotion
         // finds the late arrival although the epoch has not moved.
         net.settle().unwrap();
-        assert_eq!(net.recovery_counters().detections, 1);
+        assert_eq!(net.metrics.recovery.detections, 1);
         assert_eq!(net.ring.membership_epoch(), epoch);
         let ReplicaItem::Offline { notification, .. } = offline_item(id, 1) else {
             unreachable!()
         };
-        assert_eq!(net.nodes[s.index()].offline_store, vec![(id, notification)]);
+        assert_eq!(
+            net.nodes[s.index()].tables.offline,
+            vec![(id, notification)]
+        );
         assert_eq!(net.nodes[s.index()].replicas.len(), 1, "the stray mirror");
     }
 

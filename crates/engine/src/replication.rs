@@ -8,13 +8,15 @@
 //! [`ReplicaStore`]: they never answer queries, never count toward storage
 //! load, and never appear in [`crate::Network::delivered_set`]. When a node
 //! fails abruptly, its successor finds itself the new owner of the failed
-//! range during stabilization and *promotes* the matching replicas into its
-//! primary tables — the same `extract_where`/insert mechanics the existing
-//! `transfer_matching` churn machinery uses — then re-mirrors the promoted
-//! entries onto its own successors to restore redundancy.
+//! range during stabilization and *promotes* the matching replicas: it takes
+//! them out of its replica store and hands them to its primary
+//! [`Tables`] through the same path a leave or a rejoin hands transferred
+//! keys over by — each item is stored once and re-mirrored onto the new
+//! owner's own successors, restoring redundancy.
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
+use std::hash::Hash;
 use std::ops::Bound;
 
 use cq_fasthash::FxHashSet;
@@ -23,9 +25,7 @@ use cq_relational::Notification;
 
 use crate::error::Result;
 
-use crate::tables::{
-    Alqt, StoredQuery, StoredRewritten, StoredTuple, StoredValueTuple, VStore, Vlqt, Vltt,
-};
+use crate::tables::{Held, StoredQuery, StoredRewritten, StoredTuple, StoredValueTuple, Tables};
 
 /// One primary state item mirrored onto a successor via
 /// [`crate::Message::Replicate`].
@@ -308,70 +308,6 @@ impl DigestIndex {
     }
 }
 
-/// Primary state promoted out of a replica store after a failure, ready to
-/// be inserted into the new owner's tables.
-#[derive(Debug, Default)]
-pub struct PromotedState {
-    /// ALQT entries.
-    pub queries: Vec<StoredQuery>,
-    /// VLQT entries.
-    pub rewritten: Vec<StoredRewritten>,
-    /// VLTT entries.
-    pub tuples: Vec<StoredTuple>,
-    /// DAI-V store entries with their `(group, value)` keys.
-    pub value_tuples: Vec<(String, String, StoredValueTuple)>,
-    /// Offline-store notifications.
-    pub offline: Vec<(Id, Notification)>,
-}
-
-impl PromotedState {
-    /// Total number of promoted items.
-    pub fn len(&self) -> usize {
-        self.queries.len()
-            + self.rewritten.len()
-            + self.tuples.len()
-            + self.value_tuples.len()
-            + self.offline.len()
-    }
-
-    /// Whether nothing was promoted.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Converts the promoted state back into mirrorable items (used when
-    /// entries must be handed to another replica holder rather than
-    /// inserted into primary tables — e.g. a voluntary leave).
-    pub fn into_items(self) -> Vec<ReplicaItem> {
-        let PromotedState {
-            queries,
-            rewritten,
-            tuples,
-            value_tuples,
-            offline,
-        } = self;
-        let mut out = Vec::with_capacity(
-            queries.len() + rewritten.len() + tuples.len() + value_tuples.len() + offline.len(),
-        );
-        out.extend(queries.into_iter().map(ReplicaItem::Query));
-        out.extend(rewritten.into_iter().map(ReplicaItem::Rewritten));
-        out.extend(tuples.into_iter().map(ReplicaItem::Tuple));
-        out.extend(value_tuples.into_iter().map(|(group, value_key, entry)| {
-            ReplicaItem::ValueTuple {
-                group,
-                value_key,
-                entry,
-            }
-        }));
-        out.extend(
-            offline
-                .into_iter()
-                .map(|(id, notification)| ReplicaItem::Offline { id, notification }),
-        );
-        out
-    }
-}
-
 /// Mirrored copies of other nodes' primary state, held by a successor.
 ///
 /// Inserts are idempotent: the ALQT/VLQT tables dedup by their own keys, and
@@ -381,11 +317,7 @@ impl PromotedState {
 /// store.
 #[derive(Clone, Debug, Default)]
 pub struct ReplicaStore {
-    alqt: Alqt,
-    vlqt: Vlqt,
-    vltt: Vltt,
-    vstore: VStore,
-    offline: Vec<(Id, Notification)>,
+    mirrors: Tables,
     vltt_seen: FxHashSet<(u64, Box<str>)>,
     vstore_seen: FxHashSet<(u64, Box<str>)>,
     offline_seen: FxHashSet<(Id, Notification)>,
@@ -411,50 +343,44 @@ impl ReplicaStore {
     /// `Replicate` payload fails the run with context instead of aborting.
     pub fn insert(&mut self, item: ReplicaItem) -> Result<()> {
         let (id, hash) = (item.index_id(), item.digest_hash());
-        let fresh = match item {
-            ReplicaItem::Query(e) => self.alqt.insert(e),
-            ReplicaItem::Rewritten(e) => self.vlqt.insert(e)?,
-            ReplicaItem::Tuple(e) => {
-                let fresh = self
-                    .vltt_seen
-                    .insert((e.tuple.seq(), e.attr.as_str().into()));
-                if fresh {
-                    self.vltt.insert(e)?;
-                }
-                fresh
-            }
-            ReplicaItem::ValueTuple {
-                group,
-                value_key,
-                entry,
-            } => {
-                let fresh = self
-                    .vstore_seen
-                    .insert((entry.tuple.seq(), group.as_str().into()));
-                if fresh {
-                    self.vstore.insert(&group, &value_key, entry);
-                }
-                fresh
-            }
-            ReplicaItem::Offline { id, notification } => {
-                let fresh = self.offline_seen.insert((id, notification.clone()));
-                if fresh {
-                    self.offline.push((id, notification));
-                }
-                fresh
-            }
-        };
-        // Only what was actually stored is digested: the tables' dedup
-        // decides, exactly as a from-scratch pass over them would.
-        if fresh {
+        // Only what was actually stored is digested: the dedup decides,
+        // exactly as a from-scratch pass over the tables would.
+        if self.note_seen(&item, true) && self.mirrors.insert(item)? {
             self.index.insert(id, hash);
         }
         Ok(())
     }
 
+    /// Enters the item into (`seen`) or drops it from its kind's seen-set,
+    /// returning whether the set changed. ALQT and VLQT mirrors dedup in
+    /// their tables instead, so they always pass.
+    fn note_seen(&mut self, item: &ReplicaItem, seen: bool) -> bool {
+        fn flip<K: Hash + Eq>(set: &mut FxHashSet<K>, key: K, seen: bool) -> bool {
+            if seen {
+                set.insert(key)
+            } else {
+                set.remove(&key)
+            }
+        }
+        match item {
+            ReplicaItem::Query(_) | ReplicaItem::Rewritten(_) => true,
+            ReplicaItem::Tuple(e) => {
+                let key = (e.tuple.seq(), e.attr.as_str().into());
+                flip(&mut self.vltt_seen, key, seen)
+            }
+            ReplicaItem::ValueTuple { group, entry, .. } => {
+                let key = (entry.tuple.seq(), group.as_str().into());
+                flip(&mut self.vstore_seen, key, seen)
+            }
+            ReplicaItem::Offline { id, notification } => {
+                flip(&mut self.offline_seen, (*id, notification.clone()), seen)
+            }
+        }
+    }
+
     /// Total mirrored items currently held.
     pub fn len(&self) -> usize {
-        self.alqt.len() + self.vlqt.len() + self.vltt.len() + self.vstore.len() + self.offline.len()
+        self.mirrors.len()
     }
 
     /// Whether the store holds nothing.
@@ -467,56 +393,17 @@ impl ReplicaStore {
         *self = ReplicaStore::default();
     }
 
-    /// Extracts every item whose index identifier satisfies `pred` — called
-    /// by the new owner of a failed range during stabilization, with
-    /// `pred = |id| ring.owns(self, id)`.
-    pub fn take_owned(&mut self, pred: impl Fn(Id) -> bool) -> PromotedState {
-        let queries = self.alqt.extract_where(&pred);
-        let rewritten = self.vlqt.extract_where(&pred);
-        let tuples = self.vltt.extract_where(&pred);
-        let value_tuples = self.vstore.extract_where(&pred);
-        for e in &queries {
-            self.index.remove(e.index_id, hash_query(e));
+    /// Extracts every item whose index identifier satisfies `pred`, in the
+    /// table order of [`Tables::take_where`]: the new owner of a failed
+    /// range promotes them (`pred = |id| ring.owns(self, id)`), a departing
+    /// holder hands them all to its successor.
+    pub fn take_owned(&mut self, pred: impl Fn(Id) -> bool) -> Vec<ReplicaItem> {
+        let items = self.mirrors.take_where(pred);
+        for item in &items {
+            self.note_seen(item, false);
+            self.index.remove(item.index_id(), item.digest_hash());
         }
-        for e in &rewritten {
-            self.index.remove(e.index_id, hash_rewritten(e));
-        }
-        for e in &tuples {
-            self.vltt_seen
-                .remove(&(e.tuple.seq(), e.attr.as_str().into()));
-            self.index.remove(e.index_id, hash_tuple(e));
-        }
-        for (group, value_key, e) in &value_tuples {
-            self.vstore_seen
-                .remove(&(e.tuple.seq(), group.as_str().into()));
-            self.index
-                .remove(e.index_id, hash_value_tuple(group, value_key, e));
-        }
-        let mut offline = Vec::new();
-        let mut kept = Vec::new();
-        for (id, n) in std::mem::take(&mut self.offline) {
-            if pred(id) {
-                self.offline_seen.remove(&(id, n.clone()));
-                self.index.remove(id, hash_offline(id, &n));
-                offline.push((id, n));
-            } else {
-                kept.push((id, n));
-            }
-        }
-        self.offline = kept;
-        PromotedState {
-            queries,
-            rewritten,
-            tuples,
-            value_tuples,
-            offline,
-        }
-    }
-
-    /// Extracts *everything* as mirrorable items — used when the holder
-    /// leaves voluntarily and hands its replica duty to a successor.
-    pub fn drain_items(&mut self) -> Vec<ReplicaItem> {
-        self.take_owned(|_| true).into_items()
+        items
     }
 
     /// Whether a promotion scan at membership epoch `epoch` could find
@@ -550,27 +437,10 @@ impl ReplicaStore {
         &self.index
     }
 
-    /// Clones out every mirrored item (tests and diagnostics; the order is
-    /// unspecified).
+    /// Clones out every mirrored item (tests and diagnostics), in table
+    /// order.
     pub fn items(&self) -> Vec<ReplicaItem> {
-        let mut out = Vec::with_capacity(self.len());
-        out.extend(self.alqt.entries().cloned().map(ReplicaItem::Query));
-        out.extend(self.vlqt.entries().cloned().map(ReplicaItem::Rewritten));
-        out.extend(self.vltt.entries().cloned().map(ReplicaItem::Tuple));
-        out.extend(
-            self.vstore
-                .entries()
-                .map(|(group, value_key, e)| ReplicaItem::ValueTuple {
-                    group: group.to_string(),
-                    value_key: value_key.to_string(),
-                    entry: e.clone(),
-                }),
-        );
-        out.extend(self.offline.iter().map(|(id, n)| ReplicaItem::Offline {
-            id: *id,
-            notification: n.clone(),
-        }));
-        out
+        self.mirrors.walk().map(Held::to_item).collect()
     }
 
     /// From-scratch oracle for [`ReplicaStore::digest`]: re-hashes every
@@ -759,9 +629,10 @@ mod tests {
         })
         .unwrap();
         let promoted = s.take_owned(|id| id == Id(10));
-        assert_eq!(promoted.len(), 2);
-        assert_eq!(promoted.tuples.len(), 1);
-        assert_eq!(promoted.offline.len(), 1);
+        assert!(matches!(
+            promoted.as_slice(),
+            [ReplicaItem::Tuple(_), ReplicaItem::Offline { .. }]
+        ));
         assert_eq!(s.len(), 1, "unowned replica stays dormant");
         // a promoted item can be mirrored back in later
         s.insert(ReplicaItem::Tuple(StoredTuple {
@@ -789,8 +660,7 @@ mod tests {
         s.insert(mk(1)).unwrap();
         s.insert(mk(2)).unwrap();
         assert_eq!(s.len(), 2);
-        let promoted = s.take_owned(|_| true);
-        assert_eq!(promoted.value_tuples.len(), 2);
+        assert_eq!(s.take_owned(|_| true).len(), 2);
         assert!(s.is_empty());
     }
 }

@@ -84,15 +84,6 @@ impl Alqt {
             .flat_map(|m| m.iter().map(|(g, v)| (&**g, v.as_slice())))
     }
 
-    /// Number of candidate queries an incoming tuple for `(relation, attr)`
-    /// must be checked against — the rewriter's filtering work for that
-    /// tuple.
-    pub fn candidate_count(&self, relation: &str, attr: &str) -> usize {
-        self.buckets
-            .get(lookup_key(&(relation, attr)))
-            .map_or(0, |m| m.values().map(Vec::len).sum())
-    }
-
     /// Iterates every stored entry, in arbitrary order (anti-entropy
     /// digests; the digest combination is order-independent).
     pub fn entries(&self) -> impl Iterator<Item = &StoredQuery> {
@@ -132,11 +123,6 @@ impl Alqt {
         self.buckets.retain(|_, m| !m.is_empty());
         self.len -= out.len();
         out
-    }
-
-    /// Removes and returns all entries (voluntary-leave key transfer).
-    pub fn drain_all(&mut self) -> Vec<StoredQuery> {
-        self.extract_where(|_| true)
     }
 }
 
@@ -179,6 +165,14 @@ mod tests {
         )
     }
 
+    /// How many queries an incoming `(relation, attr)` tuple is checked
+    /// against.
+    fn candidates(t: &Alqt, relation: &str, attr: &str) -> usize {
+        t.groups(relation, attr)
+            .map(|(_, queries)| queries.len())
+            .sum()
+    }
+
     fn entry(q: &QueryRef) -> StoredQuery {
         StoredQuery {
             index_id: Id(1),
@@ -195,9 +189,9 @@ mod tests {
         let q = query(&c, 0);
         assert!(t.insert(entry(&q)));
         assert_eq!(t.len(), 1);
-        assert_eq!(t.candidate_count("R", "B"), 1);
-        assert_eq!(t.candidate_count("R", "A"), 0);
-        assert_eq!(t.candidate_count("S", "B"), 0);
+        assert_eq!(candidates(&t, "R", "B"), 1);
+        assert_eq!(candidates(&t, "R", "A"), 0);
+        assert_eq!(candidates(&t, "S", "B"), 0);
         let groups: Vec<_> = t.groups("R", "B").collect();
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].1.len(), 1);
@@ -237,7 +231,7 @@ mod tests {
         let moved = t.extract_where(|id| id == Id(10));
         assert_eq!(moved.len(), 1);
         assert_eq!(t.len(), 1);
-        assert_eq!(t.candidate_count("R", "B"), 1);
+        assert_eq!(candidates(&t, "R", "B"), 1);
     }
 
     #[test]
@@ -245,8 +239,7 @@ mod tests {
         let c = catalog();
         let mut t = Alqt::new();
         t.insert(entry(&query(&c, 0)));
-        let all = t.drain_all();
-        assert_eq!(all.len(), 1);
+        assert_eq!(t.extract_where(|_| true).len(), 1);
         assert!(t.is_empty());
     }
 }

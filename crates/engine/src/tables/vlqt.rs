@@ -160,12 +160,6 @@ impl Vlqt {
         self.bucket(relation, attr, value_key).iter()
     }
 
-    /// Number of candidates for a given `(relation, attr, value)` — the
-    /// evaluator's filtering work for one incoming tuple.
-    pub fn candidate_count(&self, relation: &str, attr: &str, value_key: &str) -> usize {
-        self.bucket(relation, attr, value_key).len()
-    }
-
     /// Iterates every stored entry: buckets in arbitrary order, each in
     /// insertion order (anti-entropy digests; the digest combination is
     /// order-independent).
@@ -199,11 +193,6 @@ impl Vlqt {
         self.buckets.retain(|_, m| !m.is_empty());
         self.len -= out.len();
         out
-    }
-
-    /// Removes and returns all entries.
-    pub fn drain_all(&mut self) -> Vec<StoredRewritten> {
-        self.extract_where(|_| true)
     }
 }
 
@@ -269,10 +258,10 @@ mod tests {
             .unwrap());
         assert_eq!(t.len(), 1);
         let vkey = Value::Int(7).canonical();
-        assert_eq!(t.candidate_count("S", "C", &vkey), 1);
-        assert_eq!(t.candidate_count("S", "C", &Value::Int(8).canonical()), 0);
-        assert_eq!(t.candidate_count("S", "D", &vkey), 0);
         assert_eq!(t.candidates("S", "C", &vkey).count(), 1);
+        let other = Value::Int(8).canonical();
+        assert_eq!(t.candidates("S", "C", &other).count(), 0);
+        assert_eq!(t.candidates("S", "D", &vkey).count(), 0);
     }
 
     #[test]

@@ -84,12 +84,6 @@ impl Vltt {
         self.bucket(relation, attr, value_key).iter()
     }
 
-    /// Number of candidates for one arriving rewritten query — the
-    /// evaluator's filtering work.
-    pub fn candidate_count(&self, relation: &str, attr: &str, value_key: &str) -> usize {
-        self.bucket(relation, attr, value_key).len()
-    }
-
     /// Iterates every stored entry, in arbitrary order (anti-entropy
     /// digests; the digest combination is order-independent).
     pub fn entries(&self) -> impl Iterator<Item = &StoredTuple> {
@@ -129,11 +123,6 @@ impl Vltt {
         self.len -= out.len();
         out
     }
-
-    /// Removes and returns all entries.
-    pub fn drain_all(&mut self) -> Vec<StoredTuple> {
-        self.extract_where(|_| true)
-    }
 }
 
 #[cfg(test)]
@@ -171,10 +160,11 @@ mod tests {
         .unwrap();
         assert_eq!(t.len(), 3);
         let k7 = Value::Int(7).canonical();
-        assert_eq!(t.candidate_count("R", "A", &k7), 2);
-        assert_eq!(t.candidate_count("R", "B", &Value::Int(1).canonical()), 1);
-        assert_eq!(t.candidate_count("R", "A", &Value::Int(9).canonical()), 0);
-        assert_eq!(t.candidate_count("S", "A", &k7), 0);
+        let (k1, k9) = (Value::Int(1).canonical(), Value::Int(9).canonical());
+        assert_eq!(t.candidates("R", "A", &k7).count(), 2);
+        assert_eq!(t.candidates("R", "B", &k1).count(), 1);
+        assert_eq!(t.candidates("R", "A", &k9).count(), 0);
+        assert_eq!(t.candidates("S", "A", &k7).count(), 0);
     }
 
     #[test]
@@ -195,7 +185,7 @@ mod tests {
         let moved = t.extract_where(|id| id == Id(1));
         assert_eq!(moved.len(), 1);
         assert_eq!(t.len(), 1);
-        let rest = t.drain_all();
+        let rest = t.extract_where(|_| true);
         assert_eq!(rest.len(), 1);
         assert!(t.is_empty());
     }

@@ -83,13 +83,6 @@ impl VStore {
             .iter()
     }
 
-    /// Number of candidates (evaluator filtering work per join message).
-    pub fn candidate_count(&self, group: &str, value_key: &str, side: Side) -> usize {
-        self.buckets
-            .get(lookup_key(&(group, value_key)))
-            .map_or(0, |slots| slots[side_slot(side)].len())
-    }
-
     /// Iterates every stored entry with its `(group, value)` key, in
     /// arbitrary order (anti-entropy digests; the digest combination is
     /// order-independent).
@@ -137,11 +130,6 @@ impl VStore {
         self.len -= out.len();
         out
     }
-
-    /// Removes and returns all entries.
-    pub fn drain_all(&mut self) -> Vec<(String, String, StoredValueTuple)> {
-        self.extract_where(|_| true)
-    }
 }
 
 #[cfg(test)]
@@ -166,10 +154,18 @@ mod tests {
                 tuple: tuple(),
             },
         );
-        assert_eq!(s.candidate_count("g1", "v25", Side::Left), 1);
-        assert_eq!(s.candidate_count("g1", "v25", Side::Right), 0);
-        assert_eq!(s.candidate_count("g2", "v25", Side::Left), 0, "other group");
-        assert_eq!(s.candidate_count("g1", "v26", Side::Left), 0, "other value");
+        assert_eq!(s.candidates("g1", "v25", Side::Left).count(), 1);
+        assert_eq!(s.candidates("g1", "v25", Side::Right).count(), 0);
+        assert_eq!(
+            s.candidates("g2", "v25", Side::Left).count(),
+            0,
+            "other group"
+        );
+        assert_eq!(
+            s.candidates("g1", "v26", Side::Left).count(),
+            0,
+            "other value"
+        );
         assert_eq!(s.len(), 1);
     }
 
@@ -198,7 +194,7 @@ mod tests {
         assert_eq!(moved.len(), 1);
         assert_eq!(moved[0].0, "g");
         assert_eq!(s.len(), 1);
-        assert_eq!(s.drain_all().len(), 1);
+        assert_eq!(s.extract_where(|_| true).len(), 1);
         assert!(s.is_empty());
     }
 }

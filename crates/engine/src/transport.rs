@@ -815,7 +815,7 @@ impl Network {
                 if !self.ring.node(h).is_alive() {
                     continue;
                 }
-                if self.fail_node_state(h).is_ok() {
+                if self.node_fail(h).is_ok() {
                     pipe.churn_events += 1;
                     failed = true;
                 }
@@ -841,7 +841,7 @@ impl Network {
         // Invariant: gen_range draws below ring.len(), and the early return
         // above guarantees at least one alive node remains.
         let victim = self.ring.alive_nodes().nth(i).expect("index in range");
-        self.fail_node_state(victim).is_ok()
+        self.node_fail(victim).is_ok()
     }
 
     /// Delivers accumulated join matches to their subscribers (Section 4.6).

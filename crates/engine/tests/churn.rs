@@ -85,7 +85,7 @@ fn offline_subscriber_receives_missed_notifications_on_rejoin() {
         let stored: usize = net
             .ring()
             .alive_nodes()
-            .map(|h| net.node_state(h).offline_store.len())
+            .map(|h| net.node_state(h).tables.offline.len())
             .sum();
         assert_eq!(
             stored, 1,
@@ -226,7 +226,7 @@ fn departing_replica_holder_hands_copies_to_its_successor() {
             .filter(|&h| h != a)
             .filter_map(|h| {
                 let st = net.node_state(h);
-                let busy = st.alqt.len() + st.vlqt.len() + st.vltt.len() + st.vstore.len() > 0;
+                let busy = st.tables.len() > st.tables.offline.len();
                 let succ = net.ring().first_alive_successor(h)?;
                 (busy && succ != a && succ != h).then_some((h, succ))
             })
@@ -242,6 +242,121 @@ fn departing_replica_holder_hands_copies_to_its_successor() {
                 .unwrap();
         }
         check_oracle(&net);
+    }
+}
+
+#[test]
+fn a_leave_hands_over_copies_it_had_not_promoted_yet() {
+    // Regression: a primary fails, and its replica holder leaves before any
+    // stabilization promoted the copies. They lie in the range the holder's
+    // successor takes over; sent to that successor's k-th successor as
+    // mirrors instead, nobody ever promoted them and the state was lost.
+    for alg in Algorithm::ALL {
+        let fault = FaultConfig {
+            replication: 1,
+            ..FaultConfig::default()
+        };
+        let mut net = Network::new(
+            EngineConfig::new(alg)
+                .with_nodes(40)
+                .with_seed(9)
+                .with_fault(fault),
+            catalog(),
+        );
+        let a = net.node_at(0);
+        net.pose_query_sql(a, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E")
+            .unwrap();
+        for i in 0..8i64 {
+            net.insert_tuple(a, "R", vec![Value::Int(i), Value::Int(i % 3)])
+                .unwrap();
+        }
+        let held: usize = net.storage_loads().iter().sum();
+        let (victim, holder) = net
+            .ring()
+            .alive_nodes()
+            .filter(|&h| h != a && net.node_state(h).storage_load() > 0)
+            .filter_map(|h| {
+                let succ = net.ring().first_alive_successor(h)?;
+                (succ != a && succ != h).then_some((h, succ))
+            })
+            .next()
+            .expect("some non-subscriber primary holds state");
+        net.node_fail(victim).unwrap();
+        net.node_leave(holder).unwrap();
+        net.stabilize(3).unwrap();
+        let now: usize = net.storage_loads().iter().sum();
+        assert_eq!(now, held, "{alg}: every item survives, held once");
+
+        for i in 0..8i64 {
+            net.insert_tuple(a, "S", vec![Value::Int(i), Value::Int(i % 3)])
+                .unwrap();
+        }
+        // Every (query, R, S) triple yields a distinct notification, so the
+        // oracle's set size is the count to deliver.
+        let mut oracle = Oracle::new();
+        oracle.ingest(net.posed_queries(), net.inserted_tuples());
+        let expected = oracle.expected().unwrap();
+        assert_eq!(net.inbox(a).len(), expected.len(), "{alg}: multiplicity");
+        check_oracle(&net);
+    }
+}
+
+#[test]
+fn replicated_leaves_hand_each_item_over_once() {
+    // Regression: with k ≥ 1 a leave handed the leaver's state to its
+    // successor, and the next stabilization also promoted the successor's
+    // mirrors of the same items — they were stored twice, and the next
+    // match was delivered twice. Compared as a set, the inbox looked right.
+    for alg in Algorithm::ALL {
+        for k in [1, 2] {
+            let fault = FaultConfig {
+                replication: k,
+                ..FaultConfig::default()
+            };
+            let mut net = Network::new(
+                EngineConfig::new(alg)
+                    .with_nodes(40)
+                    .with_seed(1)
+                    .with_fault(fault),
+                catalog(),
+            );
+            let a = net.node_at(0);
+            net.pose_query_sql(a, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E")
+                .unwrap();
+            net.insert_tuple(a, "R", vec![Value::Int(1), Value::Int(7)])
+                .unwrap();
+            let held: usize = net.storage_loads().iter().sum();
+            let holders: Vec<_> = net
+                .ring()
+                .alive_nodes()
+                .filter(|&h| h != a && net.node_state(h).storage_load() > 0)
+                .collect();
+            assert!(!holders.is_empty());
+            for v in holders {
+                net.node_leave(v).unwrap();
+            }
+            net.stabilize(3).unwrap();
+            let context = format!("{alg}, k = {k}");
+            let now: usize = net.storage_loads().iter().sum();
+            assert_eq!(now, held, "{context}: every item is held once");
+
+            net.insert_tuple(a, "S", vec![Value::Int(2), Value::Int(7)])
+                .unwrap();
+            // Every (query, R, S) triple here yields a distinct notification,
+            // so the oracle's set size is the count to deliver.
+            let mut oracle = Oracle::new();
+            oracle.ingest(net.posed_queries(), net.inserted_tuples());
+            let expected = oracle.expected().unwrap();
+            assert_eq!(
+                net.inbox(a).len(),
+                expected.len(),
+                "{context}: multiplicity"
+            );
+            for pair in net.digest_pairs().unwrap() {
+                let agree = pair.primary_digest == pair.successor_digest;
+                assert!(agree, "{context}: redundancy not restored: {pair:?}");
+            }
+        }
     }
 }
 

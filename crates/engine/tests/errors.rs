@@ -98,7 +98,7 @@ fn failed_queries_leave_no_partial_state() {
     let stored: usize = n
         .ring()
         .alive_nodes()
-        .map(|h| n.node_state(h).alqt.len())
+        .map(|h| n.node_state(h).tables.alqt.len())
         .sum();
     assert_eq!(stored, 0, "nothing indexed");
 }

@@ -224,7 +224,7 @@ fn failure_with_replication_preserves_offline_notifications() {
         let owner = net
             .ring()
             .alive_nodes()
-            .find(|&h| !net.node_state(h).offline_store.is_empty())
+            .find(|&h| !net.node_state(h).tables.offline.is_empty())
             .expect("one node stores the offline notification");
         net.node_fail(owner).unwrap();
         net.stabilize(2).unwrap();
@@ -511,7 +511,7 @@ fn receive_side_dedup_state_is_bounded_by_message_lifetime() {
             at_2000 = entries;
         }
     }
-    assert!(net.recovery_counters().heartbeats_sent > 100_000);
+    assert!(net.metrics().recovery.heartbeats_sent > 100_000);
     let at_4000 = net.dedup_entries();
     assert!(
         at_4000 <= at_2000 + probes_per_round,

@@ -5,17 +5,22 @@
 //! attribute, value)`, searched by identity) under any interleaving of
 //! inserts, extractions and re-inserts; and the dedup set under both — VLQT
 //! buckets and DAI-T's rewriter memory — must do so even when every item is
-//! filed under one fingerprint.
+//! filed under one fingerprint. A holder's five tables as one `Tables`, and
+//! the replica store built on it, must behave like a `Vec` of the items
+//! they were given.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use cq_engine::tables::keys::{AsIs, Filing, FirstSeen};
-use cq_engine::tables::{Alqt, StoredQuery, StoredRewritten, StoredTuple, Vlqt, Vltt};
+use cq_engine::tables::{
+    Alqt, Held, StoredQuery, StoredRewritten, StoredTuple, StoredValueTuple, Tables, Vlqt, Vltt,
+};
+use cq_engine::{ReplicaItem, ReplicaStore};
 use cq_overlay::Id;
 use cq_relational::{
-    Catalog, DataType, Expr, JoinQuery, QueryKey, QueryRef, QuerySpec, RelationSchema,
-    RewriteIdentity, RewrittenQuery, SelectItem, Side, Timestamp, Tuple, Value,
+    Catalog, DataType, Expr, JoinQuery, Notification, QueryKey, QueryRef, QuerySpec,
+    RelationSchema, RewriteIdentity, RewrittenQuery, SelectItem, Side, Timestamp, Tuple, Value,
 };
 use proptest::prelude::*;
 
@@ -26,6 +31,29 @@ fn catalog() -> Catalog {
     c.register(RelationSchema::of("S", &[("C", DataType::Int), ("D", DataType::Int)]).unwrap())
         .unwrap();
     c
+}
+
+/// `SELECT R.A FROM R, S WHERE R.B = S.C`, the `n`-th query of node `n`.
+fn query(c: &Catalog, n: u64) -> QueryRef {
+    let spec = QuerySpec {
+        key: QueryKey::derive("n", n),
+        subscriber: "n".into(),
+        ins_time: Timestamp(0),
+        relations: ["R".into(), "S".into()],
+        select: vec![SelectItem {
+            side: Side::Left,
+            attr: "A".into(),
+        }],
+        conditions: [Expr::attr("B"), Expr::attr("C")],
+        filters: vec![],
+    };
+    Arc::new(JoinQuery::new(spec, c).unwrap())
+}
+
+/// The `R(a, b)` tuple with sequence number `seq`.
+fn r_tuple(c: &Catalog, a: i64, b: i64, seq: u64) -> Arc<Tuple> {
+    let values = vec![Value::Int(a), Value::Int(b)];
+    Arc::new(Tuple::new(c.get("R").unwrap().clone(), values, Timestamp(1), seq).unwrap())
 }
 
 // ---------------------------------------------------------------------------
@@ -277,7 +305,6 @@ proptest! {
                     bucket,
                     "candidates() is insertion order"
                 );
-                prop_assert_eq!(table.candidate_count(rel, attr, &value_key), bucket.len());
             }
             prop_assert_eq!(
                 sorted(idents(table.entries())),
@@ -295,24 +322,9 @@ proptest! {
         let c = catalog();
         let mut t = Alqt::new();
         for (i, &id) in ids.iter().enumerate() {
-            let q = Arc::new(
-                JoinQuery::new(
-                    QuerySpec {
-                        key: QueryKey::derive("n", i as u64),
-                        subscriber: "n".into(),
-                        ins_time: Timestamp(0),
-                        relations: ["R".into(), "S".into()],
-                        select: vec![SelectItem { side: Side::Left, attr: "A".into() }],
-                        conditions: [Expr::attr("B"), Expr::attr("C")],
-                        filters: vec![],
-                    },
-                    &c,
-                )
-                .unwrap(),
-            );
             t.insert(StoredQuery {
                 index_id: Id(id),
-                query: q,
+                query: query(&c, i as u64),
                 index_side: Side::Left,
                 index_attr: "B".into(),
             });
@@ -322,7 +334,7 @@ proptest! {
         prop_assert_eq!(moved.len() + t.len(), before, "partition loses nothing");
         prop_assert!(moved.iter().all(|e| e.index_id.0 < threshold));
         // remaining entries all fail the predicate
-        let rest = t.drain_all();
+        let rest = t.extract_where(|_| true);
         prop_assert!(rest.iter().all(|e| e.index_id.0 >= threshold));
     }
 
@@ -350,7 +362,171 @@ proptest! {
         let moved = t.extract_where(|id| id.0 < threshold);
         prop_assert_eq!(moved.len() + t.len(), before);
         prop_assert!(moved.iter().all(|e| e.index_id.0 < threshold));
-        let rest = t.drain_all();
+        let rest = t.extract_where(|_| true);
         prop_assert!(rest.iter().all(|e| e.index_id.0 >= threshold));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// A holder's tables, and the replica store, against a `Vec` of items
+// ---------------------------------------------------------------------------
+
+/// Items of all five kinds, pairwise distinct; ops pick them by position,
+/// so the same item is often given twice. An item's index identifier is a
+/// function of what it is filed under, as in the engine.
+fn item_pool() -> Vec<ReplicaItem> {
+    let c = catalog();
+    let mut pool = Vec::new();
+    for (n, id) in [(0, 1), (0, 6), (1, 1), (1, 11)] {
+        pool.push(ReplicaItem::Query(StoredQuery {
+            index_id: Id(id),
+            query: query(&c, n),
+            index_side: Side::Left,
+            index_attr: "B".into(),
+        }));
+    }
+    let q = query(&c, 2);
+    for (a, b) in [(0, 0), (1, 0), (0, 1), (2, 3), (1, 5), (4, 6)] {
+        let t = r_tuple(&c, a, b, 0);
+        let rq = RewrittenQuery::rewrite_attribute(&q, Side::Left, "B", "C", &t)
+            .unwrap()
+            .expect("no filters");
+        let index_id = Id(b as u64 * 3 % 16);
+        pool.push(ReplicaItem::Rewritten(StoredRewritten { index_id, rq }));
+    }
+    for (seq, b) in [(10, 0), (11, 0), (12, 2), (13, 7)] {
+        pool.push(ReplicaItem::Tuple(StoredTuple {
+            index_id: Id(b as u64 * 5 % 16),
+            attr: "B".into(),
+            tuple: r_tuple(&c, 1, b, seq),
+        }));
+    }
+    for (seq, group, b) in [(20, "g", 1), (21, "g", 1), (20, "h", 1), (22, "h", 4)] {
+        pool.push(ReplicaItem::ValueTuple {
+            group: group.into(),
+            value_key: Value::Int(b).canonical(),
+            entry: StoredValueTuple {
+                index_id: Id(b as u64 * 7 % 16),
+                side: Side::Left,
+                tuple: r_tuple(&c, 1, b, seq),
+            },
+        });
+    }
+    for (id, v) in [(2, 1), (2, 2), (9, 1), (13, 4)] {
+        pool.push(ReplicaItem::Offline {
+            id: Id(id),
+            notification: Notification {
+                query_key: QueryKey::derive("n", 0),
+                subscriber: "n".into(),
+                values: vec![Value::Int(v)],
+            },
+        });
+    }
+    pool
+}
+
+/// The table an item lives in, in `Tables` order.
+fn rank(item: &ReplicaItem) -> u8 {
+    match item {
+        ReplicaItem::Query(_) => 0,
+        ReplicaItem::Rewritten(_) => 1,
+        ReplicaItem::Tuple(_) => 2,
+        ReplicaItem::ValueTuple { .. } => 3,
+        ReplicaItem::Offline { .. } => 4,
+    }
+}
+
+/// What tells two pool items apart: table, index identifier, digest hash.
+fn key(item: &ReplicaItem) -> (u8, u64, u64) {
+    (rank(item), item.index_id().0, item.digest_hash())
+}
+
+fn keys<'a>(items: impl IntoIterator<Item = &'a ReplicaItem>) -> Vec<(u8, u64, u64)> {
+    sorted(items.into_iter().map(key).collect())
+}
+
+/// `got` is `expect` extracted in table order: the tables one after the
+/// other, offline notifications in the order they were stored.
+fn check_extracted(got: &[ReplicaItem], expect: &[ReplicaItem]) -> Result<(), TestCaseError> {
+    prop_assert!(
+        got.windows(2).all(|w| rank(&w[0]) <= rank(&w[1])),
+        "table order"
+    );
+    prop_assert_eq!(keys(got), keys(expect));
+    let offline = |items: &[ReplicaItem]| -> Vec<_> {
+        items.iter().filter(|i| rank(i) == 4).map(key).collect()
+    };
+    prop_assert_eq!(offline(got), offline(expect), "offline store order");
+    Ok(())
+}
+
+/// Removes the items under `pred` from `model`, keeping the rest in order.
+fn model_take(model: &mut Vec<ReplicaItem>, pred: impl Fn(Id) -> bool) -> Vec<ReplicaItem> {
+    let (gone, kept) = std::mem::take(model)
+        .into_iter()
+        .partition(|item| pred(item.index_id()));
+    *model = kept;
+    gone
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `Tables` against a `Vec<ReplicaItem>`: the ALQT and VLQT refuse an
+    /// item they hold, the other three keep every arrival; `take_where`
+    /// moves exactly the items under its predicate, in table order; `wipe`
+    /// counts per table; and the walk yields every held item with its
+    /// `ReplicaItem::digest_hash`. The replica store, given the same
+    /// sequence, holds every item once, whatever its kind.
+    #[test]
+    fn tables_and_replica_store_agree_with_a_vec(
+        ops in prop::collection::vec((0u8..10, 0usize..64), 1..120),
+    ) {
+        let pool = item_pool();
+        let (mut tables, mut model) = (Tables::default(), Vec::<ReplicaItem>::new());
+        let (mut store, mut mirrored) = (ReplicaStore::new(), Vec::<ReplicaItem>::new());
+        for (op, x) in ops {
+            let pred = |id: Id| op == 7 || id.0 % 4 == x as u64 % 4;
+            match op {
+                0..=5 => {
+                    let item = &pool[x % pool.len()];
+                    let held = model.iter().any(|i| key(i) == key(item));
+                    let fresh = !held || rank(item) >= 2;
+                    prop_assert_eq!(tables.insert(item.clone()).unwrap(), fresh, "{:?}", item);
+                    if fresh {
+                        model.push(item.clone());
+                    }
+                    store.insert(item.clone()).unwrap();
+                    if !mirrored.iter().any(|i| key(i) == key(item)) {
+                        mirrored.push(item.clone());
+                    }
+                }
+                6 | 7 => {
+                    check_extracted(&tables.take_where(pred), &model_take(&mut model, pred))?;
+                    check_extracted(&store.take_owned(pred), &model_take(&mut mirrored, pred))?;
+                }
+                8 => {
+                    let wiped = tables.wipe().map(|(_, n)| n as usize);
+                    let mut expect = [0; 5];
+                    for item in model.drain(..) {
+                        expect[rank(&item) as usize] += 1;
+                    }
+                    prop_assert_eq!(wiped, expect);
+                    store.clear();
+                    mirrored.clear();
+                }
+                _ => {}
+            }
+            prop_assert_eq!(tables.len(), model.len());
+            let walked: Vec<Held<'_>> = tables.walk().collect();
+            for held in &walked {
+                let item = held.to_item();
+                prop_assert_eq!((held.index_id(), held.digest_hash()), (item.index_id(), item.digest_hash()));
+            }
+            let walked: Vec<ReplicaItem> = walked.into_iter().map(Held::to_item).collect();
+            prop_assert_eq!(keys(&walked), keys(&model));
+            prop_assert_eq!(store.len(), mirrored.len());
+            prop_assert_eq!(keys(&store.items()), keys(&mirrored));
+        }
     }
 }

@@ -132,7 +132,7 @@ impl Driver {
                     index_attr,
                     index_id,
                 } => {
-                    self.nodes[owner.index()].alqt.insert(StoredQuery {
+                    self.nodes[owner.index()].tables.alqt.insert(StoredQuery {
                         index_id,
                         query,
                         index_side,

@@ -54,7 +54,7 @@ fn detector_finds_failure_and_promotes_without_oracle() {
         net.node_fail(victim).unwrap();
         net.settle().unwrap();
 
-        let rec = net.recovery_counters();
+        let rec = net.metrics().recovery;
         assert_eq!(rec.detections, 1, "{alg}: detector must confirm the death");
         assert!(rec.heartbeats_sent > 0, "{alg}: probing must have happened");
         assert_eq!(rec.repairs, 1, "{alg}: repair must be verified by settle");
@@ -115,7 +115,7 @@ fn rejoin_before_confirmation_closes_the_detection_window() {
         "the window closes at the rejoin clock"
     );
     net.settle().unwrap();
-    let rec = net.recovery_counters();
+    let rec = net.metrics().recovery;
     assert_eq!(rec.detections, 0, "nothing was left to detect");
     assert_eq!(
         rec.confirms, 0,
@@ -171,7 +171,7 @@ fn churn_with_loss_matches_oracle_outside_detection_windows() {
     }
     net.settle().unwrap();
 
-    let rec = net.recovery_counters();
+    let rec = net.metrics().recovery;
     assert!(rec.detections >= 1, "churn must be detected: {rec:?}");
     assert_eq!(
         rec.detections, rec.repairs,
@@ -250,7 +250,7 @@ fn slow_links_cause_false_suspicion_not_data_loss() {
     }
     net.settle().unwrap();
 
-    let rec = net.recovery_counters();
+    let rec = net.metrics().recovery;
     assert!(
         rec.false_suspects > 0,
         "delayed pongs must trip the aggressive timeout: {rec:?}"
@@ -301,13 +301,13 @@ fn anti_entropy_repairs_replica_divergence() {
     let mut repaired = 0;
     for _ in 0..50 {
         net.anti_entropy_now().unwrap();
-        let rec = net.recovery_counters();
+        let rec = net.metrics().recovery;
         if rec.repair_items == repaired && repaired > 0 {
             break;
         }
         repaired = rec.repair_items;
     }
-    let rec = net.recovery_counters();
+    let rec = net.metrics().recovery;
     assert!(
         rec.digest_exchanges > 0,
         "digests must be compared: {rec:?}"
@@ -320,7 +320,7 @@ fn anti_entropy_repairs_replica_divergence() {
 
     // After convergence every primary item is mirrored: one more round
     // plans nothing new.
-    let before = net.recovery_counters().repair_items;
+    let before = net.metrics().recovery.repair_items;
     net.anti_entropy_now().unwrap();
     net.anti_entropy_now().unwrap();
     // (two rounds: the last repair burst itself may be lossy once more)
@@ -343,7 +343,7 @@ fn detection_disabled_by_default_is_inert() {
     net.insert_tuple(a, "S", vec![Value::Int(2), Value::Int(7)])
         .unwrap();
     net.settle().unwrap(); // no-op without a detector
-    let rec = net.recovery_counters();
+    let rec = net.metrics().recovery;
     assert_eq!(rec, Default::default(), "no detector, no recovery activity");
     assert!(net.detection_windows().is_empty());
     assert_eq!(net.inbox(a).len(), 1);
@@ -359,12 +359,13 @@ use proptest::prelude::*;
 
 /// Every primary item `st` holds, as the mirrorable item it is replicated as.
 fn primary_items(st: &NodeState) -> Vec<ReplicaItem> {
+    let t = &st.tables;
     let mut out = Vec::new();
-    out.extend(st.alqt.entries().cloned().map(ReplicaItem::Query));
-    out.extend(st.vlqt.entries().cloned().map(ReplicaItem::Rewritten));
-    out.extend(st.vltt.entries().cloned().map(ReplicaItem::Tuple));
+    out.extend(t.alqt.entries().cloned().map(ReplicaItem::Query));
+    out.extend(t.vlqt.entries().cloned().map(ReplicaItem::Rewritten));
+    out.extend(t.vltt.entries().cloned().map(ReplicaItem::Tuple));
     out.extend(
-        st.vstore
+        t.vstore
             .entries()
             .map(|(group, value_key, e)| ReplicaItem::ValueTuple {
                 group: group.to_string(),
@@ -372,7 +373,7 @@ fn primary_items(st: &NodeState) -> Vec<ReplicaItem> {
                 entry: e.clone(),
             }),
     );
-    out.extend(st.offline_store.iter().map(|(id, n)| ReplicaItem::Offline {
+    out.extend(t.offline.iter().map(|(id, n)| ReplicaItem::Offline {
         id: *id,
         notification: n.clone(),
     }));
@@ -514,9 +515,9 @@ fn equal_offline_notifications_digest_as_a_set() {
     let holder = net
         .ring()
         .alive_nodes()
-        .find(|&h| net.node_state(h).offline_store.len() == 2)
+        .find(|&h| net.node_state(h).tables.offline.len() == 2)
         .expect("both notifications are held for the offline subscriber");
-    let store = &net.node_state(holder).offline_store;
+    let store = &net.node_state(holder).tables.offline;
     assert_eq!(store[0], store[1], "the two notifications are equal");
     let mirrored: usize = net
         .ring()
@@ -536,9 +537,9 @@ fn equal_offline_notifications_digest_as_a_set() {
     for pair in net.digest_pairs().unwrap() {
         assert_eq!(pair.primary_digest, pair.successor_digest, "{pair:?}");
     }
-    let before = net.recovery_counters();
+    let before = net.metrics().recovery;
     net.anti_entropy_now().unwrap();
-    let after = net.recovery_counters();
+    let after = net.metrics().recovery;
     assert!(after.digest_exchanges > before.digest_exchanges);
     assert_eq!(after.repair_items, before.repair_items, "nothing to repair");
 }

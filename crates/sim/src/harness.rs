@@ -364,8 +364,8 @@ fn collect(net: &Network, streamed: usize, with_recall: bool) -> RunResult {
     let evaluator_storage: Vec<f64> = (0..storage.len())
         .map(|i| {
             let st = net.node_state(cq_overlay::NodeHandle::from_index(i));
-            stored_rewritten += st.vlqt.len() as u64;
-            stored_tuples += (st.vltt.len() + st.vstore.len()) as u64;
+            stored_rewritten += st.tables.vlqt.len() as u64;
+            stored_tuples += (st.tables.vltt.len() + st.tables.vstore.len()) as u64;
             st.evaluator_storage() as f64
         })
         .collect();

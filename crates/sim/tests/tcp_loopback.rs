@@ -117,7 +117,7 @@ fn lossy_detector_schedules_match_the_simulator() {
             (
                 net.delivered_set(),
                 inboxes,
-                net.recovery_counters(),
+                net.metrics().recovery,
                 net.metrics().faults,
             )
         };

@@ -116,7 +116,7 @@ fn main() {
     let held: usize = net
         .ring()
         .alive_nodes()
-        .map(|h| net.node_state(h).offline_store.len())
+        .map(|h| net.node_state(h).tables.offline.len())
         .sum();
     println!("alice offline — {held} notification(s) stored at her key's successor");
 
