@@ -7,7 +7,8 @@
 //! indexing (Section 4.3.1), the two-level tuple indexing of Section 4.2,
 //! rewriting T1 queries on tuple arrival (Sections 4.3.2/4.4) and matching
 //! rewritten queries against stored tuples (Section 4.3.3) — while the
-//! per-algorithm differences stay in the [`Protocol`] impls.
+//! per-algorithm differences stay in the [`Protocol`](crate::protocol::Protocol)
+//! impls.
 //!
 //! The join kernels ([`t1_tuple_arrival`], [`RunMatcher`],
 //! [`match_vlqt_candidates`]) scan their tables **in place**: candidate
@@ -18,7 +19,6 @@
 //! the reusable scratch buffer). See DESIGN.md, "Hot-path memory
 //! discipline".
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use cq_overlay::Id;
@@ -32,7 +32,7 @@ use crate::indexing;
 use crate::messages::Message;
 use crate::metrics::TrafficKind;
 use crate::node::NodeState;
-use crate::protocol::{Effect, EffectCtx, Matches, NodeCtx, Protocol};
+use crate::protocol::{Effect, EffectCtx, Matches, NodeCtx};
 use crate::replication::ReplicaItem;
 use crate::tables::{StoredTuple, Vlqt};
 use crate::trace::TraceEvent;
@@ -47,39 +47,34 @@ pub(crate) fn side_slot(side: Side) -> usize {
 
 /// `IndexA(q)` for `side`: the join attribute for T1 queries, a
 /// pseudo-random attribute of the side's condition for T2 (Section 4.5).
-/// Always borrowed from the query: the T2 candidate set is precomputed at
+/// Borrowed from the query: the T2 candidate set is precomputed at
 /// validation time ([`JoinQuery::condition_attrs`]), so the pick costs one
 /// RNG draw and zero allocations.
-pub(crate) fn default_index_attr<'q>(
-    ctx: &mut NodeCtx<'_>,
+pub(crate) fn choose_index_attr<'q>(
+    fx: &mut EffectCtx<'_>,
     query: &'q JoinQuery,
     side: Side,
-) -> Cow<'q, str> {
+) -> &'q str {
     if let Some(attr) = query.join_attr(side) {
-        return Cow::Borrowed(attr);
+        return attr;
     }
     // T2: no single join attribute; pick pseudo-randomly among the side's
     // condition attributes (validated non-empty at construction; sorted and
     // deduplicated, matching the BTreeSet order previously collected here).
     let attrs = query.condition_attrs(side);
-    let i = ctx.rng().gen_range(0..attrs.len());
-    Cow::Borrowed(attrs[i].as_str())
+    let i = fx.rng().gen_range(0..attrs.len());
+    attrs[i].as_str()
 }
 
 /// Emits the attribute-level `IndexQuery` batch for `sides`, one message
 /// per configured replica identifier (Section 4.7).
-pub(crate) fn pose_at_sides(
-    proto: &dyn Protocol,
-    ctx: &mut NodeCtx<'_>,
-    query: &QueryRef,
-    sides: &[Side],
-) -> Result<()> {
+pub(crate) fn pose_at_sides(ctx: &mut NodeCtx<'_>, query: &QueryRef, sides: &[Side]) -> Result<()> {
     let space = ctx.space();
     let k = ctx.config().replication;
     let mut targets: Vec<(Id, Message)> = Vec::new();
     for &side in sides {
-        let attr = proto.index_attr(ctx, query, side);
-        for id in indexing::aindex_replicas(space, query.relation(side), &attr, k) {
+        let attr = choose_index_attr(ctx, query, side);
+        for id in indexing::aindex_replicas(space, query.relation(side), attr, k) {
             targets.push((
                 id,
                 Message::IndexQuery {
@@ -134,7 +129,6 @@ pub(crate) fn publish_tuple(ctx: &mut NodeCtx<'_>, tuple: &Arc<Tuple>, value_lev
 /// Probes both candidate rewriters of `query` for their arrival statistics
 /// (Section 4.3.6), returning `(left, right)` `(count, distinct)` pairs.
 pub(crate) fn probe_rewriters(
-    proto: &dyn Protocol,
     ctx: &mut NodeCtx<'_>,
     query: &JoinQuery,
 ) -> Result<((u64, usize), (u64, usize))> {
@@ -143,10 +137,10 @@ pub(crate) fn probe_rewriters(
     let mut out = [(0u64, 0usize); 2];
     for side in Side::BOTH {
         let rel = query.relation(side);
-        let attr = proto.index_attr(ctx, query, side);
+        let attr = choose_index_attr(ctx, query, side);
         // Probe the base identifier (replica 0) — the canonical rewriter.
-        let id = indexing::aindex_replica(space, rel, &attr, 0, k);
-        out[side_slot(side)] = ctx.probe_arrival_stats(rel, &attr, id)?;
+        let id = indexing::aindex_replica(space, rel, attr, 0, k);
+        out[side_slot(side)] = ctx.probe_arrival_stats(rel, attr, id)?;
     }
     Ok((out[0], out[1]))
 }
@@ -170,7 +164,7 @@ pub(crate) fn t1_tuple_arrival(
 ) -> Result<()> {
     let rel = tuple.relation();
     let value_key = tuple.canonical_of(attr)?;
-    let (st, mut fx) = ctx.split();
+    let (st, fx) = ctx.split();
     st.record_arrival(rel, attr, value_key);
     // Split the node state: the group scan borrows the ALQT shared while
     // DAI-T's dedup memory is written through the disjoint `reindexed`.

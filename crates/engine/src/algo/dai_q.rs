@@ -4,15 +4,14 @@
 //! Rewritten queries are evaluated on arrival and discarded, so every
 //! match is produced by the tuple that was already stored.
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use cq_overlay::Id;
-use cq_relational::{JoinQuery, QueryRef, QueryType, RewrittenQuery, Side, Tuple};
+use cq_relational::{QueryRef, RewrittenQuery, Side, Tuple};
 
 use super::common;
 use crate::config::Algorithm;
-use crate::error::{EngineError, Result};
+use crate::error::Result;
 use crate::protocol::{Effect, NodeCtx, Protocol};
 use crate::tables::StoredTuple;
 
@@ -21,31 +20,12 @@ use crate::tables::StoredTuple;
 pub struct DaiQProtocol;
 
 impl Protocol for DaiQProtocol {
-    fn name(&self) -> &'static str {
-        "DAI-Q"
-    }
-
-    fn validate_query(&self, query: &JoinQuery) -> Result<()> {
-        if query.query_type() == QueryType::T2 {
-            return Err(EngineError::UnsupportedByAlgorithm {
-                algorithm: Algorithm::DaiQ,
-                detail: "type-T2 queries require DAI-V (Section 4.5)".to_string(),
-            });
-        }
-        Ok(())
-    }
-
-    fn index_attr<'q>(
-        &self,
-        ctx: &mut NodeCtx<'_>,
-        query: &'q JoinQuery,
-        side: Side,
-    ) -> Cow<'q, str> {
-        common::default_index_attr(ctx, query, side)
+    fn algorithm(&self) -> Algorithm {
+        Algorithm::DaiQ
     }
 
     fn on_pose_query(&self, ctx: &mut NodeCtx<'_>, query: &QueryRef) -> Result<()> {
-        common::pose_at_sides(self, ctx, query, &Side::BOTH)
+        common::pose_at_sides(ctx, query, &Side::BOTH)
     }
 
     fn on_publish_tuple(&self, ctx: &mut NodeCtx<'_>, tuple: &Arc<Tuple>) -> Result<()> {
@@ -72,10 +52,10 @@ impl Protocol for DaiQProtocol {
     ) -> Result<()> {
         // Store only — matching happens when rewritten queries arrive.
         let _ = tuple.canonical_of(&attr)?;
-        let (st, mut fx) = ctx.split();
+        let (st, fx) = ctx.split();
         common::store_value_tuple(
             st,
-            &mut fx,
+            fx,
             StoredTuple {
                 index_id,
                 attr,
@@ -92,18 +72,18 @@ impl Protocol for DaiQProtocol {
         index_id: Id,
     ) -> Result<()> {
         let _ = index_id; // evaluate, never store
-        let (st, mut fx) = ctx.split();
+        let (st, fx) = ctx.split();
         let mut matches = fx.new_matches();
         let mut matcher = fx.take_matcher();
         let mut value_key = fx.take_scratch();
         let mut items = items.as_slice();
         while let Some(head) = items.first() {
             let (run, rest) = items.split_at(common::target_run_len(items));
-            let (rel, attr) = common::attribute_target(&fx, head, &mut value_key)?;
+            let (rel, attr) = common::attribute_target(fx, head, &mut value_key)?;
             let tuples = st.tables.vltt.bucket(rel, attr, &value_key);
             let candidates = tuples.len() as u64;
             matcher.match_run(run, tuples, &mut matches, |produced| {
-                common::note_join_eval(&mut fx, candidates, produced)
+                common::note_join_eval(fx, candidates, produced)
             })?;
             items = rest;
         }

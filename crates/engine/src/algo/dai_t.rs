@@ -5,15 +5,14 @@
 //! remembers which rewritten queries it has already reindexed so each is
 //! sent at most once.
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use cq_overlay::Id;
-use cq_relational::{JoinQuery, QueryRef, QueryType, RewrittenQuery, Side, Tuple};
+use cq_relational::{QueryRef, RewrittenQuery, Side, Tuple};
 
 use super::common;
 use crate::config::Algorithm;
-use crate::error::{EngineError, Result};
+use crate::error::Result;
 use crate::protocol::{Effect, NodeCtx, Protocol};
 use crate::replication::ReplicaItem;
 use crate::tables::StoredRewritten;
@@ -24,31 +23,12 @@ use crate::trace::TraceEvent;
 pub struct DaiTProtocol;
 
 impl Protocol for DaiTProtocol {
-    fn name(&self) -> &'static str {
-        "DAI-T"
-    }
-
-    fn validate_query(&self, query: &JoinQuery) -> Result<()> {
-        if query.query_type() == QueryType::T2 {
-            return Err(EngineError::UnsupportedByAlgorithm {
-                algorithm: Algorithm::DaiT,
-                detail: "type-T2 queries require DAI-V (Section 4.5)".to_string(),
-            });
-        }
-        Ok(())
-    }
-
-    fn index_attr<'q>(
-        &self,
-        ctx: &mut NodeCtx<'_>,
-        query: &'q JoinQuery,
-        side: Side,
-    ) -> Cow<'q, str> {
-        common::default_index_attr(ctx, query, side)
+    fn algorithm(&self) -> Algorithm {
+        Algorithm::DaiT
     }
 
     fn on_pose_query(&self, ctx: &mut NodeCtx<'_>, query: &QueryRef) -> Result<()> {
-        common::pose_at_sides(self, ctx, query, &Side::BOTH)
+        common::pose_at_sides(ctx, query, &Side::BOTH)
     }
 
     fn on_publish_tuple(&self, ctx: &mut NodeCtx<'_>, tuple: &Arc<Tuple>) -> Result<()> {
@@ -75,8 +55,8 @@ impl Protocol for DaiTProtocol {
         index_id: Id,
     ) -> Result<()> {
         let _ = index_id; // match only — tuples are never stored
-        let (st, mut fx) = ctx.split();
-        let matches = common::match_vlqt_candidates(&mut fx, &st.tables.vlqt, &tuple, &attr)?;
+        let (st, fx) = ctx.split();
+        let matches = common::match_vlqt_candidates(fx, &st.tables.vlqt, &tuple, &attr)?;
         fx.push(Effect::Deliver { matches });
         Ok(())
     }
@@ -88,14 +68,14 @@ impl Protocol for DaiTProtocol {
         index_id: Id,
     ) -> Result<()> {
         // Store, never evaluate (tuples will come to us).
-        let (st, mut fx) = ctx.split();
+        let (st, fx) = ctx.split();
         let repl = fx.repl_k() > 0;
         let matches = fx.new_matches();
         let mut value_key = fx.take_scratch();
         let mut items = items.into_iter();
         while let Some(head) = items.as_slice().first() {
             let run = common::target_run_len(items.as_slice());
-            let (rel, attr) = common::attribute_target(&fx, head, &mut value_key)?;
+            let (rel, attr) = common::attribute_target(fx, head, &mut value_key)?;
             let mut bucket = st.tables.vlqt.bucket_mut(rel, attr, &value_key);
             for rq in items.by_ref().take(run) {
                 let stored = bucket.insert_fresh(StoredRewritten { index_id, rq });

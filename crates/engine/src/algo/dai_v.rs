@@ -7,13 +7,13 @@
 //! message to `Hash(valJC)`, where the evaluator matches against stored
 //! tuples of the other side and then stores the tuple.
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use cq_overlay::Id;
 use cq_relational::{JoinQuery, QueryRef, RewrittenQuery, Side, Tuple};
 
 use super::common;
+use crate::config::Algorithm;
 use crate::error::Result;
 use crate::indexing;
 use crate::messages::{Message, ValueJoin};
@@ -27,8 +27,8 @@ use crate::trace::TraceEvent;
 pub struct DaiVProtocol;
 
 impl Protocol for DaiVProtocol {
-    fn name(&self) -> &'static str {
-        "DAI-V"
+    fn algorithm(&self) -> Algorithm {
+        Algorithm::DaiV
     }
 
     fn validate_query(&self, _query: &JoinQuery) -> Result<()> {
@@ -36,17 +36,8 @@ impl Protocol for DaiVProtocol {
         Ok(())
     }
 
-    fn index_attr<'q>(
-        &self,
-        ctx: &mut NodeCtx<'_>,
-        query: &'q JoinQuery,
-        side: Side,
-    ) -> Cow<'q, str> {
-        common::default_index_attr(ctx, query, side)
-    }
-
     fn on_pose_query(&self, ctx: &mut NodeCtx<'_>, query: &QueryRef) -> Result<()> {
-        common::pose_at_sides(self, ctx, query, &Side::BOTH)
+        common::pose_at_sides(ctx, query, &Side::BOTH)
     }
 
     fn on_publish_tuple(&self, ctx: &mut NodeCtx<'_>, tuple: &Arc<Tuple>) -> Result<()> {
@@ -70,7 +61,7 @@ impl Protocol for DaiVProtocol {
         // actually emitted for the group.
         let rel = tuple.relation();
         let value_key = tuple.canonical_of(&attr)?;
-        let (st, mut fx) = ctx.split();
+        let (st, fx) = ctx.split();
         st.record_arrival(rel, &attr, value_key);
         let space = fx.space();
         let keyed = fx.config().dai_v_keyed;
@@ -163,7 +154,7 @@ impl Protocol for DaiVProtocol {
         // side, then store the triggering tuple. Rewritten queries are not
         // stored.
         let other = side.other();
-        let (st, mut fx) = ctx.split();
+        let (st, fx) = ctx.split();
         let node = fx.node().index();
         let mut matches = fx.new_matches();
         let mut matcher = fx.take_matcher();
@@ -202,7 +193,7 @@ impl Protocol for DaiVProtocol {
             value_key,
             entry,
         };
-        st.store(&mut fx, item)?;
+        st.store(fx, item)?;
         fx.push(Effect::Deliver { matches });
         Ok(())
     }

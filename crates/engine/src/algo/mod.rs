@@ -13,8 +13,6 @@ pub mod dai_t;
 pub mod dai_v;
 pub mod sai;
 
-use std::sync::Arc;
-
 use crate::config::Algorithm;
 use crate::protocol::Protocol;
 
@@ -26,11 +24,11 @@ pub use sai::SaiProtocol;
 
 /// The built-in protocol implementing `algorithm` — the single point where
 /// an [`Algorithm`] value is turned into behavior.
-pub fn protocol_for(algorithm: Algorithm) -> Arc<dyn Protocol> {
+pub fn protocol_for(algorithm: Algorithm) -> &'static dyn Protocol {
     match algorithm {
-        Algorithm::Sai => Arc::new(SaiProtocol),
-        Algorithm::DaiQ => Arc::new(DaiQProtocol),
-        Algorithm::DaiT => Arc::new(DaiTProtocol),
-        Algorithm::DaiV => Arc::new(DaiVProtocol),
+        Algorithm::Sai => &SaiProtocol,
+        Algorithm::DaiQ => &DaiQProtocol,
+        Algorithm::DaiT => &DaiTProtocol,
+        Algorithm::DaiV => &DaiVProtocol,
     }
 }

@@ -4,17 +4,16 @@
 //! [`IndexStrategy`]); evaluators store both rewritten queries and tuples,
 //! so either arrival order produces the match.
 
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
 use cq_overlay::Id;
-use cq_relational::{JoinQuery, QueryRef, QueryType, RewrittenQuery, Side, Tuple};
+use cq_relational::{JoinQuery, QueryRef, RewrittenQuery, Side, Tuple};
 use rand::Rng;
 
 use super::common;
 use crate::config::{Algorithm, IndexStrategy};
-use crate::error::{EngineError, Result};
+use crate::error::Result;
 use crate::protocol::{Effect, NodeCtx, Protocol};
 use crate::replication::ReplicaItem;
 use crate::tables::{StoredRewritten, StoredTuple, Tables};
@@ -35,7 +34,7 @@ impl SaiProtocol {
                 Side::Right
             }),
             IndexStrategy::LowestRate => {
-                let (l, r) = common::probe_rewriters(self, ctx, query)?;
+                let (l, r) = common::probe_rewriters(ctx, query)?;
                 Ok(match l.0.cmp(&r.0) {
                     Ordering::Less => Side::Left,
                     Ordering::Greater => Side::Right,
@@ -49,7 +48,7 @@ impl SaiProtocol {
                 })
             }
             IndexStrategy::MostDistinctValues => {
-                let (l, r) = common::probe_rewriters(self, ctx, query)?;
+                let (l, r) = common::probe_rewriters(ctx, query)?;
                 Ok(match l.1.cmp(&r.1) {
                     Ordering::Greater => Side::Left,
                     Ordering::Less => Side::Right,
@@ -67,32 +66,13 @@ impl SaiProtocol {
 }
 
 impl Protocol for SaiProtocol {
-    fn name(&self) -> &'static str {
-        "SAI"
-    }
-
-    fn validate_query(&self, query: &JoinQuery) -> Result<()> {
-        if query.query_type() == QueryType::T2 {
-            return Err(EngineError::UnsupportedByAlgorithm {
-                algorithm: Algorithm::Sai,
-                detail: "type-T2 queries require DAI-V (Section 4.5)".to_string(),
-            });
-        }
-        Ok(())
-    }
-
-    fn index_attr<'q>(
-        &self,
-        ctx: &mut NodeCtx<'_>,
-        query: &'q JoinQuery,
-        side: Side,
-    ) -> Cow<'q, str> {
-        common::default_index_attr(ctx, query, side)
+    fn algorithm(&self) -> Algorithm {
+        Algorithm::Sai
     }
 
     fn on_pose_query(&self, ctx: &mut NodeCtx<'_>, query: &QueryRef) -> Result<()> {
         let side = self.choose_index_side(ctx, query)?;
-        common::pose_at_sides(self, ctx, query, &[side])
+        common::pose_at_sides(ctx, query, &[side])
     }
 
     fn on_publish_tuple(&self, ctx: &mut NodeCtx<'_>, tuple: &Arc<Tuple>) -> Result<()> {
@@ -118,13 +98,13 @@ impl Protocol for SaiProtocol {
         index_id: Id,
     ) -> Result<()> {
         // Match stored rewritten queries against the tuple (4.3.4) ...
-        let (st, mut fx) = ctx.split();
-        let matches = common::match_vlqt_candidates(&mut fx, &st.tables.vlqt, &tuple, &attr)?;
+        let (st, fx) = ctx.split();
+        let matches = common::match_vlqt_candidates(fx, &st.tables.vlqt, &tuple, &attr)?;
         fx.push(Effect::Deliver { matches });
         // ... then store it for rewritten queries still to come.
         common::store_value_tuple(
             st,
-            &mut fx,
+            fx,
             StoredTuple {
                 index_id,
                 attr,
@@ -140,7 +120,7 @@ impl Protocol for SaiProtocol {
         items: Vec<RewrittenQuery>,
         index_id: Id,
     ) -> Result<()> {
-        let (st, mut fx) = ctx.split();
+        let (st, fx) = ctx.split();
         let Tables { vlqt, vltt, .. } = &mut st.tables;
         let repl = fx.repl_k() > 0;
         let mut matches = fx.new_matches();
@@ -151,7 +131,7 @@ impl Protocol for SaiProtocol {
             // A run of one shape shares its buckets and the matcher's
             // verdicts, decided at its first fresh rewriting.
             let run = common::shape_run_len(items.as_slice());
-            let (rel, attr) = common::attribute_target(&fx, head, &mut value_key)?;
+            let (rel, attr) = common::attribute_target(fx, head, &mut value_key)?;
             let tuples = vltt.bucket(rel, attr, &value_key);
             let mut bucket = vlqt.bucket_mut(rel, attr, &value_key);
             matcher.reset();
@@ -177,7 +157,7 @@ impl Protocol for SaiProtocol {
                         });
                     }
                     let produced = matcher.match_rewriting(&entry.rq, tuples, &mut matches)?;
-                    common::note_join_eval(&mut fx, tuples.len() as u64, produced);
+                    common::note_join_eval(fx, tuples.len() as u64, produced);
                 }
             }
         }

@@ -55,9 +55,6 @@ pub struct FaultConfig {
     pub failure_rate: f64,
     /// Upper bound on rate-driven abrupt failures per run.
     pub max_failures: usize,
-    /// Explicit failure schedule: at each listed pump tick one pseudo-random
-    /// alive node fails abruptly. Must be sorted ascending.
-    pub scheduled_failures: Vec<u64>,
     /// Replication factor `k`: every index-table entry and offline-store
     /// notification is mirrored on the node's `k` first alive successors and
     /// promoted by the successor when the primary fails (`0` disables).
@@ -72,8 +69,8 @@ pub struct FaultConfig {
     /// all fault rates are zero (used by tests to pin the layer's
     /// transparency).
     pub reliable: bool,
-    /// How abrupt failures arrive over time: the classic rate/schedule
-    /// knobs above, or an empirical session-length distribution.
+    /// How abrupt failures arrive over time: the classic rate knobs above,
+    /// or an empirical session-length distribution.
     pub churn: ChurnModel,
     /// RNG seed for all fault draws (independent of the engine seed, so
     /// injecting faults never perturbs protocol-level random choices).
@@ -89,7 +86,6 @@ impl Default for FaultConfig {
             max_delay: 0,
             failure_rate: 0.0,
             max_failures: 0,
-            scheduled_failures: Vec::new(),
             replication: 0,
             ack_timeout: 0,
             max_retries: 0,
@@ -102,15 +98,14 @@ impl Default for FaultConfig {
 
 /// How abrupt node failures are generated while the pump runs.
 ///
-/// [`ChurnModel::Rate`] is the PR 2 behavior: `failure_rate` per tick plus
-/// the explicit `scheduled_failures` list. [`ChurnModel::Empirical`] samples
-/// one session length per node slot from a fitted distribution at pipe
-/// construction — the trace-driven shape measurement studies report for
-/// peer-to-peer populations — and fails each node when its session expires.
+/// [`ChurnModel::Rate`] draws `failure_rate` per tick.
+/// [`ChurnModel::Empirical`] samples one session length per node slot from a
+/// fitted distribution at pipe construction — the trace-driven shape
+/// measurement studies report for peer-to-peer populations — and fails each
+/// node when its session expires.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ChurnModel {
-    /// Rate-driven and scheduled failures (`failure_rate`,
-    /// `scheduled_failures`, `max_failures`).
+    /// Rate-driven failures (`failure_rate`, `max_failures`).
     Rate,
     /// Session-length churn: every node draws one session length (in pump
     /// ticks) from `session` when the pipe is built and fails abruptly when
@@ -199,7 +194,6 @@ impl FaultConfig {
             || self.duplicate_rate > 0.0
             || self.delay_rate > 0.0
             || self.failure_rate > 0.0
-            || !self.scheduled_failures.is_empty()
             || self.churn.is_active()
     }
 
@@ -428,7 +422,7 @@ impl Delivery {
 /// [`FaultConfig::perturbs_delivery`] is true or the detector is enabled.
 #[derive(Debug)]
 pub(crate) struct FaultPipe {
-    /// The configuration (rates, timeouts, schedule).
+    /// The configuration (rates, timeouts, churn).
     pub cfg: FaultConfig,
     /// Dedicated RNG for fault draws.
     pub rng: StdRng,
@@ -457,8 +451,6 @@ pub(crate) struct FaultPipe {
     /// after the first transmission at the latest (saturating: `u64::MAX`
     /// never expires).
     acked_life: u64,
-    /// Index into `cfg.scheduled_failures` already consumed.
-    pub sched_idx: usize,
     /// Rate-driven failures injected so far.
     pub failures_injected: usize,
     /// Empirical-churn session expiries: pump tick -> node slots whose
@@ -510,7 +502,6 @@ impl FaultPipe {
             dedup: Dedup::default(),
             unacked_life,
             acked_life,
-            sched_idx: 0,
             failures_injected: 0,
             session_ends,
             churn_events: 0,

@@ -76,7 +76,7 @@ pub use network::Network;
 pub use node::NodeState;
 pub use oracle::Oracle;
 pub use pipeline::Pipeline;
-pub use protocol::{Effect, Matches, NodeCtx, Protocol, QueryCounts, Scratch};
+pub use protocol::{Effect, EffectCtx, Matches, NodeCtx, Protocol, QueryCounts, Scratch};
 pub use recovery::SuspicionConfig;
 pub use replication::{ReplicaItem, ReplicaStore};
 pub use transport_tcp::{SocketStats, TcpOptions};

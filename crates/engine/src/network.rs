@@ -13,7 +13,7 @@
 //! storage, replica mirroring) that behave identically under every
 //! algorithm.
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 use cq_fasthash::FxHashMap;
@@ -32,12 +32,12 @@ use crate::faults::FaultPipe;
 use crate::messages::Message;
 use crate::metrics::Metrics;
 use crate::node::NodeState;
-use crate::protocol::{Effect, NodeCtx, Protocol, Scratch};
+use crate::protocol::{Effect, EffectCtx, NodeCtx, Protocol, Scratch};
 use crate::recovery::Recovery;
 use crate::replication::ReplicaItem;
 use crate::tables::StoredQuery;
 use crate::trace::{TraceEvent, TraceSink};
-use crate::transport::{ActiveTransport, Pending, SimTransport, Transport as _};
+use crate::transport::{ActiveTransport, Pending};
 use crate::transport_tcp::{SocketStats, TcpOptions, TcpTransport};
 
 /// The whole simulated network.
@@ -50,9 +50,10 @@ pub struct Network {
     clock: Timestamp,
     seq: u64,
     rng: StdRng,
-    /// The evaluation algorithm, behind the [`Protocol`] trait. Shared so a
-    /// handler invocation can borrow the network mutably alongside it.
-    protocol: Arc<dyn Protocol>,
+    /// The evaluation algorithm, behind the [`Protocol`] trait. A `'static`
+    /// borrow, so a handler invocation can borrow the network mutably
+    /// alongside it.
+    protocol: &'static dyn Protocol,
     /// Reusable effect buffer handlers push into (drained after each
     /// handler, kept allocated across invocations).
     outbox: Vec<Effect>,
@@ -93,21 +94,10 @@ impl Network {
     /// Builds a stable network of `config.nodes` nodes running the
     /// algorithm named by `config.algorithm`.
     pub fn new(config: EngineConfig, catalog: Catalog) -> Self {
-        let protocol = algo::protocol_for(config.algorithm);
-        Network::with_protocol(config, catalog, protocol)
-    }
-
-    /// Builds a network running an explicit [`Protocol`] implementation
-    /// (the algorithm named in `config` is ignored for dispatch, though it
-    /// still labels metrics and reports).
-    pub fn with_protocol(
-        config: EngineConfig,
-        catalog: Catalog,
-        protocol: Arc<dyn Protocol>,
-    ) -> Self {
         let ring = Ring::build(config.space(), config.nodes, "node-");
         let slots = ring.slot_count();
         let seed = config.seed;
+        let protocol = algo::protocol_for(config.algorithm);
         // The detector needs the tick pump: probes, timeouts and digest
         // rounds all live in pump time, so enabling suspicion installs the
         // pump even when no delivery fault is configured.
@@ -131,7 +121,7 @@ impl Network {
             scratch: Scratch::default(),
             tracer: None,
             trace_seq: vec![0; slots],
-            transport: ActiveTransport::Sim(SimTransport::default()),
+            transport: ActiveTransport::Sim(VecDeque::new()),
             staged: pump.is_some().then(Vec::new),
             pump,
             recovery,
@@ -182,24 +172,14 @@ impl Network {
         }
     }
 
-    /// How many times the TCP backend's flush parked bytes in userspace
-    /// because a kernel send buffer was full (0 on the in-memory backend).
-    /// Observable effect of write backpressure for tests and diagnostics.
-    pub fn tcp_backpressure_events(&self) -> u64 {
-        match &self.transport {
-            ActiveTransport::Tcp(t) => t.backpressure_events(),
-            ActiveTransport::Sim(_) => 0,
-        }
-    }
-
     /// Drains the TCP backend's aggregate socket statistics — syscalls,
     /// bytes each way, frames each way, write backpressure, and the inbox
     /// buffer-pool hit rate (`None` on the in-memory backend, which never
-    /// touches a socket). Take-style like wire bytes: counters reset to
-    /// zero, so per-phase deltas compose by calling between phases.
+    /// touches a socket). Take-style: counters reset to zero, so per-phase
+    /// deltas compose by calling between phases.
     pub fn take_socket_stats(&mut self) -> Option<SocketStats> {
         match &mut self.transport {
-            ActiveTransport::Tcp(t) => t.take_socket_stats(),
+            ActiveTransport::Tcp(t) => Some(t.take_socket_stats()),
             ActiveTransport::Sim(_) => None,
         }
     }
@@ -217,11 +197,6 @@ impl Network {
     /// The underlying Chord ring.
     pub fn ring(&self) -> &Ring {
         &self.ring
-    }
-
-    /// The protocol (evaluation algorithm) this network runs.
-    pub fn protocol(&self) -> &dyn Protocol {
-        &*self.protocol
     }
 
     /// Collected metrics.
@@ -438,22 +413,20 @@ impl Network {
     where
         F: FnOnce(&dyn Protocol, &mut NodeCtx<'_>) -> Result<()>,
     {
-        let protocol = Arc::clone(&self.protocol);
         let mut outbox = std::mem::take(&mut self.outbox);
         debug_assert!(outbox.is_empty(), "outbox drained after every handler");
         let result = {
-            let mut ctx = NodeCtx::new(
+            let fx = EffectCtx::new(
                 at,
                 &self.config,
                 &self.ring,
-                &mut self.nodes,
                 &mut self.metrics,
                 &mut self.rng,
                 &mut outbox,
                 &mut self.scratch,
             )
             .with_trace(self.tracer.as_deref(), self.clock.0);
-            f(&*protocol, &mut ctx)
+            f(self.protocol, &mut NodeCtx::new(&mut self.nodes, fx))
         };
         let flushed = self.flush_effects(at, &mut outbox);
         outbox.clear();
@@ -499,8 +472,8 @@ impl Network {
                     index_attr,
                 });
                 self.run_protocol(at, |_, ctx| {
-                    let (st, mut fx) = ctx.split();
-                    let fresh = st.store(&mut fx, item)?;
+                    let (st, fx) = ctx.split();
+                    let fresh = st.store(fx, item)?;
                     let (tick, node) = (fx.tick(), at.index() as u32);
                     fx.trace(|| TraceEvent::IndexInsert {
                         tick,
@@ -602,9 +575,9 @@ impl Network {
         items: impl IntoIterator<Item = ReplicaItem>,
     ) -> Result<()> {
         self.run_protocol(at, |_, ctx| {
-            let (st, mut fx) = ctx.split();
+            let (st, fx) = ctx.split();
             for item in items {
-                st.store(&mut fx, item)?;
+                st.store(fx, item)?;
             }
             Ok(())
         })

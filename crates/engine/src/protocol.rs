@@ -10,8 +10,9 @@
 //! 2. **Protocol** (this module + [`crate::algo`]) — the four evaluation
 //!    algorithms of Chapter 4, each an implementation of [`Protocol`].
 //!    Handlers never touch the network directly: they receive a [`NodeCtx`]
-//!    scoped to the node the message arrived at and *describe* their sends
-//!    as [`Effect`]s pushed onto an outbox.
+//!    scoped to the node the message arrived at — the node-state slice plus
+//!    one [`EffectCtx`], on which every other capability is declared — and
+//!    *describe* their sends as [`Effect`]s pushed onto an outbox.
 //! 3. **Orchestration** ([`crate::network`]) — dequeues messages, invokes
 //!    the configured protocol's handlers, and flushes their effects back
 //!    into the transport.
@@ -20,16 +21,16 @@
 //! returns, before the next message is dequeued — so the message order on
 //! the wire is exactly what it would be if handlers sent inline.
 
-use std::borrow::Cow;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 use cq_fasthash::FxHashMap;
 use cq_overlay::{Id, NodeHandle, Ring};
-use cq_relational::{JoinQuery, Notification, QueryRef, RewrittenQuery, Side, Tuple};
+use cq_relational::{JoinQuery, Notification, QueryRef, QueryType, RewrittenQuery, Tuple};
 use rand::rngs::StdRng;
 
 use crate::algo::RunMatcher;
-use crate::config::EngineConfig;
+use crate::config::{Algorithm, EngineConfig};
 use crate::error::{EngineError, Result};
 use crate::messages::{Message, ValueJoin};
 use crate::metrics::{Metrics, TrafficKind};
@@ -74,7 +75,7 @@ pub enum Effect {
     },
 }
 
-/// Accumulated join matches at an evaluator (see [`NodeCtx::new_matches`]).
+/// Accumulated join matches at an evaluator (see [`EffectCtx::new_matches`]).
 ///
 /// With notification retention on, full bodies are built; with retention
 /// off only per-query counts are kept (delivery traffic and counters stay
@@ -236,18 +237,78 @@ impl Scratch {
 }
 
 /// Everything a protocol handler may touch while processing one message at
-/// one node: the node's own state, read access to the ring, the metrics
-/// sink, the engine RNG, and the effect outbox.
+/// one node: every node's state and the [`EffectCtx`] of the node the
+/// message arrived at — read access to the ring, the metrics sink, the
+/// engine RNG, and the effect outbox.
 ///
 /// The full node-state slice is carried (rather than just the local state)
 /// because the index-attribute strategies probe *other* nodes' arrival
-/// statistics ([`NodeCtx::probe_arrival_stats`]); handlers otherwise only
-/// use [`NodeCtx::state`].
+/// statistics ([`NodeCtx::probe_arrival_stats`]); handlers otherwise reach
+/// the local state through [`NodeCtx::split`]. Every other capability is the
+/// effect half's, reached through `Deref`.
 pub struct NodeCtx<'a> {
+    nodes: &'a mut [NodeState],
+    fx: EffectCtx<'a>,
+}
+
+impl<'a> NodeCtx<'a> {
+    /// Assembles a context for a handler running at `fx.node()`.
+    pub fn new(nodes: &'a mut [NodeState], fx: EffectCtx<'a>) -> Self {
+        NodeCtx { nodes, fx }
+    }
+
+    /// Asks the rewriter responsible for `id` for its `(count, distinct)`
+    /// arrival statistics of `(relation, attr)`, paying the probe traffic
+    /// (Section 4.3.6: "any node can simply ask the two possible rewriter
+    /// nodes before indexing a query").
+    pub fn probe_arrival_stats(
+        &mut self,
+        relation: &str,
+        attr: &str,
+        id: Id,
+    ) -> Result<(u64, usize)> {
+        let (owner, hops) = self.fx.ring.route_owner(self.fx.node, id)?;
+        // request hops + one direct response hop
+        self.fx.metrics.record_traffic(TrafficKind::Probe, hops + 1);
+        Ok(self.nodes[owner.index()].arrival_stats(relation, attr))
+    }
+
+    /// Splits the context into the local node's state and its effect half
+    /// (metrics, RNG, outbox, tracing, scratch).
+    ///
+    /// This is what lets the join kernels scan table entries *in place*: the
+    /// `&mut NodeState` borrow is disjoint from every sink in the
+    /// `EffectCtx`, so a handler can hold shared references into one table
+    /// (e.g. VLTT candidates) while accumulating matches, bumping counters,
+    /// and pushing effects — no `Arc::clone`-collect needed. The borrow
+    /// checker enforces the split because `nodes` and `fx` are distinct
+    /// fields of `NodeCtx`.
+    pub fn split(&mut self) -> (&mut NodeState, &mut EffectCtx<'a>) {
+        (&mut self.nodes[self.fx.node.index()], &mut self.fx)
+    }
+}
+
+impl<'a> Deref for NodeCtx<'a> {
+    type Target = EffectCtx<'a>;
+
+    fn deref(&self) -> &EffectCtx<'a> {
+        &self.fx
+    }
+}
+
+impl DerefMut for NodeCtx<'_> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.fx
+    }
+}
+
+/// The effect half of a [`NodeCtx`]: every sink and read-only capability a
+/// handler needs, usable while a disjoint `&mut NodeState` (or shared
+/// borrows derived from it) is live. See [`NodeCtx::split`].
+pub struct EffectCtx<'a> {
     node: NodeHandle,
     config: &'a EngineConfig,
     ring: &'a Ring,
-    nodes: &'a mut [NodeState],
     metrics: &'a mut Metrics,
     rng: &'a mut StdRng,
     outbox: &'a mut Vec<Effect>,
@@ -255,31 +316,28 @@ pub struct NodeCtx<'a> {
     /// survives across handler invocations).
     scratch: &'a mut Scratch,
     /// The trace sink when tracing is on. Handlers emit through
-    /// [`NodeCtx::trace`], which is a single branch when off.
+    /// [`EffectCtx::trace`], which is a single branch when off.
     tracer: Option<&'a dyn TraceSink>,
     /// The network's logical clock, stamped onto emitted events.
     tick: u64,
 }
 
-impl<'a> NodeCtx<'a> {
-    /// Assembles a context for a handler running at `node` (tracing off;
-    /// see [`NodeCtx::with_trace`]).
-    #[allow(clippy::too_many_arguments)]
+impl<'a> EffectCtx<'a> {
+    /// Assembles the effect half of a handler running at `node` (tracing
+    /// off; see [`EffectCtx::with_trace`]).
     pub fn new(
         node: NodeHandle,
         config: &'a EngineConfig,
         ring: &'a Ring,
-        nodes: &'a mut [NodeState],
         metrics: &'a mut Metrics,
         rng: &'a mut StdRng,
         outbox: &'a mut Vec<Effect>,
         scratch: &'a mut Scratch,
     ) -> Self {
-        NodeCtx {
+        EffectCtx {
             node,
             config,
             ring,
-            nodes,
             metrics,
             rng,
             outbox,
@@ -297,20 +355,6 @@ impl<'a> NodeCtx<'a> {
         self
     }
 
-    /// The logical clock value events are stamped with.
-    pub fn tick(&self) -> u64 {
-        self.tick
-    }
-
-    /// Emits one trace event when tracing is on. The closure defers event
-    /// construction, so the disabled path is a single branch.
-    #[inline]
-    pub fn trace(&self, f: impl FnOnce() -> TraceEvent) {
-        if let Some(t) = self.tracer {
-            t.record(&f());
-        }
-    }
-
     /// The node the current message arrived at.
     pub fn node(&self) -> NodeHandle {
         self.node
@@ -324,11 +368,6 @@ impl<'a> NodeCtx<'a> {
     /// The identifier space of the ring.
     pub fn space(&self) -> cq_overlay::IdSpace {
         self.ring.space()
-    }
-
-    /// Mutable access to the local node's protocol state.
-    pub fn state(&mut self) -> &mut NodeState {
-        &mut self.nodes[self.node.index()]
     }
 
     /// The engine RNG (the single source of all protocol-level randomness,
@@ -358,120 +397,13 @@ impl<'a> NodeCtx<'a> {
         self.scratch.new_matches(self.config.retain_notifications)
     }
 
-    /// Asks the rewriter responsible for `id` for its `(count, distinct)`
-    /// arrival statistics of `(relation, attr)`, paying the probe traffic
-    /// (Section 4.3.6: "any node can simply ask the two possible rewriter
-    /// nodes before indexing a query").
-    pub fn probe_arrival_stats(
-        &mut self,
-        relation: &str,
-        attr: &str,
-        id: Id,
-    ) -> Result<(u64, usize)> {
-        let (owner, hops) = self.ring.route_owner(self.node, id)?;
-        // request hops + one direct response hop
-        self.metrics.record_traffic(TrafficKind::Probe, hops + 1);
-        Ok(self.nodes[owner.index()].arrival_stats(relation, attr))
-    }
-
-    /// A typed protocol-violation error (a handler received a message its
-    /// algorithm never produces).
-    pub fn violation(&self, detail: impl Into<String>) -> EngineError {
-        EngineError::Protocol {
-            detail: detail.into(),
-        }
-    }
-
-    /// Splits the context into the local node's state and an [`EffectCtx`]
-    /// covering everything else (metrics, RNG, outbox, tracing, scratch).
-    ///
-    /// This is what lets the join kernels scan table entries *in place*: the
-    /// `&mut NodeState` borrow is disjoint from every sink in the
-    /// `EffectCtx`, so a handler can hold shared references into one table
-    /// (e.g. VLTT candidates) while accumulating matches, bumping counters,
-    /// and pushing effects — no `Arc::clone`-collect needed. The borrow
-    /// checker enforces the split because `nodes` and the sink fields are
-    /// distinct fields of `NodeCtx`.
-    pub fn split(&mut self) -> (&mut NodeState, EffectCtx<'_>) {
-        (
-            &mut self.nodes[self.node.index()],
-            EffectCtx {
-                node: self.node,
-                config: self.config,
-                ring: self.ring,
-                metrics: &mut *self.metrics,
-                rng: &mut *self.rng,
-                outbox: &mut *self.outbox,
-                scratch: &mut *self.scratch,
-                tracer: self.tracer,
-                tick: self.tick,
-            },
-        )
-    }
-}
-
-/// The non-state half of a [`NodeCtx`] split: every sink and read-only
-/// capability a kernel needs while a disjoint `&mut NodeState` (or shared
-/// borrows derived from it) is live. See [`NodeCtx::split`].
-pub struct EffectCtx<'a> {
-    node: NodeHandle,
-    config: &'a EngineConfig,
-    ring: &'a Ring,
-    metrics: &'a mut Metrics,
-    rng: &'a mut StdRng,
-    outbox: &'a mut Vec<Effect>,
-    scratch: &'a mut Scratch,
-    tracer: Option<&'a dyn TraceSink>,
-    tick: u64,
-}
-
-impl EffectCtx<'_> {
-    /// The node the current message arrived at.
-    pub fn node(&self) -> NodeHandle {
-        self.node
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        self.config
-    }
-
-    /// The identifier space of the ring.
-    pub fn space(&self) -> cq_overlay::IdSpace {
-        self.ring.space()
-    }
-
-    /// The engine RNG.
-    pub fn rng(&mut self) -> &mut StdRng {
-        self.rng
-    }
-
-    /// The metrics sink.
-    pub fn metrics(&mut self) -> &mut Metrics {
-        self.metrics
-    }
-
-    /// Queues a deferred transport action.
-    pub fn push(&mut self, effect: Effect) {
-        self.outbox.push(effect);
-    }
-
-    /// The configured k-successor replication factor.
-    pub fn repl_k(&self) -> usize {
-        self.config.fault.replication
-    }
-
-    /// An empty match accumulator honoring the retention setting.
-    pub fn new_matches(&mut self) -> Matches {
-        self.scratch.new_matches(self.config.retain_notifications)
-    }
-
     /// The logical clock value events are stamped with.
     pub fn tick(&self) -> u64 {
         self.tick
     }
 
-    /// Emits one trace event when tracing is on (single branch when off).
+    /// Emits one trace event when tracing is on. The closure defers event
+    /// construction, so the disabled path is a single branch.
     #[inline]
     pub fn trace(&self, f: impl FnOnce() -> TraceEvent) {
         if let Some(t) = self.tracer {
@@ -505,7 +437,8 @@ impl EffectCtx<'_> {
         self.scratch.matcher = matcher;
     }
 
-    /// A typed protocol-violation error.
+    /// A typed protocol-violation error (a handler received a message its
+    /// algorithm never produces).
     pub fn violation(&self, detail: impl Into<String>) -> EngineError {
         EngineError::Protocol {
             detail: detail.into(),
@@ -534,25 +467,21 @@ impl EffectCtx<'_> {
 /// typed [`EngineError::Protocol`] (the defaults below) instead of
 /// panicking.
 pub trait Protocol: Send + Sync {
-    /// Short display name (e.g. `"SAI"`).
-    fn name(&self) -> &'static str;
+    /// The algorithm this implements (it names the algorithm in errors).
+    fn algorithm(&self) -> Algorithm;
 
-    /// Rejects query classes the algorithm cannot evaluate (e.g. type-T2
-    /// queries outside DAI-V, Section 4.5). Checked at pose time, before
-    /// any state changes.
-    fn validate_query(&self, query: &JoinQuery) -> Result<()>;
-
-    /// The attribute a query is indexed by on `side`: the join attribute
-    /// for T1 queries, a pseudo-random attribute of the condition
-    /// expression for T2 (Section 4.5). Borrowed from the query in both
-    /// default cases — implementations that compute an attribute may return
-    /// an owned value.
-    fn index_attr<'q>(
-        &self,
-        ctx: &mut NodeCtx<'_>,
-        query: &'q JoinQuery,
-        side: Side,
-    ) -> Cow<'q, str>;
+    /// Rejects query classes the algorithm cannot evaluate. Checked at pose
+    /// time, before any state changes. By default type-T2 queries are
+    /// rejected: only DAI-V evaluates them (Section 4.5).
+    fn validate_query(&self, query: &JoinQuery) -> Result<()> {
+        if query.query_type() == QueryType::T2 {
+            return Err(EngineError::UnsupportedByAlgorithm {
+                algorithm: self.algorithm(),
+                detail: "type-T2 queries require DAI-V (Section 4.5)".to_string(),
+            });
+        }
+        Ok(())
+    }
 
     /// A query is posed at `ctx.node()`: choose the index side(s) and emit
     /// the attribute-level `IndexQuery` batch.
@@ -584,7 +513,7 @@ pub trait Protocol: Send + Sync {
         let _ = (tuple, attr, index_id);
         Err(ctx.violation(format!(
             "{} does not index tuples at the value level",
-            self.name()
+            self.algorithm()
         )))
     }
 
@@ -596,7 +525,10 @@ pub trait Protocol: Send + Sync {
         index_id: Id,
     ) -> Result<()> {
         let _ = (items, index_id);
-        Err(ctx.violation(format!("{} does not use plain join messages", self.name())))
+        Err(ctx.violation(format!(
+            "{} does not use plain join messages",
+            self.algorithm()
+        )))
     }
 
     /// DAI-V's combined join message arrives at an evaluator.
@@ -604,7 +536,7 @@ pub trait Protocol: Send + Sync {
         let _ = join;
         Err(ctx.violation(format!(
             "{} does not use combined join-v messages",
-            self.name()
+            self.algorithm()
         )))
     }
 }

@@ -83,148 +83,76 @@ pub(crate) struct Envelope {
     pub(crate) msg: Message,
 }
 
-/// The transport abstraction every backend implements: how envelopes enter
-/// the delivery substrate and how they come back out in global FIFO order.
-/// Faults are not a transport concern — the pump (`Network::pump`) decides
-/// what is sent and when, and whatever survives its draws rides the
-/// installed backend like any other envelope.
+/// The installed delivery backend: how envelopes enter the delivery
+/// substrate and how they come back out in global FIFO order. Faults are not
+/// a backend concern — the pump (`Network::pump`) decides what is sent and
+/// when, and whatever survives its draws rides the backend like any other
+/// envelope.
 ///
-/// Backends are selected by **enum dispatch** through [`ActiveTransport`]
-/// (never `dyn`): the simulator's hot loop calls `enqueue`/`next_delivery`
-/// once per envelope, and a vtable there would defeat the batching and
-/// kernel wins the delivery path is built around.
-///
-/// The contract `Network` relies on:
-///
-/// * `enqueue` is infallible — a backend whose send can fail (sockets)
-///   defers the error and surfaces it from the next `next_delivery` call.
-/// * `next_delivery` yields envelopes in exactly the order they were
-///   enqueued, network-wide. The deterministic simulator and the TCP
-///   backend therefore dispatch identical sequences for the same seed.
-pub(crate) trait Transport {
-    /// Queues one envelope for delivery. Must not fail: backends with
-    /// fallible sends record the error and report it from
-    /// [`Transport::next_delivery`].
-    fn enqueue(&mut self, e: Envelope);
-
-    /// Removes and returns the next envelope in network-global FIFO order.
-    /// **Never blocks**: `None` means either the queue is drained
-    /// ([`Transport::is_idle`] true) or the head envelope's payload has not
-    /// finished arriving yet (socket backends; the driver calls
-    /// [`Transport::poll`] and retries). Deferred send errors surface here.
-    fn next_delivery(&mut self) -> Result<Option<Envelope>>;
-
-    /// The explicit I/O progress hook: socket backends flush backpressured
-    /// writes, accept pending connections, and drain readable sockets. With
-    /// `block` set, the call may wait (bounded) for readiness; otherwise it
-    /// only services what is already ready. A no-op for in-memory backends.
-    fn poll(&mut self, block: bool) -> Result<()>;
-
-    /// Whether no envelopes are queued (socket backends: no envelopes in
-    /// flight on their wires either).
-    fn is_idle(&self) -> bool;
-
-    /// Drains the backend's per-message-kind wire-byte counters, indexed
-    /// like [`Message::KINDS`]. `None` for backends that don't serialize.
-    fn take_wire_bytes(&mut self) -> Option<[u64; 11]>;
-
-    /// Drains the backend's aggregate socket statistics (syscalls, bytes,
-    /// frames, backpressure, buffer-pool hit rate). `None` for backends
-    /// that never touch a socket.
-    fn take_socket_stats(&mut self) -> Option<crate::transport_tcp::SocketStats>;
-}
-
-/// The deterministic in-memory backend: a FIFO queue of envelopes.
-#[derive(Default)]
-pub(crate) struct SimTransport {
-    /// Sent-but-not-yet-handled envelopes.
-    pending: VecDeque<Envelope>,
-}
-
-impl Transport for SimTransport {
-    #[inline]
-    fn enqueue(&mut self, e: Envelope) {
-        self.pending.push_back(e);
-    }
-
-    #[inline]
-    fn next_delivery(&mut self) -> Result<Option<Envelope>> {
-        Ok(self.pending.pop_front())
-    }
-
-    #[inline]
-    fn poll(&mut self, _block: bool) -> Result<()> {
-        Ok(()) // in-memory delivery has no I/O to progress
-    }
-
-    #[inline]
-    fn is_idle(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    fn take_wire_bytes(&mut self) -> Option<[u64; 11]> {
-        None
-    }
-
-    fn take_socket_stats(&mut self) -> Option<crate::transport_tcp::SocketStats> {
-        None
-    }
-}
-
-/// The installed transport backend, dispatched by enum match so every call
-/// is a direct (inlinable) branch rather than a vtable jump.
+/// Dispatched by `match`, never `dyn`: the simulator's hot loop calls
+/// `enqueue`/`next_delivery` once per envelope, and a vtable there would
+/// defeat the batching and kernel wins the delivery path is built around.
 pub(crate) enum ActiveTransport {
-    /// Deterministic in-memory delivery (the default).
-    Sim(SimTransport),
+    /// Deterministic in-memory delivery (the default): a FIFO queue of
+    /// sent-but-not-yet-handled envelopes.
+    Sim(VecDeque<Envelope>),
     /// Real framed sockets over `std::net` loopback. Boxed so the enum —
     /// embedded in every `Network` — stays the size of the common variant.
     Tcp(Box<crate::transport_tcp::TcpTransport>),
 }
 
-impl Transport for ActiveTransport {
+impl ActiveTransport {
+    /// Queues one envelope for delivery and returns the stream bytes it
+    /// queued (`0` in memory). Infallible: a backend whose send can fail
+    /// (sockets) defers the error, queues nothing, and surfaces the error
+    /// from the next [`ActiveTransport::next_delivery`] call.
     #[inline]
-    fn enqueue(&mut self, e: Envelope) {
+    pub(crate) fn enqueue(&mut self, e: Envelope) -> u64 {
         match self {
-            ActiveTransport::Sim(t) => t.enqueue(e),
+            ActiveTransport::Sim(q) => {
+                q.push_back(e);
+                0
+            }
             ActiveTransport::Tcp(t) => t.enqueue(e),
         }
     }
 
+    /// Removes and returns the next envelope in network-global FIFO order —
+    /// exactly the order they were enqueued, so the simulator and the TCP
+    /// backend dispatch identical sequences for the same seed. **Never
+    /// blocks**: `None` means either the queue is drained
+    /// ([`ActiveTransport::is_idle`] true) or the head envelope's payload has
+    /// not finished arriving yet (sockets; the drain loop calls
+    /// [`ActiveTransport::poll`] and retries). Deferred send errors surface
+    /// here.
     #[inline]
-    fn next_delivery(&mut self) -> Result<Option<Envelope>> {
+    pub(crate) fn next_delivery(&mut self) -> Result<Option<Envelope>> {
         match self {
-            ActiveTransport::Sim(t) => t.next_delivery(),
+            ActiveTransport::Sim(q) => Ok(q.pop_front()),
             ActiveTransport::Tcp(t) => t.next_delivery(),
         }
     }
 
+    /// The explicit I/O progress hook: sockets flush backpressured writes,
+    /// accept pending connections, and drain readable sockets. With `block`
+    /// set, the call may wait (bounded) for readiness; otherwise it only
+    /// services what is already ready. In-memory delivery has no I/O to
+    /// progress.
     #[inline]
-    fn poll(&mut self, block: bool) -> Result<()> {
+    pub(crate) fn poll(&mut self, block: bool) -> Result<()> {
         match self {
-            ActiveTransport::Sim(t) => t.poll(block),
+            ActiveTransport::Sim(_) => Ok(()),
             ActiveTransport::Tcp(t) => t.poll(block),
         }
     }
 
+    /// Whether no envelopes are queued (sockets: no envelopes in flight on
+    /// their wires either).
     #[inline]
-    fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         match self {
-            ActiveTransport::Sim(t) => t.is_idle(),
+            ActiveTransport::Sim(q) => q.is_empty(),
             ActiveTransport::Tcp(t) => t.is_idle(),
-        }
-    }
-
-    fn take_wire_bytes(&mut self) -> Option<[u64; 11]> {
-        match self {
-            ActiveTransport::Sim(t) => t.take_wire_bytes(),
-            ActiveTransport::Tcp(t) => t.take_wire_bytes(),
-        }
-    }
-
-    fn take_socket_stats(&mut self) -> Option<crate::transport_tcp::SocketStats> {
-        match self {
-            ActiveTransport::Sim(t) => t.take_socket_stats(),
-            ActiveTransport::Tcp(t) => t.take_socket_stats(),
         }
     }
 }
@@ -258,12 +186,18 @@ impl Network {
         }
         match &mut self.staged {
             Some(staged) => staged.push(p),
-            None => self.transport.enqueue(Envelope {
-                from: p.from,
-                to: p.to,
-                id: first,
-                msg: p.msg,
-            }),
+            None => {
+                // Without a pump, what the backend queued is what is sent:
+                // its stream bytes are charged here, when they are queued.
+                let kind = p.msg.kind_index();
+                let bytes = self.transport.enqueue(Envelope {
+                    from: p.from,
+                    to: p.to,
+                    id: first,
+                    msg: p.msg,
+                });
+                self.metrics.faults.bytes_sent[kind] += bytes;
+            }
         }
     }
 
@@ -478,15 +412,6 @@ impl Network {
                 continue;
             }
             let Some(pipe) = pipe.as_deref_mut() else {
-                // Socket backends count real frame bytes as they write; fold
-                // whatever this drain produced into the per-kind counters.
-                // (Under the pump, `transmit` charges every transmission
-                // itself — lost copies included — whatever the backend.)
-                if let Some(bytes) = self.transport.take_wire_bytes() {
-                    for (kind, b) in bytes.into_iter().enumerate() {
-                        self.metrics.faults.bytes_sent[kind] += b;
-                    }
-                }
                 return Ok(());
             };
             if !self.pump_step(pipe, one_tick, &mut ticked)? {
@@ -538,6 +463,7 @@ impl Network {
             while let Some(delivery) = pipe.arriving.pop_front() {
                 match delivery {
                     Delivery::Data(copy) => {
+                        // `transmit` charged this copy's bytes already.
                         self.transport.enqueue(copy);
                         handed = true;
                     }
@@ -784,16 +710,10 @@ impl Network {
         pipe.schedule_retry(next, id);
     }
 
-    /// Injects scheduled and rate-driven abrupt node failures for the
+    /// Injects rate-driven and session-expiry abrupt node failures for the
     /// current tick, then repairs pointers and promotes replicas.
     fn inject_failures(&mut self, pipe: &mut FaultPipe) -> Result<()> {
         let mut failed = false;
-        while pipe.sched_idx < pipe.cfg.scheduled_failures.len()
-            && pipe.cfg.scheduled_failures[pipe.sched_idx] <= pipe.tick
-        {
-            pipe.sched_idx += 1;
-            failed |= self.fail_random_alive(pipe);
-        }
         if pipe.cfg.failure_rate > 0.0
             && pipe.failures_injected < pipe.cfg.max_failures
             && pipe.rng.gen::<f64>() < pipe.cfg.failure_rate

@@ -15,13 +15,13 @@
 //!   the socket writable — while every read of every connection lands in
 //!   the reactor's one read buffer (owned by its [`BufPool`]); a connection
 //!   keeps bytes of its own only while a frame is partly received;
-//! * [`Transport::poll`] is the explicit progress hook: it flushes the
+//! * [`TcpTransport::poll`] is the explicit progress hook: it flushes the
 //!   connections that queued bytes since the last call (a list, not a walk
 //!   over the connection table), accepts pending connections, and drains
-//!   readable sockets. [`Transport::next_delivery`] never blocks — it hands
-//!   out the head envelope only once its frame has fully arrived, and the
-//!   driver (`Network::process_all`) calls `poll(block = true)` whenever
-//!   envelopes are outstanding but no frame is ready.
+//!   readable sockets. [`TcpTransport::next_delivery`] never blocks — it
+//!   hands out the head envelope only once its frame has fully arrived, and
+//!   `Network::process_all` calls `poll(block = true)` whenever envelopes
+//!   are outstanding but no frame is ready.
 //!
 //! The backend keeps a userspace FIFO of *envelopes* (sender, receiver,
 //! message id) in exact enqueue order while only the message payload
@@ -32,7 +32,7 @@
 //! by construction.
 //!
 //! Failure model: `enqueue` must be infallible (transport contract), so a
-//! send that fails parks the error and [`Transport::next_delivery`]
+//! send that fails parks the error and [`TcpTransport::next_delivery`]
 //! surfaces it as a typed [`EngineError::Protocol`]; messages enqueued
 //! while an error is parked are counted and the count is reported in the
 //! surfaced error. Frame/envelope **misalignment is detected, never
@@ -80,7 +80,7 @@ use cq_poll::{Event, Interest, Poller};
 use crate::error::{EngineError, Result};
 use crate::frames::{BufPool, ConnCounters, FrameConn, RawFrame};
 use crate::messages::Message;
-use crate::transport::{Envelope, Transport};
+use crate::transport::Envelope;
 use crate::wire;
 
 use cq_relational::Catalog;
@@ -90,7 +90,7 @@ use cq_relational::Catalog;
 /// carry (u64 LE).
 const HELLO_LEN: usize = 12;
 
-/// How long one blocking [`Transport::poll`] slice waits for readiness
+/// How long one blocking [`TcpTransport::poll`] slice waits for readiness
 /// before returning to the driver.
 const POLL_SLICE: Duration = Duration::from_millis(25);
 
@@ -129,11 +129,10 @@ impl Default for TcpOptions {
     }
 }
 
-/// Aggregate socket-path statistics, drained `take_wire_bytes`-style via
-/// the transport's `take_socket_stats` hook (and surfaced as
-/// [`crate::Network::take_socket_stats`]). Connection tallies fold in here when a
-/// connection closes and when the stats are taken; pool counters come from
-/// the shared inbox [`BufPool`].
+/// Aggregate socket-path statistics, drained through
+/// [`crate::Network::take_socket_stats`]. Connection tallies fold in here
+/// when a connection closes and when the stats are taken; pool counters come
+/// from the shared inbox [`BufPool`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SocketStats {
     /// `writev` calls issued across all connections (including
@@ -288,9 +287,6 @@ pub(crate) struct TcpTransport {
     /// Messages discarded while `deferred` was parked (reported in the
     /// surfaced error so a failed run says how much was lost).
     dropped_after_error: u64,
-    /// Exact stream bytes written per message kind ([`crate::messages::Message::KINDS`]
-    /// order): the codec frame plus its 8-byte sequence header.
-    bytes_sent: [u64; 11],
     /// The reactor's one read buffer and its recycling pool of inbox frame
     /// buffers, shared across every connection: `read_frames` reads into
     /// and draws from it and `next_delivery` returns each frame after
@@ -307,7 +303,7 @@ pub(crate) struct TcpTransport {
     /// armed write interest brings it back.
     dirty: VecDeque<usize>,
     /// Aggregate socket statistics (closed connections fold in here; live
-    /// connection tallies are folded on [`Transport::take_socket_stats`]).
+    /// connection tallies are folded on [`TcpTransport::take_socket_stats`]).
     stats: SocketStats,
     /// Reusable poller event buffer.
     events: Vec<Event>,
@@ -316,9 +312,6 @@ pub(crate) struct TcpTransport {
     /// Accumulated blocking wait time with zero readiness events while
     /// envelopes were outstanding (drives the stall timeout).
     stalled: Duration,
-    /// Total times any connection entered write backpressure (kernel
-    /// buffer full, bytes parked in userspace).
-    backpressure_events: u64,
 }
 
 impl TcpTransport {
@@ -360,7 +353,6 @@ impl TcpTransport {
             queue: VecDeque::new(),
             deferred: None,
             dropped_after_error: 0,
-            bytes_sent: [0; 11],
             pool: BufPool::new(),
             interners: (0..slots).map(|_| wire::QueryInterner::new()).collect(),
             dirty: VecDeque::new(),
@@ -368,7 +360,6 @@ impl TcpTransport {
             events: Vec::new(),
             scratch: Vec::new(),
             stalled: Duration::ZERO,
-            backpressure_events: 0,
         })
     }
 
@@ -376,12 +367,6 @@ impl TcpTransport {
     /// adversarial peers at these).
     pub(crate) fn local_addrs(&self) -> &[SocketAddr] {
         &self.addrs
-    }
-
-    /// Total times any connection's flush parked bytes in userspace
-    /// because the kernel send buffer was full.
-    pub(crate) fn backpressure_events(&self) -> u64 {
-        self.backpressure_events
     }
 
     /// The poller token of connection-table index `idx`.
@@ -456,10 +441,7 @@ impl TcpTransport {
         };
         match conn.fc.flush() {
             Ok(true) => self.set_write_interest(idx, false),
-            Ok(false) => {
-                self.backpressure_events += 1;
-                self.set_write_interest(idx, true)
-            }
+            Ok(false) => self.set_write_interest(idx, true),
             Err(e) => {
                 let context = match conn.kind {
                     ConnKind::Out { from, to } => format!("write {from}→{to}"),
@@ -535,9 +517,9 @@ impl TcpTransport {
         Ok(appended)
     }
 
-    /// Parks a transport error for [`Transport::next_delivery`] to surface
-    /// (only the first error is kept; later ones add to the drop count
-    /// through [`Transport::enqueue`]'s guard).
+    /// Parks a transport error for [`TcpTransport::next_delivery`] to
+    /// surface (only the first error is kept; later ones add to the drop
+    /// count through [`TcpTransport::enqueue`]'s guard).
     fn defer(&mut self, e: EngineError) {
         if self.deferred.is_none() {
             self.deferred = Some(e);
@@ -786,15 +768,15 @@ impl TcpTransport {
         Ok(())
     }
 
-    /// One reactor turn: flush every connection that queued bytes since the
-    /// last turn — this is the **coalesced flush point**, one vectored write
-    /// per connection for everything buffered since the last poll, found
-    /// through the `dirty` list rather than a walk over the connection
-    /// table — wait for readiness (up to [`POLL_SLICE`] when `block`), and
-    /// service every event. Tracks
+    /// The progress hook, one reactor turn: flush every connection that
+    /// queued bytes since the last turn — this is the **coalesced flush
+    /// point**, one vectored write per connection for everything buffered
+    /// since the last poll, found through the `dirty` list rather than a
+    /// walk over the connection table — wait for readiness (up to
+    /// [`POLL_SLICE`] when `block`), and service every event. Tracks
     /// consecutive empty blocking waits so a frame lost to a broken stream
     /// fails the run with a typed stall error instead of hanging it.
-    fn poll_reactor(&mut self, block: bool) -> Result<()> {
+    pub(crate) fn poll(&mut self, block: bool) -> Result<()> {
         if self.deferred.is_some() {
             return Ok(()); // next_delivery surfaces it first
         }
@@ -847,29 +829,35 @@ impl TcpTransport {
         }
         Ok(())
     }
-}
 
-impl Transport for TcpTransport {
-    fn enqueue(&mut self, e: Envelope) {
+    /// Encodes `e`'s message onto its stream and queues the envelope,
+    /// returning the stream bytes queued: the codec frame plus its 8-byte
+    /// sequence header. A send that fails queues no envelope and returns
+    /// `0`: the error is parked for [`TcpTransport::next_delivery`].
+    pub(crate) fn enqueue(&mut self, e: Envelope) -> u64 {
         if self.deferred.is_some() {
             // The transport already failed; the error surfaces first and
             // reports how many messages were discarded behind it.
             self.dropped_after_error += 1;
-            return;
+            return 0;
         }
         let Envelope { from, to, id, msg } = e;
         match self.enqueue_frame(from.index() as u32, to.index() as u32, &msg) {
             Ok(appended) => {
-                // Exact stream cost: the codec frame plus the 8-byte
-                // sequence header, as queued in place by enqueue_frame.
-                self.bytes_sent[msg.kind_index()] += appended as u64;
                 self.queue.push_back(InFlight { from, to, id });
+                appended as u64
             }
-            Err(e) => self.defer(e),
+            Err(e) => {
+                self.defer(e);
+                0
+            }
         }
     }
 
-    fn next_delivery(&mut self) -> Result<Option<Envelope>> {
+    /// Removes and returns the head envelope once its frame has fully
+    /// arrived, decoded; `None` while it is still in flight. Surfaces a
+    /// parked send error first.
+    pub(crate) fn next_delivery(&mut self) -> Result<Option<Envelope>> {
         if let Some(e) = self.take_deferred() {
             return Err(e);
         }
@@ -898,19 +886,14 @@ impl Transport for TcpTransport {
         }))
     }
 
-    fn poll(&mut self, block: bool) -> Result<()> {
-        self.poll_reactor(block)
-    }
-
-    fn is_idle(&self) -> bool {
+    /// Whether no envelope is in flight and no error is parked.
+    pub(crate) fn is_idle(&self) -> bool {
         self.queue.is_empty() && self.deferred.is_none()
     }
 
-    fn take_wire_bytes(&mut self) -> Option<[u64; 11]> {
-        Some(std::mem::take(&mut self.bytes_sent))
-    }
-
-    fn take_socket_stats(&mut self) -> Option<SocketStats> {
+    /// Drains the aggregate socket statistics: closed connections' tallies,
+    /// every live connection's, and the inbox pool's counters.
+    pub(crate) fn take_socket_stats(&mut self) -> SocketStats {
         let mut stats = std::mem::take(&mut self.stats);
         for conn in self.conns.iter_mut().flatten() {
             stats.merge_conn(&conn.fc.take_counters());
@@ -918,6 +901,6 @@ impl Transport for TcpTransport {
         let (hits, misses) = self.pool.take_counters();
         stats.pool_hits += hits;
         stats.pool_misses += misses;
-        Some(stats)
+        stats
     }
 }

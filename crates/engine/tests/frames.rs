@@ -89,6 +89,23 @@ fn zero_length_frame_is_rejected() {
     expect_protocol_error(&mut net, "frame length 0 outside");
 }
 
+/// Without a fault pump, a frame's bytes are charged when it is queued. A
+/// drain that fails must not leave them for the next drain to charge after
+/// `reset_metrics()`.
+#[test]
+fn a_failed_drain_leaves_no_wire_bytes_behind() {
+    let mut net = tcp_net();
+    let addr = net.tcp_local_addrs().expect("tcp enabled")[3];
+    let mut rogue = rogue_connect(addr, 0xDEAD, 0);
+    rogue.write_all(&[0u8; 12]).unwrap();
+    expect_protocol_error(&mut net, "frame length 0 outside");
+    net.reset_metrics();
+    // Routes nothing new: no query is posed, so the failed insert's
+    // envelopes that still arrive trigger no sends.
+    net.stabilize(0).unwrap();
+    assert_eq!(net.metrics().faults.total_bytes_sent(), 0);
+}
+
 #[test]
 fn oversized_length_is_rejected_before_any_body_arrives() {
     let mut net = tcp_net();
@@ -203,7 +220,7 @@ fn large_frames_backpressure_and_shrink_through_the_real_transport() {
         "the large value survived the wire"
     );
     assert!(
-        net.tcp_backpressure_events() > 0,
+        net.take_socket_stats().expect("tcp enabled").blocked_writes > 0,
         "a {}-byte frame through a 4 KiB SO_SNDBUF must hit backpressure",
         SHRINK_AT + 1024
     );

@@ -15,8 +15,8 @@ use cq_engine::protocol_for;
 use cq_engine::tables::StoredQuery;
 use cq_engine::Oracle;
 use cq_engine::{
-    Algorithm, Effect, EngineConfig, EngineError, Matches, Message, Metrics, NodeCtx, NodeState,
-    Protocol, Scratch,
+    Algorithm, Effect, EffectCtx, EngineConfig, EngineError, Matches, Message, Metrics, NodeCtx,
+    NodeState, Protocol, Scratch,
 };
 use cq_overlay::{Id, NodeHandle, Ring};
 use cq_relational::{
@@ -46,7 +46,7 @@ struct Driver {
     nodes: Vec<NodeState>,
     metrics: Metrics,
     rng: StdRng,
-    protocol: Arc<dyn Protocol>,
+    protocol: &'static dyn Protocol,
     queue: VecDeque<(Id, Message)>,
     delivered: HashSet<Notification>,
     queries: Vec<QueryRef>,
@@ -90,22 +90,18 @@ impl Driver {
         at: NodeHandle,
         f: impl FnOnce(&dyn Protocol, &mut NodeCtx<'_>) -> cq_engine::Result<()>,
     ) -> cq_engine::Result<()> {
-        let protocol = Arc::clone(&self.protocol);
         let mut outbox = Vec::new();
         let mut scratch = Scratch::default();
-        {
-            let mut ctx = NodeCtx::new(
-                at,
-                &self.config,
-                &self.ring,
-                &mut self.nodes,
-                &mut self.metrics,
-                &mut self.rng,
-                &mut outbox,
-                &mut scratch,
-            );
-            f(&*protocol, &mut ctx)?;
-        }
+        let fx = EffectCtx::new(
+            at,
+            &self.config,
+            &self.ring,
+            &mut self.metrics,
+            &mut self.rng,
+            &mut outbox,
+            &mut scratch,
+        );
+        f(self.protocol, &mut NodeCtx::new(&mut self.nodes, fx))?;
         for effect in outbox {
             match effect {
                 Effect::Batch { targets, .. } => self.queue.extend(targets),
@@ -194,7 +190,7 @@ impl Driver {
             self.delivered,
             expected,
             "{} diverged from the oracle",
-            self.protocol.name()
+            self.protocol.algorithm()
         );
     }
 }
@@ -264,16 +260,17 @@ fn dai_v_evaluates_t2_queries_through_handlers() {
 
 #[test]
 fn t1_protocols_reject_t2_queries() {
+    let sql = "SELECT R.A FROM R, S WHERE R.A + R.B = S.C";
     for alg in [Algorithm::Sai, Algorithm::DaiQ, Algorithm::DaiT] {
-        let mut d = Driver::of(alg);
-        let err = d
-            .pose("SELECT R.A FROM R, S WHERE R.A + R.B = S.C")
-            .unwrap_err();
+        let err = Driver::of(alg).pose(sql).unwrap_err();
         assert!(
-            matches!(err, EngineError::UnsupportedByAlgorithm { .. }),
+            matches!(err, EngineError::UnsupportedByAlgorithm { algorithm, .. } if algorithm == alg),
             "{alg}: {err}"
         );
     }
+    Driver::of(Algorithm::DaiV)
+        .pose(sql)
+        .expect("DAI-V evaluates T2 queries");
 }
 
 /// A `Join` message reaching DAI-V is a protocol violation — a typed error,

@@ -252,10 +252,7 @@ pub fn run(cfg: &RunConfig) -> RunResult {
         fault: cfg.fault.clone(),
         suspicion: cfg.suspicion,
     };
-    // The harness picks the protocol explicitly; `Network` stays a pure
-    // orchestrator over whatever strategy object it is handed.
-    let protocol = cq_engine::protocol_for(engine_cfg.algorithm);
-    let mut net = Network::with_protocol(engine_cfg, workload.catalog().clone(), protocol);
+    let mut net = Network::new(engine_cfg, workload.catalog().clone());
 
     // When tracing is enabled, stream every event into a trace file (JSONL
     // or wire-framed binary per `set_trace_format`), which also accumulates
