@@ -195,30 +195,30 @@ fn allocs_flat(l: &Ledger, kernel: &str, sizes: [usize; 2]) -> Result<(), String
     )
 }
 
-/// With ten times the held items, a failure-handling kernel costs the same.
-/// The whole-state rescans this replaced grew 5-10x per 10x step, while one
-/// kernel on a busy shared host reads up to 1.6x apart from run to run: a 3x
-/// band on the fastest window separates the two. Allocations do not depend
-/// on timing and get a tight band.
-fn o_change(l: &Ledger, kernel: &str) -> Result<(), String> {
-    let [a, b] = l.pair(kernel, HELD)?;
+/// With ten times the items at `sizes`, `kernel` costs the same. The
+/// whole-state rescans and pairwise scans this guards against grow 5-10x per
+/// 10x step, while one kernel on a busy shared host reads up to 1.6x apart
+/// from run to run: a 3x band on the fastest window separates the two.
+/// Allocations do not depend on timing and get a tight band.
+fn o_change(l: &Ledger, kernel: &str, sizes: [usize; 2]) -> Result<(), String> {
+    let [a, b] = l.pair(kernel, sizes)?;
     ensure(
         b.ns.min < 3.0 * a.ns.min,
         format!(
-            "{kernel}: {:.0} -> {:.0} ns/event from {} to {} held items",
+            "{kernel}: {:.0} -> {:.0} ns/event from {} to {} items",
             a.ns.min, b.ns.min, a.size, b.size
         ),
     )?;
     ensure(
         b.allocs <= 1.25 * a.allocs,
         format!(
-            "{kernel}: {:.2} -> {:.2} allocs/event from {} to {} held items",
+            "{kernel}: {:.2} -> {:.2} allocs/event from {} to {} items",
             a.allocs, b.allocs, a.size, b.size
         ),
     )
 }
 
-const GATES: [Gate; 13] = [
+const GATES: [Gate; 14] = [
     // Zero-clone guarantee: a scan or a `Join` run allocates the same per
     // event whatever the number of candidates.
     Gate {
@@ -260,17 +260,27 @@ const GATES: [Gate; 13] = [
             allocs_flat(l, "join-decode", DECODE)
         },
     },
+    // An arriving tuple reads a VLQT bucket per query, not per rewriting:
+    // ten times the rewritings of the same 10 queries cost the same, and
+    // nothing is allocated once the bucket's ledger is built.
+    Gate {
+        name: "vlqt-run-per-query",
+        holds: |l| {
+            o_change(l, "vlqt-run", SCAN)?;
+            allocs_below(l, "vlqt-run", SCAN, 0.01)
+        },
+    },
     Gate {
         name: "heartbeat-round-o-change",
-        holds: |l| o_change(l, "heartbeat-round"),
+        holds: |l| o_change(l, "heartbeat-round", HELD),
     },
     Gate {
         name: "digest-round-o-change",
-        holds: |l| o_change(l, "digest-round"),
+        holds: |l| o_change(l, "digest-round", HELD),
     },
     Gate {
         name: "fault-pump-o-change",
-        holds: |l| o_change(l, "fault-pump"),
+        holds: |l| o_change(l, "fault-pump", HELD),
     },
     // Per-message bookkeeping allocates nothing: what is left per idle tick
     // is the false confirmations' repair work (19.6 before tick wheels and
@@ -465,33 +475,65 @@ fn join_run(cat: &Catalog, size: usize, events: u64) -> KernelRow {
     })
 }
 
-/// `match_vlqt_candidates`' inner loop: scan stored rewritten queries under
-/// one value key, test the arriving tuple.
-fn vlqt_scan(cat: &Catalog, size: usize, events: u64) -> KernelRow {
-    let trigger = tuple(cat, "R", [1, 7], 1, 1);
-    let tuple = tuple(cat, "S", [7, 99], 1, 99);
+/// `size` rewritings of `queries` by R tuples `(a, 7)` published at 20, one
+/// per query for each `a` in turn — as the `Join` messages of one group
+/// leave them — stored under `C = 7`.
+fn vlqt_of(cat: &Catalog, queries: &[QueryRef], size: usize) -> Vlqt {
     let mut vlqt = Vlqt::new();
-    for i in 0..size as u64 {
-        let q = query(cat, i);
-        let rq = RewrittenQuery::rewrite_attribute(&q, Side::Left, "B", "C", &trigger)
+    for i in 0..size {
+        let trigger = tuple(cat, "R", [(i / queries.len()) as i64, 7], 20, i as u64);
+        let q = &queries[i % queries.len()];
+        let rq = RewrittenQuery::rewrite_attribute(q, Side::Left, "B", "C", &trigger)
             .unwrap()
             .unwrap();
-        vlqt.insert(StoredRewritten {
-            index_id: Id(i),
-            rq,
-        })
-        .unwrap();
+        let fresh = vlqt
+            .insert(StoredRewritten {
+                index_id: Id(i as u64),
+                rq,
+            })
+            .unwrap();
+        assert!(fresh, "distinct bound values");
     }
+    vlqt
+}
+
+/// The S tuple `(7, 99)`, published at 5, scanning a bucket of `size`
+/// rewritings of `queries` through the engine's VLQT scan; `expected` of
+/// them match.
+fn vlqt_kernel(
+    kernel: &'static str,
+    cat: &Catalog,
+    queries: &[QueryRef],
+    size: usize,
+    events: u64,
+    expected: u64,
+) -> KernelRow {
+    let tuple = tuple(cat, "S", [7, 99], 5, 99);
+    let mut vlqt = vlqt_of(cat, queries, size);
     let mut matches = Matches::new(false);
-    measure("vlqt-scan", size, events, || {
+    let mut matcher = RunMatcher::default();
+    measure(kernel, size, events, || {
         matches.clear();
-        for e in vlqt.candidates("S", "C", "i:7") {
-            if e.rq.matches(&tuple).unwrap() {
-                matches.add(&e.rq, &tuple).unwrap();
-            }
-        }
-        assert_eq!(matches.len(), size as u64);
+        let candidates = matcher
+            .match_vlqt(&mut vlqt, &tuple, "C", &mut matches)
+            .unwrap();
+        assert_eq!((candidates, matches.len()), (size as u64, expected));
     })
+}
+
+/// `size` rewritings of `size` distinct queries: one run, a tally each.
+fn vlqt_scan(cat: &Catalog, size: usize, events: u64) -> KernelRow {
+    let queries: Vec<QueryRef> = (0..size as u64).map(|n| query(cat, n)).collect();
+    vlqt_kernel("vlqt-scan", cat, &queries, size, events, size as u64)
+}
+
+/// `size` rewritings of 10 queries of one join condition, half of which
+/// were posed after the tuple was published: one run of 10 tallies.
+fn vlqt_run(cat: &Catalog, size: usize, events: u64) -> KernelRow {
+    let queries: Vec<QueryRef> = (0..10)
+        .map(|n| query_posed_at(cat, n, Timestamp(if n % 2 == 0 { 0 } else { 10 })))
+        .collect();
+    vlqt_kernel("vlqt-run", cat, &queries, size, events, size as u64 / 2)
 }
 
 /// The rewriter's triggered-group scan (`t1_tuple_arrival` / DAI-V tuple
@@ -775,6 +817,8 @@ fn measure_ledger(check: bool) -> Ledger {
         join_run(&cat, SCAN[1], 20),
         vlqt_scan(&cat, SCAN[0], scan),
         vlqt_scan(&cat, SCAN[1], scan / 10),
+        vlqt_run(&cat, SCAN[0], scan * 10),
+        vlqt_run(&cat, SCAN[1], scan * 10),
         alqt_scan(&cat, ALQT[0], scan),
         alqt_scan(&cat, ALQT[1], scan),
         insert_e2e(E2E_QUERIES, e2e),
@@ -931,7 +975,7 @@ mod tests {
     }
 
     /// The rows of `BENCH_25.json`, the last snapshot written before the
-    /// ledger existed.
+    /// ledger existed, and the `vlqt-run` rows `BENCH_29.json` added.
     fn bench_25() -> Ledger {
         let kernels = [
             ("vltt-scan", 1_000, 8019.4, 0.0),
@@ -940,6 +984,8 @@ mod tests {
             ("join-run", 10_000, 264646.5, 0.0),
             ("vlqt-scan", 1_000, 26815.5, 0.0),
             ("vlqt-scan", 10_000, 429906.9, 0.0),
+            ("vlqt-run", 1_000, 130.9, 0.0),
+            ("vlqt-run", 10_000, 132.8, 0.0),
             ("alqt-scan", 50, 87.8, 0.0),
             ("alqt-scan", 500, 787.8, 0.0),
             ("insert-e2e-bundled", 50, 13573.2, 33.33),
@@ -1006,12 +1052,12 @@ mod tests {
 
     #[test]
     fn each_gate_fails_alone_on_the_regression_it_guards() {
-        fn slower(l: &mut Ledger, name: &str) {
-            let small = l.kernel(name, HELD[0]).unwrap().ns.min;
-            kernel(l, name, HELD[1]).ns = flat(3.1 * small);
+        fn slower(l: &mut Ledger, name: &str, sizes: [usize; 2]) {
+            let small = l.kernel(name, sizes[0]).unwrap().ns.min;
+            kernel(l, name, sizes[1]).ns = flat(3.1 * small);
         }
         type Mutation = fn(&mut Ledger);
-        let cases: [(&str, Mutation); 13] = [
+        let cases: [(&str, Mutation); 14] = [
             ("scan-allocs-flat", |l| {
                 l.kernels.retain(|r| r.kernel != "vltt-scan")
             }),
@@ -1027,9 +1073,12 @@ mod tests {
             ("join-decode-interned", |l| {
                 kernel(l, "join-decode", 50).allocs = 1.5
             }),
-            ("heartbeat-round-o-change", |l| slower(l, "heartbeat-round")),
-            ("digest-round-o-change", |l| slower(l, "digest-round")),
-            ("fault-pump-o-change", |l| slower(l, "fault-pump")),
+            ("vlqt-run-per-query", |l| slower(l, "vlqt-run", SCAN)),
+            ("heartbeat-round-o-change", |l| {
+                slower(l, "heartbeat-round", HELD)
+            }),
+            ("digest-round-o-change", |l| slower(l, "digest-round", HELD)),
+            ("fault-pump-o-change", |l| slower(l, "fault-pump", HELD)),
             ("heartbeat-round-allocs", |l| {
                 kernel(l, "heartbeat-round", 1_000).allocs = 4.01
             }),

@@ -34,6 +34,7 @@ use crate::metrics::TrafficKind;
 use crate::node::NodeState;
 use crate::protocol::{Effect, EffectCtx, Matches, NodeCtx};
 use crate::replication::ReplicaItem;
+use crate::tables::vlqt::{LedgerScratch, Tally};
 use crate::tables::{StoredTuple, Vlqt};
 use crate::trace::TraceEvent;
 
@@ -287,7 +288,9 @@ pub(crate) fn attribute_target<'q>(
 
 /// Matches runs of rewritten queries against one candidate list each — a
 /// `Join` message's items against the VLTT bucket they target (Section
-/// 4.3.3), a `JoinV` message's against the value store (Section 4.5).
+/// 4.3.3), a `JoinV` message's against the value store (Section 4.5) — and,
+/// the other way round, an arriving tuple against a VLQT bucket
+/// ([`Self::match_vlqt`]).
 ///
 /// `rq.matches(t)` is a time test, `pubT(t) >= insT(q)`, and a shape test —
 /// relation, free-side filters, target — that rewritings of
@@ -326,6 +329,8 @@ pub struct RunMatcher {
     /// The rewriting the verdicts were decided for.
     #[cfg(debug_assertions)]
     shape: Option<RewrittenQuery>,
+    /// What [`Self::match_vlqt`] files VLQT ledgers with.
+    ledgers: LedgerScratch,
 }
 
 impl RunMatcher {
@@ -423,11 +428,71 @@ impl RunMatcher {
             self.shape = Some(shape.clone());
         }
     }
+
+    /// Matches an arriving value-level tuple against the VLQT bucket of its
+    /// `(relation, attr, value)` (Section 4.3.4), returning how many
+    /// rewritings the bucket holds.
+    ///
+    /// The other direction of [`Self::match_run`]: here the stored side is
+    /// the rewritings, so the bucket's ledger — its runs of one shape, each
+    /// with a tally per query — does what the verdicts do there. Per run
+    /// the shape test is decided once, on the run's head. All of a query's
+    /// rewritings share its `insT`, so per tally the time test is one
+    /// compare and, in counts mode, the count is added with one
+    /// [`QueryCounts::add_n`](crate::protocol::QueryCounts::add_n). It
+    /// arrives where the pairwise loop
+    ///
+    /// ```text
+    /// for e in bucket { if e.rq.matches(t)? { matches.add(&e.rq, t)? } }
+    /// ```
+    ///
+    /// arrives. A query enters the counts at its first entry in the first
+    /// run that matches, which is where that loop enters it. Retention mode
+    /// walks a matching run's entries in stored order, so the notifications
+    /// come in bucket order. A run whose shape test fails fails the scan at
+    /// its first entry whose time test passes, so the error is returned
+    /// when any of its tallies passes the time test. The runs before it
+    /// have already been matched, as that loop matches them.
+    pub fn match_vlqt(
+        &mut self,
+        vlqt: &mut Vlqt,
+        tuple: &Tuple,
+        attr: &str,
+        matches: &mut Matches,
+    ) -> cq_relational::Result<u64> {
+        let value_key = tuple.canonical_of(attr)?;
+        let (entries, ledger) = vlqt.ledger(tuple.relation(), attr, value_key, &mut self.ledgers);
+        let admits = |t: &Tally| tuple.pub_time() >= t.query.ins_time();
+        for run in ledger.runs(entries) {
+            match run.head().shape_matches(tuple) {
+                Ok(false) => {}
+                Ok(true) => match matches {
+                    Matches::Counts(counts) => {
+                        for tally in run.tallies.iter().filter(|t| admits(t)) {
+                            counts.add_n(&tally.query, tally.count);
+                        }
+                    }
+                    Matches::Full(out) => {
+                        for e in run.entries.iter().filter(|e| e.rq.admits_time(tuple)) {
+                            out.push(e.rq.notification_with(tuple)?);
+                        }
+                    }
+                },
+                Err(e) => {
+                    if run.tallies.iter().any(admits) {
+                        return Err(e);
+                    }
+                }
+            }
+        }
+        Ok(entries.len() as u64)
+    }
 }
 
-/// Charges one evaluated rewriting: the `candidates` it was checked
-/// against are the evaluator's filtering work (the paper counts it per
-/// rewriting), and one `JoinEval` event records what it produced.
+/// Charges one evaluation — of a rewriting, or of an arriving tuple against
+/// a VLQT bucket: the `candidates` it was checked against are the
+/// evaluator's filtering work (the paper counts it per rewriting), and one
+/// `JoinEval` event records what it produced.
 pub(crate) fn note_join_eval(fx: &mut EffectCtx<'_>, candidates: u64, produced: u64) {
     let node = fx.node().index();
     fx.metrics().add_evaluator_filtering(node, candidates);
@@ -441,33 +506,67 @@ pub(crate) fn note_join_eval(fx: &mut EffectCtx<'_>, candidates: u64, produced: 
 }
 
 /// Matches an arriving value-level tuple against the VLQT (Section 4.3.4)
-/// in place, returning the accumulated matches.
+/// in place ([`RunMatcher::match_vlqt`]), returning the accumulated
+/// matches. The bucket's C rewritings are charged as one evaluation.
 pub(crate) fn match_vlqt_candidates(
     fx: &mut EffectCtx<'_>,
-    vlqt: &Vlqt,
+    vlqt: &mut Vlqt,
     tuple: &Arc<Tuple>,
     attr: &str,
 ) -> Result<Matches> {
-    let rel = tuple.relation();
-    let value_key = tuple.canonical_of(attr)?;
-    let node = fx.node().index();
     let mut matches = fx.new_matches();
-    let mut candidates = 0u64;
-    for e in vlqt.candidates(rel, attr, value_key) {
-        candidates += 1;
-        if e.rq.matches(tuple)? {
-            matches.add(&e.rq, tuple)?;
-        }
-    }
-    fx.metrics().add_evaluator_filtering(node, candidates);
-    let (tick, produced) = (fx.tick(), matches.len());
-    fx.trace(|| TraceEvent::JoinEval {
-        tick,
-        node: node as u32,
-        candidates,
-        matches: produced,
-    });
+    let mut matcher = fx.take_matcher();
+    let scanned = matcher.match_vlqt(vlqt, tuple, attr, &mut matches);
+    fx.restore_matcher(matcher);
+    #[cfg(debug_assertions)]
+    shadow_check_vlqt(vlqt, tuple, attr, &scanned, &matches);
+    note_join_eval(fx, scanned?, matches.len());
     Ok(matches)
+}
+
+/// Debug builds check every VLQT scan against the pairwise loop the ledger
+/// replaced: the same candidate count or error, the same counts entries —
+/// query address and count, in order — and total, the same notifications.
+#[cfg(debug_assertions)]
+fn shadow_check_vlqt(
+    vlqt: &Vlqt,
+    tuple: &Tuple,
+    attr: &str,
+    scanned: &cq_relational::Result<u64>,
+    matches: &Matches,
+) {
+    let mut pairwise = Matches::new(matches!(matches, Matches::Full(_)));
+    let mut scan = || -> cq_relational::Result<u64> {
+        let mut candidates = 0;
+        for e in vlqt.candidates(tuple.relation(), attr, tuple.canonical_of(attr)?) {
+            candidates += 1;
+            if e.rq.matches(tuple)? {
+                pairwise.add(&e.rq, tuple)?;
+            }
+        }
+        Ok(candidates)
+    };
+    assert_eq!(&scan(), scanned, "VLQT ledger scan of {tuple} on {attr}");
+    match (matches, &pairwise) {
+        (Matches::Counts(got), Matches::Counts(want)) => {
+            let entries = |c: &crate::protocol::QueryCounts| -> Vec<(usize, u64)> {
+                let entries = c.entries().iter();
+                entries
+                    .map(|(q, n)| (Arc::as_ptr(q) as usize, *n))
+                    .collect()
+            };
+            assert_eq!(entries(got), entries(want), "VLQT ledger counts of {tuple}");
+            assert_eq!(
+                matches.len(),
+                pairwise.len(),
+                "VLQT ledger total of {tuple}"
+            );
+        }
+        (Matches::Full(got), Matches::Full(want)) => {
+            assert_eq!(got, want, "VLQT ledger notifications of {tuple}")
+        }
+        _ => unreachable!("one retention mode"),
+    }
 }
 
 /// Stores a value-level tuple in the VLTT (mirrored when k-successor

@@ -56,7 +56,7 @@ impl Protocol for DaiTProtocol {
     ) -> Result<()> {
         let _ = index_id; // match only — tuples are never stored
         let (st, fx) = ctx.split();
-        let matches = common::match_vlqt_candidates(fx, &st.tables.vlqt, &tuple, &attr)?;
+        let matches = common::match_vlqt_candidates(fx, &mut st.tables.vlqt, &tuple, &attr)?;
         fx.push(Effect::Deliver { matches });
         Ok(())
     }

@@ -99,7 +99,7 @@ impl Protocol for SaiProtocol {
     ) -> Result<()> {
         // Match stored rewritten queries against the tuple (4.3.4) ...
         let (st, fx) = ctx.split();
-        let matches = common::match_vlqt_candidates(fx, &st.tables.vlqt, &tuple, &attr)?;
+        let matches = common::match_vlqt_candidates(fx, &mut st.tables.vlqt, &tuple, &attr)?;
         fx.push(Effect::Deliver { matches });
         // ... then store it for rewritten queries still to come.
         common::store_value_tuple(

@@ -176,6 +176,11 @@ impl QueryCounts {
         self.total = 0;
     }
 
+    /// The `(query, count)` entries, in first-match order.
+    pub fn entries(&self) -> &[(QueryRef, u64)] {
+        &self.entries
+    }
+
     /// The counts summed per subscriber name, in first-match order.
     pub fn by_subscriber(&mut self) -> impl Iterator<Item = (&str, u64)> {
         let QueryCounts {
@@ -214,7 +219,8 @@ pub struct Scratch {
     value_key: String,
     /// The counts accumulator, between one `Deliver` and the next handler.
     counts: QueryCounts,
-    /// The evaluators' verdict buffers ([`EffectCtx::take_matcher`]).
+    /// The evaluators' verdict and ledger buffers
+    /// ([`EffectCtx::take_matcher`]).
     matcher: RunMatcher,
 }
 

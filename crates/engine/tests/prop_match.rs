@@ -21,10 +21,20 @@
 //! and too short for their schema — must come out of it exactly as out of
 //! the pairwise loop it replaces: counts, notifications and their order,
 //! and the first error.
+//!
+//! The other direction, an arriving tuple against the rewritings stored in
+//! a VLQT bucket, reads the bucket's ledger — runs of one shape, a tally per
+//! query — instead of each entry. Random buckets of such a group — runs cut
+//! by free-side filters, one query under two `Arc`s, queries some tuples
+//! predate, duplicates, extractions and re-inserts between scans — must
+//! scan exactly as the pairwise loop does: the candidate count or the first
+//! error, the counts per query address in first-match order and their
+//! total, and the notifications in order.
 
 use std::sync::Arc;
 
 use cq_engine::algo::RunMatcher;
+use cq_engine::tables::{StoredRewritten, Vlqt};
 use cq_engine::wire::{decode_message, encode_message};
 use cq_engine::{Matches, Message};
 use cq_overlay::Id;
@@ -363,6 +373,36 @@ fn pairwise(
     (counts, out, None)
 }
 
+/// What the VLQT ledger replaces: every rewriting in the tuple's bucket
+/// against the tuple, stopping at the first error. Returns the candidate
+/// count or the error, as text.
+fn pairwise_vlqt(vlqt: &Vlqt, t: &Tuple, attr: &str, matches: &mut Matches) -> Result<u64, String> {
+    let mut scan = || -> cq_relational::Result<u64> {
+        let mut candidates = 0;
+        for e in vlqt.candidates(t.relation(), attr, t.canonical_of(attr)?) {
+            candidates += 1;
+            if e.rq.matches(t)? {
+                matches.add(&e.rq, t)?;
+            }
+        }
+        Ok(candidates)
+    };
+    scan().map_err(|e| e.to_string())
+}
+
+/// What a scan left behind: the counts' entries — query address and count,
+/// in first-match order — and total, or the notifications in order.
+fn outcome(matches: &Matches) -> (Vec<(usize, u64)>, u64, Vec<Notification>) {
+    match matches {
+        Matches::Counts(counts) => {
+            let entries = counts.entries().iter();
+            let entries = entries.map(|(q, n)| (Arc::as_ptr(q) as usize, *n));
+            (entries.collect(), matches.len(), Vec::new())
+        }
+        Matches::Full(out) => (Vec::new(), matches.len(), out.clone()),
+    }
+}
+
 /// `rq` after a trip through the wire codec.
 fn over_the_wire(rq: &RewrittenQuery, c: &Catalog) -> RewrittenQuery {
     let mut frame = Vec::new();
@@ -566,6 +606,92 @@ proptest! {
                     prop_assert_eq!(got, want);
                 }
                 Matches::Counts(_) => {}
+            }
+        }
+    }
+
+    #[test]
+    fn the_vlqt_ledger_is_the_pairwise_scan(seed in 0u64..1 << 48) {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let c = rand_catalog(rng);
+        let short = truncated(rng, &c);
+        // A group's queries, each with its own select list, insertion time
+        // and subscriber; filters of their own now and then cut a bucket
+        // into several runs.
+        let base = rand_query(rng, &c, false);
+        let conditions = Side::BOTH.map(|side| base.condition(side).clone());
+        let mut queries: Vec<QueryRef> = (0..rng.gen_range(1..4))
+            .map(|i| {
+                let filters = if rng.gen_bool(0.6) {
+                    base.filters().to_vec()
+                } else {
+                    rand_filters(rng, &c)
+                };
+                query_on(rng, &c, conditions.clone(), filters, &format!("s{i}"))
+            })
+            .collect();
+        // One query under a second `Arc`, as a TCP receiver's interner
+        // decodes it again once it has forgotten it.
+        if rng.gen_bool(0.5) {
+            queries.push(Arc::new(JoinQuery::clone(&queries[0])));
+        }
+        let bound = rand_side(rng);
+        let join_attr = base.join_attr(bound.other()).expect("T1");
+
+        // Inserts, scans, extractions and re-inserts in any order: a scan
+        // builds a bucket's ledger or extends it over what was stored
+        // since, and an extraction drops it.
+        let mut vlqt = Vlqt::new();
+        let mut matcher = RunMatcher::default();
+        let (mut stored, mut parked) = (Vec::new(), Vec::new());
+        for _ in 0..rng.gen_range(1..60) {
+            match rng.gen_range(0..10) {
+                0..=4 => {
+                    for _ in 0..rng.gen_range(1..8) {
+                        let entry = if !stored.is_empty() && rng.gen_bool(0.2) {
+                            // a duplicate
+                            let i = rng.gen_range(0..stored.len());
+                            StoredRewritten::clone(&stored[i])
+                        } else {
+                            let Some(rq) = rand_rewriting(rng, &c, &queries, bound, false) else {
+                                continue;
+                            };
+                            StoredRewritten { index_id: Id(rng.gen_range(0..4)), rq }
+                        };
+                        vlqt.insert(entry.clone()).unwrap();
+                        stored.push(entry);
+                    }
+                }
+                5..=7 => {
+                    // Mostly the bucket the group fills; now and then one an
+                    // off-join-attribute target is filed under, or an
+                    // attribute the tuple lacks.
+                    let t = rand_candidate(rng, &c, &short, bound);
+                    let attr = if rng.gen_bool(0.7) {
+                        join_attr
+                    } else {
+                        rand_attr(rng, &c, t.relation(), None)
+                    };
+                    for retain in [false, true] {
+                        let mut want = Matches::new(retain);
+                        let want_result = pairwise_vlqt(&vlqt, &t, attr, &mut want);
+                        let mut got = Matches::new(retain);
+                        let got_result = matcher
+                            .match_vlqt(&mut vlqt, &t, attr, &mut got)
+                            .map_err(|e| e.to_string());
+                        prop_assert_eq!(got_result, want_result, "{} on {}", t, attr);
+                        prop_assert_eq!(outcome(&got), outcome(&want), "{} on {}", t, attr);
+                    }
+                }
+                8 => {
+                    let id = Id(rng.gen_range(0..4));
+                    parked.extend(vlqt.extract_where(|i| i == id));
+                }
+                _ => {
+                    for e in parked.drain(..) {
+                        vlqt.insert(e).unwrap();
+                    }
+                }
             }
         }
     }
