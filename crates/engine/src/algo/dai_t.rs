@@ -70,7 +70,6 @@ impl Protocol for DaiTProtocol {
         // Store, never evaluate (tuples will come to us).
         let (st, fx) = ctx.split();
         let repl = fx.repl_k() > 0;
-        let matches = fx.new_matches();
         let mut value_key = fx.take_scratch();
         let mut items = items.into_iter();
         while let Some(head) = items.as_slice().first() {
@@ -95,7 +94,6 @@ impl Protocol for DaiTProtocol {
             }
         }
         fx.restore_scratch(value_key);
-        fx.push(Effect::Deliver { matches });
         Ok(())
     }
 }

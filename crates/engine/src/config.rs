@@ -105,8 +105,6 @@ impl IndexStrategy {
 pub struct EngineConfig {
     /// Evaluation algorithm.
     pub algorithm: Algorithm,
-    /// Identifier-space bits (`m`).
-    pub space_bits: u32,
     /// Number of overlay nodes.
     pub nodes: usize,
     /// SAI index-attribute choice strategy.
@@ -116,9 +114,6 @@ pub struct EngineConfig {
     /// Attribute-level replication factor `k` (Section 4.7); `1` disables
     /// replication.
     pub replication: usize,
-    /// Use the recursive multisend design (`false` = iterative, for E1-style
-    /// comparisons).
-    pub recursive_multisend: bool,
     /// Whether subscriber inboxes and offline stores retain notification
     /// *contents*. Delivery (routing, traffic, counters) always happens;
     /// large-scale experiment runs disable retention so that millions of
@@ -144,16 +139,17 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
+    /// Identifier-space bits (`m`).
+    pub const SPACE_BITS: u32 = 32;
+
     /// A small default configuration suitable for tests and examples.
     pub fn new(algorithm: Algorithm) -> Self {
         EngineConfig {
             algorithm,
-            space_bits: 32,
             nodes: 64,
             strategy: IndexStrategy::LowestRate,
             use_jfrt: true,
             replication: 1,
-            recursive_multisend: true,
             retain_notifications: true,
             dai_v_keyed: false,
             seed: 42,
@@ -218,9 +214,9 @@ impl EngineConfig {
         self
     }
 
-    /// The identifier space implied by `space_bits`.
+    /// The identifier space of [`EngineConfig::SPACE_BITS`] bits.
     pub fn space(&self) -> IdSpace {
-        IdSpace::new(self.space_bits)
+        IdSpace::new(Self::SPACE_BITS)
     }
 }
 

@@ -19,8 +19,9 @@
 //! without this module.
 //!
 //! The pump is not part of any transport: `FaultPipe` is state the network
-//! owns, it decides *what* is transmitted and *when*, and every copy that
-//! survives its draws is carried by whichever backend is installed.
+//! owns, and its loop (the `impl Network` block below) decides *what* is
+//! transmitted and *when*; every copy that survives its draws is carried by
+//! whichever backend is installed. Every draw is one `FaultDecider` call.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -30,8 +31,12 @@ use rand::{Rng, SeedableRng};
 
 use cq_overlay::{Id, NodeHandle};
 
+use crate::error::Result;
 use crate::messages::Message;
-use crate::transport::Envelope;
+use crate::network::Network;
+use crate::trace::TraceEvent;
+use crate::transport::{Envelope, Pending};
+use crate::wire;
 
 /// Fault-injection knobs. All rates are probabilities in `[0, 1]`; all
 /// durations are simulated ticks (one tick ≈ one message-delivery round).
@@ -126,9 +131,8 @@ impl ChurnModel {
     }
 }
 
-/// Session-length distributions with published fits for peer uptime traces.
-/// Sampled with hand-rolled inverse-transform / Box–Muller draws so the
-/// vendored minimal `rand` suffices.
+/// Session-length distributions with published fits for peer uptime traces,
+/// sampled by the pump's fault decider.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SessionDist {
     /// Log-normal: `exp(mu + sigma * Z)` with `Z ~ N(0, 1)`.
@@ -146,27 +150,6 @@ pub enum SessionDist {
         /// Scale parameter `lambda` (ticks).
         scale: f64,
     },
-}
-
-impl SessionDist {
-    /// Draws one session length in ticks (always >= 1).
-    pub fn sample(&self, rng: &mut StdRng) -> u64 {
-        let len = match *self {
-            SessionDist::LogNormal { mu, sigma } => {
-                // Box–Muller: two uniforms -> one standard normal.
-                let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-                let u2: f64 = rng.gen();
-                let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-                (mu + sigma * z).exp()
-            }
-            SessionDist::Weibull { shape, scale } => {
-                // Inverse transform: scale * (-ln(1 - U))^(1/shape).
-                let u: f64 = rng.gen::<f64>().min(1.0 - f64::EPSILON);
-                scale * (-(1.0 - u).ln()).powf(1.0 / shape)
-            }
-        };
-        len.round().max(1.0).min(u64::MAX as f64) as u64
-    }
 }
 
 impl FaultConfig {
@@ -210,7 +193,7 @@ impl FaultConfig {
 
     /// The backoff delay before the n-th retransmission:
     /// `ack_timeout << attempt`, with the shift capped so ticks stay sane.
-    pub(crate) fn backoff(&self, attempt: u32) -> u64 {
+    fn backoff(&self, attempt: u32) -> u64 {
         self.ack_timeout << attempt.min(6)
     }
 
@@ -245,7 +228,7 @@ pub type MsgId = (u32, u64);
 /// lifetime and ticks are monotone, so the two expiry queues stay sorted by
 /// being appended to.
 #[derive(Debug, Default)]
-pub(crate) struct Dedup {
+struct Dedup {
     /// Per-receiver-slot identifiers seen and not yet expired.
     seen: Vec<FxHashSet<MsgId>>,
     /// `(expiry tick, receiver slot, identifier)` of fire-and-forget
@@ -318,7 +301,7 @@ impl Dedup {
 /// swaps its slot with the caller's drained buffer, so buffers circulate and
 /// a steady-state tick neither allocates nor frees.
 #[derive(Debug)]
-pub(crate) struct Wheel<T> {
+struct Wheel<T> {
     /// Power-of-two many slots.
     slots: Vec<VecDeque<T>>,
     /// Items scheduled and not yet taken.
@@ -376,27 +359,27 @@ impl<T> Wheel<T> {
 
 /// A message a sender still awaits an ack for.
 #[derive(Clone, Debug)]
-pub(crate) struct Outstanding {
+struct Outstanding {
     /// The sending node (retransmissions originate here).
-    pub from: NodeHandle,
+    from: NodeHandle,
     /// The identifier the message targets; retransmissions of routed
     /// messages re-resolve the owner so they survive ownership changes.
-    pub target: Id,
+    target: Id,
     /// Whether retransmission re-routes by `target` (`true`) or re-sends to
     /// the original receiver only (`false`, for node-addressed messages such
     /// as replicas and direct notifications).
-    pub reroute: bool,
+    reroute: bool,
     /// The last receiver the message was sent to.
-    pub to: NodeHandle,
+    to: NodeHandle,
     /// The payload, kept for retransmission.
-    pub msg: Message,
+    msg: Message,
     /// Retransmission attempts so far.
-    pub attempt: u32,
+    attempt: u32,
 }
 
 /// One scheduled arrival at a node.
 #[derive(Clone, Debug)]
-pub(crate) enum Delivery {
+enum Delivery {
     /// A data message copy, as the envelope that will ride the transport
     /// (its `id` is always set: the reliable-delivery identifier).
     Data(Envelope),
@@ -417,32 +400,108 @@ impl Delivery {
     }
 }
 
+/// Every fault decision the pump takes, one method each: the only holder of
+/// the fault RNG, and the only code that draws against the rates. A decision
+/// whose rate is zero draws nothing, so which draws a run makes follows from
+/// the seed and from which rates are set.
+#[derive(Debug)]
+struct FaultDecider {
+    /// Seeded with [`FaultConfig::seed`], so injecting faults never perturbs
+    /// the engine's own random choices.
+    rng: StdRng,
+    /// The pipe's configuration, of which only the rates are read here.
+    cfg: FaultConfig,
+}
+
+impl FaultDecider {
+    fn new(cfg: FaultConfig) -> Self {
+        let rng = StdRng::seed_from_u64(cfg.seed);
+        FaultDecider { rng, cfg }
+    }
+
+    /// The pump tick at which a node drawing its session from `session`
+    /// fails (drawn once per slot when the pipe is built). Hand-rolled
+    /// Box–Muller and inverse-transform draws, so the vendored minimal
+    /// `rand` suffices; a session lasts at least one tick.
+    fn session_end(&mut self, session: &SessionDist) -> u64 {
+        let len = match *session {
+            SessionDist::LogNormal { mu, sigma } => {
+                // Box–Muller: two uniforms -> one standard normal.
+                let u1: f64 = self.rng.gen::<f64>().max(f64::MIN_POSITIVE);
+                let u2: f64 = self.rng.gen();
+                let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+                (mu + sigma * z).exp()
+            }
+            SessionDist::Weibull { shape, scale } => {
+                // Inverse transform: scale * (-ln(1 - U))^(1/shape).
+                let u: f64 = self.rng.gen::<f64>().min(1.0 - f64::EPSILON);
+                scale * (-(1.0 - u).ln()).powf(1.0 / shape)
+            }
+        };
+        1 + len.round().max(1.0).min(u64::MAX as f64) as u64
+    }
+
+    /// Whether one copy of a transmission, or one ack, is lost.
+    fn lose(&mut self) -> bool {
+        self.cfg.loss_rate > 0.0 && self.rng.gen::<f64>() < self.cfg.loss_rate
+    }
+
+    /// Whether a transmission is sent twice.
+    fn duplicate(&mut self) -> bool {
+        let rate = self.cfg.duplicate_rate;
+        rate > 0.0 && self.rng.gen::<f64>() < rate
+    }
+
+    /// Extra ticks one copy is held back: `1..=max_delay` with probability
+    /// `delay_rate`, else `0`.
+    fn delay(&mut self) -> u64 {
+        let (rate, max) = (self.cfg.delay_rate, self.cfg.max_delay);
+        if rate > 0.0 && max > 0 && self.rng.gen::<f64>() < rate {
+            self.rng.gen_range(1..=max)
+        } else {
+            0
+        }
+    }
+
+    /// Whether a rate-driven failure strikes this tick, `injected` having
+    /// struck so far.
+    fn strike(&mut self, injected: usize) -> bool {
+        let rate = self.cfg.failure_rate;
+        rate > 0.0 && injected < self.cfg.max_failures && self.rng.gen::<f64>() < rate
+    }
+
+    /// Which of `alive` nodes, in alive order, a failure strikes.
+    fn victim(&mut self, alive: usize) -> usize {
+        self.rng.gen_range(0..alive)
+    }
+}
+
 /// The runtime state of the fault-injection + reliable-delivery layer.
 /// Owned by the network (`Network::pump`) when
 /// [`FaultConfig::perturbs_delivery`] is true or the detector is enabled.
 #[derive(Debug)]
 pub(crate) struct FaultPipe {
-    /// The configuration (rates, timeouts, churn).
-    pub cfg: FaultConfig,
-    /// Dedicated RNG for fault draws.
-    pub rng: StdRng,
+    /// Timeouts, retry budget and churn model (the rates are `decide`'s).
+    cfg: FaultConfig,
+    /// Every fault draw.
+    decide: FaultDecider,
     /// Current simulated tick (monotonic across pumps).
-    pub tick: u64,
+    tick: u64,
     /// Per-sender-slot next sequence number.
-    pub next_seq: Vec<u64>,
+    next_seq: Vec<u64>,
     /// Deliveries scheduled per tick, in deterministic insertion order.
     in_flight: Wheel<Delivery>,
     /// What is left of the current tick's deliveries, in schedule order
     /// (the pump hands data copies to the transport run by run).
-    pub arriving: VecDeque<Delivery>,
+    arriving: VecDeque<Delivery>,
     /// Retransmission checks scheduled per tick.
     retry_at: Wheel<MsgId>,
     /// What is left of the current tick's retry checks, in schedule order.
-    pub retrying: VecDeque<MsgId>,
+    retrying: VecDeque<MsgId>,
     /// Unacknowledged messages by identifier.
-    pub outstanding: FxHashMap<MsgId, Outstanding>,
+    outstanding: FxHashMap<MsgId, Outstanding>,
     /// Receive-side dedup state.
-    pub dedup: Dedup,
+    dedup: Dedup,
     /// Ticks a fire-and-forget arrival is remembered: no copy of it is
     /// scheduled later than `max_delay` ticks after its first.
     unacked_life: u64,
@@ -452,46 +511,43 @@ pub(crate) struct FaultPipe {
     /// never expires).
     acked_life: u64,
     /// Rate-driven failures injected so far.
-    pub failures_injected: usize,
+    failures_injected: usize,
     /// Empirical-churn session expiries: pump tick -> node slots whose
     /// sessions end there (sampled once at construction).
-    pub session_ends: BTreeMap<u64, Vec<u32>>,
+    session_ends: BTreeMap<u64, Vec<u32>>,
     /// Session-expiry failures injected so far.
-    pub churn_events: usize,
+    churn_events: usize,
     /// Scheduled deliveries that are *not* heartbeat probes. [`busy`]
     /// counts only these, so in-flight pings and pongs never keep the
     /// pump spinning on their own — probe traffic progresses passively
     /// on ticks real protocol work (or `Network::settle`) forces.
     ///
     /// [`busy`]: FaultPipe::busy
-    pub nonprobe_in_flight: usize,
+    nonprobe_in_flight: usize,
 }
 
 impl FaultPipe {
     /// A fresh pipe for `slots` node slots. Under [`ChurnModel::Empirical`]
     /// every slot draws its session length here, before any fault draw, so
     /// the schedule is a pure function of the seed and the slot count.
-    pub fn new(cfg: FaultConfig, slots: usize) -> Self {
-        let seed = cfg.seed;
-        let mut rng = StdRng::seed_from_u64(seed);
+    pub(crate) fn new(cfg: FaultConfig, slots: usize) -> Self {
+        let mut decide = FaultDecider::new(cfg.clone());
         let mut session_ends: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
         if let ChurnModel::Empirical {
             session,
-            max_events,
+            max_events: 1..,
         } = &cfg.churn
         {
-            if *max_events > 0 {
-                for slot in 0..slots {
-                    let end = 1 + session.sample(&mut rng);
-                    session_ends.entry(end).or_default().push(slot as u32);
-                }
+            for slot in 0..slots {
+                let end = decide.session_end(session);
+                session_ends.entry(end).or_default().push(slot as u32);
             }
         }
         let unacked_life = cfg.max_delay.saturating_add(1);
         let acked_life = cfg.retransmit_span().saturating_add(unacked_life);
         FaultPipe {
             cfg,
-            rng,
+            decide,
             tick: 0,
             next_seq: vec![0; slots],
             in_flight: Wheel::new(),
@@ -510,7 +566,7 @@ impl FaultPipe {
     }
 
     /// Allocates the next sequence number for a sender.
-    pub fn alloc_seq(&mut self, sender: NodeHandle) -> MsgId {
+    fn alloc_seq(&mut self, sender: NodeHandle) -> MsgId {
         let slot = sender.index();
         if slot >= self.next_seq.len() {
             self.next_seq.resize(slot + 1, 0);
@@ -522,7 +578,7 @@ impl FaultPipe {
 
     /// Moves the clock to the next tick and forgets the dedup entries whose
     /// messages can no longer arrive.
-    pub fn advance(&mut self) {
+    fn advance(&mut self) {
         self.tick += 1;
         self.dedup.expire(self.tick);
     }
@@ -530,7 +586,7 @@ impl FaultPipe {
     /// Records a data arrival `(sender, seq)` at receiver `to`; returns
     /// `true` when it is a duplicate that must be suppressed. `probe` arrivals
     /// are fire-and-forget whatever the retry configuration.
-    pub fn record_arrival(&mut self, id: MsgId, to: NodeHandle, probe: bool) -> bool {
+    fn record_arrival(&mut self, id: MsgId, to: NodeHandle, probe: bool) -> bool {
         let acked = !probe && self.cfg.retries_enabled();
         let life = if acked {
             self.acked_life
@@ -541,43 +597,8 @@ impl FaultPipe {
         self.dedup.check_and_record(id, to.index(), expires, acked)
     }
 
-    /// Opens an ack window for a fresh send: the message is retransmitted
-    /// until acknowledged or the retry budget runs out.
-    pub fn open_window(
-        &mut self,
-        id: MsgId,
-        from: &NodeHandle,
-        target: Id,
-        reroute: bool,
-        to: &NodeHandle,
-        msg: &Message,
-    ) {
-        self.outstanding.insert(
-            id,
-            Outstanding {
-                from: *from,
-                target,
-                reroute,
-                to: *to,
-                msg: msg.clone(),
-                attempt: 0,
-            },
-        );
-    }
-
-    /// Removes and returns the outstanding entry for `id`, if any.
-    pub fn take_outstanding(&mut self, id: MsgId) -> Option<Outstanding> {
-        self.outstanding.remove(&id)
-    }
-
-    /// Puts an outstanding entry back (the retry check keeps the window
-    /// open until an ack arrives).
-    pub fn reopen_window(&mut self, id: MsgId, o: Outstanding) {
-        self.outstanding.insert(id, o);
-    }
-
     /// Schedules a delivery at an absolute tick (later than the current).
-    pub fn schedule(&mut self, at: u64, delivery: Delivery) {
+    fn schedule(&mut self, at: u64, delivery: Delivery) {
         if !delivery.is_probe() {
             self.nonprobe_in_flight += 1;
         }
@@ -585,30 +606,331 @@ impl FaultPipe {
     }
 
     /// Makes the current tick's deliveries `arriving` (drained by then).
-    pub fn take_arrivals(&mut self) {
+    fn take_arrivals(&mut self) {
         self.in_flight.take_due(self.tick, &mut self.arriving);
         let nonprobe = self.arriving.iter().filter(|d| !d.is_probe()).count();
         self.nonprobe_in_flight -= nonprobe;
-    }
-
-    /// Schedules a retransmission check for `id` at an absolute tick (later
-    /// than the current).
-    pub fn schedule_retry(&mut self, at: u64, id: MsgId) {
-        self.retry_at.schedule(self.tick, at, id);
-    }
-
-    /// Makes the current tick's retry checks `retrying`, in schedule order
-    /// (none when asked a second time for one tick).
-    pub fn take_retries(&mut self) {
-        self.retry_at.take_due(self.tick, &mut self.retrying);
     }
 
     /// Whether any non-probe deliveries or retransmission checks remain.
     /// In-flight heartbeat probes deliberately do not count: a probe reply
     /// schedules the next probe, so counting them would keep the pump
     /// spinning forever once detection is enabled.
-    pub fn busy(&self) -> bool {
+    pub(crate) fn busy(&self) -> bool {
         self.nonprobe_in_flight > 0 || !self.retry_at.is_empty()
+    }
+
+    /// Receive-side dedup entries currently held, summed over receivers.
+    pub(crate) fn dedup_len(&self) -> usize {
+        self.dedup.len()
+    }
+}
+
+// The pump loop, as inherent methods of `Network` like the churn and recovery
+// steps it interleaves; `engine::transport`'s drain loop calls into it.
+impl Network {
+    /// Advances the fault pump until it has put at least one copy on the
+    /// transport (`true`: drain, then call again) or has nothing left to do
+    /// (`false`). Sends pass through loss/duplication/delay draws, receivers
+    /// dedup on `(sender, seq)`, unacknowledged messages retransmit with
+    /// exponential backoff, and abrupt node failures strike between ticks.
+    ///
+    /// One tick is: advance the clock, inject failures, run the failure
+    /// detector, walk this tick's arrivals in schedule order — data copies
+    /// ride the transport and come back through [`Network::arrive`], acks are
+    /// handled here — then fire retry checks. An ack is never overtaken by a
+    /// copy scheduled behind it (nor the reverse): whether a late copy still
+    /// finds its ack window open decides a fault draw.
+    pub(crate) fn pump_step(
+        &mut self,
+        pipe: &mut FaultPipe,
+        one_tick: bool,
+        ticked: &mut bool,
+    ) -> Result<bool> {
+        loop {
+            let mut handed = false;
+            while let Some(delivery) = pipe.arriving.pop_front() {
+                match delivery {
+                    Delivery::Data(copy) => {
+                        // `transmit` charged this copy's bytes already.
+                        self.transport.enqueue(copy);
+                        handed = true;
+                    }
+                    Delivery::Ack { .. } if handed => {
+                        pipe.arriving.push_front(delivery);
+                        break;
+                    }
+                    Delivery::Ack { id, to } => {
+                        // An ack addressed to a node that died in flight
+                        // never closes the window; `maybe_retransmit` drops
+                        // the dead sender's window on its next firing.
+                        if self.ring.node(to).is_alive() {
+                            pipe.outstanding.remove(&id);
+                        }
+                    }
+                }
+            }
+            if handed {
+                return Ok(true);
+            }
+            // The tick's arrivals are all in: fire its retry checks (none
+            // are left when this is reached a second time for one tick).
+            pipe.retry_at.take_due(pipe.tick, &mut pipe.retrying);
+            while let Some(id) = pipe.retrying.pop_front() {
+                self.maybe_retransmit(pipe, id);
+            }
+            if one_tick && *ticked {
+                return Ok(false);
+            }
+            // Fold freshly produced sends into the pipe (handlers, the
+            // detector and promotions staged them during the tick).
+            // (`transmit` only schedules, so nothing looks for `staged`
+            // while it is out; putting it back keeps its capacity.)
+            let mut fresh = self.staged.take().unwrap_or_default();
+            for p in fresh.drain(..) {
+                self.transmit(pipe, p);
+            }
+            self.staged = Some(fresh);
+            if !one_tick && !pipe.busy() {
+                // In-flight heartbeat probes may remain; they deliver
+                // passively on ticks later work (or `Network::settle`)
+                // forces.
+                return Ok(false);
+            }
+            *ticked = true;
+            pipe.advance();
+            self.inject_failures(pipe)?;
+            self.recovery_tick(pipe.tick)?;
+            pipe.take_arrivals();
+        }
+    }
+
+    /// One data copy came off the transport under the pump: drop it at a
+    /// dead receiver, suppress it as a duplicate or dispatch it, then ack.
+    pub(crate) fn arrive(&mut self, pipe: &mut FaultPipe, e: Envelope) -> Result<()> {
+        let (now, to, msg) = (pipe.tick, e.to, e.msg);
+        // Invariant: `pump_step` stamps every copy it hands to the transport.
+        let id = e.id.expect("pump copies carry their identifier");
+        let node = to.index() as u32;
+        let probe = msg.is_probe();
+        if !self.ring.node(to).is_alive() {
+            self.metrics.faults.messages_lost += 1;
+            // A non-probe message swallowed by a failed-but-undetected
+            // receiver is the recovery blind spot.
+            if !probe
+                && self
+                    .recovery
+                    .as_ref()
+                    .is_some_and(|r| r.undetected.contains_key(&node))
+            {
+                self.metrics.recovery.lost_in_detection_window += 1;
+                if matches!(
+                    msg,
+                    Message::Notify { .. } | Message::StoreNotifications { .. }
+                ) {
+                    self.metrics.recovery.notifications_lost_in_window += 1;
+                }
+            }
+            self.trace(|| TraceEvent::FaultDrop {
+                tick: now,
+                node,
+                id,
+            });
+            return Ok(());
+        }
+        if pipe.record_arrival(id, to, probe) {
+            self.metrics.faults.dedup_suppressed += 1;
+            self.trace(|| TraceEvent::DedupSuppressed {
+                tick: now,
+                node,
+                id,
+            });
+        } else {
+            let kind = msg.kind();
+            self.trace(|| TraceEvent::MsgDeliver {
+                tick: now,
+                node,
+                id,
+                kind,
+            });
+            self.dispatch(to, msg)?;
+        }
+        // Ack every arrival whose sender keeps a window open (a duplicate
+        // usually means the previous ack was lost). Acks are subject to loss
+        // like any transmission. Windows exist only while retries are
+        // enabled, and never for probes, so those are never acked.
+        if let Some(sender) = pipe.outstanding.get(&id).map(|o| o.from) {
+            if pipe.decide.lose() {
+                self.metrics.faults.messages_lost += 1;
+                self.trace(|| TraceEvent::FaultDrop {
+                    tick: now,
+                    node: sender.index() as u32,
+                    id,
+                });
+            } else {
+                pipe.schedule(now + 1, Delivery::Ack { id, to: sender });
+            }
+        }
+        Ok(())
+    }
+
+    /// Registers the logical messages of one fresh send with the pipe: each
+    /// gets its `(sender, seq)` identifier, an ack window when retries are
+    /// enabled, and its transmission copies scheduled through the fault
+    /// draws. The logical message — not the envelope — is the unit of loss.
+    fn transmit(&mut self, pipe: &mut FaultPipe, p: Pending) {
+        let (from, to, reroute, mut path) = (p.from, p.to, p.reroute, p.trace_path);
+        p.msg.for_each_logical(p.target, |target, msg| {
+            let id = pipe.alloc_seq(from);
+            self.trace_send(pipe.tick, id, to, target, &msg, path.take());
+            // Exact wire cost of this transmission (acks are not payload
+            // frames and are not counted), charged here for every backend.
+            self.metrics.faults.bytes_sent[msg.kind_index()] += wire::encoded_len(&msg);
+            // Heartbeat probes are fire-and-forget: no ack window, no
+            // retransmission — an unanswered probe *is* the detector's signal.
+            if pipe.cfg.retries_enabled() && !msg.is_probe() {
+                let window = Outstanding {
+                    from,
+                    target,
+                    reroute,
+                    to,
+                    msg: msg.clone(),
+                    attempt: 0,
+                };
+                pipe.outstanding.insert(id, window);
+                let at = pipe.tick + pipe.cfg.ack_timeout;
+                pipe.retry_at.schedule(pipe.tick, at, id);
+            }
+            self.schedule_copies(pipe, id, to, msg);
+        });
+    }
+
+    /// Draws duplication, loss and delay for one logical transmission and
+    /// schedules the surviving copies.
+    fn schedule_copies(&mut self, pipe: &mut FaultPipe, id: MsgId, to: NodeHandle, msg: Message) {
+        let (tick, node) = (pipe.tick, to.index() as u32);
+        let copies = if pipe.decide.duplicate() {
+            self.metrics.faults.messages_duplicated += 1;
+            self.trace(|| TraceEvent::FaultDuplicate { tick, node, id });
+            2
+        } else {
+            1
+        };
+        // The last copy carries the payload itself; only a surviving first
+        // copy of a duplicated transmission clones it.
+        let mut msg = Some(msg);
+        for copy in 0..copies {
+            if pipe.decide.lose() {
+                self.metrics.faults.messages_lost += 1;
+                self.trace(|| TraceEvent::FaultDrop { tick, node, id });
+                continue;
+            }
+            let extra = pipe.decide.delay();
+            if extra > 0 {
+                self.trace(|| TraceEvent::FaultDelay {
+                    tick,
+                    node,
+                    id,
+                    extra,
+                });
+            }
+            let payload = if copy + 1 == copies {
+                msg.take()
+            } else {
+                msg.clone()
+            };
+            // Invariant: only the final iteration takes the payload.
+            let msg = payload.expect("payload outlives every copy but the last");
+            let copy = Envelope {
+                from: NodeHandle::from_index(id.0 as usize),
+                to,
+                id: Some(id),
+                msg,
+            };
+            pipe.schedule(tick + 1 + extra, Delivery::Data(copy));
+        }
+    }
+
+    /// A retry check fired for `id`: if the message is still unacknowledged,
+    /// retransmit it (re-resolving the owner for identifier-routed messages)
+    /// and schedule the next check with exponential backoff.
+    fn maybe_retransmit(&mut self, pipe: &mut FaultPipe, id: MsgId) {
+        let Some(mut o) = pipe.outstanding.remove(&id) else {
+            return; // acknowledged in the meantime
+        };
+        if !self.ring.node(o.from).is_alive() || o.attempt >= pipe.cfg.max_retries {
+            return; // sender died, or we give up
+        }
+        let now = pipe.tick;
+        o.attempt += 1;
+        let next = now + pipe.cfg.backoff(o.attempt);
+        let receiver = if o.reroute {
+            self.ring.route_owner(o.from, o.target).ok()
+        } else if self.ring.node(o.to).is_alive() {
+            Some((o.to, 1))
+        } else {
+            return; // node-addressed and the receiver is gone
+        };
+        // A routed message that finds no owner (the overlay is mid-repair)
+        // keeps its window open and tries again after the backoff.
+        if let Some((owner, hops)) = receiver {
+            o.to = owner;
+            self.metrics.faults.retransmission_hops += hops as u64;
+            self.metrics.faults.retransmissions += 1;
+            self.metrics.faults.bytes_sent[o.msg.kind_index()] += wire::encoded_len(&o.msg);
+            let (node, attempt) = (o.from.index() as u32, o.attempt);
+            self.trace(|| TraceEvent::Retransmit {
+                tick: now,
+                node,
+                id,
+                attempt,
+            });
+            self.schedule_copies(pipe, id, o.to, o.msg.clone());
+        }
+        pipe.outstanding.insert(id, o);
+        pipe.retry_at.schedule(now, next, id);
+    }
+
+    /// Injects rate-driven and session-expiry abrupt node failures for the
+    /// current tick, then repairs pointers and promotes replicas.
+    fn inject_failures(&mut self, pipe: &mut FaultPipe) -> Result<()> {
+        let mut failed = false;
+        // One pseudo-random alive node, never the last one.
+        if pipe.decide.strike(pipe.failures_injected) && self.ring.len() > 1 {
+            let i = pipe.decide.victim(self.ring.len());
+            // Invariant: the victim is drawn below the alive count.
+            let victim = self.ring.alive_nodes().nth(i).expect("index in range");
+            if self.node_fail(victim).is_ok() {
+                pipe.failures_injected += 1;
+                failed = true;
+            }
+        }
+        // Empirical churn: sessions sampled at pipe construction expire.
+        if let ChurnModel::Empirical { max_events, .. } = pipe.cfg.churn {
+            let mut due = pipe.session_ends.split_off(&(pipe.tick + 1));
+            std::mem::swap(&mut due, &mut pipe.session_ends);
+            for slot in due.into_values().flatten() {
+                if pipe.churn_events >= max_events || self.ring.len() <= 1 {
+                    break;
+                }
+                let h = NodeHandle::from_index(slot as usize);
+                if !self.ring.node(h).is_alive() {
+                    continue;
+                }
+                if self.node_fail(h).is_ok() {
+                    pipe.churn_events += 1;
+                    failed = true;
+                }
+            }
+        }
+        // Without a detector, failures are repaired with oracle knowledge
+        // on the very tick they happen — the seed behavior. With one, the
+        // suspicion state machine must *discover* them first.
+        if failed && !self.recovery_active() {
+            self.ring.stabilize_all(1);
+            self.promote_replicas()?;
+        }
+        Ok(())
     }
 }
 
@@ -669,7 +991,7 @@ mod tests {
                     }
                     4 | 5 => {
                         let at = pipe.tick + 1 + [a % 3, (2 << (a % 7)) - 1][a as usize % 2];
-                        pipe.schedule_retry(at, (0, n));
+                        pipe.retry_at.schedule(pipe.tick, at, (0, n));
                         retries.entry(at).or_default().push((0, n));
                     }
                     _ => {
@@ -677,10 +999,10 @@ mod tests {
                         pipe.take_arrivals();
                         let got: Vec<_> = pipe.arriving.drain(..).map(|d| number_of(&d)).collect();
                         prop_assert_eq!(got, deliveries.remove(&pipe.tick).unwrap_or_default());
-                        pipe.take_retries();
+                        pipe.retry_at.take_due(pipe.tick, &mut pipe.retrying);
                         let got: Vec<_> = pipe.retrying.drain(..).collect();
                         prop_assert_eq!(got, retries.remove(&pipe.tick).unwrap_or_default());
-                        pipe.take_retries();
+                        pipe.retry_at.take_due(pipe.tick, &mut pipe.retrying);
                         prop_assert!(pipe.retrying.is_empty(), "a tick's checks fire once");
                     }
                 }
@@ -689,6 +1011,90 @@ mod tests {
                 prop_assert_eq!(pipe.busy(), nonprobe > 0 || !retries.is_empty());
             }
         }
+
+        /// The decider against the condition chains the pump loop spelled
+        /// out inline before it existed, run on a second `StdRng` with the
+        /// same seed: the same answer to every decision of a random sequence,
+        /// hence the same draws. A third of the rates are zero (a zero rate
+        /// draws nothing), and `max_delay = 0` comes up.
+        #[test]
+        fn the_decider_draws_what_the_inline_chains_drew(
+            seed in 0u64..1 << 32,
+            rates in prop::collection::vec(0u32..1500, 4..5),
+            max_delay in 0u64..4,
+            max_failures in 0usize..4,
+            ops in prop::collection::vec((0u8..7, 0usize..64), 1..200),
+        ) {
+            let rate = |x: u32| if x < 500 { 0.0 } else { f64::from(x - 500) / 1000.0 };
+            let cfg = FaultConfig {
+                loss_rate: rate(rates[0]),
+                duplicate_rate: rate(rates[1]),
+                delay_rate: rate(rates[2]),
+                max_delay,
+                failure_rate: rate(rates[3]),
+                max_failures,
+                seed,
+                ..FaultConfig::default()
+            };
+            let mut decide = FaultDecider::new(cfg.clone());
+            let mut rng = StdRng::seed_from_u64(seed);
+            for (op, n) in ops {
+                match op {
+                    0 => {
+                        let lost = cfg.loss_rate > 0.0 && rng.gen::<f64>() < cfg.loss_rate;
+                        prop_assert_eq!(decide.lose(), lost);
+                    }
+                    1 => {
+                        let twice = cfg.duplicate_rate > 0.0 && rng.gen::<f64>() < cfg.duplicate_rate;
+                        prop_assert_eq!(decide.duplicate(), twice);
+                    }
+                    2 => {
+                        let mut extra = 0;
+                        if cfg.delay_rate > 0.0
+                            && cfg.max_delay > 0
+                            && rng.gen::<f64>() < cfg.delay_rate
+                        {
+                            extra += rng.gen_range(1..=cfg.max_delay);
+                        }
+                        prop_assert_eq!(decide.delay(), extra);
+                    }
+                    3 => {
+                        let injected = n % 5;
+                        let strikes = cfg.failure_rate > 0.0
+                            && injected < cfg.max_failures
+                            && rng.gen::<f64>() < cfg.failure_rate;
+                        prop_assert_eq!(decide.strike(injected), strikes);
+                    }
+                    4 => prop_assert_eq!(decide.victim(n + 1), rng.gen_range(0..n + 1)),
+                    _ => {
+                        let session = if n % 2 == 0 {
+                            SessionDist::LogNormal { mu: 3.0, sigma: 1.5 }
+                        } else {
+                            SessionDist::Weibull { shape: 0.6, scale: 40.0 }
+                        };
+                        let end = 1 + inline_session_len(&session, &mut rng);
+                        prop_assert_eq!(decide.session_end(&session), end);
+                    }
+                }
+            }
+        }
+    }
+
+    /// One session length as the pipe drew it before the decider existed.
+    fn inline_session_len(session: &SessionDist, rng: &mut StdRng) -> u64 {
+        let len = match *session {
+            SessionDist::LogNormal { mu, sigma } => {
+                let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
+                let u2: f64 = rng.gen();
+                let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+                (mu + sigma * z).exp()
+            }
+            SessionDist::Weibull { shape, scale } => {
+                let u: f64 = rng.gen::<f64>().min(1.0 - f64::EPSILON);
+                scale * (-(1.0 - u).ln()).powf(1.0 / shape)
+            }
+        };
+        len.round().max(1.0).min(u64::MAX as f64) as u64
     }
 
     #[test]

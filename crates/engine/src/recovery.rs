@@ -5,7 +5,7 @@
 //! [`Network::stabilize`] the instant a node died. This module replaces the
 //! oracle with an in-protocol detector:
 //!
-//! * **Heartbeats** — every [`SuspicionConfig::heartbeat_every`] pump ticks,
+//! * **Heartbeats** — every `HEARTBEAT_EVERY` (4) pump ticks,
 //!   each alive node pings every entry of its *local* successor list (the
 //!   stale, per-node view — exactly what a real Chord node has). Probes are
 //!   fire-and-forget: they never open ack windows, and in-flight probes do
@@ -32,7 +32,6 @@ use cq_fasthash::FxHashMap;
 use cq_overlay::{Id, NodeHandle};
 
 use crate::error::{EngineError, Result};
-use crate::faults::FaultPipe;
 use crate::messages::Message;
 use crate::network::Network;
 use crate::node::NodeState;
@@ -40,6 +39,9 @@ use crate::replication::{DigestIndex, ReplicaItem};
 use crate::tables::Held;
 use crate::trace::TraceEvent;
 use crate::wire;
+
+/// Ticks between heartbeat rounds.
+const HEARTBEAT_EVERY: u64 = 4;
 
 /// Failure-detection knobs. All durations are pump ticks (the same unit the
 /// fault layer uses). The default is fully disabled: no probes, no
@@ -49,8 +51,6 @@ use crate::wire;
 pub struct SuspicionConfig {
     /// Master switch. When `false` every other knob is ignored.
     pub enabled: bool,
-    /// Ticks between heartbeat rounds (treated as 1 if set to 0).
-    pub heartbeat_every: u64,
     /// Ticks an unanswered probe waits before the target is *suspected*.
     pub suspect_after: u64,
     /// Ticks a suspicion must survive (no pong) before it is *confirmed*
@@ -65,7 +65,6 @@ impl Default for SuspicionConfig {
     fn default() -> Self {
         SuspicionConfig {
             enabled: false,
-            heartbeat_every: 4,
             suspect_after: 8,
             confirm_after: 8,
             anti_entropy_every: 16,
@@ -341,17 +340,17 @@ impl Network {
         }
     }
 
-    /// One detector step, run at the top of every pump tick: heartbeat
-    /// round, suspicion deadline sweep, anti-entropy round — each on its
-    /// own cadence. A no-op when detection is disabled.
-    pub(crate) fn recovery_tick(&mut self, pipe: &mut FaultPipe) -> Result<()> {
+    /// One detector step, run at the top of every pump tick (`now`):
+    /// heartbeat round, suspicion deadline sweep, anti-entropy round — each
+    /// on its own cadence. A no-op when detection is disabled.
+    pub(crate) fn recovery_tick(&mut self, now: u64) -> Result<()> {
         if self.recovery.is_none() {
             return Ok(());
         }
         // Invariant: is_none() returned above; take-and-restore releases the
         // &mut self borrow while the round runs.
         let mut rec = self.recovery.take().expect("checked above");
-        rec.now = pipe.tick;
+        rec.now = now;
         let result = self
             .heartbeat_round(&mut rec)
             .and_then(|()| self.sweep_deadlines(&mut rec))
@@ -367,7 +366,7 @@ impl Network {
         if rec.now < rec.next_heartbeat {
             return Ok(());
         }
-        rec.next_heartbeat = rec.now + rec.cfg.heartbeat_every.max(1);
+        rec.next_heartbeat = rec.now + HEARTBEAT_EVERY;
         let mut probers = std::mem::take(&mut rec.probers);
         let mut targets = std::mem::take(&mut rec.targets);
         probers.clear();
@@ -630,7 +629,7 @@ impl Network {
     /// (test hook: the count is bounded by message lifetime, not history).
     #[doc(hidden)]
     pub fn dedup_entries(&self) -> usize {
-        self.pump.as_ref().map_or(0, |pipe| pipe.dedup.len())
+        self.pump.as_ref().map_or(0, |pipe| pipe.dedup_len())
     }
 
     /// The detection windows observed so far, as closed logical-clock

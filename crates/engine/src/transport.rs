@@ -1,6 +1,7 @@
 //! The transport layer: message queues, multisend routing, JFRT-assisted
-//! sends, the fault-injection pump with reliable delivery, and k-successor
-//! replica mirroring.
+//! sends, k-successor replica mirroring, and the one drain loop, which
+//! hands copies to and from the fault pump (`engine::faults`) when one is
+//! installed.
 //!
 //! This layer moves [`Message`]s between nodes and accounts the traffic; it
 //! never inspects algorithm-specific payloads. Algorithm logic lives behind
@@ -12,10 +13,9 @@ use std::collections::VecDeque;
 use cq_fasthash::FxHashMap;
 use cq_overlay::{Id, NodeHandle};
 use cq_relational::Notification;
-use rand::Rng;
 
 use crate::error::Result;
-use crate::faults::{ChurnModel, Delivery, FaultPipe, MsgId};
+use crate::faults::{FaultPipe, MsgId};
 use crate::indexing;
 use crate::jfrt::JfrtLookup;
 use crate::messages::Message;
@@ -24,7 +24,6 @@ use crate::network::Network;
 use crate::protocol::Matches;
 use crate::replication::ReplicaItem;
 use crate::trace::TraceEvent;
-use crate::wire;
 
 /// One send as its sender describes it: the payload plus what the
 /// reliable-delivery layer needs to know about it (sender, resolved
@@ -202,7 +201,7 @@ impl Network {
     }
 
     /// Emits the [`TraceEvent::MsgSend`] of one logical message.
-    fn trace_send(
+    pub(crate) fn trace_send(
         &self,
         tick: u64,
         id: MsgId,
@@ -243,8 +242,9 @@ impl Network {
             Ok((owner, hops, None))
         }
     }
-    /// Sends a batch of messages from `node` using the configured multisend
-    /// design, accounting traffic, and enqueues them at their owners.
+
+    /// Sends a batch of messages from `node` with the recursive multisend
+    /// (Section 2.3), accounting traffic, and enqueues them at their owners.
     pub(crate) fn dispatch_from(
         &mut self,
         node: NodeHandle,
@@ -255,11 +255,7 @@ impl Network {
             return Ok(());
         }
         let ids: Vec<Id> = targets.iter().map(|(id, _)| *id).collect();
-        let outcome = if self.config.recursive_multisend {
-            self.ring.multisend_recursive(node, &ids)?
-        } else {
-            self.ring.multisend_iterative(node, &ids)?
-        };
+        let outcome = self.ring.multisend_recursive(node, &ids)?;
         self.metrics
             .record_traffic_batch(kind, targets.len() as u64, outcome.total_hops);
         let mut by_id: FxHashMap<Id, Vec<Message>> =
@@ -438,330 +434,6 @@ impl Network {
             self.dispatch(to, m)?;
         }
         Ok(())
-    }
-
-    /// Advances the fault pump until it has put at least one copy on the
-    /// transport (`true`: drain, then call again) or has nothing left to do
-    /// (`false`). Sends pass through loss/duplication/delay draws, receivers
-    /// dedup on `(sender, seq)`, unacknowledged messages retransmit with
-    /// exponential backoff, and abrupt node failures strike between ticks.
-    ///
-    /// One tick is: advance the clock, inject failures, run the failure
-    /// detector, walk this tick's arrivals in schedule order — data copies
-    /// ride the transport and come back through [`Network::arrive`], acks are
-    /// handled here — then fire retry checks. An ack is never overtaken by a
-    /// copy scheduled behind it (nor the reverse): whether a late copy still
-    /// finds its ack window open decides a fault draw.
-    fn pump_step(
-        &mut self,
-        pipe: &mut FaultPipe,
-        one_tick: bool,
-        ticked: &mut bool,
-    ) -> Result<bool> {
-        loop {
-            let mut handed = false;
-            while let Some(delivery) = pipe.arriving.pop_front() {
-                match delivery {
-                    Delivery::Data(copy) => {
-                        // `transmit` charged this copy's bytes already.
-                        self.transport.enqueue(copy);
-                        handed = true;
-                    }
-                    Delivery::Ack { .. } if handed => {
-                        pipe.arriving.push_front(delivery);
-                        break;
-                    }
-                    Delivery::Ack { id, to } => {
-                        // An ack addressed to a node that died in flight
-                        // never closes the window; `maybe_retransmit` drops
-                        // the dead sender's window on its next firing.
-                        if self.ring.node(to).is_alive() {
-                            pipe.outstanding.remove(&id);
-                        }
-                    }
-                }
-            }
-            if handed {
-                return Ok(true);
-            }
-            // The tick's arrivals are all in: fire its retry checks (none
-            // are left when this is reached a second time for one tick).
-            let now = pipe.tick;
-            pipe.take_retries();
-            while let Some(id) = pipe.retrying.pop_front() {
-                self.maybe_retransmit(pipe, id, now);
-            }
-            if one_tick && *ticked {
-                return Ok(false);
-            }
-            // Fold freshly produced sends into the pipe (handlers, the
-            // detector and promotions staged them during the tick).
-            // (`transmit` only schedules, so nothing looks for `staged`
-            // while it is out; putting it back keeps its capacity.)
-            let mut fresh = self.staged.take().unwrap_or_default();
-            for p in fresh.drain(..) {
-                self.transmit(pipe, p);
-            }
-            self.staged = Some(fresh);
-            if !one_tick && !pipe.busy() {
-                // In-flight heartbeat probes may remain; they deliver
-                // passively on ticks later work (or `Network::settle`)
-                // forces.
-                return Ok(false);
-            }
-            *ticked = true;
-            pipe.advance();
-            self.inject_failures(pipe)?;
-            self.recovery_tick(pipe)?;
-            pipe.take_arrivals();
-        }
-    }
-
-    /// One data copy came off the transport under the pump: drop it at a
-    /// dead receiver, suppress it as a duplicate or dispatch it, then ack.
-    fn arrive(&mut self, pipe: &mut FaultPipe, e: Envelope) -> Result<()> {
-        let (now, to, msg) = (pipe.tick, e.to, e.msg);
-        // Invariant: `pump_step` stamps every copy it hands to the transport.
-        let id = e.id.expect("pump copies carry their identifier");
-        let node = to.index() as u32;
-        let probe = msg.is_probe();
-        if !self.ring.node(to).is_alive() {
-            self.metrics.faults.messages_lost += 1;
-            // A non-probe message swallowed by a failed-but-undetected
-            // receiver is the recovery blind spot.
-            if !probe
-                && self
-                    .recovery
-                    .as_ref()
-                    .is_some_and(|r| r.undetected.contains_key(&node))
-            {
-                self.metrics.recovery.lost_in_detection_window += 1;
-                if matches!(
-                    msg,
-                    Message::Notify { .. } | Message::StoreNotifications { .. }
-                ) {
-                    self.metrics.recovery.notifications_lost_in_window += 1;
-                }
-            }
-            self.trace(|| TraceEvent::FaultDrop {
-                tick: now,
-                node,
-                id,
-            });
-            return Ok(());
-        }
-        if pipe.record_arrival(id, to, probe) {
-            self.metrics.faults.dedup_suppressed += 1;
-            self.trace(|| TraceEvent::DedupSuppressed {
-                tick: now,
-                node,
-                id,
-            });
-        } else {
-            let kind = msg.kind();
-            self.trace(|| TraceEvent::MsgDeliver {
-                tick: now,
-                node,
-                id,
-                kind,
-            });
-            self.dispatch(to, msg)?;
-        }
-        // Ack every arrival (a duplicate usually means the previous ack was
-        // lost). Acks are subject to loss like any transmission. Probes
-        // never have an outstanding window, so they are never acked.
-        if pipe.cfg.retries_enabled() {
-            if let Some(o) = pipe.outstanding.get(&id) {
-                let sender = o.from;
-                if pipe.cfg.loss_rate > 0.0 && pipe.rng.gen::<f64>() < pipe.cfg.loss_rate {
-                    self.metrics.faults.messages_lost += 1;
-                    self.trace(|| TraceEvent::FaultDrop {
-                        tick: now,
-                        node: sender.index() as u32,
-                        id,
-                    });
-                } else {
-                    pipe.schedule(now + 1, Delivery::Ack { id, to: sender });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Registers the logical messages of one fresh send with the pipe: each
-    /// gets its `(sender, seq)` identifier, an ack window when retries are
-    /// enabled, and its transmission copies scheduled through the fault
-    /// draws. The logical message — not the envelope — is the unit of loss.
-    fn transmit(&mut self, pipe: &mut FaultPipe, p: Pending) {
-        let (from, to, reroute, mut path) = (p.from, p.to, p.reroute, p.trace_path);
-        p.msg.for_each_logical(p.target, |target, msg| {
-            let id = pipe.alloc_seq(from);
-            self.trace_send(pipe.tick, id, to, target, &msg, path.take());
-            // Exact wire cost of this transmission (acks are not payload
-            // frames and are not counted), charged here for every backend.
-            self.metrics.faults.bytes_sent[msg.kind_index()] += wire::encoded_len(&msg);
-            // Heartbeat probes are fire-and-forget: no ack window, no
-            // retransmission — an unanswered probe *is* the detector's signal.
-            if pipe.cfg.retries_enabled() && !msg.is_probe() {
-                pipe.open_window(id, &from, target, reroute, &to, &msg);
-                pipe.schedule_retry(pipe.tick + pipe.cfg.ack_timeout, id);
-            }
-            self.schedule_copies(pipe, id, to, msg);
-        });
-    }
-
-    /// Draws duplication, loss and delay for one logical transmission and
-    /// schedules the surviving copies.
-    fn schedule_copies(&mut self, pipe: &mut FaultPipe, id: MsgId, to: NodeHandle, msg: Message) {
-        let node = to.index() as u32;
-        let mut copies = 1u32;
-        if pipe.cfg.duplicate_rate > 0.0 && pipe.rng.gen::<f64>() < pipe.cfg.duplicate_rate {
-            copies = 2;
-            self.metrics.faults.messages_duplicated += 1;
-            let tick = pipe.tick;
-            self.trace(|| TraceEvent::FaultDuplicate { tick, node, id });
-        }
-        // The last copy carries the payload itself; only a surviving first
-        // copy of a duplicated transmission clones it.
-        let mut msg = Some(msg);
-        for copy in 0..copies {
-            if pipe.cfg.loss_rate > 0.0 && pipe.rng.gen::<f64>() < pipe.cfg.loss_rate {
-                self.metrics.faults.messages_lost += 1;
-                let tick = pipe.tick;
-                self.trace(|| TraceEvent::FaultDrop { tick, node, id });
-                continue;
-            }
-            let mut at = pipe.tick + 1;
-            if pipe.cfg.delay_rate > 0.0
-                && pipe.cfg.max_delay > 0
-                && pipe.rng.gen::<f64>() < pipe.cfg.delay_rate
-            {
-                at += pipe.rng.gen_range(1..=pipe.cfg.max_delay);
-            }
-            if at > pipe.tick + 1 {
-                let (tick, extra) = (pipe.tick, at - pipe.tick - 1);
-                self.trace(|| TraceEvent::FaultDelay {
-                    tick,
-                    node,
-                    id,
-                    extra,
-                });
-            }
-            let payload = if copy + 1 == copies {
-                msg.take()
-            } else {
-                msg.clone()
-            };
-            // Invariant: only the final iteration takes the payload.
-            let msg = payload.expect("payload outlives every copy but the last");
-            let copy = Envelope {
-                from: NodeHandle::from_index(id.0 as usize),
-                to,
-                id: Some(id),
-                msg,
-            };
-            pipe.schedule(at, Delivery::Data(copy));
-        }
-    }
-
-    /// A retry check fired for `id`: if the message is still unacknowledged,
-    /// retransmit it (re-resolving the owner for identifier-routed messages)
-    /// and schedule the next check with exponential backoff.
-    fn maybe_retransmit(&mut self, pipe: &mut FaultPipe, id: MsgId, now: u64) {
-        let Some(mut o) = pipe.take_outstanding(id) else {
-            return; // acknowledged in the meantime
-        };
-        if !self.ring.node(o.from).is_alive() || o.attempt >= pipe.cfg.max_retries {
-            return; // sender died, or we give up
-        }
-        o.attempt += 1;
-        let next = now + pipe.cfg.backoff(o.attempt);
-        if o.reroute {
-            match self.ring.route_owner(o.from, o.target) {
-                Ok((owner, hops)) => {
-                    o.to = owner;
-                    self.metrics.faults.retransmission_hops += hops as u64;
-                }
-                Err(_) => {
-                    // The overlay is mid-repair; keep the window open and
-                    // try again after the backoff.
-                    pipe.reopen_window(id, o);
-                    pipe.schedule_retry(next, id);
-                    return;
-                }
-            }
-        } else {
-            if !self.ring.node(o.to).is_alive() {
-                return; // node-addressed and the receiver is gone
-            }
-            self.metrics.faults.retransmission_hops += 1;
-        }
-        self.metrics.faults.retransmissions += 1;
-        self.metrics.faults.bytes_sent[o.msg.kind_index()] += wire::encoded_len(&o.msg);
-        let (node, attempt) = (o.from.index() as u32, o.attempt);
-        self.trace(|| TraceEvent::Retransmit {
-            tick: now,
-            node,
-            id,
-            attempt,
-        });
-        self.schedule_copies(pipe, id, o.to, o.msg.clone());
-        pipe.reopen_window(id, o);
-        pipe.schedule_retry(next, id);
-    }
-
-    /// Injects rate-driven and session-expiry abrupt node failures for the
-    /// current tick, then repairs pointers and promotes replicas.
-    fn inject_failures(&mut self, pipe: &mut FaultPipe) -> Result<()> {
-        let mut failed = false;
-        if pipe.cfg.failure_rate > 0.0
-            && pipe.failures_injected < pipe.cfg.max_failures
-            && pipe.rng.gen::<f64>() < pipe.cfg.failure_rate
-            && self.fail_random_alive(pipe)
-        {
-            pipe.failures_injected += 1;
-            failed = true;
-        }
-        // Empirical churn: sessions sampled at pipe construction expire.
-        if let ChurnModel::Empirical { max_events, .. } = &pipe.cfg.churn {
-            let max_events = *max_events;
-            let mut due = pipe.session_ends.split_off(&(pipe.tick + 1));
-            std::mem::swap(&mut due, &mut pipe.session_ends);
-            for slot in due.into_values().flatten() {
-                if pipe.churn_events >= max_events || self.ring.len() <= 1 {
-                    break;
-                }
-                let h = NodeHandle::from_index(slot as usize);
-                if !self.ring.node(h).is_alive() {
-                    continue;
-                }
-                if self.node_fail(h).is_ok() {
-                    pipe.churn_events += 1;
-                    failed = true;
-                }
-            }
-        }
-        // Without a detector, failures are repaired with oracle knowledge
-        // on the very tick they happen — the seed behavior. With one, the
-        // suspicion state machine must *discover* them first.
-        if failed && !self.recovery_active() {
-            self.ring.stabilize_all(1);
-            self.promote_replicas()?;
-        }
-        Ok(())
-    }
-
-    /// Abruptly fails one pseudo-random alive node (never the last one).
-    /// Returns whether a node was failed.
-    fn fail_random_alive(&mut self, pipe: &mut FaultPipe) -> bool {
-        if self.ring.len() <= 1 {
-            return false;
-        }
-        let i = pipe.rng.gen_range(0..self.ring.len());
-        // Invariant: gen_range draws below ring.len(), and the early return
-        // above guarantees at least one alive node remains.
-        let victim = self.ring.alive_nodes().nth(i).expect("index in range");
-        self.node_fail(victim).is_ok()
     }
 
     /// Delivers accumulated join matches to their subscribers (Section 4.6).

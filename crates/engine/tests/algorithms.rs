@@ -422,23 +422,6 @@ fn replication_does_not_duplicate_triggering() {
 }
 
 #[test]
-fn iterative_multisend_preserves_correctness() {
-    let mut cfg = EngineConfig::new(Algorithm::Sai)
-        .with_nodes(48)
-        .with_seed(5);
-    cfg.recursive_multisend = false;
-    let mut net = Network::new(cfg, catalog());
-    let a = net.node_at(0);
-    net.pose_query_sql(a, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E")
-        .unwrap();
-    net.insert_tuple(a, "R", vec![Value::Int(1), Value::Int(7), Value::Int(0)])
-        .unwrap();
-    net.insert_tuple(a, "S", vec![Value::Int(2), Value::Int(7), Value::Int(0)])
-        .unwrap();
-    check_against_oracle(&net);
-}
-
-#[test]
 fn jfrt_off_changes_traffic_not_results() {
     let run = |jfrt: bool| {
         let mut net = Network::new(

@@ -235,23 +235,18 @@ impl RunResult {
 /// Executes one run.
 pub fn run(cfg: &RunConfig) -> RunResult {
     let mut workload = Workload::new(cfg.workload.clone());
-    let engine_cfg = EngineConfig {
-        algorithm: cfg.algorithm,
-        space_bits: 32,
-        nodes: cfg.nodes,
-        strategy: cfg.strategy,
-        use_jfrt: cfg.use_jfrt,
-        replication: cfg.replication,
-        recursive_multisend: true,
+    let engine_cfg = EngineConfig::new(cfg.algorithm)
+        .with_nodes(cfg.nodes)
+        .with_strategy(cfg.strategy)
+        .with_jfrt(cfg.use_jfrt)
+        .with_replication(cfg.replication)
         // Delivery traffic and counts are measured; retaining millions of
         // notification bodies would dominate simulator memory at full
         // scale, so bodies are kept only when a run needs recall.
-        retain_notifications: cfg.retain_notifications,
-        dai_v_keyed: false,
-        seed: cfg.workload.seed,
-        fault: cfg.fault.clone(),
-        suspicion: cfg.suspicion,
-    };
+        .with_retained_notifications(cfg.retain_notifications)
+        .with_seed(cfg.workload.seed)
+        .with_fault(cfg.fault.clone())
+        .with_suspicion(cfg.suspicion);
     let mut net = Network::new(engine_cfg, workload.catalog().clone());
 
     // When tracing is enabled, stream every event into a trace file (JSONL
