@@ -70,10 +70,6 @@ pub struct FaultConfig {
     /// Maximum retransmission attempts per message (exponential backoff:
     /// the n-th retry waits `ack_timeout << n` ticks, capped).
     pub max_retries: u32,
-    /// Route every message through the tick-based reliable pump even when
-    /// all fault rates are zero (used by tests to pin the layer's
-    /// transparency).
-    pub reliable: bool,
     /// How abrupt failures arrive over time: the classic rate knobs above,
     /// or an empirical session-length distribution.
     pub churn: ChurnModel,
@@ -94,7 +90,6 @@ impl Default for FaultConfig {
             replication: 0,
             ack_timeout: 0,
             max_retries: 0,
-            reliable: false,
             churn: ChurnModel::Rate,
             seed: 0,
         }
@@ -169,10 +164,10 @@ impl FaultConfig {
     }
 
     /// Whether message delivery must go through the tick-based reliable
-    /// pump (any delivery perturbation, in-pump failures, or the explicit
-    /// `reliable` pin).
+    /// pump (any delivery perturbation, in-pump failures, or acks, which
+    /// only the pump sends).
     pub fn perturbs_delivery(&self) -> bool {
-        self.reliable
+        self.retries_enabled()
             || self.loss_rate > 0.0
             || self.duplicate_rate > 0.0
             || self.delay_rate > 0.0
@@ -1112,6 +1107,17 @@ mod tests {
         assert!(cfg.retries_enabled());
         assert_eq!(cfg.loss_rate, 0.2);
         assert_eq!(cfg.seed, 7);
+    }
+
+    #[test]
+    fn acks_alone_need_the_pump() {
+        // Only the pump sends acks, so retries on a perfect channel must
+        // still route through it.
+        let cfg = FaultConfig {
+            ack_timeout: 1,
+            ..FaultConfig::default()
+        };
+        assert!(cfg.perturbs_delivery());
     }
 
     #[test]

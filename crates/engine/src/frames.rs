@@ -66,8 +66,8 @@
 //! basis for the bytes-per-syscall and frames-per-flush guarantees.
 //!
 //! This type is deliberately protocol-agnostic (lengths and sequence
-//! numbers, never message contents), which is why the multi-client cluster
-//! harness in `cq-sim` reuses it for its command streams.
+//! numbers, never message contents): besides the transport, cqbench's
+//! socket probe and the ledger's `socket-pump` kernel drive it directly.
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
@@ -219,19 +219,6 @@ pub struct ConnCounters {
     /// Times a flush hit a full kernel buffer and parked bytes in
     /// userspace (entered backpressure).
     pub blocked_writes: u64,
-}
-
-impl ConnCounters {
-    /// Folds another connection's tallies into this one.
-    pub fn merge(&mut self, other: &ConnCounters) {
-        self.write_syscalls += other.write_syscalls;
-        self.read_syscalls += other.read_syscalls;
-        self.bytes_written += other.bytes_written;
-        self.bytes_read += other.bytes_read;
-        self.frames_out += other.frames_out;
-        self.frames_in += other.frames_in;
-        self.blocked_writes += other.blocked_writes;
-    }
 }
 
 /// A nonblocking socket with framed read/write buffers. See the module

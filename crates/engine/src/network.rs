@@ -252,16 +252,6 @@ impl Network {
         self.metrics.reset();
     }
 
-    /// Current logical time.
-    pub fn clock(&self) -> Timestamp {
-        self.clock
-    }
-
-    /// Advances the logical clock.
-    pub fn advance_clock(&mut self, dt: u64) {
-        self.clock = Timestamp(self.clock.0 + dt);
-    }
-
     /// Ends a statistics time window on every node: rewriters roll their
     /// arrival counters (Section 4.3.6 keeps rates "in the last time
     /// window").

@@ -721,7 +721,6 @@ mod tests {
         }
         let fault = crate::FaultConfig {
             replication: k,
-            reliable: true,
             ..crate::FaultConfig::default()
         };
         let config = crate::EngineConfig::new(crate::Algorithm::DaiT)

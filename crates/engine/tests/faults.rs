@@ -55,11 +55,10 @@ fn stream(net: &mut Network) {
 
 #[test]
 fn reliable_pump_with_zero_rates_matches_oracle() {
-    // Forcing every message through the tick-based pump without any fault
-    // draw must change nothing observable.
+    // Acks force every message through the tick-based pump; without any
+    // fault draw that must change nothing observable.
     for alg in Algorithm::ALL {
         let fault = FaultConfig {
-            reliable: true,
             ack_timeout: 2,
             max_retries: 8,
             ..FaultConfig::default()
@@ -74,6 +73,11 @@ fn reliable_pump_with_zero_rates_matches_oracle() {
         stream(&mut net);
         assert_eq!(net.metrics().faults.messages_lost, 0);
         assert_eq!(net.metrics().faults.retransmissions, 0);
+        // In memory only the pump charges wire bytes.
+        assert!(
+            net.metrics().faults.total_bytes_sent() > 0,
+            "{alg}: the pump ran"
+        );
         check_oracle(&net, &format!("{alg} reliable"));
     }
 }
@@ -286,7 +290,6 @@ fn retransmission_backoff_schedule_is_exponential_with_a_cap() {
     // `ack_timeout << n`, with the shift capped at 6.
     let fault = FaultConfig {
         loss_rate: 1.0,
-        reliable: true,
         ack_timeout: 1,
         max_retries: 9,
         seed: 51,
@@ -352,7 +355,6 @@ fn exhausted_retry_windows_give_up_without_livelock() {
     // delivered (or fabricated).
     let fault = FaultConfig {
         loss_rate: 1.0,
-        reliable: true,
         ack_timeout: 2,
         max_retries: 3,
         seed: 52,
@@ -403,7 +405,6 @@ fn dedup_absorbs_retransmit_racing_a_late_ack() {
     let fault = FaultConfig {
         delay_rate: 0.9,
         max_delay: 6,
-        reliable: true,
         ack_timeout: 1,
         max_retries: 8,
         seed: 53,

@@ -490,7 +490,6 @@ fn equal_offline_notifications_digest_as_a_set() {
     // pair clean.
     let fault = FaultConfig {
         replication: 2,
-        reliable: true,
         ..FaultConfig::default()
     };
     let mut net = Network::new(

@@ -4,14 +4,11 @@
 //!
 //! ```text
 //! tcp_cluster [--alg A] [--nodes N] [--queries Q] [--tuples T] [--seed S]
-//!             [--clients C] [--payload-size B]
+//!             [--payload-size B]
 //! ```
 //!
-//! Without `--clients`, the command stream is applied in-process and only
-//! the engine's node-to-node traffic crosses sockets. With `--clients C`,
-//! the commands additionally arrive over C concurrent client connections
-//! into one server event loop (true multi-client mode), and the outcome is
-//! checked against a sequential in-memory run of the same command list.
+//! The command stream is applied in-process; only the engine's
+//! node-to-node traffic crosses sockets.
 //!
 //! With `--payload-size B`, the equivalence check is replaced by the
 //! loopback throughput harness: wide tuples carrying a `B`-byte string
@@ -29,7 +26,7 @@
 use std::time::Duration;
 
 use cq_engine::{Algorithm, SocketStats};
-use cq_sim::cluster::{compare, run_multi_client, run_throughput, ClusterConfig, ThroughputConfig};
+use cq_sim::cluster::{compare, run_throughput, ClusterConfig, ThroughputConfig};
 
 fn parse<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> T {
     v.and_then(|v| v.parse().ok()).unwrap_or_else(|| {
@@ -67,7 +64,6 @@ fn print_summary(messages: u64, wall: Duration, s: &SocketStats) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = ClusterConfig::default();
-    let mut clients: Option<usize> = None;
     let mut payload_size: Option<usize> = None;
     let mut nodes_set = false;
     let mut iter = args.iter();
@@ -90,13 +86,12 @@ fn main() {
             "--queries" => cfg.queries = parse("--queries", iter.next()),
             "--tuples" => cfg.tuples = parse("--tuples", iter.next()),
             "--seed" => cfg.seed = parse("--seed", iter.next()),
-            "--clients" => clients = Some(parse("--clients", iter.next())),
             "--payload-size" => payload_size = Some(parse("--payload-size", iter.next())),
             other => {
                 eprintln!("unknown flag {other}");
                 eprintln!(
                     "usage: tcp_cluster [--alg A] [--nodes N] [--queries Q] \
-                     [--tuples T] [--seed S] [--clients C] [--payload-size B]"
+                     [--tuples T] [--seed S] [--payload-size B]"
                 );
                 std::process::exit(2);
             }
@@ -133,26 +128,6 @@ fn main() {
         "tcp_cluster: {} over {} nodes, {} queries, {} tuples, seed {}",
         cfg.algorithm, cfg.nodes, cfg.queries, cfg.tuples, cfg.seed
     );
-    if let Some(clients) = clients {
-        match run_multi_client(&cfg, clients) {
-            Ok(report) => {
-                println!(
-                    "multi-client run agrees with the sequential baseline: \
-                     {} commands over {} connections, {} wire bytes, \
-                     {} backpressure events",
-                    report.commands,
-                    report.clients,
-                    report.wire_bytes,
-                    report.server_backpressure_events
-                );
-            }
-            Err(divergence) => {
-                eprintln!("MISMATCH: {divergence}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
     match compare(&cfg) {
         Ok(report) => {
             println!(

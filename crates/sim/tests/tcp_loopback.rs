@@ -4,7 +4,7 @@
 //! injected faults with the failure detector running.
 
 use cq_engine::Algorithm;
-use cq_sim::cluster::{compare, run_multi_client, run_once, ClusterConfig};
+use cq_sim::cluster::{compare, run_once, ClusterConfig};
 
 #[test]
 fn tcp_loopback_matches_simulator() {
@@ -35,31 +35,6 @@ fn tcp_runs_deliver_notifications() {
         "the socket run should produce notifications"
     );
     assert!(run.wire_bytes > 0, "frames crossed real sockets");
-}
-
-#[test]
-fn multi_client_event_loop_matches_sequential_run() {
-    // One server event loop, eight client connections concurrently in
-    // flight: frames interleave and arrive out of global order, the server
-    // reassembles by sequence number, and the outcome must equal a
-    // sequential in-memory run of the same command list. The completion
-    // exchange pushes an oversized frame through a tiny SO_SNDBUF, so the
-    // run also proves the partial-write backpressure path.
-    let cfg = ClusterConfig {
-        nodes: 24,
-        queries: 8,
-        tuples: 60,
-        seed: 11,
-        ..ClusterConfig::default()
-    };
-    let report = run_multi_client(&cfg, 8).expect("multi-client run matches the baseline");
-    assert_eq!(report.clients, 8);
-    assert_eq!(report.commands, 68);
-    assert!(report.wire_bytes > 0, "engine frames crossed real sockets");
-    assert!(
-        report.server_backpressure_events > 0,
-        "the completion exchange must exercise write backpressure"
-    );
 }
 
 #[test]
