@@ -34,8 +34,8 @@ use cq_engine::tables::{Alqt, StoredQuery, StoredRewritten, StoredTuple, Vlqt, V
 use cq_engine::{Algorithm, EngineConfig, FaultConfig, Matches, Network, SuspicionConfig};
 use cq_overlay::Id;
 use cq_relational::{
-    parse_query, Catalog, DataType, QueryKey, QueryRef, RelationSchema, RewrittenQuery, Side,
-    Timestamp, Tuple, Value,
+    parse_query, Catalog, DataType, MatchTarget, QueryKey, QueryRef, RelationSchema,
+    RewrittenQuery, Side, Timestamp, Tuple, Value,
 };
 use cq_sim::cluster::{run_throughput, ThroughputConfig, ThroughputReport};
 use cq_sim::experiments::{self, Scale};
@@ -48,6 +48,12 @@ const REPEATS: usize = 5;
 
 /// Table sizes of the VLTT / VLQT scans and the `Join` run.
 const SCAN: [usize; 2] = [1_000, 10_000];
+/// Rewritings per `vlqt-insert` run: one `Join` message's worth, near
+/// `route_dait`'s 3.4 entries per bucket.
+const RUN: usize = 4;
+/// `vlqt-insert`'s rows: a fresh bucket per run, and one bucket holding
+/// 10 k entries before the first run.
+const VLQT_INSERT: [usize; 2] = [RUN, 10_000];
 /// Stored queries of the ALQT group scan.
 const ALQT: [usize; 2] = [50, 500];
 /// Distinct queries behind the decoded `Join` frames.
@@ -218,7 +224,7 @@ fn o_change(l: &Ledger, kernel: &str, sizes: [usize; 2]) -> Result<(), String> {
     )
 }
 
-const GATES: [Gate; 14] = [
+const GATES: [Gate; 15] = [
     // Zero-clone guarantee: a scan or a `Join` run allocates the same per
     // event whatever the number of candidates.
     Gate {
@@ -268,6 +274,28 @@ const GATES: [Gate; 14] = [
         holds: |l| {
             o_change(l, "vlqt-run", SCAN)?;
             allocs_below(l, "vlqt-run", SCAN, 0.01)
+        },
+    },
+    // A run of inserts into a VLQT bucket allocates nothing per item: a
+    // fresh bucket costs its value key and its entries, reserved at the
+    // run's size (4 per run before: a minimum-capacity `Vec` and a hash map
+    // that grew at the fourth entry), and a large one only grows amortised.
+    // Both allow a little for the table's own amortised growth.
+    Gate {
+        name: "vlqt-insert-allocs",
+        holds: |l| {
+            let [fresh, large] = l.pair("vlqt-insert", VLQT_INSERT)?;
+            ensure(
+                fresh.allocs < 2.05,
+                format!("a fresh bucket: {:.2} allocs per run", fresh.allocs),
+            )?;
+            ensure(
+                large.allocs < 0.05,
+                format!(
+                    "a {}-entry bucket: {:.2} allocs per run",
+                    large.size, large.allocs
+                ),
+            )
         },
     },
     Gate {
@@ -423,11 +451,15 @@ fn vltt_of(cat: &Catalog, size: usize, published: impl Fn(usize) -> u64) -> Vltt
 
 /// Rewrites each query for the R tuple `(1, 7)` published at time 20.
 fn rewritings(cat: &Catalog, queries: &[QueryRef]) -> Vec<RewrittenQuery> {
-    let trigger = tuple(cat, "R", [1, 7], 20, 0);
+    rewritings_by(queries, &tuple(cat, "R", [1, 7], 20, 0))
+}
+
+/// Rewrites each query for the R tuple `trigger`.
+fn rewritings_by(queries: &[QueryRef], trigger: &Tuple) -> Vec<RewrittenQuery> {
     queries
         .iter()
         .map(|q| {
-            RewrittenQuery::rewrite_attribute(q, Side::Left, "B", "C", &trigger)
+            RewrittenQuery::rewrite_attribute(q, Side::Left, "B", "C", trigger)
                 .unwrap()
                 .unwrap()
         })
@@ -534,6 +566,50 @@ fn vlqt_run(cat: &Catalog, size: usize, events: u64) -> KernelRow {
         .map(|n| query_posed_at(cat, n, Timestamp(if n % 2 == 0 { 0 } else { 10 })))
         .collect();
     vlqt_kernel("vlqt-run", cat, &queries, size, events, size as u64 / 2)
+}
+
+/// One `Join` run of [`RUN`] rewritings of as many queries, stored the way
+/// an evaluator stores it: the bucket resolved once and reserved for the
+/// run, then each rewriting inserted. At `size` [`RUN`] every run fills a
+/// fresh bucket of its own, `route_dait`'s shape; otherwise every run joins
+/// one bucket that holds `size` entries before the first.
+fn vlqt_insert(cat: &Catalog, size: usize, events: u64) -> KernelRow {
+    let queries: Vec<QueryRef> = (0..RUN as u64).map(|n| query(cat, n)).collect();
+    let fresh = size == RUN;
+    let prefill = if fresh { 0 } else { size / RUN };
+    let runs = prefill as u64 + events.min(100) + REPEATS as u64 * events;
+    // Built before the windows and moved in, as a delivered `Join` is: run
+    // `r` is triggered by R(0, r), into bucket C = r, or by R(r, 7).
+    let mut pending = (0..runs as i64)
+        .map(|r| {
+            let values = if fresh { [0, r] } else { [r, 7] };
+            rewritings_by(&queries, &tuple(cat, "R", values, 20, r as u64))
+        })
+        .collect::<Vec<_>>()
+        .into_iter();
+    let mut vlqt = Vlqt::new();
+    let mut value_key = String::new();
+    let mut store = move || {
+        let run = pending.next().expect("a run per event");
+        let MatchTarget::Attribute { value, .. } = run[0].target() else {
+            unreachable!("an attribute rewriting")
+        };
+        value_key.clear();
+        value.canonical_into(&mut value_key);
+        let mut bucket = vlqt.bucket_mut("S", "C", &value_key);
+        bucket.reserve(run.len());
+        for rq in run {
+            let entry = StoredRewritten {
+                index_id: Id(7),
+                rq,
+            };
+            assert!(bucket.insert_fresh(entry).is_some(), "distinct rewritings");
+        }
+    };
+    for _ in 0..prefill {
+        store();
+    }
+    measure("vlqt-insert", size, events, store)
 }
 
 /// The rewriter's triggered-group scan (`t1_tuple_arrival` / DAI-V tuple
@@ -819,6 +895,8 @@ fn measure_ledger(check: bool) -> Ledger {
         vlqt_scan(&cat, SCAN[1], scan / 10),
         vlqt_run(&cat, SCAN[0], scan * 10),
         vlqt_run(&cat, SCAN[1], scan * 10),
+        vlqt_insert(&cat, VLQT_INSERT[0], scan),
+        vlqt_insert(&cat, VLQT_INSERT[1], scan),
         alqt_scan(&cat, ALQT[0], scan),
         alqt_scan(&cat, ALQT[1], scan),
         insert_e2e(E2E_QUERIES, e2e),
@@ -975,7 +1053,8 @@ mod tests {
     }
 
     /// The rows of `BENCH_25.json`, the last snapshot written before the
-    /// ledger existed, and the `vlqt-run` rows `BENCH_29.json` added.
+    /// ledger existed, the `vlqt-run` rows `BENCH_29.json` added and the
+    /// `vlqt-insert` rows `BENCH_34.json` added.
     fn bench_25() -> Ledger {
         let kernels = [
             ("vltt-scan", 1_000, 8019.4, 0.0),
@@ -986,6 +1065,8 @@ mod tests {
             ("vlqt-scan", 10_000, 429906.9, 0.0),
             ("vlqt-run", 1_000, 130.9, 0.0),
             ("vlqt-run", 10_000, 132.8, 0.0),
+            ("vlqt-insert", RUN, 342.1, 2.0),
+            ("vlqt-insert", 10_000, 612.8, 0.0),
             ("alqt-scan", 50, 87.8, 0.0),
             ("alqt-scan", 500, 787.8, 0.0),
             ("insert-e2e-bundled", 50, 13573.2, 33.33),
@@ -1057,7 +1138,7 @@ mod tests {
             kernel(l, name, sizes[1]).ns = flat(3.1 * small);
         }
         type Mutation = fn(&mut Ledger);
-        let cases: [(&str, Mutation); 14] = [
+        let cases: [(&str, Mutation); 15] = [
             ("scan-allocs-flat", |l| {
                 l.kernels.retain(|r| r.kernel != "vltt-scan")
             }),
@@ -1074,6 +1155,11 @@ mod tests {
                 kernel(l, "join-decode", 50).allocs = 1.5
             }),
             ("vlqt-run-per-query", |l| slower(l, "vlqt-run", SCAN)),
+            // A fresh bucket before it was reserved: a minimum-capacity
+            // `Vec` and a position map that grew once.
+            ("vlqt-insert-allocs", |l| {
+                kernel(l, "vlqt-insert", RUN).allocs = 4.0
+            }),
             ("heartbeat-round-o-change", |l| {
                 slower(l, "heartbeat-round", HELD)
             }),

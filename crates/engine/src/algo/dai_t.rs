@@ -76,6 +76,7 @@ impl Protocol for DaiTProtocol {
             let run = common::target_run_len(items.as_slice());
             let (rel, attr) = common::attribute_target(fx, head, &mut value_key)?;
             let mut bucket = st.tables.vlqt.bucket_mut(rel, attr, &value_key);
+            bucket.reserve(run);
             for rq in items.by_ref().take(run) {
                 let stored = bucket.insert_fresh(StoredRewritten { index_id, rq });
                 let fresh = stored.is_some();

@@ -134,6 +134,7 @@ impl Protocol for SaiProtocol {
             let (rel, attr) = common::attribute_target(fx, head, &mut value_key)?;
             let tuples = vltt.bucket(rel, attr, &value_key);
             let mut bucket = vlqt.bucket_mut(rel, attr, &value_key);
+            bucket.reserve(run);
             matcher.reset();
             for rq in items.by_ref().take(run) {
                 // Store first (dedup by identity); only a *new* rewritten query

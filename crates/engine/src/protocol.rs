@@ -194,13 +194,11 @@ impl QueryCounts {
         for (i, (query, count)) in entries.iter().enumerate() {
             let name = query.subscriber();
             let hash = FirstIndex::hash(name);
-            let seen = folded_names.find(hash, folded.len(), |j| {
-                entries[folded[j].0].0.subscriber() == name
-            });
+            let seen = folded_names.find(hash, |j| entries[folded[j].0].0.subscriber() == name);
             match seen {
                 Some(j) => folded[j].1 += count,
                 None => {
-                    folded_names.note(hash, folded.len());
+                    folded_names.file(hash, folded.len());
                     folded.push((i, *count));
                 }
             }

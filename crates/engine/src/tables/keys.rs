@@ -133,19 +133,24 @@ pub fn str_bucket_mut<'m, V: Default>(
     }
 }
 
-/// A `hash → first position` index over a sequence the caller owns: it
-/// finds an item by a key the *sequence* stores, without holding a second
-/// copy of any key.
+/// A position index over a sequence the caller owns: it finds an item by a
+/// key the *sequence* stores, without holding a second copy of any key.
 ///
-/// [`FirstIndex::find`] starts at the first position filed under the hash
-/// and asks the caller which item is the wanted one. Nearly always that is
-/// the first one asked about; when two keys share all 64 bits the later one
-/// is found by walking on, so a collision costs time and never a wrong
-/// answer. Items are only ever appended; a sequence that loses items clears
-/// the index and notes what is left again.
+/// Open addressing over one `Vec<u64>`: a slot packs a 32-bit tag, taken
+/// from the key's hash, above `position + 1`, and 0 is an empty slot. Every
+/// position is filed, in order — `0, 1, 2, …` — so the index knows how full
+/// it is from the position it is handed. [`FirstIndex::find`] walks the
+/// slots from the tag's home and asks the caller about a position only when
+/// its tag matches, so a probe nearly always asks about the wanted item or
+/// about none; two keys that share a tag cost one more question and never a
+/// wrong answer. The home slot is derived from the tag alone, so growing
+/// re-places slots without reading any item. A sequence that loses items
+/// clears the index and files what is left again.
 #[derive(Clone, Debug, Default)]
 pub struct FirstIndex {
-    first: cq_fasthash::FxHashMap<u64, usize>,
+    /// A power of two of them, or none before the first position is
+    /// filed; at most three quarters full.
+    slots: Vec<u64>,
 }
 
 impl FirstIndex {
@@ -155,23 +160,68 @@ impl FirstIndex {
         cq_fasthash::FxBuildHasher::default().hash_one(key)
     }
 
-    /// The position in `0..len` that `is_it` accepts, given the wanted
-    /// key's [`FirstIndex::hash`].
-    pub fn find(&self, hash: u64, len: usize, is_it: impl Fn(usize) -> bool) -> Option<usize> {
-        let first = *self.first.get(&hash)?;
-        (first..len).find(|&i| is_it(i))
+    /// The slots a fresh index starts with.
+    const MIN_SLOTS: usize = 16;
+
+    fn tag(hash: u64) -> u64 {
+        hash >> 32
     }
 
-    /// Files position `pos` (the item being appended) under its key's hash
-    /// unless an earlier position is filed there, and returns the first
-    /// position under the hash — `pos` itself when the hash is new.
-    pub fn note(&mut self, hash: u64, pos: usize) -> usize {
-        *self.first.entry(hash).or_insert(pos)
+    /// Where a tag's probe starts: a multiplicative mix of the tag, so that
+    /// tags differing in high bits only still spread.
+    fn home(tag: u64, mask: usize) -> usize {
+        (tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask
+    }
+
+    /// The position filed under `hash` that `is_it` accepts. `is_it` is
+    /// asked only about positions whose tag matches the hash's.
+    pub fn find(&self, hash: u64, mut is_it: impl FnMut(usize) -> bool) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let (tag, mask) = (Self::tag(hash), self.slots.len() - 1);
+        let mut i = Self::home(tag, mask);
+        loop {
+            let slot = self.slots[i];
+            if slot == 0 {
+                return None;
+            }
+            if slot >> 32 == tag {
+                let pos = (slot as u32 - 1) as usize;
+                if is_it(pos) {
+                    return Some(pos);
+                }
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Files position `pos` under its key's hash. Positions are filed in
+    /// order, so `pos` is also how many are filed already.
+    pub fn file(&mut self, hash: u64, pos: usize) {
+        debug_assert!(pos < u32::MAX as usize, "a slot holds a 32-bit position");
+        if 4 * (pos + 1) > 3 * self.slots.len() {
+            let slots = (2 * self.slots.len()).max(Self::MIN_SLOTS);
+            let old = std::mem::replace(&mut self.slots, vec![0; slots]);
+            for slot in old.into_iter().filter(|&s| s != 0) {
+                self.place(slot);
+            }
+        }
+        self.place(Self::tag(hash) << 32 | (pos as u64 + 1));
+    }
+
+    fn place(&mut self, slot: u64) {
+        let mask = self.slots.len() - 1;
+        let mut i = Self::home(slot >> 32, mask);
+        while self.slots[i] != 0 {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = slot;
     }
 
     /// Forgets every position, keeping the capacity.
     pub fn clear(&mut self) {
-        self.first.clear();
+        self.slots.fill(0);
     }
 }
 
@@ -213,15 +263,26 @@ impl Filing for AsIs {
     }
 }
 
-/// An insertion-ordered set of rewritten-query identities: the items sit in
-/// one `Vec` and a [`FirstIndex`] over their fingerprints says where to
-/// start looking for an equal one — equality itself is always decided by
-/// comparing identities. VLQT value buckets and DAI-T's rewriter memory are
-/// both this.
+/// A set this small is walked rather than indexed: comparing a handful of
+/// stored fingerprints is as fast as a probe, and most VLQT buckets never
+/// grow past it.
+const SMALL: usize = 8;
+
+/// Up to this size every indexed probe of a debug build is checked against
+/// the walk.
+const SHADOW: usize = 1 << 10;
+
+/// An insertion-ordered set of rewritten-query identities, costing what it
+/// holds: the items sit in one `Vec`, and from eight items on a
+/// [`FirstIndex`] over their fingerprints says which positions to compare.
+/// A smaller set compares each item's fingerprint, then its identity.
+/// Equality itself is always decided by comparing identities. VLQT value
+/// buckets and DAI-T's rewriter memory are both this.
 #[derive(Clone, Debug)]
 pub struct FirstSeen<T, F = AsIs> {
     items: Vec<T>,
-    first: FirstIndex,
+    /// Every position, once there are `SMALL` items; empty below.
+    index: FirstIndex,
     filing: PhantomData<F>,
 }
 
@@ -229,7 +290,7 @@ impl<T, F> Default for FirstSeen<T, F> {
     fn default() -> Self {
         FirstSeen {
             items: Vec::new(),
-            first: Default::default(),
+            index: FirstIndex::default(),
             filing: PhantomData,
         }
     }
@@ -238,21 +299,69 @@ impl<T, F> Default for FirstSeen<T, F> {
 impl<T: Rewriting, F: Filing> FirstSeen<T, F> {
     /// Appends `make(probe)` unless an item with the probe's identity is in
     /// the set, and hands back the stored item (`None` for a duplicate).
-    /// One index probe either way: it files the new position and says
-    /// where an equal item would have to sit.
     pub fn insert_with<P: Borrow<RewrittenQuery>>(
         &mut self,
         probe: P,
         make: impl FnOnce(P) -> T,
     ) -> Option<&T> {
         let rq = probe.borrow();
+        let key = F::file_under(rq.fingerprint());
         let pos = self.items.len();
-        let first = self.first.note(F::file_under(rq.fingerprint()), pos);
-        if self.items[first..].iter().any(|item| item.is_of(rq)) {
+        let seen = if pos < SMALL {
+            self.walk(key, rq)
+        } else {
+            let found = self.index.find(key, |i| self.items[i].is_of(rq));
+            // Debug builds check the index against the walk: on every probe
+            // up to `SHADOW` items, and then whenever the set has doubled —
+            // DAI-T's rewriter memory grows to tens of thousands of items,
+            // and a walk per probe would make the tests quadratic.
+            if cfg!(debug_assertions) && (pos <= SHADOW || pos.is_power_of_two()) {
+                let walked = self.items.iter().position(|item| item.is_of(rq));
+                assert_eq!(found, walked, "index and walk disagree");
+            }
+            found
+        };
+        if seen.is_some() {
             return None;
         }
         self.items.push(make(probe));
+        if pos + 1 == SMALL {
+            self.reindex();
+        } else if pos >= SMALL {
+            self.index.file(key, pos);
+        }
         self.items.last()
+    }
+
+    /// The position of the item with `rq`'s identity, found by comparing
+    /// every item: its filed fingerprint first, its identity second.
+    fn walk(&self, key: u64, rq: &RewrittenQuery) -> Option<usize> {
+        self.items
+            .iter()
+            .position(|item| F::file_under(item.fingerprint()) == key && item.is_of(rq))
+    }
+
+    /// Files every item again, or drops the index when the set is small.
+    fn reindex(&mut self) {
+        if self.items.len() < SMALL {
+            self.index = FirstIndex::default();
+            return;
+        }
+        self.index.clear();
+        for (pos, item) in self.items.iter().enumerate() {
+            self.index.file(F::file_under(item.fingerprint()), pos);
+        }
+    }
+
+    /// Makes room for `additional` more items: exactly that many in an
+    /// empty set — a VLQT bucket is mostly filled by one `Join` run and
+    /// never again — and by amortised growth otherwise.
+    pub fn reserve(&mut self, additional: usize) {
+        if self.items.is_empty() {
+            self.items.reserve_exact(additional);
+        } else {
+            self.items.reserve(additional);
+        }
     }
 
     /// The items in insertion order.
@@ -261,15 +370,18 @@ impl<T: Rewriting, F: Filing> FirstSeen<T, F> {
         &self.items
     }
 
+    /// How many items the set has room for without growing.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.items.capacity()
+    }
+
     /// Moves the items `pred` selects to `out`, keeping the rest in order.
     pub fn extract_if(&mut self, pred: impl FnMut(&mut T) -> bool, out: &mut Vec<T>) {
         let before = out.len();
         out.extend(self.items.extract_if(.., pred));
         if out.len() > before {
-            self.first.clear();
-            for (pos, item) in self.items.iter().enumerate() {
-                self.first.note(F::file_under(item.fingerprint()), pos);
-            }
+            self.reindex();
         }
     }
 }
@@ -289,6 +401,45 @@ mod tests {
         assert_eq!(m.get(lookup_key(&("S", "A"))), None);
         // The separator property: ("RA","") must not collide with ("R","A").
         assert_eq!(m.get(lookup_key(&("RA", ""))), None);
+    }
+
+    #[test]
+    fn a_probe_asks_only_about_positions_with_its_tag() {
+        let keys: Vec<String> = (0..1_000).map(|i| format!("subscriber-{i}")).collect();
+        let mut index = FirstIndex::default();
+        for (pos, key) in keys.iter().enumerate() {
+            index.file(FirstIndex::hash(key), pos);
+        }
+        for (pos, key) in keys.iter().enumerate() {
+            let mut asked = Vec::new();
+            let found = index.find(FirstIndex::hash(key), |i| {
+                asked.push(i);
+                keys[i] == *key
+            });
+            assert_eq!((found, asked), (Some(pos), vec![pos]), "{key}");
+        }
+        // A key never filed is found nowhere, and no position is asked about.
+        for i in 0..1_000 {
+            let absent = FirstIndex::hash(&format!("absent-{i}"));
+            assert_eq!(
+                index.find(absent, |_| panic!("asked about a position")),
+                None
+            );
+        }
+    }
+
+    #[test]
+    fn keys_sharing_a_hash_are_told_apart_by_the_caller() {
+        let mut index = FirstIndex::default();
+        for pos in 0..40 {
+            index.file(7, pos);
+        }
+        for pos in 0..40 {
+            assert_eq!(index.find(7, |i| i == pos), Some(pos));
+        }
+        assert_eq!(index.find(7, |_| false), None);
+        index.clear();
+        assert_eq!(index.find(7, |_| true), None);
     }
 
     #[test]

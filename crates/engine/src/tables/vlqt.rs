@@ -10,8 +10,11 @@
 //! the scan: the entries sit contiguously in one `Vec`, in **insertion
 //! order** — the order [`Vlqt::candidates`] yields them in, and therefore
 //! the order notifications are produced in. The hasher decides nothing a
-//! result depends on. Deduplication goes through a fingerprint index that
-//! holds no copy of any entry (see [`FirstSeen`]).
+//! result depends on. Deduplication compares stored fingerprints, and a
+//! bucket of eight or more entries also keeps a position index holding no
+//! copy of any entry (see [`FirstSeen`]). An evaluator reserves a bucket
+//! for its `Join` run before inserting it, so a bucket filled by one run —
+//! nearly all of them — holds exactly that run.
 //!
 //! An arriving tuple reads a bucket through its ledger: the entries cut
 //! into runs of one shape, and per run one tally per query, so the scan
@@ -218,15 +221,21 @@ pub(crate) struct LedgerScratch {
 
 /// One value bucket resolved for a run of inserts that share
 /// `(relation, attr, value)` — see [`Vlqt::bucket_mut`].
-pub(crate) struct BucketMut<'a> {
+pub struct BucketMut<'a> {
     bucket: &'a mut Bucket,
     len: &'a mut usize,
 }
 
 impl BucketMut<'_> {
+    /// Makes room for a run of `run` entries: exactly that in an empty
+    /// bucket, by amortised growth otherwise.
+    pub fn reserve(&mut self, run: usize) {
+        self.bucket.entries.reserve(run);
+    }
+
     /// [`Vlqt::insert_fresh`] without the two-level lookup. The entry must
     /// target the `(relation, attr, value)` this bucket was resolved for.
-    pub(crate) fn insert_fresh(&mut self, entry: StoredRewritten) -> Option<&StoredRewritten> {
+    pub fn insert_fresh(&mut self, entry: StoredRewritten) -> Option<&StoredRewritten> {
         let stored = self.bucket.insert_fresh(entry);
         if stored.is_some() {
             *self.len += 1;
@@ -293,12 +302,7 @@ impl Vlqt {
     /// Resolves (creating it if need be) the bucket of
     /// `(relation, attr, value)` once, for a run of inserts that all target
     /// it: the items of one `Join` message share their evaluator bucket.
-    pub(crate) fn bucket_mut(
-        &mut self,
-        relation: &str,
-        attr: &str,
-        value_key: &str,
-    ) -> BucketMut<'_> {
+    pub fn bucket_mut(&mut self, relation: &str, attr: &str, value_key: &str) -> BucketMut<'_> {
         let by_value = bucket_mut(&mut self.buckets, relation, attr);
         BucketMut {
             bucket: str_bucket_mut(by_value, value_key),
@@ -495,17 +499,39 @@ mod tests {
 
     #[test]
     fn a_ledger_costs_a_bucket_one_word() {
-        // The entries' set is 56 bytes; the ledger may add one pointer and
-        // no more. Four inline words instead cost `route_dait` +3.5 % and
-        // `churn_dait` +2.4 % `peak_rss_mb`, and a ledger built for every
+        // The entries' set is 48 bytes, two `Vec`s; the ledger may add one
+        // pointer and no more. Four inline words instead cost `route_dait`
+        // +3.5 % and `churn_dait` +2.4 % `peak_rss_mb`, and a ledger built for every
         // bucket at insert time +15 % `allocs_per_insert` and +8.6 % RSS on
         // `route_dait`: most buckets there are never scanned twice.
         let set = std::mem::size_of::<FirstSeen<StoredRewritten>>();
-        assert_eq!(set, 56);
+        assert_eq!(set, 48);
         assert_eq!(
             std::mem::size_of::<Bucket>(),
             set + std::mem::size_of::<usize>()
         );
+    }
+
+    #[test]
+    fn a_bucket_filled_by_one_run_holds_exactly_the_run() {
+        let (c, q) = setup();
+        for k in [1, 3, 4, 5, 9, 20] {
+            let mut t = Vlqt::new();
+            let vkey = Value::Int(7).canonical();
+            let mut bucket = t.bucket_mut("S", "C", &vkey);
+            bucket.reserve(k);
+            for a in 0..k as i64 {
+                let rq = rewritten(&c, &q, a, 7);
+                assert!(bucket
+                    .insert_fresh(StoredRewritten {
+                        index_id: Id(0),
+                        rq
+                    })
+                    .is_some());
+            }
+            let b = &t.buckets[lookup_key(&("S", "C"))][vkey.as_str()];
+            assert_eq!((b.entries.as_slice().len(), b.entries.capacity()), (k, k));
+        }
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! attribute, value)`, searched by identity) under any interleaving of
 //! inserts, extractions and re-inserts; and the dedup set under both — VLQT
 //! buckets and DAI-T's rewriter memory — must do so even when every item is
-//! filed under one fingerprint. A holder's five tables as one `Tables`, and
-//! the replica store built on it, must behave like a `Vec` of the items
-//! they were given.
+//! filed under one fingerprint, and across the size at which it starts to
+//! keep an index, in both directions. A holder's five tables as one
+//! `Tables`, and the replica store built on it, must behave like a `Vec` of
+//! the items they were given.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -243,6 +244,27 @@ fn first_seen_agrees_with_its_model<F: Filing>(
     Ok(())
 }
 
+/// Ops that take a set across the size at which it starts to keep an index
+/// (eight items), both ways: 20 items with index ids 0, 1 and 3, all
+/// offered twice; an extraction that leaves 10, so the index is rebuilt;
+/// one that leaves 3, so it goes; the 17 taken out put back, so it is
+/// built again mid-run; and everything offered once more.
+fn crossings() -> Vec<(u8, u64, u64)> {
+    // `(0, a, b)` inserts `op_rewriting(a, b)`: join value `b % 3`, index
+    // id `b % 8`; `a < 10` picks ten distinct bound sides and strings.
+    let join_0 = (0..10).map(|a| (0, a, if a < 3 { 3 } else { 0 }));
+    let join_1 = (0..10).map(|a| (0, a, 1));
+    let all: Vec<_> = join_0.chain(join_1).collect();
+    let mut ops = [all.clone(), all.clone()].concat();
+    ops.push((7, 1, 0)); // ids 1 go: 10 left
+    ops.extend(&all);
+    ops.push((7, 0, 0)); // ids 0 go: 3 left
+    ops.extend(&all[..3]);
+    ops.push((9, 0, 0)); // the 17 come back
+    ops.extend(&all);
+    ops
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -250,6 +272,7 @@ proptest! {
     fn first_seen_agrees_with_its_model_when_every_fingerprint_collides(
         ops in prop::collection::vec((0u8..10, 0u64..64, 0u64..64), 1..120),
     ) {
+        let ops = [crossings(), ops].concat();
         first_seen_agrees_with_its_model::<OneFile>(&ops)?;
         first_seen_agrees_with_its_model::<AsIs>(&ops)?;
     }
