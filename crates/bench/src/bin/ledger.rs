@@ -277,16 +277,17 @@ const GATES: [Gate; 15] = [
         },
     },
     // A run of inserts into a VLQT bucket allocates nothing per item: a
-    // fresh bucket costs its value key and its entries, reserved at the
-    // run's size (4 per run before: a minimum-capacity `Vec` and a hash map
-    // that grew at the fourth entry), and a large one only grows amortised.
-    // Both allow a little for the table's own amortised growth.
+    // fresh bucket costs its entries, reserved at the run's size, and its
+    // inline value key nothing (2 per run before, with a boxed key; 4
+    // before that: a minimum-capacity `Vec` and a hash map that grew at the
+    // fourth entry), and a large one only grows amortised. Both allow a
+    // little for the table's own amortised growth.
     Gate {
         name: "vlqt-insert-allocs",
         holds: |l| {
             let [fresh, large] = l.pair("vlqt-insert", VLQT_INSERT)?;
             ensure(
-                fresh.allocs < 2.05,
+                fresh.allocs < 1.05,
                 format!("a fresh bucket: {:.2} allocs per run", fresh.allocs),
             )?;
             ensure(
@@ -1054,7 +1055,8 @@ mod tests {
 
     /// The rows of `BENCH_25.json`, the last snapshot written before the
     /// ledger existed, the `vlqt-run` rows `BENCH_29.json` added and the
-    /// `vlqt-insert` rows `BENCH_34.json` added.
+    /// `vlqt-insert` rows `BENCH_34.json` added, the fresh-bucket one as
+    /// `BENCH_35.json` re-pinned it.
     fn bench_25() -> Ledger {
         let kernels = [
             ("vltt-scan", 1_000, 8019.4, 0.0),
@@ -1065,7 +1067,7 @@ mod tests {
             ("vlqt-scan", 10_000, 429906.9, 0.0),
             ("vlqt-run", 1_000, 130.9, 0.0),
             ("vlqt-run", 10_000, 132.8, 0.0),
-            ("vlqt-insert", RUN, 342.1, 2.0),
+            ("vlqt-insert", RUN, 260.6, 1.0),
             ("vlqt-insert", 10_000, 612.8, 0.0),
             ("alqt-scan", 50, 87.8, 0.0),
             ("alqt-scan", 500, 787.8, 0.0),
@@ -1138,7 +1140,7 @@ mod tests {
             kernel(l, name, sizes[1]).ns = flat(3.1 * small);
         }
         type Mutation = fn(&mut Ledger);
-        let cases: [(&str, Mutation); 15] = [
+        let cases: [(&str, Mutation); 16] = [
             ("scan-allocs-flat", |l| {
                 l.kernels.retain(|r| r.kernel != "vltt-scan")
             }),
@@ -1159,6 +1161,10 @@ mod tests {
             // `Vec` and a position map that grew once.
             ("vlqt-insert-allocs", |l| {
                 kernel(l, "vlqt-insert", RUN).allocs = 4.0
+            }),
+            // A fresh bucket with a boxed value key.
+            ("vlqt-insert-allocs", |l| {
+                kernel(l, "vlqt-insert", RUN).allocs = 2.0
             }),
             ("heartbeat-round-o-change", |l| {
                 slower(l, "heartbeat-round", HELD)
@@ -1183,9 +1189,10 @@ mod tests {
                 (s.pool_hits, s.pool_misses) = (89, 11);
             }),
         ];
-        let guarded: Vec<&str> = cases.iter().map(|(gate, _)| *gate).collect();
+        let mut guarded: Vec<&str> = cases.iter().map(|(gate, _)| *gate).collect();
+        guarded.dedup();
         let gates: Vec<&str> = GATES.iter().map(|g| g.name).collect();
-        assert_eq!(guarded, gates, "one case per gate, in table order");
+        assert_eq!(guarded, gates, "cases for every gate, in table order");
         for (gate, mutate) in &cases {
             let mut l = bench_25();
             mutate(&mut l);

@@ -8,7 +8,7 @@ use crate::error::Result;
 use crate::jfrt::Jfrt;
 use crate::protocol::{Effect, EffectCtx};
 use crate::replication::{DigestIndex, ReplicaItem, ReplicaStore};
-use crate::tables::keys::{bucket_mut, lookup_key, FirstSeen, StrPair};
+use crate::tables::keys::{bucket_mut, key_view, lookup_key, FirstSeen, StrPair, ValueKey};
 use crate::tables::Tables;
 
 /// Arrival statistics a rewriter keeps per `(relation, attribute)` — "each
@@ -26,7 +26,7 @@ pub struct ArrivalStats {
     pub prev_count: u64,
     /// Distinct values observed (canonical forms; kept across windows — the
     /// domain estimate only grows more accurate).
-    pub distinct: FxHashSet<Box<str>>,
+    pub distinct: FxHashSet<ValueKey>,
 }
 
 impl ArrivalStats {
@@ -86,8 +86,8 @@ impl NodeState {
     pub fn record_arrival(&mut self, relation: &str, attr: &str, value_key: &str) {
         let stats = bucket_mut(&mut self.arrivals, relation, attr);
         stats.count += 1;
-        if !stats.distinct.contains(value_key) {
-            stats.distinct.insert(value_key.into());
+        if !stats.distinct.contains(key_view(&value_key)) {
+            stats.distinct.insert(ValueKey::from(value_key));
         }
     }
 

@@ -10,6 +10,13 @@
 //! The trick is the classic `Borrow<dyn Trait>` pattern: `StrPair`
 //! implements `Borrow<dyn PairQuery>`, and `Hash`/`Eq` are defined on the
 //! trait object so that owned and borrowed forms hash identically.
+//!
+//! The second level of the VLQT and VLTT, and a rewriter's distinct-value
+//! set, are keyed by a value's canonical form as a [`ValueKey`]: up to 22
+//! bytes inline — every `Int`'s form fits, `"i:-9223372036854775808"` is
+//! 22 — and a longer form in one heap block. A fresh key allocates nothing
+//! in the common case. It hashes exactly as the `str` it holds, and lookups
+//! borrow the caller's `&str` through [`KeyView`], the same pattern again.
 
 use std::borrow::Borrow;
 use std::hash::{BuildHasher, Hash, Hasher};
@@ -130,6 +137,128 @@ pub fn str_bucket_mut<'m, V: Default>(
         map.get_mut(key).expect("checked above")
     } else {
         map.entry(key.into()).or_default()
+    }
+}
+
+/// Bytes of canonical form a [`ValueKey`] holds inline.
+const INLINE: usize = 22;
+
+/// A value's canonical form ([`cq_relational::Value::canonical`]) as a
+/// 24-byte map key: inline up to 22 bytes, one heap block beyond.
+#[derive(Clone)]
+pub struct ValueKey(Form);
+
+#[derive(Clone)]
+enum Form {
+    /// The form's bytes, a whole `str`, in `bytes[..len]`.
+    Inline {
+        len: u8,
+        bytes: [u8; INLINE],
+    },
+    Heap(Box<str>),
+}
+
+impl From<&str> for ValueKey {
+    fn from(text: &str) -> Self {
+        let len = text.len();
+        if len > INLINE {
+            return ValueKey(Form::Heap(text.into()));
+        }
+        let mut bytes = [0; INLINE];
+        bytes[..len].copy_from_slice(text.as_bytes());
+        ValueKey(Form::Inline {
+            len: len as u8,
+            bytes,
+        })
+    }
+}
+
+impl std::fmt::Debug for ValueKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let text = String::from_utf8_lossy(self.bytes());
+        f.debug_tuple("ValueKey").field(&text).finish()
+    }
+}
+
+/// A borrowed view of a canonical form; the lookup-side counterpart of
+/// [`ValueKey`]. Both forms hash and compare by their UTF-8 bytes.
+pub trait KeyView {
+    /// The form's UTF-8 bytes.
+    fn bytes(&self) -> &[u8];
+}
+
+impl KeyView for ValueKey {
+    #[inline]
+    fn bytes(&self) -> &[u8] {
+        match &self.0 {
+            Form::Inline { len, bytes } => &bytes[..*len as usize],
+            Form::Heap(text) => text.as_bytes(),
+        }
+    }
+}
+
+impl KeyView for &str {
+    #[inline]
+    fn bytes(&self) -> &[u8] {
+        self.as_bytes()
+    }
+}
+
+// `str`'s own `Hash`: the bytes, then a 0xff terminator. So a map places,
+// grows and iterates `ValueKey`s exactly as it would the `Box<str>`s.
+impl Hash for dyn KeyView + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write(self.bytes());
+        state.write_u8(0xff);
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes() == other.bytes()
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
+impl Hash for ValueKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self as &dyn KeyView).hash(state)
+    }
+}
+
+impl PartialEq for ValueKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes() == other.bytes()
+    }
+}
+
+impl Eq for ValueKey {}
+
+impl<'a> Borrow<dyn KeyView + 'a> for ValueKey {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+/// Casts a borrowed canonical form for lookup in a [`ValueKey`]-keyed map:
+/// `map.get(key_view(&value_key))`.
+#[inline]
+pub fn key_view<'a>(text: &'a &'a str) -> &'a (dyn KeyView + 'a) {
+    text
+}
+
+/// Get-or-insert for a [`ValueKey`]-keyed second-level map, same rationale
+/// as [`bucket_mut`].
+pub fn value_bucket_mut<'m, V: Default>(
+    map: &'m mut cq_fasthash::FxHashMap<ValueKey, V>,
+    key: &str,
+) -> &'m mut V {
+    if map.contains_key(key_view(&key)) {
+        // Invariant: present per the contains_key probe on the previous line.
+        map.get_mut(key_view(&key)).expect("checked above")
+    } else {
+        map.entry(ValueKey::from(key)).or_default()
     }
 }
 
@@ -401,6 +530,44 @@ mod tests {
         assert_eq!(m.get(lookup_key(&("S", "A"))), None);
         // The separator property: ("RA","") must not collide with ("R","A").
         assert_eq!(m.get(lookup_key(&("RA", ""))), None);
+    }
+
+    #[test]
+    fn a_value_key_is_inline_up_to_22_bytes() {
+        assert_eq!(std::mem::size_of::<ValueKey>(), 24);
+        let inline = |text: &str| matches!(ValueKey::from(text).0, Form::Inline { .. });
+        let min = cq_relational::Value::Int(i64::MIN).canonical();
+        assert_eq!(min.len(), 22);
+        assert!(inline(&min));
+        assert!(inline(""));
+        // "s:" + 19 bytes + a two-byte char from byte 21 to 23: the whole
+        // form goes to the heap, not its first 22 bytes.
+        let straddling = format!("s:{}é", "x".repeat(19));
+        assert_eq!(straddling.len(), 23);
+        assert!(!straddling.is_char_boundary(22));
+        assert!(!inline(&straddling));
+        for text in [min.as_str(), "", "s:héllo", &straddling] {
+            assert_eq!(ValueKey::from(text).bytes(), text.as_bytes());
+        }
+    }
+
+    #[test]
+    fn a_value_key_hashes_as_its_text() {
+        let bh = cq_fasthash::FxBuildHasher::default();
+        let min = cq_relational::Value::Int(i64::MIN).canonical();
+        let long = format!("s:{}é", "x".repeat(19));
+        for text in ["", "i:7", min.as_str(), long.as_str()] {
+            let want = bh.hash_one(text);
+            assert_eq!(bh.hash_one(ValueKey::from(text)), want, "{text}");
+            assert_eq!(bh.hash_one(key_view(&text)), want, "{text}");
+        }
+        let mut m: FxHashMap<ValueKey, u32> = FxHashMap::default();
+        *value_bucket_mut(&mut m, &min) += 1;
+        *value_bucket_mut(&mut m, &long) += 2;
+        *value_bucket_mut(&mut m, &min) += 4;
+        assert_eq!(m.get(key_view(&min.as_str())), Some(&5));
+        assert_eq!(m.get(key_view(&long.as_str())), Some(&2));
+        assert_eq!(m.get(key_view(&"i:7")), None);
     }
 
     #[test]

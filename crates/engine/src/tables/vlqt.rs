@@ -28,7 +28,9 @@ use cq_fasthash::FxHashMap;
 use cq_overlay::Id;
 use cq_relational::{MatchTarget, QueryRef, RewrittenQuery};
 
-use super::keys::{bucket_mut, lookup_key, str_bucket_mut, FirstSeen, Rewriting, StrPair};
+use super::keys::{
+    bucket_mut, key_view, lookup_key, value_bucket_mut, FirstSeen, Rewriting, StrPair, ValueKey,
+};
 use crate::error::{EngineError, Result};
 
 /// A rewritten query stored at an evaluator together with the value-level
@@ -248,11 +250,13 @@ impl BucketMut<'_> {
 ///
 /// First-level buckets are keyed by the load-distributing attribute as an
 /// owned `(relation, attr)` [`StrPair`], the second level by the value's
-/// canonical form; lookups borrow the caller's `&str`s instead of
-/// allocating (see [`super::keys`]). Below that sits one [`FirstSeen`] bucket.
+/// canonical form as an inline [`ValueKey`]; lookups borrow the caller's
+/// `&str`s instead of allocating (see [`super::keys`]). Below that sits one
+/// [`FirstSeen`] bucket, so a fresh bucket costs one allocation: its
+/// entries.
 #[derive(Clone, Debug, Default)]
 pub struct Vlqt {
-    buckets: FxHashMap<StrPair, FxHashMap<Box<str>, Bucket>>,
+    buckets: FxHashMap<StrPair, FxHashMap<ValueKey, Bucket>>,
     len: usize,
     /// Reused for the canonical value of an entry inserted on its own.
     value_key: String,
@@ -290,7 +294,7 @@ impl Vlqt {
         value_key.clear();
         value.canonical_into(&mut value_key);
         let by_value = bucket_mut(&mut self.buckets, entry.rq.free_relation(), attr);
-        let bucket = str_bucket_mut(by_value, &value_key);
+        let bucket = value_bucket_mut(by_value, &value_key);
         self.value_key = value_key;
         let stored = bucket.insert_fresh(entry);
         if stored.is_some() {
@@ -305,7 +309,7 @@ impl Vlqt {
     pub fn bucket_mut(&mut self, relation: &str, attr: &str, value_key: &str) -> BucketMut<'_> {
         let by_value = bucket_mut(&mut self.buckets, relation, attr);
         BucketMut {
-            bucket: str_bucket_mut(by_value, value_key),
+            bucket: value_bucket_mut(by_value, value_key),
             len: &mut self.len,
         }
     }
@@ -313,7 +317,7 @@ impl Vlqt {
     fn bucket(&self, relation: &str, attr: &str, value_key: &str) -> &[StoredRewritten] {
         self.buckets
             .get(lookup_key(&(relation, attr)))
-            .and_then(|m| m.get(value_key))
+            .and_then(|m| m.get(key_view(&value_key)))
             .map_or(&[], |b| b.entries.as_slice())
     }
 
@@ -342,7 +346,7 @@ impl Vlqt {
         match self
             .buckets
             .get_mut(lookup_key(&(relation, attr)))
-            .and_then(|m| m.get_mut(value_key))
+            .and_then(|m| m.get_mut(key_view(&value_key)))
         {
             Some(bucket) => bucket.ledger(scratch),
             None => {
@@ -491,10 +495,10 @@ mod tests {
 
     #[test]
     fn a_stored_entry_is_a_flat_value() {
-        // 8 index id + a 120-byte rewriting that owns no heap memory for up
-        // to two `Int` bound values (`cq_relational::rewrite` pins that and
-        // the 88 bytes DAI-T's rewriter memory keeps of it).
-        assert_eq!(std::mem::size_of::<StoredRewritten>(), 128);
+        // 8 index id + a 96-byte rewriting that owns no heap memory for one
+        // `Int` bound value (`cq_relational::rewrite` pins that and the 64
+        // bytes DAI-T's rewriter memory keeps of it).
+        assert_eq!(std::mem::size_of::<StoredRewritten>(), 104);
     }
 
     #[test]
@@ -529,8 +533,47 @@ mod tests {
                     })
                     .is_some());
             }
-            let b = &t.buckets[lookup_key(&("S", "C"))][vkey.as_str()];
+            let b = &t.buckets[lookup_key(&("S", "C"))][key_view(&vkey.as_str())];
             assert_eq!((b.entries.as_slice().len(), b.entries.capacity()), (k, k));
+        }
+    }
+
+    #[test]
+    fn inline_and_heap_keys_find_their_bucket() {
+        let (_, q) = setup();
+        // `Int(i64::MIN)`'s form is 22 bytes, inline; a 23-byte `Str` form
+        // is not. The table reads only the target value, whatever its type.
+        for value in [Value::Int(i64::MIN), Value::from("x".repeat(21).as_str())] {
+            let bound = std::iter::once(Value::Int(1)).collect();
+            let rq = RewrittenQuery::from_parts(
+                Arc::clone(&q),
+                Side::Left,
+                bound,
+                Some("C"),
+                value.clone(),
+                Timestamp(1),
+            );
+            let vkey = value.canonical();
+            let mut t = Vlqt::new();
+            assert!(t
+                .insert(StoredRewritten {
+                    index_id: Id(0),
+                    rq: rq.clone()
+                })
+                .unwrap());
+            assert_eq!(t.candidates("S", "C", &vkey).count(), 1, "{vkey}");
+            let mut scratch = LedgerScratch::default();
+            let (entries, ledger) = t.ledger("S", "C", &vkey, &mut scratch);
+            assert_eq!((entries.len(), ledger.runs(entries).count()), (1, 1));
+            let mut bucket = t.bucket_mut("S", "C", &vkey);
+            let twin = StoredRewritten {
+                index_id: Id(0),
+                rq,
+            };
+            assert!(bucket.insert_fresh(twin).is_none(), "{vkey}: same bucket");
+            assert_eq!(t.len(), 1);
+            let shorter = &vkey[..vkey.len() - 1];
+            assert_eq!(t.candidates("S", "C", shorter).count(), 0);
         }
     }
 

@@ -12,7 +12,7 @@ use cq_fasthash::FxHashMap;
 use cq_overlay::Id;
 use cq_relational::Tuple;
 
-use super::keys::{bucket_mut, lookup_key, str_bucket_mut, StrPair};
+use super::keys::{bucket_mut, key_view, lookup_key, value_bucket_mut, StrPair, ValueKey};
 use crate::error::Result;
 
 /// A tuple stored at the value level together with the attribute it was
@@ -36,12 +36,12 @@ impl AsRef<Tuple> for StoredTuple {
 /// The two-level value-level tuple table.
 ///
 /// Buckets are keyed by an owned `(relation, attr)` [`StrPair`] at the first
-/// level and by the value's canonical form at the second; lookups borrow the
-/// caller's `&str`s instead of allocating key strings (see
-/// [`super::keys`]).
+/// level and by the value's canonical form, an inline [`ValueKey`], at the
+/// second; lookups borrow the caller's `&str`s instead of allocating key
+/// strings (see [`super::keys`]).
 #[derive(Clone, Debug, Default)]
 pub struct Vltt {
-    buckets: FxHashMap<StrPair, FxHashMap<Box<str>, Vec<StoredTuple>>>,
+    buckets: FxHashMap<StrPair, FxHashMap<ValueKey, Vec<StoredTuple>>>,
     len: usize,
 }
 
@@ -57,7 +57,7 @@ impl Vltt {
     pub fn insert(&mut self, entry: StoredTuple) -> Result<()> {
         let value_key = entry.tuple.canonical_of(&entry.attr)?;
         let by_value = bucket_mut(&mut self.buckets, entry.tuple.relation(), &entry.attr);
-        let bucket = str_bucket_mut(by_value, value_key);
+        let bucket = value_bucket_mut(by_value, value_key);
         bucket.push(entry);
         self.len += 1;
         Ok(())
@@ -70,7 +70,7 @@ impl Vltt {
     pub fn bucket(&self, relation: &str, attr: &str, value_key: &str) -> &[StoredTuple] {
         self.buckets
             .get(lookup_key(&(relation, attr)))
-            .and_then(|m| m.get(value_key))
+            .and_then(|m| m.get(key_view(&value_key)))
             .map_or(&[], Vec::as_slice)
     }
 
@@ -165,6 +165,32 @@ mod tests {
         assert_eq!(t.candidates("R", "B", &k1).count(), 1);
         assert_eq!(t.candidates("R", "A", &k9).count(), 0);
         assert_eq!(t.candidates("S", "A", &k7).count(), 0);
+    }
+
+    #[test]
+    fn inline_and_heap_keys_find_their_bucket() {
+        // `Int(i64::MIN)`'s form is 22 bytes, inline; a 23-byte `Str` form
+        // is not.
+        let schema = Arc::new(
+            RelationSchema::of("R", &[("A", DataType::Int), ("B", DataType::Str)]).unwrap(),
+        );
+        let (int, text) = (Value::Int(i64::MIN), Value::from("x".repeat(21).as_str()));
+        let values = vec![int.clone(), text.clone()];
+        let tuple = Arc::new(Tuple::new(schema, values, Timestamp(0), 0).unwrap());
+        let mut t = Vltt::new();
+        for (attr, value) in [("A", int), ("B", text)] {
+            let entry = StoredTuple {
+                index_id: Id(0),
+                attr: attr.into(),
+                tuple: Arc::clone(&tuple),
+            };
+            t.insert(entry.clone()).unwrap();
+            t.insert(entry).unwrap();
+            let vkey = value.canonical();
+            assert_eq!(t.candidates("R", attr, &vkey).count(), 2, "{vkey}");
+            let shorter = &vkey[..vkey.len() - 1];
+            assert_eq!(t.candidates("R", attr, shorter).count(), 0);
+        }
     }
 
     #[test]

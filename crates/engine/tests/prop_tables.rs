@@ -61,44 +61,65 @@ fn r_tuple(c: &Catalog, a: i64, b: i64, seq: u64) -> Arc<Tuple> {
 // VLQT and its dedup set against their models
 // ---------------------------------------------------------------------------
 
-/// `T(A str, B int) ⋈ U(C int, D str)` on `T.B = U.C`, selecting both
-/// strings: a rewriting binds one string and targets the join value.
-fn string_catalog() -> (Catalog, QueryRef) {
+/// `T(A str, B int, E int) ⋈ U(C int, D str)` on `T.B = U.C`, and two
+/// queries over it: `SELECT T.A, U.D`, whose rewriting binds one string and
+/// targets the join value, and `SELECT T.A, T.E, U.D`, whose `T`-side
+/// rewriting binds two values — the string and `E`.
+fn string_catalog() -> (Catalog, [QueryRef; 2]) {
     let mut c = Catalog::new();
-    c.register(RelationSchema::of("T", &[("A", DataType::Str), ("B", DataType::Int)]).unwrap())
-        .unwrap();
+    let t = [
+        ("A", DataType::Str),
+        ("B", DataType::Int),
+        ("E", DataType::Int),
+    ];
+    c.register(RelationSchema::of("T", &t).unwrap()).unwrap();
     c.register(RelationSchema::of("U", &[("C", DataType::Int), ("D", DataType::Str)]).unwrap())
         .unwrap();
     let select = |side, attr: &str| SelectItem {
         side,
         attr: attr.into(),
     };
-    let q = JoinQuery::new(
-        QuerySpec {
-            key: QueryKey::derive("n", 0),
+    let query = |n, select| {
+        let spec = QuerySpec {
+            key: QueryKey::derive("n", n),
             subscriber: "n".into(),
             ins_time: Timestamp(0),
             relations: ["T".into(), "U".into()],
-            select: vec![select(Side::Left, "A"), select(Side::Right, "D")],
+            select,
             conditions: [Expr::attr("B"), Expr::attr("C")],
             filters: vec![],
-        },
-        &c,
-    )
-    .unwrap();
-    (c, Arc::new(q))
+        };
+        Arc::new(JoinQuery::new(spec, &c).unwrap())
+    };
+    let one = query(0, vec![select(Side::Left, "A"), select(Side::Right, "D")]);
+    let two = query(
+        1,
+        vec![
+            select(Side::Left, "A"),
+            select(Side::Left, "E"),
+            select(Side::Right, "D"),
+        ],
+    );
+    (c, [one, two])
 }
 
-/// The rewriting of `q` by a tuple of `side` carrying `(string, join)`.
+/// The rewriting of `q` by a tuple of `side` carrying `(string, join)`,
+/// and `e` in `T.E`.
 fn string_rewriting(
     c: &Catalog,
     q: &QueryRef,
     side: Side,
     string: &str,
     join: i64,
+    e: i64,
 ) -> RewrittenQuery {
     let (rel, values, index_attr, dis_attr) = match side {
-        Side::Left => ("T", vec![string.into(), Value::Int(join)], "B", "C"),
+        Side::Left => (
+            "T",
+            vec![string.into(), Value::Int(join), Value::Int(e)],
+            "B",
+            "C",
+        ),
         Side::Right => ("U", vec![Value::Int(join), string.into()], "C", "B"),
     };
     let t = Tuple::new(c.get(rel).unwrap().clone(), values, Timestamp(1), 0).unwrap();
@@ -110,22 +131,26 @@ fn string_rewriting(
 const STRINGS: [&str; 5] = ["x+s:y", "x", "y", "+", ""];
 
 /// The rewriting ops `(a, b)` select: a small domain, so duplicates are
-/// common.
-fn op_rewriting(c: &Catalog, q: &QueryRef, a: u64, b: u64) -> RewrittenQuery {
+/// common. `a < 32` picks the one-value query; from 32 on the two-value
+/// one, whose `T`-side rewritings can differ in `E` alone.
+fn op_rewriting(c: &Catalog, qs: &[QueryRef; 2], a: u64, b: u64) -> RewrittenQuery {
     let side = if (a / 5).is_multiple_of(4) {
         Side::Right
     } else {
         Side::Left
     };
-    string_rewriting(c, q, side, STRINGS[(a % 5) as usize], (b % 3) as i64)
+    let q = &qs[usize::from(a >= 32)];
+    let e = ((a / 10) % 2) as i64;
+    string_rewriting(c, q, side, STRINGS[(a % 5) as usize], (b % 3) as i64, e)
 }
 
-/// A rewriting's identity, spelled out (there is one query): whether the
-/// left side is bound, the bound values, the target value.
-type Ident = (bool, Vec<Value>, Value);
+/// A rewriting's identity, spelled out: the query, whether the left side
+/// is bound, the bound values, the target value.
+type Ident = (QueryKey, bool, Vec<Value>, Value);
 
 fn ident(rq: &RewrittenQuery) -> Ident {
     (
+        rq.query().key().clone(),
         rq.bound_side() == Side::Left,
         rq.bound_values().to_vec(),
         rq.target().value().clone(),
@@ -200,7 +225,7 @@ fn insert<F: Filing>(bucket: &mut FirstSeen<StoredRewritten, F>, e: StoredRewrit
 fn first_seen_agrees_with_its_model<F: Filing>(
     ops: &[(u8, u64, u64)],
 ) -> Result<(), TestCaseError> {
-    let (c, q) = string_catalog();
+    let (c, qs) = string_catalog();
     let mut bucket: FirstSeen<StoredRewritten, F> = FirstSeen::default();
     let mut memory: FirstSeen<RewriteIdentity, F> = FirstSeen::default();
     let mut model_stored = ModelBucket::new();
@@ -209,7 +234,7 @@ fn first_seen_agrees_with_its_model<F: Filing>(
     for &(op, a, b) in ops {
         match op {
             0..=6 => {
-                let rq = op_rewriting(&c, &q, a, b);
+                let rq = op_rewriting(&c, &qs, a, b);
                 let fresh = !model_remembered.contains(&ident(&rq));
                 if fresh {
                     model_remembered.push(ident(&rq));
@@ -281,7 +306,7 @@ proptest! {
     fn vlqt_agrees_with_its_model(
         ops in prop::collection::vec((0u8..10, 0u64..64, 0u64..64), 1..120),
     ) {
-        let (c, q) = string_catalog();
+        let (c, qs) = string_catalog();
         let mut table = Vlqt::new();
         let mut model = Model::new();
         // What extractions took out, to be put back by a later op.
@@ -291,7 +316,7 @@ proptest! {
             match op {
                 // Insert, through either entry point.
                 0..=6 => {
-                    let entry = StoredRewritten { index_id: Id(b % 8), rq: op_rewriting(&c, &q, a, b) };
+                    let entry = StoredRewritten { index_id: Id(b % 8), rq: op_rewriting(&c, &qs, a, b) };
                     let expect = model_insert(model_bucket(&mut model, &entry), &entry);
                     let got = if op % 2 == 0 {
                         table.insert(entry).unwrap()

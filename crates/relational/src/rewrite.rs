@@ -49,8 +49,9 @@ impl MatchTarget {
 }
 
 /// The select-clause values a rewriting has bound from the consumed tuple,
-/// in select-list order. Up to two values — the common case — live inline;
-/// only a longer list goes to the heap.
+/// in select-list order. One value — what every query of the benchmark and
+/// of the workload generators binds — lives inline; a longer list takes
+/// one heap block. 24 bytes, the size of the one value.
 #[derive(Clone, Debug)]
 pub struct BoundValues(Bound);
 
@@ -58,7 +59,6 @@ pub struct BoundValues(Bound);
 enum Bound {
     Zero,
     One(Value),
-    Two([Value; 2]),
     Many(Box<[Value]>),
 }
 
@@ -69,7 +69,6 @@ impl BoundValues {
         match &self.0 {
             Bound::Zero => &[],
             Bound::One(v) => std::slice::from_ref(v),
-            Bound::Two(vs) => vs,
             Bound::Many(vs) => vs,
         }
     }
@@ -84,8 +83,10 @@ impl FromIterator<Value> for BoundValues {
         let Some(b) = it.next() else {
             return BoundValues(Bound::One(a));
         };
+        // Two values take one exact block, where collecting would allocate
+        // four slots and then shrink them.
         let Some(c) = it.next() else {
-            return BoundValues(Bound::Two([a, b]));
+            return BoundValues(Bound::Many(Box::new([a, b])));
         };
         BoundValues(Bound::Many([a, b, c].into_iter().chain(it).collect()))
     }
@@ -185,8 +186,9 @@ impl RewriteIdentity {
 
 /// A rewritten (select-project) query produced by a rewriter node.
 ///
-/// A flat value: a rewriting of a query with at most two bound select
-/// values of type `Int` owns no heap memory.
+/// A flat value: a rewriting of a query with at most one bound select
+/// value per side, of type `Int`, owns no heap memory. Two or more bound
+/// values take one heap block.
 #[derive(Clone, Debug)]
 pub struct RewrittenQuery {
     query: QueryRef,
@@ -881,17 +883,19 @@ mod tests {
     #[test]
     fn a_rewriting_is_a_flat_value() {
         use std::mem::size_of;
-        // 8 query + 48 bound values (two inline) + 40 target + 8 fingerprint
+        // 8 query + 24 bound values (one inline) + 40 target + 8 fingerprint
         // + 8 trigger time + 4 column + 1 side, padded to 8.
         assert_eq!(size_of::<Value>(), 24);
-        assert_eq!(size_of::<BoundValues>(), 48);
+        assert_eq!(size_of::<BoundValues>(), 24);
         assert_eq!(size_of::<MatchTarget>(), 40);
-        assert_eq!(size_of::<RewrittenQuery>(), 120);
-        // 8 query + 48 bound values + 24 target value + 1 side, padded.
-        assert_eq!(size_of::<RewriteIdentity>(), 88);
-        // No heap for up to two bound values, one allocation beyond.
+        assert_eq!(size_of::<RewrittenQuery>(), 96);
+        // 8 query + 24 bound values + 24 target value + 1 side, padded.
+        assert_eq!(size_of::<RewriteIdentity>(), 64);
+        // No heap for one bound value, one allocation from two on.
         let ints = |n: i64| (0..n).map(Value::Int).collect::<BoundValues>();
-        assert!(matches!(ints(2).0, Bound::Two(_)));
+        assert!(matches!(ints(0).0, Bound::Zero));
+        assert!(matches!(ints(1).0, Bound::One(_)));
+        assert!(matches!(ints(2).0, Bound::Many(_)));
         assert!(matches!(ints(3).0, Bound::Many(_)));
         for n in 0..5 {
             let want: Vec<Value> = (0..n).map(Value::Int).collect();
