@@ -1,4 +1,9 @@
 //! Protocol messages exchanged between network nodes (Chapter 4).
+//!
+//! The [`Message`] table below is the whole message schema: one row per
+//! kind, giving its tag, variant, label and fields. The enum, its kind
+//! labels and routing identifier, and its wire codec are generated from it
+//! (see [`crate::wire`]).
 
 use std::sync::Arc;
 
@@ -6,105 +11,109 @@ use cq_overlay::Id;
 use cq_relational::{Notification, QueryRef, RewrittenQuery, Side, Tuple};
 
 use crate::replication::ReplicaItem;
+use crate::wire::{wire_enum, wire_struct, Field};
 
-/// A protocol message, addressed to the node responsible for an identifier.
-#[derive(Clone, Debug)]
-pub enum Message {
-    /// `query(q, Id(n), IP(n))` — index a query at the attribute level
-    /// (Section 4.3.1 / 4.4.1). The receiving node becomes one of the
-    /// query's rewriters.
-    IndexQuery {
-        /// The query.
-        query: QueryRef,
-        /// Which join-condition side this rewriter represents.
-        index_side: Side,
-        /// `IndexA(q)` for this rewriter.
-        index_attr: String,
-        /// The attribute-level identifier the message targets (a replica
-        /// identifier when the Section 4.7 replication scheme is active).
-        index_id: Id,
-    },
-    /// `al-index(t, A_i)` — a tuple arrives at the attribute level
-    /// (Section 4.2); it triggers stored queries and is *not* stored.
-    AlIndexTuple {
-        /// The tuple.
-        tuple: Arc<Tuple>,
-        /// `IndexA(t)` — the attribute that routed the tuple here.
-        attr: String,
-        /// The attribute-level identifier targeted.
-        index_id: Id,
-    },
-    /// `vl-index(t, A_i)` — a tuple arrives at the value level
-    /// (Section 4.2). Not used by DAI-V.
-    VlIndexTuple {
-        /// The tuple.
-        tuple: Arc<Tuple>,
-        /// `IndexA(t)`.
-        attr: String,
-        /// The value-level identifier targeted.
-        index_id: Id,
-    },
-    /// `join(q'_1, ..., q'_j)` — rewritten queries of one query group
-    /// reindexed at the value level (Sections 4.3.2/4.3.3). All items share
-    /// the same target identifier because they share the join condition.
-    Join {
-        /// The rewritten queries.
-        items: Vec<RewrittenQuery>,
-        /// The value-level identifier targeted.
-        index_id: Id,
-    },
-    /// `join(q', t')` — DAI-V's combined message (Section 4.5): rewritten
-    /// queries of one group plus the triggering tuple, which the evaluator
-    /// stores after matching. The payload lives in [`ValueJoin`].
-    JoinV(ValueJoin),
-    /// Notification delivery toward `Successor(Id(n))` for an offline
-    /// subscriber (Section 4.6). Online subscribers are contacted directly
-    /// by IP and never see this message.
-    StoreNotifications {
-        /// Identifier of the subscriber's key.
-        subscriber_id: Id,
-        /// The notifications to hold until the subscriber reconnects.
-        notifications: Vec<Notification>,
-    },
-    /// Direct notification delivery to an *online* subscriber (one hop to a
-    /// known IP, Section 4.6). Modeled as a message so the fault layer can
-    /// lose, duplicate or retransmit deliveries like any other traffic.
-    Notify {
-        /// The notifications for the subscriber.
-        notifications: Vec<Notification>,
-    },
-    /// Mirror one primary state item onto a successor (the k-successor
-    /// replication scheme of the robustness layer). Node-addressed: sent
-    /// directly to a known successor, never routed by identifier.
-    Replicate {
-        /// The item to mirror into the receiver's replica store.
-        item: Box<ReplicaItem>,
-    },
-    /// Heartbeat probe from the failure-detection layer (`engine::recovery`):
-    /// a ring neighbor asking "are you alive?". Node-addressed and
-    /// fire-and-forget — probes never open ack windows; an unanswered probe
-    /// *is* the failure signal.
-    Ping {
-        /// The probing node's slot (where the pong returns).
-        from: u32,
-        /// Probe sequence number (recovery-layer local).
-        seq: u64,
-    },
-    /// Heartbeat reply: the probed node confirming liveness.
-    Pong {
-        /// The responding node's slot.
-        from: u32,
-        /// Echo of the probe's sequence number.
-        seq: u64,
-    },
-    /// Several messages of one multisend batch coalesced for a single
-    /// destination — one queue entry and one frame instead of one per
-    /// message. Every multisend bundles, on every path: the receiver unwraps
-    /// the members in order, so dispatch order is exactly what separate
-    /// enqueues would produce, and the two observers of *logical* messages
-    /// (the tracer and the fault pump) read a bundle member by member through
-    /// the splitter, `Message::logical`. The engine never nests bundles.
-    Bundle(Vec<Message>),
+wire_enum! {
+    /// A protocol message, addressed to the node responsible for an identifier.
+    #[derive(Clone, Debug)]
+    pub enum Message {
+        /// `query(q, Id(n), IP(n))` — index a query at the attribute level
+        /// (Section 4.3.1 / 4.4.1). The receiving node becomes one of the
+        /// query's rewriters.
+        0, IndexQuery, "query", {
+            /// The query.
+            query: QueryRef,
+            /// Which join-condition side this rewriter represents.
+            index_side: Side,
+            /// `IndexA(q)` for this rewriter.
+            index_attr: String,
+            /// The attribute-level identifier the message targets (a replica
+            /// identifier when the Section 4.7 replication scheme is active).
+            [route] index_id: Id,
+        }
+        /// `al-index(t, A_i)` — a tuple arrives at the attribute level
+        /// (Section 4.2); it triggers stored queries and is *not* stored.
+        1, AlIndexTuple, "al-index", {
+            /// The tuple.
+            tuple: Arc<Tuple>,
+            /// `IndexA(t)` — the attribute that routed the tuple here.
+            attr: String,
+            /// The attribute-level identifier targeted.
+            [route] index_id: Id,
+        }
+        /// `vl-index(t, A_i)` — a tuple arrives at the value level
+        /// (Section 4.2). Not used by DAI-V.
+        2, VlIndexTuple, "vl-index", {
+            /// The tuple.
+            tuple: Arc<Tuple>,
+            /// `IndexA(t)`.
+            attr: String,
+            /// The value-level identifier targeted.
+            [route] index_id: Id,
+        }
+        /// `join(q'_1, ..., q'_j)` — rewritten queries of one query group
+        /// reindexed at the value level (Sections 4.3.2/4.3.3). All items share
+        /// the same target identifier because they share the join condition.
+        3, Join, "join", {
+            /// The rewritten queries.
+            items: Vec<RewrittenQuery>,
+            /// The value-level identifier targeted.
+            [route] index_id: Id,
+        }
+        /// `join(q', t')` — DAI-V's combined message (Section 4.5): rewritten
+        /// queries of one group plus the triggering tuple, which the evaluator
+        /// stores after matching. The payload lives in [`ValueJoin`].
+        4, JoinV, "join-v", (join: ValueJoin)
+        /// Notification delivery toward `Successor(Id(n))` for an offline
+        /// subscriber (Section 4.6). Online subscribers are contacted directly
+        /// by IP and never see this message.
+        5, StoreNotifications, "store-notify", {
+            /// Identifier of the subscriber's key.
+            [route] subscriber_id: Id,
+            /// The notifications to hold until the subscriber reconnects.
+            notifications: Vec<Notification>,
+        }
+        /// Direct notification delivery to an *online* subscriber (one hop to a
+        /// known IP, Section 4.6). Modeled as a message so the fault layer can
+        /// lose, duplicate or retransmit deliveries like any other traffic.
+        6, Notify, "notify", {
+            /// The notifications for the subscriber.
+            notifications: Vec<Notification>,
+        }
+        /// Mirror one primary state item onto a successor (the k-successor
+        /// replication scheme of the robustness layer). Node-addressed: sent
+        /// directly to a known successor, never routed by identifier.
+        7, Replicate, "replicate", {
+            /// The item to mirror into the receiver's replica store.
+            item: Box<ReplicaItem>,
+        }
+        /// Heartbeat probe from the failure-detection layer (`engine::recovery`):
+        /// a ring neighbor asking "are you alive?". Node-addressed and
+        /// fire-and-forget — probes never open ack windows; an unanswered probe
+        /// *is* the failure signal.
+        8, Ping, "ping", {
+            /// The probing node's slot (where the pong returns).
+            from: u32,
+            /// Probe sequence number (recovery-layer local).
+            seq: u64,
+        }
+        /// Heartbeat reply: the probed node confirming liveness.
+        9, Pong, "pong", {
+            /// The responding node's slot.
+            from: u32,
+            /// Echo of the probe's sequence number.
+            seq: u64,
+        }
+        /// Several messages of one multisend batch coalesced for a single
+        /// destination — one queue entry and one frame instead of one per
+        /// message. Every multisend bundles, on every path: the receiver unwraps
+        /// the members in order, so dispatch order is exactly what separate
+        /// enqueues would produce, and the two observers of *logical* messages
+        /// (the tracer and the fault pump) read a bundle member by member through
+        /// the splitter, `Message::logical`. The engine never nests bundles, and
+        /// a decoder rejects a bundle inside a bundle.
+        10, Bundle, "bundle", (members: Vec<Message>)
+    }
 }
 
 /// Payload of [`Message::JoinV`]: one group's rewritten queries plus the
@@ -125,65 +134,21 @@ pub struct ValueJoin {
     pub index_id: Id,
 }
 
+wire_struct! {
+    ValueJoin { group, items, tuple, side, value_key, [route] index_id }
+}
+
 impl Message {
-    /// All kind labels, in [`Message::kind_index`] order — the one
-    /// message-kind vocabulary (per-kind wire-byte counters, and the `kind`
-    /// label of traced sends and deliveries in both trace encodings).
-    pub const KINDS: [&'static str; 11] = [
-        "query",
-        "al-index",
-        "vl-index",
-        "join",
-        "join-v",
-        "store-notify",
-        "notify",
-        "replicate",
-        "ping",
-        "pong",
-        "bundle",
-    ];
-
-    /// Index of this message's kind in [`Message::KINDS`] — a direct
-    /// discriminant map so per-kind byte accounting never compares strings.
-    pub fn kind_index(&self) -> usize {
-        match self {
-            Message::IndexQuery { .. } => 0,
-            Message::AlIndexTuple { .. } => 1,
-            Message::VlIndexTuple { .. } => 2,
-            Message::Join { .. } => 3,
-            Message::JoinV(_) => 4,
-            Message::StoreNotifications { .. } => 5,
-            Message::Notify { .. } => 6,
-            Message::Replicate { .. } => 7,
-            Message::Ping { .. } => 8,
-            Message::Pong { .. } => 9,
-            Message::Bundle(_) => 10,
-        }
-    }
-
-    /// A short label for debugging/tracing.
-    pub fn kind(&self) -> &'static str {
-        Self::KINDS[self.kind_index()]
-    }
-
     /// Whether this is a heartbeat probe (ping or pong): fire-and-forget,
     /// never acknowledged, never counted as pending protocol work.
     pub(crate) fn is_probe(&self) -> bool {
         matches!(self, Message::Ping { .. } | Message::Pong { .. })
     }
 
-    /// The identifier an identifier-routed message is addressed to (`None`
-    /// for node-addressed kinds and bundles).
+    /// The identifier an identifier-routed message is addressed to: its
+    /// `[route]` field (`None` for node-addressed kinds and bundles).
     pub fn index_id(&self) -> Option<Id> {
-        match self {
-            Message::IndexQuery { index_id, .. }
-            | Message::AlIndexTuple { index_id, .. }
-            | Message::VlIndexTuple { index_id, .. }
-            | Message::Join { index_id, .. } => Some(*index_id),
-            Message::JoinV(join) => Some(join.index_id),
-            Message::StoreNotifications { subscriber_id, .. } => Some(*subscriber_id),
-            _ => None,
-        }
+        self.route()
     }
 
     /// The splitter: the logical messages an envelope payload stands for —

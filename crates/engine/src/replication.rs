@@ -24,49 +24,53 @@ use cq_overlay::Id;
 use cq_relational::Notification;
 
 use crate::error::Result;
-
 use crate::tables::{Held, StoredQuery, StoredRewritten, StoredTuple, StoredValueTuple, Tables};
+use crate::wire::{wire_enum, wire_struct, Field};
 
-/// One primary state item mirrored onto a successor via
-/// [`crate::Message::Replicate`].
-#[derive(Clone, Debug)]
-pub enum ReplicaItem {
-    /// An ALQT entry (rewriter role).
-    Query(StoredQuery),
-    /// A VLQT entry (evaluator role, SAI/DAI-T).
-    Rewritten(StoredRewritten),
-    /// A VLTT entry (evaluator role, SAI/DAI-Q).
-    Tuple(StoredTuple),
-    /// A DAI-V evaluator-store entry with its `(group, value)` key.
-    ValueTuple {
-        /// The query-group key.
-        group: String,
-        /// Canonical join-condition value.
-        value_key: String,
-        /// The stored tuple.
-        entry: StoredValueTuple,
-    },
-    /// One offline-store notification with the subscriber identifier it is
-    /// held under.
-    Offline {
-        /// Identifier of the subscriber's key (`Hash(Key(n))`).
-        id: Id,
-        /// The held notification.
-        notification: Notification,
-    },
+wire_enum! {
+    /// One primary state item mirrored onto a successor via
+    /// [`crate::Message::Replicate`].
+    #[derive(Clone, Debug)]
+    pub enum ReplicaItem {
+        /// An ALQT entry (rewriter role).
+        0, Query, "alqt", (entry: StoredQuery)
+        /// A VLQT entry (evaluator role, SAI/DAI-T).
+        1, Rewritten, "vlqt", (entry: StoredRewritten)
+        /// A VLTT entry (evaluator role, SAI/DAI-Q).
+        2, Tuple, "vltt", (entry: StoredTuple)
+        /// A DAI-V evaluator-store entry with its `(group, value)` key.
+        3, ValueTuple, "vstore", {
+            /// The query-group key.
+            group: String,
+            /// Canonical join-condition value.
+            value_key: String,
+            /// The stored tuple.
+            [route] entry: StoredValueTuple,
+        }
+        /// One offline-store notification with the subscriber identifier it is
+        /// held under.
+        4, Offline, "offline-store", {
+            /// Identifier of the subscriber's key (`Hash(Key(n))`).
+            [route] id: Id,
+            /// The held notification.
+            notification: Notification,
+        }
+    }
+}
+
+wire_struct! {
+    StoredQuery { [route] index_id, query, index_side, index_attr }
+    StoredRewritten { [route] index_id, rq }
+    StoredTuple { [route] index_id, attr, tuple }
+    StoredValueTuple { [route] index_id, side, tuple }
 }
 
 impl ReplicaItem {
     /// The identifier that decides which node's range the item belongs to —
     /// promotion extracts items whose identifier the holder now owns.
     pub fn index_id(&self) -> Id {
-        match self {
-            ReplicaItem::Query(e) => e.index_id,
-            ReplicaItem::Rewritten(e) => e.index_id,
-            ReplicaItem::Tuple(e) => e.index_id,
-            ReplicaItem::ValueTuple { entry, .. } => entry.index_id,
-            ReplicaItem::Offline { id, .. } => *id,
-        }
+        self.route()
+            .expect("every ReplicaItem row marks its identifier [route]")
     }
 
     /// Content hash used by the anti-entropy digests: equal mirrored items

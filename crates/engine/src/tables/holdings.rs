@@ -168,16 +168,17 @@ impl Tables {
     }
 
     /// Drops everything (the holder failed), returning how many items each
-    /// table held, under the table's trace name.
+    /// table held, under the table's trace name: the label of its
+    /// [`ReplicaItem`] kind.
     pub fn wipe(&mut self) -> [(&'static str, u64); 5] {
         let held = [
-            ("alqt", self.alqt.len()),
-            ("vlqt", self.vlqt.len()),
-            ("vltt", self.vltt.len()),
-            ("vstore", self.vstore.len()),
-            ("offline-store", self.offline.len()),
+            self.alqt.len(),
+            self.vlqt.len(),
+            self.vltt.len(),
+            self.vstore.len(),
+            self.offline.len(),
         ];
         *self = Tables::default();
-        held.map(|(table, n)| (table, n as u64))
+        std::array::from_fn(|i| (ReplicaItem::KINDS[i], held[i] as u64))
     }
 }

@@ -233,31 +233,9 @@ macro_rules! trace_events {
             )*
         }
 
-        // Tags are positions: `KINDS`, the summary counters and the binary
-        // body all index by them, so a row inserted mid-table must fail here
-        // rather than silently renumber the wire format.
-        const _: () = {
-            let tags = [$($tag),*];
-            let mut i = 0;
-            while i < tags.len() {
-                assert!(tags[i] == i, "trace_events! rows must be in tag order");
-                i += 1;
-            }
-        };
+        wire::kinds!(pub TraceEvent; $($tag $V $label)*);
 
         impl TraceEvent {
-            /// All kind labels, in a stable order (used by summaries).
-            pub const KINDS: [&'static str; [$($tag),*].len()] = [$($label),*];
-
-            /// Index of this event's kind in [`TraceEvent::KINDS`] — a direct
-            /// discriminant map so per-event summary accounting never does
-            /// string comparisons.
-            pub fn kind_index(&self) -> usize {
-                match self {
-                    $(Self::$V { .. } => $tag,)*
-                }
-            }
-
             /// The logical clock the event carries.
             pub fn tick(&self) -> u64 {
                 match self {
@@ -587,11 +565,6 @@ impl TraceEvent {
 
     /// Reasons an [`IndexRemove`](TraceEvent::IndexRemove) may carry.
     pub const REASONS: [&'static str; 3] = ["fail", "leave", "transfer"];
-
-    /// Short stable label of the event kind (the `"ev"` field in JSONL).
-    pub fn kind(&self) -> &'static str {
-        Self::KINDS[self.kind_index()]
-    }
 
     /// [`TraceEvent::append_jsonl`] into a `String` (convenience for tests
     /// and tooling; the sinks use the byte-level variant directly).

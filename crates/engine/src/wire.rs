@@ -1,10 +1,7 @@
 //! Length-prefixed, versioned binary codec for protocol messages and trace
 //! events — the engine's on-wire format.
 //!
-//! The simulator passes [`Message`] values around as in-memory Rust values,
-//! so "bytes sent" was previously a coarse per-variant size model. Real
-//! deployments pay for every byte crossing a socket, so this module defines
-//! the byte-exact frame every transport backend speaks:
+//! Every transport backend speaks the same byte-exact frame:
 //!
 //! ```text
 //! +----------------+-----------+------------------------+
@@ -13,15 +10,28 @@
 //! +----------------+-----------+------------------------+
 //! ```
 //!
-//! Message bodies are defined here; a trace event's body (its kind tag and
-//! fields) is generated from the one schema in [`crate::trace`] on top of
-//! this module's `Sink`/`Reader` primitives, and only framed here.
-//!
 //! The length covers the version byte plus the payload, so a framed reader
 //! needs exactly two reads per message: 4 bytes of length, then `length`
-//! bytes of frame. [`encoded_len`] is *exact by construction*: the encoder
-//! is generic over a byte sink, and the length computation runs the same
-//! encoder against a counting sink — the two can never drift apart.
+//! bytes of frame.
+//!
+//! **One schema table per payload.** The [`Message`] table
+//! (`crate::messages`) and the [`ReplicaItem`] table (`crate::replication`)
+//! declare each kind once, as a row `tag, Variant, "label", { field: Type }`.
+//! `wire_enum!` generates from a table the enum, its `KINDS` / `kind_index`
+//! / `kind`, the routing identifier read off the field marked `[route]`,
+//! and the body codec: the tag byte, then the fields in row order. A
+//! field's type is one of a closed vocabulary, the types that implement
+//! `Field` here: `u32`, `u64`, [`Id`], [`Side`], `String`, [`QueryRef`],
+//! `Arc<Tuple>`, length-prefixed lists of rewritten queries, notifications,
+//! values or (in a bundle) messages, a boxed replica item, and the structs
+//! `wire_struct!` lists. Queries, tuples, expressions and rewritten queries
+//! keep hand-written codecs. Trace events have their own table in
+//! [`crate::trace`] on the same `Sink`/`Reader` primitives, and are only
+//! framed here.
+//!
+//! [`encoded_len`] is *exact by construction*: the encoder is generic over
+//! a byte sink, and the length computation runs the same encoder against a
+//! counting sink — the two can never drift apart.
 //!
 //! Design points:
 //!
@@ -30,9 +40,9 @@
 //!   and values anyway.
 //! * **Decoding never panics.** Every read is bounds-checked and every
 //!   malformed input — truncation, a bad tag, invalid UTF-8, an unknown
-//!   version, garbage trailing a payload — returns a typed
-//!   [`EngineError::Protocol`]. Recursive payloads (expressions, bundles)
-//!   are depth-limited so adversarial input cannot overflow the stack.
+//!   version, garbage trailing a payload, a bundle inside a bundle —
+//!   returns a typed [`EngineError::Protocol`]. Expressions are
+//!   depth-limited so adversarial input cannot overflow the stack.
 //! * **Decoding re-validates.** Queries and tuples are rebuilt through
 //!   their validating constructors against the receiver's [`Catalog`], so a
 //!   frame that decodes successfully yields the same invariant-checked
@@ -49,9 +59,10 @@
 //!
 //! Version policy: the version byte is checked on every frame; a reader
 //! that sees an unknown version rejects the frame (there is exactly one
-//! version today). Any change to a body encoding — new variant, field, or
-//! width — must bump [`VERSION`]; readers never attempt cross-version
-//! decoding.
+//! version today). Any change to a body encoding — a new row, a field
+//! added to a row, a new width — is one table edit and must bump
+//! [`VERSION`]; readers never attempt cross-version decoding.
+//! `tests/fixtures/wire_v1.bin` pins the version-1 bytes.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -59,14 +70,13 @@ use std::sync::Arc;
 
 use cq_overlay::Id;
 use cq_relational::{
-    Catalog, Expr, Filter, JoinQuery, MatchTarget, Notification, QueryKey, QueryRef, QuerySpec,
-    RewrittenQuery, SelectItem, Side, Timestamp, Tuple, Value,
+    BinOp, Catalog, Expr, Filter, JoinQuery, MatchTarget, Notification, QueryKey, QueryRef,
+    QuerySpec, RewrittenQuery, SelectItem, Side, Timestamp, Tuple, Value,
 };
 
 use crate::error::{EngineError, Result};
-use crate::messages::{Message, ValueJoin};
+use crate::messages::Message;
 use crate::replication::ReplicaItem;
-use crate::tables::{StoredQuery, StoredRewritten, StoredTuple, StoredValueTuple};
 use crate::trace::TraceEvent;
 
 /// Wire-format version carried by every frame.
@@ -76,16 +86,7 @@ pub const VERSION: u8 = 1;
 /// accept — rejects absurd lengths before allocating a receive buffer.
 pub const MAX_FRAME: u32 = 1 << 26;
 
-/// Binary operator tags, mirrored from `cq_relational::BinOp`.
-const BINOPS: [cq_relational::BinOp; 4] = [
-    cq_relational::BinOp::Add,
-    cq_relational::BinOp::Sub,
-    cq_relational::BinOp::Mul,
-    cq_relational::BinOp::Concat,
-];
-
-/// Maximum nesting depth accepted when decoding recursive payloads
-/// (expressions and bundles).
+/// Maximum nesting depth accepted when decoding an expression.
 const MAX_DEPTH: u32 = 64;
 
 pub(crate) fn err(detail: impl Into<String>) -> EngineError {
@@ -162,11 +163,6 @@ pub(crate) fn put_u64<S: Sink>(s: &mut S, v: u64) {
 }
 
 #[inline]
-fn put_i64<S: Sink>(s: &mut S, v: i64) {
-    s.put(&v.to_le_bytes());
-}
-
-#[inline]
 pub(crate) fn put_bool<S: Sink>(s: &mut S, v: bool) {
     put_u8(s, v as u8);
 }
@@ -222,10 +218,6 @@ impl<'a> Reader<'a> {
         ]))
     }
 
-    fn i64(&mut self) -> Result<i64> {
-        Ok(self.u64()? as i64)
-    }
-
     pub(crate) fn boolean(&mut self) -> Result<bool> {
         match self.u8()? {
             0 => Ok(false),
@@ -259,14 +251,337 @@ impl<'a> Reader<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Relational building blocks.
+// The schema machinery: the field vocabulary and the table macros.
+// ---------------------------------------------------------------------------
+
+/// What decoding a message reads besides the bytes: the receiver's catalog,
+/// its query interner when it keeps one, and whether this frame's bundle
+/// has been opened.
+pub(crate) struct Decoder<'a> {
+    catalog: &'a Catalog,
+    queries: Option<&'a mut QueryInterner>,
+    bundled: bool,
+}
+
+/// A type of the message schema's closed field vocabulary: how one field of
+/// it is written and read back.
+pub(crate) trait Field: Sized {
+    /// Writes the value.
+    fn put<S: Sink>(&self, s: &mut S);
+
+    /// Reads one value back; every malformed input is a typed
+    /// [`EngineError::Protocol`].
+    fn get(r: &mut Reader<'_>, dec: &mut Decoder<'_>) -> Result<Self>;
+
+    /// The identifier the value is routed by: an [`Id`]'s own, and for a
+    /// table row or a `wire_struct!` the one its `[route]` field holds.
+    fn route(&self) -> Option<Id> {
+        None
+    }
+}
+
+/// Generates a schema table's `KINDS`, `kind_index` and `kind`, and fails
+/// the build unless its rows are in tag order. Tags are positions — in
+/// `KINDS`, in per-kind counters and as the first body byte — so a row
+/// inserted mid-table must fail here rather than silently renumber the
+/// wire format. Both tables use it: `wire_enum!` and `trace_events!`.
+macro_rules! kinds {
+    ($vis:vis $E:ident; $($tag:literal $V:ident $label:literal)*) => {
+        const _: () = {
+            let tags = [$($tag),*];
+            let mut i = 0;
+            while i < tags.len() {
+                assert!(tags[i] == i, concat!(stringify!($E), " rows must be in tag order"));
+                i += 1;
+            }
+        };
+
+        impl $E {
+            /// All kind labels, in tag order.
+            $vis const KINDS: [&'static str; [$($tag),*].len()] = [$($label),*];
+
+            /// Index of this value's kind in `KINDS`, which is also its tag
+            /// on the wire — a direct discriminant map, so per-kind
+            /// accounting never compares strings.
+            $vis fn kind_index(&self) -> usize {
+                match self {
+                    $(Self::$V { .. } => $tag,)*
+                }
+            }
+
+            /// The label of this value's kind.
+            $vis fn kind(&self) -> &'static str {
+                Self::KINDS[self.kind_index()]
+            }
+        }
+    };
+}
+pub(crate) use kinds;
+
+/// A row's or struct's route: the one binding its `[route]` marker names,
+/// or `None` when nothing is marked.
+macro_rules! route {
+    () => {
+        None
+    };
+    ($r:ident) => {
+        $crate::wire::Field::route($r)
+    };
+}
+pub(crate) use route;
+
+/// Generates a tagged enum and its [`Field`] codec from one table. Each row
+/// is `tag, Variant, "label", { field: Type, … }` for a struct variant or
+/// `tag, Variant, "label", (name: Type)` for a one-field tuple variant,
+/// whose `name` only labels the payload. The body is the tag byte, then
+/// the fields in row order; `[route]` before a field marks the one
+/// [`Field::route`] reads (a tuple variant routes as its payload does).
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $E:ident {$(
+            $(#[doc = $vdoc:literal])*
+            $tag:literal, $V:ident, $label:literal,
+            $({ $( $(#[doc = $fdoc:literal])* $([$r:ident])? $f:ident: $T:ty ),* $(,)? })?
+            $(($p:ident: $P:ty))?
+        )*}
+    ) => {
+        $(#[$meta])*
+        $vis enum $E {$(
+            $(#[doc = $vdoc])*
+            $V $({ $( $(#[doc = $fdoc])* $f: $T ),* })? $(($P))?,
+        )*}
+
+        $crate::wire::kinds!($vis $E; $($tag $V $label)*);
+
+        impl $crate::wire::Field for $E {
+            fn put<S: $crate::wire::Sink>(&self, s: &mut S) {
+                match self {$(
+                    Self::$V $({ $($f),* })? $(($p))? => {
+                        $crate::wire::put_u8(s, $tag);
+                        $($($crate::wire::Field::put($f, s);)*)?
+                        $($crate::wire::Field::put($p, s);)?
+                    }
+                )*}
+            }
+
+            fn get(
+                r: &mut $crate::wire::Reader<'_>,
+                dec: &mut $crate::wire::Decoder<'_>,
+            ) -> $crate::error::Result<Self> {
+                Ok(match r.u8()? {
+                    $($tag => {
+                        $($(let $f = $crate::wire::Field::get(r, dec)?;)*)?
+                        $(let $p = $crate::wire::Field::get(r, dec)?;)?
+                        Self::$V $({ $($f),* })? $(($p))?
+                    })*
+                    t => {
+                        let what = concat!("invalid ", stringify!($E), " tag");
+                        return Err($crate::wire::err(format!("{what} {t}")));
+                    }
+                })
+            }
+
+            fn route(&self) -> Option<cq_overlay::Id> {
+                match self {$(
+                    Self::$V $({ $($($f: $r,)?)* .. })? $(($p))? => {
+                        $crate::wire::route!($($($($r)?)*)? $($p)?)
+                    }
+                )*}
+            }
+        }
+    };
+}
+pub(crate) use wire_enum;
+
+/// `wire_struct! { P { a, [route] b, c } … }` makes each existing struct
+/// `P` a [`Field`] encoded as the listed fields in that order. Every field
+/// must be listed, since the reader builds `P` with a struct literal;
+/// `[route]` marks the one [`Field::route`] reads.
+macro_rules! wire_struct {
+    ($($P:ident { $($([$r:ident])? $f:ident),* $(,)? })*) => {$(
+        impl $crate::wire::Field for $P {
+            fn put<S: $crate::wire::Sink>(&self, s: &mut S) {
+                $($crate::wire::Field::put(&self.$f, s);)*
+            }
+
+            fn get(
+                r: &mut $crate::wire::Reader<'_>,
+                dec: &mut $crate::wire::Decoder<'_>,
+            ) -> $crate::error::Result<Self> {
+                Ok(Self { $($f: $crate::wire::Field::get(r, dec)?),* })
+            }
+
+            fn route(&self) -> Option<cq_overlay::Id> {
+                let Self { $($($f: $r,)?)* .. } = self;
+                $crate::wire::route!($($($r)?)*)
+            }
+        }
+    )*};
+}
+pub(crate) use wire_struct;
+
+/// The vocabulary's leaf types, one row each: `Type => writer, reader;`.
+macro_rules! leaf_fields {
+    ($($T:ty => |$s:ident, $v:ident| $put:expr, |$r:ident, $dec:pat_param| $get:expr;)*) => {$(
+        impl Field for $T {
+            fn put<S: Sink>(&self, $s: &mut S) {
+                let $v = self;
+                $put;
+            }
+
+            fn get($r: &mut Reader<'_>, $dec: &mut Decoder<'_>) -> Result<Self> {
+                $get
+            }
+        }
+    )*};
+}
+
+leaf_fields! {
+    u32 => |s, v| put_u32(s, *v), |r, _| r.u32();
+    u64 => |s, v| put_u64(s, *v), |r, _| r.u64();
+    Side => |s, v| put_u8(s, matches!(v, Side::Right) as u8), |r, _| get_side(r);
+    String => |s, v| put_str(s, v), |r, _| r.string();
+    QueryKey => |s, v| put_str(s, &v.0), |r, _| r.string().map(QueryKey);
+    Value => |s, v| put_value(s, v), |r, _| get_value(r);
+    QueryRef => |s, v| put_query(s, v), |r, dec| get_query(r, dec);
+    Box<ReplicaItem> => |s, v| v.as_ref().put(s), |r, dec| ReplicaItem::get(r, dec).map(Box::new);
+    Vec<Value> => |s, v| put_list(s, v), |r, dec| get_list(r, dec);
+    Vec<RewrittenQuery> => |s, v| put_list(s, v), |r, dec| get_list(r, dec);
+    Vec<Notification> => |s, v| put_list(s, v), |r, dec| get_list(r, dec);
+    Vec<Message> => |s, v| put_list(s, v), |r, dec| get_members(r, dec);
+}
+
+impl Field for Id {
+    fn put<S: Sink>(&self, s: &mut S) {
+        put_u64(s, self.0);
+    }
+
+    fn get(r: &mut Reader<'_>, _: &mut Decoder<'_>) -> Result<Self> {
+        r.u64().map(Id)
+    }
+
+    fn route(&self) -> Option<Id> {
+        Some(*self)
+    }
+}
+
+impl Field for Arc<Tuple> {
+    fn put<S: Sink>(&self, s: &mut S) {
+        put_str(s, self.relation());
+        put_list(s, self.values());
+        put_u64(s, self.pub_time().0);
+        put_u64(s, self.seq());
+    }
+
+    fn get(r: &mut Reader<'_>, dec: &mut Decoder<'_>) -> Result<Self> {
+        let relation = r.string()?;
+        let values = get_list(r, dec)?;
+        let pub_time = Timestamp(r.u64()?);
+        let seq = r.u64()?;
+        let schema = dec
+            .catalog
+            .get(&relation)
+            .map_err(|e| err(format!("decoded tuple references unknown relation: {e}")))?
+            .clone();
+        Tuple::new(schema, values, pub_time, seq)
+            .map(Arc::new)
+            .map_err(|e| err(format!("decoded tuple failed validation: {e}")))
+    }
+}
+
+impl Field for RewrittenQuery {
+    fn put<S: Sink>(&self, s: &mut S) {
+        // The legacy `Key(q')` text, formatted straight into the sink. No
+        // decoder reads it back (identity comes from the parts that follow);
+        // the field stays so frames keep their bytes until the fixture bump.
+        let key_len = self.key_len();
+        put_u32(s, key_len as u32);
+        s.put_text(key_len, |text| self.write_key(text));
+        put_query(s, self.query());
+        self.bound_side().put(s);
+        put_list(s, self.bound_values());
+        match self.target() {
+            MatchTarget::Attribute { attr, value } => {
+                put_u8(s, 0);
+                put_str(s, attr);
+                put_value(s, value);
+            }
+            MatchTarget::ConditionValue { value } => {
+                put_u8(s, 1);
+                put_value(s, value);
+            }
+        }
+        put_u64(s, self.trigger_time().0);
+    }
+
+    fn get(r: &mut Reader<'_>, dec: &mut Decoder<'_>) -> Result<Self> {
+        // The sender's key text is read past, not trusted: `from_parts` takes
+        // the rewriting's identity from the decoded parts.
+        r.str()?;
+        let query = get_query(r, dec)?;
+        let bound_side = get_side(r)?;
+        let bound_values = (0..r.count()?)
+            .map(|_| get_value(r))
+            .collect::<Result<_>>()?;
+        let target_attr = match r.u8()? {
+            0 => Some(r.str()?),
+            1 => None,
+            t => return Err(err(format!("invalid match-target tag {t}"))),
+        };
+        let target_value = get_value(r)?;
+        let trigger_time = Timestamp(r.u64()?);
+        Ok(RewrittenQuery::from_parts(
+            query,
+            bound_side,
+            bound_values,
+            target_attr,
+            target_value,
+            trigger_time,
+        ))
+    }
+}
+
+/// The one list codec: a `u32` count, then the items.
+fn put_list<S: Sink, T: Field>(s: &mut S, items: &[T]) {
+    put_u32(s, items.len() as u32);
+    for item in items {
+        item.put(s);
+    }
+}
+
+fn get_list<T: Field>(r: &mut Reader<'_>, dec: &mut Decoder<'_>) -> Result<Vec<T>> {
+    let n = r.count()?;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(T::get(r, dec)?);
+    }
+    Ok(out)
+}
+
+/// A bundle's members. The engine never nests bundles, so a frame holds at
+/// most one member list: a second one is a bundle inside a bundle, and is
+/// rejected before any of it is read.
+fn get_members(r: &mut Reader<'_>, dec: &mut Decoder<'_>) -> Result<Vec<Message>> {
+    if std::mem::replace(&mut dec.bundled, true) {
+        return Err(err("a bundle nested inside a bundle"));
+    }
+    get_list(r, dec)
+}
+
+wire_struct! {
+    Notification { query_key, subscriber, values }
+}
+
+// ---------------------------------------------------------------------------
+// Hand-written codecs: values, expressions and queries.
 // ---------------------------------------------------------------------------
 
 fn put_value<S: Sink>(s: &mut S, v: &Value) {
     match v {
         Value::Int(i) => {
             put_u8(s, 0);
-            put_i64(s, *i);
+            s.put(&i.to_le_bytes());
         }
         Value::Str(t) => {
             put_u8(s, 1);
@@ -277,30 +592,10 @@ fn put_value<S: Sink>(s: &mut S, v: &Value) {
 
 fn get_value(r: &mut Reader<'_>) -> Result<Value> {
     match r.u8()? {
-        0 => Ok(Value::Int(r.i64()?)),
+        0 => Ok(Value::Int(r.u64()? as i64)),
         1 => Ok(Value::Str(r.string()?)),
         t => Err(err(format!("invalid value tag {t}"))),
     }
-}
-
-fn put_values<S: Sink>(s: &mut S, vs: &[Value]) {
-    put_u32(s, vs.len() as u32);
-    for v in vs {
-        put_value(s, v);
-    }
-}
-
-fn get_values(r: &mut Reader<'_>) -> Result<Vec<Value>> {
-    let n = r.count()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(get_value(r)?);
-    }
-    Ok(out)
-}
-
-fn put_side<S: Sink>(s: &mut S, side: Side) {
-    put_u8(s, matches!(side, Side::Right) as u8);
 }
 
 fn get_side(r: &mut Reader<'_>) -> Result<Side> {
@@ -323,7 +618,13 @@ fn put_expr<S: Sink>(s: &mut S, e: &Expr) {
         }
         Expr::Bin { op, lhs, rhs } => {
             put_u8(s, 2);
-            put_u8(s, BINOPS.iter().position(|b| b == op).unwrap_or(0) as u8);
+            let op = match op {
+                BinOp::Add => 0,
+                BinOp::Sub => 1,
+                BinOp::Mul => 2,
+                BinOp::Concat => 3,
+            };
+            put_u8(s, op);
             put_expr(s, lhs);
             put_expr(s, rhs);
         }
@@ -338,10 +639,13 @@ fn get_expr(r: &mut Reader<'_>, depth: u32) -> Result<Expr> {
         0 => Ok(Expr::Attr(r.string()?)),
         1 => Ok(Expr::Const(get_value(r)?)),
         2 => {
-            let op = r.u8()?;
-            let op = *BINOPS
-                .get(op as usize)
-                .ok_or_else(|| err(format!("invalid binop tag {op}")))?;
+            let op = match r.u8()? {
+                0 => BinOp::Add,
+                1 => BinOp::Sub,
+                2 => BinOp::Mul,
+                3 => BinOp::Concat,
+                t => return Err(err(format!("invalid binop tag {t}"))),
+            };
             let lhs = get_expr(r, depth + 1)?;
             let rhs = get_expr(r, depth + 1)?;
             Ok(Expr::bin(op, lhs, rhs))
@@ -358,14 +662,14 @@ fn put_query<S: Sink>(s: &mut S, q: &JoinQuery) {
     put_str(s, q.relation(Side::Right));
     put_u32(s, q.select().len() as u32);
     for item in q.select() {
-        put_side(s, item.side);
+        item.side.put(s);
         put_str(s, &item.attr);
     }
     put_expr(s, q.condition(Side::Left));
     put_expr(s, q.condition(Side::Right));
     put_u32(s, q.filters().len() as u32);
     for f in q.filters() {
-        put_side(s, f.side);
+        f.side.put(s);
         put_str(s, &f.attr);
         put_value(s, &f.value);
     }
@@ -421,13 +725,6 @@ impl QueryInterner {
         }
         self.map.insert(bytes.into(), Arc::clone(query));
     }
-}
-
-/// What decoding a message reads besides the bytes: the receiver's catalog
-/// and, when the receiver keeps one, its query interner.
-struct Decoder<'a> {
-    catalog: &'a Catalog,
-    queries: Option<&'a mut QueryInterner>,
 }
 
 fn skim_str(r: &mut Reader<'_>) -> Option<()> {
@@ -543,430 +840,46 @@ fn decode_query(r: &mut Reader<'_>, catalog: &Catalog) -> Result<QueryRef> {
         .map_err(|e| err(format!("decoded query failed validation: {e}")))
 }
 
-fn put_tuple<S: Sink>(s: &mut S, t: &Tuple) {
-    put_str(s, t.relation());
-    put_values(s, t.values());
-    put_u64(s, t.pub_time().0);
-    put_u64(s, t.seq());
-}
-
-fn get_tuple(r: &mut Reader<'_>, catalog: &Catalog) -> Result<Arc<Tuple>> {
-    let relation = r.string()?;
-    let values = get_values(r)?;
-    let pub_time = Timestamp(r.u64()?);
-    let seq = r.u64()?;
-    let schema = catalog
-        .get(&relation)
-        .map_err(|e| err(format!("decoded tuple references unknown relation: {e}")))?
-        .clone();
-    Tuple::new(schema, values, pub_time, seq)
-        .map(Arc::new)
-        .map_err(|e| err(format!("decoded tuple failed validation: {e}")))
-}
-
-fn put_rewritten<S: Sink>(s: &mut S, rq: &RewrittenQuery) {
-    // The legacy `Key(q')` text, formatted straight into the sink. No
-    // decoder reads it back (identity comes from the parts that follow);
-    // the field stays so frames keep their bytes until the fixture bump.
-    let key_len = rq.key_len();
-    put_u32(s, key_len as u32);
-    s.put_text(key_len, |text| rq.write_key(text));
-    put_query(s, rq.query());
-    put_side(s, rq.bound_side());
-    put_values(s, rq.bound_values());
-    match rq.target() {
-        MatchTarget::Attribute { attr, value } => {
-            put_u8(s, 0);
-            put_str(s, attr);
-            put_value(s, value);
-        }
-        MatchTarget::ConditionValue { value } => {
-            put_u8(s, 1);
-            put_value(s, value);
-        }
-    }
-    put_u64(s, rq.trigger_time().0);
-}
-
-fn get_rewritten(r: &mut Reader<'_>, dec: &mut Decoder<'_>) -> Result<RewrittenQuery> {
-    // The sender's key text is read past, not trusted: `from_parts` takes
-    // the rewriting's identity from the decoded parts.
-    r.str()?;
-    let query = get_query(r, dec)?;
-    let bound_side = get_side(r)?;
-    let bound_values = (0..r.count()?)
-        .map(|_| get_value(r))
-        .collect::<Result<_>>()?;
-    let target_attr = match r.u8()? {
-        0 => Some(r.str()?),
-        1 => None,
-        t => return Err(err(format!("invalid match-target tag {t}"))),
-    };
-    let target_value = get_value(r)?;
-    let trigger_time = Timestamp(r.u64()?);
-    Ok(RewrittenQuery::from_parts(
-        query,
-        bound_side,
-        bound_values,
-        target_attr,
-        target_value,
-        trigger_time,
-    ))
-}
-
-fn put_rewrittens<S: Sink>(s: &mut S, items: &[RewrittenQuery]) {
-    put_u32(s, items.len() as u32);
-    for rq in items {
-        put_rewritten(s, rq);
-    }
-}
-
-fn get_rewrittens(r: &mut Reader<'_>, dec: &mut Decoder<'_>) -> Result<Vec<RewrittenQuery>> {
-    let n = r.count()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(get_rewritten(r, dec)?);
-    }
-    Ok(out)
-}
-
-fn put_notification<S: Sink>(s: &mut S, n: &Notification) {
-    put_str(s, &n.query_key.0);
-    put_str(s, &n.subscriber);
-    put_values(s, &n.values);
-}
-
-fn get_notification(r: &mut Reader<'_>) -> Result<Notification> {
-    Ok(Notification {
-        query_key: QueryKey(r.string()?),
-        subscriber: r.string()?,
-        values: get_values(r)?,
-    })
-}
-
-fn put_notifications<S: Sink>(s: &mut S, ns: &[Notification]) {
-    put_u32(s, ns.len() as u32);
-    for n in ns {
-        put_notification(s, n);
-    }
-}
-
-fn get_notifications(r: &mut Reader<'_>) -> Result<Vec<Notification>> {
-    let n = r.count()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(get_notification(r)?);
-    }
-    Ok(out)
-}
-
-fn put_replica_item<S: Sink>(s: &mut S, item: &ReplicaItem) {
-    match item {
-        ReplicaItem::Query(e) => {
-            put_u8(s, 0);
-            put_u64(s, e.index_id.0);
-            put_query(s, &e.query);
-            put_side(s, e.index_side);
-            put_str(s, &e.index_attr);
-        }
-        ReplicaItem::Rewritten(e) => {
-            put_u8(s, 1);
-            put_u64(s, e.index_id.0);
-            put_rewritten(s, &e.rq);
-        }
-        ReplicaItem::Tuple(e) => {
-            put_u8(s, 2);
-            put_u64(s, e.index_id.0);
-            put_str(s, &e.attr);
-            put_tuple(s, &e.tuple);
-        }
-        ReplicaItem::ValueTuple {
-            group,
-            value_key,
-            entry,
-        } => {
-            put_u8(s, 3);
-            put_str(s, group);
-            put_str(s, value_key);
-            put_u64(s, entry.index_id.0);
-            put_side(s, entry.side);
-            put_tuple(s, &entry.tuple);
-        }
-        ReplicaItem::Offline { id, notification } => {
-            put_u8(s, 4);
-            put_u64(s, id.0);
-            put_notification(s, notification);
-        }
-    }
-}
-
-fn get_replica_item(r: &mut Reader<'_>, dec: &mut Decoder<'_>) -> Result<ReplicaItem> {
-    match r.u8()? {
-        0 => {
-            let index_id = Id(r.u64()?);
-            let query = get_query(r, dec)?;
-            let index_side = get_side(r)?;
-            let index_attr = r.string()?;
-            Ok(ReplicaItem::Query(StoredQuery {
-                index_id,
-                query,
-                index_side,
-                index_attr,
-            }))
-        }
-        1 => {
-            let index_id = Id(r.u64()?);
-            let rq = get_rewritten(r, dec)?;
-            Ok(ReplicaItem::Rewritten(StoredRewritten { index_id, rq }))
-        }
-        2 => {
-            let index_id = Id(r.u64()?);
-            let attr = r.string()?;
-            let tuple = get_tuple(r, dec.catalog)?;
-            Ok(ReplicaItem::Tuple(StoredTuple {
-                index_id,
-                attr,
-                tuple,
-            }))
-        }
-        3 => {
-            let group = r.string()?;
-            let value_key = r.string()?;
-            let index_id = Id(r.u64()?);
-            let side = get_side(r)?;
-            let tuple = get_tuple(r, dec.catalog)?;
-            Ok(ReplicaItem::ValueTuple {
-                group,
-                value_key,
-                entry: StoredValueTuple {
-                    index_id,
-                    side,
-                    tuple,
-                },
-            })
-        }
-        4 => {
-            let id = Id(r.u64()?);
-            let notification = get_notification(r)?;
-            Ok(ReplicaItem::Offline { id, notification })
-        }
-        t => Err(err(format!("invalid replica-item tag {t}"))),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Message bodies.
-// ---------------------------------------------------------------------------
-
-fn put_message<S: Sink>(s: &mut S, m: &Message) {
-    match m {
-        Message::IndexQuery {
-            query,
-            index_side,
-            index_attr,
-            index_id,
-        } => {
-            put_u8(s, 0);
-            put_query(s, query);
-            put_side(s, *index_side);
-            put_str(s, index_attr);
-            put_u64(s, index_id.0);
-        }
-        Message::AlIndexTuple {
-            tuple,
-            attr,
-            index_id,
-        } => {
-            put_u8(s, 1);
-            put_tuple(s, tuple);
-            put_str(s, attr);
-            put_u64(s, index_id.0);
-        }
-        Message::VlIndexTuple {
-            tuple,
-            attr,
-            index_id,
-        } => {
-            put_u8(s, 2);
-            put_tuple(s, tuple);
-            put_str(s, attr);
-            put_u64(s, index_id.0);
-        }
-        Message::Join { items, index_id } => {
-            put_u8(s, 3);
-            put_rewrittens(s, items);
-            put_u64(s, index_id.0);
-        }
-        Message::JoinV(vj) => {
-            put_u8(s, 4);
-            put_str(s, &vj.group);
-            put_rewrittens(s, &vj.items);
-            put_tuple(s, &vj.tuple);
-            put_side(s, vj.side);
-            put_str(s, &vj.value_key);
-            put_u64(s, vj.index_id.0);
-        }
-        Message::StoreNotifications {
-            subscriber_id,
-            notifications,
-        } => {
-            put_u8(s, 5);
-            put_u64(s, subscriber_id.0);
-            put_notifications(s, notifications);
-        }
-        Message::Notify { notifications } => {
-            put_u8(s, 6);
-            put_notifications(s, notifications);
-        }
-        Message::Replicate { item } => {
-            put_u8(s, 7);
-            put_replica_item(s, item);
-        }
-        Message::Ping { from, seq } => {
-            put_u8(s, 8);
-            put_u32(s, *from);
-            put_u64(s, *seq);
-        }
-        Message::Pong { from, seq } => {
-            put_u8(s, 9);
-            put_u32(s, *from);
-            put_u64(s, *seq);
-        }
-        Message::Bundle(members) => {
-            put_u8(s, 10);
-            put_u32(s, members.len() as u32);
-            for m in members {
-                put_message(s, m);
-            }
-        }
-    }
-}
-
-fn get_message(r: &mut Reader<'_>, dec: &mut Decoder<'_>, depth: u32) -> Result<Message> {
-    if depth > MAX_DEPTH {
-        return Err(err("bundle nesting exceeds the decoder depth limit"));
-    }
-    match r.u8()? {
-        0 => {
-            let query = get_query(r, dec)?;
-            let index_side = get_side(r)?;
-            let index_attr = r.string()?;
-            let index_id = Id(r.u64()?);
-            Ok(Message::IndexQuery {
-                query,
-                index_side,
-                index_attr,
-                index_id,
-            })
-        }
-        1 => {
-            let tuple = get_tuple(r, dec.catalog)?;
-            let attr = r.string()?;
-            let index_id = Id(r.u64()?);
-            Ok(Message::AlIndexTuple {
-                tuple,
-                attr,
-                index_id,
-            })
-        }
-        2 => {
-            let tuple = get_tuple(r, dec.catalog)?;
-            let attr = r.string()?;
-            let index_id = Id(r.u64()?);
-            Ok(Message::VlIndexTuple {
-                tuple,
-                attr,
-                index_id,
-            })
-        }
-        3 => {
-            let items = get_rewrittens(r, dec)?;
-            let index_id = Id(r.u64()?);
-            Ok(Message::Join { items, index_id })
-        }
-        4 => {
-            let group = r.string()?;
-            let items = get_rewrittens(r, dec)?;
-            let tuple = get_tuple(r, dec.catalog)?;
-            let side = get_side(r)?;
-            let value_key = r.string()?;
-            let index_id = Id(r.u64()?);
-            Ok(Message::JoinV(ValueJoin {
-                group,
-                items,
-                tuple,
-                side,
-                value_key,
-                index_id,
-            }))
-        }
-        5 => {
-            let subscriber_id = Id(r.u64()?);
-            let notifications = get_notifications(r)?;
-            Ok(Message::StoreNotifications {
-                subscriber_id,
-                notifications,
-            })
-        }
-        6 => Ok(Message::Notify {
-            notifications: get_notifications(r)?,
-        }),
-        7 => Ok(Message::Replicate {
-            item: Box::new(get_replica_item(r, dec)?),
-        }),
-        8 => {
-            let from = r.u32()?;
-            let seq = r.u64()?;
-            Ok(Message::Ping { from, seq })
-        }
-        9 => {
-            let from = r.u32()?;
-            let seq = r.u64()?;
-            Ok(Message::Pong { from, seq })
-        }
-        10 => {
-            let n = r.count()?;
-            let mut members = Vec::with_capacity(n);
-            for _ in 0..n {
-                members.push(get_message(r, dec, depth + 1)?);
-            }
-            Ok(Message::Bundle(members))
-        }
-        t => Err(err(format!("invalid message tag {t}"))),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Framing.
 // ---------------------------------------------------------------------------
 
-/// Appends one complete frame (length prefix, version byte, body) for a
-/// protocol message. Single-pass: the body is written in place and the
-/// length patched afterwards.
-pub fn encode_message(msg: &Message, out: &mut Vec<u8>) {
+/// Appends one complete frame (length prefix, version byte, body). Single
+/// pass: the body is written in place and the length patched afterwards.
+fn put_frame(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
     let at = out.len();
     out.extend_from_slice(&[0u8; 4]);
     out.push(VERSION);
-    put_message(out, msg);
+    body(out);
     let framed = (out.len() - at - 4) as u32;
     out[at..at + 4].copy_from_slice(&framed.to_le_bytes());
+}
+
+/// The exact length of [`put_frame`]'s output for the same body writer.
+fn frame_len(body: impl FnOnce(&mut Count)) -> u64 {
+    let mut c = Count(0);
+    body(&mut c);
+    4 + 1 + c.0
+}
+
+/// Appends one complete frame for a protocol message.
+pub fn encode_message(msg: &Message, out: &mut Vec<u8>) {
+    put_frame(out, |s| msg.put(s));
 }
 
 /// The exact length in bytes of [`encode_message`]'s output for this
 /// message — computed by running the encoder against a counting sink, so it
 /// can never disagree with the real encoding.
 pub fn encoded_len(msg: &Message) -> u64 {
-    let mut c = Count(0);
-    put_message(&mut c, msg);
-    4 + 1 + c.0
+    frame_len(|c| msg.put(c))
 }
 
 /// Structural check of one complete codec frame: `frame` must consist of a
 /// u32 LE length prefix counting *exactly* the bytes that follow. Returns
 /// the body length when the shape holds, `None` otherwise. Purely framing —
-/// the version byte and payload are not inspected — so the transport's
-/// buffering layer can assert frame integrity without knowing the protocol
-/// (its command-stream reuse in `cq-sim` carries non-protocol bodies).
+/// the version byte and payload are not inspected — so a caller can check
+/// frame integrity without knowing the protocol: cqbench's socket probe and
+/// the ledger's `socket-pump` row both do.
 pub fn frame_body_len(frame: &[u8]) -> Option<usize> {
     if frame.len() < 4 {
         return None;
@@ -978,24 +891,22 @@ pub fn frame_body_len(frame: &[u8]) -> Option<usize> {
 /// Appends one complete frame for a trace event (same frame layout as
 /// protocol messages; the body starts with the event's kind index).
 pub fn encode_trace_event(ev: &TraceEvent, out: &mut Vec<u8>) {
-    let at = out.len();
-    out.extend_from_slice(&[0u8; 4]);
-    out.push(VERSION);
-    ev.put_body(out);
-    let framed = (out.len() - at - 4) as u32;
-    out[at..at + 4].copy_from_slice(&framed.to_le_bytes());
+    put_frame(out, |s| ev.put_body(s));
 }
 
 /// The exact length in bytes of [`encode_trace_event`]'s output.
 pub fn trace_encoded_len(ev: &TraceEvent) -> u64 {
-    let mut c = Count(0);
-    ev.put_body(&mut c);
-    4 + 1 + c.0
+    frame_len(|c| ev.put_body(c))
 }
 
-/// Splits one frame off the head of `buf`: validates the length prefix and
-/// version byte and returns `(payload, total_bytes_consumed)`.
-fn read_frame(buf: &[u8]) -> Result<(&[u8], usize)> {
+/// Splits one frame off the head of `buf`, validating the length prefix and
+/// version byte, and reads its payload with `body`, which must consume all
+/// of it. Returns the value and the frame's total length.
+fn read_frame<T>(
+    buf: &[u8],
+    what: &str,
+    body: impl FnOnce(&mut Reader<'_>) -> Result<T>,
+) -> Result<(T, usize)> {
     if buf.len() < 4 {
         return Err(err(format!(
             "truncated frame: {} bytes, need 4 for the length prefix",
@@ -1024,7 +935,15 @@ fn read_frame(buf: &[u8]) -> Result<(&[u8], usize)> {
             "unsupported wire version {version} (expected {VERSION})"
         )));
     }
-    Ok((&buf[5..total], total))
+    let mut r = Reader::new(&buf[5..total]);
+    let value = body(&mut r)?;
+    if r.remaining() != 0 {
+        return Err(err(format!(
+            "{} garbage bytes after the {what} payload",
+            r.remaining()
+        )));
+    }
+    Ok((value, total))
 }
 
 /// Decodes one message frame from the head of `buf`, returning the message
@@ -1051,37 +970,24 @@ fn decode_with(
     catalog: &Catalog,
     queries: Option<&mut QueryInterner>,
 ) -> Result<(Message, usize)> {
-    let mut dec = Decoder { catalog, queries };
-    let (payload, total) = read_frame(buf)?;
-    let mut r = Reader::new(payload);
-    let msg = get_message(&mut r, &mut dec, 0)?;
-    if r.remaining() != 0 {
-        return Err(err(format!(
-            "{} garbage bytes after the message payload",
-            r.remaining()
-        )));
-    }
-    Ok((msg, total))
+    let mut dec = Decoder {
+        catalog,
+        queries,
+        bundled: false,
+    };
+    read_frame(buf, "message", |r| Message::get(r, &mut dec))
 }
 
 /// Decodes one trace-event frame from the head of `buf`, returning the
 /// event and the number of bytes consumed.
 pub fn decode_trace_event(buf: &[u8]) -> Result<(TraceEvent, usize)> {
-    let (payload, total) = read_frame(buf)?;
-    let mut r = Reader::new(payload);
-    let ev = TraceEvent::get_body(&mut r)?;
-    if r.remaining() != 0 {
-        return Err(err(format!(
-            "{} garbage bytes after the trace-event payload",
-            r.remaining()
-        )));
-    }
-    Ok((ev, total))
+    read_frame(buf, "trace-event", TraceEvent::get_body)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::ValueJoin;
     use cq_relational::{DataType, RelationSchema};
 
     fn catalog() -> Catalog {

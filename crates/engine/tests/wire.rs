@@ -572,6 +572,29 @@ fn trace_tag_past_the_last_kind_is_rejected() {
     }
 }
 
+/// The engine never nests bundles, so a decoder refuses a bundle whose
+/// member is a bundle — built here by hand, since no encoder path makes one.
+#[test]
+fn a_bundle_inside_a_bundle_is_rejected() {
+    let bundle = Message::KINDS.iter().position(|k| *k == "bundle").unwrap() as u8;
+    let mut body = vec![VERSION, bundle];
+    body.extend_from_slice(&1u32.to_le_bytes()); // one member ...
+    body.push(bundle); // ... which is itself a bundle
+    body.extend_from_slice(&0u32.to_le_bytes());
+    let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&body);
+    match decode_message(&frame, &catalog()) {
+        Err(EngineError::Protocol { detail }) => assert!(detail.contains("nested"), "{detail}"),
+        other => panic!("{:?}", other.map(|(m, _)| m)),
+    }
+    // The same frame with an empty outer bundle decodes.
+    let mut flat = 6u32.to_le_bytes().to_vec();
+    flat.extend_from_slice(&[VERSION, bundle, 0, 0, 0, 0]);
+    assert!(
+        matches!(decode_message(&flat, &catalog()), Ok((Message::Bundle(m), 10)) if m.is_empty())
+    );
+}
+
 fn index_query(query: &QueryRef) -> Vec<u8> {
     let mut buf = Vec::new();
     encode_message(
