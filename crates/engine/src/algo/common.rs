@@ -38,14 +38,6 @@ use crate::tables::vlqt::{LedgerScratch, Tally};
 use crate::tables::{StoredTuple, Vlqt};
 use crate::trace::TraceEvent;
 
-/// Indexes `[T; 2]` probe results by side.
-pub(crate) fn side_slot(side: Side) -> usize {
-    match side {
-        Side::Left => 0,
-        Side::Right => 1,
-    }
-}
-
 /// `IndexA(q)` for `side`: the join attribute for T1 queries, a
 /// pseudo-random attribute of the side's condition for T2 (Section 4.5).
 /// Borrowed from the query: the T2 candidate set is precomputed at
@@ -141,7 +133,7 @@ pub(crate) fn probe_rewriters(
         let attr = choose_index_attr(ctx, query, side);
         // Probe the base identifier (replica 0) — the canonical rewriter.
         let id = indexing::aindex_replica(space, rel, attr, 0, k);
-        out[side_slot(side)] = ctx.probe_arrival_stats(rel, attr, id)?;
+        out[side.idx()] = ctx.probe_arrival_stats(rel, attr, id)?;
     }
     Ok((out[0], out[1]))
 }

@@ -44,23 +44,23 @@
 
 pub mod algo;
 mod churn;
-pub mod config;
-pub mod error;
-pub mod faults;
+mod config;
+mod error;
+mod faults;
 pub mod frames;
 pub mod indexing;
-pub mod jfrt;
-pub mod messages;
-pub mod metrics;
-pub mod network;
-pub mod node;
-pub mod oracle;
-pub mod pipeline;
-pub mod protocol;
-pub mod recovery;
-pub mod replication;
+mod jfrt;
+mod messages;
+mod metrics;
+mod network;
+mod node;
+mod oracle;
+mod pipeline;
+mod protocol;
+mod recovery;
+mod replication;
 pub mod tables;
-pub mod trace;
+mod trace;
 mod transport;
 mod transport_tcp;
 pub mod wire;

@@ -201,13 +201,6 @@ impl Metrics {
         }
     }
 
-    /// Grows the per-node vectors when nodes join after construction.
-    pub fn ensure_slots(&mut self, n: usize) {
-        if self.loads.len() < n {
-            self.loads.resize(n, NodeLoad::default());
-        }
-    }
-
     /// Records rewriter-side filtering work at node `slot`.
     #[inline]
     pub fn add_rewriter_filtering(&mut self, slot: usize, checks: u64) {
@@ -312,13 +305,5 @@ mod tests {
         assert_eq!(m.notifications_stored_offline, 0);
         assert_eq!(m.faults, FaultCounters::default());
         assert_eq!(m.recovery, RecoveryCounters::default());
-    }
-
-    #[test]
-    fn ensure_slots_grows() {
-        let mut m = Metrics::new(1);
-        m.ensure_slots(3);
-        m.add_rewriter_filtering(2, 1);
-        assert_eq!(m.loads().len(), 3);
     }
 }

@@ -206,7 +206,7 @@ impl Network {
 
     /// Installs a trace sink; every subsequent engine action emits typed
     /// [`TraceEvent`]s into it. Sinks observe only — installing one cannot
-    /// change a run's results (see [`crate::trace`]).
+    /// change a run's results (DESIGN.md, "Event tracing").
     pub fn set_tracer(&mut self, tracer: Arc<dyn TraceSink>) {
         self.tracer = Some(tracer);
     }
@@ -250,15 +250,6 @@ impl Network {
     /// Resets load/traffic counters (e.g. after a warm-up phase).
     pub fn reset_metrics(&mut self) {
         self.metrics.reset();
-    }
-
-    /// Ends a statistics time window on every node: rewriters roll their
-    /// arrival counters (Section 4.3.6 keeps rates "in the last time
-    /// window").
-    pub fn roll_statistics_windows(&mut self) {
-        for n in &mut self.nodes {
-            n.roll_statistics_window();
-        }
     }
 
     /// Number of currently alive nodes.
@@ -548,9 +539,9 @@ impl Network {
                 self.on_pong(at, from);
                 Ok(())
             }
-            // Delivery takes envelopes apart before dispatching, so only a
-            // nested bundle — legal on the wire, never built here — lands in
-            // this arm.
+            // Delivery takes envelopes apart before dispatching, and the wire
+            // decoder rejects a bundle inside a bundle, so no bundle reaches
+            // this arm; an in-memory one would dispatch its members in order.
             Message::Bundle(msgs) => msgs.into_iter().try_for_each(|m| self.dispatch(at, m)),
         }
     }

@@ -8,38 +8,21 @@ use crate::error::Result;
 use crate::jfrt::Jfrt;
 use crate::protocol::{Effect, EffectCtx};
 use crate::replication::{DigestIndex, ReplicaItem, ReplicaStore};
-use crate::tables::keys::{bucket_mut, key_view, lookup_key, FirstSeen, StrPair, ValueKey};
+use crate::tables::keys::{get_or_default, key_view, lookup_key, FirstSeen, StrPair, ValueKey};
 use crate::tables::Tables;
 
 /// Arrival statistics a rewriter keeps per `(relation, attribute)` — "each
 /// node can keep track of the total number of tuples that have arrived … in
 /// the last time window" and of the values seen (Section 4.3.6).
 ///
-/// Counts are kept for the current and the previous window; probes read
-/// their sum, so a burst older than two windows no longer biases the
-/// index-attribute choice.
+/// The time window is the whole run: nothing ends it, so a probe reads
+/// every arrival the node has recorded.
 #[derive(Clone, Debug, Default)]
 pub struct ArrivalStats {
-    /// Tuples seen in the current window.
+    /// Tuples seen.
     pub count: u64,
-    /// Tuples seen in the previous window.
-    pub prev_count: u64,
-    /// Distinct values observed (canonical forms; kept across windows — the
-    /// domain estimate only grows more accurate).
+    /// Distinct values observed (canonical forms).
     pub distinct: FxHashSet<ValueKey>,
-}
-
-impl ArrivalStats {
-    /// The rate estimate a probe reads: current + previous window.
-    pub fn windowed_count(&self) -> u64 {
-        self.count + self.prev_count
-    }
-
-    /// Rolls the window: current becomes previous, current resets.
-    pub fn roll(&mut self) {
-        self.prev_count = self.count;
-        self.count = 0;
-    }
 }
 
 /// The protocol state of one network node.
@@ -84,27 +67,20 @@ impl NodeState {
     /// `value_key` is the tuple value's canonical form; it is only copied
     /// into the distinct-value set the first time it is seen.
     pub fn record_arrival(&mut self, relation: &str, attr: &str, value_key: &str) {
-        let stats = bucket_mut(&mut self.arrivals, relation, attr);
+        let stats = get_or_default(&mut self.arrivals, lookup_key(&(relation, attr)), || {
+            StrPair::new(relation, attr)
+        });
         stats.count += 1;
         if !stats.distinct.contains(key_view(&value_key)) {
             stats.distinct.insert(ValueKey::from(value_key));
         }
     }
 
-    /// Arrival statistics for `(relation, attr)`:
-    /// `(windowed count, distinct values)`.
+    /// Arrival statistics for `(relation, attr)`: `(count, distinct values)`.
     pub fn arrival_stats(&self, relation: &str, attr: &str) -> (u64, usize) {
         self.arrivals
             .get(lookup_key(&(relation, attr)))
-            .map_or((0, 0), |s| (s.windowed_count(), s.distinct.len()))
-    }
-
-    /// Rolls every arrival-statistics window (run by the simulator when a
-    /// measurement window ends).
-    pub fn roll_statistics_window(&mut self) {
-        for s in self.arrivals.values_mut() {
-            s.roll();
-        }
+            .map_or((0, 0), |s| (s.count, s.distinct.len()))
     }
 
     /// The node's storage load: every item it holds on behalf of the
@@ -165,32 +141,6 @@ mod tests {
         n.record_arrival("R", "B", "i:2");
         assert_eq!(n.arrival_stats("R", "B"), (3, 2));
         assert_eq!(n.arrival_stats("R", "C"), (0, 0));
-    }
-
-    #[test]
-    fn arrival_window_forgets_old_bursts() {
-        let mut n = NodeState::new();
-        for _ in 0..10 {
-            n.record_arrival("R", "B", "i:1");
-        }
-        n.roll_statistics_window();
-        assert_eq!(
-            n.arrival_stats("R", "B").0,
-            10,
-            "previous window still counted"
-        );
-        n.record_arrival("R", "B", "i:2");
-        assert_eq!(n.arrival_stats("R", "B").0, 11);
-        n.roll_statistics_window();
-        assert_eq!(
-            n.arrival_stats("R", "B").0,
-            1,
-            "burst two windows back forgotten"
-        );
-        n.roll_statistics_window();
-        assert_eq!(n.arrival_stats("R", "B").0, 0);
-        // distinct-value knowledge is retained
-        assert_eq!(n.arrival_stats("R", "B").1, 2);
     }
 
     #[test]

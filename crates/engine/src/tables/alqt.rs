@@ -10,7 +10,7 @@ use cq_fasthash::FxHashMap;
 use cq_overlay::Id;
 use cq_relational::{QueryRef, Side};
 
-use super::keys::{bucket_mut, lookup_key, str_bucket_mut, StrPair};
+use super::keys::{get_or_default, lookup_key, StrPair};
 
 /// A query stored at a rewriter, remembering which side it was indexed by
 /// and under which attribute-level identifier (for key transfer on churn).
@@ -52,12 +52,11 @@ impl Alqt {
     /// them again.
     pub fn insert(&mut self, entry: StoredQuery) -> bool {
         let group = entry.query.group_key();
-        let groups = bucket_mut(
-            &mut self.buckets,
-            entry.query.relation(entry.index_side),
-            &entry.index_attr,
-        );
-        let bucket = str_bucket_mut(groups, &group);
+        let (rel, attr) = (entry.query.relation(entry.index_side), &*entry.index_attr);
+        let groups = get_or_default(&mut self.buckets, lookup_key(&(rel, attr)), || {
+            StrPair::new(rel, attr)
+        });
+        let bucket = get_or_default(groups, group.as_str(), || group.as_str().into());
         if bucket.iter().any(|e| {
             e.query.key() == entry.query.key()
                 && e.index_side == entry.index_side

@@ -110,33 +110,24 @@ pub fn lookup_key<'a>(pair: &'a (&'a str, &'a str)) -> &'a (dyn PairQuery + 'a) 
     pair
 }
 
-/// Get-or-insert for a [`StrPair`]-keyed map that only allocates the owned
-/// key when the bucket does not exist yet (the `entry` API would force an
-/// allocation on every call).
-pub fn bucket_mut<'m, V: Default>(
-    map: &'m mut cq_fasthash::FxHashMap<StrPair, V>,
-    a: &str,
-    b: &str,
-) -> &'m mut V {
-    if map.contains_key(lookup_key(&(a, b))) {
+/// Get-or-insert that looks the entry up by its `borrowed` key and builds
+/// the `owned` one only when the entry does not exist yet (the `entry` API
+/// would allocate an owned key on every call).
+pub fn get_or_default<'m, K, Q, V>(
+    map: &'m mut cq_fasthash::FxHashMap<K, V>,
+    borrowed: &Q,
+    owned: impl FnOnce() -> K,
+) -> &'m mut V
+where
+    K: Borrow<Q> + Hash + Eq,
+    Q: Hash + Eq + ?Sized,
+    V: Default,
+{
+    if map.contains_key(borrowed) {
         // Invariant: present per the contains_key probe on the previous line.
-        map.get_mut(lookup_key(&(a, b))).expect("checked above")
+        map.get_mut(borrowed).expect("checked above")
     } else {
-        map.entry(StrPair::new(a, b)).or_default()
-    }
-}
-
-/// Get-or-insert for a `Box<str>`-keyed second-level map, same rationale as
-/// [`bucket_mut`].
-pub fn str_bucket_mut<'m, V: Default>(
-    map: &'m mut cq_fasthash::FxHashMap<Box<str>, V>,
-    key: &str,
-) -> &'m mut V {
-    if map.contains_key(key) {
-        // Invariant: present per the contains_key probe on the previous line.
-        map.get_mut(key).expect("checked above")
-    } else {
-        map.entry(key.into()).or_default()
+        map.entry(owned()).or_default()
     }
 }
 
@@ -246,20 +237,6 @@ impl<'a> Borrow<dyn KeyView + 'a> for ValueKey {
 #[inline]
 pub fn key_view<'a>(text: &'a &'a str) -> &'a (dyn KeyView + 'a) {
     text
-}
-
-/// Get-or-insert for a [`ValueKey`]-keyed second-level map, same rationale
-/// as [`bucket_mut`].
-pub fn value_bucket_mut<'m, V: Default>(
-    map: &'m mut cq_fasthash::FxHashMap<ValueKey, V>,
-    key: &str,
-) -> &'m mut V {
-    if map.contains_key(key_view(&key)) {
-        // Invariant: present per the contains_key probe on the previous line.
-        map.get_mut(key_view(&key)).expect("checked above")
-    } else {
-        map.entry(ValueKey::from(key)).or_default()
-    }
 }
 
 /// A position index over a sequence the caller owns: it finds an item by a
@@ -562,9 +539,9 @@ mod tests {
             assert_eq!(bh.hash_one(key_view(&text)), want, "{text}");
         }
         let mut m: FxHashMap<ValueKey, u32> = FxHashMap::default();
-        *value_bucket_mut(&mut m, &min) += 1;
-        *value_bucket_mut(&mut m, &long) += 2;
-        *value_bucket_mut(&mut m, &min) += 4;
+        for (text, add) in [(min.as_str(), 1), (long.as_str(), 2), (min.as_str(), 4)] {
+            *get_or_default(&mut m, key_view(&text), || ValueKey::from(text)) += add;
+        }
         assert_eq!(m.get(key_view(&min.as_str())), Some(&5));
         assert_eq!(m.get(key_view(&long.as_str())), Some(&2));
         assert_eq!(m.get(key_view(&"i:7")), None);

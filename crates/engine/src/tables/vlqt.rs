@@ -28,9 +28,7 @@ use cq_fasthash::FxHashMap;
 use cq_overlay::Id;
 use cq_relational::{MatchTarget, QueryRef, RewrittenQuery};
 
-use super::keys::{
-    bucket_mut, key_view, lookup_key, value_bucket_mut, FirstSeen, Rewriting, StrPair, ValueKey,
-};
+use super::keys::{get_or_default, key_view, lookup_key, FirstSeen, Rewriting, StrPair, ValueKey};
 use crate::error::{EngineError, Result};
 
 /// A rewritten query stored at an evaluator together with the value-level
@@ -262,6 +260,19 @@ pub struct Vlqt {
     value_key: String,
 }
 
+/// The bucket of `(relation, attr, value)`, created if need be.
+fn value_bucket<'m>(
+    buckets: &'m mut FxHashMap<StrPair, FxHashMap<ValueKey, Bucket>>,
+    relation: &str,
+    attr: &str,
+    value_key: &str,
+) -> &'m mut Bucket {
+    let by_value = get_or_default(buckets, lookup_key(&(relation, attr)), || {
+        StrPair::new(relation, attr)
+    });
+    get_or_default(by_value, key_view(&value_key), || value_key.into())
+}
+
 impl Vlqt {
     /// An empty table.
     pub fn new() -> Self {
@@ -293,8 +304,12 @@ impl Vlqt {
         let mut value_key = std::mem::take(&mut self.value_key);
         value_key.clear();
         value.canonical_into(&mut value_key);
-        let by_value = bucket_mut(&mut self.buckets, entry.rq.free_relation(), attr);
-        let bucket = value_bucket_mut(by_value, &value_key);
+        let bucket = value_bucket(
+            &mut self.buckets,
+            entry.rq.free_relation(),
+            attr,
+            &value_key,
+        );
         self.value_key = value_key;
         let stored = bucket.insert_fresh(entry);
         if stored.is_some() {
@@ -307,9 +322,8 @@ impl Vlqt {
     /// `(relation, attr, value)` once, for a run of inserts that all target
     /// it: the items of one `Join` message share their evaluator bucket.
     pub fn bucket_mut(&mut self, relation: &str, attr: &str, value_key: &str) -> BucketMut<'_> {
-        let by_value = bucket_mut(&mut self.buckets, relation, attr);
         BucketMut {
-            bucket: value_bucket_mut(by_value, value_key),
+            bucket: value_bucket(&mut self.buckets, relation, attr, value_key),
             len: &mut self.len,
         }
     }

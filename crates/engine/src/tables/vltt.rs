@@ -12,7 +12,7 @@ use cq_fasthash::FxHashMap;
 use cq_overlay::Id;
 use cq_relational::Tuple;
 
-use super::keys::{bucket_mut, key_view, lookup_key, value_bucket_mut, StrPair, ValueKey};
+use super::keys::{get_or_default, key_view, lookup_key, StrPair, ValueKey};
 use crate::error::Result;
 
 /// A tuple stored at the value level together with the attribute it was
@@ -56,8 +56,11 @@ impl Vltt {
     /// e.g. a malformed replica payload — rather than a caller bug).
     pub fn insert(&mut self, entry: StoredTuple) -> Result<()> {
         let value_key = entry.tuple.canonical_of(&entry.attr)?;
-        let by_value = bucket_mut(&mut self.buckets, entry.tuple.relation(), &entry.attr);
-        let bucket = value_bucket_mut(by_value, value_key);
+        let (rel, attr) = (entry.tuple.relation(), &*entry.attr);
+        let by_value = get_or_default(&mut self.buckets, lookup_key(&(rel, attr)), || {
+            StrPair::new(rel, attr)
+        });
+        let bucket = get_or_default(by_value, key_view(&value_key), || value_key.into());
         bucket.push(entry);
         self.len += 1;
         Ok(())

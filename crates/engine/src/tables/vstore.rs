@@ -16,7 +16,7 @@ use cq_fasthash::FxHashMap;
 use cq_overlay::Id;
 use cq_relational::{Side, Tuple};
 
-use super::keys::{bucket_mut, lookup_key, StrPair};
+use super::keys::{get_or_default, lookup_key, StrPair};
 
 /// A tuple stored at a DAI-V evaluator.
 #[derive(Clone, Debug)]
@@ -48,13 +48,6 @@ pub struct VStore {
     len: usize,
 }
 
-fn side_slot(side: Side) -> usize {
-    match side {
-        Side::Left => 0,
-        Side::Right => 1,
-    }
-}
-
 impl VStore {
     /// An empty store.
     pub fn new() -> Self {
@@ -63,7 +56,10 @@ impl VStore {
 
     /// Stores a tuple for `(group, value)` on its side.
     pub fn insert(&mut self, group: &str, value_key: &str, entry: StoredValueTuple) {
-        bucket_mut(&mut self.buckets, group, value_key)[side_slot(entry.side)].push(entry);
+        let slots = get_or_default(&mut self.buckets, lookup_key(&(group, value_key)), || {
+            StrPair::new(group, value_key)
+        });
+        slots[entry.side.idx()].push(entry);
         self.len += 1;
     }
 
@@ -78,7 +74,7 @@ impl VStore {
     ) -> std::slice::Iter<'_, StoredValueTuple> {
         self.buckets
             .get(lookup_key(&(group, value_key)))
-            .map(|slots| slots[side_slot(side)].as_slice())
+            .map(|slots| slots[side.idx()].as_slice())
             .unwrap_or(&[])
             .iter()
     }

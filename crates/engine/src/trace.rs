@@ -196,15 +196,14 @@ macro_rules! field {
 }
 
 /// `binding!(node; f f g g …)` is `Some(binding)` for the field called
-/// `node` among a variant's fields (`id` likewise), `None` when the variant
-/// has no such field. Every field identifier is passed twice: the second
+/// `node` among a variant's fields, `None` when the variant has no such
+/// field. Every field identifier is passed twice: the second
 /// copy is compared against the literal name (matching ignores hygiene),
 /// the first is the call-site identifier that names the `match` binding —
 /// a `node` written in this macro's own body could not refer to it.
 macro_rules! binding {
     ($name:ident;) => { None };
     (node; $b:ident node $($rest:ident)*) => { Some($b) };
-    (id; $b:ident id $($rest:ident)*) => { Some($b) };
     ($name:ident; $b:ident $other:ident $($rest:ident)*) => { binding!($name; $($rest)*) };
 }
 
@@ -253,15 +252,6 @@ macro_rules! trace_events {
                     $(Self::$V { $($f),* } => binding!(node; $($f $f)*),)*
                 };
                 node.copied().unwrap_or(u32::MAX)
-            }
-
-            /// The `(sender, seq)` message identifier, for message-level events.
-            #[allow(unused_variables)]
-            pub fn msg_id(&self) -> Option<MsgId> {
-                let id: Option<&MsgId> = match self {
-                    $(Self::$V { $($f),* } => binding!(id; $($f $f)*),)*
-                };
-                id.copied()
             }
 
             /// Serializes the event as one JSON object (no trailing newline) and
@@ -1116,19 +1106,13 @@ mod tests {
             kind: "join-v",
             path: None,
         };
-        assert_eq!(
-            (send.tick(), send.node(), send.msg_id()),
-            (3, 5, Some((5, 12)))
-        );
+        assert_eq!((send.tick(), send.node()), (3, 5));
         assert_eq!((send.kind(), send.kind_index()), ("msg-send", 0));
         let phase = TraceEvent::Phase {
             tick: 8,
             name: "stream".into(),
         };
-        assert_eq!(
-            (phase.tick(), phase.node(), phase.msg_id()),
-            (8, u32::MAX, None)
-        );
+        assert_eq!((phase.tick(), phase.node()), (8, u32::MAX));
         assert_eq!(TraceEvent::KINDS[phase.kind_index()], "phase");
     }
 

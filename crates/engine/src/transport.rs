@@ -170,7 +170,7 @@ impl Network {
         // out. Sends made by a running pump's handlers are therefore
         // announced here *and* again at `transmit`, under the two allocators'
         // own ids and ticks. That echo predates this layout and is kept so
-        // traces stay byte-identical; see ROADMAP item 5.
+        // traces stay byte-identical; see ROADMAP item 8(c).
         let mut first = None;
         if self.trace_on() && self.pump.is_none() {
             let tick = self.trace_tick();

@@ -25,9 +25,9 @@
 //! `Arc<Tuple>`, length-prefixed lists of rewritten queries, notifications,
 //! values or (in a bundle) messages, a boxed replica item, and the structs
 //! `wire_struct!` lists. Queries, tuples, expressions and rewritten queries
-//! keep hand-written codecs. Trace events have their own table in
-//! [`crate::trace`] on the same `Sink`/`Reader` primitives, and are only
-//! framed here.
+//! keep hand-written codecs. [`TraceEvent`]s have their own table, beside
+//! their type, on the same `Sink`/`Reader` primitives, and are only framed
+//! here.
 //!
 //! [`encoded_len`] is *exact by construction*: the encoder is generic over
 //! a byte sink, and the length computation runs the same encoder against a
@@ -894,11 +894,6 @@ pub fn encode_trace_event(ev: &TraceEvent, out: &mut Vec<u8>) {
     put_frame(out, |s| ev.put_body(s));
 }
 
-/// The exact length in bytes of [`encode_trace_event`]'s output.
-pub fn trace_encoded_len(ev: &TraceEvent) -> u64 {
-    frame_len(|c| ev.put_body(c))
-}
-
 /// Splits one frame off the head of `buf`, validating the length prefix and
 /// version byte, and reads its payload with `body`, which must consume all
 /// of it. Returns the value and the frame's total length.
@@ -1240,7 +1235,6 @@ mod tests {
         for ev in &events {
             let mut buf = Vec::new();
             encode_trace_event(ev, &mut buf);
-            assert_eq!(buf.len() as u64, trace_encoded_len(ev));
             let (back, used) = decode_trace_event(&buf).unwrap();
             assert_eq!(used, buf.len());
             assert_eq!(&back, ev);

@@ -4,58 +4,11 @@
 //! delivery equals per-message delivery is pinned byte for byte by
 //! `tests/delivery.rs` against fixtures the per-message build wrote.)
 
-use cq_engine::{Algorithm, EngineConfig, Network, Oracle};
+pub mod common;
+
+use common::{run, Step};
+use cq_engine::{Algorithm, EngineConfig, FaultConfig, Network, Oracle};
 use cq_relational::{Catalog, DataType, RelationSchema, Value};
-
-fn catalog() -> Catalog {
-    let mut c = Catalog::new();
-    c.register(RelationSchema::of("R", &[("A", DataType::Int), ("B", DataType::Int)]).unwrap())
-        .unwrap();
-    c.register(RelationSchema::of("S", &[("D", DataType::Int), ("E", DataType::Int)]).unwrap())
-        .unwrap();
-    c
-}
-
-/// One step of the workload.
-#[derive(Clone, Debug)]
-enum Step {
-    PoseSimple,
-    PoseWithFilter(i64),
-    InsertR(i64, i64),
-    InsertS(i64, i64),
-}
-
-fn run(alg: Algorithm, steps: &[Step], seed: u64) -> Network {
-    let mut net = Network::new(
-        EngineConfig::new(alg).with_nodes(32).with_seed(seed),
-        catalog(),
-    );
-    for (n, step) in steps.iter().enumerate() {
-        let from = net.node_at(n % 32);
-        match step {
-            Step::PoseSimple => {
-                net.pose_query_sql(from, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E")
-                    .unwrap();
-            }
-            Step::PoseWithFilter(v) => {
-                net.pose_query_sql(
-                    from,
-                    &format!("SELECT R.A FROM R, S WHERE R.B = S.E AND S.D = {v}"),
-                )
-                .unwrap();
-            }
-            Step::InsertR(a, b) => {
-                net.insert_tuple(from, "R", vec![Value::Int(*a), Value::Int(*b)])
-                    .unwrap();
-            }
-            Step::InsertS(d, e) => {
-                net.insert_tuple(from, "S", vec![Value::Int(*d), Value::Int(*e)])
-                    .unwrap();
-            }
-        }
-    }
-    net
-}
 
 /// The zero-clone kernels (in-place ALQT/VLQT/VLTT/value-store scans) must
 /// produce exactly the oracle's match set for every algorithm — T1 for all
@@ -74,7 +27,7 @@ fn zero_clone_kernels_match_oracle_for_all_algorithms() {
         }))
         .collect();
     for alg in Algorithm::ALL {
-        let net = run(alg, &steps, 7);
+        let net = run(alg, &steps, 7, FaultConfig::default());
         let mut oracle = Oracle::new();
         oracle.ingest(net.posed_queries(), net.inserted_tuples());
         assert_eq!(

@@ -4,71 +4,11 @@
 //! the observable notification set exactly equal to the oracle's —
 //! exactly-once semantics over a faulty channel.
 
-use cq_engine::{Algorithm, EngineConfig, FaultConfig, Network, Oracle};
-use cq_relational::{Catalog, DataType, RelationSchema, Value};
+pub mod common;
+
+use common::{run, step_strategy};
+use cq_engine::{Algorithm, FaultConfig, Oracle};
 use proptest::prelude::*;
-
-fn catalog() -> Catalog {
-    let mut c = Catalog::new();
-    c.register(RelationSchema::of("R", &[("A", DataType::Int), ("B", DataType::Int)]).unwrap())
-        .unwrap();
-    c.register(RelationSchema::of("S", &[("D", DataType::Int), ("E", DataType::Int)]).unwrap())
-        .unwrap();
-    c
-}
-
-/// One step of a random workload.
-#[derive(Clone, Debug)]
-enum Step {
-    PoseSimple,
-    PoseWithFilter(i64),
-    InsertR(i64, i64),
-    InsertS(i64, i64),
-}
-
-fn step_strategy() -> impl Strategy<Value = Step> {
-    prop_oneof![
-        1 => Just(Step::PoseSimple),
-        1 => (-2i64..2).prop_map(Step::PoseWithFilter),
-        4 => ((-20i64..20), (-3i64..3)).prop_map(|(a, b)| Step::InsertR(a, b)),
-        4 => ((-20i64..20), (-3i64..3)).prop_map(|(d, e)| Step::InsertS(d, e)),
-    ]
-}
-
-fn run(alg: Algorithm, steps: &[Step], seed: u64, fault: FaultConfig) -> Network {
-    let mut net = Network::new(
-        EngineConfig::new(alg)
-            .with_nodes(32)
-            .with_seed(seed)
-            .with_fault(fault),
-        catalog(),
-    );
-    for (n, step) in steps.iter().enumerate() {
-        let from = net.node_at(n % 32);
-        match step {
-            Step::PoseSimple => {
-                net.pose_query_sql(from, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E")
-                    .unwrap();
-            }
-            Step::PoseWithFilter(v) => {
-                net.pose_query_sql(
-                    from,
-                    &format!("SELECT R.A FROM R, S WHERE R.B = S.E AND S.D = {v}"),
-                )
-                .unwrap();
-            }
-            Step::InsertR(a, b) => {
-                net.insert_tuple(from, "R", vec![Value::Int(*a), Value::Int(*b)])
-                    .unwrap();
-            }
-            Step::InsertS(d, e) => {
-                net.insert_tuple(from, "S", vec![Value::Int(*d), Value::Int(*e)])
-                    .unwrap();
-            }
-        }
-    }
-    net
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]

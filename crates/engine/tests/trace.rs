@@ -520,12 +520,7 @@ fn both_encodings_reproduce_the_committed_v1_fixtures() {
     for ev in &events {
         ev.to_jsonl(&mut jsonl);
         jsonl.push('\n');
-        let at = binary.len();
         cq_engine::wire::encode_trace_event(ev, &mut binary);
-        assert_eq!(
-            (binary.len() - at) as u64,
-            cq_engine::wire::trace_encoded_len(ev)
-        );
     }
     assert!(
         jsonl == want_jsonl,

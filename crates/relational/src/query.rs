@@ -42,8 +42,9 @@ impl Side {
     /// Both sides, left first.
     pub const BOTH: [Side; 2] = [Side::Left, Side::Right];
 
+    /// The side's slot in a `[T; 2]` indexed by side: left 0, right 1.
     #[inline]
-    pub(crate) fn idx(self) -> usize {
+    pub fn idx(self) -> usize {
         match self {
             Side::Left => 0,
             Side::Right => 1,

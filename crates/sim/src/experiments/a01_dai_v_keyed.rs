@@ -16,16 +16,15 @@ use crate::report::{fnum, Report};
 use crate::stats;
 
 fn run_variant(scale: Scale, keyed: bool, queries: usize) -> (f64, f64) {
-    let nodes = scale.pick(128, 1024);
+    let base = scale.config(Algorithm::DaiV);
     let tuples = scale.pick(200, 600);
     let mut w = Workload::new(WorkloadConfig {
-        domain: scale.pick(40, 400),
         seed: 21,
-        ..WorkloadConfig::default()
+        ..base.workload
     });
     let mut net = Network::new(
         EngineConfig::new(Algorithm::DaiV)
-            .with_nodes(nodes)
+            .with_nodes(base.nodes)
             .with_dai_v_keyed(keyed)
             .with_seed(21),
         w.catalog().clone(),
@@ -92,15 +91,7 @@ mod tests {
     #[test]
     fn keyed_variant_multiplies_traffic_and_flattens_load() {
         let r = run(Scale::Quick);
-        let last: Vec<f64> = r
-            .to_csv()
-            .lines()
-            .last()
-            .unwrap()
-            .split(',')
-            .skip(1)
-            .map(|c| c.parse().unwrap())
-            .collect();
+        let last: Vec<f64> = (1..=5).map(|c| r.cell(r.len() - 1, c)).collect();
         let (base, keyed, factor, gini, keyed_gini) = (last[0], last[1], last[2], last[3], last[4]);
         assert!(keyed > base, "keyed {keyed} must exceed grouped {base}");
         assert!(

@@ -75,11 +75,8 @@ mod tests {
     fn recursive_wins_at_every_k() {
         let r = run(Scale::Quick);
         assert_eq!(r.len(), 4);
-        let csv = r.to_csv();
-        for line in csv.lines().skip(1) {
-            let cells: Vec<&str> = line.split(',').collect();
-            let rec: f64 = cells[1].parse().unwrap();
-            let ite: f64 = cells[2].parse().unwrap();
+        for i in 0..r.len() {
+            let (rec, ite): (f64, f64) = (r.cell(i, 1), r.cell(i, 2));
             assert!(
                 rec <= ite,
                 "recursive {rec} should not exceed iterative {ite}"

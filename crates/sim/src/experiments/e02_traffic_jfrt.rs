@@ -9,18 +9,15 @@
 //! rewritten query at most once).
 
 use cq_engine::{Algorithm, TrafficKind};
-use cq_workload::WorkloadConfig;
 
-use super::Scale;
+use super::{grid, Scale};
 use crate::harness::RunConfig;
-use crate::parallel::run_many;
 use crate::report::{fnum, Report};
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Report {
-    let nodes = scale.pick(128, 1024);
-    let queries = scale.pick(60, 5000);
     let tuples = scale.pick(250, 800);
+    let RunConfig { nodes, queries, .. } = scale.config(Algorithm::Sai);
     let mut report = Report::new(
         "E2",
         &format!("reindex hops per tuple, JFRT on/off (N={nodes}, Q={queries}, T={tuples})"),
@@ -33,27 +30,13 @@ pub fn run(scale: Scale) -> Report {
             "total hops/t",
         ],
     );
-    let mut cfgs = Vec::new();
-    for alg in Algorithm::ALL {
-        for jfrt in [false, true] {
-            cfgs.push(RunConfig {
-                algorithm: alg,
-                nodes,
-                queries,
-                tuples,
-                use_jfrt: jfrt,
-                workload: WorkloadConfig {
-                    domain: scale.pick(40, 400),
-                    ..WorkloadConfig::default()
-                },
-                ..RunConfig::new(alg)
-            });
-        }
-    }
-    let mut results = run_many(&cfgs).into_iter();
-    for alg in Algorithm::ALL {
-        let off = results.next().expect("one result per config");
-        let on = results.next().expect("one result per config");
+    let results = grid(&Algorithm::ALL, &[false, true], |alg, use_jfrt| RunConfig {
+        tuples,
+        use_jfrt,
+        ..scale.config(alg)
+    });
+    for (alg, r) in Algorithm::ALL.into_iter().zip(&results) {
+        let (off, on) = (&r[0], &r[1]);
         let reindex = [
             off.traffic_of(TrafficKind::Reindex).hops as f64 / tuples as f64,
             on.traffic_of(TrafficKind::Reindex).hops as f64 / tuples as f64,
@@ -87,15 +70,13 @@ mod tests {
     fn jfrt_reduces_reindex_hops_for_every_algorithm() {
         let r = run(Scale::Quick);
         assert_eq!(r.len(), 4);
-        for line in r.to_csv().lines().skip(1) {
-            let cells: Vec<&str> = line.split(',').collect();
-            let off: f64 = cells[1].parse().unwrap();
-            let on: f64 = cells[2].parse().unwrap();
-            assert!(on < off, "{line}: JFRT must cut reindex hops");
-            let saving: f64 = cells[3].parse().unwrap();
+        for i in 0..r.len() {
+            let (off, on): (f64, f64) = (r.cell(i, 1), r.cell(i, 2));
+            assert!(on < off, "row {i}: JFRT must cut reindex hops");
+            let saving: f64 = r.cell(i, 3);
             assert!(
                 saving > 20.0,
-                "{line}: saving should be substantial, got {saving}%"
+                "row {i}: saving should be substantial, got {saving}%"
             );
         }
     }

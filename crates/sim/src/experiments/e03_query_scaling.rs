@@ -9,16 +9,14 @@
 //! reindexing and duplicate-content notifications are suppressed by key.
 
 use cq_engine::Algorithm;
-use cq_workload::WorkloadConfig;
 
-use super::Scale;
+use super::{grid, Scale};
 use crate::harness::RunConfig;
-use crate::parallel::run_many;
 use crate::report::{fnum, Report};
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Report {
-    let nodes = scale.pick(128, 1024);
+    let RunConfig { nodes, .. } = scale.config(Algorithm::Sai);
     let tuples = scale.pick(200, 800);
     let sweep: Vec<usize> = scale.pick(vec![20, 60, 120, 240], vec![1000, 2500, 5000, 10_000]);
     let mut report = Report::new(
@@ -26,33 +24,14 @@ pub fn run(scale: Scale) -> Report {
         &format!("hops per tuple vs installed queries (N={nodes}, T={tuples})"),
         &["queries", "SAI", "DAI-Q", "DAI-T", "DAI-V"],
     );
-    let mut cfgs = Vec::new();
-    for &q in &sweep {
-        for alg in Algorithm::ALL {
-            cfgs.push(RunConfig {
-                algorithm: alg,
-                nodes,
-                queries: q,
-                tuples,
-                workload: WorkloadConfig {
-                    domain: scale.pick(40, 400),
-                    ..WorkloadConfig::default()
-                },
-                ..RunConfig::new(alg)
-            });
-        }
-    }
-    let mut results = run_many(&cfgs).into_iter();
-    for &q in &sweep {
+    let results = grid(&sweep, &Algorithm::ALL, |queries, alg| RunConfig {
+        queries,
+        tuples,
+        ..scale.config(alg)
+    });
+    for (q, rs) in sweep.iter().zip(&results) {
         let mut row = vec![q.to_string()];
-        for _ in Algorithm::ALL {
-            row.push(fnum(
-                results
-                    .next()
-                    .expect("one result per config")
-                    .hops_per_tuple(),
-            ));
-        }
+        row.extend(rs.iter().map(|r| fnum(r.hops_per_tuple())));
         report.row(row);
     }
     report.note("paper: traffic rises with queries; DAI-T flattest (reindex + notification dedup)");
@@ -66,13 +45,7 @@ mod tests {
     #[test]
     fn traffic_grows_with_queries() {
         let r = run(Scale::Quick);
-        let rows: Vec<Vec<f64>> = r
-            .to_csv()
-            .lines()
-            .skip(1)
-            .map(|l| l.split(',').skip(1).map(|c| c.parse().unwrap()).collect())
-            .collect();
         // SAI traffic at the largest sweep point exceeds the smallest.
-        assert!(rows.last().unwrap()[0] > rows[0][0]);
+        assert!(r.cell::<f64>(r.len() - 1, 1) > r.cell(0, 1));
     }
 }

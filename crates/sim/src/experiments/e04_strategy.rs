@@ -7,7 +7,7 @@
 //! picks the colder side. Expected shape: lowest-rate < random in hops per
 //! tuple; most-distinct optimizes distribution, not traffic.
 
-use cq_engine::{Algorithm, IndexStrategy};
+use cq_engine::{Algorithm, IndexStrategy, TrafficKind};
 use cq_workload::WorkloadConfig;
 
 use super::Scale;
@@ -18,8 +18,7 @@ use crate::stats;
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Report {
-    let nodes = scale.pick(128, 1024);
-    let queries = scale.pick(60, 5000);
+    let RunConfig { nodes, queries, .. } = scale.config(Algorithm::Sai);
     let tuples = scale.pick(300, 800);
     let warmup = scale.pick(150, 400);
     let mut report = Report::new(
@@ -30,26 +29,21 @@ pub fn run(scale: Scale) -> Report {
     let cfgs: Vec<RunConfig> = IndexStrategy::ALL
         .into_iter()
         .map(|strategy| RunConfig {
-            algorithm: Algorithm::Sai,
-            nodes,
-            queries,
             tuples,
             warmup_tuples: warmup,
             strategy,
-            measure_stream_only: true,
             workload: WorkloadConfig {
                 bos_ratio: 0.8,
-                domain: scale.pick(40, 400),
-                ..WorkloadConfig::default()
+                ..scale.config(Algorithm::Sai).workload
             },
-            ..RunConfig::new(Algorithm::Sai)
+            ..scale.config(Algorithm::Sai)
         })
         .collect();
     for (strategy, r) in IndexStrategy::ALL.into_iter().zip(run_many(&cfgs)) {
         report.row(vec![
             strategy.name().to_string(),
             fnum(r.hops_per_tuple()),
-            r.install_traffic_of(cq_engine::TrafficKind::Probe)
+            r.install_traffic_of(TrafficKind::Probe)
                 .messages
                 .to_string(),
             fnum(stats::gini(&r.evaluator_filtering)),
@@ -66,11 +60,8 @@ mod tests {
     #[test]
     fn lowest_rate_beats_random_on_biased_streams() {
         let r = run(Scale::Quick);
-        let mut hops = std::collections::HashMap::new();
-        for line in r.to_csv().lines().skip(1) {
-            let cells: Vec<&str> = line.split(',').collect();
-            hops.insert(cells[0].to_string(), cells[1].parse::<f64>().unwrap());
-        }
+        let hops: std::collections::HashMap<String, f64> =
+            (0..r.len()).map(|i| (r.cell(i, 0), r.cell(i, 1))).collect();
         assert!(
             hops["lowest-rate"] <= hops["random"],
             "lowest-rate {} should not exceed random {}",

@@ -11,15 +11,13 @@
 use cq_engine::{Algorithm, IndexStrategy};
 use cq_workload::WorkloadConfig;
 
-use super::Scale;
+use super::{grid, Scale};
 use crate::harness::RunConfig;
-use crate::parallel::run_many;
 use crate::report::{fnum, Report};
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Report {
-    let nodes = scale.pick(128, 1024);
-    let queries = scale.pick(60, 5000);
+    let RunConfig { nodes, queries, .. } = scale.config(Algorithm::Sai);
     let tuples = scale.pick(300, 800);
     let warmup = scale.pick(150, 400);
     let ratios = [0.5, 0.6, 0.7, 0.8, 0.9];
@@ -28,37 +26,19 @@ pub fn run(scale: Scale) -> Report {
         &format!("SAI hops per tuple vs bos ratio (N={nodes}, Q={queries})"),
         &["bos", "random", "lowest-rate", "gap %"],
     );
-    let mut cfgs = Vec::new();
-    for &bos in &ratios {
-        for strategy in [IndexStrategy::Random, IndexStrategy::LowestRate] {
-            cfgs.push(RunConfig {
-                algorithm: Algorithm::Sai,
-                nodes,
-                queries,
-                tuples,
-                warmup_tuples: warmup,
-                strategy,
-                workload: WorkloadConfig {
-                    bos_ratio: bos,
-                    domain: scale.pick(40, 400),
-                    ..WorkloadConfig::default()
-                },
-                ..RunConfig::new(Algorithm::Sai)
-            });
-        }
-    }
-    let mut results = run_many(&cfgs).into_iter();
-    for &bos in &ratios {
-        let hops = [
-            results
-                .next()
-                .expect("one result per config")
-                .hops_per_tuple(),
-            results
-                .next()
-                .expect("one result per config")
-                .hops_per_tuple(),
-        ];
+    let strategies = [IndexStrategy::Random, IndexStrategy::LowestRate];
+    let results = grid(&ratios, &strategies, |bos_ratio, strategy| RunConfig {
+        tuples,
+        warmup_tuples: warmup,
+        strategy,
+        workload: WorkloadConfig {
+            bos_ratio,
+            ..scale.config(Algorithm::Sai).workload
+        },
+        ..scale.config(Algorithm::Sai)
+    });
+    for (bos, rs) in ratios.iter().zip(&results) {
+        let hops = [rs[0].hops_per_tuple(), rs[1].hops_per_tuple()];
         let gap = if hops[0] > 0.0 {
             100.0 * (hops[0] - hops[1]) / hops[0]
         } else {
@@ -82,10 +62,8 @@ mod tests {
     #[test]
     fn rate_based_wins_at_high_bias() {
         let r = run(Scale::Quick);
-        let last = r.to_csv().lines().last().unwrap().to_string();
-        let cells: Vec<&str> = last.split(',').collect();
-        let random: f64 = cells[1].parse().unwrap();
-        let lowest: f64 = cells[2].parse().unwrap();
+        let last = r.len() - 1;
+        let (random, lowest): (f64, f64) = (r.cell(last, 1), r.cell(last, 2));
         assert!(
             lowest <= random,
             "at bos=0.9 lowest-rate ({lowest}) must not exceed random ({random})"

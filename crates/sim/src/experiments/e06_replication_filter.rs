@@ -7,7 +7,6 @@
 //! drops ~k-fold and the Gini coefficient falls as `k` grows.
 
 use cq_engine::Algorithm;
-use cq_workload::WorkloadConfig;
 
 use super::Scale;
 use crate::harness::RunConfig;
@@ -17,8 +16,7 @@ use crate::stats;
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Report {
-    let nodes = scale.pick(128, 1024);
-    let queries = scale.pick(60, 5000);
+    let RunConfig { nodes, .. } = scale.config(Algorithm::Sai);
     let tuples = scale.pick(300, 800);
     let mut report = Report::new(
         "E6",
@@ -29,16 +27,9 @@ pub fn run(scale: Scale) -> Report {
     let cfgs: Vec<RunConfig> = ks
         .into_iter()
         .map(|k| RunConfig {
-            algorithm: Algorithm::Sai,
-            nodes,
-            queries,
             tuples,
             replication: k,
-            workload: WorkloadConfig {
-                domain: scale.pick(40, 400),
-                ..WorkloadConfig::default()
-            },
-            ..RunConfig::new(Algorithm::Sai)
+            ..scale.config(Algorithm::Sai)
         })
         .collect();
     for (k, r) in ks.into_iter().zip(run_many(&cfgs)) {
@@ -62,20 +53,12 @@ mod tests {
     #[test]
     fn replication_reduces_max_rewriter_load() {
         let r = run(Scale::Quick);
-        let rows: Vec<Vec<String>> = r
-            .to_csv()
-            .lines()
-            .skip(1)
-            .map(|l| l.split(',').map(str::to_string).collect())
-            .collect();
-        let max_k1: f64 = rows[0][1].parse().unwrap();
-        let max_k8: f64 = rows[3][1].parse().unwrap();
+        let (max_k1, max_k8): (f64, f64) = (r.cell(0, 1), r.cell(3, 1));
         assert!(
             max_k8 < max_k1,
             "k=8 max load {max_k8} must be below k=1 max load {max_k1}"
         );
-        let loaded_k1: usize = rows[0][4].parse().unwrap();
-        let loaded_k8: usize = rows[3][4].parse().unwrap();
+        let (loaded_k1, loaded_k8): (usize, usize) = (r.cell(0, 4), r.cell(3, 4));
         assert!(
             loaded_k8 > loaded_k1,
             "replication spreads the role over more nodes"

@@ -7,7 +7,6 @@
 //! curve spreads over more nodes.
 
 use cq_engine::Algorithm;
-use cq_workload::WorkloadConfig;
 
 use super::Scale;
 use crate::harness::RunConfig;
@@ -17,8 +16,7 @@ use crate::stats;
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Report {
-    let nodes = scale.pick(128, 1024);
-    let queries = scale.pick(60, 5000);
+    let RunConfig { nodes, queries, .. } = scale.config(Algorithm::Sai);
     let tuples = scale.pick(200, 800);
     let mut report = Report::new(
         "E7",
@@ -29,16 +27,9 @@ pub fn run(scale: Scale) -> Report {
     let cfgs: Vec<RunConfig> = ks
         .into_iter()
         .map(|k| RunConfig {
-            algorithm: Algorithm::Sai,
-            nodes,
-            queries,
             tuples,
             replication: k,
-            workload: WorkloadConfig {
-                domain: scale.pick(40, 400),
-                ..WorkloadConfig::default()
-            },
-            ..RunConfig::new(Algorithm::Sai)
+            ..scale.config(Algorithm::Sai)
         })
         .collect();
     for (k, r) in ks.into_iter().zip(run_many(&cfgs)) {
@@ -61,12 +52,7 @@ mod tests {
     #[test]
     fn replication_grows_total_storage() {
         let r = run(Scale::Quick);
-        let totals: Vec<f64> = r
-            .to_csv()
-            .lines()
-            .skip(1)
-            .map(|l| l.split(',').nth(1).unwrap().parse().unwrap())
-            .collect();
+        let totals: Vec<f64> = (0..r.len()).map(|i| r.cell(i, 1)).collect();
         assert!(
             totals[3] > totals[0],
             "k=8 total {} !> k=1 total {}",

@@ -8,58 +8,61 @@
 //! higher amount of installed queries will be triggered".
 
 use cq_engine::Algorithm;
-use cq_workload::WorkloadConfig;
 
-use super::Scale;
-use crate::harness::RunConfig;
-use crate::parallel::run_many;
+use super::{grid, Scale};
+use crate::harness::{RunConfig, RunResult};
 use crate::report::{fnum, Report};
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Report {
-    let nodes = scale.pick(128, 1024);
+    window_sweep(
+        scale,
+        "E8",
+        "filtering",
+        RunResult::total_evaluator_filtering,
+        "paper: evaluator filtering load grows with the window and with installed queries",
+    )
+}
+
+/// The window × query-population sweep E8 and E9 share: one row per window
+/// size, one column per (population, algorithm), each cell `load`'s total.
+pub(super) fn window_sweep(
+    scale: Scale,
+    id: &str,
+    load_word: &str,
+    load: fn(&RunResult) -> f64,
+    note: &str,
+) -> Report {
+    let RunConfig { nodes, .. } = scale.config(Algorithm::Sai);
     let windows: Vec<usize> = scale.pick(vec![100, 200, 400], vec![500, 1000, 2000]);
     let query_pops: Vec<usize> = scale.pick(vec![20, 80], vec![1000, 4000]);
+    let variants: Vec<(usize, Algorithm)> = query_pops
+        .iter()
+        .flat_map(|&q| Algorithm::ALL.map(|alg| (q, alg)))
+        .collect();
     let mut headers = vec!["window".to_string()];
-    for q in &query_pops {
-        for alg in Algorithm::ALL {
-            headers.push(format!("{} Q={q}", alg.name()));
-        }
-    }
+    headers.extend(
+        variants
+            .iter()
+            .map(|(q, alg)| format!("{} Q={q}", alg.name())),
+    );
     let headers_ref: Vec<&str> = headers.iter().map(String::as_str).collect();
     let mut report = Report::new(
-        "E8",
-        &format!("total evaluator filtering load vs window size (N={nodes})"),
+        id,
+        &format!("total evaluator {load_word} load vs window size (N={nodes})"),
         &headers_ref,
     );
-    let mut cfgs = Vec::new();
-    for &w in &windows {
-        for &q in &query_pops {
-            for alg in Algorithm::ALL {
-                cfgs.push(RunConfig {
-                    algorithm: alg,
-                    nodes,
-                    queries: q,
-                    tuples: w,
-                    workload: WorkloadConfig {
-                        domain: scale.pick(40, 400),
-                        ..WorkloadConfig::default()
-                    },
-                    ..RunConfig::new(alg)
-                });
-            }
-        }
-    }
-    let mut results = run_many(&cfgs).into_iter();
-    for &w in &windows {
+    let results = grid(&windows, &variants, |tuples, (queries, alg)| RunConfig {
+        queries,
+        tuples,
+        ..scale.config(alg)
+    });
+    for (w, rs) in windows.iter().zip(&results) {
         let mut row = vec![w.to_string()];
-        for _ in 0..query_pops.len() * Algorithm::ALL.len() {
-            let r = results.next().expect("one result per config");
-            row.push(fnum(r.total_evaluator_filtering()));
-        }
+        row.extend(rs.iter().map(|r| fnum(load(r))));
         report.row(row);
     }
-    report.note("paper: evaluator filtering load grows with the window and with installed queries");
+    report.note(note);
     report
 }
 
@@ -70,13 +73,7 @@ mod tests {
     #[test]
     fn load_grows_with_window() {
         let r = run(Scale::Quick);
-        let rows: Vec<Vec<f64>> = r
-            .to_csv()
-            .lines()
-            .skip(1)
-            .map(|l| l.split(',').skip(1).map(|c| c.parse().unwrap()).collect())
-            .collect();
         // SAI at Q=20: largest window ≥ smallest window.
-        assert!(rows.last().unwrap()[0] >= rows[0][0]);
+        assert!(r.cell::<f64>(r.len() - 1, 1) >= r.cell(0, 1));
     }
 }

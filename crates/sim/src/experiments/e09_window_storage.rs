@@ -9,60 +9,20 @@
 //! SAI stores tuples *plus* its single rewriter's rewritten queries, so it
 //! always exceeds DAI-Q on the same stream.
 
-use cq_engine::Algorithm;
-use cq_workload::WorkloadConfig;
-
+use super::e08_window_filter::window_sweep;
 use super::Scale;
-use crate::harness::RunConfig;
-use crate::parallel::run_many;
-use crate::report::{fnum, Report};
+use crate::harness::RunResult;
+use crate::report::Report;
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Report {
-    let nodes = scale.pick(128, 1024);
-    let windows: Vec<usize> = scale.pick(vec![100, 200, 400], vec![500, 1000, 2000]);
-    let query_pops: Vec<usize> = scale.pick(vec![20, 80], vec![1000, 4000]);
-    let mut headers = vec!["window".to_string()];
-    for q in &query_pops {
-        for alg in Algorithm::ALL {
-            headers.push(format!("{} Q={q}", alg.name()));
-        }
-    }
-    let headers_ref: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let mut report = Report::new(
+    window_sweep(
+        scale,
         "E9",
-        &format!("total evaluator storage load vs window size (N={nodes})"),
-        &headers_ref,
-    );
-    let mut cfgs = Vec::new();
-    for &w in &windows {
-        for &q in &query_pops {
-            for alg in Algorithm::ALL {
-                cfgs.push(RunConfig {
-                    algorithm: alg,
-                    nodes,
-                    queries: q,
-                    tuples: w,
-                    workload: WorkloadConfig {
-                        domain: scale.pick(40, 400),
-                        ..WorkloadConfig::default()
-                    },
-                    ..RunConfig::new(alg)
-                });
-            }
-        }
-    }
-    let mut results = run_many(&cfgs).into_iter();
-    for &w in &windows {
-        let mut row = vec![w.to_string()];
-        for _ in 0..query_pops.len() * Algorithm::ALL.len() {
-            let r = results.next().expect("one result per config");
-            row.push(fnum(r.total_evaluator_storage()));
-        }
-        report.row(row);
-    }
-    report.note("paper: SAI stores rewritten queries AND tuples; DAI-Q tuples; DAI-T queries");
-    report
+        "storage",
+        RunResult::total_evaluator_storage,
+        "paper: SAI stores rewritten queries AND tuples; DAI-Q tuples; DAI-T queries",
+    )
 }
 
 #[cfg(test)]
@@ -72,15 +32,7 @@ mod tests {
     #[test]
     fn storage_decomposition_matches_algorithm_semantics() {
         let r = run(Scale::Quick);
-        let last: Vec<f64> = r
-            .to_csv()
-            .lines()
-            .last()
-            .unwrap()
-            .split(',')
-            .skip(1)
-            .map(|c| c.parse().unwrap())
-            .collect();
+        let last: Vec<f64> = (1..=4).map(|c| r.cell(r.len() - 1, c)).collect();
         // Columns per Q block: SAI, DAI-Q, DAI-T, DAI-V.
         assert!(
             last[0] > last[1],

@@ -8,7 +8,6 @@
 //! no attribute prefix) but keeps traffic lowest.
 
 use cq_engine::Algorithm;
-use cq_workload::WorkloadConfig;
 
 use super::Scale;
 use crate::harness::RunConfig;
@@ -18,8 +17,7 @@ use crate::stats::DistributionSummary;
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Report {
-    let nodes = scale.pick(128, 1024);
-    let queries = scale.pick(60, 5000);
+    let RunConfig { nodes, queries, .. } = scale.config(Algorithm::Sai);
     let tuples = scale.pick(300, 800);
     let mut report = Report::new(
         "E10",
@@ -38,15 +36,8 @@ pub fn run(scale: Scale) -> Report {
     let cfgs: Vec<RunConfig> = Algorithm::ALL
         .into_iter()
         .map(|alg| RunConfig {
-            algorithm: alg,
-            nodes,
-            queries,
             tuples,
-            workload: WorkloadConfig {
-                domain: scale.pick(40, 400),
-                ..WorkloadConfig::default()
-            },
-            ..RunConfig::new(alg)
+            ..scale.config(alg)
         })
         .collect();
     for (alg, r) in Algorithm::ALL.into_iter().zip(run_many(&cfgs)) {
@@ -76,16 +67,9 @@ mod tests {
         // The robust distribution claim: DAI-V hashes bare values, so far
         // fewer nodes participate and its Gini coefficient is the highest.
         let r = run(Scale::Quick);
-        let rows: Vec<Vec<String>> = r
-            .to_csv()
-            .lines()
-            .skip(1)
-            .map(|l| l.split(',').map(str::to_string).collect())
-            .collect();
         let col = |name: &str, i: usize| -> f64 {
-            rows.iter().find(|r| r[0] == name).unwrap()[i]
-                .parse()
-                .unwrap()
+            let row = (0..r.len()).find(|&j| r.cell::<String>(j, 0) == name);
+            r.cell(row.unwrap(), i)
         };
         assert!(col("DAI-V", 4) < col("SAI", 4), "DAI-V loads fewer nodes");
         assert!(

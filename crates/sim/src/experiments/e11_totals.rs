@@ -10,7 +10,6 @@
 //! traffic after distribution (see E2/E3).
 
 use cq_engine::Algorithm;
-use cq_workload::WorkloadConfig;
 
 use super::Scale;
 use crate::harness::RunConfig;
@@ -19,8 +18,7 @@ use crate::report::{fnum, Report};
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Report {
-    let nodes = scale.pick(128, 1024);
-    let queries = scale.pick(60, 5000);
+    let RunConfig { nodes, queries, .. } = scale.config(Algorithm::Sai);
     let tuples = scale.pick(300, 800);
     let mut report = Report::new(
         "E11",
@@ -38,15 +36,8 @@ pub fn run(scale: Scale) -> Report {
     let cfgs: Vec<RunConfig> = algs
         .into_iter()
         .map(|alg| RunConfig {
-            algorithm: alg,
-            nodes,
-            queries,
             tuples,
-            workload: WorkloadConfig {
-                domain: scale.pick(40, 400),
-                ..WorkloadConfig::default()
-            },
-            ..RunConfig::new(alg)
+            ..scale.config(alg)
         })
         .collect();
     for (alg, r) in algs.into_iter().zip(run_many(&cfgs)) {
@@ -67,6 +58,8 @@ pub fn run(scale: Scale) -> Report {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
 
     #[test]
@@ -75,12 +68,7 @@ mod tests {
         // rewritten queries by key, DAI-Q re-evaluates every arrival); the
         // *set* equality is covered by the engine's oracle tests.
         let r = run(Scale::Quick);
-        let counts: Vec<u64> = r
-            .to_csv()
-            .lines()
-            .skip(1)
-            .map(|l| l.split(',').next_back().unwrap().parse().unwrap())
-            .collect();
+        let counts: Vec<u64> = (0..r.len()).map(|i| r.cell(i, 5)).collect();
         assert!(
             counts.iter().all(|&c| c > 0),
             "counts {counts:?} must be positive"
@@ -90,13 +78,12 @@ mod tests {
     #[test]
     fn rewriter_load_doubles_with_double_indexing() {
         let r = run(Scale::Quick);
-        let mut rewriter = std::collections::HashMap::new();
-        let mut evaluator = std::collections::HashMap::new();
-        for line in r.to_csv().lines().skip(1) {
-            let c: Vec<&str> = line.split(',').collect();
-            rewriter.insert(c[0].to_string(), c[2].parse::<f64>().unwrap());
-            evaluator.insert(c[0].to_string(), c[3].parse::<f64>().unwrap());
-        }
+        let by_alg = |col| -> HashMap<String, f64> {
+            (0..r.len())
+                .map(|i| (r.cell(i, 0), r.cell(i, col)))
+                .collect()
+        };
+        let (rewriter, evaluator) = (by_alg(2), by_alg(3));
         // Two rewriters per query: DAI rewriter filtering ≈ 2× SAI's.
         assert!(rewriter["DAI-T"] > 1.5 * rewriter["SAI"]);
         assert!(

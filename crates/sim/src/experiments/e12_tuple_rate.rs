@@ -7,18 +7,15 @@
 //! distribute the query answering load gracefully among existing nodes".
 
 use cq_engine::Algorithm;
-use cq_workload::WorkloadConfig;
 
-use super::Scale;
+use super::{grid, Scale};
 use crate::harness::RunConfig;
-use crate::parallel::run_many;
 use crate::report::{fnum, Report};
 use crate::stats;
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Report {
-    let nodes = scale.pick(128, 1024);
-    let queries = scale.pick(60, 5000);
+    let RunConfig { nodes, queries, .. } = scale.config(Algorithm::Sai);
     let rates: Vec<usize> = scale.pick(vec![100, 200, 400, 800], vec![500, 1000, 2000]);
     let mut report = Report::new(
         "E12",
@@ -34,27 +31,13 @@ pub fn run(scale: Scale) -> Report {
         ],
     );
     let algs = [Algorithm::Sai, Algorithm::DaiT, Algorithm::DaiV];
-    let mut cfgs = Vec::new();
-    for &t in &rates {
-        for alg in algs {
-            cfgs.push(RunConfig {
-                algorithm: alg,
-                nodes,
-                queries,
-                tuples: t,
-                workload: WorkloadConfig {
-                    domain: scale.pick(40, 400),
-                    ..WorkloadConfig::default()
-                },
-                ..RunConfig::new(alg)
-            });
-        }
-    }
-    let mut results = run_many(&cfgs).into_iter();
-    for &t in &rates {
+    let results = grid(&rates, &algs, |tuples, alg| RunConfig {
+        tuples,
+        ..scale.config(alg)
+    });
+    for (t, rs) in rates.iter().zip(&results) {
         let mut row = vec![t.to_string()];
-        for _ in algs {
-            let r = results.next().expect("one result per config");
+        for r in rs {
             row.push(fnum(stats::gini(&r.filtering)));
             row.push(fnum(stats::max(&r.filtering)));
         }
@@ -71,13 +54,7 @@ mod tests {
     #[test]
     fn max_load_grows_with_rate() {
         let r = run(Scale::Quick);
-        let rows: Vec<Vec<f64>> = r
-            .to_csv()
-            .lines()
-            .skip(1)
-            .map(|l| l.split(',').skip(1).map(|c| c.parse().unwrap()).collect())
-            .collect();
         // SAI max at highest rate > at lowest rate.
-        assert!(rows.last().unwrap()[1] > rows[0][1]);
+        assert!(r.cell::<f64>(r.len() - 1, 2) > r.cell(0, 2));
     }
 }

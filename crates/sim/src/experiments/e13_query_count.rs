@@ -7,17 +7,15 @@
 //! stable because new queries land on the same hashed rewriters/evaluators.
 
 use cq_engine::Algorithm;
-use cq_workload::WorkloadConfig;
 
-use super::Scale;
+use super::{grid, Scale};
 use crate::harness::RunConfig;
-use crate::parallel::run_many;
 use crate::report::{fnum, Report};
 use crate::stats;
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Report {
-    let nodes = scale.pick(128, 1024);
+    let RunConfig { nodes, .. } = scale.config(Algorithm::Sai);
     let tuples = scale.pick(300, 800);
     let sweep: Vec<usize> = scale.pick(vec![20, 60, 120, 240], vec![1000, 2500, 5000, 10_000]);
     let mut report = Report::new(
@@ -34,27 +32,14 @@ pub fn run(scale: Scale) -> Report {
         ],
     );
     let algs = [Algorithm::Sai, Algorithm::DaiT, Algorithm::DaiV];
-    let mut cfgs = Vec::new();
-    for &q in &sweep {
-        for alg in algs {
-            cfgs.push(RunConfig {
-                algorithm: alg,
-                nodes,
-                queries: q,
-                tuples,
-                workload: WorkloadConfig {
-                    domain: scale.pick(40, 400),
-                    ..WorkloadConfig::default()
-                },
-                ..RunConfig::new(alg)
-            });
-        }
-    }
-    let mut results = run_many(&cfgs).into_iter();
-    for &q in &sweep {
+    let results = grid(&sweep, &algs, |queries, alg| RunConfig {
+        queries,
+        tuples,
+        ..scale.config(alg)
+    });
+    for (q, rs) in sweep.iter().zip(&results) {
         let mut row = vec![q.to_string()];
-        for _ in algs {
-            let r = results.next().expect("one result per config");
+        for r in rs {
             row.push(fnum(stats::gini(&r.filtering)));
             row.push(fnum(r.total_filtering()));
         }
@@ -71,12 +56,9 @@ mod tests {
     #[test]
     fn total_filtering_grows_with_queries() {
         let r = run(Scale::Quick);
-        let rows: Vec<Vec<f64>> = r
-            .to_csv()
-            .lines()
-            .skip(1)
-            .map(|l| l.split(',').skip(1).map(|c| c.parse().unwrap()).collect())
-            .collect();
-        assert!(rows.last().unwrap()[1] > rows[0][1], "SAI TF must grow");
+        assert!(
+            r.cell::<f64>(r.len() - 1, 2) > r.cell(0, 2),
+            "SAI TF must grow"
+        );
     }
 }

@@ -7,17 +7,15 @@
 //! falls roughly as 1/N while total load stays flat.
 
 use cq_engine::Algorithm;
-use cq_workload::WorkloadConfig;
 
-use super::Scale;
+use super::{grid, Scale};
 use crate::harness::RunConfig;
-use crate::parallel::run_many;
 use crate::report::{fnum, Report};
 use crate::stats;
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Report {
-    let queries = scale.pick(60, 5000);
+    let RunConfig { queries, .. } = scale.config(Algorithm::Sai);
     let tuples = scale.pick(300, 800);
     let sizes: Vec<usize> = scale.pick(vec![64, 128, 256, 512], vec![1000, 2500, 5000]);
     let mut report = Report::new(
@@ -34,27 +32,14 @@ pub fn run(scale: Scale) -> Report {
         ],
     );
     let algs = [Algorithm::Sai, Algorithm::DaiT, Algorithm::DaiV];
-    let mut cfgs = Vec::new();
-    for &n in &sizes {
-        for alg in algs {
-            cfgs.push(RunConfig {
-                algorithm: alg,
-                nodes: n,
-                queries,
-                tuples,
-                workload: WorkloadConfig {
-                    domain: scale.pick(40, 400),
-                    ..WorkloadConfig::default()
-                },
-                ..RunConfig::new(alg)
-            });
-        }
-    }
-    let mut results = run_many(&cfgs).into_iter();
-    for &n in &sizes {
+    let results = grid(&sizes, &algs, |nodes, alg| RunConfig {
+        nodes,
+        tuples,
+        ..scale.config(alg)
+    });
+    for (n, rs) in sizes.iter().zip(&results) {
         let mut row = vec![n.to_string()];
-        for _ in algs {
-            let r = results.next().expect("one result per config");
+        for r in rs {
             // Mean over nodes that exist; "loaded" = nodes doing any work.
             row.push(fnum(stats::mean(&r.filtering)));
             row.push(r.filtering.iter().filter(|&&l| l > 0.0).count().to_string());
@@ -72,14 +57,7 @@ mod tests {
     #[test]
     fn mean_load_falls_as_network_grows() {
         let r = run(Scale::Quick);
-        let rows: Vec<Vec<String>> = r
-            .to_csv()
-            .lines()
-            .skip(1)
-            .map(|l| l.split(',').map(str::to_string).collect())
-            .collect();
-        let first: f64 = rows[0][1].parse().unwrap();
-        let last: f64 = rows.last().unwrap()[1].parse().unwrap();
+        let (first, last): (f64, f64) = (r.cell(0, 1), r.cell(r.len() - 1, 1));
         assert!(last < first, "SAI mean load {last} !< {first} as N grew");
     }
 }

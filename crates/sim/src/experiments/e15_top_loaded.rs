@@ -8,17 +8,15 @@
 //! maximum (this is what motivates the Section 4.7 replication scheme).
 
 use cq_engine::Algorithm;
-use cq_workload::WorkloadConfig;
 
-use super::Scale;
+use super::{grid, Scale};
 use crate::harness::RunConfig;
-use crate::parallel::run_many;
 use crate::report::{fnum, Report};
 use crate::stats;
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Report {
-    let queries = scale.pick(60, 5000);
+    let RunConfig { queries, .. } = scale.config(Algorithm::Sai);
     let tuples = scale.pick(300, 800);
     let sizes: Vec<usize> = scale.pick(vec![64, 128, 256, 512], vec![1000, 2500, 5000]);
     let mut report = Report::new(
@@ -35,27 +33,14 @@ pub fn run(scale: Scale) -> Report {
         ],
     );
     let algs = [Algorithm::Sai, Algorithm::DaiT, Algorithm::DaiV];
-    let mut cfgs = Vec::new();
-    for &n in &sizes {
-        for alg in algs {
-            cfgs.push(RunConfig {
-                algorithm: alg,
-                nodes: n,
-                queries,
-                tuples,
-                workload: WorkloadConfig {
-                    domain: scale.pick(40, 400),
-                    ..WorkloadConfig::default()
-                },
-                ..RunConfig::new(alg)
-            });
-        }
-    }
-    let mut results = run_many(&cfgs).into_iter();
-    for &n in &sizes {
+    let results = grid(&sizes, &algs, |nodes, alg| RunConfig {
+        nodes,
+        tuples,
+        ..scale.config(alg)
+    });
+    for (n, rs) in sizes.iter().zip(&results) {
         let mut row = vec![n.to_string()];
-        for _ in algs {
-            let r = results.next().expect("one result per config");
+        for r in rs {
             row.push(fnum(stats::max(&r.filtering)));
             row.push(fnum(stats::percentile(&r.filtering, 99.0)));
         }
@@ -74,9 +59,8 @@ mod tests {
         let r = run(Scale::Quick);
         assert_eq!(r.len(), 4);
         // Max loads stay positive at every size.
-        for line in r.to_csv().lines().skip(1) {
-            let max: f64 = line.split(',').nth(1).unwrap().parse().unwrap();
-            assert!(max > 0.0);
+        for i in 0..r.len() {
+            assert!(r.cell::<f64>(i, 1) > 0.0);
         }
     }
 }

@@ -7,43 +7,21 @@
 //! popular join-condition values (no attribute prefix in the identifier).
 
 use cq_engine::Algorithm;
-use cq_workload::WorkloadConfig;
 
 use super::Scale;
-use crate::harness::{RunConfig, RunResult};
+use crate::harness::RunConfig;
 use crate::parallel::run_many;
 use crate::report::{fnum, Report};
 use crate::stats;
 
-fn cfg_for(nodes: usize, queries: usize, tuples: usize, domain: i64) -> RunConfig {
-    RunConfig {
-        algorithm: Algorithm::DaiV,
-        nodes,
-        queries,
-        tuples,
-        t2_queries: true,
-        workload: WorkloadConfig {
-            domain,
-            ..WorkloadConfig::default()
-        },
-        ..RunConfig::new(Algorithm::DaiV)
-    }
-}
-
-fn summarize(r: &RunResult) -> (f64, f64, f64) {
-    (
-        stats::mean(&r.filtering),
-        stats::max(&r.filtering),
-        stats::gini(&r.filtering),
-    )
-}
-
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Report {
-    let base_n = scale.pick(128, 1024);
-    let base_q = scale.pick(40, 2000);
-    let base_t = scale.pick(200, 600);
-    let domain = scale.pick(40, 400);
+    let base = RunConfig {
+        queries: scale.pick(40, 2000),
+        tuples: scale.pick(200, 600),
+        t2_queries: true,
+        ..scale.config(Algorithm::DaiV)
+    };
     let mut report = Report::new(
         "E16",
         "DAI-V (T2 queries): filtering distribution sweeps",
@@ -52,40 +30,36 @@ pub fn run(scale: Scale) -> Report {
     let n_sweep = scale.pick(vec![64, 128, 256], vec![1000, 2500, 5000]);
     let q_sweep = scale.pick(vec![20, 40, 80], vec![1000, 4000, 8000]);
     let t_sweep = scale.pick(vec![100, 200, 400], vec![500, 1000, 2000]);
+    let mut points = Vec::new();
     let mut cfgs = Vec::new();
-    cfgs.extend(n_sweep.iter().map(|&n| cfg_for(n, base_q, base_t, domain)));
-    cfgs.extend(q_sweep.iter().map(|&q| cfg_for(base_n, q, base_t, domain)));
-    cfgs.extend(t_sweep.iter().map(|&t| cfg_for(base_n, base_q, t, domain)));
-    let results = run_many(&cfgs);
-    let mut it = results.iter();
-    for &n in &n_sweep {
-        let (mean, max, gini) = summarize(it.next().expect("one result per config"));
-        report.row(vec![
-            "N".into(),
-            n.to_string(),
-            fnum(mean),
-            fnum(max),
-            fnum(gini),
-        ]);
+    for &nodes in &n_sweep {
+        points.push(("N", nodes));
+        cfgs.push(RunConfig {
+            nodes,
+            ..base.clone()
+        });
     }
-    for &q in &q_sweep {
-        let (mean, max, gini) = summarize(it.next().expect("one result per config"));
-        report.row(vec![
-            "queries".into(),
-            q.to_string(),
-            fnum(mean),
-            fnum(max),
-            fnum(gini),
-        ]);
+    for &queries in &q_sweep {
+        points.push(("queries", queries));
+        cfgs.push(RunConfig {
+            queries,
+            ..base.clone()
+        });
     }
-    for &t in &t_sweep {
-        let (mean, max, gini) = summarize(it.next().expect("one result per config"));
+    for &tuples in &t_sweep {
+        points.push(("tuples", tuples));
+        cfgs.push(RunConfig {
+            tuples,
+            ..base.clone()
+        });
+    }
+    for ((sweep, value), r) in points.into_iter().zip(run_many(&cfgs)) {
         report.row(vec![
-            "tuples".into(),
-            t.to_string(),
-            fnum(mean),
-            fnum(max),
-            fnum(gini),
+            sweep.into(),
+            value.to_string(),
+            fnum(stats::mean(&r.filtering)),
+            fnum(stats::max(&r.filtering)),
+            fnum(stats::gini(&r.filtering)),
         ]);
     }
     report.note("paper: DAI-V scales with N/queries/tuples but concentrates on hot values");
@@ -99,19 +73,17 @@ mod tests {
     #[test]
     fn sweeps_behave_monotonically_at_the_ends() {
         let r = run(Scale::Quick);
-        let rows: Vec<Vec<String>> = r
-            .to_csv()
-            .lines()
-            .skip(1)
-            .map(|l| l.split(',').map(str::to_string).collect())
-            .collect();
-        let n_rows: Vec<&Vec<String>> = rows.iter().filter(|r| r[0] == "N").collect();
-        let mean_small: f64 = n_rows[0][2].parse().unwrap();
-        let mean_big: f64 = n_rows.last().unwrap()[2].parse().unwrap();
+        let rows_of = |sweep: &str| -> Vec<usize> {
+            (0..r.len())
+                .filter(|&i| r.cell::<String>(i, 0) == sweep)
+                .collect()
+        };
+        let (n_rows, t_rows) = (rows_of("N"), rows_of("tuples"));
+        let mean_small: f64 = r.cell(n_rows[0], 2);
+        let mean_big: f64 = r.cell(*n_rows.last().unwrap(), 2);
         assert!(mean_big <= mean_small, "mean load must dilute with N");
-        let t_rows: Vec<&Vec<String>> = rows.iter().filter(|r| r[0] == "tuples").collect();
-        let max_low: f64 = t_rows[0][3].parse().unwrap();
-        let max_high: f64 = t_rows.last().unwrap()[3].parse().unwrap();
+        let max_low: f64 = r.cell(t_rows[0], 3);
+        let max_high: f64 = r.cell(*t_rows.last().unwrap(), 3);
         assert!(max_high >= max_low, "load must grow with the tuple rate");
     }
 }

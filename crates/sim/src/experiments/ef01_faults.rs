@@ -11,9 +11,8 @@
 
 use cq_engine::{Algorithm, FaultConfig};
 
-use super::Scale;
+use super::{grid, Scale};
 use crate::harness::RunConfig;
-use crate::parallel::run_many;
 use crate::report::{fnum, Report};
 
 /// The swept fault scenarios: `(loss rate, failures, replication k)`.
@@ -47,42 +46,39 @@ pub fn run(scale: Scale) -> Report {
             "replica msgs",
         ],
     );
-    let mut keys = Vec::new();
-    let mut cfgs = Vec::new();
-    for alg in Algorithm::ALL {
-        for (loss, failures, k) in SCENARIOS {
-            let mut fault = if loss > 0.0 {
-                FaultConfig::lossy(loss, 0xFA01)
-            } else {
-                FaultConfig::default()
-            };
-            fault.replication = k;
-            keys.push((alg, loss, failures, k));
-            cfgs.push(RunConfig {
-                nodes,
-                queries,
-                tuples,
-                fault,
-                failures,
-                retain_notifications: true,
-                ..RunConfig::new(alg)
-            });
+    let results = grid(&Algorithm::ALL, &SCENARIOS, |alg, (loss, failures, k)| {
+        let mut fault = if loss > 0.0 {
+            FaultConfig::lossy(loss, 0xFA01)
+        } else {
+            FaultConfig::default()
+        };
+        fault.replication = k;
+        RunConfig {
+            nodes,
+            queries,
+            tuples,
+            fault,
+            failures,
+            retain_notifications: true,
+            ..RunConfig::new(alg)
         }
-    }
-    for ((alg, loss, failures, k), r) in keys.into_iter().zip(run_many(&cfgs)) {
-        report.row(vec![
-            alg.to_string(),
-            fnum(loss),
-            failures.to_string(),
-            k.to_string(),
-            fnum(r.recall),
-            r.expected_notifications.to_string(),
-            r.faults.messages_lost.to_string(),
-            r.faults.retransmissions.to_string(),
-            r.faults.dedup_suppressed.to_string(),
-            r.faults.replicas_promoted.to_string(),
-            r.faults.replica_messages.to_string(),
-        ]);
+    });
+    for (alg, rs) in Algorithm::ALL.into_iter().zip(&results) {
+        for ((loss, failures, k), r) in SCENARIOS.into_iter().zip(rs) {
+            report.row(vec![
+                alg.to_string(),
+                fnum(loss),
+                failures.to_string(),
+                k.to_string(),
+                fnum(r.recall),
+                r.expected_notifications.to_string(),
+                r.faults.messages_lost.to_string(),
+                r.faults.retransmissions.to_string(),
+                r.faults.dedup_suppressed.to_string(),
+                r.faults.replicas_promoted.to_string(),
+                r.faults.replica_messages.to_string(),
+            ]);
+        }
     }
     report.note("reliable delivery keeps recall at 1.0 under pure message loss");
     report.note("k-successor replication recovers state lost to abrupt failures");
@@ -96,34 +92,27 @@ mod tests {
     #[test]
     fn loss_only_scenarios_reach_full_recall() {
         let r = run(Scale::Quick);
-        let rows: Vec<Vec<String>> = r
-            .to_csv()
-            .lines()
-            .skip(1)
-            .map(|l| l.split(',').map(str::to_string).collect())
-            .collect();
-        assert_eq!(rows.len(), 4 * SCENARIOS.len());
-        for row in &rows {
-            let failures: usize = row[2].parse().unwrap();
-            let recall: f64 = row[4].parse().unwrap();
+        assert_eq!(r.len(), 4 * SCENARIOS.len());
+        for i in 0..r.len() {
+            let failures: usize = r.cell(i, 2);
+            let recall: f64 = r.cell(i, 4);
             if failures == 0 {
                 assert!(
                     (recall - 1.0).abs() < 1e-9,
                     "{} loss={} must reach recall 1.0, got {recall}",
-                    row[0],
-                    row[1]
+                    r.cell::<String>(i, 0),
+                    r.cell::<String>(i, 1)
                 );
             }
         }
         // Replication never hurts: for each (algorithm, loss) pair with
         // failures, recall at k=2 is at least recall at k=0.
-        for w in rows.chunks(SCENARIOS.len()) {
-            let k0: f64 = w[2][4].parse().unwrap();
-            let k2: f64 = w[3][4].parse().unwrap();
+        for w in (0..r.len()).step_by(SCENARIOS.len()) {
+            let (k0, k2): (f64, f64) = (r.cell(w + 2, 4), r.cell(w + 3, 4));
             assert!(
                 k2 >= k0 - 1e-9,
                 "{}: recall k=2 ({k2}) below k=0 ({k0})",
-                w[0][0]
+                r.cell::<String>(w, 0)
             );
         }
     }

@@ -14,9 +14,8 @@
 
 use cq_engine::{Algorithm, ChurnModel, FaultConfig, SessionDist, SuspicionConfig};
 
-use super::Scale;
+use super::{grid, Scale};
 use crate::harness::RunConfig;
-use crate::parallel::run_many;
 use crate::report::{fnum, Report};
 
 /// The two algorithms the sweep contrasts (one single-index, one
@@ -92,59 +91,58 @@ pub fn run(scale: Scale) -> Report {
             "heartbeats",
         ],
     );
-    let mut keys = Vec::new();
-    let mut cfgs = Vec::new();
-    for alg in ALGS {
-        for churn in CHURNS {
-            for (det, suspect_after) in DETECTORS {
-                let suspicion = match suspect_after {
-                    None => SuspicionConfig::default(),
-                    // Both timeouts track the sweep axis so an aggressive
-                    // detector is aggressive end-to-end.
-                    Some(t) => SuspicionConfig::active()
-                        .with_suspect_after(t)
-                        .with_confirm_after(t),
-                };
-                keys.push((alg, churn, det));
-                cfgs.push(RunConfig {
-                    nodes,
-                    queries,
-                    tuples,
-                    fault: fault_for(churn, max_events),
-                    suspicion,
-                    retain_notifications: true,
-                    // Session-length churn spans the whole run (install
-                    // included), so count faults over the whole run too.
-                    measure_stream_only: false,
-                    ..RunConfig::new(alg)
-                });
-            }
-        }
-    }
-    for ((alg, churn, det), r) in keys.into_iter().zip(run_many(&cfgs)) {
-        let rec = r.recovery;
-        let avg = |total: u64, n: u64| {
-            if n == 0 {
-                0.0
-            } else {
-                total as f64 / n as f64
-            }
+    let points: Vec<(Algorithm, &str)> = ALGS
+        .into_iter()
+        .flat_map(|alg| CHURNS.map(|churn| (alg, churn)))
+        .collect();
+    let results = grid(&points, &DETECTORS, |(alg, churn), (_, suspect_after)| {
+        let suspicion = match suspect_after {
+            None => SuspicionConfig::default(),
+            // Both timeouts track the sweep axis so an aggressive
+            // detector is aggressive end-to-end.
+            Some(t) => SuspicionConfig::active()
+                .with_suspect_after(t)
+                .with_confirm_after(t),
         };
-        report.row(vec![
-            alg.to_string(),
-            churn.to_string(),
-            det.to_string(),
-            fnum(r.recall),
-            fnum(r.recall_outside_windows),
-            r.expected_notifications.to_string(),
-            r.faults.nodes_failed.to_string(),
-            rec.detections.to_string(),
-            fnum(avg(rec.detect_ticks_total, rec.detections)),
-            fnum(avg(rec.repair_ticks_total, rec.repairs)),
-            rec.repair_bytes.to_string(),
-            rec.lost_in_detection_window.to_string(),
-            rec.heartbeats_sent.to_string(),
-        ]);
+        RunConfig {
+            nodes,
+            queries,
+            tuples,
+            fault: fault_for(churn, max_events),
+            suspicion,
+            retain_notifications: true,
+            // Session-length churn spans the whole run (install
+            // included), so count faults over the whole run too.
+            measure_stream_only: false,
+            ..RunConfig::new(alg)
+        }
+    });
+    let avg = |total: u64, n: u64| {
+        if n == 0 {
+            0.0
+        } else {
+            total as f64 / n as f64
+        }
+    };
+    for ((alg, churn), rs) in points.iter().zip(&results) {
+        for ((det, _), r) in DETECTORS.iter().zip(rs) {
+            let rec = &r.recovery;
+            report.row(vec![
+                alg.to_string(),
+                churn.to_string(),
+                det.to_string(),
+                fnum(r.recall),
+                fnum(r.recall_outside_windows),
+                r.expected_notifications.to_string(),
+                r.faults.nodes_failed.to_string(),
+                rec.detections.to_string(),
+                fnum(avg(rec.detect_ticks_total, rec.detections)),
+                fnum(avg(rec.repair_ticks_total, rec.repairs)),
+                rec.repair_bytes.to_string(),
+                rec.lost_in_detection_window.to_string(),
+                rec.heartbeats_sent.to_string(),
+            ]);
+        }
     }
     report.note("outside-win: recall over tuples published outside detection windows");
     report.note("oracle detector repairs on the failure tick (detection cost 0 by fiat)");
@@ -159,35 +157,29 @@ mod tests {
     #[test]
     fn detector_rows_behave() {
         let r = run(Scale::Quick);
-        let rows: Vec<Vec<String>> = r
-            .to_csv()
-            .lines()
-            .skip(1)
-            .map(|l| l.split(',').map(str::to_string).collect())
-            .collect();
-        assert_eq!(rows.len(), ALGS.len() * CHURNS.len() * DETECTORS.len());
-        for row in &rows {
-            let det = row[2].as_str();
-            let outside: f64 = row[4].parse().unwrap();
-            let detected: u64 = row[7].parse().unwrap();
-            let heartbeats: u64 = row[12].parse().unwrap();
+        assert_eq!(r.len(), ALGS.len() * CHURNS.len() * DETECTORS.len());
+        for i in 0..r.len() {
+            let det: String = r.cell(i, 2);
+            let outside: f64 = r.cell(i, 4);
+            let detected: u64 = r.cell(i, 7);
+            let heartbeats: u64 = r.cell(i, 12);
             if det == "oracle" {
-                assert_eq!(heartbeats, 0, "oracle rows probe nothing: {row:?}");
-                assert_eq!(detected, 0, "oracle rows detect nothing: {row:?}");
+                assert_eq!(heartbeats, 0, "oracle rows probe nothing: row {i}");
+                assert_eq!(detected, 0, "oracle rows detect nothing: row {i}");
             } else {
-                assert!(heartbeats > 0, "detector rows must probe: {row:?}");
+                assert!(heartbeats > 0, "detector rows must probe: row {i}");
                 // The acceptance bar: every notification the oracle expects
                 // from tuples published outside detection windows is
                 // delivered, churn and 20% loss notwithstanding.
                 assert!(
                     (outside - 1.0).abs() < 1e-9,
-                    "outside-window recall must be 1.0: {row:?}"
+                    "outside-window recall must be 1.0: row {i}"
                 );
             }
         }
         // At least one detector run must actually exercise detection, or
         // the sweep proves nothing.
-        let total_detected: u64 = rows.iter().map(|r| r[7].parse::<u64>().unwrap()).sum();
+        let total_detected: u64 = (0..r.len()).map(|i| r.cell::<u64>(i, 7)).sum();
         assert!(total_detected > 0, "no run detected any failure");
     }
 }

@@ -5,6 +5,9 @@
 //! `ledger` binary's per-experiment walls); `Scale::Full` approaches the
 //! paper's set-up (used by the `experiments` binary that fills
 //! EXPERIMENTS.md).
+//!
+//! The figures sweep one parameter around one common set-up,
+//! [`Scale::config`], and run every point × variant sweep through [`grid`].
 
 pub mod a01_dai_v_keyed;
 pub mod e01_multisend;
@@ -27,6 +30,11 @@ pub mod ef01_faults;
 pub mod ef02_churn;
 pub mod t01_comparison;
 
+use cq_engine::Algorithm;
+use cq_workload::WorkloadConfig;
+
+use crate::harness::{RunConfig, RunResult};
+use crate::parallel::run_many;
 use crate::report::Report;
 
 /// An experiment entry point: builds its report at the given scale.
@@ -49,6 +57,40 @@ impl Scale {
             Scale::Full => full,
         }
     }
+
+    /// The set-up every Chapter 5 figure varies one parameter around, on
+    /// top of [`RunConfig::new`]: N = 128 / 1 024 nodes, Q = 60 / 5 000
+    /// installed queries and a value domain of 40 / 400.
+    pub fn config(self, algorithm: Algorithm) -> RunConfig {
+        RunConfig {
+            nodes: self.pick(128, 1024),
+            queries: self.pick(60, 5000),
+            workload: WorkloadConfig {
+                domain: self.pick(40, 400),
+                ..WorkloadConfig::default()
+            },
+            ..RunConfig::new(algorithm)
+        }
+    }
+}
+
+/// Runs `cfg(point, variant)` for every point × variant in one
+/// [`run_many`] batch, and returns each point's results in variant order.
+pub fn grid<P: Copy, V: Copy>(
+    points: &[P],
+    variants: &[V],
+    cfg: impl Fn(P, V) -> RunConfig,
+) -> Vec<Vec<RunResult>> {
+    let cfgs: Vec<RunConfig> = points
+        .iter()
+        .flat_map(|&p| variants.iter().map(move |&v| (p, v)))
+        .map(|(p, v)| cfg(p, v))
+        .collect();
+    let mut results = run_many(&cfgs).into_iter();
+    points
+        .iter()
+        .map(|_| results.by_ref().take(variants.len()).collect())
+        .collect()
 }
 
 /// The registry of all experiments, in paper order.

@@ -7,7 +7,6 @@
 //! contrasts the paper's table draws qualitatively.
 
 use cq_engine::{Algorithm, TrafficKind};
-use cq_workload::WorkloadConfig;
 
 use super::Scale;
 use crate::harness::RunConfig;
@@ -16,8 +15,7 @@ use crate::report::{fnum, Report};
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Report {
-    let nodes = scale.pick(128, 1024);
-    let queries = scale.pick(60, 5000);
+    let RunConfig { nodes, queries, .. } = scale.config(Algorithm::Sai);
     let tuples = scale.pick(300, 800);
     let mut report = Report::new(
         "T1",
@@ -35,16 +33,9 @@ pub fn run(scale: Scale) -> Report {
     let cfgs: Vec<RunConfig> = Algorithm::ALL
         .into_iter()
         .map(|alg| RunConfig {
-            algorithm: alg,
-            nodes,
-            queries,
             tuples,
             measure_stream_only: false,
-            workload: WorkloadConfig {
-                domain: scale.pick(40, 400),
-                ..WorkloadConfig::default()
-            },
-            ..RunConfig::new(alg)
+            ..scale.config(alg)
         })
         .collect();
     for (alg, r) in Algorithm::ALL.into_iter().zip(run_many(&cfgs)) {
@@ -72,14 +63,17 @@ pub fn run(scale: Scale) -> Report {
 mod tests {
     use super::*;
 
+    /// Column `col`, by algorithm name.
+    fn by_alg(r: &Report, col: usize) -> std::collections::HashMap<String, f64> {
+        (0..r.len())
+            .map(|i| (r.cell(i, 0), r.cell(i, col)))
+            .collect()
+    }
+
     #[test]
     fn dai_indexes_queries_twice() {
         let r = run(Scale::Quick);
-        let mut per_alg = std::collections::HashMap::new();
-        for line in r.to_csv().lines().skip(1) {
-            let c: Vec<&str> = line.split(',').collect();
-            per_alg.insert(c[0].to_string(), c[1].parse::<f64>().unwrap());
-        }
+        let per_alg = by_alg(&r, 1);
         assert!(
             (per_alg["SAI"] - 1.0).abs() < 1e-9,
             "SAI: one rewriter per query"
@@ -95,11 +89,7 @@ mod tests {
     #[test]
     fn dai_v_sends_half_the_tuple_index_messages() {
         let r = run(Scale::Quick);
-        let mut per_alg = std::collections::HashMap::new();
-        for line in r.to_csv().lines().skip(1) {
-            let c: Vec<&str> = line.split(',').collect();
-            per_alg.insert(c[0].to_string(), c[2].parse::<f64>().unwrap());
-        }
+        let per_alg = by_alg(&r, 2);
         // T1 algorithms index each tuple at 2h identifiers, DAI-V at h.
         assert!(
             (per_alg["SAI"] / per_alg["DAI-V"] - 2.0).abs() < 0.01,

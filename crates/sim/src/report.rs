@@ -113,6 +113,17 @@ impl Report {
     }
 }
 
+#[cfg(test)]
+impl Report {
+    /// Cell `col` of data row `row`, parsed: a number, or a `String` label.
+    pub(crate) fn cell<T: std::str::FromStr>(&self, row: usize, col: usize) -> T
+    where
+        T::Err: std::fmt::Debug,
+    {
+        self.rows[row][col].parse().expect("cell parses")
+    }
+}
+
 /// Formats a float with sensible precision for tables.
 pub fn fnum(v: f64) -> String {
     if v == 0.0 {
