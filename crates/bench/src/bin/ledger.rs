@@ -521,7 +521,7 @@ fn vlqt_of(cat: &Catalog, queries: &[QueryRef], size: usize) -> Vlqt {
             .unwrap();
         let fresh = vlqt
             .insert(StoredRewritten {
-                index_id: Id(i as u64),
+                index_id: Id(7),
                 rq,
             })
             .unwrap();
@@ -604,7 +604,8 @@ fn vlqt_insert(cat: &Catalog, size: usize, events: u64) -> KernelRow {
                 index_id: Id(7),
                 rq,
             };
-            assert!(bucket.insert_fresh(entry).is_some(), "distinct rewritings");
+            let fresh = bucket.insert_fresh(entry).expect("one index id per bucket");
+            assert!(fresh.is_some(), "distinct rewritings");
         }
     };
     for _ in 0..prefill {

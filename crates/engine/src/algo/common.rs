@@ -23,7 +23,8 @@ use std::sync::Arc;
 
 use cq_overlay::Id;
 use cq_relational::{
-    JoinQuery, MatchTarget, QueryRef, RelationalError, RewrittenQuery, Side, Timestamp, Tuple,
+    JoinQuery, MatchTarget, QueryRef, RelationalError, RewrittenQuery, RewrittenRef, Side,
+    TargetRef, Timestamp, Tuple,
 };
 use rand::Rng;
 
@@ -343,7 +344,7 @@ impl RunMatcher {
         for shape in run.chunk_by(RewrittenQuery::same_shape) {
             self.reset();
             for rq in shape {
-                matched(self.match_rewriting(rq, candidates, matches)?);
+                matched(self.match_rewriting(rq.view(), candidates, matches)?);
             }
         }
         Ok(())
@@ -355,7 +356,7 @@ impl RunMatcher {
     /// of the same shape and the same candidates.
     pub fn match_rewriting<C: AsRef<Tuple>>(
         &mut self,
-        rq: &RewrittenQuery,
+        rq: RewrittenRef<'_>,
         candidates: &[C],
         matches: &mut Matches,
     ) -> cq_relational::Result<u64> {
@@ -365,7 +366,9 @@ impl RunMatcher {
                 debug_assert_eq!(covered, candidates.len(), "candidates changed");
                 #[cfg(debug_assertions)]
                 debug_assert!(
-                    self.shape.as_ref().is_some_and(|s| s.same_shape(rq)),
+                    self.shape
+                        .as_ref()
+                        .is_some_and(|s| s.view().same_shape(&rq)),
                     "{rq} does not have the decided shape"
                 );
             }
@@ -403,7 +406,7 @@ impl RunMatcher {
     }
 
     /// Decides `shape`'s shape test for every candidate.
-    fn decide<C: AsRef<Tuple>>(&mut self, shape: &RewrittenQuery, candidates: &[C]) {
+    fn decide<C: AsRef<Tuple>>(&mut self, shape: RewrittenRef<'_>, candidates: &[C]) {
         self.yes.clear();
         self.failed.clear();
         for (at, c) in candidates.iter().enumerate() {
@@ -417,7 +420,7 @@ impl RunMatcher {
         self.decided = Some(candidates.len());
         #[cfg(debug_assertions)]
         {
-            self.shape = Some(shape.clone());
+            self.shape = Some(shape.into_owned());
         }
     }
 
@@ -452,10 +455,18 @@ impl RunMatcher {
         attr: &str,
         matches: &mut Matches,
     ) -> cq_relational::Result<u64> {
-        let value_key = tuple.canonical_of(attr)?;
-        let (entries, ledger) = vlqt.ledger(tuple.relation(), attr, value_key, &mut self.ledgers);
+        let col = tuple.schema().index_of(attr)?;
+        let value_key = tuple.canonical_at(col);
+        let Some((entries, ledger)) =
+            vlqt.ledger(tuple.relation(), attr, value_key, &mut self.ledgers)
+        else {
+            return Ok(0);
+        };
+        // The bucket's target: the tuple's value is the one it is keyed by.
+        let value = (&tuple.values()[col]).into();
+        let target = TargetRef::Attribute { attr, value };
         let admits = |t: &Tally| tuple.pub_time() >= t.query.ins_time();
-        for run in ledger.runs(entries) {
+        for run in ledger.runs(entries, target) {
             match run.head().shape_matches(tuple) {
                 Ok(false) => {}
                 Ok(true) => match matches {
@@ -465,8 +476,8 @@ impl RunMatcher {
                         }
                     }
                     Matches::Full(out) => {
-                        for e in run.entries.iter().filter(|e| e.rq.admits_time(tuple)) {
-                            out.push(e.rq.notification_with(tuple)?);
+                        for e in run.entries.iter().filter(|e| e.admits_time(tuple)) {
+                            out.push(e.notification_with(tuple)?);
                         }
                     }
                 },

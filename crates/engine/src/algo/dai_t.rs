@@ -78,11 +78,11 @@ impl Protocol for DaiTProtocol {
             let mut bucket = st.tables.vlqt.bucket_mut(rel, attr, &value_key);
             bucket.reserve(run);
             for rq in items.by_ref().take(run) {
-                let stored = bucket.insert_fresh(StoredRewritten { index_id, rq });
+                let stored = bucket.insert_fresh(StoredRewritten { index_id, rq })?;
                 let fresh = stored.is_some();
                 if let (Some(entry), true) = (stored, repl) {
                     fx.push(Effect::Replicate {
-                        item: ReplicaItem::Rewritten(entry.clone()),
+                        item: ReplicaItem::Rewritten(entry.to_stored()),
                     });
                 }
                 let (tick, node) = (fx.tick(), fx.node().index() as u32);

@@ -140,9 +140,9 @@ impl Protocol for SaiProtocol {
                 // Store first (dedup by identity); only a *new* rewritten query
                 // is evaluated against stored tuples — a duplicate "need
                 // only store the information related to tuple t".
-                // `insert_fresh` hands back the stored entry so the fresh
-                // path borrows it instead of cloning the rewritten query.
-                let stored = bucket.insert_fresh(StoredRewritten { index_id, rq });
+                // `insert_fresh` lends the stored entry so the fresh path
+                // borrows it instead of cloning the rewritten query.
+                let stored = bucket.insert_fresh(StoredRewritten { index_id, rq })?;
                 let fresh = stored.is_some();
                 let (tick, node) = (fx.tick(), fx.node().index() as u32);
                 fx.trace(|| TraceEvent::IndexInsert {
@@ -154,10 +154,10 @@ impl Protocol for SaiProtocol {
                 if let Some(entry) = stored {
                     if repl {
                         fx.push(Effect::Replicate {
-                            item: ReplicaItem::Rewritten(entry.clone()),
+                            item: ReplicaItem::Rewritten(entry.to_stored()),
                         });
                     }
-                    let produced = matcher.match_rewriting(&entry.rq, tuples, &mut matches)?;
+                    let produced = matcher.match_rewriting(entry.rq, tuples, &mut matches)?;
                     common::note_join_eval(fx, tuples.len() as u64, produced);
                 }
             }

@@ -24,9 +24,11 @@
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-use cq_fasthash::FxHashMap;
+use cq_fasthash::{FirstIndex, FxHashMap};
 use cq_overlay::{Id, NodeHandle, Ring};
-use cq_relational::{JoinQuery, Notification, QueryRef, QueryType, RewrittenQuery, Tuple};
+use cq_relational::{
+    JoinQuery, Notification, QueryRef, QueryType, RewriteBody, RewrittenQuery, Tuple,
+};
 use rand::rngs::StdRng;
 
 use crate::algo::RunMatcher;
@@ -36,7 +38,6 @@ use crate::messages::{Message, ValueJoin};
 use crate::metrics::{Metrics, TrafficKind};
 use crate::node::NodeState;
 use crate::replication::ReplicaItem;
-use crate::tables::keys::FirstIndex;
 use crate::trace::{TraceEvent, TraceSink};
 
 /// A deferred transport action emitted by a protocol handler.
@@ -112,7 +113,7 @@ impl Matches {
     }
 
     /// Records that `rq` matched tuple `t`.
-    pub fn add(&mut self, rq: &RewrittenQuery, t: &Tuple) -> cq_relational::Result<()> {
+    pub fn add(&mut self, rq: &RewriteBody, t: &Tuple) -> cq_relational::Result<()> {
         match self {
             Matches::Full(v) => v.push(rq.notification_with(t)?),
             Matches::Counts(c) => c.add_n(rq.query(), 1),

@@ -21,7 +21,7 @@ use std::ops::Bound;
 
 use cq_fasthash::FxHashSet;
 use cq_overlay::Id;
-use cq_relational::Notification;
+use cq_relational::{Notification, RewrittenRef};
 
 use crate::error::Result;
 use crate::tables::{Held, StoredQuery, StoredRewritten, StoredTuple, StoredValueTuple, Tables};
@@ -79,7 +79,7 @@ impl ReplicaItem {
     pub fn digest_hash(&self) -> u64 {
         match self {
             ReplicaItem::Query(e) => hash_query(e),
-            ReplicaItem::Rewritten(e) => hash_rewritten(e),
+            ReplicaItem::Rewritten(e) => hash_rewritten(e.index_id, e.rq.view()),
             ReplicaItem::Tuple(e) => hash_tuple(e),
             ReplicaItem::ValueTuple {
                 group,
@@ -115,16 +115,17 @@ pub(crate) fn hash_query(e: &StoredQuery) -> u64 {
 /// Digest hash of a VLQT entry: its index id and its legacy `Key(q')` text
 /// (what this hash has always covered, so digest order — and with it what
 /// a repair walks first — stays as it was), formatted into a buffer the
-/// thread keeps. Two entries whose `Str` values merely print alike share a
-/// hash; anti-entropy then counts them as one item on both sides.
-pub(crate) fn hash_rewritten(e: &StoredRewritten) -> u64 {
+/// thread keeps. A stored entry's text ends with its bucket's value key.
+/// Two entries whose `Str` values merely print alike share a hash;
+/// anti-entropy then counts them as one item on both sides.
+pub(crate) fn hash_rewritten(index_id: Id, rq: RewrittenRef<'_>) -> u64 {
     thread_local! {
         static KEY: RefCell<String> = const { RefCell::new(String::new()) };
     }
     KEY.with_borrow_mut(|key| {
         key.clear();
-        let _ = e.rq.write_key(key); // writing to a `String` cannot fail
-        fx_hash(2, &(e.index_id.0, key.as_str()))
+        let _ = rq.write_key(key); // writing to a `String` cannot fail
+        fx_hash(2, &(index_id.0, key.as_str()))
     })
 }
 

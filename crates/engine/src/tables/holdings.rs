@@ -11,9 +11,7 @@
 use cq_overlay::Id;
 use cq_relational::Notification;
 
-use super::{
-    Alqt, StoredQuery, StoredRewritten, StoredTuple, StoredValueTuple, VStore, Vlqt, Vltt,
-};
+use super::{Alqt, RewrittenEntry, StoredQuery, StoredTuple, StoredValueTuple, VStore, Vlqt, Vltt};
 use crate::error::Result;
 use crate::replication::{
     hash_offline, hash_query, hash_rewritten, hash_tuple, hash_value_tuple, ReplicaItem,
@@ -41,8 +39,8 @@ pub struct Tables {
 pub enum Held<'a> {
     /// An ALQT entry.
     Query(&'a StoredQuery),
-    /// A VLQT entry.
-    Rewritten(&'a StoredRewritten),
+    /// A VLQT entry, with its bucket's identifier and target.
+    Rewritten(RewrittenEntry<'a>),
     /// A VLTT entry.
     Tuple(&'a StoredTuple),
     /// A value-store entry under its `(group, value)` key.
@@ -67,7 +65,7 @@ impl Held<'_> {
     pub fn digest_hash(self) -> u64 {
         match self {
             Held::Query(e) => hash_query(e),
-            Held::Rewritten(e) => hash_rewritten(e),
+            Held::Rewritten(e) => hash_rewritten(e.index_id, e.rq),
             Held::Tuple(e) => hash_tuple(e),
             Held::ValueTuple(group, value_key, e) => hash_value_tuple(group, value_key, e),
             Held::Offline(id, n) => hash_offline(id, n),
@@ -78,7 +76,7 @@ impl Held<'_> {
     pub fn to_item(self) -> ReplicaItem {
         match self {
             Held::Query(e) => ReplicaItem::Query(e.clone()),
-            Held::Rewritten(e) => ReplicaItem::Rewritten(e.clone()),
+            Held::Rewritten(e) => ReplicaItem::Rewritten(e.to_stored()),
             Held::Tuple(e) => ReplicaItem::Tuple(e.clone()),
             Held::ValueTuple(group, value_key, e) => ReplicaItem::ValueTuple {
                 group: group.to_string(),

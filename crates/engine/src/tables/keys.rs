@@ -19,10 +19,11 @@
 //! borrow the caller's `&str` through [`KeyView`], the same pattern again.
 
 use std::borrow::Borrow;
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
 
-use cq_relational::{RewriteIdentity, RewrittenQuery};
+use cq_fasthash::FirstIndex;
+use cq_relational::{Rewriting, RewrittenQuery};
 
 /// An owned pair of interned strings used as a bucket key.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -164,10 +165,16 @@ impl From<&str> for ValueKey {
     }
 }
 
+impl ValueKey {
+    /// The canonical form.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(self.bytes()).expect("a value key holds a whole str")
+    }
+}
+
 impl std::fmt::Debug for ValueKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let text = String::from_utf8_lossy(self.bytes());
-        f.debug_tuple("ValueKey").field(&text).finish()
+        f.debug_tuple("ValueKey").field(&self.as_str()).finish()
     }
 }
 
@@ -237,117 +244,6 @@ impl<'a> Borrow<dyn KeyView + 'a> for ValueKey {
 #[inline]
 pub fn key_view<'a>(text: &'a &'a str) -> &'a (dyn KeyView + 'a) {
     text
-}
-
-/// A position index over a sequence the caller owns: it finds an item by a
-/// key the *sequence* stores, without holding a second copy of any key.
-///
-/// Open addressing over one `Vec<u64>`: a slot packs a 32-bit tag, taken
-/// from the key's hash, above `position + 1`, and 0 is an empty slot. Every
-/// position is filed, in order — `0, 1, 2, …` — so the index knows how full
-/// it is from the position it is handed. [`FirstIndex::find`] walks the
-/// slots from the tag's home and asks the caller about a position only when
-/// its tag matches, so a probe nearly always asks about the wanted item or
-/// about none; two keys that share a tag cost one more question and never a
-/// wrong answer. The home slot is derived from the tag alone, so growing
-/// re-places slots without reading any item. A sequence that loses items
-/// clears the index and files what is left again.
-#[derive(Clone, Debug, Default)]
-pub struct FirstIndex {
-    /// A power of two of them, or none before the first position is
-    /// filed; at most three quarters full.
-    slots: Vec<u64>,
-}
-
-impl FirstIndex {
-    /// The hash keys are filed under. Public so that tests can construct two
-    /// keys that share it.
-    pub fn hash(key: &str) -> u64 {
-        cq_fasthash::FxBuildHasher::default().hash_one(key)
-    }
-
-    /// The slots a fresh index starts with.
-    const MIN_SLOTS: usize = 16;
-
-    fn tag(hash: u64) -> u64 {
-        hash >> 32
-    }
-
-    /// Where a tag's probe starts: a multiplicative mix of the tag, so that
-    /// tags differing in high bits only still spread.
-    fn home(tag: u64, mask: usize) -> usize {
-        (tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask
-    }
-
-    /// The position filed under `hash` that `is_it` accepts. `is_it` is
-    /// asked only about positions whose tag matches the hash's.
-    pub fn find(&self, hash: u64, mut is_it: impl FnMut(usize) -> bool) -> Option<usize> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let (tag, mask) = (Self::tag(hash), self.slots.len() - 1);
-        let mut i = Self::home(tag, mask);
-        loop {
-            let slot = self.slots[i];
-            if slot == 0 {
-                return None;
-            }
-            if slot >> 32 == tag {
-                let pos = (slot as u32 - 1) as usize;
-                if is_it(pos) {
-                    return Some(pos);
-                }
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Files position `pos` under its key's hash. Positions are filed in
-    /// order, so `pos` is also how many are filed already.
-    pub fn file(&mut self, hash: u64, pos: usize) {
-        debug_assert!(pos < u32::MAX as usize, "a slot holds a 32-bit position");
-        if 4 * (pos + 1) > 3 * self.slots.len() {
-            let slots = (2 * self.slots.len()).max(Self::MIN_SLOTS);
-            let old = std::mem::replace(&mut self.slots, vec![0; slots]);
-            for slot in old.into_iter().filter(|&s| s != 0) {
-                self.place(slot);
-            }
-        }
-        self.place(Self::tag(hash) << 32 | (pos as u64 + 1));
-    }
-
-    fn place(&mut self, slot: u64) {
-        let mask = self.slots.len() - 1;
-        let mut i = Self::home(slot >> 32, mask);
-        while self.slots[i] != 0 {
-            i = (i + 1) & mask;
-        }
-        self.slots[i] = slot;
-    }
-
-    /// Forgets every position, keeping the capacity.
-    pub fn clear(&mut self) {
-        self.slots.fill(0);
-    }
-}
-
-/// An item of a [`FirstSeen`] set: something that is, or remembers, one
-/// rewritten query's identity ([`RewrittenQuery::same_identity`]).
-pub trait Rewriting {
-    /// [`RewrittenQuery::fingerprint`] of the identity.
-    fn fingerprint(&self) -> u64;
-    /// Whether the item has `rq`'s identity.
-    fn is_of(&self, rq: &RewrittenQuery) -> bool;
-}
-
-impl Rewriting for RewriteIdentity {
-    fn fingerprint(&self) -> u64 {
-        RewriteIdentity::fingerprint(self)
-    }
-
-    fn is_of(&self, rq: &RewrittenQuery) -> bool {
-        RewriteIdentity::is_of(self, rq)
-    }
 }
 
 /// What a [`FirstSeen`] set files a fingerprint under. [`AsIs`] everywhere
@@ -447,13 +343,8 @@ impl<T: Rewriting, F: Filing> FirstSeen<T, F> {
             .position(|item| F::file_under(item.fingerprint()) == key && item.is_of(rq))
     }
 
-    /// Files every item again, or drops the index when the set is small.
+    /// Files every item: the set has just grown to `SMALL`.
     fn reindex(&mut self) {
-        if self.items.len() < SMALL {
-            self.index = FirstIndex::default();
-            return;
-        }
-        self.index.clear();
         for (pos, item) in self.items.iter().enumerate() {
             self.index.file(F::file_under(item.fingerprint()), pos);
         }
@@ -482,13 +373,9 @@ impl<T: Rewriting, F: Filing> FirstSeen<T, F> {
         self.items.capacity()
     }
 
-    /// Moves the items `pred` selects to `out`, keeping the rest in order.
-    pub fn extract_if(&mut self, pred: impl FnMut(&mut T) -> bool, out: &mut Vec<T>) {
-        let before = out.len();
-        out.extend(self.items.extract_if(.., pred));
-        if out.len() > before {
-            self.reindex();
-        }
+    /// The items in insertion order, owned.
+    pub fn into_vec(self) -> Vec<T> {
+        self.items
     }
 }
 
@@ -496,6 +383,7 @@ impl<T: Rewriting, F: Filing> FirstSeen<T, F> {
 mod tests {
     use super::*;
     use cq_fasthash::FxHashMap;
+    use std::hash::BuildHasher;
 
     #[test]
     fn owned_and_borrowed_forms_agree() {
@@ -548,47 +436,7 @@ mod tests {
     }
 
     #[test]
-    fn a_probe_asks_only_about_positions_with_its_tag() {
-        let keys: Vec<String> = (0..1_000).map(|i| format!("subscriber-{i}")).collect();
-        let mut index = FirstIndex::default();
-        for (pos, key) in keys.iter().enumerate() {
-            index.file(FirstIndex::hash(key), pos);
-        }
-        for (pos, key) in keys.iter().enumerate() {
-            let mut asked = Vec::new();
-            let found = index.find(FirstIndex::hash(key), |i| {
-                asked.push(i);
-                keys[i] == *key
-            });
-            assert_eq!((found, asked), (Some(pos), vec![pos]), "{key}");
-        }
-        // A key never filed is found nowhere, and no position is asked about.
-        for i in 0..1_000 {
-            let absent = FirstIndex::hash(&format!("absent-{i}"));
-            assert_eq!(
-                index.find(absent, |_| panic!("asked about a position")),
-                None
-            );
-        }
-    }
-
-    #[test]
-    fn keys_sharing_a_hash_are_told_apart_by_the_caller() {
-        let mut index = FirstIndex::default();
-        for pos in 0..40 {
-            index.file(7, pos);
-        }
-        for pos in 0..40 {
-            assert_eq!(index.find(7, |i| i == pos), Some(pos));
-        }
-        assert_eq!(index.find(7, |_| false), None);
-        index.clear();
-        assert_eq!(index.find(7, |_| true), None);
-    }
-
-    #[test]
     fn hash_consistency_between_forms() {
-        use std::hash::BuildHasher;
         let bh = cq_fasthash::FxBuildHasher::default();
         let owned = StrPair::new("Doc", "AuthorId");
         let borrowed: &dyn PairQuery = &("Doc", "AuthorId");

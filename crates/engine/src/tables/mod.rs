@@ -11,6 +11,6 @@ pub mod vstore;
 
 pub use alqt::{Alqt, StoredQuery};
 pub use holdings::{Held, Tables};
-pub use vlqt::{StoredRewritten, Vlqt};
+pub use vlqt::{RewrittenEntry, StoredRewritten, Vlqt};
 pub use vltt::{StoredTuple, Vltt};
 pub use vstore::{StoredValueTuple, VStore};

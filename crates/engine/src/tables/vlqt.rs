@@ -6,6 +6,12 @@
 //! queries they might match in one step. Entries are deduplicated by the
 //! rewritten query's identity (`Key(q')`, Section 4.3.3).
 //!
+//! So a bucket's rewritings share their target and its identifier, and the
+//! bucket stores them once: the target is read back from its keys, the
+//! identifier is a word that refuses an entry indexed under another, and an
+//! entry is a 56-byte [`RewriteBody`]. Owned [`StoredRewritten`]s go in and
+//! come out; [`RewrittenEntry`] views are lent.
+//!
 //! A value bucket is what an arriving tuple scans, so it is laid out for
 //! the scan: the entries sit contiguously in one `Vec`, in **insertion
 //! order** — the order [`Vlqt::candidates`] yields them in, and therefore
@@ -26,13 +32,15 @@ use std::sync::Arc;
 
 use cq_fasthash::FxHashMap;
 use cq_overlay::Id;
-use cq_relational::{MatchTarget, QueryRef, RewrittenQuery};
+use cq_relational::{
+    MatchTarget, QueryRef, RewriteBody, RewrittenQuery, RewrittenRef, TargetRef, ValueRef,
+};
 
-use super::keys::{get_or_default, key_view, lookup_key, FirstSeen, Rewriting, StrPair, ValueKey};
+use super::keys::{get_or_default, key_view, lookup_key, FirstSeen, StrPair, ValueKey};
 use crate::error::{EngineError, Result};
 
-/// A rewritten query stored at an evaluator together with the value-level
-/// identifier it was indexed under.
+/// A rewritten query together with the value-level identifier it was
+/// indexed under: what the table takes in and gives back.
 #[derive(Clone, Debug)]
 pub struct StoredRewritten {
     /// The value-level identifier (`Hash(DisR + DisA + v)`).
@@ -41,45 +49,94 @@ pub struct StoredRewritten {
     pub rq: RewrittenQuery,
 }
 
-impl Rewriting for StoredRewritten {
-    #[inline]
-    fn fingerprint(&self) -> u64 {
-        self.rq.fingerprint()
-    }
+/// A [`StoredRewritten`] borrowed where the table keeps it.
+#[derive(Clone, Copy, Debug)]
+pub struct RewrittenEntry<'a> {
+    /// The value-level identifier (`Hash(DisR + DisA + v)`).
+    pub index_id: Id,
+    /// The rewritten query: an entry and its bucket's target.
+    pub rq: RewrittenRef<'a>,
+}
 
-    #[inline]
-    fn is_of(&self, rq: &RewrittenQuery) -> bool {
-        self.rq.same_identity(rq)
+impl RewrittenEntry<'_> {
+    /// An owned copy.
+    pub fn to_stored(self) -> StoredRewritten {
+        let (index_id, rq) = (self.index_id, self.rq.into_owned());
+        StoredRewritten { index_id, rq }
     }
 }
 
+/// The target of the bucket of `(_, attr, value_key)`.
+fn target_of<'a>(attr: &'a str, value_key: &'a str) -> TargetRef<'a> {
+    let value = ValueRef::parse_canonical(value_key).expect("a value bucket's key is canonical");
+    TargetRef::Attribute { attr, value }
+}
+
+/// The error of `rq`, indexed under `index_id`, offered to a bucket of
+/// another identifier.
+#[cold]
+fn stray(bucket: Id, rq: &RewrittenQuery, index_id: Id) -> EngineError {
+    let detail = format!("VLQT bucket {bucket} got {rq} indexed under {index_id}");
+    EngineError::Protocol { detail }
+}
+
 /// The rewritten queries waiting for one `(relation, attr, value)`, in
-/// insertion order, deduplicated by identity, and the ledger the last scan
-/// left of them.
+/// insertion order, deduplicated by identity; the identifier they are
+/// indexed under; and the ledger the last scan left of them.
 #[derive(Clone, Debug, Default)]
 struct Bucket {
-    entries: FirstSeen<StoredRewritten>,
+    entries: FirstSeen<RewriteBody>,
+    /// Taken from the first entry; every later one must carry it.
+    index_id: Id,
     /// Covers a prefix of `entries`; built by the first scan that finds two
-    /// or more, extended by every later scan, dropped when entries leave.
+    /// or more, extended by every later scan.
     ledger: Option<Box<Ledger>>,
 }
 
 impl Bucket {
-    /// Inserts never touch the ledger: the next scan files what they added.
-    fn insert_fresh(&mut self, entry: StoredRewritten) -> Option<&StoredRewritten> {
+    /// Stores the entry's body unless the bucket holds its rewriting, and
+    /// hands it back (`None` for a duplicate); a stored entry's target goes
+    /// to `keep` when that is empty. An entry indexed under another
+    /// identifier than the bucket's is a protocol error. Inserts never touch
+    /// the ledger: the next scan files what they added.
+    fn insert(
+        &mut self,
+        entry: StoredRewritten,
+        keep: &mut Option<MatchTarget>,
+    ) -> Result<Option<&RewriteBody>> {
         let StoredRewritten { index_id, rq } = entry;
-        self.entries
-            .insert_with(rq, |rq| StoredRewritten { index_id, rq })
+        if self.entries.as_slice().is_empty() {
+            self.index_id = index_id;
+        } else if index_id != self.index_id {
+            return Err(stray(self.index_id, &rq, index_id));
+        }
+        Ok(self.entries.insert_with(rq, |rq| {
+            let (body, target) = rq.into_parts();
+            keep.get_or_insert(target);
+            body
+        }))
+    }
+
+    /// The entries lent with the bucket's identifier and `(attr, value_key)`,
+    /// the keys it is stored under.
+    fn lend<'a>(
+        &'a self,
+        attr: &'a str,
+        value_key: &'a ValueKey,
+    ) -> impl Iterator<Item = RewrittenEntry<'a>> {
+        let (index_id, target) = (self.index_id, target_of(attr, value_key.as_str()));
+        let entries = self.entries.as_slice().iter();
+        entries.map(move |body| RewrittenEntry {
+            index_id,
+            rq: RewrittenRef::new(body, target),
+        })
     }
 
     /// The entries and their ledger, brought up to date. The first scan
     /// that finds two or more entries files them into `scratch` and keeps
     /// an exact-size copy; a bucket of one entry is only ever filed into
     /// `scratch`, which allocates nothing.
-    fn ledger<'a>(
-        &'a mut self,
-        scratch: &'a mut LedgerScratch,
-    ) -> (&'a [StoredRewritten], &'a Ledger) {
+    fn ledger<'a>(&'a mut self, scratch: &'a mut LedgerScratch) -> (&'a [RewriteBody], &'a Ledger) {
         let entries = self.entries.as_slice();
         if self.ledger.is_none() {
             scratch.lone.clear();
@@ -107,10 +164,11 @@ pub(crate) struct Tally {
     pub(crate) count: u64,
 }
 
-/// A bucket's entries as maximal runs of [`RewrittenQuery::same_shape`], each
-/// with one [`Tally`] per query `Arc` address in first-entry order.
-/// Addresses, not keys: one query decoded into two `Arc`s is two queries
-/// here, as it is in [`crate::protocol::QueryCounts`].
+/// A bucket's entries as maximal runs of [`RewriteBody::same_free_side`] —
+/// of one shape, as they share their target — each with one [`Tally`] per
+/// query `Arc` address in first-entry order. Addresses, not keys: one
+/// query decoded into two `Arc`s is two queries here, as it is in
+/// [`crate::protocol::QueryCounts`].
 ///
 /// Nearly every bucket is one run — its rewritings share a join condition
 /// and, mostly, free-side filters — so only the later runs' starts are
@@ -129,15 +187,16 @@ pub(crate) struct Ledger {
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Run<'a> {
     /// The run's entries, in stored order.
-    pub(crate) entries: &'a [StoredRewritten],
+    pub(crate) entries: &'a [RewriteBody],
     /// One per query, in the order of the queries' first entries.
     pub(crate) tallies: &'a [Tally],
+    target: TargetRef<'a>,
 }
 
 impl<'a> Run<'a> {
     /// The rewriting whose shape every entry of the run has.
-    pub(crate) fn head(&self) -> &'a RewrittenQuery {
-        &self.entries[0].rq
+    pub(crate) fn head(&self) -> RewrittenRef<'a> {
+        RewrittenRef::new(&self.entries[0], self.target)
     }
 }
 
@@ -157,11 +216,8 @@ impl Ledger {
     /// run when it has the run's shape and starts a new one otherwise.
     /// `open` maps the last run's addresses to their tallies; it is rebuilt
     /// here, so it only has to be a buffer.
-    fn extend(&mut self, entries: &[StoredRewritten], open: &mut FxHashMap<usize, usize>) {
-        debug_assert!(
-            self.filed <= entries.len(),
-            "a bucket that lost entries keeps no ledger"
-        );
+    fn extend(&mut self, entries: &[RewriteBody], open: &mut FxHashMap<usize, usize>) {
+        debug_assert!(self.filed <= entries.len(), "a bucket's entries only grow");
         if self.filed == entries.len() {
             return;
         }
@@ -171,12 +227,12 @@ impl Ledger {
             open.insert(address(&tally.query), i);
         }
         for (pos, e) in entries.iter().enumerate().skip(self.filed) {
-            if pos > 0 && !entries[head].rq.same_shape(&e.rq) {
+            if pos > 0 && !entries[head].same_free_side(e) {
                 head = pos;
                 self.cuts.push((head, self.tallies.len()));
                 open.clear();
             }
-            let query = e.rq.query();
+            let query = e.query();
             match open.entry(address(query)) {
                 Entry::Occupied(i) => self.tallies[*i.get()].count += 1,
                 Entry::Vacant(slot) => {
@@ -191,11 +247,12 @@ impl Ledger {
         self.filed = entries.len();
     }
 
-    /// The runs over `entries`, the bucket this ledger was brought up to
-    /// date for, in stored order.
+    /// The runs over `entries`, the bucket of `target` this ledger was
+    /// brought up to date for, in stored order.
     pub(crate) fn runs<'a>(
         &'a self,
-        entries: &'a [StoredRewritten],
+        entries: &'a [RewriteBody],
+        target: TargetRef<'a>,
     ) -> impl Iterator<Item = Run<'a>> {
         let starts = std::iter::once((0, 0)).chain(self.cuts.iter().copied());
         let ends = self.cuts.iter().copied();
@@ -206,6 +263,7 @@ impl Ledger {
             .map(move |(start, end)| Run {
                 entries: &entries[start.0..end.0],
                 tallies: &self.tallies[start.1..end.1],
+                target,
             })
     }
 }
@@ -224,6 +282,8 @@ pub(crate) struct LedgerScratch {
 pub struct BucketMut<'a> {
     bucket: &'a mut Bucket,
     len: &'a mut usize,
+    /// The run's target, kept from the first entry stored through this.
+    target: Option<MatchTarget>,
 }
 
 impl BucketMut<'_> {
@@ -233,14 +293,18 @@ impl BucketMut<'_> {
         self.bucket.entries.reserve(run);
     }
 
-    /// [`Vlqt::insert_fresh`] without the two-level lookup. The entry must
-    /// target the `(relation, attr, value)` this bucket was resolved for.
-    pub fn insert_fresh(&mut self, entry: StoredRewritten) -> Option<&StoredRewritten> {
-        let stored = self.bucket.insert_fresh(entry);
-        if stored.is_some() {
-            *self.len += 1;
-        }
-        stored
+    /// [`Vlqt::insert`] without the two-level lookup, lending the stored
+    /// entry (`None` on a duplicate). The entry must target the
+    /// `(relation, attr, value)` this bucket was resolved for.
+    pub fn insert_fresh(&mut self, entry: StoredRewritten) -> Result<Option<RewrittenEntry<'_>>> {
+        let index_id = entry.index_id;
+        let Some(body) = self.bucket.insert(entry, &mut self.target)? else {
+            return Ok(None);
+        };
+        *self.len += 1;
+        let target = self.target.as_ref().expect("kept by the insert");
+        let rq = RewrittenRef::new(body, target.view());
+        Ok(Some(RewrittenEntry { index_id, rq }))
     }
 }
 
@@ -250,8 +314,7 @@ impl BucketMut<'_> {
 /// owned `(relation, attr)` [`StrPair`], the second level by the value's
 /// canonical form as an inline [`ValueKey`]; lookups borrow the caller's
 /// `&str`s instead of allocating (see [`super::keys`]). Below that sits one
-/// [`FirstSeen`] bucket, so a fresh bucket costs one allocation: its
-/// entries.
+/// bucket, so a fresh bucket costs one allocation: its entries.
 #[derive(Clone, Debug, Default)]
 pub struct Vlqt {
     buckets: FxHashMap<StrPair, FxHashMap<ValueKey, Bucket>>,
@@ -281,17 +344,11 @@ impl Vlqt {
 
     /// Stores a rewritten query. Returns `false` (and stores nothing) when a
     /// rewritten query with the same identity is already present — "x need only
-    /// store the information related to tuple t". Errors on a rewritten
-    /// query without an attribute target (a mis-wired protocol or a
-    /// corrupted replica payload — VLQT is attribute-indexed).
+    /// store the information related to tuple t". Errors, storing nothing,
+    /// on a rewritten query without an attribute target (a mis-wired
+    /// protocol or a corrupted replica payload — VLQT is attribute-indexed)
+    /// and on one indexed under another identifier than its bucket.
     pub fn insert(&mut self, entry: StoredRewritten) -> Result<bool> {
-        Ok(self.insert_fresh(entry)?.is_some())
-    }
-
-    /// Like [`Vlqt::insert`], but hands back a borrow of the freshly stored
-    /// entry (or `None` on a duplicate). Lets the SAI evaluator keep
-    /// working with the stored copy instead of cloning the rewritten query.
-    pub fn insert_fresh(&mut self, entry: StoredRewritten) -> Result<Option<&StoredRewritten>> {
         let MatchTarget::Attribute { attr, value } = entry.rq.target() else {
             return Err(EngineError::Protocol {
                 detail: format!(
@@ -311,11 +368,9 @@ impl Vlqt {
             &value_key,
         );
         self.value_key = value_key;
-        let stored = bucket.insert_fresh(entry);
-        if stored.is_some() {
-            self.len += 1;
-        }
-        Ok(stored)
+        let fresh = bucket.insert(entry, &mut None)?.is_some();
+        self.len += usize::from(fresh);
+        Ok(fresh)
     }
 
     /// Resolves (creating it if need be) the bucket of
@@ -325,14 +380,8 @@ impl Vlqt {
         BucketMut {
             bucket: value_bucket(&mut self.buckets, relation, attr, value_key),
             len: &mut self.len,
+            target: None,
         }
-    }
-
-    fn bucket(&self, relation: &str, attr: &str, value_key: &str) -> &[StoredRewritten] {
-        self.buckets
-            .get(lookup_key(&(relation, attr)))
-            .and_then(|m| m.get(key_view(&value_key)))
-            .map_or(&[], |b| b.entries.as_slice())
     }
 
     /// The rewritten queries an incoming tuple of `(relation, attr = value)`
@@ -343,41 +392,39 @@ impl Vlqt {
         relation: &str,
         attr: &str,
         value_key: &str,
-    ) -> impl Iterator<Item = &StoredRewritten> {
-        self.bucket(relation, attr, value_key).iter()
+    ) -> impl Iterator<Item = RewrittenEntry<'_>> {
+        let found = self.buckets.get_key_value(lookup_key(&(relation, attr)));
+        let found = found.and_then(|(pair, by_value)| {
+            let (key, bucket) = by_value.get_key_value(key_view(&value_key))?;
+            Some(bucket.lend(&pair.b, key))
+        });
+        found.into_iter().flatten()
     }
 
-    /// [`Vlqt::candidates`] with the bucket's [`Ledger`], which this call
-    /// brings up to date: the scan of an arriving tuple walks
-    /// [`Ledger::runs`] over the entries.
+    /// The entries of the bucket of `(relation, attr, value)` with its
+    /// [`Ledger`], which this call brings up to date: the scan of an
+    /// arriving tuple walks [`Ledger::runs`]. `None` when there is no such
+    /// bucket.
     pub(crate) fn ledger<'a>(
         &'a mut self,
         relation: &str,
         attr: &str,
         value_key: &str,
         scratch: &'a mut LedgerScratch,
-    ) -> (&'a [StoredRewritten], &'a Ledger) {
-        match self
-            .buckets
-            .get_mut(lookup_key(&(relation, attr)))
-            .and_then(|m| m.get_mut(key_view(&value_key)))
-        {
-            Some(bucket) => bucket.ledger(scratch),
-            None => {
-                scratch.lone.clear();
-                (&[], &scratch.lone)
-            }
-        }
+    ) -> Option<(&'a [RewriteBody], &'a Ledger)> {
+        let by_value = self.buckets.get_mut(lookup_key(&(relation, attr)))?;
+        Some(by_value.get_mut(key_view(&value_key))?.ledger(scratch))
     }
 
     /// Iterates every stored entry: buckets in arbitrary order, each in
     /// insertion order (anti-entropy digests; the digest combination is
     /// order-independent).
-    pub fn entries(&self) -> impl Iterator<Item = &StoredRewritten> {
-        self.buckets
-            .values()
-            .flat_map(|by_value| by_value.values())
-            .flat_map(|bucket| bucket.entries.as_slice())
+    pub fn entries(&self) -> impl Iterator<Item = RewrittenEntry<'_>> {
+        self.buckets.iter().flat_map(|(pair, by_value)| {
+            by_value
+                .iter()
+                .flat_map(|(key, bucket)| bucket.lend(&pair.b, key))
+        })
     }
 
     /// Total stored rewritten queries.
@@ -390,20 +437,18 @@ impl Vlqt {
         self.len == 0
     }
 
-    /// Removes entries whose index identifier satisfies the predicate
-    /// (key transfer on churn). What stays keeps its order; a bucket that
-    /// lost entries drops its ledger, whose positions no longer hold.
+    /// Removes the buckets whose index identifier satisfies the predicate
+    /// (key transfer on churn), handing their entries back in bucket order.
     pub fn extract_where(&mut self, mut pred: impl FnMut(Id) -> bool) -> Vec<StoredRewritten> {
         let mut out = Vec::new();
-        for by_value in self.buckets.values_mut() {
-            for bucket in by_value.values_mut() {
-                let before = out.len();
-                bucket.entries.extract_if(|e| pred(e.index_id), &mut out);
-                if out.len() > before {
-                    bucket.ledger = None;
-                }
+        for (pair, by_value) in &mut self.buckets {
+            for (value_key, bucket) in by_value.extract_if(|_, b| pred(b.index_id)) {
+                let (index_id, target) = (bucket.index_id, target_of(&pair.b, value_key.as_str()));
+                out.extend(bucket.entries.into_vec().into_iter().map(|body| {
+                    let rq = RewrittenQuery::from_body(body, target);
+                    StoredRewritten { index_id, rq }
+                }));
             }
-            by_value.retain(|_, b| !b.entries.as_slice().is_empty());
         }
         self.buckets.retain(|_, m| !m.is_empty());
         self.len -= out.len();
@@ -509,25 +554,60 @@ mod tests {
 
     #[test]
     fn a_stored_entry_is_a_flat_value() {
-        // 8 index id + a 96-byte rewriting that owns no heap memory for one
-        // `Int` bound value (`cq_relational::rewrite` pins that and the 64
-        // bytes DAI-T's rewriter memory keeps of it).
-        assert_eq!(std::mem::size_of::<StoredRewritten>(), 104);
+        // A stored entry is a 56-byte body, which owns no heap memory for
+        // one `Int` bound value (`cq_relational::rewrite` pins that and the
+        // 64 bytes DAI-T's rewriter memory keeps). At the table's edge a
+        // rewriting is 96 bytes with its target, 104 with its index id.
+        use std::mem::size_of;
+        assert_eq!(size_of::<RewriteBody>(), 56);
+        assert_eq!(size_of::<RewrittenQuery>(), 96);
+        assert_eq!(size_of::<StoredRewritten>(), 104);
     }
 
     #[test]
     fn a_ledger_costs_a_bucket_one_word() {
-        // The entries' set is 48 bytes, two `Vec`s; the ledger may add one
-        // pointer and no more. Four inline words instead cost `route_dait`
-        // +3.5 % and `churn_dait` +2.4 % `peak_rss_mb`, and a ledger built for every
-        // bucket at insert time +15 % `allocs_per_insert` and +8.6 % RSS on
-        // `route_dait`: most buckets there are never scanned twice.
-        let set = std::mem::size_of::<FirstSeen<StoredRewritten>>();
+        // The entries' set is 48 bytes, two `Vec`s; the index id may add one
+        // word and the ledger one pointer, and no more. Four inline ledger
+        // words instead cost `route_dait` +3.5 % and `churn_dait`
+        // +2.4 % `peak_rss_mb`, and a ledger built for every bucket at insert
+        // time +15 % `allocs_per_insert` and +8.6 % RSS on `route_dait`: most
+        // buckets there are never scanned twice.
+        let set = std::mem::size_of::<FirstSeen<RewriteBody>>();
         assert_eq!(set, 48);
         assert_eq!(
             std::mem::size_of::<Bucket>(),
-            set + std::mem::size_of::<usize>()
+            set + 2 * std::mem::size_of::<usize>()
         );
+    }
+
+    #[test]
+    fn an_entry_under_another_id_than_its_bucket_is_refused() {
+        let (c, q) = setup();
+        let mut t = Vlqt::new();
+        let entry = |index_id, a| StoredRewritten {
+            index_id,
+            rq: rewritten(&c, &q, a, 7),
+        };
+        assert!(t.insert(entry(Id(3), 1)).unwrap());
+        let vkey = Value::Int(7).canonical();
+        for stray in [entry(Id(4), 1), entry(Id(4), 2)] {
+            let refused = t.insert(stray.clone());
+            assert!(matches!(refused, Err(EngineError::Protocol { .. })));
+            let mut bucket = t.bucket_mut("S", "C", &vkey);
+            let refused = bucket.insert_fresh(stray);
+            assert!(matches!(refused, Err(EngineError::Protocol { .. })));
+        }
+        assert_eq!(t.len(), 1);
+        let ids: Vec<Id> = t.entries().map(|e| e.index_id).collect();
+        assert_eq!(ids, [Id(3)]);
+        // Another value is another bucket, with an identifier of its own.
+        let other = StoredRewritten {
+            index_id: Id(4),
+            rq: rewritten(&c, &q, 1, 8),
+        };
+        assert!(t.insert(other).unwrap());
+        assert_eq!(t.extract_where(|id| id == Id(3)).len(), 1);
+        assert_eq!(t.len(), 1);
     }
 
     #[test]
@@ -545,6 +625,7 @@ mod tests {
                         index_id: Id(0),
                         rq
                     })
+                    .unwrap()
                     .is_some());
             }
             let b = &t.buckets[lookup_key(&("S", "C"))][key_view(&vkey.as_str())];
@@ -577,14 +658,25 @@ mod tests {
                 .unwrap());
             assert_eq!(t.candidates("S", "C", &vkey).count(), 1, "{vkey}");
             let mut scratch = LedgerScratch::default();
-            let (entries, ledger) = t.ledger("S", "C", &vkey, &mut scratch);
-            assert_eq!((entries.len(), ledger.runs(entries).count()), (1, 1));
+            let (entries, ledger) = t.ledger("S", "C", &vkey, &mut scratch).unwrap();
+            let target = target_of("C", &vkey);
+            assert_eq!(target.value(), ValueRef::from(&value), "{vkey}");
+            assert_eq!(
+                (entries.len(), ledger.runs(entries, target).count()),
+                (1, 1)
+            );
             let mut bucket = t.bucket_mut("S", "C", &vkey);
             let twin = StoredRewritten {
                 index_id: Id(0),
-                rq,
+                rq: rq.clone(),
             };
-            assert!(bucket.insert_fresh(twin).is_none(), "{vkey}: same bucket");
+            assert!(
+                bucket.insert_fresh(twin).unwrap().is_none(),
+                "{vkey}: same bucket"
+            );
+            let stored = t.entries().next().unwrap().to_stored();
+            assert!(stored.rq.same_identity(&rq) && stored.rq.same_shape(&rq));
+            assert_eq!(stored.rq.target(), rq.target());
             assert_eq!(t.len(), 1);
             let shorter = &vkey[..vkey.len() - 1];
             assert_eq!(t.candidates("S", "C", shorter).count(), 0);

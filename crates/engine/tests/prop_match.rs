@@ -36,8 +36,8 @@ use std::sync::Arc;
 use cq_engine::algo::RunMatcher;
 use cq_engine::tables::{StoredRewritten, Vlqt};
 use cq_engine::wire::{decode_message, encode_message};
-use cq_engine::{Matches, Message};
-use cq_overlay::Id;
+use cq_engine::{indexing, EngineError, Matches, Message};
+use cq_overlay::{Id, IdSpace};
 use cq_relational::{
     Attribute, BinOp, Catalog, DataType, Expr, Filter, JoinQuery, MatchTarget, Notification,
     QueryKey, QueryRef, QuerySpec, RelationSchema, RewrittenQuery, SelectItem, Side, Timestamp,
@@ -390,6 +390,16 @@ fn pairwise_vlqt(vlqt: &Vlqt, t: &Tuple, attr: &str, matches: &mut Matches) -> R
     scan().map_err(|e| e.to_string())
 }
 
+/// `rq` under the value-level identifier of its target, as the engine
+/// indexes it (`Hash(DisR + DisA + v)`): one identifier per VLQT bucket.
+fn indexed(rq: RewrittenQuery) -> StoredRewritten {
+    let MatchTarget::Attribute { attr, value } = rq.target() else {
+        unreachable!("an attribute target")
+    };
+    let index_id = indexing::vindex_attr(IdSpace::default(), rq.free_relation(), attr, value);
+    StoredRewritten { index_id, rq }
+}
+
 /// What a scan left behind: the counts' entries — query address and count,
 /// in first-match order — and total, or the notifications in order.
 fn outcome(matches: &Matches) -> (Vec<(usize, u64)>, u64, Vec<Notification>) {
@@ -640,12 +650,13 @@ proptest! {
 
         // Inserts, scans, extractions and re-inserts in any order: a scan
         // builds a bucket's ledger or extends it over what was stored
-        // since, and an extraction drops it.
+        // since, an extraction takes the bucket with it, and an entry under
+        // another identifier than its bucket's is refused.
         let mut vlqt = Vlqt::new();
         let mut matcher = RunMatcher::default();
         let (mut stored, mut parked) = (Vec::new(), Vec::new());
         for _ in 0..rng.gen_range(1..60) {
-            match rng.gen_range(0..10) {
+            match rng.gen_range(0..11) {
                 0..=4 => {
                     for _ in 0..rng.gen_range(1..8) {
                         let entry = if !stored.is_empty() && rng.gen_bool(0.2) {
@@ -656,7 +667,7 @@ proptest! {
                             let Some(rq) = rand_rewriting(rng, &c, &queries, bound, false) else {
                                 continue;
                             };
-                            StoredRewritten { index_id: Id(rng.gen_range(0..4)), rq }
+                            indexed(rq)
                         };
                         vlqt.insert(entry.clone()).unwrap();
                         stored.push(entry);
@@ -684,8 +695,27 @@ proptest! {
                     }
                 }
                 8 => {
-                    let id = Id(rng.gen_range(0..4));
-                    parked.extend(vlqt.extract_where(|i| i == id));
+                    let k = rng.gen_range(0..4);
+                    parked.extend(vlqt.extract_where(|i| i.0 % 4 == k));
+                }
+                9 => {
+                    let Some(e) = stored.get(rng.gen_range(0..stored.len().max(1))) else {
+                        continue;
+                    };
+                    let MatchTarget::Attribute { attr, value } = e.rq.target() else {
+                        unreachable!("an attribute target")
+                    };
+                    let key = value.canonical();
+                    if vlqt.candidates(e.rq.free_relation(), attr, &key).next().is_none() {
+                        continue; // its bucket is parked
+                    }
+                    let index_id = Id(e.index_id.0 ^ rng.gen_range(1..4u64));
+                    let stray = StoredRewritten { index_id, rq: e.rq.clone() };
+                    let len = vlqt.len();
+                    let refused = vlqt.insert(stray);
+                    let typed = matches!(refused, Err(EngineError::Protocol { .. }));
+                    prop_assert!(typed, "{:?}", refused);
+                    prop_assert_eq!(vlqt.len(), len);
                 }
                 _ => {
                     for e in parked.drain(..) {

@@ -15,13 +15,15 @@ use std::sync::Arc;
 
 use cq_engine::tables::keys::{AsIs, Filing, FirstSeen};
 use cq_engine::tables::{
-    Alqt, Held, StoredQuery, StoredRewritten, StoredTuple, StoredValueTuple, Tables, Vlqt, Vltt,
+    Alqt, Held, RewrittenEntry, StoredQuery, StoredRewritten, StoredTuple, StoredValueTuple,
+    Tables, Vlqt, Vltt,
 };
-use cq_engine::{ReplicaItem, ReplicaStore};
-use cq_overlay::Id;
+use cq_engine::{indexing, EngineError, ReplicaItem, ReplicaStore};
+use cq_overlay::{Id, IdSpace};
 use cq_relational::{
-    Catalog, DataType, Expr, JoinQuery, Notification, QueryKey, QueryRef, QuerySpec,
-    RelationSchema, RewriteIdentity, RewrittenQuery, SelectItem, Side, Timestamp, Tuple, Value,
+    Catalog, DataType, Expr, JoinQuery, MatchTarget, Notification, QueryKey, QueryRef, QuerySpec,
+    RelationSchema, RewriteBody, RewriteIdentity, RewrittenQuery, RewrittenRef, SelectItem, Side,
+    TargetRef, Timestamp, Tuple, Value, ValueRef,
 };
 use proptest::prelude::*;
 
@@ -148,22 +150,44 @@ fn op_rewriting(c: &Catalog, qs: &[QueryRef; 2], a: u64, b: u64) -> RewrittenQue
 /// is bound, the bound values, the target value.
 type Ident = (QueryKey, bool, Vec<Value>, Value);
 
-fn ident(rq: &RewrittenQuery) -> Ident {
+fn ident(rq: RewrittenRef<'_>) -> Ident {
     (
         rq.query().key().clone(),
         rq.bound_side() == Side::Left,
         rq.bound_values().to_vec(),
-        rq.target().value().clone(),
+        rq.target().value().into(),
     )
+}
+
+/// The `(relation, attribute, value)` a rewriting of [`op_rewriting`] is
+/// filed under.
+type BucketKey = (&'static str, &'static str, i64);
+
+fn bucket_key(rq: &RewrittenQuery) -> BucketKey {
+    let join = rq.target().value().as_int().expect("int join attribute");
+    match rq.free_side() {
+        Side::Left => ("T", "B", join),
+        Side::Right => ("U", "C", join),
+    }
+}
+
+/// `rq` under the value-level identifier of its target, as the engine
+/// indexes it (`Hash(DisR + DisA + v)`).
+fn indexed(rq: RewrittenQuery) -> StoredRewritten {
+    let MatchTarget::Attribute { attr, value } = rq.target() else {
+        unreachable!("an attribute target")
+    };
+    let index_id = indexing::vindex_attr(IdSpace::default(), rq.free_relation(), attr, value);
+    StoredRewritten { index_id, rq }
 }
 
 /// The model of one value bucket: what was stored, in order.
 type ModelBucket = Vec<(Ident, Id)>;
 
-type Model = BTreeMap<(&'static str, &'static str, i64), ModelBucket>;
+type Model = BTreeMap<BucketKey, ModelBucket>;
 
 fn model_insert(bucket: &mut ModelBucket, e: &StoredRewritten) -> bool {
-    let id = ident(&e.rq);
+    let id = ident(e.rq.view());
     let fresh = bucket.iter().all(|(stored, _)| *stored != id);
     if fresh {
         bucket.push((id, e.index_id));
@@ -172,13 +196,7 @@ fn model_insert(bucket: &mut ModelBucket, e: &StoredRewritten) -> bool {
 }
 
 fn model_bucket<'m>(model: &'m mut Model, e: &StoredRewritten) -> &'m mut ModelBucket {
-    let join = e.rq.target().value().as_int().expect("int join attribute");
-    model
-        .entry(match e.rq.free_side() {
-            Side::Left => ("T", "B", join),
-            Side::Right => ("U", "C", join),
-        })
-        .or_default()
+    model.entry(bucket_key(&e.rq)).or_default()
 }
 
 fn model_extract(bucket: &mut ModelBucket, pred: impl Fn(Id) -> bool) -> Vec<(Ident, Id)> {
@@ -189,11 +207,16 @@ fn model_extract(bucket: &mut ModelBucket, pred: impl Fn(Id) -> bool) -> Vec<(Id
     gone
 }
 
-fn idents<'a>(entries: impl IntoIterator<Item = &'a StoredRewritten>) -> Vec<(Ident, Id)> {
+fn idents<'a>(entries: impl IntoIterator<Item = RewrittenEntry<'a>>) -> Vec<(Ident, Id)> {
     entries
         .into_iter()
-        .map(|e| (ident(&e.rq), e.index_id))
+        .map(|e| (ident(e.rq), e.index_id))
         .collect()
+}
+
+fn stored_idents(entries: &[StoredRewritten]) -> Vec<(Ident, Id)> {
+    let entries = entries.iter();
+    entries.map(|e| (ident(e.rq.view()), e.index_id)).collect()
 }
 
 fn sorted<T: Ord>(mut v: Vec<T>) -> Vec<T> {
@@ -211,81 +234,139 @@ impl Filing for OneFile {
     }
 }
 
-/// A VLQT bucket's insert: the entry goes in unless its rewriting is there.
-fn insert<F: Filing>(bucket: &mut FirstSeen<StoredRewritten, F>, e: StoredRewritten) -> bool {
-    let StoredRewritten { index_id, rq } = e;
-    bucket
-        .insert_with(rq, |rq| StoredRewritten { index_id, rq })
-        .is_some()
+/// A VLQT bucket's insert: the body goes in unless its rewriting is there.
+fn insert<F: Filing>(bucket: &mut FirstSeen<RewriteBody, F>, rq: RewrittenQuery) -> bool {
+    bucket.insert_with(rq, |rq| rq.into_parts().0).is_some()
 }
 
-/// Drives one dedup set the way a VLQT bucket is driven (insert unless
-/// contained, extract by index id, re-insert) and one the way the rewriter
-/// memory is (remember unless contained), against linear-search models.
+/// The rewritings a set of bodies filed under `key` holds.
+fn bodies_back(key: BucketKey, bodies: Vec<RewriteBody>) -> Vec<RewrittenQuery> {
+    let target = TargetRef::Attribute {
+        attr: key.1,
+        value: ValueRef::Int(key.2),
+    };
+    let rewritings = bodies.into_iter();
+    rewritings
+        .map(|body| RewrittenQuery::from_body(body, target))
+        .collect()
+}
+
+/// VLQT buckets as dedup sets of bodies, one per target, and their model.
+struct Sets<F> {
+    sets: BTreeMap<BucketKey, FirstSeen<RewriteBody, F>>,
+    model: BTreeMap<BucketKey, Vec<Ident>>,
+}
+
+impl<F: Filing> Sets<F> {
+    /// Offers `rq` to its set: it goes in unless its rewriting is there.
+    fn offer(&mut self, rq: RewrittenQuery) -> Result<(), TestCaseError> {
+        let key = bucket_key(&rq);
+        let model = self.model.entry(key).or_default();
+        let fresh = !model.contains(&ident(rq.view()));
+        if fresh {
+            model.push(ident(rq.view()));
+        }
+        let set = self.sets.entry(key).or_default();
+        prop_assert_eq!(insert(set, rq), fresh, "dedup verdict");
+        Ok(())
+    }
+
+    /// Takes the set of `key` out whole, as its rewritings.
+    fn take(&mut self, key: BucketKey) -> Result<Vec<RewrittenQuery>, TestCaseError> {
+        let set = self.sets.remove(&key).expect("a set of the key");
+        let back = bodies_back(key, set.into_vec());
+        let got: Vec<Ident> = back.iter().map(|rq| ident(rq.view())).collect();
+        prop_assert_eq!(
+            got,
+            self.model.remove(&key).unwrap_or_default(),
+            "a set's order"
+        );
+        Ok(back)
+    }
+
+    fn check(&self) -> Result<(), TestCaseError> {
+        for (key, set) in &self.sets {
+            let target = TargetRef::Attribute {
+                attr: key.1,
+                value: ValueRef::Int(key.2),
+            };
+            let views = set
+                .as_slice()
+                .iter()
+                .map(|body| RewrittenRef::new(body, target));
+            let got: Vec<Ident> = views.map(ident).collect();
+            prop_assert_eq!(&got, &self.model[key]);
+        }
+        Ok(())
+    }
+}
+
+/// Drives dedup sets the way VLQT buckets are driven (insert unless
+/// contained, one set per target; take a set out whole, re-insert) and one
+/// the way the rewriter memory is (remember unless contained), against
+/// linear-search models.
 fn first_seen_agrees_with_its_model<F: Filing>(
     ops: &[(u8, u64, u64)],
 ) -> Result<(), TestCaseError> {
     let (c, qs) = string_catalog();
-    let mut bucket: FirstSeen<StoredRewritten, F> = FirstSeen::default();
+    let mut sets = Sets::<F> {
+        sets: BTreeMap::new(),
+        model: BTreeMap::new(),
+    };
     let mut memory: FirstSeen<RewriteIdentity, F> = FirstSeen::default();
-    let mut model_stored = ModelBucket::new();
     let mut model_remembered: Vec<Ident> = Vec::new();
-    let mut parked: Vec<StoredRewritten> = Vec::new();
+    let mut parked: Vec<RewrittenQuery> = Vec::new();
     for &(op, a, b) in ops {
         match op {
             0..=6 => {
                 let rq = op_rewriting(&c, &qs, a, b);
-                let fresh = !model_remembered.contains(&ident(&rq));
+                let fresh = !model_remembered.contains(&ident(rq.view()));
                 if fresh {
-                    model_remembered.push(ident(&rq));
+                    model_remembered.push(ident(rq.view()));
                 }
                 let remembered = memory.insert_with(&rq, RewrittenQuery::to_identity);
                 prop_assert_eq!(remembered.is_some(), fresh, "memory verdict");
                 prop_assert!(remembered.is_none_or(|id| id.is_of(&rq)));
-                let entry = StoredRewritten {
-                    index_id: Id(b % 8),
-                    rq,
-                };
-                let fresh = model_insert(&mut model_stored, &entry);
-                prop_assert_eq!(insert(&mut bucket, entry), fresh, "dedup verdict");
+                sets.offer(rq)?;
             }
+            // One set, or all of them, leaves.
             7 | 8 => {
-                let pred = |id: Id| op == 8 || id.0 % 4 == a % 4;
-                let mut gone = Vec::new();
-                bucket.extract_if(|e| pred(e.index_id), &mut gone);
-                prop_assert_eq!(idents(&gone), model_extract(&mut model_stored, pred));
-                parked.extend(gone);
+                let keys = sets.sets.keys().copied();
+                let taken: Vec<BucketKey> =
+                    keys.filter(|k| op == 8 || k.2 as u64 == a % 3).collect();
+                for key in taken {
+                    parked.extend(sets.take(key)?);
+                }
             }
             _ => {
-                for e in parked.drain(..) {
-                    let fresh = model_insert(&mut model_stored, &e);
-                    prop_assert_eq!(insert(&mut bucket, e), fresh, "re-insert verdict");
+                for rq in parked.drain(..) {
+                    sets.offer(rq)?;
                 }
             }
         }
-        prop_assert_eq!(idents(bucket.as_slice()), model_stored.clone());
+        sets.check()?;
         prop_assert_eq!(memory.as_slice().len(), model_remembered.len());
     }
     Ok(())
 }
 
-/// Ops that take a set across the size at which it starts to keep an index
-/// (eight items), both ways: 20 items with index ids 0, 1 and 3, all
-/// offered twice; an extraction that leaves 10, so the index is rebuilt;
-/// one that leaves 3, so it goes; the 17 taken out put back, so it is
-/// built again mid-run; and everything offered once more.
+/// Ops that take sets across the size at which they start to keep an
+/// index (eight items): two sets of 15, all offered twice; one set taken
+/// out and put back, so its index is built anew mid-run; then both, and
+/// everything offered once more.
 fn crossings() -> Vec<(u8, u64, u64)> {
-    // `(0, a, b)` inserts `op_rewriting(a, b)`: join value `b % 3`, index
-    // id `b % 8`; `a < 10` picks ten distinct bound sides and strings.
-    let join_0 = (0..10).map(|a| (0, a, if a < 3 { 3 } else { 0 }));
-    let join_1 = (0..10).map(|a| (0, a, 1));
+    // `(0, a, b)` offers `op_rewriting(a, b)` to the set of join value
+    // `b % 3`. The `a` below bind the left side of the one-value query
+    // (5..10) and of the two-value one (32..37, 45..50): 15 rewritings of
+    // one target per join value.
+    let distinct = || (5..10).chain(32..37).chain(45..50);
+    let join_0 = distinct().map(|a| (0, a, 0));
+    let join_1 = distinct().map(|a| (0, a, 1));
     let all: Vec<_> = join_0.chain(join_1).collect();
     let mut ops = [all.clone(), all.clone()].concat();
-    ops.push((7, 1, 0)); // ids 1 go: 10 left
+    ops.extend([(7, 0, 0), (9, 0, 0)]); // the join-0 set leaves and comes back
     ops.extend(&all);
-    ops.push((7, 0, 0)); // ids 0 go: 3 left
-    ops.extend(&all[..3]);
-    ops.push((9, 0, 0)); // the 17 come back
+    ops.extend([(8, 0, 0), (9, 0, 0)]); // both do
     ops.extend(&all);
     ops
 }
@@ -304,7 +385,7 @@ proptest! {
 
     #[test]
     fn vlqt_agrees_with_its_model(
-        ops in prop::collection::vec((0u8..10, 0u64..64, 0u64..64), 1..120),
+        ops in prop::collection::vec((0u8..11, 0u64..64, 0u64..64), 1..120),
     ) {
         let (c, qs) = string_catalog();
         let mut table = Vlqt::new();
@@ -316,14 +397,19 @@ proptest! {
             match op {
                 // Insert, through either entry point.
                 0..=6 => {
-                    let entry = StoredRewritten { index_id: Id(b % 8), rq: op_rewriting(&c, &qs, a, b) };
+                    let entry = indexed(op_rewriting(&c, &qs, a, b));
                     let expect = model_insert(model_bucket(&mut model, &entry), &entry);
                     let got = if op % 2 == 0 {
                         table.insert(entry).unwrap()
                     } else {
-                        let rq = entry.rq.clone();
-                        let stored = table.insert_fresh(entry).unwrap();
-                        prop_assert!(stored.is_none_or(|e| e.rq.same_identity(&rq)));
+                        let (rel, attr, join) = bucket_key(&entry.rq);
+                        let (rq, id) = (entry.rq.clone(), entry.index_id);
+                        let value_key = Value::Int(join).canonical();
+                        let mut bucket = table.bucket_mut(rel, attr, &value_key);
+                        let stored = bucket.insert_fresh(entry).unwrap();
+                        prop_assert!(stored.is_none_or(|e| e.index_id == id
+                            && e.rq.same_identity(&rq.view())
+                            && e.rq.same_shape(&rq.view())));
                         stored.is_some()
                     };
                     prop_assert_eq!(got, expect, "dedup verdict");
@@ -333,9 +419,28 @@ proptest! {
                     let gone = table.extract_where(pred);
                     let expect: Vec<_> =
                         model.values_mut().flat_map(|b| model_extract(b, pred)).collect();
-                    prop_assert_eq!(sorted(idents(&gone)), sorted(expect));
+                    prop_assert_eq!(sorted(stored_idents(&gone)), sorted(expect));
                     prop_assert!(op == 7 || table.is_empty());
                     parked.extend(gone);
+                }
+                // An entry under another identifier than its bucket's is
+                // refused, through either entry point, and changes nothing.
+                9 => {
+                    let entry = indexed(op_rewriting(&c, &qs, a, b));
+                    let key = bucket_key(&entry.rq);
+                    if model.get(&key).is_some_and(|bucket| !bucket.is_empty()) {
+                        let index_id = Id(entry.index_id.0 ^ (1 + b));
+                        let stray = StoredRewritten { index_id, rq: entry.rq };
+                        let refused = if a % 2 == 0 {
+                            table.insert(stray).map(|_| ())
+                        } else {
+                            let value_key = Value::Int(key.2).canonical();
+                            let mut bucket = table.bucket_mut(key.0, key.1, &value_key);
+                            bucket.insert_fresh(stray).map(|_| ())
+                        };
+                        let typed = matches!(refused, Err(EngineError::Protocol { .. }));
+                        prop_assert!(typed, "{:?}", refused);
+                    }
                 }
                 _ => {
                     for e in parked.drain(..) {
@@ -577,4 +682,95 @@ proptest! {
             prop_assert_eq!(keys(&store.items()), keys(&mirrored));
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// VLQT digest hashes, pinned
+// ---------------------------------------------------------------------------
+
+/// `V(K str, X int) ⋈ W(K str, Y int)` on `V.K = W.K`: a query whose
+/// rewritings target a string.
+fn str_join_query() -> QueryRef {
+    let mut c = Catalog::new();
+    for (rel, other) in [("V", "X"), ("W", "Y")] {
+        let attrs = [("K", DataType::Str), (other, DataType::Int)];
+        c.register(RelationSchema::of(rel, &attrs).unwrap())
+            .unwrap();
+    }
+    let spec = QuerySpec {
+        key: QueryKey::derive("m", 4),
+        subscriber: "m".into(),
+        ins_time: Timestamp(0),
+        relations: ["V".into(), "W".into()],
+        select: vec![
+            SelectItem {
+                side: Side::Left,
+                attr: "X".into(),
+            },
+            SelectItem {
+                side: Side::Right,
+                attr: "Y".into(),
+            },
+        ],
+        conditions: [Expr::attr("K"), Expr::attr("K")],
+        filters: vec![],
+    };
+    Arc::new(JoinQuery::new(spec, &c).unwrap())
+}
+
+/// The anti-entropy digest hash of VLQT entries — `Int` and `Str` targets,
+/// one and two bound values, both bound sides, an inline and a heap value
+/// key — against the values written by the build before VLQT buckets stored
+/// their target once. A digest's hashes decide what an `ef02` repair walks first,
+/// so they are never regenerated from the current build.
+#[test]
+fn vlqt_digest_hashes_are_pinned() {
+    let (c, qs) = string_catalog();
+    let q = str_join_query();
+    let str_target = |side: Side, bound: i64, target: &str| {
+        let bound = std::iter::once(Value::Int(bound)).collect();
+        RewrittenQuery::from_parts(
+            Arc::clone(&q),
+            side,
+            bound,
+            Some("K"),
+            target.into(),
+            Timestamp(3),
+        )
+    };
+    let long = "x".repeat(25);
+    let entries = [
+        (3, string_rewriting(&c, &qs[0], Side::Left, "x", 7, 0)),
+        (
+            5,
+            string_rewriting(&c, &qs[1], Side::Left, "x+s:y", i64::MIN, 1),
+        ),
+        (9, string_rewriting(&c, &qs[0], Side::Right, "", -1, 0)),
+        (11, str_target(Side::Left, 1, "a+s:b")),
+        (12, str_target(Side::Right, -8, &long)),
+        (14, str_target(Side::Left, 0, "")),
+    ];
+    let mut got = Vec::new();
+    for (id, rq) in entries {
+        let item = ReplicaItem::Rewritten(StoredRewritten {
+            index_id: Id(id),
+            rq,
+        });
+        let mut tables = Tables::default();
+        assert!(tables.insert(item.clone()).unwrap());
+        let held: Vec<u64> = tables.walk().map(Held::digest_hash).collect();
+        assert_eq!(held, [item.digest_hash()]);
+        got.push(item.digest_hash());
+    }
+    assert_eq!(
+        got,
+        [
+            0x236e_e1a3_2b25_4130,
+            0xc2e3_6aea_92c6_3e36,
+            0x78cf_7fa8_d5d8_3dc2,
+            0xd170_b372_0df4_3513,
+            0x9bdb_62dc_3614_1619,
+            0x84c4_ce44_139c_2c73,
+        ]
+    );
 }

@@ -362,7 +362,11 @@ fn primary_items(st: &NodeState) -> Vec<ReplicaItem> {
     let t = &st.tables;
     let mut out = Vec::new();
     out.extend(t.alqt.entries().cloned().map(ReplicaItem::Query));
-    out.extend(t.vlqt.entries().cloned().map(ReplicaItem::Rewritten));
+    out.extend(
+        t.vlqt
+            .entries()
+            .map(|e| ReplicaItem::Rewritten(e.to_stored())),
+    );
     out.extend(t.vltt.entries().cloned().map(ReplicaItem::Tuple));
     out.extend(
         t.vstore

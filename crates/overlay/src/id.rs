@@ -14,7 +14,7 @@ pub const MAX_BITS: u32 = 63;
 /// The space size `m` is carried by [`IdSpace`], not by the identifier itself;
 /// mixing identifiers from different spaces is a logic error that the
 /// [`IdSpace`] constructors prevent by masking.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Id(pub u64);
 
 impl fmt::Debug for Id {

@@ -49,7 +49,10 @@ pub use error::{RelationalError, Result};
 pub use expr::{BinOp, Expr};
 pub use parser::{parse_query, ParsedQuery};
 pub use query::{Filter, JoinQuery, QueryKey, QueryRef, QuerySpec, QueryType, SelectItem, Side};
-pub use rewrite::{BoundValues, MatchTarget, Notification, RewriteIdentity, RewrittenQuery};
+pub use rewrite::{
+    BoundValues, MatchTarget, Notification, RewriteBody, RewriteIdentity, Rewriting,
+    RewrittenQuery, RewrittenRef, TargetRef,
+};
 pub use schema::{Attribute, Catalog, RelationSchema};
 pub use tuple::Tuple;
-pub use value::{DataType, Timestamp, Value};
+pub use value::{DataType, Timestamp, Value, ValueRef};

@@ -10,12 +10,13 @@
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::sync::Arc;
 
 use crate::error::Result;
 use crate::query::{JoinQuery, QueryKey, QueryRef, Side};
 use crate::tuple::Tuple;
-use crate::value::{Timestamp, Value};
+use crate::value::{Timestamp, Value, ValueRef};
 
 /// How the rewritten query identifies matching tuples at the value level.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -44,6 +45,49 @@ impl MatchTarget {
         match self {
             MatchTarget::Attribute { value, .. } => value,
             MatchTarget::ConditionValue { value } => value,
+        }
+    }
+
+    /// The target borrowed.
+    #[inline]
+    pub fn view(&self) -> TargetRef<'_> {
+        match self {
+            MatchTarget::Attribute { attr, value } => TargetRef::Attribute {
+                attr,
+                value: value.into(),
+            },
+            MatchTarget::ConditionValue { value } => TargetRef::ConditionValue {
+                value: value.into(),
+            },
+        }
+    }
+}
+
+/// A [`MatchTarget`] borrowed: a rewriting's own, or one read back from the
+/// keys a table files rewritings under — the attribute's name and the
+/// value's canonical form ([`ValueRef::parse_canonical`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TargetRef<'a> {
+    /// See [`MatchTarget::Attribute`].
+    Attribute {
+        /// `DisA(q)`.
+        attr: &'a str,
+        /// `valDA(q, t)`.
+        value: ValueRef<'a>,
+    },
+    /// See [`MatchTarget::ConditionValue`].
+    ConditionValue {
+        /// `valJC`.
+        value: ValueRef<'a>,
+    },
+}
+
+impl<'a> TargetRef<'a> {
+    /// The value carried by the target.
+    #[inline]
+    pub fn value(self) -> ValueRef<'a> {
+        match self {
+            TargetRef::Attribute { value, .. } | TargetRef::ConditionValue { value } => value,
         }
     }
 }
@@ -92,38 +136,39 @@ impl FromIterator<Value> for BoundValues {
     }
 }
 
-/// What makes two rewritings the same rewriting (Section 4.3.3): the query
-/// they come from, the side whose tuple was consumed, the select values
-/// bound from it and the value the target must take — compared exactly.
+/// What makes two rewritings the same rewriting (Section 4.3.3), besides
+/// the value their target must take: the query they come from, the side
+/// whose tuple was consumed and the select values bound from it — compared
+/// exactly.
 ///
 /// The bound side is part of it: a `q_L` and a `q_R` rewriting of one query
 /// can bind the same select values and join value, and deduplication must
 /// not drop one of them.
-struct Identity<'a> {
+#[derive(Clone, Copy)]
+struct Binding<'a> {
     query: &'a QueryRef,
     bound_side: Side,
     bound_values: &'a [Value],
-    target_value: &'a Value,
 }
 
-impl PartialEq for Identity<'_> {
+impl PartialEq for Binding<'_> {
     fn eq(&self, other: &Self) -> bool {
         (Arc::ptr_eq(self.query, other.query) || self.query.key() == other.query.key())
             && self.bound_side == other.bound_side
-            && self.target_value == other.target_value
             && self.bound_values == other.bound_values
     }
 }
 
-impl Identity<'_> {
-    /// A 64-bit digest of the identity. It only routes a dedup probe to
-    /// where an equal identity would sit; equality is decided by `==`.
-    fn fingerprint(&self) -> u64 {
+impl Binding<'_> {
+    /// A 64-bit digest of the identity: this binding and `target_value`. It
+    /// only routes a dedup probe to where an equal identity would sit;
+    /// equality is decided by comparing.
+    fn fingerprint(&self, target_value: ValueRef<'_>) -> u64 {
         let mut h = Mix(0);
         self.query.key().hash(&mut h);
         self.bound_side.hash(&mut h);
         self.bound_values.hash(&mut h);
-        self.target_value.hash(&mut h);
+        target_value.hash(&mut h);
         h.finish()
     }
 }
@@ -163,49 +208,224 @@ pub struct RewriteIdentity {
 }
 
 impl RewriteIdentity {
-    fn identity(&self) -> Identity<'_> {
-        Identity {
+    fn binding(&self) -> Binding<'_> {
+        Binding {
             query: &self.query,
             bound_side: self.bound_side,
             bound_values: self.bound_values.as_slice(),
-            target_value: &self.target_value,
         }
     }
 
     /// Whether `rq` is the rewriting this identity was taken from, or one
     /// with the same identity.
     pub fn is_of(&self, rq: &RewrittenQuery) -> bool {
-        self.identity() == rq.identity()
+        self.binding() == rq.binding() && self.target_value == *rq.target.value()
     }
 
-    /// [`RewrittenQuery::fingerprint`] of the rewritings this identifies.
+    /// [`RewriteBody::fingerprint`] of the rewritings this identifies.
     pub fn fingerprint(&self) -> u64 {
-        self.identity().fingerprint()
+        self.binding().fingerprint((&self.target_value).into())
     }
 }
 
-/// A rewritten (select-project) query produced by a rewriter node.
+/// Something that is, or remembers, one rewritten query's identity
+/// ([`RewrittenRef::same_identity`]): what a dedup set holds.
+pub trait Rewriting {
+    /// [`RewriteBody::fingerprint`] of the identity.
+    fn fingerprint(&self) -> u64;
+    /// Whether the item has `rq`'s identity.
+    fn is_of(&self, rq: &RewrittenQuery) -> bool;
+}
+
+impl Rewriting for RewriteIdentity {
+    fn fingerprint(&self) -> u64 {
+        RewriteIdentity::fingerprint(self)
+    }
+
+    fn is_of(&self, rq: &RewrittenQuery) -> bool {
+        RewriteIdentity::is_of(self, rq)
+    }
+}
+
+/// A body is the rewriting `rq` when it binds what `rq` binds — in a set
+/// that holds the bodies of one target, as a VLQT bucket does.
+impl Rewriting for RewriteBody {
+    #[inline]
+    fn fingerprint(&self) -> u64 {
+        RewriteBody::fingerprint(self)
+    }
+
+    #[inline]
+    fn is_of(&self, rq: &RewrittenQuery) -> bool {
+        self.same_binding(rq)
+    }
+}
+
+/// A rewritten query without its target: what differs from one rewriting
+/// to the next among those filed under one target, as a VLQT bucket files
+/// them (Section 4.3.5). A [`RewrittenQuery`] is a body and its
+/// [`MatchTarget`]; a [`RewrittenRef`] is one borrowed, with its target
+/// borrowed from wherever it is kept. Both dereference to the body.
 ///
-/// A flat value: a rewriting of a query with at most one bound select
-/// value per side, of type `Int`, owns no heap memory. Two or more bound
-/// values take one heap block.
+/// A flat value: a body with at most one bound select value, of type
+/// `Int`, owns no heap memory. Two or more bound values take one heap
+/// block.
 #[derive(Clone, Debug)]
-pub struct RewrittenQuery {
+pub struct RewriteBody {
     query: QueryRef,
     bound_values: BoundValues,
-    target: MatchTarget,
-    /// [`Identity::fingerprint`], computed once when the rewriting is built
-    /// or decoded.
+    /// [`Binding::fingerprint`] with the target's value, computed once when
+    /// the rewriting is built or decoded.
     fingerprint: u64,
     trigger_time: Timestamp,
     /// Schema position, in the free relation, of the value the target
     /// constrains — when that is the free side's bare join attribute
     /// (resolved once, see [`JoinQuery::join_column`]): the named attribute
     /// of an attribute target, the condition side of a value target. `None`
-    /// sends [`Self::matches`] through the lookup by name, or through the
-    /// condition expression.
+    /// sends [`RewrittenRef::shape_matches`] through the lookup by name, or
+    /// through the condition expression.
     target_col: Option<u16>,
     bound_side: Side,
+}
+
+impl RewriteBody {
+    fn binding(&self) -> Binding<'_> {
+        Binding {
+            query: &self.query,
+            bound_side: self.bound_side,
+            bound_values: self.bound_values.as_slice(),
+        }
+    }
+
+    /// Whether the two are one rewriting when their targets take one value:
+    /// the same query, bound side and bound values. What deduplicates the
+    /// bodies filed under one target.
+    #[inline]
+    pub fn same_binding(&self, other: &RewriteBody) -> bool {
+        self.binding() == other.binding()
+    }
+
+    /// A 64-bit digest of the identity, equal for rewritings with
+    /// [`RewrittenRef::same_identity`]. Containers use it to find where an
+    /// equal rewriting would sit and then compare; two different
+    /// rewritings may share it.
+    #[inline]
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// The original query.
+    #[inline]
+    pub fn query(&self) -> &QueryRef {
+        &self.query
+    }
+
+    /// The side whose tuple was consumed by the rewrite.
+    #[inline]
+    pub fn bound_side(&self) -> Side {
+        self.bound_side
+    }
+
+    /// The side the rewritten query still has to match.
+    #[inline]
+    pub fn free_side(&self) -> Side {
+        self.bound_side.other()
+    }
+
+    /// The relation the rewritten query waits for (`DisR(q)`).
+    #[inline]
+    pub fn free_relation(&self) -> &str {
+        self.query.relation(self.free_side())
+    }
+
+    /// Publication time of the tuple that produced this rewriting.
+    #[inline]
+    pub fn trigger_time(&self) -> Timestamp {
+        self.trigger_time
+    }
+
+    /// Select-clause values already bound from the consumed tuple
+    /// (in select-list order, only the bound side's positions).
+    #[inline]
+    pub fn bound_values(&self) -> &[Value] {
+        self.bound_values.as_slice()
+    }
+
+    /// The time half of [`RewrittenRef::matches`]: `pubT(t) >= insT(q)`. It
+    /// is decided first, so a tuple it rejects never reaches the shape test
+    /// (nor any error the shape test would raise).
+    #[inline]
+    pub fn admits_time(&self, t: &Tuple) -> bool {
+        t.pub_time() >= self.query.ins_time()
+    }
+
+    /// Whether the two wait for the same tuples of their free side: the
+    /// same resolved target column, free relation, free-side filters in the
+    /// same order and free-side condition. For two rewritings of one target
+    /// — the bodies of one VLQT bucket — that is
+    /// [`RewrittenRef::same_shape`]. Two rewritings of one query with the
+    /// same free side compare without looking at the query.
+    pub fn same_free_side(&self, other: &RewriteBody) -> bool {
+        if self.target_col != other.target_col {
+            return false;
+        }
+        let (free, other_free) = (self.free_side(), other.free_side());
+        if Arc::ptr_eq(&self.query, &other.query) && free == other_free {
+            return true;
+        }
+        fn free_filters(q: &JoinQuery, side: Side) -> impl Iterator<Item = (&str, &Value)> {
+            q.filters()
+                .iter()
+                .filter(move |f| f.side == side)
+                .map(|f| (f.attr.as_str(), &f.value))
+        }
+        self.query.relation(free) == other.query.relation(other_free)
+            && free_filters(&self.query, free).eq(free_filters(&other.query, other_free))
+            && self.query.condition(free) == other.query.condition(other_free)
+    }
+
+    /// Builds the notification for a tuple already known to match.
+    pub fn notification_with(&self, t: &Tuple) -> Result<Notification> {
+        let free = self.free_side();
+        let mut values = Vec::with_capacity(self.query.select().len());
+        let mut bound_iter = self.bound_values().iter();
+        for (item, &col) in self.query.select().iter().zip(self.query.select_columns()) {
+            if item.side == self.bound_side {
+                values.push(
+                    bound_iter
+                        .next()
+                        .expect("bound values cover every bound-side select item")
+                        .clone(),
+                );
+            } else {
+                debug_assert_eq!(item.side, free);
+                values.push(value_at(t, Some(col), &item.attr)?.clone());
+            }
+        }
+        Ok(Notification {
+            query_key: self.query.key().clone(),
+            subscriber: self.query.subscriber().to_string(),
+            values,
+        })
+    }
+}
+
+/// A rewritten (select-project) query produced by a rewriter node: its
+/// [`RewriteBody`], to which it dereferences, and its [`MatchTarget`].
+/// What it answers beyond its parts, [`RewrittenRef`] answers for it.
+#[derive(Clone, Debug)]
+pub struct RewrittenQuery {
+    body: RewriteBody,
+    target: MatchTarget,
+}
+
+impl Deref for RewrittenQuery {
+    type Target = RewriteBody;
+
+    #[inline]
+    fn deref(&self) -> &RewriteBody {
+        &self.body
+    }
 }
 
 /// `side`'s join attribute as `(shared name, column)` when `attr` names it.
@@ -215,6 +435,16 @@ fn join_target<'q>(query: &'q JoinQuery, side: Side, attr: &str) -> Option<(&'q 
         return None;
     }
     Some((name, u16::try_from(col).ok()?))
+}
+
+/// An attribute target's `DisA` on the `free` side — shared with the query
+/// when it names the side's join attribute, a copy otherwise — and the
+/// schema position it is then read at.
+fn attr_target(query: &JoinQuery, free: Side, attr: &str) -> (Arc<str>, Option<u16>) {
+    match join_target(query, free, attr) {
+        Some((shared, col)) => (Arc::clone(shared), Some(col)),
+        None => (Arc::from(attr), None),
+    }
 }
 
 impl RewrittenQuery {
@@ -237,10 +467,7 @@ impl RewrittenQuery {
         }
         let index_col = join_target(query, index_side, index_attr).map(|(_, col)| col.into());
         let val_da = value_at(t, index_col, index_attr)?.clone();
-        let (attr, target_col) = match join_target(query, index_side.other(), dis_attr) {
-            Some((attr, col)) => (Arc::clone(attr), Some(col)),
-            None => (Arc::from(dis_attr), None),
-        };
+        let (attr, target_col) = attr_target(query, index_side.other(), dis_attr);
         let target = MatchTarget::Attribute {
             attr,
             value: val_da,
@@ -306,10 +533,7 @@ impl RewrittenQuery {
         let free = bound_side.other();
         let (target, target_col) = match target_attr {
             Some(attr) => {
-                let (attr, col) = match join_target(&query, free, attr) {
-                    Some((shared, col)) => (Arc::clone(shared), Some(col)),
-                    None => (Arc::from(attr), None),
-                };
+                let (attr, col) = attr_target(&query, free, attr);
                 let value = target_value;
                 (MatchTarget::Attribute { attr, value }, col)
             }
@@ -338,49 +562,60 @@ impl RewrittenQuery {
         target_col: Option<u16>,
         trigger_time: Timestamp,
     ) -> RewrittenQuery {
-        let fingerprint = Identity {
+        let fingerprint = Binding {
             query: &query,
             bound_side,
             bound_values: bound_values.as_slice(),
-            target_value: target.value(),
         }
-        .fingerprint();
-        RewrittenQuery {
+        .fingerprint(target.value().into());
+        let body = RewriteBody {
             query,
             bound_values,
-            target,
             fingerprint,
             trigger_time,
             target_col,
             bound_side,
-        }
+        };
+        RewrittenQuery { body, target }
     }
 
-    fn identity(&self) -> Identity<'_> {
-        Identity {
-            query: &self.query,
-            bound_side: self.bound_side,
-            bound_values: self.bound_values.as_slice(),
-            target_value: self.target.value(),
-        }
+    /// Puts a body back together with the target it was built with, read
+    /// back from where it was filed. An attribute target's `DisA` is
+    /// resolved against the query as [`Self::from_parts`] resolves it.
+    pub fn from_body(body: RewriteBody, target: TargetRef<'_>) -> RewrittenQuery {
+        let target = match target {
+            TargetRef::Attribute { attr, value } => MatchTarget::Attribute {
+                attr: attr_target(&body.query, body.free_side(), attr).0,
+                value: value.into(),
+            },
+            TargetRef::ConditionValue { value } => MatchTarget::ConditionValue {
+                value: value.into(),
+            },
+        };
+        RewrittenQuery { body, target }
     }
 
-    /// Whether the two are the same rewriting in the sense of `Key(q')`
-    /// (Section 4.3.3): "created from the same query q but by different
-    /// tuples that have the same value for IndexA(q)" *and* the same
-    /// projected values — decided on the parts themselves, so values that
-    /// merely print alike stay apart.
-    pub fn same_identity(&self, other: &RewrittenQuery) -> bool {
-        self.identity() == other.identity()
-    }
-
-    /// A 64-bit digest of the identity, equal for rewritings with
-    /// [`Self::same_identity`]. Containers use it to find where an equal
-    /// rewriting would sit and then compare; two different rewritings may
-    /// share it.
+    /// The two parts, for a table that files the body under its target.
     #[inline]
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+    pub fn into_parts(self) -> (RewriteBody, MatchTarget) {
+        (self.body, self.target)
+    }
+
+    /// The rewriting borrowed.
+    #[inline]
+    pub fn view(&self) -> RewrittenRef<'_> {
+        RewrittenRef::new(&self.body, self.target.view())
+    }
+
+    /// The match target.
+    #[inline]
+    pub fn target(&self) -> &MatchTarget {
+        &self.target
+    }
+
+    /// See [`RewrittenRef::same_identity`].
+    pub fn same_identity(&self, other: &RewrittenQuery) -> bool {
+        self.view().same_identity(&other.view())
     }
 
     /// The identity alone, to be remembered after the rewriting is gone.
@@ -391,6 +626,94 @@ impl RewrittenQuery {
             bound_values: self.bound_values.clone(),
             target_value: self.target.value().clone(),
         }
+    }
+
+    /// See [`RewrittenRef::write_key`].
+    pub fn write_key<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        self.view().write_key(out)
+    }
+
+    /// See [`RewrittenRef::key_len`].
+    pub fn key_len(&self) -> usize {
+        self.view().key_len()
+    }
+
+    /// See [`RewrittenRef::matches`].
+    #[inline]
+    pub fn matches(&self, t: &Tuple) -> Result<bool> {
+        self.view().matches(t)
+    }
+
+    /// See [`RewrittenRef::shape_matches`].
+    #[inline]
+    pub fn shape_matches(&self, t: &Tuple) -> Result<bool> {
+        self.view().shape_matches(t)
+    }
+
+    /// See [`RewrittenRef::same_shape`].
+    pub fn same_shape(&self, other: &RewrittenQuery) -> bool {
+        self.view().same_shape(&other.view())
+    }
+
+    /// Tries to match a tuple of the free relation; on success produces the
+    /// notification content.
+    pub fn match_tuple(&self, t: &Tuple) -> Result<Option<Notification>> {
+        if !self.matches(t)? {
+            return Ok(None);
+        }
+        Ok(Some(self.notification_with(t)?))
+    }
+}
+
+impl fmt::Display for RewrittenQuery {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.view().fmt(f)
+    }
+}
+
+/// A rewritten query borrowed where its two parts are kept: a body, and a
+/// target — a [`RewrittenQuery`]'s own, or one a table reads back from the
+/// keys it files bodies under. It dereferences to the body.
+#[derive(Clone, Copy, Debug)]
+pub struct RewrittenRef<'a> {
+    body: &'a RewriteBody,
+    target: TargetRef<'a>,
+}
+
+impl Deref for RewrittenRef<'_> {
+    type Target = RewriteBody;
+
+    #[inline]
+    fn deref(&self) -> &RewriteBody {
+        self.body
+    }
+}
+
+impl<'a> RewrittenRef<'a> {
+    /// `body` with `target`, the target it was built with.
+    #[inline]
+    pub fn new(body: &'a RewriteBody, target: TargetRef<'a>) -> Self {
+        RewrittenRef { body, target }
+    }
+
+    /// The match target.
+    #[inline]
+    pub fn target(&self) -> TargetRef<'a> {
+        self.target
+    }
+
+    /// An owned copy ([`RewrittenQuery::from_body`]).
+    pub fn into_owned(self) -> RewrittenQuery {
+        RewrittenQuery::from_body(self.body.clone(), self.target)
+    }
+
+    /// Whether the two are the same rewriting in the sense of `Key(q')`
+    /// (Section 4.3.3): "created from the same query q but by different
+    /// tuples that have the same value for IndexA(q)" *and* the same
+    /// projected values — decided on the parts themselves, so values that
+    /// merely print alike stay apart.
+    pub fn same_identity(&self, other: &RewrittenRef<'_>) -> bool {
+        self.same_binding(other) && self.target.value() == other.target.value()
     }
 
     /// Writes the legacy `Key(q')` text: the query key, the bound side, and
@@ -404,75 +727,27 @@ impl RewrittenQuery {
             Side::Left => "/L",
             Side::Right => "/R",
         })?;
-        for v in self.bound_values().iter().chain([self.target.value()]) {
+        for v in self.bound_values() {
             out.write_char('+')?;
             v.write_canonical(out)?;
         }
-        Ok(())
+        out.write_char('+')?;
+        self.target.value().write_canonical(out)
     }
 
     /// Length in bytes of what [`Self::write_key`] writes.
     pub fn key_len(&self) -> usize {
-        let values = self.bound_values().iter().chain([self.target.value()]);
-        self.query.key().0.len() + 2 + values.map(|v| 1 + v.canonical_len()).sum::<usize>()
-    }
-
-    /// The original query.
-    #[inline]
-    pub fn query(&self) -> &QueryRef {
-        &self.query
-    }
-
-    /// The side whose tuple was consumed by the rewrite.
-    #[inline]
-    pub fn bound_side(&self) -> Side {
-        self.bound_side
-    }
-
-    /// The side the rewritten query still has to match.
-    #[inline]
-    pub fn free_side(&self) -> Side {
-        self.bound_side.other()
-    }
-
-    /// The relation the rewritten query waits for (`DisR(q)`).
-    #[inline]
-    pub fn free_relation(&self) -> &str {
-        self.query.relation(self.free_side())
-    }
-
-    /// The match target.
-    #[inline]
-    pub fn target(&self) -> &MatchTarget {
-        &self.target
-    }
-
-    /// Publication time of the tuple that produced this rewriting.
-    #[inline]
-    pub fn trigger_time(&self) -> Timestamp {
-        self.trigger_time
-    }
-
-    /// Select-clause values already bound from the consumed tuple
-    /// (in select-list order, only the bound side's positions).
-    #[inline]
-    pub fn bound_values(&self) -> &[Value] {
-        self.bound_values.as_slice()
+        let bound = self.bound_values().iter().map(|v| 1 + v.canonical_len());
+        let target = 1 + self.target.value().canonical_len();
+        self.query.key().0.len() + 2 + bound.sum::<usize>() + target
     }
 
     /// Whether a tuple of the free relation completes the join — the time
-    /// test [`Self::admits_time`], then the shape test
+    /// test [`RewriteBody::admits_time`], then the shape test
     /// [`Self::shape_matches`] — without building the notification.
+    #[inline]
     pub fn matches(&self, t: &Tuple) -> Result<bool> {
         Ok(self.admits_time(t) && self.shape_matches(t)?)
-    }
-
-    /// The time half of [`Self::matches`]: `pubT(t) >= insT(q)`. It is
-    /// decided first, so a tuple it rejects never reaches the shape test
-    /// (nor any error the shape test would raise).
-    #[inline]
-    pub fn admits_time(&self, t: &Tuple) -> bool {
-        t.pub_time() >= self.query.ins_time()
     }
 
     /// The shape half of [`Self::matches`]: the tuple is of the free
@@ -495,82 +770,30 @@ impl RewrittenQuery {
             return Ok(false);
         }
         let at_col = self.target_col.and_then(|c| t.values().get(usize::from(c)));
-        Ok(match (&self.target, at_col) {
-            (target, Some(v)) => v == target.value(),
-            (MatchTarget::Attribute { attr, value }, None) => t.get(attr)? == value,
-            (MatchTarget::ConditionValue { value }, None) => {
-                &self.query.condition(free).eval(t)? == value
+        Ok(match (self.target, at_col) {
+            (target, Some(v)) => ValueRef::from(v) == target.value(),
+            (TargetRef::Attribute { attr, value }, None) => ValueRef::from(t.get(attr)?) == value,
+            (TargetRef::ConditionValue { value }, None) => {
+                ValueRef::from(&self.query.condition(free).eval(t)?) == value
             }
         })
     }
 
-    /// Whether the two rewritings have the same shape: the same free
-    /// relation, the same free-side filters in the same order, the same
-    /// target (attribute name and value), the same resolved target column
-    /// and the same free-side condition. Everything
-    /// [`Self::shape_matches`] reads is then equal, so it returns the same
-    /// for both on every tuple. Two rewritings of one query with the same
-    /// free side and target compare without looking at the query.
-    pub fn same_shape(&self, other: &RewrittenQuery) -> bool {
-        if self.target != other.target || self.target_col != other.target_col {
-            return false;
-        }
-        let (free, other_free) = (self.free_side(), other.free_side());
-        if Arc::ptr_eq(&self.query, &other.query) && free == other_free {
-            return true;
-        }
-        fn free_filters(q: &JoinQuery, side: Side) -> impl Iterator<Item = (&str, &Value)> {
-            q.filters()
-                .iter()
-                .filter(move |f| f.side == side)
-                .map(|f| (f.attr.as_str(), &f.value))
-        }
-        self.query.relation(free) == other.query.relation(other_free)
-            && free_filters(&self.query, free).eq(free_filters(&other.query, other_free))
-            && self.query.condition(free) == other.query.condition(other_free)
-    }
-
-    /// Tries to match a tuple of the free relation; on success produces the
-    /// notification content.
-    pub fn match_tuple(&self, t: &Tuple) -> Result<Option<Notification>> {
-        if !self.matches(t)? {
-            return Ok(None);
-        }
-        Ok(Some(self.notification_with(t)?))
-    }
-
-    /// Builds the notification for a tuple already known to match.
-    pub fn notification_with(&self, t: &Tuple) -> Result<Notification> {
-        let free = self.free_side();
-        let mut values = Vec::with_capacity(self.query.select().len());
-        let mut bound_iter = self.bound_values().iter();
-        for (item, &col) in self.query.select().iter().zip(self.query.select_columns()) {
-            if item.side == self.bound_side {
-                values.push(
-                    bound_iter
-                        .next()
-                        .expect("bound values cover every bound-side select item")
-                        .clone(),
-                );
-            } else {
-                debug_assert_eq!(item.side, free);
-                values.push(value_at(t, Some(col), &item.attr)?.clone());
-            }
-        }
-        Ok(Notification {
-            query_key: self.query.key().clone(),
-            subscriber: self.query.subscriber().to_string(),
-            values,
-        })
+    /// Whether the two rewritings have the same shape: the same target
+    /// (attribute name and value) and [`RewriteBody::same_free_side`].
+    /// Everything [`Self::shape_matches`] reads is then equal, so it returns
+    /// the same for both on every tuple.
+    pub fn same_shape(&self, other: &RewrittenRef<'_>) -> bool {
+        self.target == other.target && self.same_free_side(other)
     }
 }
 
-impl fmt::Display for RewrittenQuery {
+impl fmt::Display for RewrittenRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "SELECT <bound> FROM {} WHERE ", self.free_relation())?;
-        match &self.target {
-            MatchTarget::Attribute { attr, value } => write!(f, "{attr} = {value} [")?,
-            MatchTarget::ConditionValue { value } => {
+        match self.target {
+            TargetRef::Attribute { attr, value } => write!(f, "{attr} = {value} [")?,
+            TargetRef::ConditionValue { value } => {
                 write!(f, "{} = {value} [", self.query.condition(self.free_side()))?
             }
         }
@@ -883,10 +1106,12 @@ mod tests {
     #[test]
     fn a_rewriting_is_a_flat_value() {
         use std::mem::size_of;
-        // 8 query + 24 bound values (one inline) + 40 target + 8 fingerprint
-        // + 8 trigger time + 4 column + 1 side, padded to 8.
+        // A body is 8 query + 24 bound values (one inline) + 8 fingerprint
+        // + 8 trigger time + 4 column + 1 side, padded to 8; a rewriting is
+        // a body and a 40-byte target.
         assert_eq!(size_of::<Value>(), 24);
         assert_eq!(size_of::<BoundValues>(), 24);
+        assert_eq!(size_of::<RewriteBody>(), 56);
         assert_eq!(size_of::<MatchTarget>(), 40);
         assert_eq!(size_of::<RewrittenQuery>(), 96);
         // 8 query + 24 bound values + 24 target value + 1 side, padded.
@@ -901,6 +1126,47 @@ mod tests {
             let want: Vec<Value> = (0..n).map(Value::Int).collect();
             assert_eq!(ints(n).as_slice(), want);
         }
+    }
+
+    #[test]
+    fn a_body_filed_under_its_target_reads_back_as_the_rewriting() {
+        // What a table does: keep the body, key its bucket by the target's
+        // attribute name and canonical value, and put the two back together.
+        let (c, q) = setup();
+        let rq =
+            RewrittenQuery::rewrite_attribute(&q, Side::Right, "C", "C", &s_tuple(&c, 4, 7, 5))
+                .unwrap()
+                .unwrap();
+        let text = key_text(&rq);
+        let (body, target) = rq.clone().into_parts();
+        let MatchTarget::Attribute { attr, value } = &target else {
+            unreachable!("an attribute target")
+        };
+        let (name, form) = (String::from(&**attr), value.canonical());
+        let read_back = TargetRef::Attribute {
+            attr: &name,
+            value: ValueRef::parse_canonical(&form).unwrap(),
+        };
+        assert_eq!(read_back, target.view());
+        let view = RewrittenRef::new(&body, read_back);
+        let mut view_text = String::new();
+        view.write_key(&mut view_text).unwrap();
+        assert_eq!((view_text, view.key_len()), (text.clone(), text.len()));
+        assert_eq!(view.to_string(), rq.to_string());
+        assert!(view.same_identity(&rq.view()) && view.same_shape(&rq.view()));
+        let back = view.into_owned();
+        assert!(back.same_identity(&rq) && back.same_shape(&rq));
+        assert_eq!(
+            (back.fingerprint(), key_text(&back)),
+            (rq.fingerprint(), text)
+        );
+        // `DisA` is shared with the query again, not copied.
+        let MatchTarget::Attribute { attr, .. } = back.target() else {
+            unreachable!("an attribute target")
+        };
+        assert!(Arc::ptr_eq(attr, q.join_column(Side::Left).unwrap().0));
+        let r = r_tuple(&c, 9, 7, 6);
+        assert_eq!(view.matches(&r).unwrap(), rq.matches(&r).unwrap());
     }
 
     #[test]

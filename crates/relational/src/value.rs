@@ -7,6 +7,8 @@
 
 use std::fmt;
 
+use crate::error::{RelationalError, Result};
+
 /// The type of an attribute.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DataType {
@@ -63,27 +65,12 @@ impl Value {
     /// Writes the canonical form to any formatter sink (a `String`, a
     /// `Formatter`, an encoder's byte buffer).
     pub fn write_canonical<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
-        match self {
-            Value::Int(i) => write!(out, "i:{i}"),
-            Value::Str(s) => {
-                out.write_str("s:")?;
-                out.write_str(s)
-            }
-        }
+        ValueRef::from(self).write_canonical(out)
     }
 
     /// Length in bytes of the canonical form, without producing it.
     pub fn canonical_len(&self) -> usize {
-        2 + match self {
-            Value::Int(i) => {
-                let digits = i
-                    .unsigned_abs()
-                    .checked_ilog10()
-                    .map_or(1, |d| d as usize + 1);
-                digits + usize::from(*i < 0)
-            }
-            Value::Str(s) => s.len(),
-        }
+        ValueRef::from(self).canonical_len()
     }
 
     /// Integer content, if this is an [`Value::Int`].
@@ -105,10 +92,7 @@ impl Value {
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Int(i) => write!(f, "{i}"),
-            Value::Str(s) => write!(f, "'{s}'"),
-        }
+        ValueRef::from(self).fmt(f)
     }
 }
 
@@ -127,6 +111,98 @@ impl From<&str> for Value {
 impl From<String> for Value {
     fn from(v: String) -> Self {
         Value::Str(v)
+    }
+}
+
+/// A [`Value`] borrowed: an integer, or a string's text. It is what a
+/// canonical form reads back as ([`ValueRef::parse_canonical`]) without
+/// copying the string, and it compares, hashes, prints and writes its
+/// canonical form exactly as the [`Value`] it stands for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum ValueRef<'a> {
+    /// Integer value.
+    Int(i64),
+    /// String value.
+    Str(&'a str),
+}
+
+impl<'a> ValueRef<'a> {
+    /// Reads a canonical form ([`Value::canonical`]) back: `i:` and the
+    /// integer in decimal, or `s:` and the string. Only what
+    /// [`Value::write_canonical`] writes is accepted — `i:+7` and `i:07`
+    /// are errors — so forms and values correspond one to one.
+    pub fn parse_canonical(form: &'a str) -> Result<ValueRef<'a>> {
+        let malformed = |offset, detail: &str| RelationalError::ParseError {
+            offset,
+            detail: format!("{detail} in the canonical value {form:?}"),
+        };
+        match form.split_at_checked(2) {
+            Some(("s:", text)) => Ok(ValueRef::Str(text)),
+            Some(("i:", digits)) => {
+                let value = digits
+                    .parse()
+                    .map(ValueRef::Int)
+                    .map_err(|_| malformed(2, "no integer"))?;
+                if value.canonical_len() != form.len() {
+                    return Err(malformed(2, "a non-canonical integer"));
+                }
+                Ok(value)
+            }
+            _ => Err(malformed(0, "no `i:` or `s:` type tag")),
+        }
+    }
+
+    /// See [`Value::write_canonical`].
+    pub fn write_canonical<W: fmt::Write>(self, out: &mut W) -> fmt::Result {
+        match self {
+            ValueRef::Int(i) => write!(out, "i:{i}"),
+            ValueRef::Str(s) => {
+                out.write_str("s:")?;
+                out.write_str(s)
+            }
+        }
+    }
+
+    /// See [`Value::canonical_len`].
+    pub fn canonical_len(self) -> usize {
+        2 + match self {
+            ValueRef::Int(i) => {
+                let digits = i
+                    .unsigned_abs()
+                    .checked_ilog10()
+                    .map_or(1, |d| d as usize + 1);
+                digits + usize::from(i < 0)
+            }
+            ValueRef::Str(s) => s.len(),
+        }
+    }
+}
+
+impl<'a> From<&'a Value> for ValueRef<'a> {
+    #[inline]
+    fn from(v: &'a Value) -> Self {
+        match v {
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Str(s) => ValueRef::Str(s),
+        }
+    }
+}
+
+impl From<ValueRef<'_>> for Value {
+    fn from(v: ValueRef<'_>) -> Self {
+        match v {
+            ValueRef::Int(i) => Value::Int(i),
+            ValueRef::Str(s) => Value::Str(s.to_string()),
+        }
+    }
+}
+
+impl fmt::Display for ValueRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ValueRef::Int(i) => write!(f, "{i}"),
+            ValueRef::Str(s) => write!(f, "'{s}'"),
+        }
     }
 }
 
@@ -168,6 +244,49 @@ mod tests {
             .chain(["", "x", "a+s:b", "héllo"].map(Value::from));
         for v in values {
             assert_eq!(v.canonical_len(), v.canonical().len(), "{v}");
+        }
+    }
+
+    #[test]
+    fn a_canonical_form_reads_back_as_its_value() {
+        let long = "x".repeat(23);
+        let ints = [0, 7, -1, 10, i64::MAX, i64::MIN].map(Value::Int);
+        let strs = ["", "+", ":", "a+s:b", "i:7", "héllo", &long].map(Value::from);
+        for v in ints.into_iter().chain(strs) {
+            let form = v.canonical();
+            let back = ValueRef::parse_canonical(&form).unwrap();
+            assert_eq!(back, ValueRef::from(&v), "{form}");
+            assert_eq!(Value::from(back), v, "{form}");
+            assert_eq!(
+                (back.to_string(), back.canonical_len()),
+                (v.to_string(), form.len())
+            );
+        }
+        assert_eq!(Value::Int(i64::MIN).canonical().len(), 22);
+        assert!(Value::from(long.as_str()).canonical().len() > 22);
+    }
+
+    #[test]
+    fn a_malformed_canonical_form_is_an_error() {
+        for (form, offset) in [
+            ("x:1", 0),
+            ("i", 0),
+            ("", 0),
+            ("I:1", 0),
+            ("é", 0),
+            ("i:abc", 2),
+            ("i:", 2),
+            ("i:+7", 2),
+            ("i:07", 2),
+            ("i:-0", 2),
+            ("i:9223372036854775808", 2),
+        ] {
+            match ValueRef::parse_canonical(form) {
+                Err(RelationalError::ParseError { offset: at, .. }) => {
+                    assert_eq!(at, offset, "{form}")
+                }
+                other => panic!("{form:?} read back as {other:?}"),
+            }
         }
     }
 
