@@ -56,6 +56,8 @@ const RUN: usize = 4;
 const VLQT_INSERT: [usize; 2] = [RUN, 10_000];
 /// Stored queries of the ALQT group scan.
 const ALQT: [usize; 2] = [50, 500];
+/// Queries one tuple triggers at a rewriter.
+const REWRITE: [usize; 2] = [50, 1_250];
 /// Distinct queries behind the decoded `Join` frames.
 const DECODE: [usize; 2] = [1, 50];
 /// Items held by the ring of the failure-handling kernels.
@@ -224,7 +226,7 @@ fn o_change(l: &Ledger, kernel: &str, sizes: [usize; 2]) -> Result<(), String> {
     )
 }
 
-const GATES: [Gate; 15] = [
+const GATES: [Gate; 16] = [
     // Zero-clone guarantee: a scan or a `Join` run allocates the same per
     // event whatever the number of candidates.
     Gate {
@@ -242,6 +244,15 @@ const GATES: [Gate; 15] = [
         holds: |l| {
             allocs_below(l, "alqt-scan", ALQT, 0.01)?;
             allocs_below(l, "join-run", SCAN, 0.01)
+        },
+    },
+    // A rewriting that binds one `Int` owns no heap memory: rewriting every
+    // query a tuple triggers allocates nothing.
+    Gate {
+        name: "rewrite-alloc-free",
+        holds: |l| {
+            allocs_below(l, "rewrite-attr", REWRITE, 0.01)?;
+            allocs_below(l, "rewrite-value", REWRITE, 0.01)
         },
     },
     // Rewriter, VLQT/VLTT store-and-scan, accumulator and delivery against
@@ -614,6 +625,29 @@ fn vlqt_insert(cat: &Catalog, size: usize, events: u64) -> KernelRow {
     measure("vlqt-insert", size, events, store)
 }
 
+/// One tuple at a rewriter: the R tuple `(1, 7)` rewrites each of `size`
+/// queries into a `Vec` kept across events — with attribute targets as
+/// the T1 algorithms do (`rewrite-attr`), or value targets as DAI-V does
+/// (`rewrite-value`).
+fn rewrite(kernel: &'static str, cat: &Catalog, size: usize, events: u64) -> KernelRow {
+    let queries: Vec<QueryRef> = (0..size as u64).map(|n| query(cat, n)).collect();
+    let trigger = tuple(cat, "R", [1, 7], 20, 0);
+    let value_targets = kernel == "rewrite-value";
+    let mut out = Vec::with_capacity(size);
+    measure(kernel, size, events, || {
+        out.clear();
+        for q in &queries {
+            let rq = if value_targets {
+                RewrittenQuery::rewrite_value(q, Side::Left, &trigger)
+            } else {
+                RewrittenQuery::rewrite_attribute(q, Side::Left, "B", "C", &trigger)
+            };
+            out.push(rq.unwrap().expect("the tuple triggers every query"));
+        }
+        std::hint::black_box(&out);
+    })
+}
+
 /// The rewriter's triggered-group scan (`t1_tuple_arrival` / DAI-V tuple
 /// arrival): iterate ALQT groups in place with borrowed group keys,
 /// filtering by index identifier and attribute.
@@ -901,6 +935,10 @@ fn measure_ledger(check: bool) -> Ledger {
         vlqt_insert(&cat, VLQT_INSERT[1], scan),
         alqt_scan(&cat, ALQT[0], scan),
         alqt_scan(&cat, ALQT[1], scan),
+        rewrite("rewrite-attr", &cat, REWRITE[0], scan),
+        rewrite("rewrite-attr", &cat, REWRITE[1], scan / 10),
+        rewrite("rewrite-value", &cat, REWRITE[0], scan),
+        rewrite("rewrite-value", &cat, REWRITE[1], scan / 10),
         insert_e2e(E2E_QUERIES, e2e),
         socket_pump(FRAME, e2e),
         join_decode(&cat, DECODE[0], e2e),
@@ -1055,9 +1093,10 @@ mod tests {
     }
 
     /// The rows of `BENCH_25.json`, the last snapshot written before the
-    /// ledger existed, the `vlqt-run` rows `BENCH_29.json` added and the
+    /// ledger existed, the `vlqt-run` rows `BENCH_29.json` added, the
     /// `vlqt-insert` rows `BENCH_34.json` added, the fresh-bucket one as
-    /// `BENCH_35.json` re-pinned it.
+    /// `BENCH_35.json` re-pinned it, and the `rewrite-*` rows
+    /// `BENCH_43.json` added.
     fn bench_25() -> Ledger {
         let kernels = [
             ("vltt-scan", 1_000, 8019.4, 0.0),
@@ -1072,6 +1111,10 @@ mod tests {
             ("vlqt-insert", 10_000, 612.8, 0.0),
             ("alqt-scan", 50, 87.8, 0.0),
             ("alqt-scan", 500, 787.8, 0.0),
+            ("rewrite-attr", 50, 4820.0, 0.0),
+            ("rewrite-attr", 1_250, 116092.0, 0.0),
+            ("rewrite-value", 50, 3459.2, 0.0),
+            ("rewrite-value", 1_250, 90784.9, 0.0),
             ("insert-e2e-bundled", 50, 13573.2, 33.33),
             ("socket-pump", 256, 3864.3, 0.0),
             ("join-decode", 1, 1499.2, 1.0),
@@ -1141,12 +1184,16 @@ mod tests {
             kernel(l, name, sizes[1]).ns = flat(3.1 * small);
         }
         type Mutation = fn(&mut Ledger);
-        let cases: [(&str, Mutation); 16] = [
+        let cases: [(&str, Mutation); 17] = [
             ("scan-allocs-flat", |l| {
                 l.kernels.retain(|r| r.kernel != "vltt-scan")
             }),
             ("scan-alloc-free", |l| {
                 kernel(l, "join-run", 10_000).allocs = 0.02
+            }),
+            // One `Vec` per rewriting tuple, as the select walk collected.
+            ("rewrite-alloc-free", |l| {
+                kernel(l, "rewrite-value", 1_250).allocs = 1.0
             }),
             ("insert-e2e-allocs", |l| {
                 kernel(l, "insert-e2e-bundled", 50).allocs = 50.01

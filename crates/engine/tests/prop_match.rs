@@ -223,6 +223,61 @@ fn by_eval(rq: &RewrittenQuery, t: &Tuple) -> Result<bool, String> {
     check().map_err(|e| e.to_string())
 }
 
+/// What a rewriting by `t` on `side` reads, looked up by name: `None` when
+/// `t` does not trigger `q` (time, relation, the side's filters), else the
+/// target value `target` reads and the bound side's select values in select
+/// order. Errors are compared as text.
+fn rewrite_by_name(
+    q: &JoinQuery,
+    side: Side,
+    t: &Tuple,
+    target: impl FnOnce(&Tuple) -> cq_relational::Result<Value>,
+) -> Result<Option<(Value, Vec<Value>)>, String> {
+    let reference = || -> cq_relational::Result<Option<(Value, Vec<Value>)>> {
+        if t.pub_time() < q.ins_time() || t.relation() != q.relation(side) {
+            return Ok(None);
+        }
+        for f in q.filters().iter().filter(|f| f.side == side) {
+            if t.get(&f.attr)? != &f.value {
+                return Ok(None);
+            }
+        }
+        let target = target(t)?;
+        let bound = q.select().iter().filter(|it| it.side == side);
+        let bound = bound.map(|it| t.get(&it.attr).cloned());
+        Ok(Some((target, bound.collect::<cq_relational::Result<_>>()?)))
+    };
+    reference().map_err(|e| e.to_string())
+}
+
+/// A rewriting's target value and bound values, or its error as text.
+fn rewritten(
+    got: &cq_relational::Result<Option<RewrittenQuery>>,
+) -> Result<Option<(Value, Vec<Value>)>, String> {
+    let parts = |rq: &RewrittenQuery| (rq.target().value().clone(), rq.bound_values().to_vec());
+    got.as_ref()
+        .map(|rq| rq.as_ref().map(parts))
+        .map_err(|e| e.to_string())
+}
+
+/// A tuple to rewrite on `bound`: mostly of the bound relation, one in five
+/// too short for the positions resolved against `c`; one in ten of the free
+/// relation and one in ten of the look-alike bystander.
+fn rand_trigger(
+    rng: &mut StdRng,
+    c: &Catalog,
+    short: &Catalog,
+    q: &JoinQuery,
+    bound: Side,
+) -> Tuple {
+    match rng.gen_range(0..10) {
+        0 => rand_tuple(rng, c, "X"),
+        1 => rand_tuple(rng, c, q.relation(bound.other())),
+        2 | 3 => rand_tuple(rng, short, q.relation(bound)),
+        _ => rand_tuple(rng, c, q.relation(bound)),
+    }
+}
+
 /// `rq` put together again from what its accessors show.
 fn from_its_parts(rq: &RewrittenQuery) -> RewrittenQuery {
     let target_attr = match rq.target() {
@@ -443,12 +498,22 @@ proptest! {
         let index_attr = q.join_attr(bound).expect("T1");
         let dis_attr = q.join_attr(free).expect("T1");
 
-        // A triggering tuple of the bound side (retry: filters and
-        // insertion time reject some).
-        let Some(local) = (0..64).find_map(|_| {
-            let t = rand_tuple(rng, &c, bound_rel);
-            RewrittenQuery::rewrite_attribute(&q, bound, index_attr, dis_attr, &t).unwrap()
-        }) else {
+        // `rewrite_attribute` reads by position what the rewriting reads
+        // by name: the index attribute and the bound side's select items.
+        // Keep the first rewriting made (filters and insertion time reject
+        // some tuples).
+        let short = truncated(rng, &c);
+        let mut local = None;
+        for _ in 0..64 {
+            let t = rand_trigger(rng, &c, &short, &q, bound);
+            let got = RewrittenQuery::rewrite_attribute(&q, bound, index_attr, dis_attr, &t);
+            let expect = rewrite_by_name(&q, bound, &t, |t| t.get(index_attr).cloned());
+            prop_assert_eq!(rewritten(&got), expect, "rewrite_attribute of {} by {}", q, t);
+            if let Ok(Some(rq)) = got {
+                local.get_or_insert(rq);
+            }
+        }
+        let Some(local) = local else {
             return Ok(()); // e.g. two contradictory filters on one attribute
         };
         let decoded = over_the_wire(&local, &c);
@@ -497,27 +562,16 @@ proptest! {
         let bound = if rng.gen_bool(0.5) { Side::Left } else { Side::Right };
         let (bound_rel, free_rel) = (q.relation(bound), q.relation(bound.other()));
 
-        // `rewrite_value` is `triggered_by`, then the bound side's
-        // condition evaluated — for tuples of either relation and of the
-        // bystander.
+        // `rewrite_value` is the trigger test, then the bound side's
+        // condition evaluated and its select items read by name — for
+        // tuples of either relation, of the bystander and too short.
+        let short = truncated(rng, &c);
         let mut local = None;
         for _ in 0..64 {
-            let rel = match rng.gen_range(0..6) {
-                0 => "X",
-                1 => free_rel,
-                _ => bound_rel,
-            };
-            let t = rand_tuple(rng, &c, rel);
-            let got = RewrittenQuery::rewrite_value(&q, bound, &t).map_err(|e| e.to_string());
-            let reference = || -> cq_relational::Result<Option<Value>> {
-                if !q.triggered_by(bound, &t)? {
-                    return Ok(None);
-                }
-                q.condition(bound).eval(&t).map(Some)
-            };
-            let expect = reference().map_err(|e| e.to_string());
-            let got_value = got.clone().map(|rq| rq.map(|rq| rq.target().value().clone()));
-            prop_assert_eq!(got_value, expect, "rewrite_value of {} by {}", q, t);
+            let t = rand_trigger(rng, &c, &short, &q, bound);
+            let got = RewrittenQuery::rewrite_value(&q, bound, &t);
+            let expect = rewrite_by_name(&q, bound, &t, |t| q.condition(bound).eval(t));
+            prop_assert_eq!(rewritten(&got), expect, "rewrite_value of {} by {}", q, t);
             if let Ok(Some(rq)) = got {
                 local.get_or_insert(rq);
             }

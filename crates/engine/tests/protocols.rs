@@ -21,7 +21,7 @@ use cq_engine::{
 use cq_overlay::{Id, NodeHandle, Ring};
 use cq_relational::{
     parse_query, Catalog, DataType, Notification, QueryKey, QueryRef, RelationSchema,
-    RewrittenQuery, Side, Timestamp, Tuple, Value,
+    RelationalError, RewrittenQuery, Side, Timestamp, Tuple, Value,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -342,4 +342,51 @@ fn value_targeted_rewritten_query_in_plain_join_is_a_typed_protocol_error() {
         .run(node, |p, ctx| p.on_rewritten_query(ctx, vec![rq], Id(1)))
         .unwrap_err();
     assert!(matches!(err, EngineError::Protocol { .. }), "{err}");
+}
+
+/// An evaluator holding a rewriting that binds fewer select values than its
+/// query selects on the bound side — a frame may carry any count, see
+/// `wire.rs` — fails with a typed error when a matching tuple arrives in
+/// retention mode, where building the notification used to panic.
+#[test]
+fn a_miscounted_rewriting_fails_typed_at_the_evaluator() {
+    let mut d = Driver::of(Algorithm::Sai);
+    let node = d.ring.alive_nodes().next().unwrap();
+    let node_key = d.ring.node(node).key().to_string();
+    let parsed = parse_query("SELECT R.A, S.D FROM R, S WHERE R.B = S.C", &d.catalog).unwrap();
+    let query: QueryRef = Arc::new(
+        parsed
+            .into_query(
+                QueryKey::derive(&node_key, 0),
+                node_key,
+                Timestamp(1),
+                &d.catalog,
+            )
+            .unwrap(),
+    );
+    let rq = RewrittenQuery::from_parts(
+        query,
+        Side::Left,
+        std::iter::empty().collect(),
+        Some("C"),
+        Value::Int(2),
+        Timestamp(2),
+    );
+    d.run(node, |p, ctx| p.on_rewritten_query(ctx, vec![rq], Id(1)))
+        .unwrap();
+    let schema = d.catalog.get("S").unwrap().clone();
+    let tuple = Tuple::new(schema, vec![Value::Int(2), Value::Int(5)], Timestamp(3), 0).unwrap();
+    let err = d
+        .run(node, |p, ctx| {
+            p.on_value_tuple(ctx, Arc::new(tuple), "C".into(), Id(1))
+        })
+        .unwrap_err();
+    assert!(
+        matches!(
+            &err,
+            EngineError::Relational(RelationalError::SchemaMismatch { detail, .. })
+                if detail.contains("binds 0 values")
+        ),
+        "{err}"
+    );
 }

@@ -22,7 +22,7 @@ use cq_engine::{EngineError, Message, ReplicaItem, TraceEvent, ValueJoin};
 use cq_overlay::Id;
 use cq_relational::{
     Catalog, DataType, Expr, Filter, JoinQuery, Notification, QueryKey, QueryRef, QuerySpec,
-    RelationSchema, RewrittenQuery, SelectItem, Side, Timestamp, Tuple, Value,
+    RelationSchema, RelationalError, RewrittenQuery, SelectItem, Side, Timestamp, Tuple, Value,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -592,6 +592,104 @@ fn a_bundle_inside_a_bundle_is_rejected() {
     assert!(
         matches!(decode_message(&flat, &catalog()), Ok((Message::Bundle(m), 10)) if m.is_empty())
     );
+}
+
+/// A rewriting binds one value per select item of its bound side. A frame
+/// may carry any count — `wire_v1.bin` holds rewritings that bind fewer and
+/// more, and decodes — so a decoded rewriting that binds fewer (its
+/// notification would have nothing to put in that item's place) or more
+/// fails with a typed error when a tuple matches it, and never panics.
+#[test]
+fn a_rewriting_binding_the_wrong_count_fails_typed_when_matched() {
+    let c = catalog();
+    // SELECT R.B, S.D FROM R, S WHERE R.A = S.C, rewritten by an R tuple:
+    // it binds R.B.
+    let query = Arc::new(
+        JoinQuery::new(
+            QuerySpec {
+                key: QueryKey::derive("n", 0),
+                subscriber: "n".into(),
+                ins_time: Timestamp(0),
+                relations: ["R".into(), "S".into()],
+                select: vec![
+                    SelectItem {
+                        side: Side::Left,
+                        attr: "B".into(),
+                    },
+                    SelectItem {
+                        side: Side::Right,
+                        attr: "D".into(),
+                    },
+                ],
+                conditions: [Expr::attr("A"), Expr::attr("C")],
+                filters: vec![],
+            },
+            &c,
+        )
+        .unwrap(),
+    );
+    let tuple = Tuple::new(
+        c.get("R").unwrap().clone(),
+        vec![Value::Int(7), "bound-marker".into()],
+        Timestamp(1),
+        0,
+    )
+    .unwrap();
+    let rq = RewrittenQuery::rewrite_attribute(&query, Side::Left, "A", "C", &tuple)
+        .unwrap()
+        .unwrap();
+    let mut frame = Vec::new();
+    encode_message(
+        &Message::Join {
+            items: vec![rq],
+            index_id: Id(3),
+        },
+        &mut frame,
+    );
+    let decoded = |frame: &[u8]| match decode_message(frame, &c) {
+        Ok((Message::Join { mut items, .. }, _)) => items.pop().unwrap(),
+        other => panic!("{:?}", other.map(|(m, _)| m)),
+    };
+    let s = Tuple::new(
+        c.get("S").unwrap().clone(),
+        vec![Value::Int(7), Value::Int(3)],
+        Timestamp(2),
+        1,
+    )
+    .unwrap();
+    let n = decoded(&frame).match_tuple(&s).unwrap().unwrap();
+    assert_eq!(n.values, vec!["bound-marker".into(), Value::Int(3)]);
+    // The bound value: a `Str` tag, its length, its text — after its list's
+    // `u32` count of 1.
+    let mut value = vec![1u8];
+    value.extend_from_slice(&12u32.to_le_bytes());
+    value.extend_from_slice(b"bound-marker");
+    let at = frame
+        .windows(value.len())
+        .position(|w| w == value.as_slice())
+        .unwrap();
+    assert_eq!(frame[at - 4..at], 1u32.to_le_bytes());
+    for count in [0u32, 2] {
+        let mut bad = frame[..at - 4].to_vec();
+        bad.extend_from_slice(&count.to_le_bytes());
+        for _ in 0..count {
+            bad.extend_from_slice(&value);
+        }
+        bad.extend_from_slice(&frame[at + value.len()..]);
+        let body_len = (bad.len() - 4) as u32;
+        bad[..4].copy_from_slice(&body_len.to_le_bytes());
+        let rq = decoded(&bad);
+        assert_eq!(rq.bound_values().len(), count as usize);
+        match rq.match_tuple(&s) {
+            Err(RelationalError::SchemaMismatch { detail, .. }) => {
+                assert!(
+                    detail.contains(&format!("binds {count} values")),
+                    "{detail}"
+                )
+            }
+            other => panic!("{count} values: {other:?}"),
+        }
+    }
 }
 
 fn index_query(query: &QueryRef) -> Vec<u8> {

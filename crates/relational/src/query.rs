@@ -134,6 +134,28 @@ pub struct QuerySpec {
     pub filters: Vec<Filter>,
 }
 
+/// What rewriting a tuple of one side reads (Section 4.3.2), resolved once
+/// at validation: where the side's bound select values sit, and whether it
+/// has filters to check.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct RewritePlan {
+    /// Where the side's bound select values sit.
+    pub(crate) bound: BoundPlan,
+    /// Whether the query has a filter on the side.
+    pub(crate) filtered: bool,
+}
+
+/// Where a side's bound select values sit in its relation's schema.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum BoundPlan {
+    /// The side has no select item.
+    Zero,
+    /// One select item, at this schema position.
+    One(u16),
+    /// Two or more (or a position past `u16`): the select list is walked.
+    Many,
+}
+
 /// A validated continuous two-way equi-join query.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JoinQuery {
@@ -159,6 +181,11 @@ pub struct JoinQuery {
     /// attribute up by name per candidate.
     join_cols: [Option<(Arc<str>, usize)>; 2],
     filters: Vec<Filter>,
+    /// Each side's [`RewritePlan`], left first.
+    plans: [RewritePlan; 2],
+    /// The fingerprint state after `Key(q)`, where the fingerprint of every
+    /// rewriting of this query starts (see [`crate::RewriteBody::fingerprint`]).
+    key_seed: u64,
 }
 
 impl JoinQuery {
@@ -233,7 +260,23 @@ impl JoinQuery {
                 });
             }
         }
+        let plans = Side::BOTH.map(|side| {
+            let mut bound = select_cols
+                .iter()
+                .zip(&select)
+                .filter(|(_, item)| item.side == side)
+                .map(|(&col, _)| col);
+            RewritePlan {
+                bound: match (bound.next(), bound.next()) {
+                    (None, _) => BoundPlan::Zero,
+                    (Some(col), None) => u16::try_from(col).map_or(BoundPlan::Many, BoundPlan::One),
+                    (Some(_), Some(_)) => BoundPlan::Many,
+                },
+                filtered: filters.iter().any(|f| f.side == side),
+            }
+        });
         Ok(JoinQuery {
+            key_seed: crate::rewrite::key_seed(&key),
             key,
             subscriber,
             ins_time,
@@ -244,6 +287,7 @@ impl JoinQuery {
             cond_attrs,
             join_cols,
             filters,
+            plans,
         })
     }
 
@@ -344,10 +388,26 @@ impl JoinQuery {
             .map(|(i, it)| (i, it.attr.as_str()))
     }
 
+    /// `side`'s [`RewritePlan`].
+    #[inline]
+    pub(crate) fn rewrite_plan(&self, side: Side) -> RewritePlan {
+        self.plans[side.idx()]
+    }
+
+    /// The fingerprint state after `Key(q)`, computed at validation.
+    #[inline]
+    pub(crate) fn key_seed(&self) -> u64 {
+        self.key_seed
+    }
+
     /// Whether a tuple of `side`'s relation satisfies every filter on that
     /// side. (Filters on the other side are checked when the other tuple is
     /// examined.)
+    #[inline]
     pub fn filters_pass(&self, side: Side, tuple: &Tuple) -> Result<bool> {
+        if !self.plans[side.idx()].filtered {
+            return Ok(true);
+        }
         for flt in self.filters.iter().filter(|f| f.side == side) {
             if tuple.get(&flt.attr)? != &flt.value {
                 return Ok(false);
@@ -358,6 +418,7 @@ impl JoinQuery {
 
     /// Whether a tuple of `side`'s relation can trigger this query:
     /// `pubT(t) >= insT(q)` and the side's filters pass.
+    #[inline]
     pub fn triggered_by(&self, side: Side, tuple: &Tuple) -> Result<bool> {
         if tuple.pub_time() < self.ins_time {
             return Ok(false);

@@ -13,8 +13,8 @@ use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::sync::Arc;
 
-use crate::error::Result;
-use crate::query::{JoinQuery, QueryKey, QueryRef, Side};
+use crate::error::{RelationalError, Result};
+use crate::query::{BoundPlan, JoinQuery, QueryKey, QueryRef, Side};
 use crate::tuple::Tuple;
 use crate::value::{Timestamp, Value, ValueRef};
 
@@ -164,13 +164,22 @@ impl Binding<'_> {
     /// only routes a dedup probe to where an equal identity would sit;
     /// equality is decided by comparing.
     fn fingerprint(&self, target_value: ValueRef<'_>) -> u64 {
-        let mut h = Mix(0);
-        self.query.key().hash(&mut h);
+        let mut h = Mix(self.query.key_seed());
         self.bound_side.hash(&mut h);
         self.bound_values.hash(&mut h);
         target_value.hash(&mut h);
         h.finish()
     }
+}
+
+/// Where every fingerprint of a rewriting of the query keyed `key` starts:
+/// the state after hashing `Key(q)`, which [`JoinQuery::new`] keeps. The
+/// hasher carries nothing between writes but its state, so continuing from
+/// it digests what hashing the key first would.
+pub(crate) fn key_seed(key: &QueryKey) -> u64 {
+    let mut h = Mix(0);
+    key.hash(&mut h);
+    h.finish()
 }
 
 /// The fingerprint's mixing function: Fx-style rotate-xor-multiply over
@@ -385,28 +394,48 @@ impl RewriteBody {
     }
 
     /// Builds the notification for a tuple already known to match.
+    ///
+    /// Fails when the rewriting does not bind one value per select item of
+    /// its bound side. A rewriting built here always does; one reassembled
+    /// from the wire ([`RewrittenQuery::from_parts`]) carries whatever count
+    /// its sender wrote.
     pub fn notification_with(&self, t: &Tuple) -> Result<Notification> {
         let free = self.free_side();
         let mut values = Vec::with_capacity(self.query.select().len());
         let mut bound_iter = self.bound_values().iter();
         for (item, &col) in self.query.select().iter().zip(self.query.select_columns()) {
             if item.side == self.bound_side {
-                values.push(
-                    bound_iter
-                        .next()
-                        .expect("bound values cover every bound-side select item")
-                        .clone(),
-                );
+                let Some(v) = bound_iter.next() else {
+                    return Err(self.miscounted());
+                };
+                values.push(v.clone());
             } else {
                 debug_assert_eq!(item.side, free);
                 values.push(value_at(t, Some(col), &item.attr)?.clone());
             }
+        }
+        if bound_iter.next().is_some() {
+            return Err(self.miscounted());
         }
         Ok(Notification {
             query_key: self.query.key().clone(),
             subscriber: self.query.subscriber().to_string(),
             values,
         })
+    }
+
+    #[cold]
+    fn miscounted(&self) -> RelationalError {
+        RelationalError::SchemaMismatch {
+            relation: self.query.relation(self.bound_side).to_string(),
+            detail: format!(
+                "a rewriting of query {} binds {} values where its select \
+                 list has {} on this side",
+                self.query.key(),
+                self.bound_values().len(),
+                self.query.select_positions(self.bound_side).count()
+            ),
+        }
     }
 }
 
@@ -820,7 +849,20 @@ fn value_at<'t>(t: &'t Tuple, col: Option<usize>, attr: &str) -> Result<&'t Valu
     }
 }
 
+/// `side`'s select values in `t`, read by the side's plan: none, or the one
+/// at its schema position, or — for two or more, or a tuple too short for
+/// the position — the select list walked, by position and then by name.
+#[inline]
 fn bound_select_values(query: &JoinQuery, side: Side, t: &Tuple) -> Result<BoundValues> {
+    match query.rewrite_plan(side).bound {
+        BoundPlan::Zero => return Ok(BoundValues(Bound::Zero)),
+        BoundPlan::One(col) => {
+            if let Some(v) = t.values().get(usize::from(col)) {
+                return Ok(BoundValues(Bound::One(v.clone())));
+            }
+        }
+        BoundPlan::Many => {}
+    }
     query
         .select()
         .iter()
@@ -1116,6 +1158,9 @@ mod tests {
         assert_eq!(size_of::<RewrittenQuery>(), 96);
         // 8 query + 24 bound values + 24 target value + 1 side, padded.
         assert_eq!(size_of::<RewriteIdentity>(), 64);
+        // A query's two 6-byte rewrite plans and its 8-byte fingerprint
+        // seed cost it 24 bytes over the 336 it took without them, no more.
+        assert!(size_of::<JoinQuery>() <= 336 + 24);
         // No heap for one bound value, one allocation from two on.
         let ints = |n: i64| (0..n).map(Value::Int).collect::<BoundValues>();
         assert!(matches!(ints(0).0, Bound::Zero));
@@ -1125,6 +1170,106 @@ mod tests {
         for n in 0..5 {
             let want: Vec<Value> = (0..n).map(Value::Int).collect();
             assert_eq!(ints(n).as_slice(), want);
+        }
+    }
+
+    #[test]
+    fn fingerprints_are_pinned() {
+        // Attribute and value targets binding 0, 1 and 2 values, `Int` and
+        // `Str` values, one `Str` longer than an inline key (22 bytes). The
+        // expected digests were written by the build before rewrite plans
+        // existed; never regenerate them from the current build.
+        let mut c = Catalog::new();
+        let long = "a string longer than twenty-two bytes";
+        c.register(
+            RelationSchema::of(
+                "R",
+                &[
+                    ("A", DataType::Int),
+                    ("B", DataType::Str),
+                    ("C", DataType::Int),
+                ],
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        c.register(
+            RelationSchema::of(
+                "S",
+                &[
+                    ("D", DataType::Str),
+                    ("C", DataType::Int),
+                    ("E", DataType::Str),
+                ],
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let query = |n: u64, select: &[(Side, &str)], cond: &str, other: &str| {
+            let select = select
+                .iter()
+                .map(|&(side, attr)| SelectItem {
+                    side,
+                    attr: attr.into(),
+                })
+                .collect();
+            Arc::new(
+                JoinQuery::new(
+                    QuerySpec {
+                        key: QueryKey::derive("node-7", n),
+                        subscriber: "node-7".into(),
+                        ins_time: Timestamp(0),
+                        relations: ["R".into(), "S".into()],
+                        select,
+                        conditions: [Expr::attr(cond), Expr::attr(other)],
+                        filters: vec![],
+                    },
+                    &c,
+                )
+                .unwrap(),
+            )
+        };
+        let tuple = |rel: &str, values: Vec<Value>| {
+            Tuple::new(c.get(rel).unwrap().clone(), values, Timestamp(3), 0).unwrap()
+        };
+        let one = query(1, &[(Side::Left, "A"), (Side::Right, "D")], "C", "C");
+        let none = query(2, &[(Side::Right, "D")], "B", "E");
+        let two = query(
+            3,
+            &[(Side::Left, "A"), (Side::Left, "B"), (Side::Right, "D")],
+            "C",
+            "C",
+        );
+        let r = tuple("R", vec![Value::Int(5), long.into(), Value::Int(7)]);
+        let r2 = tuple("R", vec![Value::Int(-3), "b+s:c".into(), Value::Int(9)]);
+        let s = tuple("S", vec!["dee".into(), Value::Int(7), "e".into()]);
+        let attr = |q: &QueryRef, side, a, d, t| {
+            RewrittenQuery::rewrite_attribute(q, side, a, d, t)
+                .unwrap()
+                .unwrap()
+        };
+        let value =
+            |q: &QueryRef, side, t| RewrittenQuery::rewrite_value(q, side, t).unwrap().unwrap();
+        let rewritings = [
+            attr(&one, Side::Left, "C", "C", &r),
+            value(&one, Side::Right, &s),
+            attr(&none, Side::Left, "B", "E", &r),
+            value(&none, Side::Left, &r2),
+            attr(&two, Side::Left, "C", "C", &r),
+            value(&two, Side::Left, &r2),
+        ];
+        let want: [(u64, usize); 6] = [
+            (16739651771377637638, 1),
+            (9572108501946025105, 1),
+            (913832329209096303, 0),
+            (8464673760863485729, 0),
+            (15995546275471471345, 2),
+            (4899819240097960867, 2),
+        ];
+        for (rq, (fingerprint, bound)) in rewritings.iter().zip(want) {
+            assert_eq!(rq.bound_values().len(), bound, "{rq}");
+            assert_eq!(rq.fingerprint(), fingerprint, "{rq}");
+            assert_eq!(rq.to_identity().fingerprint(), fingerprint, "{rq}");
         }
     }
 
