@@ -308,8 +308,8 @@ pub(crate) fn attribute_target<'q>(
 /// the time test rejects and stops at the first one that fails.
 ///
 /// The buffers live as long as the matcher (one per network, lent to
-/// handlers through [`crate::protocol::Scratch`]), so steady-state
-/// matching allocates nothing.
+/// each handler with the network's other scratch buffers), so
+/// steady-state matching allocates nothing.
 #[derive(Debug, Default)]
 pub struct RunMatcher {
     /// The candidates whose shape verdict is yes, in candidate order: `pubT`

@@ -26,7 +26,7 @@ pub enum EngineError {
     /// A protocol invariant was violated: a handler received a message its
     /// algorithm never produces (e.g. a plain `Join` under DAI-V), or a
     /// message payload was malformed for the handler that got it. Indicates
-    /// a mis-wired [`crate::protocol::Protocol`] or a corrupted message, and
+    /// a mis-wired algorithm implementation or a corrupted message, and
     /// fails the run with context instead of aborting the process.
     Protocol {
         /// Human-readable description of the violated invariant.

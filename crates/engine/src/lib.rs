@@ -65,18 +65,16 @@ mod transport;
 mod transport_tcp;
 pub mod wire;
 
-pub use algo::protocol_for;
 pub use config::{Algorithm, EngineConfig, IndexStrategy};
 pub use error::{EngineError, Result};
 pub use faults::{ChurnModel, FaultConfig, SessionDist};
-pub use jfrt::{Jfrt, JfrtLookup};
 pub use messages::{Message, ValueJoin};
 pub use metrics::{FaultCounters, Metrics, NodeLoad, RecoveryCounters, TrafficKind};
 pub use network::Network;
 pub use node::NodeState;
 pub use oracle::Oracle;
 pub use pipeline::Pipeline;
-pub use protocol::{Effect, EffectCtx, Matches, NodeCtx, Protocol, QueryCounts, Scratch};
+pub use protocol::{Matches, QueryCounts};
 pub use recovery::SuspicionConfig;
 pub use replication::{ReplicaItem, ReplicaStore};
 pub use transport_tcp::{SocketStats, TcpOptions};

@@ -564,3 +564,149 @@ impl Network {
         })
     }
 }
+
+#[cfg(test)]
+mod tests {
+    //! The messages a handler must refuse with a typed error rather than a
+    //! panic, each invoked through [`Network::run_protocol`] so the effect
+    //! flush under test is the production one.
+
+    use super::*;
+    use crate::config::Algorithm;
+    use crate::messages::ValueJoin;
+    use cq_overlay::Id;
+    use cq_relational::{DataType, RelationSchema, RelationalError, RewrittenQuery, Side};
+
+    fn network(alg: Algorithm) -> Network {
+        let mut c = Catalog::new();
+        c.register(RelationSchema::of("R", &[("A", DataType::Int), ("B", DataType::Int)]).unwrap())
+            .unwrap();
+        c.register(RelationSchema::of("S", &[("C", DataType::Int), ("D", DataType::Int)]).unwrap())
+            .unwrap();
+        Network::new(EngineConfig::new(alg).with_nodes(24).with_seed(5), c)
+    }
+
+    /// `R.B = S.C`, built as posed from `node` at time 1 but not indexed.
+    fn query(net: &Network, node: NodeHandle) -> QueryRef {
+        let node_key = net.ring.node(node).key().to_string();
+        let parsed =
+            parse_query("SELECT R.A, S.D FROM R, S WHERE R.B = S.C", &net.catalog).unwrap();
+        let key = QueryKey::derive(&node_key, 0);
+        Arc::new(
+            parsed
+                .into_query(key, node_key, Timestamp(1), &net.catalog)
+                .unwrap(),
+        )
+    }
+
+    fn tuple(net: &Network, relation: &str, values: [i64; 2], time: u64) -> Tuple {
+        let schema = net.catalog.get(relation).unwrap().clone();
+        let values = values.into_iter().map(Value::Int).collect();
+        Tuple::new(schema, values, Timestamp(time), 0).unwrap()
+    }
+
+    /// A `Join` message reaching DAI-V is a protocol violation — a typed error,
+    /// not a panic (DAI-V only ever emits `JoinV`).
+    #[test]
+    fn join_message_to_dai_v_is_a_typed_protocol_error() {
+        let mut net = network(Algorithm::DaiV);
+        let node = net.node_at(0);
+        let err = net
+            .run_protocol(node, |p, ctx| p.on_rewritten_query(ctx, Vec::new(), Id(1)))
+            .unwrap_err();
+        assert!(matches!(err, EngineError::Protocol { .. }), "{err}");
+    }
+
+    /// A value-level tuple reaching DAI-V, which stores tuples by condition
+    /// value instead, is equally a typed error.
+    #[test]
+    fn value_tuple_to_dai_v_is_a_typed_protocol_error() {
+        let mut net = network(Algorithm::DaiV);
+        let node = net.node_at(0);
+        let tuple = Arc::new(tuple(&net, "R", [1, 2], 1));
+        let err = net
+            .run_protocol(node, |p, ctx| {
+                p.on_value_tuple(ctx, tuple, "B".into(), Id(1))
+            })
+            .unwrap_err();
+        assert!(matches!(err, EngineError::Protocol { .. }), "{err}");
+    }
+
+    /// A `JoinV` message reaching a T1 algorithm is equally a typed error.
+    #[test]
+    fn join_v_message_to_t1_algorithms_is_a_typed_protocol_error() {
+        for alg in [Algorithm::Sai, Algorithm::DaiQ, Algorithm::DaiT] {
+            let mut net = network(alg);
+            let node = net.node_at(0);
+            let tuple = Arc::new(tuple(&net, "R", [1, 2], 1));
+            let err = net
+                .run_protocol(node, |p, ctx| {
+                    p.on_join_message(
+                        ctx,
+                        ValueJoin {
+                            group: "g".into(),
+                            items: Vec::new(),
+                            tuple,
+                            side: Side::Left,
+                            value_key: "1".into(),
+                            index_id: Id(1),
+                        },
+                    )
+                })
+                .unwrap_err();
+            assert!(matches!(err, EngineError::Protocol { .. }), "{alg}: {err}");
+        }
+    }
+
+    /// A value-targeted rewritten query inside a plain `Join` message (only
+    /// DAI-V produces value targets) surfaces as a typed error from the
+    /// evaluator's attribute-target matcher.
+    #[test]
+    fn value_targeted_rewritten_query_in_plain_join_is_a_typed_protocol_error() {
+        let mut net = network(Algorithm::DaiQ);
+        let node = net.node_at(0);
+        let query = query(&net, node);
+        let tuple = tuple(&net, "R", [1, 2], 2);
+        let rq = RewrittenQuery::rewrite_value(&query, Side::Left, &tuple)
+            .unwrap()
+            .expect("tuple triggers the query");
+        let err = net
+            .run_protocol(node, |p, ctx| p.on_rewritten_query(ctx, vec![rq], Id(1)))
+            .unwrap_err();
+        assert!(matches!(err, EngineError::Protocol { .. }), "{err}");
+    }
+
+    /// An evaluator holding a rewriting that binds fewer select values than its
+    /// query selects on the bound side — a frame may carry any count, see
+    /// `wire.rs` — fails with a typed error when a matching tuple arrives in
+    /// retention mode, where building the notification used to panic.
+    #[test]
+    fn a_miscounted_rewriting_fails_typed_at_the_evaluator() {
+        let mut net = network(Algorithm::Sai);
+        let node = net.node_at(0);
+        let rq = RewrittenQuery::from_parts(
+            query(&net, node),
+            Side::Left,
+            std::iter::empty().collect(),
+            Some("C"),
+            Value::Int(2),
+            Timestamp(2),
+        );
+        net.run_protocol(node, |p, ctx| p.on_rewritten_query(ctx, vec![rq], Id(1)))
+            .unwrap();
+        let tuple = Arc::new(tuple(&net, "S", [2, 5], 3));
+        let err = net
+            .run_protocol(node, |p, ctx| {
+                p.on_value_tuple(ctx, tuple, "C".into(), Id(1))
+            })
+            .unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                EngineError::Relational(RelationalError::SchemaMismatch { detail, .. })
+                    if detail.contains("binds 0 values")
+            ),
+            "{err}"
+        );
+    }
+}

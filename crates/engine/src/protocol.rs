@@ -46,7 +46,7 @@ use crate::trace::{TraceEvent, TraceSink};
 /// sends should happen; the orchestrator flushes them into the transport
 /// in that same order once the handler returns.
 #[derive(Debug)]
-pub enum Effect {
+pub(crate) enum Effect {
     /// Send a batch of identifier-routed messages with the configured
     /// multisend design, accounting `kind` traffic.
     Batch {
@@ -76,7 +76,7 @@ pub enum Effect {
     },
 }
 
-/// Accumulated join matches at an evaluator (see [`EffectCtx::new_matches`]).
+/// Accumulated join matches at an evaluator, one per handler invocation.
 ///
 /// With notification retention on, full bodies are built; with retention
 /// off only per-query counts are kept (delivery traffic and counters stay
@@ -213,7 +213,7 @@ impl QueryCounts {
 /// The buffers the orchestrator lends every handler invocation, so that a
 /// handler's working memory is allocated once per network, not per message.
 #[derive(Debug, Default)]
-pub struct Scratch {
+pub(crate) struct Scratch {
     /// Per-arrival value keys ([`EffectCtx::take_scratch`]).
     value_key: String,
     /// The counts accumulator, between one `Deliver` and the next handler.
@@ -251,7 +251,7 @@ impl Scratch {
 /// statistics ([`NodeCtx::probe_arrival_stats`]); handlers otherwise reach
 /// the local state through [`NodeCtx::split`]. Every other capability is the
 /// effect half's, reached through `Deref`.
-pub struct NodeCtx<'a> {
+pub(crate) struct NodeCtx<'a> {
     nodes: &'a mut [NodeState],
     fx: EffectCtx<'a>,
 }
@@ -310,7 +310,7 @@ impl DerefMut for NodeCtx<'_> {
 /// The effect half of a [`NodeCtx`]: every sink and read-only capability a
 /// handler needs, usable while a disjoint `&mut NodeState` (or shared
 /// borrows derived from it) is live. See [`NodeCtx::split`].
-pub struct EffectCtx<'a> {
+pub(crate) struct EffectCtx<'a> {
     node: NodeHandle,
     config: &'a EngineConfig,
     ring: &'a Ring,
@@ -471,7 +471,7 @@ impl<'a> EffectCtx<'a> {
 /// Handlers receiving a message their algorithm never produces return a
 /// typed [`EngineError::Protocol`] (the defaults below) instead of
 /// panicking.
-pub trait Protocol: Send + Sync {
+pub(crate) trait Protocol: Send + Sync {
     /// The algorithm this implements (it names the algorithm in errors).
     fn algorithm(&self) -> Algorithm;
 

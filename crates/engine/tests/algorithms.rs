@@ -2,7 +2,10 @@
 //! deliver exactly the notification-content set the centralized oracle
 //! computes, under a variety of interleavings of queries and tuples.
 
-use cq_engine::{Algorithm, EngineConfig, Network, Oracle, TrafficKind};
+pub mod common;
+
+use common::assert_oracle;
+use cq_engine::{Algorithm, EngineConfig, Network, TrafficKind};
 use cq_relational::{Catalog, DataType, RelationSchema, Value};
 
 fn catalog() -> Catalog {
@@ -41,19 +44,6 @@ fn network(alg: Algorithm) -> Network {
     )
 }
 
-fn check_against_oracle(net: &Network) {
-    let mut oracle = Oracle::new();
-    oracle.ingest(net.posed_queries(), net.inserted_tuples());
-    let expected = oracle.expected().unwrap();
-    let delivered = net.delivered_set();
-    assert_eq!(
-        delivered,
-        expected,
-        "algorithm {:?} diverged from the oracle",
-        net.config().algorithm
-    );
-}
-
 /// A deterministic pseudo-random workload driver shared by the tests.
 fn run_mixed_workload(alg: Algorithm, queries: usize, tuples: usize, domain: i64) -> Network {
     let mut net = network(alg);
@@ -89,28 +79,28 @@ fn sai_matches_oracle_on_mixed_workload() {
         !net.delivered_set().is_empty(),
         "workload must produce matches"
     );
-    check_against_oracle(&net);
+    assert_oracle(&net, "mixed workload");
 }
 
 #[test]
 fn dai_q_matches_oracle_on_mixed_workload() {
     let net = run_mixed_workload(Algorithm::DaiQ, 8, 80, 6);
     assert!(!net.delivered_set().is_empty());
-    check_against_oracle(&net);
+    assert_oracle(&net, "mixed workload");
 }
 
 #[test]
 fn dai_t_matches_oracle_on_mixed_workload() {
     let net = run_mixed_workload(Algorithm::DaiT, 8, 80, 6);
     assert!(!net.delivered_set().is_empty());
-    check_against_oracle(&net);
+    assert_oracle(&net, "mixed workload");
 }
 
 #[test]
 fn dai_v_matches_oracle_on_mixed_workload() {
     let net = run_mixed_workload(Algorithm::DaiV, 8, 80, 6);
     assert!(!net.delivered_set().is_empty());
-    check_against_oracle(&net);
+    assert_oracle(&net, "mixed workload");
 }
 
 #[test]
@@ -140,7 +130,7 @@ fn tuples_inserted_before_a_query_never_trigger_it() {
         net.insert_tuple(a, "R", vec![Value::Int(4), Value::Int(7), Value::Int(0)])
             .unwrap();
         assert_eq!(net.delivered_set().len(), 1, "{alg}");
-        check_against_oracle(&net);
+        assert_oracle(&net, "insT");
     }
 }
 
@@ -163,7 +153,7 @@ fn both_arrival_orders_produce_the_join() {
             .unwrap();
         let got = net.delivered_set();
         assert_eq!(got.len(), 2, "{alg}: both orders must join, got {got:?}");
-        check_against_oracle(&net);
+        assert_oracle(&net, "arrival orders");
     }
 }
 
@@ -215,7 +205,7 @@ fn filters_restrict_matches() {
         net.insert_tuple(a, "S", vec![Value::Int(3), Value::Int(7), Value::Int(0)])
             .unwrap();
         assert_eq!(net.delivered_set().len(), 1, "{alg}");
-        check_against_oracle(&net);
+        assert_oracle(&net, "filters");
     }
 }
 
@@ -236,7 +226,7 @@ fn multiple_queries_same_condition_all_notified() {
             .unwrap();
         assert_eq!(net.inbox(a).len(), 1, "{alg}: subscriber a");
         assert_eq!(net.inbox(b).len(), 1, "{alg}: subscriber b");
-        check_against_oracle(&net);
+        assert_oracle(&net, "grouping");
     }
 }
 
@@ -259,7 +249,7 @@ fn t2_queries_run_under_dai_v() {
     assert_eq!(got.len(), 1);
     let n = got.iter().next().unwrap();
     assert_eq!(n.values, vec![Value::Int(1), Value::Int(5)]);
-    check_against_oracle(&net);
+    assert_oracle(&net, "T2");
 }
 
 #[test]
@@ -307,7 +297,7 @@ fn replication_preserves_correctness() {
             )
             .unwrap();
         }
-        check_against_oracle(&net);
+        assert_oracle(&net, "replication");
     }
 }
 
@@ -387,7 +377,7 @@ fn keyed_dai_v_matches_oracle() {
         )
         .unwrap();
     }
-    check_against_oracle(&net);
+    assert_oracle(&net, "keyed");
     assert!(!net.delivered_set().is_empty());
 }
 
@@ -512,7 +502,7 @@ fn strategy_variants_all_correct() {
             .unwrap();
         net.insert_tuple(a, "S", vec![Value::Int(51), Value::Int(3), Value::Int(0)])
             .unwrap();
-        check_against_oracle(&net);
+        assert_oracle(&net, &format!("strategy {strategy:?}"));
         if strategy.probes_rewriters() {
             assert!(net.metrics().traffic(TrafficKind::Probe).messages >= 2);
         }
@@ -583,7 +573,7 @@ fn strings_that_print_alike_are_different_rewritings() {
             net.insert_tuple(a, "S", vec![Value::Int(1), Value::Int(7)])
                 .unwrap();
             assert_eq!(net.delivered_set().len(), 2, "{alg}, seed {seed}");
-            check_against_oracle(&net);
+            assert_oracle(&net, &format!("seed {seed}"));
         }
     }
 }

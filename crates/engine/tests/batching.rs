@@ -6,8 +6,8 @@
 
 pub mod common;
 
-use common::{run, Step};
-use cq_engine::{Algorithm, EngineConfig, FaultConfig, Network, Oracle};
+use common::{assert_oracle, run, Step};
+use cq_engine::{Algorithm, EngineConfig, FaultConfig, Network};
 use cq_relational::{Catalog, DataType, RelationSchema, Value};
 
 /// The zero-clone kernels (in-place ALQT/VLQT/VLTT/value-store scans) must
@@ -28,13 +28,7 @@ fn zero_clone_kernels_match_oracle_for_all_algorithms() {
         .collect();
     for alg in Algorithm::ALL {
         let net = run(alg, &steps, 7, FaultConfig::default());
-        let mut oracle = Oracle::new();
-        oracle.ingest(net.posed_queries(), net.inserted_tuples());
-        assert_eq!(
-            net.delivered_set(),
-            oracle.expected().unwrap(),
-            "{alg}: zero-clone kernels diverged from the oracle"
-        );
+        assert_oracle(&net, "zero-clone kernels");
     }
 }
 
@@ -95,7 +89,5 @@ fn zero_clone_dai_v_t2_matches_oracle() {
         )
         .unwrap();
     }
-    let mut oracle = Oracle::new();
-    oracle.ingest(net.posed_queries(), net.inserted_tuples());
-    assert_eq!(net.delivered_set(), oracle.expected().unwrap());
+    assert_oracle(&net, "T2");
 }

@@ -1,23 +1,11 @@
 //! Dynamicity: voluntary leaves with key transfer, failures, rejoins, and
 //! the Section 4.6 offline-notification scenario.
 
+pub mod common;
+
+use common::{assert_oracle, catalog};
 use cq_engine::{Algorithm, EngineConfig, FaultConfig, Network, Oracle};
-use cq_relational::{Catalog, DataType, RelationSchema, Value};
-
-fn catalog() -> Catalog {
-    let mut c = Catalog::new();
-    c.register(RelationSchema::of("R", &[("A", DataType::Int), ("B", DataType::Int)]).unwrap())
-        .unwrap();
-    c.register(RelationSchema::of("S", &[("D", DataType::Int), ("E", DataType::Int)]).unwrap())
-        .unwrap();
-    c
-}
-
-fn check_oracle(net: &Network) {
-    let mut oracle = Oracle::new();
-    oracle.ingest(net.posed_queries(), net.inserted_tuples());
-    assert_eq!(net.delivered_set(), oracle.expected().unwrap());
-}
+use cq_relational::Value;
 
 #[test]
 fn voluntary_leave_transfers_state_and_preserves_results() {
@@ -49,7 +37,7 @@ fn voluntary_leave_transfers_state_and_preserves_results() {
         net.insert_tuple(a, "S", vec![Value::Int(2), Value::Int(7)])
             .unwrap();
         assert_eq!(net.inbox(a).len(), 1, "{alg}: join must survive departures");
-        check_oracle(&net);
+        assert_oracle(&net, "departures");
     }
 }
 
@@ -241,7 +229,7 @@ fn departing_replica_holder_hands_copies_to_its_successor() {
             net.insert_tuple(a, "S", vec![Value::Int(i), Value::Int(i % 3)])
                 .unwrap();
         }
-        check_oracle(&net);
+        assert_oracle(&net, "replica hand-over");
     }
 }
 
@@ -297,7 +285,7 @@ fn a_leave_hands_over_copies_it_had_not_promoted_yet() {
         oracle.ingest(net.posed_queries(), net.inserted_tuples());
         let expected = oracle.expected().unwrap();
         assert_eq!(net.inbox(a).len(), expected.len(), "{alg}: multiplicity");
-        check_oracle(&net);
+        assert_oracle(&net, "unpromoted hand-over");
     }
 }
 
@@ -387,5 +375,5 @@ fn join_after_start_takes_over_range() {
     net.insert_tuple(a, "S", vec![Value::Int(4), Value::Int(8)])
         .unwrap();
     assert_eq!(net.inbox(a).len(), 2);
-    check_oracle(&net);
+    assert_oracle(&net, "join after start");
 }

@@ -1,11 +1,12 @@
-//! The harness the randomized delivery tests share: a two-relation catalog,
-//! a workload step, a weighted generator of steps, and a 32-node run of a
-//! step list under one algorithm and fault model.
+//! The harness the engine's integration tests share: a two-relation
+//! catalog, the oracle check, a workload step, a weighted generator of
+//! steps, and a 32-node run of a step list under one algorithm and fault
+//! model.
 //!
 //! Test files declare it `pub mod common;`, so a file that uses only part of
 //! it builds without dead-code warnings.
 
-use cq_engine::{Algorithm, EngineConfig, FaultConfig, Network};
+use cq_engine::{Algorithm, EngineConfig, FaultConfig, Network, Oracle};
 use cq_relational::{Catalog, DataType, RelationSchema, Value};
 use proptest::prelude::*;
 
@@ -17,6 +18,20 @@ pub fn catalog() -> Catalog {
     c.register(RelationSchema::of("S", &[("D", DataType::Int), ("E", DataType::Int)]).unwrap())
         .unwrap();
     c
+}
+
+/// Asserts that `net` delivered exactly the oracle's notification set for
+/// every query it has posed and tuple it has inserted; `context` names the
+/// case in the failure message.
+pub fn assert_oracle(net: &Network, context: &str) {
+    let mut oracle = Oracle::new();
+    oracle.ingest(net.posed_queries(), net.inserted_tuples());
+    assert_eq!(
+        net.delivered_set(),
+        oracle.expected().unwrap(),
+        "{context}: {} diverged from the oracle",
+        net.config().algorithm
+    );
 }
 
 /// One step of a workload.

@@ -9,21 +9,15 @@
 //! * The observer must not move the observed: installing a trace sink
 //!   changes no metric, no inbox sequence and — over TCP — no frame.
 
+pub mod common;
+
 use std::sync::Arc;
 
+use common::catalog;
 use cq_engine::{Algorithm, EngineConfig, FaultConfig, Network, RingBufferSink};
-use cq_relational::{Catalog, DataType, Notification, RelationSchema, Value};
+use cq_relational::{Notification, Value};
 
 const NODES: usize = 8;
-
-fn catalog() -> Catalog {
-    let mut c = Catalog::new();
-    c.register(RelationSchema::of("R", &[("A", DataType::Int), ("B", DataType::Int)]).unwrap())
-        .unwrap();
-    c.register(RelationSchema::of("S", &[("D", DataType::Int), ("E", DataType::Int)]).unwrap())
-        .unwrap();
-    c
-}
 
 /// Two queries, then interleaved `R`/`S` inserts from rotating nodes. On an
 /// 8-node ring most tuple batches put several identifiers on one owner, so

@@ -2,31 +2,13 @@
 //! reordering under reliable delivery, and k-successor replication across
 //! abrupt failures.
 
-use cq_engine::{
-    Algorithm, EngineConfig, FaultConfig, Network, Oracle, RingBufferSink, TraceEvent,
-};
-use cq_relational::{Catalog, DataType, RelationSchema, Value};
+pub mod common;
+
+use common::{assert_oracle, catalog};
+use cq_engine::{Algorithm, EngineConfig, FaultConfig, Network, RingBufferSink, TraceEvent};
+use cq_relational::Value;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-fn catalog() -> Catalog {
-    let mut c = Catalog::new();
-    c.register(RelationSchema::of("R", &[("A", DataType::Int), ("B", DataType::Int)]).unwrap())
-        .unwrap();
-    c.register(RelationSchema::of("S", &[("D", DataType::Int), ("E", DataType::Int)]).unwrap())
-        .unwrap();
-    c
-}
-
-fn check_oracle(net: &Network, context: &str) {
-    let mut oracle = Oracle::new();
-    oracle.ingest(net.posed_queries(), net.inserted_tuples());
-    assert_eq!(
-        net.delivered_set(),
-        oracle.expected().unwrap(),
-        "{context}: delivered set must equal the oracle"
-    );
-}
 
 /// A small scripted workload: two queries and a batch of tuples with
 /// several join matches.
@@ -78,7 +60,7 @@ fn reliable_pump_with_zero_rates_matches_oracle() {
             net.metrics().faults.total_bytes_sent() > 0,
             "{alg}: the pump ran"
         );
-        check_oracle(&net, &format!("{alg} reliable"));
+        assert_oracle(&net, "reliable");
     }
 }
 
@@ -98,7 +80,7 @@ fn delivery_survives_message_loss() {
         let f = net.metrics().faults;
         assert!(f.messages_lost > 0, "{alg}: losses must have been drawn");
         assert!(f.retransmissions > 0, "{alg}: losses force retransmissions");
-        check_oracle(&net, &format!("{alg} lossy"));
+        assert_oracle(&net, "lossy");
     }
 }
 
@@ -126,7 +108,7 @@ fn duplicates_are_suppressed_exactly_once() {
             f.dedup_suppressed > 0,
             "{alg}: receiver windows must drop the copies"
         );
-        check_oracle(&net, &format!("{alg} duplicated"));
+        assert_oracle(&net, "duplicated");
     }
 }
 
@@ -150,7 +132,7 @@ fn reordering_preserves_results() {
         );
         stream(&mut net);
         assert_eq!(net.metrics().faults.messages_lost, 0);
-        check_oracle(&net, &format!("{alg} reordered"));
+        assert_oracle(&net, "reordered");
     }
 }
 
@@ -191,7 +173,7 @@ fn single_failure_with_replication_preserves_index_state() {
                 1,
                 "{alg}: join must survive the failure of node {victim_idx}"
             );
-            check_oracle(&net, &format!("{alg} victim {victim_idx}"));
+            assert_oracle(&net, &format!("victim {victim_idx}"));
         }
     }
 }
@@ -429,7 +411,7 @@ fn dedup_absorbs_retransmit_racing_a_late_ack() {
             f.dedup_suppressed > 0,
             "{alg}: the second copy of a raced message must be suppressed"
         );
-        check_oracle(&net, &format!("{alg} retransmit/ack race"));
+        assert_oracle(&net, "retransmit/ack race");
     }
 }
 

@@ -1,18 +1,12 @@
 //! Churn-hardened recovery: heartbeat failure detection, suspicion windows,
 //! and anti-entropy replica repair — no oracle failure knowledge anywhere.
 
-use cq_engine::{Algorithm, EngineConfig, FaultConfig, Network, Oracle, SuspicionConfig};
-use cq_relational::{Catalog, DataType, RelationSchema, Tuple, Value};
-use std::sync::Arc;
+pub mod common;
 
-fn catalog() -> Catalog {
-    let mut c = Catalog::new();
-    c.register(RelationSchema::of("R", &[("A", DataType::Int), ("B", DataType::Int)]).unwrap())
-        .unwrap();
-    c.register(RelationSchema::of("S", &[("D", DataType::Int), ("E", DataType::Int)]).unwrap())
-        .unwrap();
-    c
-}
+use common::catalog;
+use cq_engine::{Algorithm, EngineConfig, FaultConfig, Network, Oracle, SuspicionConfig};
+use cq_relational::{Tuple, Value};
+use std::sync::Arc;
 
 fn expected_for(net: &Network, tuples: &[Arc<Tuple>]) -> std::collections::HashSet<String> {
     let mut oracle = Oracle::new();

@@ -8,21 +8,15 @@
 //! or offline store, as delivered; counts mode splits the offline portion
 //! into `notifications_stored_offline` only.
 
+pub mod common;
+
 use std::sync::Arc;
 
+use common::catalog;
 use cq_engine::{
     Algorithm, EngineConfig, FaultConfig, Network, Oracle, RingBufferSink, TraceEvent, TrafficKind,
 };
-use cq_relational::{Catalog, DataType, RelationSchema, Value};
-
-fn catalog() -> Catalog {
-    let mut c = Catalog::new();
-    c.register(RelationSchema::of("R", &[("A", DataType::Int), ("B", DataType::Int)]).unwrap())
-        .unwrap();
-    c.register(RelationSchema::of("S", &[("D", DataType::Int), ("E", DataType::Int)]).unwrap())
-        .unwrap();
-    c
-}
+use cq_relational::Value;
 
 /// The two subscribers of the lossy run: one query each.
 const TWO_QUERIES: &[(usize, &str)] = &[

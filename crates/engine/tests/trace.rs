@@ -2,23 +2,17 @@
 //! causal ordering invariants, and DAI-V's two-phase value-hop path
 //! reconstructed event by event from the trace alone.
 
+pub mod common;
+
 use std::sync::Arc;
 
+use common::catalog;
 use cq_engine::{
     Algorithm, EngineConfig, FaultConfig, FileSink, Message, Network, RingBufferSink, TeeSink,
     TraceEvent, TraceFormat,
 };
 use cq_overlay::Id;
-use cq_relational::{Catalog, DataType, RelationSchema, Value};
-
-fn catalog() -> Catalog {
-    let mut c = Catalog::new();
-    c.register(RelationSchema::of("R", &[("A", DataType::Int), ("B", DataType::Int)]).unwrap())
-        .unwrap();
-    c.register(RelationSchema::of("S", &[("D", DataType::Int), ("E", DataType::Int)]).unwrap())
-        .unwrap();
-    c
-}
+use cq_relational::Value;
 
 fn stream(net: &mut Network) {
     let a = net.node_at(0);

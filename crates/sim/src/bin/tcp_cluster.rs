@@ -28,6 +28,9 @@ use std::time::Duration;
 use cq_engine::{Algorithm, SocketStats};
 use cq_sim::cluster::{compare, run_throughput, ClusterConfig, ThroughputConfig};
 
+const USAGE: &str = "usage: tcp_cluster [--alg A] [--nodes N] [--queries Q] \
+                     [--tuples T] [--seed S] [--payload-size B]";
+
 fn parse<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> T {
     v.and_then(|v| v.parse().ok()).unwrap_or_else(|| {
         eprintln!("{flag} expects a value");
@@ -81,6 +84,11 @@ fn main() {
             }
             "--nodes" => {
                 cfg.nodes = parse("--nodes", iter.next());
+                if cfg.nodes == 0 {
+                    eprintln!("--nodes must be at least 1");
+                    eprintln!("{USAGE}");
+                    std::process::exit(2);
+                }
                 nodes_set = true;
             }
             "--queries" => cfg.queries = parse("--queries", iter.next()),
@@ -89,10 +97,7 @@ fn main() {
             "--payload-size" => payload_size = Some(parse("--payload-size", iter.next())),
             other => {
                 eprintln!("unknown flag {other}");
-                eprintln!(
-                    "usage: tcp_cluster [--alg A] [--nodes N] [--queries Q] \
-                     [--tuples T] [--seed S] [--payload-size B]"
-                );
+                eprintln!("{USAGE}");
                 std::process::exit(2);
             }
         }

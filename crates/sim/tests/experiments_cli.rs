@@ -1,6 +1,7 @@
-//! The `experiments` binary rejects an id it does not know instead of
-//! running the ids it does: a typo in a list of ids must fail the command,
-//! not shrink the run.
+//! The binaries reject bad arguments with exit code 2 instead of running on
+//! them: `experiments` fails on an id it does not know rather than running
+//! the ids it does (a typo in a list of ids must fail the command, not
+//! shrink the run), and `tcp_cluster` refuses a network of no nodes.
 
 use std::process::Command;
 
@@ -17,4 +18,20 @@ fn a_misspelled_id_next_to_a_valid_one_is_rejected() {
     for (id, _) in cq_sim::experiments::all() {
         assert!(err.contains(id), "lists known id {id}: {err}");
     }
+}
+
+#[test]
+fn a_cluster_of_zero_nodes_is_rejected() {
+    let out = Command::new(env!("CARGO_BIN_EXE_tcp_cluster"))
+        .args(["--nodes", "0"])
+        .output()
+        .expect("the tcp_cluster binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing ran");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--nodes"), "names the bad flag: {err}");
+    assert!(
+        err.contains("usage: tcp_cluster"),
+        "prints the usage: {err}"
+    );
 }
