@@ -172,7 +172,12 @@ impl EngineConfig {
     }
 
     /// Overrides the node count.
+    ///
+    /// # Panics
+    ///
+    /// If `n` is zero: a network needs at least one node.
     pub fn with_nodes(mut self, n: usize) -> Self {
+        assert!(n >= 1, "node count must be at least 1, got {n}");
         self.nodes = n;
         self
     }
@@ -259,6 +264,12 @@ mod tests {
     #[should_panic(expected = "replication factor")]
     fn zero_replication_panics() {
         let _ = EngineConfig::new(Algorithm::Sai).with_replication(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "node count must be at least 1, got 0")]
+    fn zero_nodes_panics() {
+        let _ = EngineConfig::new(Algorithm::Sai).with_nodes(0);
     }
 
     #[test]

@@ -12,70 +12,40 @@ use cq_overlay::{Id, NodeHandle};
 
 /// Outcome of consulting the JFRT for one reindex message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum JfrtLookup {
+pub(crate) enum JfrtLookup {
     /// Cache hit: deliver directly to the node in one hop.
     Hit(NodeHandle),
     /// Cache miss: route normally, then insert the discovered evaluator.
     Miss,
     /// Stale entry: the cached node no longer owns the identifier; one hop
     /// was wasted reaching it, then route normally.
-    Stale(NodeHandle),
+    Stale,
 }
 
 /// Per-rewriter cache of `value-level identifier → evaluator`.
 #[derive(Clone, Debug, Default)]
-pub struct Jfrt {
+pub(crate) struct Jfrt {
     entries: FxHashMap<Id, NodeHandle>,
-    hits: u64,
-    misses: u64,
-    stale: u64,
 }
 
 impl Jfrt {
-    /// An empty table.
-    pub fn new() -> Self {
-        Jfrt::default()
-    }
-
     /// Consults the cache; `still_owner` must report whether a node is alive
     /// and currently responsible for the identifier (a node can verify this
     /// with one direct probe).
     pub fn lookup(&mut self, id: Id, still_owner: impl Fn(NodeHandle, Id) -> bool) -> JfrtLookup {
         match self.entries.get(&id) {
-            Some(&node) if still_owner(node, id) => {
-                self.hits += 1;
-                JfrtLookup::Hit(node)
-            }
-            Some(&node) => {
-                self.stale += 1;
+            Some(&node) if still_owner(node, id) => JfrtLookup::Hit(node),
+            Some(_) => {
                 self.entries.remove(&id);
-                JfrtLookup::Stale(node)
+                JfrtLookup::Stale
             }
-            None => {
-                self.misses += 1;
-                JfrtLookup::Miss
-            }
+            None => JfrtLookup::Miss,
         }
     }
 
     /// Records the evaluator discovered by a routed lookup.
     pub fn record(&mut self, id: Id, node: NodeHandle) {
         self.entries.insert(id, node);
-    }
-
-    /// Number of cached entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// `(hits, misses, stale)` counters.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (self.hits, self.misses, self.stale)
     }
 }
 
@@ -85,38 +55,35 @@ mod tests {
 
     #[test]
     fn miss_then_hit() {
-        let mut j = Jfrt::new();
+        let mut j = Jfrt::default();
         let id = Id(42);
         let n = NodeHandle::from_index(3);
         assert_eq!(j.lookup(id, |_, _| true), JfrtLookup::Miss);
         j.record(id, n);
         assert_eq!(j.lookup(id, |_, _| true), JfrtLookup::Hit(n));
-        assert_eq!(j.stats(), (1, 1, 0));
+        assert_eq!(j.lookup(id, |_, _| true), JfrtLookup::Hit(n));
     }
 
     #[test]
     fn stale_entry_is_evicted() {
-        let mut j = Jfrt::new();
+        let mut j = Jfrt::default();
         let id = Id(42);
         j.record(id, NodeHandle::from_index(3));
-        assert_eq!(
-            j.lookup(id, |_, _| false),
-            JfrtLookup::Stale(NodeHandle::from_index(3))
-        );
-        // entry evicted: next lookup is a miss
+        assert_eq!(j.lookup(id, |_, _| false), JfrtLookup::Stale);
+        // entry evicted: the next lookup is a miss even for a live owner
         assert_eq!(j.lookup(id, |_, _| true), JfrtLookup::Miss);
-        assert!(j.is_empty());
     }
 
     #[test]
     fn record_overwrites() {
-        let mut j = Jfrt::new();
+        let mut j = Jfrt::default();
         j.record(Id(1), NodeHandle::from_index(1));
         j.record(Id(1), NodeHandle::from_index(2));
-        assert_eq!(j.len(), 1);
         assert_eq!(
             j.lookup(Id(1), |_, _| true),
             JfrtLookup::Hit(NodeHandle::from_index(2))
         );
+        // other identifiers are untouched by the overwrite
+        assert_eq!(j.lookup(Id(2), |_, _| true), JfrtLookup::Miss);
     }
 }

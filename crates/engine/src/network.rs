@@ -93,7 +93,16 @@ pub struct Network {
 impl Network {
     /// Builds a stable network of `config.nodes` nodes running the
     /// algorithm named by `config.algorithm`.
+    ///
+    /// # Panics
+    ///
+    /// If `config.nodes` is zero: a network needs at least one node.
     pub fn new(config: EngineConfig, catalog: Catalog) -> Self {
+        assert!(
+            config.nodes >= 1,
+            "node count must be at least 1, got {}",
+            config.nodes
+        );
         let ring = Ring::build(config.space(), config.nodes, "node-");
         let slots = ring.slot_count();
         let seed = config.seed;
@@ -708,5 +717,17 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    /// A struct-literal config bypasses `with_nodes`' check; the network
+    /// refuses it when it is built rather than on its first random draw.
+    #[test]
+    #[should_panic(expected = "node count must be at least 1, got 0")]
+    fn a_network_of_zero_nodes_is_refused() {
+        let config = EngineConfig {
+            nodes: 0,
+            ..EngineConfig::new(Algorithm::Sai)
+        };
+        let _ = Network::new(config, Catalog::new());
     }
 }

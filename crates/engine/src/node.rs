@@ -34,7 +34,7 @@ pub struct NodeState {
     /// is responsible for (Section 4.6).
     pub tables: Tables,
     /// Join Fingers Routing Table (rewriter role, Section 4.7).
-    pub jfrt: Jfrt,
+    pub(crate) jfrt: Jfrt,
     /// DAI-T rewriter memory of already-reindexed rewritten queries — "a
     /// rewriter does not need to reindex the same rewritten query more
     /// than once" (Section 4.4.3). It keeps each one's identity only.

@@ -310,7 +310,7 @@ impl Network {
                     self.nodes[from.index()].jfrt.record(id, owner);
                     (owner, path)
                 }
-                JfrtLookup::Stale(_) => {
+                JfrtLookup::Stale => {
                     // one wasted hop to the stale node, then ordinary routing
                     let (owner, hops, path) = self.routed_owner(from, id)?;
                     self.metrics.record_traffic(TrafficKind::Reindex, hops + 1);

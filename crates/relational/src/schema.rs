@@ -27,16 +27,14 @@ pub struct RelationSchema {
     /// Each attribute's name once more, shareable: a query takes its join
     /// attributes' names from here instead of allocating its own copies.
     shared_names: Vec<Arc<str>>,
-    by_name: HashMap<String, usize>,
 }
 
 impl RelationSchema {
     /// Builds a schema; attribute names must be distinct.
     pub fn new(name: impl Into<String>, attributes: Vec<Attribute>) -> Result<Self> {
         let name = name.into();
-        let mut by_name = HashMap::with_capacity(attributes.len());
         for (i, a) in attributes.iter().enumerate() {
-            if by_name.insert(a.name.clone(), i).is_some() {
+            if attributes[..i].iter().any(|b| b.name == a.name) {
                 return Err(RelationalError::DuplicateAttribute {
                     relation: name,
                     attribute: a.name.clone(),
@@ -48,7 +46,6 @@ impl RelationSchema {
             name,
             attributes,
             shared_names,
-            by_name,
         })
     }
 
@@ -94,22 +91,20 @@ impl RelationSchema {
     ///
     /// Relation schemas have single-digit arity, so a linear scan over the
     /// short attribute names beats hashing the lookup key on every tuple
-    /// touch; the name map is kept for wide schemas.
+    /// touch.
     pub fn index_of(&self, attr: &str) -> Result<usize> {
-        if self.attributes.len() <= 8 {
-            self.attributes.iter().position(|a| a.name == attr)
-        } else {
-            self.by_name.get(attr).copied()
-        }
-        .ok_or_else(|| RelationalError::UnknownAttribute {
-            relation: self.name.clone(),
-            attribute: attr.to_string(),
-        })
+        self.attributes
+            .iter()
+            .position(|a| a.name == attr)
+            .ok_or_else(|| RelationalError::UnknownAttribute {
+                relation: self.name.clone(),
+                attribute: attr.to_string(),
+            })
     }
 
     /// Whether the relation has an attribute with this name.
     pub fn has_attribute(&self, attr: &str) -> bool {
-        self.by_name.contains_key(attr)
+        self.attributes.iter().any(|a| a.name == attr)
     }
 
     /// The attribute's declared type.

@@ -1,6 +1,7 @@
 //! Runs one experiment over real TCP loopback sockets and checks the
 //! delivered notification set and metrics against an in-memory simulator
-//! run of the same seed.
+//! run of the same seed. The flags fill a `RunConfig`, and both runs go
+//! through `cq_sim::run`'s loop (`cluster::compare`).
 //!
 //! ```text
 //! tcp_cluster [--alg A] [--nodes N] [--queries Q] [--tuples T] [--seed S]
@@ -26,7 +27,8 @@
 use std::time::Duration;
 
 use cq_engine::{Algorithm, SocketStats};
-use cq_sim::cluster::{compare, run_throughput, ClusterConfig, ThroughputConfig};
+use cq_sim::cluster::{compare, run_throughput, ThroughputConfig};
+use cq_sim::RunConfig;
 
 const USAGE: &str = "usage: tcp_cluster [--alg A] [--nodes N] [--queries Q] \
                      [--tuples T] [--seed S] [--payload-size B]";
@@ -66,7 +68,18 @@ fn print_summary(messages: u64, wall: Duration, s: &SocketStats) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cfg = ClusterConfig::default();
+    // Every node-to-node message of the run is compared, so installation
+    // traffic stays in the counters (`reset_metrics` would also clear the
+    // wire bytes), and notification bodies are kept for the delivered sets.
+    let mut cfg = RunConfig {
+        nodes: 32,
+        queries: 10,
+        tuples: 80,
+        measure_stream_only: false,
+        retain_notifications: true,
+        ..RunConfig::new(Algorithm::DaiT)
+    };
+    cfg.workload.seed = 7;
     let mut payload_size: Option<usize> = None;
     let mut nodes_set = false;
     let mut iter = args.iter();
@@ -93,7 +106,7 @@ fn main() {
             }
             "--queries" => cfg.queries = parse("--queries", iter.next()),
             "--tuples" => cfg.tuples = parse("--tuples", iter.next()),
-            "--seed" => cfg.seed = parse("--seed", iter.next()),
+            "--seed" => cfg.workload.seed = parse("--seed", iter.next()),
             "--payload-size" => payload_size = Some(parse("--payload-size", iter.next())),
             other => {
                 eprintln!("unknown flag {other}");
@@ -111,7 +124,7 @@ fn main() {
             },
             payload,
             tuples: cfg.tuples.max(ThroughputConfig::default().tuples),
-            seed: cfg.seed,
+            seed: cfg.workload.seed,
         };
         println!(
             "tcp_cluster throughput: {} nodes, {} tuples, {}-byte payloads, seed {}",
@@ -131,15 +144,16 @@ fn main() {
     }
     println!(
         "tcp_cluster: {} over {} nodes, {} queries, {} tuples, seed {}",
-        cfg.algorithm, cfg.nodes, cfg.queries, cfg.tuples, cfg.seed
+        cfg.algorithm, cfg.nodes, cfg.queries, cfg.tuples, cfg.workload.seed
     );
     match compare(&cfg) {
         Ok(report) => {
             println!(
                 "sim and tcp runs agree; tcp moved {} wire bytes",
-                report.wire_bytes
+                report.result.faults.total_bytes_sent()
             );
-            print_summary(report.messages, report.wall, &report.socket);
+            let messages = report.result.total_traffic.messages;
+            print_summary(messages, report.wall, &report.socket);
         }
         Err(divergence) => {
             eprintln!("MISMATCH: {divergence}");

@@ -1,164 +1,63 @@
-//! Sim-vs-socket equivalence runs: execute the same seeded experiment on
-//! the in-memory simulator transport and on real TCP loopback sockets, and
-//! compare what arrived.
+//! Sim-vs-socket equivalence runs: drive one [`RunConfig`] through the
+//! harness's loop on the in-memory simulator transport and on real TCP
+//! loopback sockets, and compare the two finished networks.
 //!
 //! The TCP backend queues envelope metadata in userspace while the message
 //! payloads cross real sockets, so a socket run dispatches the identical
-//! message sequence as the simulator at the same seed — the delivered
-//! notification set and every transport-independent metric must match
-//! exactly. [`compare`] runs both and reports the first divergence; the
-//! `tcp_cluster` binary and the `socket-suite` CI test are thin wrappers
-//! around it.
+//! message sequence as the simulator at the same seed — under injected
+//! faults and the failure detector too, since the fault pump, not the
+//! transport, draws every fault. The delivered notifications and every
+//! transport-independent metric must match exactly. [`compare`] runs both
+//! and reports the first divergence; the `tcp_cluster` binary and the
+//! `socket-suite` CI test are thin wrappers around it.
 
-use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
-use cq_engine::{Algorithm, EngineConfig, Network, SocketStats, TrafficKind};
+use cq_engine::{Algorithm, EngineConfig, Network, SocketStats};
+use cq_overlay::NodeHandle;
 use cq_relational::{Catalog, DataType, Notification, RelationSchema, Value};
-use cq_workload::{Workload, WorkloadConfig};
 
-/// Shape of one equivalence experiment.
-#[derive(Clone, Debug)]
-pub struct ClusterConfig {
-    /// Evaluation algorithm.
-    pub algorithm: Algorithm,
-    /// Network size (one TCP listener per node in the socket run).
-    pub nodes: usize,
-    /// Continuous queries to install.
-    pub queries: usize,
-    /// Tuples to stream after installation.
-    pub tuples: usize,
-    /// Workload and engine seed.
-    pub seed: u64,
-}
+use crate::harness::{drive, Backend, RunConfig, RunResult};
 
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig {
-            algorithm: Algorithm::DaiT,
-            nodes: 32,
-            queries: 10,
-            tuples: 80,
-            seed: 7,
-        }
-    }
-}
-
-/// What one run produced: everything the equivalence check compares.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ClusterRun {
-    /// The distinct notifications delivered to inboxes and offline stores.
-    pub delivered: HashSet<Notification>,
-    /// Notifications delivered with multiplicity.
-    pub notifications: u64,
-    /// Total logical messages routed.
-    pub messages: u64,
-    /// Total overlay hops consumed.
-    pub hops: u64,
-    /// Per-category `(messages, hops)` in [`TrafficKind::ALL`] order.
-    pub traffic: Vec<(u64, u64)>,
-    /// Total wire bytes counted by the transport (zero on the default
-    /// simulator path, which never serializes).
-    pub wire_bytes: u64,
-}
-
-/// Timing and socket-level statistics of one run (everything the
-/// throughput summary reports but the equivalence checks must *not*
-/// compare — wall time and syscall counts are scheduling-dependent).
-#[derive(Clone, Copy, Debug)]
-pub struct RunStats {
-    /// Wall time of the query + tuple phases.
-    pub wall: Duration,
-    /// Aggregate socket statistics (`None` on the in-memory transport).
-    pub socket: Option<SocketStats>,
-}
-
-/// Executes the experiment once, over sockets when `tcp` is set.
-pub fn run_once(cfg: &ClusterConfig, tcp: bool) -> ClusterRun {
-    run_once_timed(cfg, tcp).0
-}
-
-/// [`run_once`] plus wall time and drained socket statistics.
-pub fn run_once_timed(cfg: &ClusterConfig, tcp: bool) -> (ClusterRun, RunStats) {
-    let mut workload = Workload::new(WorkloadConfig {
-        seed: cfg.seed,
-        ..WorkloadConfig::default()
-    });
-    let engine_cfg = EngineConfig::new(cfg.algorithm)
-        .with_nodes(cfg.nodes)
-        .with_seed(cfg.seed)
-        .with_retained_notifications(true);
-    let mut net = Network::new(engine_cfg, workload.catalog().clone());
-    if tcp {
-        net.enable_tcp_transport().expect("loopback listeners bind");
-    }
-    let start = Instant::now();
-    for _ in 0..cfg.queries {
-        let poser = net.random_node();
-        let sql = workload.query_between(0, 1);
-        net.pose_query_sql(poser, &sql)
-            .expect("generated queries are valid");
-    }
-    for _ in 0..cfg.tuples {
-        let rel = workload.next_stream_relation();
-        let values = workload.random_tuple_values();
-        let from = net.random_node();
-        net.insert_tuple(from, &rel, values)
-            .expect("generated tuples are valid");
-    }
-    let stats = RunStats {
-        wall: start.elapsed(),
-        socket: net.take_socket_stats(),
-    };
-    (collect_run(&net), stats)
-}
-
-/// Snapshots everything the equivalence checks compare from a finished run.
-fn collect_run(net: &Network) -> ClusterRun {
-    let m = net.metrics();
-    let total = m.total_traffic();
-    ClusterRun {
-        delivered: net.delivered_set(),
-        notifications: m.notifications_delivered,
-        messages: total.messages,
-        hops: total.hops,
-        traffic: TrafficKind::ALL
-            .iter()
-            .map(|&k| {
-                let t = m.traffic(k);
-                (t.messages, t.hops)
-            })
-            .collect(),
-        wire_bytes: m.faults.total_bytes_sent(),
-    }
-}
-
-/// What an equivalence [`compare`] proved and measured: the checked
-/// fields come from the socket run (the simulator run matched them
-/// exactly), the stats fields describe only the socket run.
+/// What an equivalence [`compare`] proved and measured: the socket run's
+/// result (the simulator run matched every checked field of it) and the
+/// statistics that describe only the socket run.
 #[derive(Clone, Debug)]
 pub struct CompareReport {
-    /// Wire bytes counted by the TCP transport.
-    pub wire_bytes: u64,
-    /// Logical messages routed (identical on both transports).
-    pub messages: u64,
-    /// Wall time of the socket run.
+    /// The socket run's metric vectors and counters.
+    pub result: RunResult,
+    /// Wall time of the socket run, from building the network to
+    /// collecting its result.
     pub wall: Duration,
     /// Socket-level statistics drained from the TCP transport.
     pub socket: SocketStats,
 }
 
-/// Runs the experiment on both transports and returns the socket run's
+/// Every inbox in slot order, each in delivery order.
+fn inboxes(net: &Network) -> Vec<&[Notification]> {
+    (0..net.ring().slot_count())
+        .map(|i| net.inbox(NodeHandle::from_index(i)))
+        .collect()
+}
+
+/// Drives `cfg` once on each transport and returns the socket run's
 /// report on success, or a description of the first divergence.
-pub fn compare(cfg: &ClusterConfig) -> Result<CompareReport, String> {
-    let sim = run_once(cfg, false);
-    let (tcp, tcp_stats) = run_once_timed(cfg, true);
-    if sim.delivered != tcp.delivered {
-        let sim_only = sim.delivered.difference(&tcp.delivered).count();
-        let tcp_only = tcp.delivered.difference(&sim.delivered).count();
+///
+/// Without a fault pump the simulator never serializes, so it must count
+/// no wire bytes while the socket run counts some; with one (a fault
+/// config that perturbs delivery, or the detector), the pump charges the
+/// bytes of every transmission on both and they must be equal.
+pub fn compare(cfg: &RunConfig) -> Result<CompareReport, String> {
+    let (sim_net, sim) = drive(cfg, Backend::Sim);
+    let start = Instant::now();
+    let (mut tcp_net, tcp) = drive(cfg, Backend::Tcp);
+    let wall = start.elapsed();
+    let (sim_set, tcp_set) = (sim_net.delivered_set(), tcp_net.delivered_set());
+    if sim_set != tcp_set {
         return Err(format!(
             "delivered sets diverge: {} notifications only in sim, {} only in tcp",
-            sim_only, tcp_only
+            sim_set.difference(&tcp_set).count(),
+            tcp_set.difference(&sim_set).count()
         ));
     }
     if sim.notifications != tcp.notifications {
@@ -167,10 +66,20 @@ pub fn compare(cfg: &ClusterConfig) -> Result<CompareReport, String> {
             sim.notifications, tcp.notifications
         ));
     }
-    if (sim.messages, sim.hops) != (tcp.messages, tcp.hops) {
+    let sim_inboxes = inboxes(&sim_net);
+    if let Some(i) = inboxes(&tcp_net)
+        .iter()
+        .zip(&sim_inboxes)
+        .position(|(t, s)| t != s)
+    {
         return Err(format!(
-            "total traffic diverges: sim {}msg/{}hops vs tcp {}msg/{}hops",
-            sim.messages, sim.hops, tcp.messages, tcp.hops
+            "inbox of node slot {i} diverges in content or order"
+        ));
+    }
+    if sim.total_traffic != tcp.total_traffic {
+        return Err(format!(
+            "total traffic diverges: sim {:?} vs tcp {:?}",
+            sim.total_traffic, tcp.total_traffic
         ));
     }
     if sim.traffic != tcp.traffic {
@@ -179,17 +88,33 @@ pub fn compare(cfg: &ClusterConfig) -> Result<CompareReport, String> {
             sim.traffic, tcp.traffic
         ));
     }
-    if sim.wire_bytes != 0 {
+    let mut tcp_faults = tcp.faults;
+    if !(cfg.fault.perturbs_delivery() || cfg.suspicion.enabled) {
+        if sim.faults.total_bytes_sent() != 0 {
+            return Err(format!(
+                "simulator counted wire bytes ({}) without serializing",
+                sim.faults.total_bytes_sent()
+            ));
+        }
+        if tcp.faults.total_bytes_sent() == 0 {
+            return Err("tcp transport counted no wire bytes".to_string());
+        }
+        tcp_faults.bytes_sent = sim.faults.bytes_sent;
+    }
+    if sim.faults != tcp_faults {
         return Err(format!(
-            "simulator counted wire bytes ({}) without serializing",
-            sim.wire_bytes
+            "fault counters diverge: sim {:?} vs tcp {:?}",
+            sim.faults, tcp.faults
         ));
     }
-    if tcp.wire_bytes == 0 {
-        return Err("tcp transport counted no wire bytes".to_string());
+    if sim.recovery != tcp.recovery {
+        return Err(format!(
+            "recovery counters diverge: sim {:?} vs tcp {:?}",
+            sim.recovery, tcp.recovery
+        ));
     }
-    let socket = tcp_stats
-        .socket
+    let socket = tcp_net
+        .take_socket_stats()
         .ok_or_else(|| "tcp run produced no socket stats".to_string())?;
     if socket.frames_sent == 0 || socket.frames_received == 0 {
         return Err(format!(
@@ -198,9 +123,8 @@ pub fn compare(cfg: &ClusterConfig) -> Result<CompareReport, String> {
         ));
     }
     Ok(CompareReport {
-        wire_bytes: tcp.wire_bytes,
-        messages: tcp.messages,
-        wall: tcp_stats.wall,
+        result: tcp,
+        wall,
         socket,
     })
 }

@@ -1,6 +1,7 @@
 //! The experiment harness: builds a network + workload from a [`RunConfig`],
 //! installs queries, streams tuples and collects the metric vectors the
-//! figures are built from.
+//! figures are built from. Its loop is the crate's only run driver: the
+//! sim-vs-socket check in [`crate::cluster`] drives it on both backends.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -232,8 +233,25 @@ impl RunResult {
     }
 }
 
+/// The transport a driven run's node-to-node messages cross.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Backend {
+    /// The in-memory simulator queue, which every figure runs on.
+    Sim,
+    /// Real TCP loopback sockets, one listener per node.
+    Tcp,
+}
+
 /// Executes one run.
 pub fn run(cfg: &RunConfig) -> RunResult {
+    drive(cfg, Backend::Sim).1
+}
+
+/// Executes one run over `backend`: warm-up, query installation, the
+/// measured stream with its failures, and the detector's `settle`. Returns
+/// the finished network beside the run's result, so a caller can inspect
+/// what the metric vectors do not carry (inboxes, socket statistics).
+pub(crate) fn drive(cfg: &RunConfig, backend: Backend) -> (Network, RunResult) {
     let mut workload = Workload::new(cfg.workload.clone());
     let engine_cfg = EngineConfig::new(cfg.algorithm)
         .with_nodes(cfg.nodes)
@@ -248,6 +266,9 @@ pub fn run(cfg: &RunConfig) -> RunResult {
         .with_fault(cfg.fault.clone())
         .with_suspicion(cfg.suspicion);
     let mut net = Network::new(engine_cfg, workload.catalog().clone());
+    if backend == Backend::Tcp {
+        net.enable_tcp_transport().expect("loopback listeners bind");
+    }
 
     // When tracing is enabled, stream every event into a trace file (JSONL
     // or wire-framed binary per `set_trace_format`), which also accumulates
@@ -318,7 +339,7 @@ pub fn run(cfg: &RunConfig) -> RunResult {
         sink.flush().expect("flush trace file");
         result.trace = Some(sink.summary());
     }
-    result
+    (net, result)
 }
 
 /// Abruptly fails one pseudo-random alive node (never the last one). With

@@ -1,40 +1,52 @@
 //! End-to-end socket suite: a quick experiment over real TCP loopback
 //! sockets must deliver exactly what the in-memory simulator delivers at
 //! the same seed, for every algorithm — on a perfect channel, and under
-//! injected faults with the failure detector running.
+//! injected faults with the failure detector running. Every case is one
+//! `compare` call, which drives the harness's loop on both backends.
 
-use cq_engine::Algorithm;
-use cq_sim::cluster::{compare, run_once, ClusterConfig};
+use cq_engine::{Algorithm, FaultConfig, SuspicionConfig};
+use cq_sim::cluster::compare;
+use cq_sim::RunConfig;
+
+/// A socket-suite run: installation traffic stays in the counters and
+/// notification bodies are kept, so every delivered set is compared.
+fn small(
+    algorithm: Algorithm,
+    nodes: usize,
+    queries: usize,
+    tuples: usize,
+    seed: u64,
+) -> RunConfig {
+    let mut cfg = RunConfig {
+        nodes,
+        queries,
+        tuples,
+        measure_stream_only: false,
+        retain_notifications: true,
+        ..RunConfig::new(algorithm)
+    };
+    cfg.workload.seed = seed;
+    cfg
+}
 
 #[test]
 fn tcp_loopback_matches_simulator() {
     for algorithm in [Algorithm::Sai, Algorithm::DaiT] {
-        let cfg = ClusterConfig {
-            algorithm,
-            nodes: 24,
-            queries: 8,
-            tuples: 60,
-            seed: 11,
-        };
-        compare(&cfg).unwrap_or_else(|d| panic!("{algorithm}: {d}"));
+        compare(&small(algorithm, 24, 8, 60, 11)).unwrap_or_else(|d| panic!("{algorithm}: {d}"));
     }
 }
 
 #[test]
 fn tcp_runs_deliver_notifications() {
-    let cfg = ClusterConfig {
-        nodes: 16,
-        queries: 6,
-        tuples: 50,
-        seed: 3,
-        ..ClusterConfig::default()
-    };
-    let run = run_once(&cfg, true);
+    let report = compare(&small(Algorithm::DaiT, 16, 6, 50, 3)).unwrap();
     assert!(
-        !run.delivered.is_empty(),
+        report.result.delivered_notifications > 0,
         "the socket run should produce notifications"
     );
-    assert!(run.wire_bytes > 0, "frames crossed real sockets");
+    assert!(
+        report.result.faults.total_bytes_sent() > 0,
+        "frames crossed real sockets"
+    );
 }
 
 #[test]
@@ -45,64 +57,65 @@ fn lossy_detector_schedules_match_the_simulator() {
     // real sockets must be indistinguishable from the in-memory run — same
     // deliveries in the same order, same detection and repair history, and
     // the same fault counters down to the bytes charged per transmission.
-    use cq_engine::{EngineConfig, FaultConfig, Network, SuspicionConfig};
-    use cq_workload::{Workload, WorkloadConfig};
-
     for (i, algorithm) in Algorithm::ALL.into_iter().enumerate() {
         let seed = 20 + i as u64;
-        let run = |tcp: bool| {
-            let mut workload = Workload::new(WorkloadConfig {
-                seed,
-                ..WorkloadConfig::default()
-            });
-            let fault = FaultConfig {
+        let cfg = RunConfig {
+            fault: FaultConfig {
                 replication: 2,
                 ..FaultConfig::lossy(0.1, seed)
-            };
-            let cfg = EngineConfig::new(algorithm)
-                .with_nodes(8)
-                .with_seed(seed)
-                .with_fault(fault)
-                .with_suspicion(SuspicionConfig::active());
-            let mut net = Network::new(cfg, workload.catalog().clone());
-            if tcp {
-                net.enable_tcp_transport()
-                    .expect("fault and suspicion configs accept the TCP transport");
-            }
-            for _ in 0..4 {
-                let poser = net.random_node();
-                let sql = workload.query_between(0, 1);
-                net.pose_query_sql(poser, &sql).unwrap();
-            }
-            for t in 0..14 {
-                if t == 7 {
-                    net.node_fail(net.node_at(5)).unwrap(); // no stabilize
-                }
-                let rel = workload.next_stream_relation();
-                let values = workload.random_tuple_values();
-                let from = net.random_node();
-                net.insert_tuple(from, &rel, values).unwrap();
-            }
-            net.settle().unwrap();
-            let crossed_sockets = net.take_socket_stats().is_some_and(|s| s.frames_sent > 0);
-            assert_eq!(crossed_sockets, tcp);
-            let inboxes: Vec<_> = (0..net.alive_count())
-                .map(|i| net.inbox(net.node_at(i)).to_vec())
-                .collect();
-            (
-                net.delivered_set(),
-                inboxes,
-                net.metrics().recovery,
-                net.metrics().faults,
-            )
+            },
+            suspicion: SuspicionConfig::active(),
+            failures: 1,
+            ..small(algorithm, 8, 4, 14, seed)
         };
-        let (sim, tcp) = (run(false), run(true));
-        assert!(!sim.0.is_empty(), "{algorithm}: nothing was delivered");
-        assert_eq!(sim.2.detections, 1, "{algorithm}: the failure is detected");
+        let report =
+            compare(&cfg).unwrap_or_else(|d| panic!("{algorithm}: the socket run diverged: {d}"));
+        let r = &report.result;
         assert!(
-            sim.3.retransmissions > 0,
+            r.delivered_notifications > 0,
+            "{algorithm}: nothing was delivered"
+        );
+        assert_eq!(
+            r.recovery.detections, 1,
+            "{algorithm}: the failure is detected"
+        );
+        assert!(
+            r.faults.retransmissions > 0,
             "{algorithm}: the channel is lossy"
         );
-        assert_eq!(sim, tcp, "{algorithm}: the socket run diverged");
     }
+}
+
+#[test]
+fn t2_queries_match_the_simulator_under_dai_v() {
+    let cfg = RunConfig {
+        t2_queries: true,
+        ..small(Algorithm::DaiV, 16, 6, 50, 13)
+    };
+    let report = compare(&cfg).unwrap_or_else(|d| panic!("{d}"));
+    assert!(
+        report.result.delivered_notifications > 0,
+        "T2 joins deliver"
+    );
+}
+
+#[test]
+fn warmup_and_stabilized_failures_match_the_simulator_under_sai() {
+    // Two abrupt failures mid-stream, each repaired at once by oracle
+    // stabilization (the detector is off), after a warm-up stream that
+    // feeds the rewriters' arrival statistics.
+    let cfg = RunConfig {
+        warmup_tuples: 30,
+        failures: 2,
+        ..small(Algorithm::Sai, 16, 6, 50, 17)
+    };
+    let report = compare(&cfg).unwrap_or_else(|d| panic!("{d}"));
+    assert_eq!(
+        report.result.faults.nodes_failed, 2,
+        "both failures happened"
+    );
+    assert!(
+        report.result.delivered_notifications > 0,
+        "the survivors deliver"
+    );
 }
