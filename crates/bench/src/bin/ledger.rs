@@ -263,7 +263,7 @@ const GATES: [Gate; 16] = [
         name: "insert-e2e-allocs",
         holds: |l| allocs_below(l, "insert-e2e-bundled", [E2E_QUERIES; 2], 50.0),
     },
-    // Encode in place, vectored flush, pooled read, recycle.
+    // Encode in place, one `write` per flush, pooled read, recycle.
     Gate {
         name: "socket-pump-alloc-free",
         holds: |l| allocs_below(l, "socket-pump", [FRAME; 2], 0.01),
@@ -349,7 +349,7 @@ const GATES: [Gate; 16] = [
         },
     },
     // On two nodes the coalesced flush batches more than one frame per
-    // vectored write; with a stream per node pair the ratio is the
+    // `write`; with a stream per node pair the ratio is the
     // topology's, so the many-node row is exempt.
     Gate {
         name: "socket-coalescing",
@@ -711,7 +711,7 @@ fn insert_e2e(size: usize, events: u64) -> KernelRow {
 
 /// One `size`-byte frame per event through a loopback
 /// [`cq_engine::frames::FrameConn`] pair: encoded in place at the write
-/// queue's tail, flushed with a vectored write, read back through the
+/// buffer's end, flushed with one `write`, read back through the
 /// pooled-buffer path, and the buffer recycled.
 fn socket_pump(size: usize, events: u64) -> KernelRow {
     use cq_engine::frames::{BufPool, FrameConn, RawFrame};

@@ -2,7 +2,7 @@
 //! TCP transport's event loop.
 //!
 //! A [`FrameConn`] owns one nonblocking `TcpStream`, a read-reassembly
-//! buffer, and a **segmented write queue**:
+//! buffer, and **one contiguous write buffer** with a flush cursor:
 //!
 //! * **Read side** — every `read` lands in the one initialised
 //!   [`READ_CHUNK`] buffer owned by the [`BufPool`] the caller passes to
@@ -26,20 +26,21 @@
 //!   reassembly buffer is shrunk back (see [`SHRINK_AT`]/[`SHRINK_TO`]),
 //!   so one big message does not pin its high-water allocation for the
 //!   rest of the run.
-//! * **Write side** — frames are *encoded in place* at the end of the open
-//!   tail segment ([`FrameConn::append_frame_with`] hands the encoder a
-//!   `&mut Vec<u8>` positioned after the sequence header), so queueing a
-//!   message costs zero intermediate copies. When the tail grows past
-//!   [`WRITE_SEG`] it is sealed and a fresh tail started; a sealed segment
-//!   is never copied again. [`FrameConn::flush`] writes the whole queue —
-//!   the partially-flushed front, every sealed segment, and the tail — with
-//!   **one vectored `writev` per syscall**, so the kernel crossing cost is
-//!   paid per *flush*, not per frame. A full kernel buffer (`WouldBlock`)
-//!   leaves the remainder queued in userspace — this is the transport's
-//!   **backpressure** state, counted by [`FrameConn::blocked_writes`] — and
-//!   the event loop re-flushes when the poller reports the socket writable
-//!   again. Drained segments are retained for reuse, so a steady-state
-//!   enqueue/flush cycle allocates nothing.
+//! * **Write side** — frames are *encoded in place* at the end of the
+//!   write buffer ([`FrameConn::append_frame_with`] hands the encoder the
+//!   buffer itself, positioned after the sequence header), so queueing a
+//!   message costs zero intermediate copies. [`FrameConn::flush`] issues
+//!   **one `write` of everything not yet flushed per syscall**, so the
+//!   kernel crossing cost is paid per *flush*, not per frame. A full
+//!   kernel buffer (`WouldBlock`) leaves the remainder queued in userspace
+//!   — this is the transport's **backpressure** state, counted by
+//!   [`FrameConn::blocked_writes`] — and the event loop re-flushes when the
+//!   poller reports the socket writable again. A blocked flush drops the
+//!   written prefix once it is at least as long as what is left, so it
+//!   never moves more bytes than were written before it (amortised O(1)
+//!   per byte) and the buffer stays under about twice its unflushed bytes.
+//!   A drained buffer is reset in place (shrunk back past [`SHRINK_AT`]),
+//!   so a steady-state enqueue/flush cycle allocates nothing.
 //!
 //! On-stream layout, repeated per frame:
 //!
@@ -69,8 +70,7 @@
 //! numbers, never message contents): besides the transport, cqbench's
 //! socket probe and the ledger's `socket-pump` kernel drive it directly.
 
-use std::collections::VecDeque;
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 
 /// Bytes pulled off the socket per `read` call — the size of the shared
@@ -79,8 +79,8 @@ use std::net::TcpStream;
 /// length.
 pub const READ_CHUNK: usize = 64 * 1024;
 
-/// Reassembly and pooled buffers above this capacity are shrunk once their
-/// frame is consumed.
+/// Reassembly, write and pooled buffers above this capacity are shrunk
+/// once their bytes are consumed.
 pub const SHRINK_AT: usize = 256 * 1024;
 
 /// Capacity the buffers shrink back to after servicing a large frame.
@@ -89,16 +89,6 @@ pub const SHRINK_TO: usize = 64 * 1024;
 /// Per-frame header bytes: an 8-byte sequence number plus the 4-byte frame
 /// length.
 pub const FRAME_HEADER: usize = 12;
-
-/// The open write-tail segment is sealed once it reaches this size, so one
-/// `writev` can cover many coalesced frames without unbounded single-buffer
-/// growth. A frame is never split across segments: one oversized frame
-/// simply makes one oversized segment.
-pub const WRITE_SEG: usize = 32 * 1024;
-
-/// Most queued regions one `writev` call covers (front + sealed segments +
-/// tail). Longer queues flush in several vectored calls.
-const MAX_IOVECS: usize = 64;
 
 /// Most recycled buffers a [`BufPool`] retains; returns beyond this are
 /// dropped so an inbox burst cannot pin its high-water buffer count.
@@ -204,7 +194,7 @@ impl BufPool {
 /// crossing cost.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ConnCounters {
-    /// `writev` calls issued (including ones that returned `WouldBlock`).
+    /// `write` calls issued (including ones that returned `WouldBlock`).
     pub write_syscalls: u64,
     /// `read` calls issued (including `WouldBlock` probes and the EOF read).
     pub read_syscalls: u64,
@@ -230,18 +220,10 @@ pub struct FrameConn {
     /// header included); empty — and never allocated — while reads end on
     /// frame boundaries.
     rbuf: Vec<u8>,
-    /// Sealed (immutable) outgoing segments, oldest first.
-    wsegs: VecDeque<Vec<u8>>,
-    /// The open tail segment frames are encoded into.
-    wtail: Vec<u8>,
-    /// Flushed bytes of the *front* region (`wsegs.front()`, or `wtail`
-    /// when no sealed segment remains).
+    /// Outgoing bytes; frames are encoded in place at the end.
+    wbuf: Vec<u8>,
+    /// How many leading bytes of `wbuf` the kernel has accepted.
     wpos: usize,
-    /// Queued-but-unflushed byte total across all regions.
-    wqueued: usize,
-    /// One drained segment kept for the next seal (steady-state seals
-    /// allocate nothing).
-    wspare: Option<Vec<u8>>,
     /// Largest frame length this connection accepts.
     max_frame: u32,
     /// The peer closed its write half (a clean EOF was observed).
@@ -259,11 +241,8 @@ impl FrameConn {
         Ok(FrameConn {
             stream,
             rbuf: Vec::new(),
-            wsegs: VecDeque::new(),
-            wtail: Vec::new(),
+            wbuf: Vec::new(),
             wpos: 0,
-            wqueued: 0,
-            wspare: None,
             max_frame,
             eof: false,
             counters: ConnCounters::default(),
@@ -275,48 +254,31 @@ impl FrameConn {
         &self.stream
     }
 
-    /// Seals the tail into the segment queue once it has reached
-    /// [`WRITE_SEG`], starting a fresh (recycled when possible) tail.
-    fn maybe_seal(&mut self) {
-        if self.wtail.len() < WRITE_SEG {
-            return;
-        }
-        // `wpos` tracks the front region: if the tail *was* the front
-        // (no sealed segments), it still is after sealing, so the cursor
-        // carries over unchanged.
-        let seg = std::mem::replace(&mut self.wtail, self.wspare.take().unwrap_or_default());
-        self.wsegs.push_back(seg);
-    }
-
     /// Queues raw bytes ahead of any frames — connection preambles (the
     /// transport's hello) use this. Call [`FrameConn::flush`] to send.
     pub fn queue_bytes(&mut self, bytes: &[u8]) {
-        self.maybe_seal();
-        self.wtail.extend_from_slice(bytes);
-        self.wqueued += bytes.len();
+        self.wbuf.extend_from_slice(bytes);
     }
 
     /// Encodes one frame *in place* at the end of the write queue: the
     /// 8-byte sequence header is written, then `encode` appends the codec
-    /// frame (`[len u32 LE][bytes]`) directly into the queue's tail buffer
-    /// — no intermediate copy exists anywhere. Returns the total bytes
+    /// frame (`[len u32 LE][bytes]`) directly into the write buffer — no
+    /// intermediate copy exists anywhere. Returns the total bytes
     /// queued for this frame (sequence header included).
     pub fn append_frame_with(&mut self, seq: u64, encode: impl FnOnce(&mut Vec<u8>)) -> usize {
-        self.maybe_seal();
-        let start = self.wtail.len();
-        self.wtail.extend_from_slice(&seq.to_le_bytes());
-        encode(&mut self.wtail);
-        let appended = self.wtail.len() - start;
+        let start = self.wbuf.len();
+        self.wbuf.extend_from_slice(&seq.to_le_bytes());
+        encode(&mut self.wbuf);
+        let appended = self.wbuf.len() - start;
         debug_assert!(
             appended >= FRAME_HEADER,
             "encoder must append at least a length prefix"
         );
         debug_assert_eq!(
-            crate::wire::frame_body_len(&self.wtail[start + 8..]),
+            crate::wire::frame_body_len(&self.wbuf[start + 8..]),
             Some(appended - FRAME_HEADER),
             "frame length prefix counts the remaining bytes"
         );
-        self.wqueued += appended;
         self.counters.frames_out += 1;
         appended
     }
@@ -332,12 +294,12 @@ impl FrameConn {
 
     /// Whether queued bytes are waiting for the socket to become writable.
     pub fn wants_write(&self) -> bool {
-        self.wqueued > 0
+        self.wpos < self.wbuf.len()
     }
 
     /// Bytes queued but not yet accepted by the kernel.
     pub fn queued_write_bytes(&self) -> usize {
-        self.wqueued
+        self.wbuf.len() - self.wpos
     }
 
     /// Times a flush hit a full kernel buffer and left bytes queued — the
@@ -369,69 +331,14 @@ impl FrameConn {
         self.rbuf.capacity()
     }
 
-    /// Sealed segments currently queued (the tail is one more region; a
-    /// flush covers all of them with vectored writes).
-    pub fn queued_segments(&self) -> usize {
-        self.wsegs.len()
-    }
-
-    /// Advances the flush cursor by `n` accepted bytes, recycling sealed
-    /// segments as they drain.
-    fn consume_written(&mut self, mut n: usize) {
-        self.wqueued -= n;
-        while n > 0 {
-            match self.wsegs.front() {
-                Some(front) => {
-                    let avail = front.len() - self.wpos;
-                    if n < avail {
-                        self.wpos += n;
-                        return;
-                    }
-                    n -= avail;
-                    self.wpos = 0;
-                    // Invariant: front() was Some on the line above.
-                    let mut seg = self.wsegs.pop_front().expect("non-empty segment queue");
-                    if self.wspare.is_none() && seg.capacity() <= SHRINK_AT {
-                        seg.clear();
-                        self.wspare = Some(seg);
-                    }
-                }
-                None => {
-                    self.wpos += n;
-                    debug_assert!(self.wpos <= self.wtail.len());
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Writes as much queued data as the kernel accepts, covering every
-    /// queued region — the partially-flushed front, the sealed segments and
-    /// the open tail — with one vectored `writev` per syscall. Returns
-    /// `true` when the queue drained, `false` when the socket would block
-    /// and the remainder stays queued (re-flush on the next writable
-    /// event).
+    /// Writes as much queued data as the kernel accepts, one `write` of
+    /// everything not yet flushed per syscall. Returns `true` when the
+    /// buffer drained, `false` when the socket would block and the
+    /// remainder stays queued (re-flush on the next writable event).
     pub fn flush(&mut self) -> io::Result<bool> {
-        while self.wqueued > 0 {
-            let mut iovs: [IoSlice; MAX_IOVECS] = [IoSlice::new(&[]); MAX_IOVECS];
-            let mut n = 0;
-            for (i, seg) in self.wsegs.iter().enumerate() {
-                if n == MAX_IOVECS {
-                    break;
-                }
-                let from = if i == 0 { self.wpos } else { 0 };
-                iovs[n] = IoSlice::new(&seg[from..]);
-                n += 1;
-            }
-            if n < MAX_IOVECS {
-                let from = if self.wsegs.is_empty() { self.wpos } else { 0 };
-                if from < self.wtail.len() {
-                    iovs[n] = IoSlice::new(&self.wtail[from..]);
-                    n += 1;
-                }
-            }
+        while self.wants_write() {
             self.counters.write_syscalls += 1;
-            match (&self.stream).write_vectored(&iovs[..n]) {
+            match (&self.stream).write(&self.wbuf[self.wpos..]) {
                 Ok(0) => {
                     return Err(io::Error::new(
                         io::ErrorKind::WriteZero,
@@ -440,24 +347,30 @@ impl FrameConn {
                 }
                 Ok(written) => {
                     self.counters.bytes_written += written as u64;
-                    self.consume_written(written);
+                    self.wpos += written;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     self.counters.blocked_writes += 1;
+                    // Dropping the written prefix only once it is at least
+                    // as long as the rest moves no more bytes than were
+                    // written since the last drop, and keeps the buffer
+                    // under twice the unflushed bytes.
+                    if self.wpos >= self.queued_write_bytes() {
+                        self.wbuf.drain(..self.wpos);
+                        self.wpos = 0;
+                    }
                     return Ok(false);
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
         }
-        // Fully drained: reset the tail in place, releasing a large
+        // Fully drained: reset the buffer in place, releasing a large
         // frame's high-water allocation.
-        debug_assert!(self.wsegs.is_empty());
-        let oversized = self.wtail.capacity() > SHRINK_AT;
-        self.wtail.clear();
+        self.wbuf.clear();
         self.wpos = 0;
-        if oversized {
-            self.wtail.shrink_to(SHRINK_TO);
+        if self.wbuf.capacity() > SHRINK_AT {
+            self.wbuf.shrink_to(SHRINK_TO);
         }
         Ok(true)
     }

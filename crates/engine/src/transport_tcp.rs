@@ -10,7 +10,7 @@
 //! * a [`cq_poll::Poller`] (epoll on Linux) reports which sockets are
 //!   readable or writable;
 //! * each connection is a [`crate::frames::FrameConn`] with its own
-//!   segmented write queue — a full kernel send buffer parks the remaining
+//!   write buffer — a full kernel send buffer parks the remaining
 //!   bytes in userspace (**write backpressure**) until the poller reports
 //!   the socket writable — while every read of every connection lands in
 //!   the reactor's one read buffer (owned by its [`BufPool`]); a connection
@@ -54,13 +54,13 @@
 //! what one process per node would see). On `cqbench`'s `tcp_dait` (32
 //! nodes, ≈ 24 messages in ≈ 21 frames per insert, all 992 directed
 //! streams opened lazily over a round) scoped timers put one insert at, µs before → after:
-//! flush `writev` 137 → 129, reads 199 → 59, decode 105 → 45, enqueue 46 →
+//! flush `write` 137 → 129 (measured on `writev`), reads 199 → 59, decode 105 → 45, enqueue 46 →
 //! 41 (lazy connects 28 → 24 of it), accept + hello 51 → 11, slot scan 16 →
 //! 2, `epoll_wait` 9 → 8 (EXPERIMENTS.md has the table and the method). Three things the numbers settle:
 //!
 //! * **Frames per flush is bound by the topology, not the flush policy.**
 //!   The critical path of an insert is 2 deep and each of its ≈ 21 frames
-//!   goes to a different peer, so 1.06 frames per `writev` is the ceiling;
+//!   goes to a different peer, so 1.06 frames per `write` is the ceiling;
 //!   what is left of a flush is the kernel's loopback send path.
 //! * **The `WouldBlock` probe read stays.** Every readable event costs a
 //!   second `read` that returns `WouldBlock`; dropping it measured 2–3 %
@@ -135,7 +135,7 @@ impl Default for TcpOptions {
 /// from the shared inbox [`BufPool`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SocketStats {
-    /// `writev` calls issued across all connections (including
+    /// `write` calls issued across all connections (including
     /// `WouldBlock` attempts).
     pub write_syscalls: u64,
     /// `read` calls issued across all connections (including `WouldBlock`
@@ -212,16 +212,37 @@ fn io_err(context: &str, e: io::Error) -> EngineError {
     }
 }
 
+/// A logical stream's key: `(sending slot, receiving slot)`.
+type StreamKey = (u32, u32);
+
+/// The sending side of one logical stream.
+#[derive(Default)]
+struct SendHalf {
+    /// Table index of the outgoing connection; `None` until the first send
+    /// and after the connection closed (the next send reconnects).
+    conn: Option<usize>,
+    /// Sequence number of the next frame. Survives reconnects — the hello
+    /// announces it so the receiver can detect loss.
+    next_seq: u64,
+}
+
+/// The receiving side of one logical stream.
+#[derive(Default)]
+struct RecvHalf {
+    /// Table index of the incoming connection, once its hello checked out.
+    conn: Option<usize>,
+    /// Sequence number of the next frame expected. Survives reconnects —
+    /// a hello must announce exactly this.
+    next_seq: u64,
+    /// Fully reassembled frames awaiting their envelope, in arrival order.
+    inbox: VecDeque<Vec<u8>>,
+}
+
 /// What role a reactor connection is playing.
 enum ConnKind {
     /// Established outgoing stream: this side only writes frames (a read
     /// event can only mean the peer closed).
-    Out {
-        /// Sending slot.
-        from: u32,
-        /// Receiving slot.
-        to: u32,
-    },
+    Out(StreamKey),
     /// Accepted stream still reading its [`HELLO_LEN`]-byte preamble.
     Handshake {
         /// The accepting slot.
@@ -231,13 +252,8 @@ enum ConnKind {
         /// How many of `buf`'s bytes are filled.
         have: usize,
     },
-    /// Established incoming stream delivering frames from `from` to `to`.
-    In {
-        /// The accepting slot.
-        to: u32,
-        /// The sending slot (from the hello).
-        from: u32,
-    },
+    /// Established incoming stream; the sending slot came from the hello.
+    In(StreamKey),
 }
 
 /// One reactor-owned connection.
@@ -268,18 +284,10 @@ pub(crate) struct TcpTransport {
     conns: Vec<Option<Conn>>,
     /// Free slots in `conns` for reuse.
     free: Vec<usize>,
-    /// Established outgoing streams, keyed `(sender, receiver)`.
-    out: FxHashMap<(u32, u32), usize>,
-    /// Established incoming streams, keyed `(receiver, sender)`.
-    incoming: FxHashMap<(u32, u32), usize>,
-    /// Fully reassembled frames awaiting their envelope, per `(receiver,
-    /// sender)` stream, in arrival order.
-    inbox: FxHashMap<(u32, u32), VecDeque<Vec<u8>>>,
-    /// Next frame sequence number per outgoing logical stream. Survives
-    /// reconnects — the hello announces it so the receiver can detect loss.
-    send_seq: FxHashMap<(u32, u32), u64>,
-    /// Next expected frame sequence number per incoming logical stream.
-    recv_seq: FxHashMap<(u32, u32), u64>,
+    /// Every stream's sending side, keyed `(sender, receiver)`.
+    sending: FxHashMap<StreamKey, SendHalf>,
+    /// Every stream's receiving side, keyed `(sender, receiver)`.
+    receiving: FxHashMap<StreamKey, RecvHalf>,
     /// Envelope metadata in network-global FIFO order.
     queue: VecDeque<InFlight>,
     /// A send failure parked until the next `next_delivery` call.
@@ -345,11 +353,8 @@ impl TcpTransport {
             addrs,
             conns: Vec::new(),
             free: Vec::new(),
-            out: FxHashMap::default(),
-            incoming: FxHashMap::default(),
-            inbox: FxHashMap::default(),
-            send_seq: FxHashMap::default(),
-            recv_seq: FxHashMap::default(),
+            sending: FxHashMap::default(),
+            receiving: FxHashMap::default(),
             queue: VecDeque::new(),
             deferred: None,
             dropped_after_error: 0,
@@ -389,25 +394,20 @@ impl TcpTransport {
     }
 
     /// Deregisters, unmaps and drops a connection, folding its I/O tallies
-    /// into the aggregate stats. The per-stream sequence counters survive —
+    /// into the aggregate stats. The stream's sequence counters survive —
     /// they are what lets a reconnect prove (or disprove) that no frame was
     /// lost in between.
     fn close_conn(&mut self, idx: usize) {
         if let Some(mut conn) = self.conns[idx].take() {
             self.stats.merge_conn(&conn.fc.take_counters());
             let _ = self.poller.deregister(conn.fc.stream());
-            match conn.kind {
-                ConnKind::Out { from, to } => {
-                    if self.out.get(&(from, to)) == Some(&idx) {
-                        self.out.remove(&(from, to));
-                    }
-                }
-                ConnKind::In { to, from } => {
-                    if self.incoming.get(&(to, from)) == Some(&idx) {
-                        self.incoming.remove(&(to, from));
-                    }
-                }
-                ConnKind::Handshake { .. } => {}
+            let held = match conn.kind {
+                ConnKind::Out(key) => self.sending.get_mut(&key).map(|h| &mut h.conn),
+                ConnKind::In(key) => self.receiving.get_mut(&key).map(|h| &mut h.conn),
+                ConnKind::Handshake { .. } => None,
+            };
+            if let Some(held) = held.filter(|held| **held == Some(idx)) {
+                *held = None;
             }
             self.free.push(idx);
         }
@@ -432,7 +432,7 @@ impl TcpTransport {
             .map_err(|e| io_err("update interest", e))
     }
 
-    /// Flushes a connection's write queue (one vectored write per syscall)
+    /// Flushes a connection's write buffer (one `write` per syscall)
     /// and keeps the poller's write interest in sync: armed while bytes
     /// stay parked under backpressure, disarmed once the queue drains.
     fn flush_conn(&mut self, idx: usize) -> Result<()> {
@@ -444,7 +444,7 @@ impl TcpTransport {
             Ok(false) => self.set_write_interest(idx, true),
             Err(e) => {
                 let context = match conn.kind {
-                    ConnKind::Out { from, to } => format!("write {from}→{to}"),
+                    ConnKind::Out((from, to)) => format!("write {from}→{to}"),
                     _ => "write".to_string(),
                 };
                 self.close_conn(idx);
@@ -453,16 +453,10 @@ impl TcpTransport {
         }
     }
 
-    /// Returns the table index of the live `(from → to)` outgoing stream,
-    /// connecting (and queueing the hello) if none exists.
-    fn ensure_out(&mut self, from: u32, to: u32) -> Result<usize> {
-        if let Some(&idx) = self.out.get(&(from, to)) {
-            let live = self.conns[idx].as_ref().is_some_and(|c| !c.fc.is_eof());
-            if live {
-                return Ok(idx);
-            }
-            self.close_conn(idx);
-        }
+    /// Opens a fresh outgoing connection for `key` and queues its hello,
+    /// which announces `next_seq`. Returns its table index.
+    fn connect(&mut self, key: StreamKey, next_seq: u64) -> Result<usize> {
+        let (from, to) = key;
         let connect = || -> io::Result<TcpStream> {
             let stream = TcpStream::connect(self.addrs[to as usize])?;
             stream.set_nodelay(true)?;
@@ -477,40 +471,52 @@ impl TcpTransport {
         let stream = connect().map_err(|e| io_err(&format!("connect {from}→{to}"), e))?;
         let mut fc = FrameConn::new(stream, wire::MAX_FRAME)
             .map_err(|e| io_err(&format!("nonblocking stream {from}→{to}"), e))?;
-        let next_seq = self.send_seq.get(&(from, to)).copied().unwrap_or(0);
         let mut hello = [0u8; HELLO_LEN];
         hello[..4].copy_from_slice(&from.to_le_bytes());
         hello[4..].copy_from_slice(&next_seq.to_le_bytes());
         fc.queue_bytes(&hello);
         let idx = self.alloc_conn(Conn {
             fc,
-            kind: ConnKind::Out { from, to },
+            kind: ConnKind::Out(key),
             armed_write: false,
         })?;
-        self.out.insert((from, to), idx);
         self.dirty.push_back(idx); // the hello is queued
         Ok(idx)
     }
 
-    /// Encodes one message *in place* at the end of the `(from → to)`
-    /// stream's write queue (no scratch buffer, no memcpy) and applies the
-    /// coalesced flush policy: the frame normally just buffers — the
-    /// reactor flushes once per poll — but a queue at or past
-    /// [`MAX_COALESCE_BYTES`] flushes immediately. Returns the exact stream
-    /// bytes queued: the codec frame plus its 8-byte sequence header.
-    fn enqueue_frame(&mut self, from: u32, to: u32, msg: &Message) -> Result<usize> {
-        let idx = self.ensure_out(from, to)?;
-        let seq = self.send_seq.entry((from, to)).or_insert(0);
-        let frame_seq = *seq;
-        *seq += 1;
-        // Invariant: ensure_out returned a live table entry.
+    /// Encodes one message *in place* at the end of the `key` stream's
+    /// write buffer (no scratch buffer, no memcpy), connecting first if the
+    /// stream has no live connection, and applies the coalesced flush
+    /// policy: the frame normally just buffers — the reactor flushes once
+    /// per poll — but a buffer at or past [`MAX_COALESCE_BYTES`] flushes
+    /// immediately. Returns the exact stream bytes queued: the codec frame
+    /// plus its 8-byte sequence header. A failed connect takes no sequence
+    /// number.
+    fn enqueue_frame(&mut self, key: StreamKey, msg: &Message) -> Result<usize> {
+        let mut half = self.sending.entry(key).or_default();
+        let idx = match half.conn {
+            Some(idx) if self.conns[idx].as_ref().is_some_and(|c| !c.fc.is_eof()) => idx,
+            stale => {
+                let next_seq = half.next_seq;
+                if let Some(old) = stale {
+                    self.close_conn(old);
+                }
+                let idx = self.connect(key, next_seq)?;
+                half = self.sending.get_mut(&key).expect("entered above");
+                half.conn = Some(idx);
+                idx
+            }
+        };
+        let seq = half.next_seq;
+        half.next_seq += 1;
+        // Invariant: the stream's connection is live (checked or opened above).
         let conn = self.conns[idx].as_mut().expect("live outgoing conn");
         if !conn.fc.wants_write() {
             self.dirty.push_back(idx);
         }
         let appended = conn
             .fc
-            .append_frame_with(frame_seq, |buf| wire::encode_message(msg, buf));
+            .append_frame_with(seq, |buf| wire::encode_message(msg, buf));
         if conn.fc.queued_write_bytes() >= MAX_COALESCE_BYTES {
             self.flush_conn(idx)?;
         }
@@ -613,8 +619,8 @@ impl TcpTransport {
             (*to, from, announced)
         };
         // Phase 2: validate the announced next-frame sequence number.
-        let pair = (to, from);
-        let expected = self.recv_seq.get(&pair).copied().unwrap_or(0);
+        let key = (from, to);
+        let expected = self.receiving.get(&key).map_or(0, |half| half.next_seq);
         if announced != expected {
             self.close_conn(idx);
             let detail = if announced > expected {
@@ -629,16 +635,15 @@ impl TcpTransport {
             };
             return Err(EngineError::Protocol { detail });
         }
-        // Promote; a stale predecessor for the pair (sender reconnected) is
-        // dropped — its frames were all consumed or the hello check above
-        // would have caught the gap.
-        if let Some(conn) = self.conns[idx].as_mut() {
-            conn.kind = ConnKind::In { to, from };
+        // Promote; a stale predecessor for the stream (sender reconnected)
+        // is dropped — its frames were all consumed or the hello check
+        // above would have caught the gap.
+        let half = self.receiving.entry(key).or_default();
+        if let Some(old) = half.conn.replace(idx).filter(|&old| old != idx) {
+            self.close_conn(old);
         }
-        if let Some(old) = self.incoming.insert(pair, idx) {
-            if old != idx {
-                self.close_conn(old);
-            }
+        if let Some(conn) = self.conns[idx].as_mut() {
+            conn.kind = ConnKind::In(key);
         }
         // Frames may already sit behind the hello in the kernel buffer.
         self.read_established(idx)
@@ -650,36 +655,32 @@ impl TcpTransport {
     fn read_established(&mut self, idx: usize) -> Result<()> {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
-        let (read_res, pair) = {
-            // Invariant: callers pass a live In connection.
-            let conn = self.conns[idx].as_mut().expect("live incoming conn");
-            let ConnKind::In { to, from } = conn.kind else {
-                unreachable!("read_established on a non-In connection")
-            };
-            (
-                conn.fc.read_frames(&mut scratch, &mut self.pool),
-                (to, from),
-            )
+        // Invariant: callers pass a live In connection.
+        let conn = self.conns[idx].as_mut().expect("live incoming conn");
+        let ConnKind::In(key) = conn.kind else {
+            unreachable!("read_established on a non-In connection")
         };
+        let (from, to) = key;
+        let read_res = conn.fc.read_frames(&mut scratch, &mut self.pool);
+        let half = self.receiving.entry(key).or_default();
         let mut seq_error = None;
         for (seq, frame) in scratch.drain(..) {
             if seq_error.is_some() {
                 self.pool.put(frame);
                 continue;
             }
-            let expected = self.recv_seq.entry(pair).or_insert(0);
-            if seq != *expected {
+            if seq != half.next_seq {
                 self.pool.put(frame);
                 seq_error = Some(EngineError::Protocol {
                     detail: format!(
-                        "stream {}→{}: frame #{seq} arrived where #{expected} was expected — envelope/frame misalignment",
-                        pair.1, pair.0
+                        "stream {from}→{to}: frame #{seq} arrived where #{} was expected — envelope/frame misalignment",
+                        half.next_seq
                     ),
                 });
                 continue;
             }
-            *expected += 1;
-            self.inbox.entry(pair).or_default().push_back(frame);
+            half.next_seq += 1;
+            half.inbox.push_back(frame);
         }
         self.scratch = scratch;
         if let Some(e) = seq_error {
@@ -690,14 +691,13 @@ impl TcpTransport {
             Ok(true) => Ok(()),
             Ok(false) => {
                 // Clean EOF at a frame boundary: the sender may reconnect;
-                // the retained recv_seq will vet its hello.
+                // the retained sequence number will vet its hello.
                 self.close_conn(idx);
                 Ok(())
             }
             Err(e) => {
-                let context = format!("read {}→{}", pair.1, pair.0);
                 self.close_conn(idx);
-                Err(io_err(&context, e))
+                Err(io_err(&format!("read {from}→{to}"), e))
             }
         }
     }
@@ -770,7 +770,7 @@ impl TcpTransport {
 
     /// The progress hook, one reactor turn: flush every connection that
     /// queued bytes since the last turn — this is the **coalesced flush
-    /// point**, one vectored write per connection for everything buffered
+    /// point**, one `write` per connection for everything buffered
     /// since the last poll, found through the `dirty` list rather than a
     /// walk over the connection table — wait for readiness (up to
     /// [`POLL_SLICE`] when `block`), and service every event. Tracks
@@ -842,7 +842,7 @@ impl TcpTransport {
             return 0;
         }
         let Envelope { from, to, id, msg } = e;
-        match self.enqueue_frame(from.index() as u32, to.index() as u32, &msg) {
+        match self.enqueue_frame((from.index() as u32, to.index() as u32), &msg) {
             Ok(appended) => {
                 self.queue.push_back(InFlight { from, to, id });
                 appended as u64
@@ -864,8 +864,12 @@ impl TcpTransport {
         let Some(env) = self.queue.front() else {
             return Ok(None);
         };
-        let pair = (env.to.index() as u32, env.from.index() as u32);
-        let Some(frame) = self.inbox.get_mut(&pair).and_then(VecDeque::pop_front) else {
+        let key = (env.from.index() as u32, env.to.index() as u32);
+        let Some(frame) = self
+            .receiving
+            .get_mut(&key)
+            .and_then(|h| h.inbox.pop_front())
+        else {
             // The head envelope's frame is still in flight; the driver
             // calls `poll(block = true)` and retries.
             return Ok(None);

@@ -8,9 +8,7 @@ use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
-use cq_engine::frames::{
-    BufPool, FrameConn, RawFrame, READ_CHUNK, SHRINK_AT, SHRINK_TO, WRITE_SEG,
-};
+use cq_engine::frames::{BufPool, FrameConn, RawFrame, READ_CHUNK, SHRINK_AT, SHRINK_TO};
 use cq_engine::{Algorithm, EngineConfig, Network, TcpOptions};
 use cq_relational::{Catalog, DataType, RelationSchema, Value};
 
@@ -408,35 +406,16 @@ fn frameconn_shrinks_after_a_large_frame() {
     );
 }
 
-#[test]
-fn vectored_flush_survives_partial_writes_across_segments() {
-    // Queue enough frames to seal several 32 KiB write segments, then push
-    // them through a 4 KiB SO_SNDBUF at a slow reader: every flush attempt
-    // short-writes somewhere in the middle of the iovec array, so the
-    // flushed-cursor bookkeeping (wpos across segment boundaries) is
-    // exercised hard. The peer must receive the exact queued byte stream.
+/// A loopback pair whose sending `FrameConn` has a 4 KiB `SO_SNDBUF`, and
+/// a slow reader thread (at most 8 KiB per millisecond) that collects
+/// `total` bytes off the other end.
+fn cramped_sender(total: usize) -> (FrameConn, std::thread::JoinHandle<Vec<u8>>) {
     let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
     let addr = listener.local_addr().unwrap();
     let client = TcpStream::connect(addr).unwrap();
     let (server, _) = listener.accept().unwrap();
     cq_poll::set_send_buffer(&server, 4096).unwrap();
-    let mut fc = FrameConn::new(server, cq_engine::wire::MAX_FRAME).unwrap();
-
-    let mut expected = Vec::new();
-    for seq in 0..200u64 {
-        let body = vec![(seq & 0xFF) as u8; 997];
-        let frame = raw_frame(seq, &body);
-        fc.queue_frame(seq, &frame[8..]);
-        expected.extend_from_slice(&frame);
-    }
-    assert!(
-        fc.queued_segments() > 1,
-        "~200 KB must seal multiple {WRITE_SEG}-byte segments \
-         (got {} segments)",
-        fc.queued_segments()
-    );
-
-    let total = expected.len();
+    let fc = FrameConn::new(server, cq_engine::wire::MAX_FRAME).unwrap();
     let reader = std::thread::spawn(move || {
         use std::io::Read;
         let mut client = client;
@@ -454,6 +433,27 @@ fn vectored_flush_survives_partial_writes_across_segments() {
         }
         received
     });
+    (fc, reader)
+}
+
+#[test]
+fn flush_survives_partial_writes_of_a_large_queue() {
+    // Queue ~200 KB of frames, then push them through a 4 KiB SO_SNDBUF at
+    // a slow reader: flushes short-write mid-frame, so the flush cursor is
+    // exercised hard. The peer must receive the exact queued byte stream.
+    let frames: Vec<Vec<u8>> = (0..200u64)
+        .map(|seq| raw_frame(seq, &[(seq & 0xFF) as u8; 997]))
+        .collect();
+    let expected = frames.concat();
+    let (mut fc, reader) = cramped_sender(expected.len());
+    for (seq, frame) in frames.iter().enumerate() {
+        fc.queue_frame(seq as u64, &frame[8..]);
+    }
+    assert_eq!(
+        fc.queued_write_bytes(),
+        expected.len(),
+        "every queued frame waits whole, header included"
+    );
 
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
     while fc.wants_write() {
@@ -471,6 +471,59 @@ fn vectored_flush_survives_partial_writes_across_segments() {
     assert!(
         received == expected,
         "byte stream corrupted by partial writes"
+    );
+}
+
+#[test]
+fn appends_between_blocked_flushes_keep_the_byte_stream_exact() {
+    // Frames keep arriving while earlier ones are stuck behind a 4 KiB
+    // kernel buffer: every flush that blocks may drop the written prefix of
+    // the write buffer, and every append after it lands behind what is
+    // left. The peer must see the exact byte stream, and the queue must
+    // account for every byte appended and not yet written.
+    let frames: Vec<Vec<u8>> = (0..300u64)
+        .map(|seq| {
+            raw_frame(
+                seq,
+                &vec![(seq % 251) as u8; 1000 + (seq as usize * 379) % 6000],
+            )
+        })
+        .collect();
+    let expected = frames.concat();
+    let (mut fc, reader) = cramped_sender(expected.len());
+    let mut pending = frames.iter().enumerate().peekable();
+    let (mut appended, mut behind_blocked) = (0usize, 0u32);
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while pending.peek().is_some() || fc.wants_write() {
+        assert!(std::time::Instant::now() < deadline, "flush never drained");
+        if pending.peek().is_some() && fc.wants_write() {
+            behind_blocked += 1;
+        }
+        // Three to five frames per round (~16 KB, twice what the reader
+        // drains), then a flush.
+        for (seq, frame) in pending.by_ref().take(3 + appended % 3) {
+            fc.queue_frame(seq as u64, &frame[8..]);
+            appended += frame.len();
+        }
+        fc.flush().unwrap();
+        let written = fc.counters().bytes_written as usize;
+        assert_eq!(
+            fc.queued_write_bytes(),
+            appended - written,
+            "queued bytes after a flush: appended {appended}, written {written}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(
+        behind_blocked >= 5,
+        "appends must keep landing behind a blocked flush ({behind_blocked} times)"
+    );
+    drop(fc);
+    let received = reader.join().unwrap();
+    assert_eq!(received.len(), expected.len());
+    assert!(
+        received == expected,
+        "byte stream corrupted by appends between blocked flushes"
     );
 }
 

@@ -137,7 +137,7 @@ pub fn compare(cfg: &RunConfig) -> Result<CompareReport, String> {
 /// (six indexed `Int` attributes plus one `Str` payload column per
 /// relation) streamed through the real TCP reactor. Few nodes and many
 /// indexed attributes concentrate traffic on few streams, so each poll
-/// drain coalesces many frames per vectored flush.
+/// drain coalesces many frames per flush.
 #[derive(Clone, Debug)]
 pub struct ThroughputConfig {
     /// Network size (one TCP stream pair per node pair; 2 maximises

@@ -1,7 +1,12 @@
 //! The experiment harness: builds a network + workload from a [`RunConfig`],
 //! installs queries, streams tuples and collects the metric vectors the
-//! figures are built from. Its loop is the crate's only run driver: the
+//! figures are built from. Its loop drives every figure but one, and the
 //! sim-vs-socket check in [`crate::cluster`] drives it on both backends.
+//! Two loops of their own remain, each needing what a [`RunConfig`] does
+//! not express: A1 (`experiments::a01_dai_v_keyed`) needs the keyed DAI-V
+//! variant and one fixed join condition for every query, and
+//! [`crate::cluster::run_throughput`] streams wide tuples over its own
+//! catalog.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};

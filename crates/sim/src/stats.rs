@@ -88,17 +88,6 @@ pub fn utilization(values: &[f64]) -> f64 {
     values.iter().filter(|&&v| v > 0.0).count() as f64 / values.len() as f64
 }
 
-/// Converts integer loads to `f64` for the functions above.
-pub fn to_f64<T: Copy + Into<f64>>(values: &[T]) -> Vec<f64> {
-    values.iter().map(|&v| v.into()).collect()
-}
-
-/// Converts `u64`/`usize` loads (not `Into<f64>`) losslessly enough for
-/// statistics.
-pub fn loads_to_f64(values: &[u64]) -> Vec<f64> {
-    values.iter().map(|&v| v as f64).collect()
-}
-
 /// Summary of one load-distribution curve.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DistributionSummary {

@@ -101,11 +101,6 @@ impl Workload {
         &self.catalog
     }
 
-    /// Name of relation `i`.
-    pub fn relation_name(&self, i: usize) -> String {
-        format!("R{i}")
-    }
-
     /// Draws one attribute value from the configured distribution.
     pub fn random_value(&mut self) -> Value {
         Value::Int(self.zipf.sample(&mut self.rng) as i64)
