@@ -55,7 +55,6 @@ mod metrics;
 mod network;
 mod node;
 mod oracle;
-mod pipeline;
 mod protocol;
 mod recovery;
 mod replication;
@@ -73,12 +72,9 @@ pub use metrics::{FaultCounters, Metrics, NodeLoad, RecoveryCounters, TrafficKin
 pub use network::Network;
 pub use node::NodeState;
 pub use oracle::Oracle;
-pub use pipeline::Pipeline;
 pub use protocol::{Matches, QueryCounts};
 pub use recovery::SuspicionConfig;
 pub use replication::{ReplicaItem, ReplicaStore};
 pub use transport_tcp::{SocketStats, TcpOptions};
 
-pub use trace::{
-    FileSink, RingBufferSink, TeeSink, TraceEvent, TraceFormat, TraceSink, TraceSummary,
-};
+pub use trace::{RingBufferSink, TraceEvent, TraceSink};

@@ -28,19 +28,14 @@
 //!   writer and parser and the binary body codec are all generated from
 //!   it. `engine::wire` only frames the binary bodies.
 //!
-//! Three sinks ship with the engine: [`RingBufferSink`] (bounded in-memory
-//! buffer, used by trace-driven tests), [`FileSink`] (streams every event
-//! to a file in either [`TraceFormat`] while keeping a [`TraceSummary`] of
-//! per-kind counts and per-node hop histograms), and [`TeeSink`] (fans one
-//! event stream into several sinks).
+//! One sink ships with the engine: [`RingBufferSink`], a bounded in-memory
+//! buffer used by trace-driven tests. The engine writes no files; the trace
+//! file writer (`cq_sim::FileSink`, JSONL or binary) and the `trace_dump`
+//! tool that reads binary traces back live in `cq-sim`.
 
 use std::collections::VecDeque;
-use std::fs::File;
-use std::io::Write as _;
-use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-use cq_fasthash::FxHashMap;
 use cq_overlay::Id;
 
 use crate::error::Result;
@@ -254,9 +249,8 @@ macro_rules! trace_events {
                 node.copied().unwrap_or(u32::MAX)
             }
 
-            /// Serializes the event as one JSON object (no trailing newline) and
-            /// returns its [`kind_index`](TraceEvent::kind_index). The format is
-            /// flat and hand-rolled — the workspace vendors no serde — and
+            /// Serializes the event as one JSON object (no trailing newline). The
+            /// format is flat and hand-rolled — the workspace vendors no serde — and
             /// [`TraceEvent::parse_jsonl`] is its exact inverse.
             ///
             /// Integers are formatted manually rather than through `write!` (the
@@ -268,18 +262,15 @@ macro_rules! trace_events {
             /// all of that cost. It is one flat match — a single jump-table
             /// dispatch per event, where going through the accessors would
             /// re-match the variant once per field and mispredict on a mixed
-            /// stream — and each arm yields its kind index so the file sink can
-            /// account the event without a second dispatch.
-            pub fn append_jsonl(&self, out: &mut Vec<u8>) -> usize {
+            /// stream.
+            pub fn append_jsonl(&self, out: &mut Vec<u8>) {
                 let mut line = Scratch::new(out);
-                let kind = match self {
+                match self {
                     $(Self::$V { $($f),* } => {
                         field!(jsonl line ["{\"ev\":\"", $label, "\""] $($f: $T $(($arg))?,)*);
-                        $tag
                     })*
-                };
+                }
                 line.finish();
-                kind
             }
 
             /// Parses one line produced by [`TraceEvent::to_jsonl`]. Returns `None`
@@ -847,216 +838,6 @@ impl TraceSink for RingBufferSink {
     }
 }
 
-/// Serialization of a trace file.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TraceFormat {
-    /// One JSON object per line (`.jsonl`) — greppable, the default.
-    #[default]
-    Jsonl,
-    /// One length-prefixed `engine::wire` frame per event (`.trace`) —
-    /// compact; the `trace_dump` tool converts it back to JSONL.
-    Binary,
-}
-
-impl TraceFormat {
-    /// The trace-file extension for this format.
-    pub fn extension(self) -> &'static str {
-        match self {
-            TraceFormat::Jsonl => "jsonl",
-            TraceFormat::Binary => "trace",
-        }
-    }
-
-    /// Bytes buffered before the next `write(2)`. JSONL is sized to stay
-    /// cache-resident rather than stream through a megabyte of cold lines;
-    /// wire frames average tens of bytes, so a traced run emits hundreds of
-    /// thousands of tiny appends and a 1 MiB mark amortizes them to a
-    /// handful of syscalls per run without an async writer.
-    fn high_water(self) -> usize {
-        match self {
-            TraceFormat::Jsonl => 1 << 18,
-            TraceFormat::Binary => 1 << 20,
-        }
-    }
-}
-
-/// Streams events to a file — one JSON object per line or one
-/// [`crate::wire::encode_trace_event`] frame per event, as `format` says —
-/// and keeps a [`TraceSummary`] of what went by. Events serialize straight
-/// into one large byte buffer that is written out whenever it crosses the
-/// format's high-water mark (no per-line intermediate, no `BufWriter`
-/// copy), on [`FileSink::flush`] and on drop. Writer and summary sit behind
-/// one lock: a [`TeeSink`] over two separate sinks would pay two lock
-/// round-trips and two virtual dispatches per event, which is measurable at
-/// trace volumes of hundreds of thousands of events per run.
-#[derive(Debug)]
-pub struct FileSink {
-    inner: Mutex<FileState>,
-}
-
-#[derive(Debug)]
-struct FileState {
-    format: TraceFormat,
-    file: File,
-    buf: Vec<u8>,
-    summary: SummaryState,
-}
-
-impl FileSink {
-    /// Creates (truncating) the trace file at `path`.
-    pub fn create(path: impl AsRef<Path>, format: TraceFormat) -> std::io::Result<Self> {
-        Ok(FileSink {
-            inner: Mutex::new(FileState {
-                format,
-                file: File::create(path)?,
-                // Headroom for the line or frame that crosses the mark.
-                buf: Vec::with_capacity(format.high_water() + 512),
-                summary: SummaryState::default(),
-            }),
-        })
-    }
-
-    /// Flushes buffered events to disk.
-    pub fn flush(&self) -> std::io::Result<()> {
-        self.inner.lock().expect("trace writer").flush()
-    }
-
-    /// The summary accumulated so far.
-    pub fn summary(&self) -> TraceSummary {
-        self.inner
-            .lock()
-            .expect("trace writer")
-            .summary
-            .to_summary()
-    }
-}
-
-impl FileState {
-    fn flush(&mut self) -> std::io::Result<()> {
-        if !self.buf.is_empty() {
-            self.file.write_all(&self.buf)?;
-            self.buf.clear();
-        }
-        self.file.flush()
-    }
-}
-
-impl Drop for FileState {
-    fn drop(&mut self) {
-        let _ = self.flush();
-    }
-}
-
-impl TraceSink for FileSink {
-    fn record(&self, ev: &TraceEvent) {
-        let mut guard = self.inner.lock().expect("trace writer");
-        let st = &mut *guard;
-        // The JSONL serializer hands back the kind index it dispatched on,
-        // so the summary accounts the event without re-matching the variant.
-        let kind = match st.format {
-            TraceFormat::Jsonl => {
-                let kind = ev.append_jsonl(&mut st.buf);
-                st.buf.push(b'\n');
-                kind
-            }
-            TraceFormat::Binary => {
-                wire::encode_trace_event(ev, &mut st.buf);
-                ev.kind_index()
-            }
-        };
-        if st.buf.len() >= st.format.high_water() {
-            // An I/O error mid-trace must not kill the simulation; the
-            // flush() at the end of a run surfaces persistent failures.
-            let _ = st.file.write_all(&st.buf);
-            st.buf.clear();
-        }
-        st.summary.note(kind, ev);
-    }
-}
-
-/// Aggregate view of one trace: per-kind event counts and, for routed
-/// sends, a per-node histogram of hop counts.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct TraceSummary {
-    /// Events seen per kind label, in [`TraceEvent::KINDS`] order.
-    pub counts: Vec<(&'static str, u64)>,
-    /// For each sending node slot: `hist[h]` = number of traced unicast
-    /// sends whose route consumed exactly `h` overlay hops.
-    pub hop_histograms: FxHashMap<u32, Vec<u64>>,
-}
-
-impl TraceSummary {
-    /// Count of one event kind (0 when absent).
-    pub fn count_of(&self, kind: &str) -> u64 {
-        self.counts
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map_or(0, |(_, n)| *n)
-    }
-
-    /// Total events across all kinds.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().map(|(_, n)| n).sum()
-    }
-}
-
-#[derive(Debug, Default)]
-struct SummaryState {
-    counts: [u64; TraceEvent::KINDS.len()],
-    hops: FxHashMap<u32, Vec<u64>>,
-}
-
-impl SummaryState {
-    /// Accounts one event whose kind index the caller already knows.
-    fn note(&mut self, kind: usize, ev: &TraceEvent) {
-        self.counts[kind] += 1;
-        if let TraceEvent::MsgSend {
-            node,
-            path: Some(p),
-            ..
-        } = ev
-        {
-            let hops = p.len().saturating_sub(1);
-            let hist = self.hops.entry(*node).or_default();
-            if hist.len() <= hops {
-                hist.resize(hops + 1, 0);
-            }
-            hist[hops] += 1;
-        }
-    }
-
-    fn to_summary(&self) -> TraceSummary {
-        TraceSummary {
-            counts: TraceEvent::KINDS
-                .iter()
-                .zip(self.counts.iter())
-                .map(|(k, n)| (*k, *n))
-                .collect(),
-            hop_histograms: self.hops.clone(),
-        }
-    }
-}
-
-/// Fans one event stream into several sinks, in order.
-pub struct TeeSink {
-    sinks: Vec<Arc<dyn TraceSink>>,
-}
-
-impl TeeSink {
-    /// A tee over the given sinks.
-    pub fn new(sinks: Vec<Arc<dyn TraceSink>>) -> Self {
-        TeeSink { sinks }
-    }
-}
-
-impl TraceSink for TeeSink {
-    fn record(&self, ev: &TraceEvent) {
-        for s in &self.sinks {
-            s.record(ev);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1114,76 +895,5 @@ mod tests {
         };
         assert_eq!((phase.tick(), phase.node()), (8, u32::MAX));
         assert_eq!(TraceEvent::KINDS[phase.kind_index()], "phase");
-    }
-
-    #[test]
-    fn file_sink_summarizes_what_it_writes_in_either_format() {
-        let events = [
-            TraceEvent::MsgSend {
-                tick: 3,
-                node: 5,
-                id: (5, 12),
-                to: 9,
-                target: Id(7),
-                kind: "join-v",
-                path: Some(vec![5, 7, 9]),
-            },
-            TraceEvent::MsgSend {
-                tick: 3,
-                node: 5,
-                id: (5, 13),
-                to: 2,
-                target: Id(7),
-                kind: "al-index",
-                path: None,
-            },
-            TraceEvent::Phase {
-                tick: 0,
-                name: "install".into(),
-            },
-        ];
-        for format in [TraceFormat::Jsonl, TraceFormat::Binary] {
-            let path = std::env::temp_dir().join(format!(
-                "cq-file-sink-{}.{}",
-                std::process::id(),
-                format.extension()
-            ));
-            let sink = FileSink::create(&path, format).unwrap();
-            for ev in &events {
-                sink.record(ev);
-            }
-            sink.flush().unwrap();
-            let written = std::fs::read(&path).unwrap();
-            std::fs::remove_file(&path).ok();
-            let mut want = Vec::new();
-            for ev in &events {
-                match format {
-                    TraceFormat::Jsonl => {
-                        ev.append_jsonl(&mut want);
-                        want.push(b'\n');
-                    }
-                    TraceFormat::Binary => wire::encode_trace_event(ev, &mut want),
-                }
-            }
-            assert_eq!(written, want, "{format:?}");
-
-            let s = sink.summary();
-            assert_eq!(s.count_of("msg-send"), 2);
-            assert_eq!(s.count_of("phase"), 1);
-            assert_eq!(s.total(), 3);
-            // Only the pathful send lands in the histogram: node 5, 2 hops.
-            assert_eq!(s.hop_histograms.len(), 1);
-            assert_eq!(s.hop_histograms[&5], vec![0, 0, 1]);
-        }
-    }
-
-    #[test]
-    fn tee_fans_out() {
-        let a = Arc::new(RingBufferSink::new(8));
-        let b = Arc::new(RingBufferSink::new(8));
-        let tee = TeeSink::new(vec![a.clone() as Arc<dyn TraceSink>, b.clone()]);
-        tee.record(&TraceEvent::NodeFailed { tick: 1, node: 2 });
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.events(), a.events());
     }
 }

@@ -110,9 +110,6 @@ pub struct TcpOptions {
     /// stream; `None` keeps the system default. Shrinking it forces the
     /// write path into userspace backpressure.
     pub send_buffer: Option<usize>,
-    /// Kernel receive-buffer size (`SO_RCVBUF`) applied to every outgoing
-    /// stream; `None` keeps the system default.
-    pub recv_buffer: Option<usize>,
     /// How long the transport may wait for socket progress while an
     /// envelope's frame is outstanding before the run fails with a typed
     /// stall error (a lost frame would otherwise hang the drive loop).
@@ -123,7 +120,6 @@ impl Default for TcpOptions {
     fn default() -> Self {
         TcpOptions {
             send_buffer: None,
-            recv_buffer: None,
             stall_timeout: Duration::from_secs(10),
         }
     }
@@ -462,9 +458,6 @@ impl TcpTransport {
             stream.set_nodelay(true)?;
             if let Some(bytes) = self.opts.send_buffer {
                 cq_poll::set_send_buffer(&stream, bytes)?;
-            }
-            if let Some(bytes) = self.opts.recv_buffer {
-                cq_poll::set_recv_buffer(&stream, bytes)?;
             }
             Ok(stream)
         };

@@ -196,7 +196,6 @@ fn large_frames_backpressure_and_shrink_through_the_real_transport() {
     );
     net.enable_tcp_transport_with(TcpOptions {
         send_buffer: Some(4096),
-        recv_buffer: Some(4096),
         stall_timeout: Duration::from_secs(30),
     })
     .expect("bind loopback listeners");
@@ -590,7 +589,6 @@ fn flush_timing_never_leaks_into_the_protocol() {
         );
         net.enable_tcp_transport_with(TcpOptions {
             send_buffer: buffer,
-            recv_buffer: buffer,
             ..TcpOptions::default()
         })
         .expect("bind loopback listeners");

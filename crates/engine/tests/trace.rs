@@ -1,6 +1,8 @@
-//! The structured tracing layer observed end to end: JSONL round-trips,
-//! causal ordering invariants, and DAI-V's two-phase value-hop path
-//! reconstructed event by event from the trace alone.
+//! The structured tracing layer observed end to end: causal ordering
+//! invariants, DAI-V's two-phase value-hop path reconstructed event by
+//! event from the trace alone, and both encodings pinned against the v1
+//! fixtures. Trace *files* (the writer and `trace_dump`) are tested in
+//! `crates/sim/tests/trace.rs`, beside them.
 
 pub mod common;
 
@@ -8,8 +10,7 @@ use std::sync::Arc;
 
 use common::catalog;
 use cq_engine::{
-    Algorithm, EngineConfig, FaultConfig, FileSink, Message, Network, RingBufferSink, TeeSink,
-    TraceEvent, TraceFormat,
+    Algorithm, EngineConfig, FaultConfig, Message, Network, RingBufferSink, TraceEvent,
 };
 use cq_overlay::Id;
 use cq_relational::Value;
@@ -90,83 +91,6 @@ fn ordering_invariants_hold_for_every_algorithm_under_faults() {
         );
         check_ordering(&events, &format!("{alg} lossy"));
     }
-}
-
-#[test]
-fn jsonl_file_round_trips_the_in_memory_event_stream() {
-    let path =
-        std::env::temp_dir().join(format!("cq-trace-roundtrip-{}.jsonl", std::process::id()));
-    let ring = Arc::new(RingBufferSink::new(1 << 20));
-    let jsonl = Arc::new(FileSink::create(&path, TraceFormat::Jsonl).unwrap());
-    let mut net = Network::new(
-        EngineConfig::new(Algorithm::DaiQ)
-            .with_nodes(16)
-            .with_seed(7)
-            .with_fault(FaultConfig::lossy(0.15, 99)),
-        catalog(),
-    );
-    net.set_tracer(Arc::new(TeeSink::new(vec![ring.clone(), jsonl.clone()])));
-    stream(&mut net);
-    jsonl.flush().unwrap();
-
-    let text = std::fs::read_to_string(&path).unwrap();
-    let parsed: Vec<TraceEvent> = text
-        .lines()
-        .map(|line| {
-            TraceEvent::parse_jsonl(line)
-                .unwrap_or_else(|| panic!("unparseable trace line: {line}"))
-        })
-        .collect();
-    std::fs::remove_file(&path).ok();
-
-    // The file is a faithful serialization: parsing it back yields exactly
-    // the events the in-memory sink saw, in order.
-    assert_eq!(parsed, ring.events());
-    check_ordering(&parsed, "parsed JSONL");
-}
-
-#[test]
-fn binary_trace_dumps_back_to_byte_identical_jsonl() {
-    // The same run streams into a JSONL sink and the buffered binary sink;
-    // converting the binary file the way `trace_dump` does (decode each
-    // wire frame, re-serialize with `to_jsonl`) must reproduce the JSONL
-    // file byte for byte — the writer's batching is invisible on disk.
-    let pid = std::process::id();
-    let jsonl_path = std::env::temp_dir().join(format!("cq-trace-bin-rt-{pid}.jsonl"));
-    let bin_path = std::env::temp_dir().join(format!("cq-trace-bin-rt-{pid}.trace"));
-    let jsonl = Arc::new(FileSink::create(&jsonl_path, TraceFormat::Jsonl).unwrap());
-    let binary = Arc::new(FileSink::create(&bin_path, TraceFormat::Binary).unwrap());
-    let mut net = Network::new(
-        EngineConfig::new(Algorithm::DaiQ)
-            .with_nodes(16)
-            .with_seed(7)
-            .with_fault(FaultConfig::lossy(0.15, 99)),
-        catalog(),
-    );
-    net.set_tracer(Arc::new(TeeSink::new(vec![jsonl.clone(), binary.clone()])));
-    stream(&mut net);
-    jsonl.flush().unwrap();
-    binary.flush().unwrap();
-
-    let expected = std::fs::read_to_string(&jsonl_path).unwrap();
-    let bytes = std::fs::read(&bin_path).unwrap();
-    std::fs::remove_file(&jsonl_path).ok();
-    std::fs::remove_file(&bin_path).ok();
-    assert!(!bytes.is_empty(), "binary trace must not be empty");
-
-    let mut dumped = String::with_capacity(expected.len());
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let (ev, used) = cq_engine::wire::decode_trace_event(&bytes[pos..])
-            .unwrap_or_else(|e| panic!("bad frame at byte {pos}: {e}"));
-        pos += used;
-        ev.to_jsonl(&mut dumped);
-        dumped.push('\n');
-    }
-    assert!(
-        dumped == expected,
-        "binary round-trip diverged from the JSONL file"
-    );
 }
 
 #[test]

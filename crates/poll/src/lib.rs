@@ -18,15 +18,15 @@
 //!   unread bytes (or writable space) reports again on the next wait, so the
 //!   loop never needs to drain a socket to exhaustion in one pass.
 //!
-//! Two `setsockopt` helpers ([`set_send_buffer`], [`set_recv_buffer`]) are
-//! exposed so tests can shrink kernel socket buffers and force the write
-//! path into backpressure deterministically.
+//! One `setsockopt` helper ([`set_send_buffer`]) is exposed so tests can
+//! shrink a kernel send buffer and force the write path into backpressure
+//! deterministically.
 
 #![warn(missing_docs)]
 #![cfg(unix)]
 
 use std::io;
-use std::os::fd::{AsRawFd, RawFd};
+use std::os::fd::AsRawFd;
 use std::time::Duration;
 
 /// Which readiness states a registration wants to hear about.
@@ -437,13 +437,11 @@ impl Poller {
 mod sockopt_consts {
     pub const SOL_SOCKET: i32 = 1;
     pub const SO_SNDBUF: i32 = 7;
-    pub const SO_RCVBUF: i32 = 8;
 }
 #[cfg(all(unix, not(target_os = "linux")))]
 mod sockopt_consts {
     pub const SOL_SOCKET: i32 = 0xffff;
     pub const SO_SNDBUF: i32 = 0x1001;
-    pub const SO_RCVBUF: i32 = 0x1002;
 }
 
 extern "C" {
@@ -456,31 +454,22 @@ extern "C" {
     ) -> i32;
 }
 
-fn set_buffer(fd: RawFd, opt: i32, bytes: usize) -> io::Result<()> {
+/// Shrinks (or grows) the kernel send buffer of a socket. The kernel may
+/// round the value (Linux doubles it and enforces a floor of ~4.5 KiB);
+/// tests use this to force partial writes and exercise backpressure.
+pub fn set_send_buffer(sock: &impl AsRawFd, bytes: usize) -> io::Result<()> {
     let val = bytes.min(i32::MAX as usize) as i32;
     // SAFETY: `val` is a live i32 and optlen matches its size.
     cvt(unsafe {
         setsockopt(
-            fd,
+            sock.as_raw_fd(),
             sockopt_consts::SOL_SOCKET,
-            opt,
+            sockopt_consts::SO_SNDBUF,
             (&val as *const i32).cast(),
             std::mem::size_of::<i32>() as u32,
         )
     })
     .map(|_| ())
-}
-
-/// Shrinks (or grows) the kernel send buffer of a socket. The kernel may
-/// round the value (Linux doubles it and enforces a floor of ~4.5 KiB);
-/// tests use this to force partial writes and exercise backpressure.
-pub fn set_send_buffer(sock: &impl AsRawFd, bytes: usize) -> io::Result<()> {
-    set_buffer(sock.as_raw_fd(), sockopt_consts::SO_SNDBUF, bytes)
-}
-
-/// Shrinks (or grows) the kernel receive buffer of a socket.
-pub fn set_recv_buffer(sock: &impl AsRawFd, bytes: usize) -> io::Result<()> {
-    set_buffer(sock.as_raw_fd(), sockopt_consts::SO_RCVBUF, bytes)
 }
 
 #[cfg(test)]
@@ -568,6 +557,5 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         set_send_buffer(&client, 4096).unwrap();
-        set_recv_buffer(&client, 4096).unwrap();
     }
 }

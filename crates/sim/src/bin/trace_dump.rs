@@ -9,7 +9,9 @@
 //! [`TraceEvent`] per frame; the decoded events are printed to stdout as
 //! JSONL, in order, exactly as `--trace-format jsonl` would have written
 //! them. Decoding errors (truncation, corruption, a version mismatch) abort
-//! with a message naming the offending file and byte offset.
+//! with exit code 1 and a message naming the offending file and byte
+//! offset, after every event decoded before that point has been printed
+//! (`process::exit` runs no destructor, so the buffer is flushed first).
 //!
 //! [`TraceEvent`]: cq_engine::TraceEvent
 
@@ -28,12 +30,14 @@ fn main() {
     let mut line = String::with_capacity(256);
     for file in &files {
         let bytes = std::fs::read(file).unwrap_or_else(|e| {
+            let _ = out.flush();
             eprintln!("cannot read {file}: {e}");
             std::process::exit(1);
         });
         let mut pos = 0usize;
         while pos < bytes.len() {
             let (ev, used) = wire::decode_trace_event(&bytes[pos..]).unwrap_or_else(|e| {
+                let _ = out.flush();
                 eprintln!("{file}: bad frame at byte {pos}: {e}");
                 std::process::exit(1);
             });

@@ -7,17 +7,23 @@
 //! variant and one fixed join condition for every query, and
 //! [`crate::cluster::run_throughput`] streams wide tuples over its own
 //! catalog.
+//!
+//! With a trace directory set ([`set_trace_dir`]), each run also streams
+//! its events into one trace file through a [`FileSink`]; the file is the
+//! whole record, and the run's result is the same with or without it.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use cq_engine::{
-    Algorithm, EngineConfig, FaultConfig, FaultCounters, FileSink, IndexStrategy, Network, Oracle,
-    RecoveryCounters, SuspicionConfig, TraceFormat, TraceSummary, TrafficKind,
+    Algorithm, EngineConfig, FaultConfig, FaultCounters, IndexStrategy, Network, Oracle,
+    RecoveryCounters, SuspicionConfig, TrafficKind,
 };
 use cq_overlay::TrafficStats;
 use cq_workload::{Workload, WorkloadConfig};
+
+use crate::trace::{FileSink, TraceFormat};
 
 /// Directory trace files are written into when tracing is enabled via
 /// [`set_trace_dir`] (the experiments binary's `--trace <dir>` flag).
@@ -30,9 +36,9 @@ static TRACE_FORMAT: Mutex<TraceFormat> = Mutex::new(TraceFormat::Jsonl);
 static TRACE_RUN: AtomicU64 = AtomicU64::new(0);
 
 /// Enables tracing for every subsequent [`run`]: each run writes
-/// `trace-NNNN-<alg>-<nodes>n-seed<seed>.<ext>` into `dir` and fills
-/// [`RunResult::trace`] with a [`TraceSummary`]. Pass `None` to disable.
-/// The extension and encoding follow [`set_trace_format`].
+/// `trace-NNNN-<alg>-<nodes>n-seed<seed>.<ext>` into `dir` through a
+/// [`FileSink`]. Pass `None` to disable. The extension and encoding follow
+/// [`set_trace_format`].
 ///
 /// Tracing observes only — metric vectors and report output are identical
 /// with it on or off (goldens are generated with it off).
@@ -183,9 +189,6 @@ pub struct RunResult {
     /// `delivered / expected` (1.0 when nothing was expected or recall was
     /// not computed).
     pub recall: f64,
-    /// Aggregate trace view (per-kind event counts, per-node hop
-    /// histograms). `None` unless tracing was enabled via [`set_trace_dir`].
-    pub trace: Option<TraceSummary>,
 }
 
 impl RunResult {
@@ -276,9 +279,8 @@ pub(crate) fn drive(cfg: &RunConfig, backend: Backend) -> (Network, RunResult) {
     }
 
     // When tracing is enabled, stream every event into a trace file (JSONL
-    // or wire-framed binary per `set_trace_format`), which also accumulates
-    // the in-memory summary. Sinks only observe: the run's results are
-    // identical with or without them.
+    // or wire-framed binary per `set_trace_format`). Sinks only observe: the
+    // run's results are identical with or without them.
     let trace_sink = trace_dir().map(|dir| {
         let format = trace_format();
         let path = trace_file_name(&dir, cfg, format);
@@ -342,7 +344,6 @@ pub(crate) fn drive(cfg: &RunConfig, backend: Backend) -> (Network, RunResult) {
     result.install_traffic = install_traffic;
     if let Some(sink) = trace_sink {
         sink.flush().expect("flush trace file");
-        result.trace = Some(sink.summary());
     }
     (net, result)
 }
@@ -454,7 +455,6 @@ fn collect(net: &Network, streamed: usize, with_recall: bool) -> RunResult {
         delivered_notifications,
         recall,
         recall_outside_windows,
-        trace: None,
     }
 }
 

@@ -20,10 +20,14 @@ pub mod cluster;
 pub mod experiments;
 pub mod harness;
 pub mod parallel;
+pub mod pipeline;
 pub mod report;
 pub mod stats;
+pub mod trace;
 
-pub use cq_engine::{FaultConfig, FaultCounters, TraceEvent, TraceFormat, TraceSummary};
+pub use cq_engine::{FaultConfig, FaultCounters, TraceEvent};
 pub use harness::{run, set_trace_dir, set_trace_format, RunConfig, RunResult};
 pub use parallel::{run_many, set_jobs};
+pub use pipeline::Pipeline;
 pub use report::Report;
+pub use trace::{FileSink, TraceFormat};

@@ -1,4 +1,4 @@
-//! A three-way continuous join via the [`cq_engine::Pipeline`] — the
+//! A three-way continuous join via the [`cq_sim::Pipeline`] — the
 //! thesis's future-work direction (multi-way joins) realized by chaining
 //! two-way stages through a derived relation.
 //!
@@ -9,8 +9,9 @@
 //! cargo run --release --example supply_chain
 //! ```
 
-use cq_engine::{Algorithm, EngineConfig, Network, Pipeline};
+use cq_engine::{Algorithm, EngineConfig, Network};
 use cq_relational::{Catalog, DataType, RelationSchema, Value};
+use cq_sim::Pipeline;
 
 fn catalog() -> Catalog {
     let mut c = Catalog::new();
