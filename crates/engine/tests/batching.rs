@@ -6,8 +6,8 @@
 
 pub mod common;
 
-use common::{assert_oracle, run, Step};
-use cq_engine::{Algorithm, EngineConfig, FaultConfig, Network};
+use common::{assert_oracle, replay, Command, FILTERED, JOIN};
+use cq_engine::{Algorithm, EngineConfig, Network};
 use cq_relational::{Catalog, DataType, RelationSchema, Value};
 
 /// The zero-clone kernels (in-place ALQT/VLQT/VLTT/value-store scans) must
@@ -15,19 +15,16 @@ use cq_relational::{Catalog, DataType, RelationSchema, Value};
 /// four, plus the paper's T2 example under DAI-V.
 #[test]
 fn zero_clone_kernels_match_oracle_for_all_algorithms() {
-    let steps: Vec<Step> = (0..3)
-        .map(|_| Step::PoseSimple)
-        .chain((0..2).map(Step::PoseWithFilter))
-        .chain((0..24).map(|i| {
-            if i % 2 == 0 {
-                Step::InsertR(i, i % 4)
-            } else {
-                Step::InsertS(i, i % 4)
-            }
+    let cmds: Vec<Command> = (0..3)
+        .map(|n| Command::pose(n, JOIN))
+        .chain((0..2).map(|v| Command::pose(3 + v, FILTERED[2 + v])))
+        .chain((0..24).map(|i| match i % 2 {
+            0 => Command::r(5 + i as usize, i, i % 4),
+            _ => Command::s(5 + i as usize, i, i % 4),
         }))
         .collect();
     for alg in Algorithm::ALL {
-        let net = run(alg, &steps, 7, FaultConfig::default());
+        let net = replay(EngineConfig::new(alg).with_nodes(32).with_seed(7), &cmds);
         assert_oracle(&net, "zero-clone kernels");
     }
 }

@@ -3,22 +3,16 @@
 
 pub mod common;
 
-use common::{assert_oracle, catalog};
-use cq_engine::{Algorithm, EngineConfig, FaultConfig, Network, Oracle};
+use common::{apply_all, assert_oracle, expected, matching_s, replay, subscribed_r, Command, JOIN};
+use cq_engine::{Algorithm, EngineConfig, FaultConfig};
 use cq_relational::Value;
 
 #[test]
 fn voluntary_leave_transfers_state_and_preserves_results() {
     for alg in Algorithm::ALL {
-        let mut net = Network::new(
-            EngineConfig::new(alg).with_nodes(40).with_seed(1),
-            catalog(),
-        );
+        let config = EngineConfig::new(alg).with_nodes(40).with_seed(1);
+        let mut net = replay(config, &[Command::pose(0, JOIN), Command::r(0, 1, 7)]);
         let a = net.node_at(0);
-        net.pose_query_sql(a, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E")
-            .unwrap();
-        net.insert_tuple(a, "R", vec![Value::Int(1), Value::Int(7)])
-            .unwrap();
 
         // Every node except the subscriber leaves — whatever nodes hold the
         // query, the rewritten query or the stored tuple, their state must
@@ -32,10 +26,7 @@ fn voluntary_leave_transfers_state_and_preserves_results() {
         for v in victims {
             net.node_leave(v).unwrap();
         }
-        net.stabilize(3).unwrap();
-
-        net.insert_tuple(a, "S", vec![Value::Int(2), Value::Int(7)])
-            .unwrap();
+        apply_all(&mut net, &[Command::Stabilize(3), Command::s(0, 2, 7)]);
         assert_eq!(net.inbox(a).len(), 1, "{alg}: join must survive departures");
         assert_oracle(&net, "departures");
     }
@@ -48,16 +39,9 @@ fn offline_subscriber_receives_missed_notifications_on_rejoin() {
     // the subscriber "will receive all data related to Id(n) including the
     // missed notifications".
     for alg in Algorithm::ALL {
-        let mut net = Network::new(
-            EngineConfig::new(alg).with_nodes(40).with_seed(2),
-            catalog(),
-        );
-        let a = net.node_at(0);
-        let b = net.node_at(5);
-        net.pose_query_sql(a, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E")
-            .unwrap();
-        net.insert_tuple(b, "R", vec![Value::Int(1), Value::Int(7)])
-            .unwrap();
+        let config = EngineConfig::new(alg).with_nodes(40).with_seed(2);
+        let mut net = replay(config, &[Command::pose(0, JOIN), Command::r(5, 1, 7)]);
+        let (a, b) = (net.node_at(0), net.node_at(5));
 
         // Subscriber goes offline (voluntarily, transferring its keys).
         net.node_leave(a).unwrap();
@@ -94,28 +78,21 @@ fn offline_subscriber_receives_missed_notifications_on_rejoin() {
 fn failures_lose_at_most_the_failed_nodes_state() {
     // Best-effort semantics: a failure may lose notifications, but the
     // network must keep routing and never produce *wrong* notifications.
-    let mut net = Network::new(
+    let cmds = [
+        Command::pose(0, JOIN),
+        Command::r(0, 1, 7),
+        Command::Fail(20),
+        Command::Stabilize(3),
+        Command::s(0, 2, 7),
+    ];
+    let net = replay(
         EngineConfig::new(Algorithm::DaiT)
             .with_nodes(40)
             .with_seed(3),
-        catalog(),
+        &cmds,
     );
-    let a = net.node_at(0);
-    net.pose_query_sql(a, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E")
-        .unwrap();
-    net.insert_tuple(a, "R", vec![Value::Int(1), Value::Int(7)])
-        .unwrap();
-    let victim = net.node_at(20);
-    if victim != a {
-        net.node_fail(victim).unwrap();
-        net.stabilize(3).unwrap();
-    }
-    net.insert_tuple(a, "S", vec![Value::Int(2), Value::Int(7)])
-        .unwrap();
     // Delivered notifications are a subset of the oracle's expectation.
-    let mut oracle = Oracle::new();
-    oracle.ingest(net.posed_queries(), net.inserted_tuples());
-    let expected = oracle.expected().unwrap();
+    let expected = expected(&net);
     for n in net.delivered_set() {
         assert!(expected.contains(&n), "spurious notification {n}");
     }
@@ -132,39 +109,18 @@ fn replication_turns_lossy_failures_into_lossless_ones() {
                 replication: k,
                 ..FaultConfig::default()
             };
-            let mut net = Network::new(
-                EngineConfig::new(alg)
-                    .with_nodes(40)
-                    .with_seed(7)
-                    .with_fault(fault),
-                catalog(),
-            );
-            let a = net.node_at(0);
-            net.pose_query_sql(a, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E")
-                .unwrap();
-            for i in 0..8i64 {
-                net.insert_tuple(a, "R", vec![Value::Int(i), Value::Int(i % 3)])
-                    .unwrap();
-            }
-            for idx in [8usize, 16, 24, 32] {
-                let victim = net.node_at(idx);
-                if victim == a {
-                    continue;
-                }
-                net.node_fail(victim).unwrap();
-                net.stabilize(2).unwrap();
-            }
-            for i in 0..8i64 {
-                net.insert_tuple(a, "S", vec![Value::Int(i), Value::Int(i % 3)])
-                    .unwrap();
-            }
-            net
+            let config = EngineConfig::new(alg).with_nodes(40).with_seed(7);
+            let failures = [8, 16, 24, 32].map(|i| [Command::Fail(i), Command::Stabilize(2)]);
+            let cmds: Vec<Command> = subscribed_r(8)
+                .into_iter()
+                .chain(failures.into_iter().flatten())
+                .chain(matching_s(8))
+                .collect();
+            replay(config.with_fault(fault), &cmds)
         };
 
         let unreplicated = build(0);
-        let mut oracle = Oracle::new();
-        oracle.ingest(unreplicated.posed_queries(), unreplicated.inserted_tuples());
-        let expected = oracle.expected().unwrap();
+        let expected = expected(&unreplicated);
         let delivered = unreplicated.delivered_set();
         assert!(
             delivered.is_subset(&expected),
@@ -192,20 +148,9 @@ fn departing_replica_holder_hands_copies_to_its_successor() {
             replication: 1,
             ..FaultConfig::default()
         };
-        let mut net = Network::new(
-            EngineConfig::new(alg)
-                .with_nodes(40)
-                .with_seed(9)
-                .with_fault(fault),
-            catalog(),
-        );
+        let config = EngineConfig::new(alg).with_nodes(40).with_seed(9);
+        let mut net = replay(config.with_fault(fault), &subscribed_r(8));
         let a = net.node_at(0);
-        net.pose_query_sql(a, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E")
-            .unwrap();
-        for i in 0..8i64 {
-            net.insert_tuple(a, "R", vec![Value::Int(i), Value::Int(i % 3)])
-                .unwrap();
-        }
         // Pick a primary that holds state, whose k=1 replica therefore
         // lives exactly on its first alive successor.
         let (victim, holder) = net
@@ -225,10 +170,7 @@ fn departing_replica_holder_hands_copies_to_its_successor() {
         net.node_leave(holder).unwrap();
         net.node_fail(victim).unwrap();
         net.stabilize(3).unwrap();
-        for i in 0..8i64 {
-            net.insert_tuple(a, "S", vec![Value::Int(i), Value::Int(i % 3)])
-                .unwrap();
-        }
+        apply_all(&mut net, &matching_s(8));
         assert_oracle(&net, "replica hand-over");
     }
 }
@@ -244,20 +186,9 @@ fn a_leave_hands_over_copies_it_had_not_promoted_yet() {
             replication: 1,
             ..FaultConfig::default()
         };
-        let mut net = Network::new(
-            EngineConfig::new(alg)
-                .with_nodes(40)
-                .with_seed(9)
-                .with_fault(fault),
-            catalog(),
-        );
+        let config = EngineConfig::new(alg).with_nodes(40).with_seed(9);
+        let mut net = replay(config.with_fault(fault), &subscribed_r(8));
         let a = net.node_at(0);
-        net.pose_query_sql(a, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E")
-            .unwrap();
-        for i in 0..8i64 {
-            net.insert_tuple(a, "R", vec![Value::Int(i), Value::Int(i % 3)])
-                .unwrap();
-        }
         let held: usize = net.storage_loads().iter().sum();
         let (victim, holder) = net
             .ring()
@@ -275,16 +206,11 @@ fn a_leave_hands_over_copies_it_had_not_promoted_yet() {
         let now: usize = net.storage_loads().iter().sum();
         assert_eq!(now, held, "{alg}: every item survives, held once");
 
-        for i in 0..8i64 {
-            net.insert_tuple(a, "S", vec![Value::Int(i), Value::Int(i % 3)])
-                .unwrap();
-        }
+        apply_all(&mut net, &matching_s(8));
         // Every (query, R, S) triple yields a distinct notification, so the
         // oracle's set size is the count to deliver.
-        let mut oracle = Oracle::new();
-        oracle.ingest(net.posed_queries(), net.inserted_tuples());
-        let expected = oracle.expected().unwrap();
-        assert_eq!(net.inbox(a).len(), expected.len(), "{alg}: multiplicity");
+        let want = expected(&net).len();
+        assert_eq!(net.inbox(a).len(), want, "{alg}: multiplicity");
         assert_oracle(&net, "unpromoted hand-over");
     }
 }
@@ -301,18 +227,10 @@ fn replicated_leaves_hand_each_item_over_once() {
                 replication: k,
                 ..FaultConfig::default()
             };
-            let mut net = Network::new(
-                EngineConfig::new(alg)
-                    .with_nodes(40)
-                    .with_seed(1)
-                    .with_fault(fault),
-                catalog(),
-            );
+            let config = EngineConfig::new(alg).with_nodes(40).with_seed(1);
+            let setup = [Command::pose(0, JOIN), Command::r(0, 1, 7)];
+            let mut net = replay(config.with_fault(fault), &setup);
             let a = net.node_at(0);
-            net.pose_query_sql(a, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E")
-                .unwrap();
-            net.insert_tuple(a, "R", vec![Value::Int(1), Value::Int(7)])
-                .unwrap();
             let held: usize = net.storage_loads().iter().sum();
             let holders: Vec<_> = net
                 .ring()
@@ -328,18 +246,11 @@ fn replicated_leaves_hand_each_item_over_once() {
             let now: usize = net.storage_loads().iter().sum();
             assert_eq!(now, held, "{context}: every item is held once");
 
-            net.insert_tuple(a, "S", vec![Value::Int(2), Value::Int(7)])
-                .unwrap();
+            apply_all(&mut net, &[Command::s(0, 2, 7)]);
             // Every (query, R, S) triple here yields a distinct notification,
             // so the oracle's set size is the count to deliver.
-            let mut oracle = Oracle::new();
-            oracle.ingest(net.posed_queries(), net.inserted_tuples());
-            let expected = oracle.expected().unwrap();
-            assert_eq!(
-                net.inbox(a).len(),
-                expected.len(),
-                "{context}: multiplicity"
-            );
+            let want = expected(&net).len();
+            assert_eq!(net.inbox(a).len(), want, "{context}: multiplicity");
             for pair in net.digest_pairs().unwrap() {
                 let agree = pair.primary_digest == pair.successor_digest;
                 assert!(agree, "{context}: redundancy not restored: {pair:?}");
@@ -350,30 +261,24 @@ fn replicated_leaves_hand_each_item_over_once() {
 
 #[test]
 fn join_after_start_takes_over_range() {
-    let mut net = Network::new(
+    // Node 10 leaves, then rejoins (same identifier) — its former range
+    // moves back to it, and the protocol keeps working end to end.
+    let cmds = [
+        Command::pose(0, JOIN),
+        Command::r(0, 1, 7),
+        Command::Leave(10),
+        Command::Stabilize(2),
+        Command::r(0, 3, 8),
+        Command::Rejoin(0),
+        Command::s(0, 2, 7),
+        Command::s(0, 4, 8),
+    ];
+    let net = replay(
         EngineConfig::new(Algorithm::Sai)
             .with_nodes(30)
             .with_seed(4),
-        catalog(),
+        &cmds,
     );
-    let a = net.node_at(0);
-    net.pose_query_sql(a, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E")
-        .unwrap();
-    net.insert_tuple(a, "R", vec![Value::Int(1), Value::Int(7)])
-        .unwrap();
-    // A node leaves, then rejoins (same identifier) — its former range moves
-    // back to it, and the protocol keeps working end to end.
-    let v = net.node_at(10);
-    let v = if v == a { net.node_at(11) } else { v };
-    net.node_leave(v).unwrap();
-    net.stabilize(2).unwrap();
-    net.insert_tuple(a, "R", vec![Value::Int(3), Value::Int(8)])
-        .unwrap();
-    net.node_rejoin(v).unwrap();
-    net.insert_tuple(a, "S", vec![Value::Int(2), Value::Int(7)])
-        .unwrap();
-    net.insert_tuple(a, "S", vec![Value::Int(4), Value::Int(8)])
-        .unwrap();
-    assert_eq!(net.inbox(a).len(), 2);
+    assert_eq!(net.inbox(net.node_at(0)).len(), 2);
     assert_oracle(&net, "join after start");
 }

@@ -13,31 +13,28 @@ pub mod common;
 
 use std::sync::Arc;
 
-use common::catalog;
+use common::{apply_all, catalog, Command, JOIN};
 use cq_engine::{Algorithm, EngineConfig, FaultConfig, Network, RingBufferSink};
-use cq_relational::{Notification, Value};
+use cq_relational::Notification;
 
 const NODES: usize = 8;
 
 /// Two queries, then interleaved `R`/`S` inserts from rotating nodes. On an
 /// 8-node ring most tuple batches put several identifiers on one owner, so
 /// multi-member bundles are the common case.
-fn workload(net: &mut Network) {
-    net.pose_query_sql(net.node_at(0), "SELECT R.A, S.D FROM R, S WHERE R.B = S.E")
-        .unwrap();
-    net.pose_query_sql(
-        net.node_at(3),
-        "SELECT R.A FROM R, S WHERE R.B = S.E AND S.D = 1",
-    )
-    .unwrap();
-    for i in 0..6i64 {
-        let from = net.node_at(i as usize % NODES);
-        net.insert_tuple(from, "R", vec![Value::Int(i), Value::Int(i % 3)])
-            .unwrap();
-        let from = net.node_at((i as usize + 5) % NODES);
-        net.insert_tuple(from, "S", vec![Value::Int(i % 2), Value::Int(i % 3)])
-            .unwrap();
-    }
+fn commands() -> Vec<Command> {
+    let queries = [
+        Command::pose(0, JOIN),
+        Command::pose(3, "SELECT R.A FROM R, S WHERE R.B = S.E AND S.D = 1"),
+    ];
+    let inserts = (0..6i64).flat_map(|i| {
+        let from = i as usize;
+        [
+            Command::r(from % NODES, i, i % 3),
+            Command::s((from + 5) % NODES, i % 2, i % 3),
+        ]
+    });
+    queries.into_iter().chain(inserts).collect()
 }
 
 /// The two delivery modes the fixtures cover: the perfect queue, and the
@@ -63,7 +60,7 @@ fn traced_run(alg: Algorithm, fault: FaultConfig) -> String {
     let ring = Arc::new(RingBufferSink::new(1 << 20));
     let mut net = network(alg, fault);
     net.set_tracer(ring.clone());
-    workload(&mut net);
+    apply_all(&mut net, &commands());
     let mut out = String::new();
     for ev in ring.events() {
         ev.to_jsonl(&mut out);
@@ -120,7 +117,7 @@ fn outcome(alg: Algorithm, tcp: bool, traced: bool) -> Outcome {
     if traced {
         net.set_tracer(Arc::new(RingBufferSink::new(1 << 20)));
     }
-    workload(&mut net);
+    apply_all(&mut net, &commands());
     let inboxes = (0..net.alive_count())
         .map(|i| net.inbox(net.node_at(i)).to_vec())
         .collect();

@@ -4,36 +4,13 @@
 
 pub mod common;
 
-use common::{assert_oracle, catalog};
+use common::{
+    apply_all, assert_oracle, catalog, ef01_stream, replay, Command, JOIN, TWO_SUBSCRIBERS,
+};
 use cq_engine::{Algorithm, EngineConfig, FaultConfig, Network, RingBufferSink, TraceEvent};
 use cq_relational::Value;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// A small scripted workload: two queries and a batch of tuples with
-/// several join matches.
-fn stream(net: &mut Network) {
-    let a = net.node_at(0);
-    let b = net.node_at(7);
-    net.pose_query_sql(a, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E")
-        .unwrap();
-    net.pose_query_sql(b, "SELECT R.A FROM R, S WHERE R.B = S.E AND S.D = 2")
-        .unwrap();
-    for i in 0..12i64 {
-        net.insert_tuple(
-            net.node_at((i % 20) as usize),
-            "R",
-            vec![Value::Int(i), Value::Int(i % 4)],
-        )
-        .unwrap();
-        net.insert_tuple(
-            net.node_at(((i + 3) % 20) as usize),
-            "S",
-            vec![Value::Int(2 + i % 2), Value::Int(i % 3)],
-        )
-        .unwrap();
-    }
-}
 
 #[test]
 fn reliable_pump_with_zero_rates_matches_oracle() {
@@ -45,14 +22,11 @@ fn reliable_pump_with_zero_rates_matches_oracle() {
             max_retries: 8,
             ..FaultConfig::default()
         };
-        let mut net = Network::new(
-            EngineConfig::new(alg)
-                .with_nodes(24)
-                .with_seed(11)
-                .with_fault(fault),
-            catalog(),
-        );
-        stream(&mut net);
+        let config = EngineConfig::new(alg)
+            .with_nodes(24)
+            .with_seed(11)
+            .with_fault(fault);
+        let net = replay(config, &ef01_stream(TWO_SUBSCRIBERS, &[]));
         assert_eq!(net.metrics().faults.messages_lost, 0);
         assert_eq!(net.metrics().faults.retransmissions, 0);
         // In memory only the pump charges wire bytes.
@@ -69,14 +43,11 @@ fn delivery_survives_message_loss() {
     // 20% loss (plus the profile's mild duplication and delay): acks and
     // retransmissions must still get every notification through.
     for alg in Algorithm::ALL {
-        let mut net = Network::new(
-            EngineConfig::new(alg)
-                .with_nodes(24)
-                .with_seed(12)
-                .with_fault(FaultConfig::lossy(0.2, 21)),
-            catalog(),
-        );
-        stream(&mut net);
+        let config = EngineConfig::new(alg)
+            .with_nodes(24)
+            .with_seed(12)
+            .with_fault(FaultConfig::lossy(0.2, 21));
+        let net = replay(config, &ef01_stream(TWO_SUBSCRIBERS, &[]));
         let f = net.metrics().faults;
         assert!(f.messages_lost > 0, "{alg}: losses must have been drawn");
         assert!(f.retransmissions > 0, "{alg}: losses force retransmissions");
@@ -94,14 +65,11 @@ fn duplicates_are_suppressed_exactly_once() {
             seed: 31,
             ..FaultConfig::default()
         };
-        let mut net = Network::new(
-            EngineConfig::new(alg)
-                .with_nodes(24)
-                .with_seed(13)
-                .with_fault(fault),
-            catalog(),
-        );
-        stream(&mut net);
+        let config = EngineConfig::new(alg)
+            .with_nodes(24)
+            .with_seed(13)
+            .with_fault(fault);
+        let net = replay(config, &ef01_stream(TWO_SUBSCRIBERS, &[]));
         let f = net.metrics().faults;
         assert!(f.messages_duplicated > 0, "{alg}: duplicates must be drawn");
         assert!(
@@ -123,14 +91,11 @@ fn reordering_preserves_results() {
             seed: 41,
             ..FaultConfig::default()
         };
-        let mut net = Network::new(
-            EngineConfig::new(alg)
-                .with_nodes(24)
-                .with_seed(14)
-                .with_fault(fault),
-            catalog(),
-        );
-        stream(&mut net);
+        let config = EngineConfig::new(alg)
+            .with_nodes(24)
+            .with_seed(14)
+            .with_fault(fault);
+        let net = replay(config, &ef01_stream(TWO_SUBSCRIBERS, &[]));
         assert_eq!(net.metrics().faults.messages_lost, 0);
         assert_oracle(&net, "reordered");
     }
@@ -148,28 +113,17 @@ fn single_failure_with_replication_preserves_index_state() {
                 replication: 2,
                 ..FaultConfig::default()
             };
-            let mut net = Network::new(
-                EngineConfig::new(alg)
-                    .with_nodes(40)
-                    .with_seed(15)
-                    .with_fault(fault),
-                catalog(),
-            );
-            let a = net.node_at(0);
-            net.pose_query_sql(a, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E")
-                .unwrap();
-            net.insert_tuple(a, "R", vec![Value::Int(1), Value::Int(7)])
-                .unwrap();
-            let victim = net.node_at(victim_idx);
-            if victim == a {
-                continue;
-            }
-            net.node_fail(victim).unwrap();
-            net.stabilize(2).unwrap();
-            net.insert_tuple(a, "S", vec![Value::Int(2), Value::Int(7)])
-                .unwrap();
+            let config = EngineConfig::new(alg).with_nodes(40).with_seed(15);
+            let cmds = [
+                Command::pose(0, JOIN),
+                Command::r(0, 1, 7),
+                Command::Fail(victim_idx),
+                Command::Stabilize(2),
+                Command::s(0, 2, 7),
+            ];
+            let net = replay(config.with_fault(fault), &cmds);
             assert_eq!(
-                net.inbox(a).len(),
+                net.inbox(net.node_at(0)).len(),
                 1,
                 "{alg}: join must survive the failure of node {victim_idx}"
             );
@@ -188,19 +142,10 @@ fn failure_with_replication_preserves_offline_notifications() {
             replication: 2,
             ..FaultConfig::default()
         };
-        let mut net = Network::new(
-            EngineConfig::new(alg)
-                .with_nodes(40)
-                .with_seed(16)
-                .with_fault(fault),
-            catalog(),
-        );
-        let a = net.node_at(0);
-        let b = net.node_at(5);
-        net.pose_query_sql(a, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E")
-            .unwrap();
-        net.insert_tuple(b, "R", vec![Value::Int(1), Value::Int(7)])
-            .unwrap();
+        let config = EngineConfig::new(alg).with_nodes(40).with_seed(16);
+        let setup = [Command::pose(0, JOIN), Command::r(5, 1, 7)];
+        let mut net = replay(config.with_fault(fault), &setup);
+        let (a, b) = (net.node_at(0), net.node_at(5));
         net.node_leave(a).unwrap();
         net.stabilize(2).unwrap();
         net.insert_tuple(b, "S", vec![Value::Int(2), Value::Int(7)])
@@ -232,20 +177,16 @@ fn failure_with_replication_preserves_offline_notifications() {
 fn offline_storage_metrics_count_arrivals_once() {
     // `notifications_delivered` counts actual arrivals (inbox or offline
     // store), and `notifications_stored_offline` counts only the latter.
-    let mut net = Network::new(
-        EngineConfig::new(Algorithm::Sai)
-            .with_nodes(40)
-            .with_seed(17),
-        catalog(),
-    );
-    let a = net.node_at(0);
-    let b = net.node_at(5);
-    net.pose_query_sql(a, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E")
-        .unwrap();
-    net.insert_tuple(b, "R", vec![Value::Int(1), Value::Int(7)])
-        .unwrap();
-    net.insert_tuple(b, "S", vec![Value::Int(2), Value::Int(7)])
-        .unwrap();
+    let config = EngineConfig::new(Algorithm::Sai)
+        .with_nodes(40)
+        .with_seed(17);
+    let setup = [
+        Command::pose(0, JOIN),
+        Command::r(5, 1, 7),
+        Command::s(5, 2, 7),
+    ];
+    let mut net = replay(config, &setup);
+    let (a, b) = (net.node_at(0), net.node_at(5));
     assert_eq!(net.metrics().notifications_delivered, 1);
     assert_eq!(
         net.metrics().notifications_stored_offline,
@@ -351,7 +292,7 @@ fn exhausted_retry_windows_give_up_without_livelock() {
     );
     let sink = Arc::new(RingBufferSink::new(8192));
     net.set_tracer(sink.clone());
-    stream(&mut net);
+    apply_all(&mut net, &ef01_stream(TWO_SUBSCRIBERS, &[]));
 
     let mut max_attempt: BTreeMap<(u32, u64), u32> = BTreeMap::new();
     for ev in sink.events() {
@@ -393,14 +334,11 @@ fn dedup_absorbs_retransmit_racing_a_late_ack() {
         ..FaultConfig::default()
     };
     for alg in Algorithm::ALL {
-        let mut net = Network::new(
-            EngineConfig::new(alg)
-                .with_nodes(24)
-                .with_seed(21)
-                .with_fault(fault.clone()),
-            catalog(),
-        );
-        stream(&mut net);
+        let config = EngineConfig::new(alg)
+            .with_nodes(24)
+            .with_seed(21)
+            .with_fault(fault.clone());
+        let net = replay(config, &ef01_stream(TWO_SUBSCRIBERS, &[]));
         let f = net.metrics().faults;
         assert_eq!(f.messages_duplicated, 0, "{alg}: no duplication was drawn");
         assert!(
@@ -421,26 +359,12 @@ fn replica_load_is_not_storage_load() {
         replication: 2,
         ..FaultConfig::default()
     };
-    let mut net = Network::new(
-        EngineConfig::new(Algorithm::DaiT)
-            .with_nodes(40)
-            .with_seed(18)
-            .with_fault(fault.clone()),
-        catalog(),
-    );
-    let mut baseline = Network::new(
-        EngineConfig::new(Algorithm::DaiT)
-            .with_nodes(40)
-            .with_seed(18),
-        catalog(),
-    );
-    for n in [&mut net, &mut baseline] {
-        let a = n.node_at(0);
-        n.pose_query_sql(a, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E")
-            .unwrap();
-        n.insert_tuple(a, "R", vec![Value::Int(1), Value::Int(7)])
-            .unwrap();
-    }
+    let config = EngineConfig::new(Algorithm::DaiT)
+        .with_nodes(40)
+        .with_seed(18);
+    let setup = [Command::pose(0, JOIN), Command::r(0, 1, 7)];
+    let net = replay(config.clone().with_fault(fault), &setup);
+    let baseline = replay(config, &setup);
     assert_eq!(
         net.storage_loads(),
         baseline.storage_loads(),
@@ -476,7 +400,7 @@ fn receive_side_dedup_state_is_bounded_by_message_lifetime() {
             .with_suspicion(suspicion),
         catalog(),
     );
-    stream(&mut net);
+    apply_all(&mut net, &ef01_stream(TWO_SUBSCRIBERS, &[]));
     let probes_per_round = 2 * 32 * cq_overlay::DEFAULT_SUCCESSOR_LIST_LEN;
     let mut at_2000 = 0;
     for tick in 1..=4000 {

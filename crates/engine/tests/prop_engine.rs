@@ -4,8 +4,8 @@
 
 pub mod common;
 
-use common::{run, step_strategy};
-use cq_engine::{Algorithm, FaultConfig, Oracle};
+use common::{assert_oracle, command_lists, replay};
+use cq_engine::{Algorithm, EngineConfig};
 use proptest::prelude::*;
 
 proptest! {
@@ -13,22 +13,17 @@ proptest! {
 
     #[test]
     fn all_algorithms_agree_with_the_oracle(
-        steps in prop::collection::vec(step_strategy(), 1..40),
+        cmds in command_lists(1..40),
         seed in 0u64..1000,
     ) {
+        let case = format!("seed {seed}, {cmds:?}");
         let mut reference: Option<std::collections::HashSet<_>> = None;
         for alg in Algorithm::ALL {
-            let net = run(alg, &steps, seed, FaultConfig::default());
-            let mut oracle = Oracle::new();
-            oracle.ingest(net.posed_queries(), net.inserted_tuples());
-            let expected = oracle.expected().unwrap();
+            let net = replay(EngineConfig::new(alg).with_nodes(32).with_seed(seed), &cmds);
+            assert_oracle(&net, &case);
             let delivered = net.delivered_set();
-            prop_assert_eq!(
-                &delivered, &expected,
-                "{} diverged from oracle", alg
-            );
             if let Some(r) = &reference {
-                prop_assert_eq!(r, &delivered, "{} diverged from other algorithms", alg);
+                prop_assert_eq!(r, &delivered, "{} diverged from other algorithms: {}", alg, case);
             } else {
                 reference = Some(delivered);
             }

@@ -6,8 +6,8 @@
 
 pub mod common;
 
-use common::{run, step_strategy};
-use cq_engine::{Algorithm, FaultConfig, Oracle};
+use common::{assert_oracle, command_lists, replay};
+use cq_engine::{Algorithm, EngineConfig, FaultConfig};
 use proptest::prelude::*;
 
 proptest! {
@@ -15,28 +15,23 @@ proptest! {
 
     #[test]
     fn exactly_once_delivery_over_a_faulty_channel(
-        steps in prop::collection::vec(step_strategy(), 1..40),
+        cmds in command_lists(1..40),
         seed in 0u64..1000,
         loss_pct in 0u32..31,
         fault_seed in 0u64..1000,
     ) {
-        let loss = f64::from(loss_pct) / 100.0;
+        let fault = FaultConfig::lossy(f64::from(loss_pct) / 100.0, fault_seed);
+        let case = format!("seed {seed}, {fault:?}, {cmds:?}");
         for alg in Algorithm::ALL {
-            let net = run(alg, &steps, seed, FaultConfig::lossy(loss, fault_seed));
-            let mut oracle = Oracle::new();
-            oracle.ingest(net.posed_queries(), net.inserted_tuples());
-            let expected = oracle.expected().unwrap();
-            prop_assert_eq!(
-                net.delivered_set(),
-                expected,
-                "{} diverged from oracle under loss {}", alg, loss
-            );
+            let config = EngineConfig::new(alg).with_nodes(32).with_seed(seed);
+            let net = replay(config.with_fault(fault.clone()), &cmds);
+            assert_oracle(&net, &case);
         }
     }
 
     #[test]
     fn backoff_and_dedup_survive_sustained_loss_with_delay(
-        steps in prop::collection::vec(step_strategy(), 1..30),
+        cmds in command_lists(1..30),
         seed in 0u64..1000,
         loss_pct in 5u32..31,
         delay_pct in 0u32..100,
@@ -51,16 +46,11 @@ proptest! {
         fault.delay_rate = f64::from(delay_pct) / 100.0;
         fault.max_delay = max_delay;
         fault.ack_timeout = 1; // aggressive: races acks against retries
+        let case = format!("seed {seed}, {fault:?}, {cmds:?}");
         for alg in Algorithm::ALL {
-            let net = run(alg, &steps, seed, fault.clone());
-            let mut oracle = Oracle::new();
-            oracle.ingest(net.posed_queries(), net.inserted_tuples());
-            let expected = oracle.expected().unwrap();
-            prop_assert_eq!(
-                net.delivered_set(),
-                expected,
-                "{} diverged under loss {} + delay {}", alg, loss_pct, delay_pct
-            );
+            let config = EngineConfig::new(alg).with_nodes(32).with_seed(seed);
+            let net = replay(config.with_fault(fault.clone()), &cmds);
+            assert_oracle(&net, &case);
         }
     }
 }

@@ -3,21 +3,12 @@
 
 pub mod common;
 
-use common::catalog;
-use cq_engine::{Algorithm, EngineConfig, FaultConfig, Network, Oracle, SuspicionConfig};
-use cq_relational::{Tuple, Value};
-use std::sync::Arc;
-
-fn expected_for(net: &Network, tuples: &[Arc<Tuple>]) -> std::collections::HashSet<String> {
-    let mut oracle = Oracle::new();
-    oracle.ingest(net.posed_queries(), tuples);
-    oracle
-        .expected()
-        .unwrap()
-        .into_iter()
-        .map(|n| n.to_string())
-        .collect()
-}
+use common::{
+    apply, apply_all, assert_oracle, assert_oracle_outside_windows, catalog, matching_s, replay,
+    subscribed_r, Command, JOIN,
+};
+use cq_engine::{Algorithm, EngineConfig, FaultConfig, Network, SuspicionConfig};
+use cq_relational::Value;
 
 #[test]
 fn detector_finds_failure_and_promotes_without_oracle() {
@@ -26,21 +17,13 @@ fn detector_finds_failure_and_promotes_without_oracle() {
             replication: 1,
             ..FaultConfig::default()
         };
-        let mut net = Network::new(
-            EngineConfig::new(alg)
-                .with_nodes(40)
-                .with_seed(11)
-                .with_fault(fault)
-                .with_suspicion(SuspicionConfig::active()),
-            catalog(),
-        );
+        let config = EngineConfig::new(alg)
+            .with_nodes(40)
+            .with_seed(11)
+            .with_fault(fault)
+            .with_suspicion(SuspicionConfig::active());
+        let mut net = replay(config, &subscribed_r(6));
         let a = net.node_at(0);
-        net.pose_query_sql(a, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E")
-            .unwrap();
-        for i in 0..6i64 {
-            net.insert_tuple(a, "R", vec![Value::Int(i), Value::Int(i % 3)])
-                .unwrap();
-        }
         // Abrupt failure with NO oracle repair: no stabilize() call. The
         // heartbeat detector must notice, confirm, and promote replicas.
         let victim = net.node_at(20);
@@ -57,21 +40,8 @@ fn detector_finds_failure_and_promotes_without_oracle() {
             "{alg}: detection takes nonzero ticks"
         );
 
-        for i in 0..6i64 {
-            net.insert_tuple(a, "S", vec![Value::Int(i), Value::Int(i % 3)])
-                .unwrap();
-        }
-        let delivered: std::collections::HashSet<String> = net
-            .delivered_set()
-            .into_iter()
-            .map(|n| n.to_string())
-            .collect();
-        let tuples: Vec<Arc<Tuple>> = net.inserted_tuples().to_vec();
-        assert_eq!(
-            delivered,
-            expected_for(&net, &tuples),
-            "{alg}: k=1 replication + detection must be lossless here"
-        );
+        apply_all(&mut net, &matching_s(6));
+        assert_oracle(&net, "k=1 replication + detection must be lossless here");
     }
 }
 
@@ -172,41 +142,14 @@ fn churn_with_loss_matches_oracle_outside_detection_windows() {
         "settle must verify a repair per detection: {rec:?}"
     );
 
-    let delivered: std::collections::HashSet<String> = net
-        .delivered_set()
-        .into_iter()
-        .map(|n| n.to_string())
-        .collect();
-    let all_tuples: Vec<Arc<Tuple>> = net.inserted_tuples().to_vec();
-    let expected_all = expected_for(&net, &all_tuples);
-    for n in &delivered {
-        assert!(expected_all.contains(n), "spurious notification {n}");
-    }
-
     let windows = net.detection_windows();
     assert!(!windows.is_empty(), "failures must open detection windows");
     assert!(
         windows.iter().all(|&(_, b)| b != u64::MAX),
         "settle must close every window: {windows:?}"
     );
-    let outside: Vec<Arc<Tuple>> = all_tuples
-        .iter()
-        .filter(|t| {
-            let p = t.pub_time().0;
-            windows.iter().all(|&(lo, hi)| p < lo || p > hi)
-        })
-        .cloned()
-        .collect();
-    assert!(
-        outside.len() < all_tuples.len(),
-        "windows must cover tuples"
-    );
-    for n in expected_for(&net, &outside) {
-        assert!(
-            delivered.contains(&n),
-            "notification expected outside all detection windows was lost: {n}"
-        );
-    }
+    let inside = assert_oracle_outside_windows(&net, "churn with loss");
+    assert!(inside > 0, "windows must cover tuples");
 }
 
 #[test]
@@ -221,28 +164,22 @@ fn slow_links_cause_false_suspicion_not_data_loss() {
         replication: 1,
         ..FaultConfig::default()
     };
-    let mut net = Network::new(
-        EngineConfig::new(Algorithm::Sai)
-            .with_nodes(32)
-            .with_seed(17)
-            .with_fault(fault)
-            .with_suspicion(
-                SuspicionConfig::active()
-                    .with_suspect_after(2)
-                    .with_confirm_after(2),
-            ),
-        catalog(),
-    );
-    let a = net.node_at(0);
-    net.pose_query_sql(a, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E")
-        .unwrap();
-    for i in 0..10i64 {
-        net.insert_tuple(a, "R", vec![Value::Int(i), Value::Int(i % 3)])
-            .unwrap();
-        net.insert_tuple(a, "S", vec![Value::Int(i), Value::Int(i % 3)])
-            .unwrap();
-    }
-    net.settle().unwrap();
+    let config = EngineConfig::new(Algorithm::Sai)
+        .with_nodes(32)
+        .with_seed(17)
+        .with_fault(fault)
+        .with_suspicion(
+            SuspicionConfig::active()
+                .with_suspect_after(2)
+                .with_confirm_after(2),
+        );
+    let rounds = (0..10).flat_map(|i| [Command::r(0, i, i % 3), Command::s(0, i, i % 3)]);
+    let cmds: Vec<Command> = [Command::pose(0, JOIN)]
+        .into_iter()
+        .chain(rounds)
+        .chain([Command::Settle])
+        .collect();
+    let net = replay(config, &cmds);
 
     let rec = net.metrics().recovery;
     assert!(
@@ -251,16 +188,9 @@ fn slow_links_cause_false_suspicion_not_data_loss() {
     );
     assert_eq!(rec.detections, 0, "nobody actually died: {rec:?}");
 
-    let delivered: std::collections::HashSet<String> = net
-        .delivered_set()
-        .into_iter()
-        .map(|n| n.to_string())
-        .collect();
-    let tuples: Vec<Arc<Tuple>> = net.inserted_tuples().to_vec();
-    assert_eq!(
-        delivered,
-        expected_for(&net, &tuples),
-        "false suspicion must not lose or fabricate notifications"
+    assert_oracle(
+        &net,
+        "false suspicion must not lose or fabricate notifications",
     );
 }
 
@@ -274,22 +204,13 @@ fn anti_entropy_repairs_replica_divergence() {
     let mut fault = FaultConfig::lossy(0.5, 19);
     fault.replication = 1;
     fault.max_retries = 1;
-    let mut net = Network::new(
-        EngineConfig::new(Algorithm::DaiT)
-            .with_nodes(32)
-            .with_seed(19)
-            .with_fault(fault)
-            // Cadence far in the future: only the explicit hook runs AE.
-            .with_suspicion(SuspicionConfig::active().with_anti_entropy_every(1_000_000)),
-        catalog(),
-    );
-    let a = net.node_at(0);
-    net.pose_query_sql(a, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E")
-        .unwrap();
-    for i in 0..16i64 {
-        net.insert_tuple(a, "R", vec![Value::Int(i), Value::Int(i % 3)])
-            .unwrap();
-    }
+    let config = EngineConfig::new(Algorithm::DaiT)
+        .with_nodes(32)
+        .with_seed(19)
+        .with_fault(fault)
+        // Cadence far in the future: only the explicit hook runs AE.
+        .with_suspicion(SuspicionConfig::active().with_anti_entropy_every(1_000_000));
+    let mut net = replay(config, &subscribed_r(16));
     // Lossy re-mirroring has left holes; run anti-entropy rounds until the
     // ring converges (each round's repair traffic is itself lossy).
     let mut repaired = 0;
@@ -323,24 +244,20 @@ fn anti_entropy_repairs_replica_divergence() {
 
 #[test]
 fn detection_disabled_by_default_is_inert() {
-    let mut net = Network::new(
-        EngineConfig::new(Algorithm::DaiT)
-            .with_nodes(24)
-            .with_seed(23),
-        catalog(),
-    );
-    let a = net.node_at(0);
-    net.pose_query_sql(a, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E")
-        .unwrap();
-    net.insert_tuple(a, "R", vec![Value::Int(1), Value::Int(7)])
-        .unwrap();
-    net.insert_tuple(a, "S", vec![Value::Int(2), Value::Int(7)])
-        .unwrap();
-    net.settle().unwrap(); // no-op without a detector
+    let config = EngineConfig::new(Algorithm::DaiT)
+        .with_nodes(24)
+        .with_seed(23);
+    let cmds = [
+        Command::pose(0, JOIN),
+        Command::r(0, 1, 7),
+        Command::s(0, 2, 7),
+        Command::Settle, // a no-op without a detector
+    ];
+    let net = replay(config, &cmds);
     let rec = net.metrics().recovery;
     assert_eq!(rec, Default::default(), "no detector, no recovery activity");
     assert!(net.detection_windows().is_empty());
-    assert_eq!(net.inbox(a).len(), 1);
+    assert_eq!(net.inbox(net.node_at(0)).len(), 1);
 }
 
 // ---------------------------------------------------------------------
@@ -348,7 +265,7 @@ fn detection_disabled_by_default_is_inert() {
 // ---------------------------------------------------------------------
 
 use cq_engine::{NodeState, ReplicaItem};
-use cq_overlay::{Id, NodeHandle};
+use cq_overlay::Id;
 use proptest::prelude::*;
 
 /// Every primary item `st` holds, as the mirrorable item it is replicated as.
@@ -429,6 +346,21 @@ fn churn_net(alg: Algorithm, seed: u64) -> Network {
     )
 }
 
+/// The digest suite's schedules: inserts, failures, leaves, rejoins,
+/// promotion rounds, settles and anti-entropy rounds.
+fn churn_command() -> impl Strategy<Value = Command> {
+    prop_oneof![
+        1 => (0usize..64).prop_map(Command::Fail),
+        1 => (0usize..64).prop_map(Command::Leave),
+        1 => (0usize..64).prop_map(Command::Rejoin),
+        1 => Just(Command::Stabilize(1)),
+        1 => Just(Command::Settle),
+        1 => Just(Command::AntiEntropy),
+        2 => ((0usize..64), (0i64..6)).prop_map(|(from, v)| Command::r(from, v, v % 3)),
+        2 => ((0usize..64), (0i64..6)).prop_map(|(from, v)| Command::s(from, v, v % 3)),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -438,41 +370,32 @@ proptest! {
     #[test]
     fn incremental_digests_match_from_scratch(
         seed in 0u64..1_000,
-        ops in prop::collection::vec((0u8..10, 0usize..64, 0i64..6), 1..40),
+        cmds in prop::collection::vec(churn_command(), 1..40),
     ) {
         for alg in Algorithm::ALL {
             let mut net = churn_net(alg, seed);
-            let poser = net.node_at(0);
-            net.pose_query_sql(poser, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E").unwrap();
-            net.pose_query_sql(poser, "SELECT S.D, R.B FROM S, R WHERE S.D = R.A").unwrap();
-            for (step, &(kind, pick, v)) in ops.iter().enumerate() {
-                let alive: Vec<NodeHandle> = net.ring().alive_nodes().collect();
-                let departed: Vec<NodeHandle> = (0..net.ring().slot_count())
-                    .map(NodeHandle::from_index)
-                    .filter(|&h| !net.ring().node(h).is_alive())
-                    .collect();
-                let node = alive[pick % alive.len()];
+            let reversed = "SELECT S.D, R.B FROM S, R WHERE S.D = R.A";
+            apply_all(&mut net, &[Command::pose(0, JOIN), Command::pose(0, reversed)]);
+            for (step, cmd) in cmds.iter().enumerate() {
+                let alive = net.alive_count();
                 // A victim that is stabilized out of every successor list
                 // before the detector confirmed it is never confirmed, and
                 // `settle` would spin to its tick limit.
                 let detected = net.detection_windows().iter().all(|w| w.1 != u64::MAX);
+                let allowed = match cmd {
+                    Command::Fail(_) | Command::Leave(_) => alive > 12,
+                    Command::Stabilize(_) => detected,
+                    _ => true,
+                };
                 // Errors are legal here (e.g. routing through a ring that
                 // is mid-repair); the digests must stay exact regardless.
-                match kind {
-                    0 if alive.len() > 12 => drop(net.node_fail(node)),
-                    1 if alive.len() > 12 => drop(net.node_leave(node)),
-                    2 if !departed.is_empty() => {
-                        drop(net.node_rejoin(departed[pick % departed.len()]))
-                    }
-                    3 if detected => drop(net.stabilize(1)),
-                    4 => drop(net.settle()),
-                    5 => drop(net.anti_entropy_now()),
-                    k if k % 2 == 0 => {
-                        drop(net.insert_tuple(node, "R", vec![Value::Int(v), Value::Int(v % 3)]))
-                    }
-                    _ => drop(net.insert_tuple(node, "S", vec![Value::Int(v), Value::Int(v % 3)])),
+                if allowed {
+                    drop(apply(&mut net, cmd));
                 }
-                assert_digests_exact(&mut net, &format!("{alg} seed {seed} step {step} op {kind}"));
+                assert_digests_exact(
+                    &mut net,
+                    &format!("{alg} seed {seed} step {step}, {cmds:?}"),
+                );
             }
         }
     }

@@ -12,17 +12,10 @@ pub mod common;
 
 use std::sync::Arc;
 
-use common::catalog;
+use common::{apply_all, assert_oracle, catalog, ef01_stream, replay, Command, TWO_SUBSCRIBERS};
 use cq_engine::{
-    Algorithm, EngineConfig, FaultConfig, Network, Oracle, RingBufferSink, TraceEvent, TrafficKind,
+    Algorithm, EngineConfig, FaultConfig, Network, RingBufferSink, TraceEvent, TrafficKind,
 };
-use cq_relational::Value;
-
-/// The two subscribers of the lossy run: one query each.
-const TWO_QUERIES: &[(usize, &str)] = &[
-    (0, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E"),
-    (7, "SELECT R.A FROM R, S WHERE R.B = S.E AND S.D = 2"),
-];
 
 /// Three subscribers with several queries each, so one evaluator's matches
 /// for one subscriber come from more than one query. Node 7 is again the
@@ -37,73 +30,36 @@ const SEVERAL_QUERIES_EACH: &[(usize, &str)] = &[
     (13, "SELECT R.B, S.D FROM R, S WHERE R.B = S.E AND R.A = 4"),
 ];
 
-/// ef01-style workload: subscribers at nodes 0 and 7 (and whoever else
-/// `queries` names), of which node 7 disconnects halfway through the
+/// The ef01-style stream over `queries` on 24 nodes in both retention
+/// modes, full first. Node 7 — a subscriber — leaves halfway through the
 /// stream, so both the online and the offline delivery arms are exercised
-/// — under retransmission pressure when `fault` is lossy.
-fn run_mode(
+/// — under retransmission pressure when `fault` is lossy. Its matches from
+/// the second half must land in the offline store (full mode) / offline
+/// counters (counts mode), never in the delivered figure of counts mode.
+fn both_modes(
     alg: Algorithm,
-    retain: bool,
     fault: FaultConfig,
-    queries: &[(usize, &str)],
-) -> Network {
-    let mut net = Network::new(
-        EngineConfig::new(alg)
+    queries: &[(usize, &'static str)],
+) -> [Network; 2] {
+    let cmds = ef01_stream(queries, &[Command::Leave(7), Command::Stabilize(2)]);
+    [true, false].map(|retain| {
+        let config = EngineConfig::new(alg)
             .with_nodes(24)
             .with_seed(42)
-            .with_fault(fault)
-            .with_retained_notifications(retain),
-        catalog(),
-    );
-    let b = net.node_at(7);
-    for &(node, sql) in queries {
-        net.pose_query_sql(net.node_at(node), sql).unwrap();
-    }
-    let insert = |net: &mut Network, i: i64| {
-        net.insert_tuple(
-            net.node_at((i % 20) as usize),
-            "R",
-            vec![Value::Int(i), Value::Int(i % 4)],
-        )
-        .unwrap();
-        net.insert_tuple(
-            net.node_at(((i + 3) % 20) as usize),
-            "S",
-            vec![Value::Int(2 + i % 2), Value::Int(i % 3)],
-        )
-        .unwrap();
-    };
-    for i in 0..6 {
-        insert(&mut net, i);
-    }
-    // `b` disconnects: its matches from the second half of the stream must
-    // land in the offline store (full mode) / offline counters (counts
-    // mode), never in the delivered figure of counts mode.
-    net.node_leave(b).unwrap();
-    net.stabilize(2).unwrap();
-    for i in 6..12 {
-        insert(&mut net, i);
-    }
-    net
+            .with_fault(fault.clone())
+            .with_retained_notifications(retain);
+        replay(config, &cmds)
+    })
 }
 
 #[test]
 fn counts_mode_agrees_with_full_retention_under_faults() {
     for alg in Algorithm::ALL {
-        let lossy = FaultConfig::lossy(0.15, 77);
-        let full = run_mode(alg, true, lossy.clone(), TWO_QUERIES);
-        let counts = run_mode(alg, false, lossy, TWO_QUERIES);
+        let [full, counts] = both_modes(alg, FaultConfig::lossy(0.15, 77), TWO_SUBSCRIBERS);
 
         // Ground truth: full retention delivers exactly the oracle set
         // (inbox plus offline store), each notification exactly once.
-        let mut oracle = Oracle::new();
-        oracle.ingest(full.posed_queries(), full.inserted_tuples());
-        let expected = oracle.expected().unwrap();
-        assert_eq!(
-            full.delivered_set(),
-            expected,
-            "{alg}: full retention must match the oracle under faults"
-        );
+        assert_oracle(&full, "full retention under faults");
         // (No `delivered == expected.len()` assertion: the counter counts
         // match *events* while the oracle set holds distinct notification
         // *contents* — the stream repeats S tuples, so events exceed set
@@ -141,12 +97,8 @@ fn counts_mode_agrees_with_full_retention_under_faults() {
 #[test]
 fn counts_mode_sends_what_full_retention_sends_with_several_queries_per_subscriber() {
     for alg in Algorithm::ALL {
-        let full = run_mode(alg, true, FaultConfig::default(), SEVERAL_QUERIES_EACH);
-        let counts = run_mode(alg, false, FaultConfig::default(), SEVERAL_QUERIES_EACH);
-
-        let mut oracle = Oracle::new();
-        oracle.ingest(full.posed_queries(), full.inserted_tuples());
-        assert_eq!(full.delivered_set(), oracle.expected().unwrap(), "{alg}");
+        let [full, counts] = both_modes(alg, FaultConfig::default(), SEVERAL_QUERIES_EACH);
+        assert_oracle(&full, "full retention");
 
         let (fm, cm) = (full.metrics(), counts.metrics());
         assert!(cm.notifications_stored_offline > 0, "{alg}: offline arm");
@@ -195,11 +147,7 @@ const POSED_MID_STREAM_T2: (usize, i64, &str) = (
 /// tuples, so that evaluators hold candidates published before some of the
 /// queries they match for: the time test `pubT(t) >= insT(q)` has to turn
 /// those pairs down. Counts are traced per receiving node.
-fn run_staggered(
-    alg: Algorithm,
-    retain: bool,
-    queries: &[(usize, i64, &str)],
-) -> (Network, Arc<RingBufferSink>) {
+fn staggered(alg: Algorithm, retain: bool, cmds: &[Command]) -> (Network, Arc<RingBufferSink>) {
     let mut net = Network::new(
         EngineConfig::new(alg)
             .with_nodes(24)
@@ -209,23 +157,7 @@ fn run_staggered(
     );
     let sink = Arc::new(RingBufferSink::new(1 << 20));
     net.set_tracer(sink.clone());
-    for i in 0..12 {
-        for &(node, _, sql) in queries.iter().filter(|q| q.1 == i) {
-            net.pose_query_sql(net.node_at(node), sql).unwrap();
-        }
-        net.insert_tuple(
-            net.node_at((i % 20) as usize),
-            "R",
-            vec![Value::Int(i % 6), Value::Int(i % 3)],
-        )
-        .unwrap();
-        net.insert_tuple(
-            net.node_at(((i + 3) % 20) as usize),
-            "S",
-            vec![Value::Int(2 + i % 2), Value::Int(i % 3)],
-        )
-        .unwrap();
-    }
+    apply_all(&mut net, cmds);
     (net, sink)
 }
 
@@ -257,12 +189,21 @@ fn counts_mode_agrees_with_full_retention_when_queries_are_posed_mid_stream() {
         if alg == Algorithm::DaiV {
             queries.push(POSED_MID_STREAM_T2);
         }
-        let (full, full_trace) = run_staggered(alg, true, &queries);
-        let (counts, counts_trace) = run_staggered(alg, false, &queries);
-
-        let mut oracle = Oracle::new();
-        oracle.ingest(full.posed_queries(), full.inserted_tuples());
-        assert_eq!(full.delivered_set(), oracle.expected().unwrap(), "{alg}");
+        let cmds: Vec<Command> = (0..12)
+            .flat_map(|i| {
+                let poses = queries.iter().filter(move |q| q.1 == i);
+                let from = (i % 20) as usize;
+                poses
+                    .map(|&(node, _, sql)| Command::pose(node, sql))
+                    .chain([
+                        Command::r(from, i % 6, i % 3),
+                        Command::s((from + 3) % 20, 2 + i % 2, i % 3),
+                    ])
+            })
+            .collect();
+        let (full, full_trace) = staggered(alg, true, &cmds);
+        let (counts, counts_trace) = staggered(alg, false, &cmds);
+        assert_oracle(&full, "full retention");
 
         // The workload does exercise the time test: the last query posed
         // has partners older than itself for newer tuples.

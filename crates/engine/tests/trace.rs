@@ -8,31 +8,26 @@ pub mod common;
 
 use std::sync::Arc;
 
-use common::catalog;
+use common::{apply_all, catalog, Command, JOIN};
 use cq_engine::{
     Algorithm, EngineConfig, FaultConfig, Message, Network, RingBufferSink, TraceEvent,
 };
 use cq_overlay::Id;
 use cq_relational::Value;
 
-fn stream(net: &mut Network) {
-    let a = net.node_at(0);
-    net.pose_query_sql(a, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E")
-        .unwrap();
-    for i in 0..8i64 {
-        net.insert_tuple(
-            net.node_at((i % 16) as usize),
-            "R",
-            vec![Value::Int(i), Value::Int(i % 3)],
-        )
-        .unwrap();
-        net.insert_tuple(
-            net.node_at(((i + 5) % 16) as usize),
-            "S",
-            vec![Value::Int(i), Value::Int(i % 2)],
-        )
-        .unwrap();
-    }
+/// One query, then interleaved `R`/`S` inserts from rotating nodes.
+fn commands() -> Vec<Command> {
+    let inserts = (0..8i64).flat_map(|i| {
+        let from = i as usize;
+        [
+            Command::r(from % 16, i, i % 3),
+            Command::s((from + 5) % 16, i, i % 2),
+        ]
+    });
+    [Command::pose(0, JOIN)]
+        .into_iter()
+        .chain(inserts)
+        .collect()
 }
 
 /// Stream-order invariants every trace must satisfy: a message is sent
@@ -83,7 +78,7 @@ fn ordering_invariants_hold_for_every_algorithm_under_faults() {
             catalog(),
         );
         net.set_tracer(ring.clone());
-        stream(&mut net);
+        apply_all(&mut net, &commands());
         let events = ring.events();
         assert!(
             events.iter().any(|e| e.kind() == "fault-drop"),

@@ -16,11 +16,15 @@
 //!   ids          e01..e16, t01, a01, ef01, ef02 (default: all); an unknown
 //!                id is an error
 //! ```
+//!
+//! A reader that closes stdout early (`experiments | head`) ends the run
+//! with exit code 0; any other write error exits 1, naming it.
 
+use std::io::Write;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use cq_sim::experiments::{all, Scale};
+use cq_sim::experiments::{all, ExperimentFn, Scale};
 use cq_sim::TraceFormat;
 
 fn parse_trace_format(s: &str) -> TraceFormat {
@@ -127,18 +131,37 @@ fn main() {
             .collect()
     };
 
-    println!(
-        "# Continuous equi-join experiments — scale: {}",
-        if full { "full" } else { "quick" }
-    );
+    if let Err(e) = print_reports(&mut std::io::stdout(), selected, scale, csv) {
+        cq_sim::exit_on_write_error(e);
+    }
+}
+
+/// Runs each selected experiment in turn and prints its report as soon as
+/// it is done.
+fn print_reports(
+    out: &mut impl Write,
+    selected: Vec<(&str, ExperimentFn)>,
+    scale: Scale,
+    csv: bool,
+) -> std::io::Result<()> {
+    let scale_name = if scale == Scale::Full {
+        "full"
+    } else {
+        "quick"
+    };
+    writeln!(
+        out,
+        "# Continuous equi-join experiments — scale: {scale_name}"
+    )?;
     for (id, f) in selected {
         let start = Instant::now();
         let report = f(scale);
         let elapsed = start.elapsed();
-        println!("{}", report.render());
+        writeln!(out, "{}", report.render())?;
         if csv {
-            println!("```csv\n{}```", report.to_csv());
+            writeln!(out, "```csv\n{}```", report.to_csv())?;
         }
-        println!("[{} finished in {:.2?}]\n", id, elapsed);
+        writeln!(out, "[{} finished in {:.2?}]\n", id, elapsed)?;
     }
+    out.flush()
 }

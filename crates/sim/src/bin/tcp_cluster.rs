@@ -22,8 +22,11 @@
 //! messages per second.
 //!
 //! Exits nonzero (with a description of the first divergence) if the socket
-//! run and the simulator run disagree.
+//! run and the simulator run disagree. A reader that closes stdout early
+//! (`tcp_cluster | head`) ends the run with exit code 0; any other write
+//! error exits 1, naming it.
 
+use std::io::{self, Write};
 use std::time::Duration;
 
 use cq_engine::{Algorithm, SocketStats};
@@ -41,13 +44,20 @@ fn parse<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> T {
 }
 
 /// Prints the per-run socket throughput summary.
-fn print_summary(messages: u64, wall: Duration, s: &SocketStats) {
+fn print_summary(
+    out: &mut impl Write,
+    messages: u64,
+    wall: Duration,
+    s: &SocketStats,
+) -> io::Result<()> {
     let secs = wall.as_secs_f64().max(1e-9);
-    println!(
+    writeln!(
+        out,
         "socket summary: {} frames out / {} in, {} bytes written / {} read",
         s.frames_sent, s.frames_received, s.bytes_written, s.bytes_read
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  {} write syscalls ({:.1} frames/flush, {:.0} bytes/syscall), \
          {} read syscalls, {} blocked writes",
         s.write_syscalls,
@@ -55,15 +65,16 @@ fn print_summary(messages: u64, wall: Duration, s: &SocketStats) {
         s.bytes_per_syscall(),
         s.read_syscalls,
         s.blocked_writes
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  pool hit rate {:.1}% ({} hits / {} misses), wall {:.3}s, {:.0} msgs/sec",
         s.pool_hit_rate() * 100.0,
         s.pool_hits,
         s.pool_misses,
         secs,
         messages as f64 / secs
-    );
+    )
 }
 
 fn main() {
@@ -115,6 +126,19 @@ fn main() {
             }
         }
     }
+    if let Err(e) = run(&mut io::stdout(), cfg, payload_size, nodes_set) {
+        cq_sim::exit_on_write_error(e);
+    }
+}
+
+/// Runs the throughput harness when a payload size is given, and the
+/// equivalence check otherwise, printing as it goes.
+fn run(
+    out: &mut impl Write,
+    cfg: RunConfig,
+    payload_size: Option<usize>,
+    nodes_set: bool,
+) -> io::Result<()> {
     if let Some(payload) = payload_size {
         let tcfg = ThroughputConfig {
             nodes: if nodes_set {
@@ -126,34 +150,37 @@ fn main() {
             tuples: cfg.tuples.max(ThroughputConfig::default().tuples),
             seed: cfg.workload.seed,
         };
-        println!(
+        writeln!(
+            out,
             "tcp_cluster throughput: {} nodes, {} tuples, {}-byte payloads, seed {}",
             tcfg.nodes, tcfg.tuples, tcfg.payload, tcfg.seed
-        );
+        )?;
         let report = run_throughput(&tcfg);
-        println!(
+        writeln!(
+            out,
             "moved {} messages / {} wire bytes in {:.3}s ({:.0} msgs/sec, {:.2} MB/s)",
             report.messages,
             report.wire_bytes,
             report.wall.as_secs_f64(),
             report.msgs_per_sec(),
             report.mb_per_sec()
-        );
-        print_summary(report.messages, report.wall, &report.socket);
-        return;
+        )?;
+        return print_summary(out, report.messages, report.wall, &report.socket);
     }
-    println!(
+    writeln!(
+        out,
         "tcp_cluster: {} over {} nodes, {} queries, {} tuples, seed {}",
         cfg.algorithm, cfg.nodes, cfg.queries, cfg.tuples, cfg.workload.seed
-    );
+    )?;
     match compare(&cfg) {
         Ok(report) => {
-            println!(
+            writeln!(
+                out,
                 "sim and tcp runs agree; tcp moved {} wire bytes",
                 report.result.faults.total_bytes_sent()
-            );
+            )?;
             let messages = report.result.total_traffic.messages;
-            print_summary(messages, report.wall, &report.socket);
+            print_summary(out, messages, report.wall, &report.socket)
         }
         Err(divergence) => {
             eprintln!("MISMATCH: {divergence}");

@@ -12,6 +12,8 @@
 //! with exit code 1 and a message naming the offending file and byte
 //! offset, after every event decoded before that point has been printed
 //! (`process::exit` runs no destructor, so the buffer is flushed first).
+//! A reader that closes stdout early (`trace_dump FILE | head`) ends the
+//! run with exit code 0; any other write error exits 1, naming it.
 //!
 //! [`TraceEvent`]: cq_engine::TraceEvent
 
@@ -45,8 +47,12 @@ fn main() {
             line.clear();
             ev.to_jsonl(&mut line);
             line.push('\n');
-            out.write_all(line.as_bytes()).expect("write stdout");
+            if let Err(e) = out.write_all(line.as_bytes()) {
+                cq_sim::exit_on_write_error(e);
+            }
         }
     }
-    out.flush().expect("flush stdout");
+    if let Err(e) = out.flush() {
+        cq_sim::exit_on_write_error(e);
+    }
 }

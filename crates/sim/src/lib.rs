@@ -31,3 +31,14 @@ pub use parallel::{run_many, set_jobs};
 pub use pipeline::Pipeline;
 pub use report::Report;
 pub use trace::{FileSink, TraceFormat};
+
+/// Ends a command-line tool whose write to stdout failed. A reader that
+/// closed the pipe early (`… | head`) is a normal end: exit code 0, and
+/// nothing on stderr. Any other error is named on stderr, with exit code 1.
+pub fn exit_on_write_error(e: std::io::Error) -> ! {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    eprintln!("cannot write to stdout: {e}");
+    std::process::exit(1);
+}
