@@ -1,7 +1,7 @@
-//! The measurement ledger: one in-process run that times the join-evaluation
-//! kernels, the failure-handling kernels, the TCP hot path and every
-//! quick-registry experiment, prints one JSON object to stdout and enforces
-//! the gates in [`GATES`] on what it measured.
+//! The measurement ledger: one in-process run that times the Chord lookup,
+//! the join-evaluation kernels, the failure-handling kernels, the TCP hot
+//! path and every quick-registry experiment, prints one JSON object to
+//! stdout and enforces the gates in [`GATES`] on what it measured.
 //!
 //! ```text
 //! ledger [--check]
@@ -32,7 +32,7 @@ use cq_bench::alloc_count;
 use cq_engine::algo::RunMatcher;
 use cq_engine::tables::{Alqt, StoredQuery, StoredRewritten, StoredTuple, Vlqt, Vltt};
 use cq_engine::{Algorithm, EngineConfig, FaultConfig, Matches, Network, SuspicionConfig};
-use cq_overlay::Id;
+use cq_overlay::{hash_key, Id, IdSpace, Ring};
 use cq_relational::{
     parse_query, Catalog, DataType, MatchTarget, QueryKey, QueryRef, RelationSchema,
     RewrittenQuery, Side, Timestamp, Tuple, Value,
@@ -46,6 +46,12 @@ static ALLOC: alloc_count::CountingAlloc = alloc_count::CountingAlloc;
 /// Windows per kernel row, runs per socket and experiment row.
 const REPEATS: usize = 5;
 
+/// Ring sizes of the `route-lookup` kernel.
+const RING: [usize; 2] = [1_024, 16_384];
+/// Distinct `(origin, target)` pairs the `route-lookup` kernel cycles
+/// through. Thousands of them touch most of a 16 384-node ring, and that
+/// row then reads 4-6x the small one from cache misses alone.
+const LOOKUPS: usize = 256;
 /// Table sizes of the VLTT / VLQT scans and the `Join` run.
 const SCAN: [usize; 2] = [1_000, 10_000];
 /// Rewritings per `vlqt-insert` run: one `Join` message's worth, near
@@ -103,14 +109,16 @@ impl fmt::Display for Spread {
     }
 }
 
-/// One kernel at one size: ns per event over the windows, and the most
-/// allocations per event any window saw.
+/// One kernel at one size: ns per event over the windows, the most
+/// allocations per event any window saw and, for a routing kernel, the mean
+/// overlay hops per event.
 struct KernelRow {
     kernel: &'static str,
     size: usize,
     events: u64,
     ns: Spread,
     allocs: f64,
+    hops: Option<f64>,
 }
 
 /// One throughput configuration. Its counters repeat exactly from run to
@@ -226,7 +234,28 @@ fn o_change(l: &Ledger, kernel: &str, sizes: [usize; 2]) -> Result<(), String> {
     )
 }
 
-const GATES: [Gate; 16] = [
+const GATES: [Gate; 18] = [
+    // A Chord lookup step reads one sorted route table per hop:
+    // nothing is allocated, and sixteen times the nodes cost well under 3x
+    // per lookup (hops grow with log N; a scan of every pointer a node
+    // knows, or a walk that degrades to successors, grows faster).
+    Gate {
+        name: "route-lookup-alloc-free",
+        holds: |l| allocs_below(l, "route-lookup", RING, 0.01),
+    },
+    Gate {
+        name: "route-lookup-log",
+        holds: |l| {
+            let [a, b] = l.pair("route-lookup", RING)?;
+            ensure(
+                b.ns.min < 3.0 * a.ns.min,
+                format!(
+                    "route-lookup: {:.0} -> {:.0} ns/lookup from {} to {} nodes",
+                    a.ns.min, b.ns.min, a.size, b.size
+                ),
+            )
+        },
+    },
     // Zero-clone guarantee: a scan or a `Join` run allocates the same per
     // event whatever the number of candidates.
     Gate {
@@ -258,10 +287,11 @@ const GATES: [Gate; 16] = [
     // Rewriter, VLQT/VLTT store-and-scan, accumulator and delivery against
     // 50 queries: tight enough to catch one stray allocation per candidate
     // (188.29 before the tables went contiguous, 33.33 since a rewriting
-    // owns no key string).
+    // owns no key string, 16.62 since a multisend allocates one span list
+    // instead of a map and a vector per target; 18.85 under `--check`).
     Gate {
         name: "insert-e2e-allocs",
-        holds: |l| allocs_below(l, "insert-e2e-bundled", [E2E_QUERIES; 2], 50.0),
+        holds: |l| allocs_below(l, "insert-e2e-bundled", [E2E_QUERIES; 2], 20.0),
     },
     // Encode in place, one `write` per flush, pooled read, recycle.
     Gate {
@@ -442,7 +472,36 @@ fn measure(kernel: &'static str, size: usize, events: u64, mut f: impl FnMut()) 
         events,
         ns: Spread::of(ns),
         allocs,
+        hops: None,
     }
+}
+
+/// `Ring::route_owner` on a stable `size`-node ring, from seeded origins to
+/// seeded identifiers: the lookup behind every routed message. The same
+/// [`LOOKUPS`] lookups repeat, so the nodes they visit stay cache-resident
+/// on both rings and the row measures the work per lookup.
+fn route_lookup(size: usize, events: u64) -> KernelRow {
+    let ring = Ring::build(IdSpace::default(), size, "node-");
+    let nodes: Vec<_> = ring.alive_nodes().collect();
+    let lookups: Vec<_> = (0..LOOKUPS)
+        .map(|i| {
+            let origin = hash_key(ring.space(), &format!("origin-{i}")).0 as usize;
+            let target = hash_key(ring.space(), &format!("target-{i}"));
+            (nodes[origin % size], target)
+        })
+        .collect();
+    let hops: usize = lookups
+        .iter()
+        .map(|&(from, target)| ring.route_owner(from, target).unwrap().1)
+        .sum();
+    let mut i = 0;
+    let mut row = measure("route-lookup", size, events, || {
+        let (from, target) = lookups[i % lookups.len()];
+        i += 1;
+        std::hint::black_box(ring.route_owner(from, target).unwrap());
+    });
+    row.hops = Some(hops as f64 / lookups.len() as f64);
+    row
 }
 
 /// `size` S tuples stored under `C = 7`, the `i`-th published at
@@ -923,6 +982,8 @@ fn measure_ledger(check: bool) -> Ledger {
     let (scan, e2e) = if check { (200, 200) } else { (2_000, 5_000) };
     let rounds = e2e.max(1_000);
     let kernels = vec![
+        route_lookup(RING[0], scan * 10),
+        route_lookup(RING[1], scan * 10),
         vltt_scan(&cat, SCAN[0], scan),
         vltt_scan(&cat, SCAN[1], scan / 10),
         join_run(&cat, SCAN[0], scan / 10),
@@ -978,9 +1039,12 @@ impl fmt::Display for Ledger {
         writeln!(f, "{{\n  \"check\": {},", self.check)?;
         writeln!(f, "  \"cores\": {cores},\n  \"repeats\": {REPEATS},")?;
         let kernels = self.kernels.iter().map(|r| {
+            let hops = r
+                .hops
+                .map_or(String::new(), |h| format!(", \"hops_per_event\": {h:.2}"));
             format!(
                 "{{\"kernel\": \"{}\", \"size\": {}, \"events\": {}, \
-                 \"ns_per_event\": {}, \"allocs_per_event\": {:.2}}}",
+                 \"ns_per_event\": {}, \"allocs_per_event\": {:.2}{hops}}}",
                 r.kernel, r.size, r.events, r.ns, r.allocs
             )
         });
@@ -1095,10 +1159,13 @@ mod tests {
     /// The rows of `BENCH_25.json`, the last snapshot written before the
     /// ledger existed, the `vlqt-run` rows `BENCH_29.json` added, the
     /// `vlqt-insert` rows `BENCH_34.json` added, the fresh-bucket one as
-    /// `BENCH_35.json` re-pinned it, and the `rewrite-*` rows
-    /// `BENCH_43.json` added.
+    /// `BENCH_35.json` re-pinned it, the `rewrite-*` rows
+    /// `BENCH_43.json` added, and the `route-lookup` rows and the
+    /// `insert-e2e-bundled` row as `BENCH_54.json` wrote them.
     fn bench_25() -> Ledger {
         let kernels = [
+            ("route-lookup", 1_024, 97.7, 0.0),
+            ("route-lookup", 16_384, 185.8, 0.0),
             ("vltt-scan", 1_000, 8019.4, 0.0),
             ("vltt-scan", 10_000, 94722.2, 0.0),
             ("join-run", 1_000, 26112.0, 0.0),
@@ -1115,7 +1182,7 @@ mod tests {
             ("rewrite-attr", 1_250, 116092.0, 0.0),
             ("rewrite-value", 50, 3459.2, 0.0),
             ("rewrite-value", 1_250, 90784.9, 0.0),
-            ("insert-e2e-bundled", 50, 13573.2, 33.33),
+            ("insert-e2e-bundled", 50, 7636.9, 16.62),
             ("socket-pump", 256, 3864.3, 0.0),
             ("join-decode", 1, 1499.2, 1.0),
             ("join-decode", 50, 1463.2, 1.0),
@@ -1136,6 +1203,7 @@ mod tests {
                     events: 1,
                     ns: flat(ns),
                     allocs,
+                    hops: None,
                 })
                 .collect(),
             sockets: vec![
@@ -1184,7 +1252,12 @@ mod tests {
             kernel(l, name, sizes[1]).ns = flat(3.1 * small);
         }
         type Mutation = fn(&mut Ledger);
-        let cases: [(&str, Mutation); 17] = [
+        let cases: [(&str, Mutation); 19] = [
+            // One `Vec` per lookup, as a path-materializing route makes.
+            ("route-lookup-alloc-free", |l| {
+                kernel(l, "route-lookup", 16_384).allocs = 1.0
+            }),
+            ("route-lookup-log", |l| slower(l, "route-lookup", RING)),
             ("scan-allocs-flat", |l| {
                 l.kernels.retain(|r| r.kernel != "vltt-scan")
             }),
@@ -1196,7 +1269,7 @@ mod tests {
                 kernel(l, "rewrite-value", 1_250).allocs = 1.0
             }),
             ("insert-e2e-allocs", |l| {
-                kernel(l, "insert-e2e-bundled", 50).allocs = 50.01
+                kernel(l, "insert-e2e-bundled", 50).allocs = 20.01
             }),
             ("socket-pump-alloc-free", |l| {
                 kernel(l, "socket-pump", 256).allocs = 0.01

@@ -254,35 +254,17 @@ impl Network {
         if targets.is_empty() {
             return Ok(());
         }
-        let ids: Vec<Id> = targets.iter().map(|(id, _)| *id).collect();
-        let outcome = self.ring.multisend_recursive(node, &ids)?;
-        self.metrics
-            .record_traffic_batch(kind, targets.len() as u64, outcome.total_hops);
-        let mut by_id: FxHashMap<Id, Vec<Message>> =
-            FxHashMap::with_capacity_and_hasher(targets.len(), Default::default());
-        for (id, msg) in targets {
-            by_id.entry(id).or_default().push(msg);
-        }
-        // Coalesce each delivery entry's consecutive run of messages into one
-        // envelope: the receiver unwraps a `Bundle` in order, so global
-        // dispatch order is exactly the per-message order (the run would sit
-        // consecutively at the queue head either way, and its handler
-        // effects join the queue *behind* it).
-        for (owner, ids) in outcome.deliveries {
-            let first = ids[0];
-            let mut run: Vec<Message> = Vec::new();
-            for id in ids {
-                run.extend(by_id.remove(&id).into_iter().flatten());
-            }
-            let msg = match run.len() {
-                0 => continue,
-                // Invariant: the match arm guarantees exactly one element.
-                1 => run.pop().expect("len checked"),
-                _ => Message::Bundle(run),
-            };
+        let count = targets.len() as u64;
+        let sent = self.ring.multisend(node, targets, Message::Bundle)?;
+        self.metrics.record_traffic_batch(kind, count, sent.hops);
+        // Each owner's consecutive run of messages travels as one envelope:
+        // the receiver unwraps a `Bundle` in order, so global dispatch order
+        // is exactly the per-message order (the run would sit consecutively
+        // at the queue head either way, and its handler effects join the
+        // queue *behind* it).
+        for (owner, first, msg) in sent {
             self.enqueue(Pending::new(node, owner, first, true, msg));
         }
-        debug_assert!(by_id.is_empty(), "every target id must be delivered");
         Ok(())
     }
 

@@ -43,7 +43,7 @@ pub mod stats;
 pub use error::{OverlayError, Result};
 pub use hash::{fnv1a, hash_key, hash_parts, KeyHasher};
 pub use id::{Id, IdSpace, MAX_BITS};
-pub use multisend::MultisendOutcome;
+pub use multisend::{Multisend, MultisendOutcome};
 pub use node::{Node, NodeHandle};
 pub use ring::{Ring, Route, DEFAULT_SUCCESSOR_LIST_LEN};
 pub use stats::TrafficStats;

@@ -27,55 +27,100 @@ pub struct MultisendOutcome {
     pub makespan: usize,
 }
 
+/// A recursive multisend of payloads, planned by [`Ring::multisend`]: it
+/// yields `(recipient, first identifier it owns, payload)` in delivery
+/// order, where the payload of a recipient owning several identifiers is
+/// their payloads bundled in clockwise order.
+#[derive(Debug)]
+pub struct Multisend<T> {
+    /// Total overlay hops the walk consumed.
+    pub hops: usize,
+    spans: std::vec::IntoIter<(NodeHandle, usize)>,
+    items: std::vec::IntoIter<(Id, T)>,
+    bundle: fn(Vec<T>) -> T,
+}
+
+impl<T> Iterator for Multisend<T> {
+    type Item = (NodeHandle, Id, T);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (owner, len) = self.spans.next()?;
+        let (first, payload) = self.items.next()?;
+        if len == 1 {
+            return Some((owner, first, payload));
+        }
+        let mut run = Vec::with_capacity(len);
+        run.push(payload);
+        run.extend(self.items.by_ref().take(len - 1).map(|(_, t)| t));
+        Some((owner, first, (self.bundle)(run)))
+    }
+}
+
 impl Ring {
     /// Recursive `multisend(msg, L)` exactly as in Section 2.3:
     /// sort `L` ascending clockwise from the sender, route toward the head,
     /// let each responsible node strip the identifiers it owns and forward
-    /// the remainder.
+    /// the remainder. The walk of [`Ring::multisend`], with each
+    /// identifier as its own payload; a repeated identifier is delivered
+    /// once.
     pub fn multisend_recursive(&self, from: NodeHandle, ids: &[Id]) -> Result<MultisendOutcome> {
-        let mut outcome = MultisendOutcome {
-            deliveries: Vec::new(),
-            total_hops: 0,
-            makespan: 0,
-        };
-        if ids.is_empty() {
-            return Ok(outcome);
-        }
+        let items = ids.iter().map(|&id| (id, vec![id])).collect();
+        let sent = self.multisend(from, items, |runs| {
+            let mut owned = runs.concat();
+            owned.dedup();
+            owned
+        })?;
+        let total_hops = sent.hops;
+        Ok(MultisendOutcome {
+            deliveries: sent.map(|(owner, _, owned)| (owner, owned)).collect(),
+            total_hops,
+            makespan: total_hops,
+        })
+    }
+
+    /// The recursive multisend of one payload per identifier. `items` are
+    /// stable-sorted clockwise from the sender and walked once: route
+    /// toward the head, let its owner take every item up to its own
+    /// identifier, forward the rest. A recipient owning one item gets it
+    /// bare; several become one `bundle` of them, in order.
+    pub fn multisend<T>(
+        &self,
+        from: NodeHandle,
+        mut items: Vec<(Id, T)>,
+        bundle: fn(Vec<T>) -> T,
+    ) -> Result<Multisend<T>> {
         // "Initially n sorts the identifiers in L in ascending order clockwise
         // starting from id(n)."
+        let space = self.space();
         let origin = self.id_of(from);
-        let mut remaining: Vec<Id> = ids.to_vec();
-        remaining.sort_by_key(|&i| self.space().distance(origin, i));
-        remaining.dedup();
-
+        items.sort_by_key(|&(id, _)| space.distance(origin, id));
+        let mut spans = Vec::with_capacity(items.len());
+        let mut hops = 0;
         let mut cur = from;
-        let mut pos = 0usize;
-        while pos < remaining.len() {
-            let head = remaining[pos];
-            let (owner, hops) = self.route_owner(cur, head)?;
-            outcome.total_hops += hops;
+        let mut pos = 0;
+        while let Some(&(head, _)) = items.get(pos) {
+            let (owner, h) = self.route_owner(cur, head)?;
+            hops += h;
             let owner_id = self.id_of(owner);
             // "x deletes all elements of L that are smaller or equal to id(x),
             // starting from head(L), since node x is responsible for them."
-            let mut owned = Vec::new();
-            while pos < remaining.len() {
-                let id = remaining[pos];
-                let in_range = id == head || self.space().in_open_closed(id, head, owner_id);
-                if in_range
-                    && self.space().distance(head, id) <= self.space().distance(head, owner_id)
-                {
-                    owned.push(id);
-                    pos += 1;
-                } else {
-                    break;
-                }
-            }
-            debug_assert!(!owned.is_empty(), "owner must own at least the head");
-            outcome.deliveries.push((owner, owned));
+            let owned = items[pos..]
+                .iter()
+                .take_while(|&&(i, _)| {
+                    (i == head || space.in_open_closed(i, head, owner_id))
+                        && space.distance(head, i) <= space.distance(head, owner_id)
+                })
+                .count();
+            spans.push((owner, owned));
+            pos += owned;
             cur = owner;
         }
-        outcome.makespan = outcome.total_hops;
-        Ok(outcome)
+        Ok(Multisend {
+            hops,
+            spans: spans.into_iter(),
+            items: items.into_iter(),
+            bundle,
+        })
     }
 
     /// Iterative multisend: "create k different send() messages … and locate

@@ -28,6 +28,9 @@ impl NodeHandle {
     }
 }
 
+/// The [`Node`] finger index of an unset finger.
+pub(crate) const NO_FINGER: u16 = u16::MAX;
+
 /// The Chord state a single node maintains.
 #[derive(Clone, Debug)]
 pub struct Node {
@@ -39,8 +42,16 @@ pub struct Node {
     pub(crate) successors: Vec<NodeHandle>,
     /// Predecessor pointer, if known.
     pub(crate) predecessor: Option<NodeHandle>,
-    /// Finger table: entry `j-1` points at `successor(id + 2^(j-1))`.
-    pub(crate) fingers: Vec<Option<NodeHandle>>,
+    /// The route table: every finger and successor-list entry once, as
+    /// `(clockwise offset from id, handle)` sorted by offset (the node
+    /// itself, when it points at itself, is the one entry at offset 0).
+    /// Departed nodes stay in it; a lookup skips them. Rebuilt by the
+    /// ring's pointer setters and by nothing else.
+    pub(crate) route: Box<[(u64, NodeHandle)]>,
+    /// Finger table: entry `j-1` points at `successor(id + 2^(j-1))`,
+    /// stored as an index into `route` ([`NO_FINGER`] when unset), so each
+    /// pointer is held once.
+    pub(crate) fingers: Box<[u16]>,
     /// Whether the node currently participates in the ring.
     pub(crate) alive: bool,
     /// Round-robin cursor for incremental `fix_fingers`.
@@ -54,7 +65,8 @@ impl Node {
             id,
             successors: Vec::new(),
             predecessor: None,
-            fingers: vec![None; m as usize],
+            route: Box::default(),
+            fingers: vec![NO_FINGER; m as usize].into(),
             alive: true,
             next_finger: 0,
         }
@@ -97,9 +109,10 @@ impl Node {
     }
 
     /// The finger table (entry `j-1` targets `id + 2^(j-1)`).
-    #[inline]
-    pub fn fingers(&self) -> &[Option<NodeHandle>] {
-        &self.fingers
+    pub fn fingers(&self) -> impl ExactSizeIterator<Item = Option<NodeHandle>> + '_ {
+        self.fingers
+            .iter()
+            .map(|&i| self.route.get(usize::from(i)).map(|&(_, h)| h))
     }
 
     /// The round-robin cursor of `fix_fingers()`: the 0-based index of the

@@ -9,8 +9,8 @@ use std::collections::BTreeMap;
 
 use crate::error::{OverlayError, Result};
 use crate::hash::hash_key;
-use crate::id::{Id, IdSpace};
-use crate::node::{Node, NodeHandle};
+use crate::id::{Id, IdSpace, MAX_BITS};
+use crate::node::{Node, NodeHandle, NO_FINGER};
 
 /// Default successor-list length (`r` in the paper; "in practice even small
 /// values of r are enough to achieve robustness").
@@ -35,6 +35,9 @@ pub struct Ring {
     /// the next round would change nothing either and is skipped. Every
     /// mutator clears the flag; only `stabilize_all` sets it.
     converged: bool,
+    /// The buffer [`Ring::install`] sorts a route table in before copying
+    /// it out at its exact length; empty between calls.
+    route_scratch: Vec<(u64, NodeHandle)>,
 }
 
 impl Ring {
@@ -46,6 +49,11 @@ impl Ring {
     /// Creates an empty ring with an explicit successor-list length `r`.
     pub fn with_successor_list(space: IdSpace, succ_len: usize) -> Self {
         assert!(succ_len >= 1, "successor list must hold at least one entry");
+        // A route table holds at most `m + r` entries, indexed by `u16`.
+        assert!(
+            succ_len < usize::from(NO_FINGER) - MAX_BITS as usize,
+            "successor list of {succ_len} entries is too long"
+        );
         Ring {
             space,
             succ_len,
@@ -53,6 +61,7 @@ impl Ring {
             by_id: BTreeMap::new(),
             epoch: 0,
             converged: false,
+            route_scratch: Vec::new(),
         }
     }
 
@@ -193,47 +202,28 @@ impl Ring {
 
     /// Recomputes every alive node's successor list, predecessor and finger
     /// table from ground truth ("perfect" pointers).
+    ///
+    /// One pass over the alive nodes sorted by identifier: the successors
+    /// are the next `min(r, n)` entries (wrapping), the predecessor the
+    /// previous one, and each finger a binary search for its start.
     pub fn rebuild_pointers(&mut self) {
-        let handles: Vec<NodeHandle> = self.by_id.values().copied().collect();
-        if handles.is_empty() {
+        let sorted: Vec<(u64, NodeHandle)> = self.by_id.iter().map(|(&i, &h)| (i, h)).collect();
+        let n = sorted.len();
+        if n == 0 {
             return;
         }
         self.converged = false;
-        let m = self.space.bits();
-        for &h in &handles {
-            let id = self.id_of(h);
-            let succs = self.true_successor_list(id);
-            let pred = self.true_predecessor(id);
-            let mut fingers = Vec::with_capacity(m as usize);
-            for j in 1..=m {
-                let start = self.space.finger_start(id, j);
-                fingers.push(self.owner_of(start).ok());
-            }
-            let node = &mut self.slots[h.index()];
-            node.successors = succs;
-            node.predecessor = Some(pred);
-            node.fingers = fingers;
+        let space = self.space;
+        for (i, &(id, h)) in sorted.iter().enumerate() {
+            let succs = (1..=self.succ_len.min(n))
+                .map(|k| sorted[(i + k) % n].1)
+                .collect();
+            let pred = sorted[(i + n - 1) % n].1;
+            self.set_pointers(h, succs, Some(pred), |j| {
+                let start = space.finger_start(Id(id), j).0;
+                Some(sorted[sorted.partition_point(|&(x, _)| x < start) % n].1)
+            });
         }
-    }
-
-    fn true_successor_list(&self, id: Id) -> Vec<NodeHandle> {
-        let mut out = Vec::with_capacity(self.succ_len);
-        let mut cur = self.space.add(id, 1);
-        for _ in 0..self.succ_len.min(self.by_id.len()) {
-            let h = self.owner_of(cur).expect("non-empty ring");
-            out.push(h);
-            cur = self.space.add(self.id_of(h), 1);
-        }
-        out
-    }
-
-    fn true_predecessor(&self, id: Id) -> NodeHandle {
-        self.by_id
-            .range(..id.0)
-            .next_back()
-            .or_else(|| self.by_id.iter().next_back())
-            .map(|(_, &h)| h)
-            .expect("non-empty ring")
     }
 
     /// A node joins the ring through `via` (the out-of-band contact node of
@@ -257,9 +247,9 @@ impl Ring {
             });
         }
         let h = NodeHandle(self.slots.len() as u32);
-        let mut node = Node::new(key.to_string(), id, self.space.bits());
-        node.successors = vec![succ];
-        self.slots.push(node);
+        self.slots
+            .push(Node::new(key.to_string(), id, self.space.bits()));
+        self.set_successors(h, vec![succ]);
         self.by_id.insert(id.0, h);
         self.membership_changed();
         Ok((h, hops))
@@ -277,11 +267,8 @@ impl Ring {
         let id = self.id_of(h);
         let (succ, hops) = self.route_owner(via, id)?;
         debug_assert!(!self.by_id.contains_key(&id.0), "slot ids are unique");
-        let node = &mut self.slots[h.index()];
-        node.alive = true;
-        node.successors = vec![succ];
-        node.predecessor = None;
-        node.fingers.iter_mut().for_each(|f| *f = None);
+        self.slots[h.index()].alive = true;
+        self.set_pointers(h, vec![succ], None, |_| None);
         self.by_id.insert(id.0, h);
         self.membership_changed();
         Ok(hops)
@@ -304,16 +291,16 @@ impl Ring {
         if let (Some(s), Some(p)) = (succ, pred) {
             if s != h && p != h {
                 // predecessor adopts our successor; successor adopts our predecessor
-                let pn = &mut self.slots[p.index()];
-                if pn.successors.first() == Some(&h) {
-                    pn.successors[0] = s;
+                let mut list = self.node(p).successors.clone();
+                if list.first() == Some(&h) {
+                    list[0] = s;
                 } else {
-                    pn.successors.insert(0, s);
-                    pn.successors.truncate(self.succ_len);
+                    list.insert(0, s);
+                    list.truncate(self.succ_len);
                 }
-                let sn = &mut self.slots[s.index()];
-                if sn.predecessor == Some(h) {
-                    sn.predecessor = Some(p);
+                self.set_successors(p, list);
+                if self.node(s).predecessor == Some(h) {
+                    self.set_predecessor(s, Some(p));
                 }
             }
         }
@@ -436,16 +423,97 @@ impl Ring {
         changed
     }
 
+    // ------------------------------------------------------------------
+    // Pointer setters: every write to a successor list or a finger goes
+    // through `set_successors`, `set_finger` or `set_pointers`, and each
+    // ends in `install`, which rebuilds the node's route table.
+    // ------------------------------------------------------------------
+
     /// Assigns `h`'s successor list; returns whether it differed. A change
     /// leaves the stabilization fixed point.
     fn set_successors(&mut self, h: NodeHandle, list: Vec<NodeHandle>) -> bool {
-        let node = &mut self.slots[h.index()];
-        if node.successors == list {
+        if self.node(h).successors == list {
             return false;
         }
-        node.successors = list;
-        self.converged = false;
+        let fingers = self.finger_handles(h);
+        self.slots[h.index()].successors = list;
+        self.install(h, &fingers);
         true
+    }
+
+    /// Assigns `h`'s finger `j` (1-based); returns whether it differed.
+    fn set_finger(&mut self, h: NodeHandle, j: u32, finger: Option<NodeHandle>) -> bool {
+        let j = (j - 1) as usize;
+        if self.node(h).fingers().nth(j) == Some(finger) {
+            return false;
+        }
+        let mut fingers = self.finger_handles(h);
+        fingers[j] = finger;
+        self.install(h, &fingers);
+        true
+    }
+
+    /// Assigns all of `h`'s pointers at once, finger `j` (1-based) to
+    /// `finger(j)`, with one route-table rebuild instead of one per finger.
+    fn set_pointers(
+        &mut self,
+        h: NodeHandle,
+        successors: Vec<NodeHandle>,
+        predecessor: Option<NodeHandle>,
+        finger: impl Fn(u32) -> Option<NodeHandle>,
+    ) {
+        let mut fingers = [None; MAX_BITS as usize];
+        for (j, f) in (1..=self.space.bits()).zip(&mut fingers) {
+            *f = finger(j);
+        }
+        let node = &mut self.slots[h.index()];
+        node.successors = successors;
+        node.predecessor = predecessor;
+        self.install(h, &fingers);
+    }
+
+    /// `h`'s fingers as handles, finger `j` at index `j - 1`.
+    fn finger_handles(&self, h: NodeHandle) -> [Option<NodeHandle>; MAX_BITS as usize] {
+        let mut out = [None; MAX_BITS as usize];
+        for (o, f) in out.iter_mut().zip(self.node(h).fingers()) {
+            *o = f;
+        }
+        out
+    }
+
+    /// Rebuilds `h`'s route table, at its exact length, from `fingers`
+    /// (finger `j` at index `j - 1`) and its successor list, and points
+    /// its fingers into it. Leaves the stabilization fixed point.
+    fn install(&mut self, h: NodeHandle, fingers: &[Option<NodeHandle>; MAX_BITS as usize]) {
+        let fingers = &fingers[..self.space.bits() as usize];
+        let mut table = std::mem::take(&mut self.route_scratch);
+        let node = &self.slots[h.index()];
+        let entry = |p: NodeHandle| (self.space.distance(node.id, self.id_of(p)), p);
+        table.extend(
+            fingers
+                .iter()
+                .flatten()
+                .chain(&node.successors)
+                .map(|&p| entry(p)),
+        );
+        table.sort_unstable();
+        table.dedup();
+        let mut indices = [NO_FINGER; MAX_BITS as usize];
+        for (i, f) in indices.iter_mut().zip(fingers) {
+            if let Some(p) = f {
+                // Invariant: the table was just built from these fingers,
+                // and its length is checked below `NO_FINGER` at creation.
+                *i = table
+                    .binary_search(&entry(*p))
+                    .expect("finger is in the table") as u16;
+            }
+        }
+        let node = &mut self.slots[h.index()];
+        node.route = Box::from(table.as_slice());
+        node.fingers.copy_from_slice(&indices[..fingers.len()]);
+        table.clear();
+        self.route_scratch = table;
+        self.converged = false;
     }
 
     /// Assigns `h`'s predecessor pointer; returns whether it differed. A
@@ -479,10 +547,7 @@ impl Ring {
         let Ok((owner, _)) = self.route_owner(h, start) else {
             return false;
         };
-        let finger = &mut self.slots[h.index()].fingers[(j - 1) as usize];
-        let changed = *finger != Some(owner);
-        *finger = Some(owner);
-        changed
+        self.set_finger(h, j, Some(owner))
     }
 
     /// The closest alive node clockwise from `h` among everything `h` still
@@ -492,12 +557,7 @@ impl Ring {
         let id = self.id_of(h);
         let node = self.node(h);
         let mut best: Option<(u64, NodeHandle)> = None;
-        let candidates = node
-            .fingers
-            .iter()
-            .flatten()
-            .copied()
-            .chain(node.predecessor);
+        let candidates = node.fingers().flatten().chain(node.predecessor);
         for cand in candidates {
             if cand == h || !self.node(cand).alive {
                 continue;
@@ -677,29 +737,47 @@ impl Ring {
 
     /// Chord's `closest_preceding_finger`: the highest finger (or successor-
     /// list entry) that is alive and lies strictly between `h` and `target`.
+    ///
+    /// The route table is sorted by clockwise offset from `h`, so the
+    /// entries inside `(h, target)` are a prefix, and the one closest to
+    /// `target` is the last alive entry of that prefix. When `target` is
+    /// `h` itself the interval is the whole ring but `h`. The prefix is
+    /// counted rather than binary-searched: the table holds at most `m + r`
+    /// entries, and the branch-free count is the faster of the two.
     fn closest_preceding_alive(&self, h: NodeHandle, target: Id) -> Option<NodeHandle> {
+        let node = self.node(h);
+        let limit = match self.space.distance(node.id, target) {
+            0 => u64::MAX,
+            d => d,
+        };
+        let inside = node.route.iter().filter(|&&(o, _)| o < limit).count();
+        let found = node.route[..inside]
+            .iter()
+            .rev()
+            .take_while(|&&(o, _)| o > 0)
+            .map(|&(_, p)| p)
+            .find(|&p| self.node(p).alive);
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(
+            found,
+            self.closest_preceding_scan(h, target),
+            "route table of {h:?} disagrees with its pointers"
+        );
+        found
+    }
+
+    /// The route-table-free rule [`Ring::closest_preceding_alive`] is
+    /// checked against in debug builds: scan every finger and successor-list
+    /// entry for the alive one inside `(h, target)` nearest to `target`.
+    #[cfg(debug_assertions)]
+    fn closest_preceding_scan(&self, h: NodeHandle, target: Id) -> Option<NodeHandle> {
         let id = self.id_of(h);
         let node = self.node(h);
-        let mut best: Option<(u64, NodeHandle)> = None;
-        let mut consider = |cand: NodeHandle, ring: &Ring| {
-            if !ring.node(cand).alive {
-                return;
-            }
-            let cid = ring.id_of(cand);
-            if ring.space.in_open(cid, id, target) {
-                let d = ring.space.distance(cid, target);
-                if best.is_none_or(|(bd, _)| d < bd) {
-                    best = Some((d, cand));
-                }
-            }
-        };
-        for f in node.fingers.iter().flatten() {
-            consider(*f, self);
-        }
-        for s in node.successor_list() {
-            consider(*s, self);
-        }
-        best.map(|(_, h)| h)
+        node.fingers()
+            .flatten()
+            .chain(node.successors.iter().copied())
+            .filter(|&c| self.node(c).alive && self.space.in_open(self.id_of(c), id, target))
+            .min_by_key(|&c| self.space.distance(self.id_of(c), target))
     }
 }
 
@@ -759,7 +837,7 @@ mod tests {
             for j in 1..=ring.space().bits() {
                 let start = ring.space().finger_start(node.id(), j);
                 let expect = ring.owner_of(start).unwrap();
-                assert_eq!(node.fingers()[(j - 1) as usize], Some(expect));
+                assert_eq!(node.fingers().nth((j - 1) as usize), Some(Some(expect)));
             }
         }
     }

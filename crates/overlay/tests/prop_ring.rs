@@ -1,7 +1,78 @@
 //! Property-based tests for the Chord ring invariants.
 
-use cq_overlay::{Id, IdSpace, NodeHandle, Ring};
+use cq_overlay::{Id, IdSpace, NodeHandle, Ring, DEFAULT_SUCCESSOR_LIST_LEN};
 use proptest::prelude::*;
+
+/// Greedy Chord routing written over the public accessors alone — no route
+/// table — as the reference `Ring::route` is compared against: the path
+/// (sender first, owner last), or `None` where routing fails.
+fn reference_route(ring: &Ring, from: NodeHandle, target: Id) -> Option<Vec<NodeHandle>> {
+    let space = ring.space();
+    let id = |h: NodeHandle| ring.node(h).id();
+    let alive = |h: NodeHandle| ring.node(h).is_alive();
+    let owns = |h: NodeHandle| match ring.node(h).predecessor() {
+        Some(p) if alive(p) => space.in_open_closed(target, id(p), id(h)),
+        _ => ring.len() == 1,
+    };
+    if !alive(from) {
+        return None;
+    }
+    let mut path = vec![from];
+    let max_hops = 4 * space.bits() as usize + ring.len() + 8;
+    let mut cur = from;
+    while !owns(cur) {
+        if path.len() > max_hops {
+            return None;
+        }
+        let node = ring.node(cur);
+        let succ = node.successor_list().iter().copied().find(|&s| alive(s))?;
+        if space.in_open_closed(target, id(cur), id(succ)) {
+            path.push(succ);
+            break;
+        }
+        let closest = node
+            .fingers()
+            .flatten()
+            .chain(node.successor_list().iter().copied())
+            .filter(|&c| alive(c) && space.in_open(id(c), id(cur), target))
+            .min_by_key(|&c| space.distance(id(c), target));
+        cur = closest.filter(|&c| c != cur).unwrap_or(succ);
+        path.push(cur);
+    }
+    Some(path)
+}
+
+/// `Ring::build` gives every node the successor list, predecessor and
+/// fingers that ground truth (`owner_of`) defines, for every ring size up
+/// to 119, including the sizes at or below the successor-list length.
+#[test]
+fn build_matches_ground_truth() {
+    for n in 1..120 {
+        let ring = Ring::build(IdSpace::new(24), n, "b-");
+        let space = ring.space();
+        for h in ring.alive_nodes() {
+            let node = ring.node(h);
+            let mut succs = Vec::new();
+            let mut cur = node.id();
+            for _ in 0..DEFAULT_SUCCESSOR_LIST_LEN.min(n) {
+                let s = ring.owner_of(space.add(cur, 1)).unwrap();
+                succs.push(s);
+                cur = ring.id_of(s);
+            }
+            assert_eq!(node.successor_list(), succs, "n = {n}, {h:?}");
+            let (pred, _) = ring.owned_range(h).unwrap();
+            assert_eq!(node.predecessor(), Some(ring.owner_of(pred).unwrap()));
+            let fingers: Vec<_> = (1..=space.bits())
+                .map(|j| ring.owner_of(space.finger_start(node.id(), j)).ok())
+                .collect();
+            assert_eq!(
+                node.fingers().collect::<Vec<_>>(),
+                fingers,
+                "n = {n}, {h:?}"
+            );
+        }
+    }
+}
 
 /// One stabilization sweep, step by step through the public single-node
 /// API — the reference `Ring::stabilize_all` is compared against. Single
@@ -161,8 +232,60 @@ proptest! {
                 prop_assert_eq!(a.is_alive(), b.is_alive());
                 prop_assert_eq!(a.successor_list(), b.successor_list());
                 prop_assert_eq!(a.predecessor(), b.predecessor());
-                prop_assert_eq!(a.fingers(), b.fingers());
+                prop_assert_eq!(a.fingers().collect::<Vec<_>>(), b.fingers().collect::<Vec<_>>());
                 prop_assert_eq!(a.next_finger(), b.next_finger());
+            }
+        }
+    }
+
+    /// Routing stays exactly the greedy walk over the current pointers
+    /// through any churn: after every join, leave, failure, rejoin or
+    /// single stabilization step, `route` and `route_owner` agree with
+    /// `reference_route` on path, hops and owner for random probes.
+    #[test]
+    fn route_tables_follow_pointer_churn(
+        n in 1usize..65,
+        ops in prop::collection::vec((0u8..7, 0usize..64), 1..60),
+        probes in prop::collection::vec(0u64..u64::MAX, 4..9),
+    ) {
+        let mut ring = Ring::build(IdSpace::new(16), n, "c-");
+        for (step, (kind, pick)) in ops.into_iter().enumerate() {
+            let alive: Vec<_> = ring.alive_nodes().collect();
+            let departed: Vec<_> = (0..ring.slot_count())
+                .map(NodeHandle::from_index)
+                .filter(|&h| !ring.node(h).is_alive())
+                .collect();
+            let h = alive[pick % alive.len()];
+            match kind {
+                0 => {
+                    let _ = ring.join(&format!("late-{step}"), h);
+                }
+                1 if alive.len() > 1 => ring.leave(h).unwrap(),
+                2 if alive.len() > 1 => ring.fail(h).unwrap(),
+                3 if !departed.is_empty() => {
+                    let _ = ring.rejoin(departed[pick % departed.len()], h);
+                }
+                4 => {
+                    ring.stabilize(h);
+                }
+                5 => {
+                    ring.fix_finger(h);
+                }
+                _ => {
+                    ring.check_predecessor(h);
+                }
+            }
+            let alive: Vec<_> = ring.alive_nodes().collect();
+            for (&from, &raw) in alive.iter().flat_map(|f| probes.iter().map(move |t| (f, t))) {
+                let target = ring.space().id(raw);
+                let expect = reference_route(&ring, from, target);
+                let route = ring.route(from, target).ok();
+                prop_assert_eq!(route.as_ref().map(|r| &r.path), expect.as_ref());
+                let owner = ring.route_owner(from, target).ok();
+                prop_assert_eq!(
+                    owner,
+                    expect.as_ref().map(|p| (*p.last().unwrap(), p.len() - 1))
+                );
             }
         }
     }
