@@ -17,6 +17,8 @@
 //!                id is an error
 //! ```
 //!
+//! A flag's value may also follow an `=` (`--jobs=4`).
+//!
 //! A reader that closes stdout early (`experiments | head`) ends the run
 //! with exit code 0; any other write error exits 1, naming it.
 
@@ -46,53 +48,42 @@ fn main() {
     let mut ids: Vec<String> = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--full" => full = true,
-            "--csv" => csv = true,
-            "--trace" => {
-                let dir = iter.next().unwrap_or_else(|| {
-                    eprintln!("--trace expects a directory path");
+        // `--flag=value` and `--flag value` are one flag.
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, value)) if flag.starts_with("--") => (flag, Some(value)),
+            _ => (arg.as_str(), None),
+        };
+        let mut value = |expects: &str| {
+            inline
+                .or_else(|| iter.next().map(String::as_str))
+                .unwrap_or_else(|| {
+                    eprintln!("{flag} expects {expects}");
                     std::process::exit(2);
-                });
-                trace = Some(PathBuf::from(dir));
-            }
-            other if other.starts_with("--trace=") => {
-                trace = Some(PathBuf::from(&other["--trace=".len()..]));
-            }
+                })
+        };
+        match flag {
+            "--full" if inline.is_none() => full = true,
+            "--csv" if inline.is_none() => csv = true,
+            "--trace" => trace = Some(PathBuf::from(value("a directory path"))),
             "--trace-format" => {
-                let fmt = iter.next().unwrap_or_else(|| {
-                    eprintln!("--trace-format expects `jsonl` or `binary`");
-                    std::process::exit(2);
-                });
-                cq_sim::set_trace_format(parse_trace_format(fmt));
-            }
-            other if other.starts_with("--trace-format=") => {
-                cq_sim::set_trace_format(parse_trace_format(&other["--trace-format=".len()..]));
+                cq_sim::set_trace_format(parse_trace_format(value("`jsonl` or `binary`")))
             }
             "--jobs" => {
-                let n = iter
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
+                let n = value("a positive integer")
+                    .parse::<usize>()
+                    .ok()
+                    .filter(|&n| n > 0)
                     .unwrap_or_else(|| {
                         eprintln!("--jobs expects a positive integer");
                         std::process::exit(2);
                     });
                 cq_sim::set_jobs(n);
             }
-            other if other.starts_with("--jobs=") => {
-                let n = other["--jobs=".len()..]
-                    .parse::<usize>()
-                    .unwrap_or_else(|_| {
-                        eprintln!("--jobs expects a positive integer");
-                        std::process::exit(2);
-                    });
-                cq_sim::set_jobs(n);
-            }
-            other if other.starts_with("--") => {
-                eprintln!("unknown flag {other}");
+            _ if flag.starts_with("--") => {
+                eprintln!("unknown flag {arg}");
                 std::process::exit(2);
             }
-            other => ids.push(other.to_string()),
+            _ => ids.push(arg.clone()),
         }
     }
     let scale = if full { Scale::Full } else { Scale::Quick };

@@ -1,7 +1,8 @@
 //! Runs one experiment over real TCP loopback sockets and checks the
 //! delivered notification set and metrics against an in-memory simulator
-//! run of the same seed. The flags fill a `RunConfig`, and both runs go
-//! through `cq_sim::run`'s loop (`cluster::compare`).
+//! run of the same seed. The flags fill a `RunConfig` (`--seed` sets its
+//! engine's seed, the run's one seed), and both runs go through
+//! `cq_sim::run`'s loop (`cluster::compare`).
 //!
 //! ```text
 //! tcp_cluster [--alg A] [--nodes N] [--queries Q] [--tuples T] [--seed S]
@@ -15,7 +16,8 @@
 //! loopback throughput harness: wide tuples carrying a `B`-byte string
 //! payload are streamed through the real reactor and only the throughput
 //! summary is printed (the default workload's tuples are all-`Int`, so
-//! stress payloads need the harness's own catalog).
+//! stress payloads need the harness's own catalog). It streams 2 000
+//! tuples over 2 nodes unless `--tuples` or `--nodes` says otherwise.
 //!
 //! Every socket run ends with a throughput summary: frames sent/received,
 //! wire bytes, syscalls, frames per flush, pool hit rate, wall time, and
@@ -83,22 +85,24 @@ fn main() {
     // traffic stays in the counters (`reset_metrics` would also clear the
     // wire bytes), and notification bodies are kept for the delivered sets.
     let mut cfg = RunConfig {
-        nodes: 32,
         queries: 10,
         tuples: 80,
         measure_stream_only: false,
-        retain_notifications: true,
-        ..RunConfig::new(Algorithm::DaiT)
+        ..RunConfig::new(Algorithm::DaiT).with_engine(|e| {
+            e.with_nodes(32)
+                .with_seed(7)
+                .with_retained_notifications(true)
+        })
     };
-    cfg.workload.seed = 7;
     let mut payload_size: Option<usize> = None;
-    let mut nodes_set = false;
+    // `--nodes` and `--tuples` as given; each mode has its own defaults.
+    let (mut nodes, mut tuples): (Option<usize>, Option<usize>) = (None, None);
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--alg" => {
                 let name: String = parse("--alg", iter.next());
-                cfg.algorithm = Algorithm::ALL
+                cfg.engine.algorithm = Algorithm::ALL
                     .into_iter()
                     .find(|a| a.to_string().eq_ignore_ascii_case(&name))
                     .unwrap_or_else(|| {
@@ -107,17 +111,17 @@ fn main() {
                     });
             }
             "--nodes" => {
-                cfg.nodes = parse("--nodes", iter.next());
-                if cfg.nodes == 0 {
+                let n = parse("--nodes", iter.next());
+                if n == 0 {
                     eprintln!("--nodes must be at least 1");
                     eprintln!("{USAGE}");
                     std::process::exit(2);
                 }
-                nodes_set = true;
+                nodes = Some(n);
             }
             "--queries" => cfg.queries = parse("--queries", iter.next()),
-            "--tuples" => cfg.tuples = parse("--tuples", iter.next()),
-            "--seed" => cfg.workload.seed = parse("--seed", iter.next()),
+            "--tuples" => tuples = Some(parse("--tuples", iter.next())),
+            "--seed" => cfg.engine.seed = parse("--seed", iter.next()),
             "--payload-size" => payload_size = Some(parse("--payload-size", iter.next())),
             other => {
                 eprintln!("unknown flag {other}");
@@ -126,30 +130,30 @@ fn main() {
             }
         }
     }
-    if let Err(e) = run(&mut io::stdout(), cfg, payload_size, nodes_set) {
+    let throughput = payload_size.map(|payload| {
+        let default = ThroughputConfig::default();
+        ThroughputConfig {
+            nodes: nodes.unwrap_or(default.nodes),
+            payload,
+            tuples: tuples.unwrap_or(default.tuples),
+            seed: cfg.engine.seed,
+        }
+    });
+    cfg.engine.nodes = nodes.unwrap_or(cfg.engine.nodes);
+    cfg.tuples = tuples.unwrap_or(cfg.tuples);
+    if let Err(e) = run(&mut io::stdout(), cfg, throughput) {
         cq_sim::exit_on_write_error(e);
     }
 }
 
-/// Runs the throughput harness when a payload size is given, and the
-/// equivalence check otherwise, printing as it goes.
+/// Runs the throughput harness when it is configured, and the equivalence
+/// check otherwise, printing as it goes.
 fn run(
     out: &mut impl Write,
     cfg: RunConfig,
-    payload_size: Option<usize>,
-    nodes_set: bool,
+    throughput: Option<ThroughputConfig>,
 ) -> io::Result<()> {
-    if let Some(payload) = payload_size {
-        let tcfg = ThroughputConfig {
-            nodes: if nodes_set {
-                cfg.nodes
-            } else {
-                ThroughputConfig::default().nodes
-            },
-            payload,
-            tuples: cfg.tuples.max(ThroughputConfig::default().tuples),
-            seed: cfg.workload.seed,
-        };
+    if let Some(tcfg) = throughput {
         writeln!(
             out,
             "tcp_cluster throughput: {} nodes, {} tuples, {}-byte payloads, seed {}",
@@ -170,7 +174,7 @@ fn run(
     writeln!(
         out,
         "tcp_cluster: {} over {} nodes, {} queries, {} tuples, seed {}",
-        cfg.algorithm, cfg.nodes, cfg.queries, cfg.tuples, cfg.workload.seed
+        cfg.engine.algorithm, cfg.engine.nodes, cfg.queries, cfg.tuples, cfg.engine.seed
     )?;
     match compare(&cfg) {
         Ok(report) => {

@@ -89,7 +89,7 @@ pub fn compare(cfg: &RunConfig) -> Result<CompareReport, String> {
         ));
     }
     let mut tcp_faults = tcp.faults;
-    if !(cfg.fault.perturbs_delivery() || cfg.suspicion.enabled) {
+    if !(cfg.engine.fault.perturbs_delivery() || cfg.engine.suspicion.enabled) {
         if sim.faults.total_bytes_sent() != 0 {
             return Err(format!(
                 "simulator counted wire bytes ({}) without serializing",

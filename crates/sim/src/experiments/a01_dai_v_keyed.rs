@@ -8,50 +8,12 @@
 //! This ablation reproduces the trade-off: traffic multiplies with the
 //! number of co-grouped queries while the load Gini drops.
 
-use cq_engine::{Algorithm, EngineConfig, Network, TrafficKind};
-use cq_workload::{Workload, WorkloadConfig};
+use cq_engine::{Algorithm, TrafficKind};
 
-use super::Scale;
+use super::{grid, Scale};
+use crate::harness::{QuerySource, RunConfig, RunResult};
 use crate::report::{fnum, Report};
 use crate::stats;
-
-fn run_variant(scale: Scale, keyed: bool, queries: usize) -> (f64, f64) {
-    let base = scale.config(Algorithm::DaiV);
-    let tuples = scale.pick(200, 600);
-    let mut w = Workload::new(WorkloadConfig {
-        seed: 21,
-        ..base.workload
-    });
-    let mut net = Network::new(
-        EngineConfig::new(Algorithm::DaiV)
-            .with_nodes(base.nodes)
-            .with_dai_v_keyed(keyed)
-            .with_seed(21),
-        w.catalog().clone(),
-    );
-    // Same join condition for every query — the best case for grouping and
-    // therefore the worst case for the keyed variant.
-    for _ in 0..queries {
-        let poser = net.random_node();
-        net.pose_query_sql(poser, "SELECT R0.A0, R1.A0 FROM R0, R1 WHERE R0.A1 = R1.A1")
-            .unwrap();
-    }
-    net.reset_metrics();
-    for _ in 0..tuples {
-        let rel = w.next_stream_relation();
-        let vals = w.random_tuple_values();
-        let from = net.random_node();
-        net.insert_tuple(from, &rel, vals).unwrap();
-    }
-    let reindex = net.metrics().traffic(TrafficKind::Reindex).messages as f64;
-    let loads: Vec<f64> = net
-        .metrics()
-        .loads()
-        .iter()
-        .map(|l| l.evaluator_filtering as f64)
-        .collect();
-    (reindex, stats::gini(&loads))
-}
 
 /// Runs the ablation.
 pub fn run(scale: Scale) -> Report {
@@ -68,16 +30,27 @@ pub fn run(scale: Scale) -> Report {
             "keyed gini",
         ],
     );
-    for &q in &sweep {
-        let (base_msgs, base_gini) = run_variant(scale, false, q);
-        let (keyed_msgs, keyed_gini) = run_variant(scale, true, q);
+    let results = grid(&sweep, &[false, true], |queries, keyed| RunConfig {
+        queries,
+        // Same join condition for every query — the best case for grouping
+        // and therefore the worst case for the keyed variant.
+        query_source: QuerySource::Fixed("SELECT R0.A0, R1.A0 FROM R0, R1 WHERE R0.A1 = R1.A1"),
+        tuples: scale.pick(200, 600),
+        ..scale
+            .config(Algorithm::DaiV)
+            .with_engine(|e| e.with_dai_v_keyed(keyed).with_seed(21))
+    });
+    let reindex = |r: &RunResult| r.traffic_of(TrafficKind::Reindex).messages as f64;
+    let gini = |r: &RunResult| stats::gini(&r.evaluator_filtering);
+    for (q, rs) in sweep.iter().zip(&results) {
+        let (grouped, keyed) = (&rs[0], &rs[1]);
         report.row(vec![
             q.to_string(),
-            fnum(base_msgs),
-            fnum(keyed_msgs),
-            fnum(keyed_msgs / base_msgs.max(1.0)),
-            fnum(base_gini),
-            fnum(keyed_gini),
+            fnum(reindex(grouped)),
+            fnum(reindex(keyed)),
+            fnum(reindex(keyed) / reindex(grouped).max(1.0)),
+            fnum(gini(grouped)),
+            fnum(gini(keyed)),
         ]);
     }
     report.note("paper: the keyed variant multiplied traffic ~250× at 10^5 queries; grouping wins");

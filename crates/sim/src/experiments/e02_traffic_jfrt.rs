@@ -17,7 +17,8 @@ use crate::report::{fnum, Report};
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Report {
     let tuples = scale.pick(250, 800);
-    let RunConfig { nodes, queries, .. } = scale.config(Algorithm::Sai);
+    let base = scale.config(Algorithm::Sai);
+    let (nodes, queries) = (base.engine.nodes, base.queries);
     let mut report = Report::new(
         "E2",
         &format!("reindex hops per tuple, JFRT on/off (N={nodes}, Q={queries}, T={tuples})"),
@@ -32,8 +33,7 @@ pub fn run(scale: Scale) -> Report {
     );
     let results = grid(&Algorithm::ALL, &[false, true], |alg, use_jfrt| RunConfig {
         tuples,
-        use_jfrt,
-        ..scale.config(alg)
+        ..scale.config(alg).with_engine(|e| e.with_jfrt(use_jfrt))
     });
     for (alg, r) in Algorithm::ALL.into_iter().zip(&results) {
         let (off, on) = (&r[0], &r[1]);

@@ -18,7 +18,8 @@ use crate::stats;
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Report {
-    let RunConfig { nodes, queries, .. } = scale.config(Algorithm::Sai);
+    let base = scale.config(Algorithm::Sai);
+    let (nodes, queries) = (base.engine.nodes, base.queries);
     let tuples = scale.pick(300, 800);
     let warmup = scale.pick(150, 400);
     let mut report = Report::new(
@@ -31,12 +32,13 @@ pub fn run(scale: Scale) -> Report {
         .map(|strategy| RunConfig {
             tuples,
             warmup_tuples: warmup,
-            strategy,
             workload: WorkloadConfig {
                 bos_ratio: 0.8,
                 ..scale.config(Algorithm::Sai).workload
             },
-            ..scale.config(Algorithm::Sai)
+            ..scale
+                .config(Algorithm::Sai)
+                .with_engine(|e| e.with_strategy(strategy))
         })
         .collect();
     for (strategy, r) in IndexStrategy::ALL.into_iter().zip(run_many(&cfgs)) {

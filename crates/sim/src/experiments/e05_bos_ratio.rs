@@ -17,7 +17,8 @@ use crate::report::{fnum, Report};
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Report {
-    let RunConfig { nodes, queries, .. } = scale.config(Algorithm::Sai);
+    let base = scale.config(Algorithm::Sai);
+    let (nodes, queries) = (base.engine.nodes, base.queries);
     let tuples = scale.pick(300, 800);
     let warmup = scale.pick(150, 400);
     let ratios = [0.5, 0.6, 0.7, 0.8, 0.9];
@@ -30,12 +31,13 @@ pub fn run(scale: Scale) -> Report {
     let results = grid(&ratios, &strategies, |bos_ratio, strategy| RunConfig {
         tuples,
         warmup_tuples: warmup,
-        strategy,
         workload: WorkloadConfig {
             bos_ratio,
             ..scale.config(Algorithm::Sai).workload
         },
-        ..scale.config(Algorithm::Sai)
+        ..scale
+            .config(Algorithm::Sai)
+            .with_engine(|e| e.with_strategy(strategy))
     });
     for (bos, rs) in ratios.iter().zip(&results) {
         let hops = [rs[0].hops_per_tuple(), rs[1].hops_per_tuple()];

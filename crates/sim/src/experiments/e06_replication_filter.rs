@@ -16,7 +16,7 @@ use crate::stats;
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Report {
-    let RunConfig { nodes, .. } = scale.config(Algorithm::Sai);
+    let nodes = scale.config(Algorithm::Sai).engine.nodes;
     let tuples = scale.pick(300, 800);
     let mut report = Report::new(
         "E6",
@@ -28,8 +28,9 @@ pub fn run(scale: Scale) -> Report {
         .into_iter()
         .map(|k| RunConfig {
             tuples,
-            replication: k,
-            ..scale.config(Algorithm::Sai)
+            ..scale
+                .config(Algorithm::Sai)
+                .with_engine(|e| e.with_replication(k))
         })
         .collect();
     for (k, r) in ks.into_iter().zip(run_many(&cfgs)) {

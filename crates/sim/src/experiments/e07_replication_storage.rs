@@ -16,7 +16,8 @@ use crate::stats;
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Report {
-    let RunConfig { nodes, queries, .. } = scale.config(Algorithm::Sai);
+    let base = scale.config(Algorithm::Sai);
+    let (nodes, queries) = (base.engine.nodes, base.queries);
     let tuples = scale.pick(200, 800);
     let mut report = Report::new(
         "E7",
@@ -28,8 +29,9 @@ pub fn run(scale: Scale) -> Report {
         .into_iter()
         .map(|k| RunConfig {
             tuples,
-            replication: k,
-            ..scale.config(Algorithm::Sai)
+            ..scale
+                .config(Algorithm::Sai)
+                .with_engine(|e| e.with_replication(k))
         })
         .collect();
     for (k, r) in ks.into_iter().zip(run_many(&cfgs)) {

@@ -33,7 +33,7 @@ pub(super) fn window_sweep(
     load: fn(&RunResult) -> f64,
     note: &str,
 ) -> Report {
-    let RunConfig { nodes, .. } = scale.config(Algorithm::Sai);
+    let nodes = scale.config(Algorithm::Sai).engine.nodes;
     let windows: Vec<usize> = scale.pick(vec![100, 200, 400], vec![500, 1000, 2000]);
     let query_pops: Vec<usize> = scale.pick(vec![20, 80], vec![1000, 4000]);
     let variants: Vec<(usize, Algorithm)> = query_pops

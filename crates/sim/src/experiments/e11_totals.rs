@@ -18,7 +18,8 @@ use crate::report::{fnum, Report};
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Report {
-    let RunConfig { nodes, queries, .. } = scale.config(Algorithm::Sai);
+    let base = scale.config(Algorithm::Sai);
+    let (nodes, queries) = (base.engine.nodes, base.queries);
     let tuples = scale.pick(300, 800);
     let mut report = Report::new(
         "E11",

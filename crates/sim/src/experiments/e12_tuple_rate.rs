@@ -15,7 +15,8 @@ use crate::stats;
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Report {
-    let RunConfig { nodes, queries, .. } = scale.config(Algorithm::Sai);
+    let base = scale.config(Algorithm::Sai);
+    let (nodes, queries) = (base.engine.nodes, base.queries);
     let rates: Vec<usize> = scale.pick(vec![100, 200, 400, 800], vec![500, 1000, 2000]);
     let mut report = Report::new(
         "E12",

@@ -15,7 +15,7 @@ use crate::stats;
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Report {
-    let RunConfig { nodes, .. } = scale.config(Algorithm::Sai);
+    let nodes = scale.config(Algorithm::Sai).engine.nodes;
     let tuples = scale.pick(300, 800);
     let sweep: Vec<usize> = scale.pick(vec![20, 60, 120, 240], vec![1000, 2500, 5000, 10_000]);
     let mut report = Report::new(

@@ -16,7 +16,7 @@ use crate::stats;
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Report {
-    let RunConfig { queries, .. } = scale.config(Algorithm::Sai);
+    let queries = scale.config(Algorithm::Sai).queries;
     let tuples = scale.pick(300, 800);
     let sizes: Vec<usize> = scale.pick(vec![64, 128, 256, 512], vec![1000, 2500, 5000]);
     let mut report = Report::new(
@@ -34,9 +34,8 @@ pub fn run(scale: Scale) -> Report {
     );
     let algs = [Algorithm::Sai, Algorithm::DaiT, Algorithm::DaiV];
     let results = grid(&sizes, &algs, |nodes, alg| RunConfig {
-        nodes,
         tuples,
-        ..scale.config(alg)
+        ..scale.config(alg).with_engine(|e| e.with_nodes(nodes))
     });
     for (n, rs) in sizes.iter().zip(&results) {
         let mut row = vec![n.to_string()];

@@ -9,7 +9,7 @@
 use cq_engine::Algorithm;
 
 use super::Scale;
-use crate::harness::RunConfig;
+use crate::harness::{QuerySource, RunConfig};
 use crate::parallel::run_many;
 use crate::report::{fnum, Report};
 use crate::stats;
@@ -19,7 +19,7 @@ pub fn run(scale: Scale) -> Report {
     let base = RunConfig {
         queries: scale.pick(40, 2000),
         tuples: scale.pick(200, 600),
-        t2_queries: true,
+        query_source: QuerySource::T2,
         ..scale.config(Algorithm::DaiV)
     };
     let mut report = Report::new(
@@ -34,10 +34,7 @@ pub fn run(scale: Scale) -> Report {
     let mut cfgs = Vec::new();
     for &nodes in &n_sweep {
         points.push(("N", nodes));
-        cfgs.push(RunConfig {
-            nodes,
-            ..base.clone()
-        });
+        cfgs.push(base.clone().with_engine(|e| e.with_nodes(nodes)));
     }
     for &queries in &q_sweep {
         points.push(("queries", queries));

@@ -54,13 +54,14 @@ pub fn run(scale: Scale) -> Report {
         };
         fault.replication = k;
         RunConfig {
-            nodes,
             queries,
             tuples,
-            fault,
             failures,
-            retain_notifications: true,
-            ..RunConfig::new(alg)
+            ..RunConfig::new(alg).with_engine(|e| {
+                e.with_nodes(nodes)
+                    .with_fault(fault)
+                    .with_retained_notifications(true)
+            })
         }
     });
     for (alg, rs) in Algorithm::ALL.into_iter().zip(&results) {

@@ -105,16 +105,17 @@ pub fn run(scale: Scale) -> Report {
                 .with_confirm_after(t),
         };
         RunConfig {
-            nodes,
             queries,
             tuples,
-            fault: fault_for(churn, max_events),
-            suspicion,
-            retain_notifications: true,
             // Session-length churn spans the whole run (install
             // included), so count faults over the whole run too.
             measure_stream_only: false,
-            ..RunConfig::new(alg)
+            ..RunConfig::new(alg).with_engine(|e| {
+                e.with_nodes(nodes)
+                    .with_fault(fault_for(churn, max_events))
+                    .with_suspicion(suspicion)
+                    .with_retained_notifications(true)
+            })
         }
     });
     let avg = |total: u64, n: u64| {

@@ -59,17 +59,18 @@ impl Scale {
     }
 
     /// The set-up every Chapter 5 figure varies one parameter around, on
-    /// top of [`RunConfig::new`]: N = 128 / 1 024 nodes, Q = 60 / 5 000
-    /// installed queries and a value domain of 40 / 400.
+    /// top of [`RunConfig::new`]: an engine of N = 128 / 1 024 nodes,
+    /// Q = 60 / 5 000 installed pair queries and a value domain of
+    /// 40 / 400. A figure varies an engine knob with
+    /// [`RunConfig::with_engine`].
     pub fn config(self, algorithm: Algorithm) -> RunConfig {
         RunConfig {
-            nodes: self.pick(128, 1024),
             queries: self.pick(60, 5000),
             workload: WorkloadConfig {
                 domain: self.pick(40, 400),
                 ..WorkloadConfig::default()
             },
-            ..RunConfig::new(algorithm)
+            ..RunConfig::new(algorithm).with_engine(|e| e.with_nodes(self.pick(128, 1024)))
         }
     }
 }

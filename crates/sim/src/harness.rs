@@ -1,26 +1,24 @@
 //! The experiment harness: builds a network + workload from a [`RunConfig`],
 //! installs queries, streams tuples and collects the metric vectors the
-//! figures are built from. Its loop drives every figure but one, and the
+//! figures are built from. Its loop drives every figure, and the
 //! sim-vs-socket check in [`crate::cluster`] drives it on both backends.
-//! Two loops of their own remain, each needing what a [`RunConfig`] does
-//! not express: A1 (`experiments::a01_dai_v_keyed`) needs the keyed DAI-V
-//! variant and one fixed join condition for every query, and
-//! [`crate::cluster::run_throughput`] streams wide tuples over its own
-//! catalog.
+//! One loop of its own remains, [`crate::cluster::run_throughput`], which
+//! streams wide tuples over its own catalog.
 //!
 //! With a trace directory set ([`set_trace_dir`]), each run also streams
 //! its events into one trace file through a [`FileSink`]; the file is the
 //! whole record, and the run's result is the same with or without it.
 
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use cq_engine::{
-    Algorithm, EngineConfig, FaultConfig, FaultCounters, IndexStrategy, Network, Oracle,
-    RecoveryCounters, SuspicionConfig, TrafficKind,
+    Algorithm, EngineConfig, FaultCounters, Network, Oracle, RecoveryCounters, TrafficKind,
 };
 use cq_overlay::TrafficStats;
+use cq_relational::{Notification, Tuple};
 use cq_workload::{Workload, WorkloadConfig};
 
 use crate::trace::{FileSink, TraceFormat};
@@ -65,79 +63,82 @@ fn trace_file_name(dir: &Path, cfg: &RunConfig, format: TraceFormat) -> PathBuf 
     let n = TRACE_RUN.fetch_add(1, Ordering::Relaxed);
     dir.join(format!(
         "trace-{n:04}-{}-{}n-seed{}.{}",
-        cfg.algorithm.to_string().to_lowercase(),
-        cfg.nodes,
-        cfg.workload.seed,
+        cfg.engine.algorithm.to_string().to_lowercase(),
+        cfg.engine.nodes,
+        cfg.engine.seed,
         format.extension()
     ))
 }
 
-/// Parameters of one simulation run.
+/// Where a run's continuous queries come from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum QuerySource {
+    /// Generated two-way equi-joins over the focused pair (R0, R1).
+    Pairs,
+    /// Generated type-T2 queries (requires DAI-V).
+    T2,
+    /// The same SQL text for every query.
+    Fixed(&'static str),
+}
+
+/// One simulation run: the engine it runs on plus the workload streamed
+/// through it.
 #[derive(Clone, Debug)]
 pub struct RunConfig {
-    /// Evaluation algorithm.
-    pub algorithm: Algorithm,
-    /// Network size `N`.
-    pub nodes: usize,
+    /// The engine the run builds, handed to [`Network::new`] unchanged.
+    /// Its `seed` is the run's one seed: it also seeds the workload
+    /// generator.
+    pub engine: EngineConfig,
+    /// Workload shape (domain, skew, bos ratio, ...). Its `seed` is not
+    /// read; the generator is seeded from `engine.seed`.
+    pub workload: WorkloadConfig,
     /// Number of continuous queries to install.
     pub queries: usize,
+    /// What those queries are.
+    pub query_source: QuerySource,
     /// Number of tuples to stream in the measured window.
     pub tuples: usize,
     /// Warm-up tuples streamed *before* queries are installed (builds the
     /// rewriters' arrival statistics for the probing strategies and fills
     /// value-level stores).
     pub warmup_tuples: usize,
-    /// SAI index-attribute strategy.
-    pub strategy: IndexStrategy,
-    /// JFRT on/off.
-    pub use_jfrt: bool,
-    /// Attribute-level replication factor.
-    pub replication: usize,
-    /// Generate type-T2 queries (requires DAI-V).
-    pub t2_queries: bool,
     /// Reset traffic/load counters after installation, so results cover only
     /// the measured tuple window.
     pub measure_stream_only: bool,
-    /// Workload shape (domain, skew, bos ratio, ...).
-    pub workload: WorkloadConfig,
-    /// Fault model for the run (message loss/duplication/delay, reliable
-    /// delivery, k-successor replication). Inert by default.
-    pub fault: FaultConfig,
-    /// In-protocol failure detection (heartbeats, suspicion, anti-entropy).
-    /// Disabled by default: failures are then repaired by oracle
-    /// `stabilize` calls, the seed behavior. When enabled, the harness
-    /// never stabilizes for the detector — it `settle`s at the end of the
-    /// stream instead and reports recall against the oracle both overall
-    /// and restricted to tuples published outside detection windows.
-    pub suspicion: SuspicionConfig,
     /// Abrupt node failures injected at evenly spaced points across the
-    /// measured tuple window, each followed by two stabilization rounds.
+    /// measured tuple window. With `engine.suspicion` disabled each is
+    /// followed by two oracle stabilization rounds; with it enabled the
+    /// harness never stabilizes, and `settle`s at the end of the stream
+    /// instead.
     pub failures: usize,
-    /// Retain notification bodies so recall against the oracle can be
-    /// computed (needed by the fault experiment; off by default because
-    /// bodies dominate memory at full scale).
-    pub retain_notifications: bool,
 }
 
 impl RunConfig {
-    /// A small, fast default over two relations.
+    /// A small, fast default over two relations: 128 nodes, 50 pair
+    /// queries and 300 tuples. Notification bodies are not retained
+    /// (they dominate memory at full scale), so recall is computed only
+    /// when a caller turns `engine.retain_notifications` back on.
     pub fn new(algorithm: Algorithm) -> Self {
         RunConfig {
-            algorithm,
-            nodes: 128,
+            engine: EngineConfig::new(algorithm)
+                .with_nodes(128)
+                .with_retained_notifications(false),
+            workload: WorkloadConfig::default(),
             queries: 50,
+            query_source: QuerySource::Pairs,
             tuples: 300,
             warmup_tuples: 0,
-            strategy: IndexStrategy::LowestRate,
-            use_jfrt: true,
-            replication: 1,
-            t2_queries: false,
             measure_stream_only: true,
-            workload: WorkloadConfig::default(),
-            fault: FaultConfig::default(),
-            suspicion: SuspicionConfig::default(),
             failures: 0,
-            retain_notifications: false,
+        }
+    }
+
+    /// The same run on the engine `f` makes of this one's, for example
+    /// `cfg.with_engine(|e| e.with_jfrt(false))`.
+    pub fn with_engine(self, f: impl FnOnce(EngineConfig) -> EngineConfig) -> Self {
+        RunConfig {
+            engine: f(self.engine),
+            ..self
         }
     }
 }
@@ -260,20 +261,11 @@ pub fn run(cfg: &RunConfig) -> RunResult {
 /// the finished network beside the run's result, so a caller can inspect
 /// what the metric vectors do not carry (inboxes, socket statistics).
 pub(crate) fn drive(cfg: &RunConfig, backend: Backend) -> (Network, RunResult) {
-    let mut workload = Workload::new(cfg.workload.clone());
-    let engine_cfg = EngineConfig::new(cfg.algorithm)
-        .with_nodes(cfg.nodes)
-        .with_strategy(cfg.strategy)
-        .with_jfrt(cfg.use_jfrt)
-        .with_replication(cfg.replication)
-        // Delivery traffic and counts are measured; retaining millions of
-        // notification bodies would dominate simulator memory at full
-        // scale, so bodies are kept only when a run needs recall.
-        .with_retained_notifications(cfg.retain_notifications)
-        .with_seed(cfg.workload.seed)
-        .with_fault(cfg.fault.clone())
-        .with_suspicion(cfg.suspicion);
-    let mut net = Network::new(engine_cfg, workload.catalog().clone());
+    let mut workload = Workload::new(WorkloadConfig {
+        seed: cfg.engine.seed,
+        ..cfg.workload.clone()
+    });
+    let mut net = Network::new(cfg.engine.clone(), workload.catalog().clone());
     if backend == Backend::Tcp {
         net.enable_tcp_transport().expect("loopback listeners bind");
     }
@@ -300,13 +292,13 @@ pub(crate) fn drive(cfg: &RunConfig, backend: Backend) -> (Network, RunResult) {
     net.trace_phase("install");
     for _ in 0..cfg.queries {
         let poser = net.random_node();
-        let sql = if cfg.t2_queries {
-            workload.random_t2_query_sql()
-        } else {
-            workload.query_between(0, 1)
+        let sql = match cfg.query_source {
+            QuerySource::Pairs => workload.query_between(0, 1),
+            QuerySource::T2 => workload.random_t2_query_sql(),
+            QuerySource::Fixed(sql) => sql.to_string(),
         };
         net.pose_query_sql(poser, &sql)
-            .expect("generated queries are valid");
+            .expect("run queries are valid");
     }
 
     let install_traffic: Vec<(TrafficKind, TrafficStats)> = TrafficKind::ALL
@@ -321,7 +313,7 @@ pub(crate) fn drive(cfg: &RunConfig, backend: Backend) -> (Network, RunResult) {
     // evenly across it (each immediately followed by stabilization, which
     // repairs the ring and promotes replicas).
     net.trace_phase("stream");
-    let detect = cfg.suspicion.enabled;
+    let detect = cfg.engine.suspicion.enabled;
     let mut failed = 0usize;
     for i in 0..cfg.tuples {
         while failed < cfg.failures && i * (cfg.failures + 1) >= (failed + 1) * cfg.tuples {
@@ -340,7 +332,7 @@ pub(crate) fn drive(cfg: &RunConfig, backend: Backend) -> (Network, RunResult) {
         net.settle().expect("failure detection converges");
     }
 
-    let mut result = collect(&net, cfg.tuples, cfg.retain_notifications);
+    let mut result = collect(&net, cfg.tuples, cfg.engine.retain_notifications);
     result.install_traffic = install_traffic;
     if let Some(sink) = trace_sink {
         sink.flush().expect("flush trace file");
@@ -394,17 +386,26 @@ fn collect(net: &Network, streamed: usize, with_recall: bool) -> RunResult {
         .collect();
     let (expected_notifications, delivered_notifications, recall, recall_outside_windows) =
         if with_recall {
-            let mut oracle = Oracle::new();
-            oracle.ingest(net.posed_queries(), net.inserted_tuples());
-            let expected = oracle.expected().expect("oracle evaluation");
             let delivered = net.delivered_set();
-            let hit = expected.iter().filter(|n| delivered.contains(*n)).count() as u64;
-            let total = expected.len() as u64;
-            let recall = if total == 0 {
-                1.0
-            } else {
-                hit as f64 / total as f64
+            let expected = oracle_expected(net, net.inserted_tuples());
+            // Recall counts only expected deliveries, so a notification
+            // the oracle never expects would leave it at 1.0: it fails the
+            // run instead.
+            let spurious: Vec<_> = delivered.difference(&expected).collect();
+            if let Some(first) = spurious.iter().min() {
+                panic!(
+                    "{} delivered notifications the oracle does not expect; first: {first:?}",
+                    spurious.len()
+                );
+            }
+            let share = |hit: usize, total: usize| {
+                if total == 0 {
+                    1.0
+                } else {
+                    hit as f64 / total as f64
+                }
             };
+            let recall = share(delivered.len(), expected.len());
             // Recall over the oracle restricted to tuples published outside
             // every detection window — the deliveries a detector-based
             // engine guarantees (tuples inside a window may have been
@@ -422,17 +423,18 @@ fn collect(net: &Network, streamed: usize, with_recall: bool) -> RunResult {
                     })
                     .cloned()
                     .collect();
-                let mut o = Oracle::new();
-                o.ingest(net.posed_queries(), &tuples);
-                let exp = o.expected().expect("oracle evaluation");
-                let hit = exp.iter().filter(|n| delivered.contains(*n)).count() as u64;
-                if exp.is_empty() {
-                    1.0
-                } else {
-                    hit as f64 / exp.len() as f64
-                }
+                let exp = oracle_expected(net, &tuples);
+                share(
+                    exp.iter().filter(|n| delivered.contains(*n)).count(),
+                    exp.len(),
+                )
             };
-            (total, hit, recall, outside)
+            (
+                expected.len() as u64,
+                delivered.len() as u64,
+                recall,
+                outside,
+            )
         } else {
             (0, 0, 1.0, 1.0)
         };
@@ -458,6 +460,13 @@ fn collect(net: &Network, streamed: usize, with_recall: bool) -> RunResult {
     }
 }
 
+/// The notifications the oracle derives from every posed query over `tuples`.
+fn oracle_expected(net: &Network, tuples: &[Arc<Tuple>]) -> HashSet<Notification> {
+    let mut oracle = Oracle::new();
+    oracle.ingest(net.posed_queries(), tuples);
+    oracle.expected().expect("oracle evaluation")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,10 +474,9 @@ mod tests {
     #[test]
     fn run_produces_consistent_vectors() {
         let cfg = RunConfig {
-            nodes: 32,
             queries: 5,
             tuples: 40,
-            ..RunConfig::new(Algorithm::Sai)
+            ..RunConfig::new(Algorithm::Sai).with_engine(|e| e.with_nodes(32))
         };
         let r = run(&cfg);
         assert_eq!(r.filtering.len(), 32);
@@ -488,10 +496,9 @@ mod tests {
     fn all_algorithms_run() {
         for alg in Algorithm::ALL {
             let cfg = RunConfig {
-                nodes: 32,
                 queries: 4,
                 tuples: 30,
-                ..RunConfig::new(alg)
+                ..RunConfig::new(alg).with_engine(|e| e.with_nodes(32))
             };
             let r = run(&cfg);
             assert!(r.total_traffic.messages > 0, "{alg}");
@@ -501,11 +508,10 @@ mod tests {
     #[test]
     fn t2_runs_under_dai_v() {
         let cfg = RunConfig {
-            nodes: 32,
             queries: 4,
             tuples: 30,
-            t2_queries: true,
-            ..RunConfig::new(Algorithm::DaiV)
+            query_source: QuerySource::T2,
+            ..RunConfig::new(Algorithm::DaiV).with_engine(|e| e.with_nodes(32))
         };
         let r = run(&cfg);
         assert!(r.total_traffic.messages > 0);
@@ -515,11 +521,10 @@ mod tests {
     fn measure_stream_only_excludes_installation() {
         let mk = |measure_stream_only| {
             let cfg = RunConfig {
-                nodes: 32,
                 queries: 20,
                 tuples: 1,
                 measure_stream_only,
-                ..RunConfig::new(Algorithm::Sai)
+                ..RunConfig::new(Algorithm::Sai).with_engine(|e| e.with_nodes(32))
             };
             run(&cfg).traffic_of(TrafficKind::QueryIndex).messages
         };

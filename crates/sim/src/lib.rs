@@ -26,7 +26,7 @@ pub mod stats;
 pub mod trace;
 
 pub use cq_engine::{FaultConfig, FaultCounters, TraceEvent};
-pub use harness::{run, set_trace_dir, set_trace_format, RunConfig, RunResult};
+pub use harness::{run, set_trace_dir, set_trace_format, QuerySource, RunConfig, RunResult};
 pub use parallel::{run_many, set_jobs};
 pub use pipeline::Pipeline;
 pub use report::Report;

@@ -71,10 +71,10 @@ mod tests {
 
     fn cfg(seed: u64) -> RunConfig {
         let mut c = RunConfig::new(Algorithm::Sai);
-        c.nodes = 32;
+        c.engine.nodes = 32;
         c.queries = 5;
         c.tuples = 30;
-        c.workload.seed = seed;
+        c.engine.seed = seed;
         c
     }
 

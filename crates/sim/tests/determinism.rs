@@ -9,7 +9,6 @@
 
 use cq_engine::Algorithm;
 use cq_sim::{run, run_many, set_jobs, FaultConfig, RunConfig, RunResult};
-use cq_workload::WorkloadConfig;
 
 fn cfgs() -> Vec<RunConfig> {
     [
@@ -21,16 +20,10 @@ fn cfgs() -> Vec<RunConfig> {
     .into_iter()
     .enumerate()
     .map(|(i, alg)| RunConfig {
-        algorithm: alg,
-        nodes: 48,
         queries: 12,
         tuples: 80,
         warmup_tuples: 10,
-        workload: WorkloadConfig {
-            seed: 1000 + i as u64,
-            ..WorkloadConfig::default()
-        },
-        ..RunConfig::new(alg)
+        ..RunConfig::new(alg).with_engine(|e| e.with_nodes(48).with_seed(1000 + i as u64))
     })
     .collect()
 }
@@ -43,9 +36,9 @@ fn faulty_cfgs() -> Vec<RunConfig> {
         .map(|mut cfg| {
             let mut fault = FaultConfig::lossy(0.15, 77);
             fault.replication = 2;
-            cfg.fault = fault;
+            cfg.engine.fault = fault;
+            cfg.engine.retain_notifications = true;
             cfg.failures = 1;
-            cfg.retain_notifications = true;
             cfg
         })
         .collect()
@@ -97,7 +90,7 @@ fn same_seed_is_bit_identical_across_sequential_runs() {
     for cfg in cfgs() {
         let first = run(&cfg);
         let second = run(&cfg);
-        assert_identical(&first, &second, cfg.algorithm.name());
+        assert_identical(&first, &second, cfg.engine.algorithm.name());
     }
 }
 
@@ -112,7 +105,7 @@ fn parallel_runs_match_sequential_bit_for_bit() {
 
     assert_eq!(parallel.len(), sequential.len());
     for ((cfg, seq), par) in cfgs.iter().zip(&sequential).zip(&parallel) {
-        assert_identical(seq, par, cfg.algorithm.name());
+        assert_identical(seq, par, cfg.engine.algorithm.name());
     }
 }
 
@@ -125,11 +118,11 @@ fn faulty_runs_are_bit_identical_too() {
     let sequential: Vec<RunResult> = cfgs.iter().map(run).collect();
     for (cfg, first) in cfgs.iter().zip(&sequential) {
         let second = run(cfg);
-        assert_identical(first, &second, cfg.algorithm.name());
+        assert_identical(first, &second, cfg.engine.algorithm.name());
         assert!(
             first.faults.messages_lost > 0,
             "{}: the fault model must actually fire",
-            cfg.algorithm.name()
+            cfg.engine.algorithm.name()
         );
     }
 
@@ -137,6 +130,6 @@ fn faulty_runs_are_bit_identical_too() {
     let parallel = run_many(&cfgs);
     set_jobs(1);
     for ((cfg, seq), par) in cfgs.iter().zip(&sequential).zip(&parallel) {
-        assert_identical(seq, par, cfg.algorithm.name());
+        assert_identical(seq, par, cfg.engine.algorithm.name());
     }
 }

@@ -1,9 +1,10 @@
 //! The binaries reject bad arguments with exit code 2 instead of running on
 //! them: `experiments` fails on an id it does not know rather than running
 //! the ids it does (a typo in a list of ids must fail the command, not
-//! shrink the run), and `tcp_cluster` refuses a network of no nodes. A
-//! reader that closes stdout early ends a binary's run normally, and any
-//! other write error is reported, never a panic.
+//! shrink the run) and refuses a worker count of zero, and `tcp_cluster`
+//! refuses a network of no nodes and, in its throughput mode, honours an
+//! explicit `--tuples`. A reader that closes stdout early ends a binary's
+//! run normally, and any other write error is reported, never a panic.
 
 use std::process::{Command, Output, Stdio};
 
@@ -89,4 +90,30 @@ fn a_cluster_of_zero_nodes_is_rejected() {
         err.contains("usage: tcp_cluster"),
         "prints the usage: {err}"
     );
+}
+
+#[test]
+fn a_worker_count_of_zero_is_rejected() {
+    for args in [&["--jobs", "0", "e01"][..], &["--jobs=0", "e01"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(args)
+            .output()
+            .expect("the experiments binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing ran");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--jobs"), "{args:?} names the bad flag: {err}");
+    }
+}
+
+#[test]
+fn the_throughput_run_honours_an_explicit_tuple_count() {
+    let out = Command::new(env!("CARGO_BIN_EXE_tcp_cluster"))
+        .args(["--payload-size", "16", "--nodes", "2", "--tuples", "40"])
+        .output()
+        .expect("the tcp_cluster binary runs");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{text}");
+    let header = text.lines().next().unwrap_or_default();
+    assert!(header.contains(" 40 tuples,"), "header: {header}");
 }

@@ -6,7 +6,7 @@
 
 use cq_engine::{Algorithm, FaultConfig, SuspicionConfig};
 use cq_sim::cluster::compare;
-use cq_sim::RunConfig;
+use cq_sim::{QuerySource, RunConfig};
 
 /// A socket-suite run: installation traffic stays in the counters and
 /// notification bodies are kept, so every delivered set is compared.
@@ -17,16 +17,16 @@ fn small(
     tuples: usize,
     seed: u64,
 ) -> RunConfig {
-    let mut cfg = RunConfig {
-        nodes,
+    RunConfig {
         queries,
         tuples,
         measure_stream_only: false,
-        retain_notifications: true,
-        ..RunConfig::new(algorithm)
-    };
-    cfg.workload.seed = seed;
-    cfg
+        ..RunConfig::new(algorithm).with_engine(|e| {
+            e.with_nodes(nodes)
+                .with_seed(seed)
+                .with_retained_notifications(true)
+        })
+    }
 }
 
 #[test]
@@ -59,15 +59,15 @@ fn lossy_detector_schedules_match_the_simulator() {
     // the same fault counters down to the bytes charged per transmission.
     for (i, algorithm) in Algorithm::ALL.into_iter().enumerate() {
         let seed = 20 + i as u64;
-        let cfg = RunConfig {
-            fault: FaultConfig {
-                replication: 2,
-                ..FaultConfig::lossy(0.1, seed)
-            },
-            suspicion: SuspicionConfig::active(),
+        let mut cfg = RunConfig {
             failures: 1,
             ..small(algorithm, 8, 4, 14, seed)
         };
+        cfg.engine.fault = FaultConfig {
+            replication: 2,
+            ..FaultConfig::lossy(0.1, seed)
+        };
+        cfg.engine.suspicion = SuspicionConfig::active();
         let report =
             compare(&cfg).unwrap_or_else(|d| panic!("{algorithm}: the socket run diverged: {d}"));
         let r = &report.result;
@@ -89,7 +89,7 @@ fn lossy_detector_schedules_match_the_simulator() {
 #[test]
 fn t2_queries_match_the_simulator_under_dai_v() {
     let cfg = RunConfig {
-        t2_queries: true,
+        query_source: QuerySource::T2,
         ..small(Algorithm::DaiV, 16, 6, 50, 13)
     };
     let report = compare(&cfg).unwrap_or_else(|d| panic!("{d}"));

@@ -17,7 +17,6 @@ fn main() {
     );
     for alg in Algorithm::ALL {
         let cfg = RunConfig {
-            nodes: 128,
             queries: 40,
             tuples: 400,
             workload: WorkloadConfig {
