@@ -21,8 +21,10 @@
 //! candidate count. The same discipline covers failure detection and repair:
 //! the `fault-pump`, `heartbeat-round` and `digest-round` kernels run a lossy
 //! k=2 ring at two held-state sizes, and their cost must not depend on how
-//! many items the nodes hold. Allocations are counted by the always-installed
-//! [`alloc_count::CountingAlloc`], one relaxed add per allocation.
+//! many items the nodes hold; the `pump-probe` row divides an idle tick's
+//! cost by the heartbeat probes it sends. Allocations are counted by the
+//! always-installed [`alloc_count::CountingAlloc`], one relaxed add per
+//! allocation.
 
 use std::fmt;
 use std::sync::Arc;
@@ -68,6 +70,10 @@ const REWRITE: [usize; 2] = [50, 1_250];
 const DECODE: [usize; 2] = [1, 50];
 /// Items held by the ring of the failure-handling kernels.
 const HELD: [usize; 2] = [1_000, 10_000];
+/// Nodes of the ring the `pump-probe` row ticks idle.
+const PROBE_RING: usize = 32;
+/// Idle pump ticks per `pump-probe` window: a thousand heartbeat rounds.
+const PROBE_TICKS: u64 = 4_000;
 /// Standing queries of the end-to-end insert.
 const E2E_QUERIES: usize = 50;
 /// Payload bytes of one pumped frame.
@@ -234,7 +240,7 @@ fn o_change(l: &Ledger, kernel: &str, sizes: [usize; 2]) -> Result<(), String> {
     )
 }
 
-const GATES: [Gate; 18] = [
+const GATES: [Gate; 19] = [
     // A Chord lookup step reads one sorted route table per hop:
     // nothing is allocated, and sixteen times the nodes cost well under 3x
     // per lookup (hops grow with log N; a scan of every pointer a node
@@ -364,6 +370,13 @@ const GATES: [Gate; 18] = [
     Gate {
         name: "fault-pump-allocs",
         holds: |l| allocs_below(l, "fault-pump", HELD, 150.0),
+    },
+    // A heartbeat probe crosses the pump without touching the heap (0.041
+    // per probe while each deadline sweep allocated its two lists; what is
+    // left is the false confirmations' repair work).
+    Gate {
+        name: "pump-probe-alloc-free",
+        holds: |l| allocs_below(l, "pump-probe", [PROBE_RING; 2], 0.01),
     },
     Gate {
         name: "socket-throughput",
@@ -903,6 +916,56 @@ fn heartbeat_round(size: usize, events: u64) -> KernelRow {
     row
 }
 
+/// One heartbeat probe through the fault pump: a settled DAI-T ring of
+/// [`PROBE_RING`] nodes under `churn_dait`'s fault profile (5 % loss, k=2
+/// replication, the detector on with 4-tick timeouts), anti-entropy off,
+/// ticked idle [`PROBE_TICKS`] times per window. Time and allocations are
+/// per ping sent; each ping's pong, the deadline sweeps and the false
+/// confirmations' repair work ride on it.
+fn pump_probe() -> KernelRow {
+    let mut fault = FaultConfig::lossy(0.05, 12);
+    fault.replication = 2;
+    let mut net = Network::new(
+        EngineConfig::new(Algorithm::DaiT)
+            .with_nodes(PROBE_RING)
+            .with_seed(12)
+            .with_fault(fault)
+            .with_suspicion(
+                SuspicionConfig::active()
+                    .with_suspect_after(4)
+                    .with_confirm_after(4)
+                    .with_anti_entropy_every(0),
+            ),
+        catalog(),
+    );
+    net.settle().unwrap();
+    for _ in 0..PROBE_TICKS / 10 {
+        net.tick_now().unwrap();
+    }
+    let (mut ns, mut allocs, mut probes) = (Vec::with_capacity(REPEATS), 0f64, 0);
+    for _ in 0..REPEATS {
+        let sent0 = net.metrics().recovery.heartbeats_sent;
+        let a0 = alloc_count::allocations();
+        let t0 = Instant::now();
+        for _ in 0..PROBE_TICKS {
+            net.tick_now().unwrap();
+        }
+        let dt = t0.elapsed();
+        let allocated = alloc_count::allocations() - a0;
+        probes = net.metrics().recovery.heartbeats_sent - sent0;
+        allocs = allocs.max(allocated as f64 / probes as f64);
+        ns.push(dt.as_nanos() as f64 / probes as f64);
+    }
+    KernelRow {
+        kernel: "pump-probe",
+        size: PROBE_RING,
+        events: probes,
+        ns: Spread::of(ns),
+        allocs,
+        hops: None,
+    }
+}
+
 /// One clean anti-entropy round (every primary against both successors,
 /// nothing to repair) over `size` held items. The cadence is parked far in
 /// the future so only the explicit hook runs rounds.
@@ -1010,6 +1073,7 @@ fn measure_ledger(check: bool) -> Ledger {
         heartbeat_round(HELD[1], rounds),
         digest_round(HELD[0], rounds),
         digest_round(HELD[1], rounds),
+        pump_probe(),
     ];
     let tuples = if check { 400 } else { 2_000 };
     let sockets = PAYLOADS
@@ -1160,8 +1224,9 @@ mod tests {
     /// ledger existed, the `vlqt-run` rows `BENCH_29.json` added, the
     /// `vlqt-insert` rows `BENCH_34.json` added, the fresh-bucket one as
     /// `BENCH_35.json` re-pinned it, the `rewrite-*` rows
-    /// `BENCH_43.json` added, and the `route-lookup` rows and the
-    /// `insert-e2e-bundled` row as `BENCH_54.json` wrote them.
+    /// `BENCH_43.json` added, the `route-lookup` rows and the
+    /// `insert-e2e-bundled` row as `BENCH_54.json` wrote them, and the
+    /// `pump-probe` row `BENCH_56.json` added.
     fn bench_25() -> Ledger {
         let kernels = [
             ("route-lookup", 1_024, 97.7, 0.0),
@@ -1192,6 +1257,7 @@ mod tests {
             ("heartbeat-round", 10_000, 9494.1, 1.31),
             ("digest-round", 1_000, 2441.1, 38.0),
             ("digest-round", 10_000, 2418.9, 38.0),
+            ("pump-probe", PROBE_RING, 175.3, 0.0),
         ];
         Ledger {
             check: false,
@@ -1252,7 +1318,7 @@ mod tests {
             kernel(l, name, sizes[1]).ns = flat(3.1 * small);
         }
         type Mutation = fn(&mut Ledger);
-        let cases: [(&str, Mutation); 19] = [
+        let cases: [(&str, Mutation); 20] = [
             // One `Vec` per lookup, as a path-materializing route makes.
             ("route-lookup-alloc-free", |l| {
                 kernel(l, "route-lookup", 16_384).allocs = 1.0
@@ -1297,6 +1363,11 @@ mod tests {
             }),
             ("fault-pump-allocs", |l| {
                 kernel(l, "fault-pump", 1_000).allocs = 150.01
+            }),
+            // What a probe cost while each deadline sweep allocated its
+            // lists.
+            ("pump-probe-alloc-free", |l| {
+                kernel(l, "pump-probe", PROBE_RING).allocs = 0.041
             }),
             ("socket-throughput", |l| {
                 socket_mut(l, 32, 256).wire_bytes = 0

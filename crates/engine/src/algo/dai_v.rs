@@ -65,6 +65,7 @@ impl Protocol for DaiVProtocol {
         st.record_arrival(rel, &attr, value_key);
         let space = fx.space();
         let keyed = fx.config().dai_v_keyed;
+        let mut text = fx.take_scratch();
         let mut checks = 0u64;
         for (group, stored) in st.tables.alqt.groups(rel, &attr) {
             if keyed {
@@ -82,18 +83,19 @@ impl Protocol for DaiVProtocol {
                     else {
                         continue;
                     };
-                    let value_key = rq.target().value().canonical();
+                    text.clear();
+                    rq.target().value().canonical_into(&mut text);
                     let qkey = sq.query.key().0.clone();
-                    let id = indexing::vindex_value_keyed(space, &qkey, &value_key);
-                    let msg = Message::JoinV(ValueJoin {
+                    let id = indexing::vindex_value_keyed(space, &qkey, &text);
+                    let msg = Message::JoinV(Box::new(ValueJoin {
                         // matching is scoped per query under this variant
                         group: format!("K|{qkey}"),
                         items: vec![rq],
                         tuple: Arc::clone(&tuple),
                         side: sq.index_side,
-                        value_key,
+                        value_key: text.as_str().into(),
                         index_id: id,
-                    });
+                    }));
                     fx.push(Effect::Send { id, msg });
                 }
             } else {
@@ -120,20 +122,22 @@ impl Protocol for DaiVProtocol {
                 }
                 // A group shares its join condition, hence one valJC.
                 if let (Some(side), Some(last)) = (side, items.last()) {
-                    let value_key = last.target().value().canonical();
-                    let id = indexing::vindex_value_canonical(space, &value_key);
-                    let msg = Message::JoinV(ValueJoin {
+                    text.clear();
+                    last.target().value().canonical_into(&mut text);
+                    let id = indexing::vindex_value_canonical(space, &text);
+                    let msg = Message::JoinV(Box::new(ValueJoin {
                         group: group.to_string(),
                         items,
                         tuple: Arc::clone(&tuple),
                         side,
-                        value_key,
+                        value_key: text.as_str().into(),
                         index_id: id,
-                    });
+                    }));
                     fx.push(Effect::Send { id, msg });
                 }
             }
         }
+        fx.restore_scratch(text);
         if checks > 0 {
             let node = fx.node().index();
             fx.metrics().add_rewriter_filtering(node, checks);
@@ -162,7 +166,8 @@ impl Protocol for DaiVProtocol {
         // The candidate list is the same for every item: look it up once and
         // match the whole run against it — still charging every rewritten
         // query the whole list, as the paper counts filtering work.
-        let stored = st.tables.vstore.candidates(&group, &value_key, other);
+        let key = value_key.as_str();
+        let stored = st.tables.vstore.candidates(&group, key, other);
         let candidates = stored.as_slice();
         let count = candidates.len() as u64;
         matcher.match_run(&items, candidates, &mut matches, |_| {

@@ -42,7 +42,7 @@ impl Network {
                 // Mirrored past `succ` instead, nobody would promote it.
                 promoted += 1;
                 items.push(item);
-            } else if let Some(&to) = self.ring.successors_of(owner, self.repl_k()).last() {
+            } else if let Some(to) = self.ring.successors_of(owner, self.repl_k()).last() {
                 self.nodes[to.index()].replicas.insert(item)?;
             }
         }

@@ -211,9 +211,11 @@ impl FaultConfig {
 pub type MsgId = (u32, u64);
 
 /// Receive-side dedup: per receiver, the identifiers whose copies can still
-/// arrive. Sequence numbers are allocated per *sender* across all of its
-/// receivers, so one receiver sees a sparse subsequence of them and no
-/// low-water mark ever advances; entries expire by message lifetime instead.
+/// arrive. Only a copy marked `twin` (a windowed message, or a duplicated
+/// transmission) is recorded; any other message arrives once or not at all.
+/// Sequence numbers are allocated per *sender* across all of its receivers,
+/// so one receiver sees a sparse subsequence of them and no low-water mark
+/// ever advances; entries expire by message lifetime instead.
 /// A copy of a message first transmitted at tick `t` arrives in
 /// `t + 1 ..= t + 1 + max_delay` if nobody retransmits it, and no later than
 /// `t + ack_timeout + Σ backoff(1..max_retries) + 1 + max_delay` if its sender
@@ -231,21 +233,35 @@ struct Dedup {
     unacked_expiry: VecDeque<(u64, u32, MsgId)>,
     /// The same for messages their sender retransmits until acknowledged.
     acked_expiry: VecDeque<(u64, u32, MsgId)>,
-    /// Every identifier ever recorded, per receiver: debug builds check each
-    /// verdict of the expiring set against the set that never forgets.
+    /// Every identifier that ever arrived, per receiver: debug builds check
+    /// each verdict of the expiring set against the set that never forgets,
+    /// and that a copy without a twin is the first of its identifier.
     #[cfg(debug_assertions)]
     ever: Vec<FxHashSet<MsgId>>,
 }
 
 impl Dedup {
     /// Records the arrival of `id` at receiver slot `to`; returns `true` if
-    /// it was seen before (a duplicate). A fresh entry is forgotten at tick
-    /// `expires` and joins the `acked` or the fire-and-forget expiry queue.
-    fn check_and_record(&mut self, id: MsgId, to: usize, expires: u64, acked: bool) -> bool {
-        if to >= self.seen.len() {
-            self.seen.resize_with(to + 1, FxHashSet::default);
-        }
-        let fresh = self.seen[to].insert(id);
+    /// it was seen before (a duplicate). A copy with a twin (`Some`) is
+    /// remembered until tick `expires` on the `acked` or the fire-and-forget
+    /// expiry queue; a copy without one (`None`) is not remembered.
+    fn check_and_record(&mut self, id: MsgId, to: usize, twin: Option<(u64, bool)>) -> bool {
+        let fresh = twin.is_none_or(|(expires, acked)| {
+            if to >= self.seen.len() {
+                self.seen.resize_with(to + 1, FxHashSet::default);
+            }
+            let fresh = self.seen[to].insert(id);
+            if fresh {
+                let queue = if acked {
+                    &mut self.acked_expiry
+                } else {
+                    &mut self.unacked_expiry
+                };
+                debug_assert!(queue.back().is_none_or(|&(at, ..)| at <= expires));
+                queue.push_back((expires, to as u32, id));
+            }
+            fresh
+        });
         #[cfg(debug_assertions)]
         {
             if to >= self.ever.len() {
@@ -254,17 +270,9 @@ impl Dedup {
             assert_eq!(
                 fresh,
                 self.ever[to].insert(id),
-                "dedup entry {id:?} at receiver {to} expired while a copy was still in flight"
+                "copy {id:?} at receiver {to}: a second arrival without a twin, \
+                 or a dedup entry expired while a copy was still in flight"
             );
-        }
-        if fresh {
-            let queue = if acked {
-                &mut self.acked_expiry
-            } else {
-                &mut self.unacked_expiry
-            };
-            debug_assert!(queue.back().is_none_or(|&(at, ..)| at <= expires));
-            queue.push_back((expires, to as u32, id));
         }
         !fresh
     }
@@ -578,18 +586,24 @@ impl FaultPipe {
         self.dedup.expire(self.tick);
     }
 
+    /// Whether a message keeps an ack window open until acknowledged: while
+    /// retries are enabled, every one but a heartbeat probe.
+    fn windowed(&self, probe: bool) -> bool {
+        !probe && self.cfg.retries_enabled()
+    }
+
     /// Records a data arrival `(sender, seq)` at receiver `to`; returns
-    /// `true` when it is a duplicate that must be suppressed. `probe` arrivals
-    /// are fire-and-forget whatever the retry configuration.
-    fn record_arrival(&mut self, id: MsgId, to: NodeHandle, probe: bool) -> bool {
-        let acked = !probe && self.cfg.retries_enabled();
+    /// `true` when it is a duplicate that must be suppressed. Only a `twin`
+    /// copy is remembered.
+    fn record_arrival(&mut self, id: MsgId, to: NodeHandle, probe: bool, twin: bool) -> bool {
+        let acked = self.windowed(probe);
         let life = if acked {
             self.acked_life
         } else {
             self.unacked_life
         };
-        let expires = self.tick.saturating_add(life);
-        self.dedup.check_and_record(id, to.index(), expires, acked)
+        let twin = twin.then(|| (self.tick.saturating_add(life), acked));
+        self.dedup.check_and_record(id, to.index(), twin)
     }
 
     /// Schedules a delivery at an absolute tick (later than the current).
@@ -733,7 +747,7 @@ impl Network {
             });
             return Ok(());
         }
-        if pipe.record_arrival(id, to, probe) {
+        if pipe.record_arrival(id, to, probe, e.twin) {
             self.metrics.faults.dedup_suppressed += 1;
             self.trace(|| TraceEvent::DedupSuppressed {
                 tick: now,
@@ -753,8 +767,9 @@ impl Network {
         // Ack every arrival whose sender keeps a window open (a duplicate
         // usually means the previous ack was lost). Acks are subject to loss
         // like any transmission. Windows exist only while retries are
-        // enabled, and never for probes, so those are never acked.
-        if let Some(sender) = pipe.outstanding.get(&id).map(|o| o.from) {
+        // enabled, and never for probes, so those are never looked up.
+        let window = pipe.windowed(probe).then(|| pipe.outstanding.get(&id));
+        if let Some(sender) = window.flatten().map(|o| o.from) {
             if pipe.decide.lose() {
                 self.metrics.faults.messages_lost += 1;
                 self.trace(|| TraceEvent::FaultDrop {
@@ -783,7 +798,7 @@ impl Network {
             self.metrics.faults.bytes_sent[msg.kind_index()] += wire::encoded_len(&msg);
             // Heartbeat probes are fire-and-forget: no ack window, no
             // retransmission — an unanswered probe *is* the detector's signal.
-            if pipe.cfg.retries_enabled() && !msg.is_probe() {
+            if pipe.windowed(msg.is_probe()) {
                 let window = Outstanding {
                     from,
                     target,
@@ -801,7 +816,8 @@ impl Network {
     }
 
     /// Draws duplication, loss and delay for one logical transmission and
-    /// schedules the surviving copies.
+    /// schedules the surviving copies, each marked `twin` when another copy
+    /// may arrive too: a windowed message is resent until acked.
     fn schedule_copies(&mut self, pipe: &mut FaultPipe, id: MsgId, to: NodeHandle, msg: Message) {
         let (tick, node) = (pipe.tick, to.index() as u32);
         let copies = if pipe.decide.duplicate() {
@@ -811,6 +827,7 @@ impl Network {
         } else {
             1
         };
+        let twin = copies == 2 || pipe.windowed(msg.is_probe());
         // The last copy carries the payload itself; only a surviving first
         // copy of a duplicated transmission clones it.
         let mut msg = Some(msg);
@@ -840,6 +857,7 @@ impl Network {
                 from: NodeHandle::from_index(id.0 as usize),
                 to,
                 id: Some(id),
+                twin,
                 msg,
             };
             pipe.schedule(tick + 1 + extra, Delivery::Data(copy));
@@ -942,6 +960,7 @@ mod tests {
                 from: node,
                 to: node,
                 id: Some((0, n)),
+                twin: false,
                 msg: Message::Ping { from: 0, seq: n },
             })
         } else {
@@ -1139,21 +1158,21 @@ mod tests {
         let mut pipe = FaultPipe::new(cfg, 2);
         let (a, b) = (NodeHandle::from_index(0), NodeHandle::from_index(1));
         pipe.advance();
-        assert!(!pipe.record_arrival((1, 7), a, true));
-        assert!(pipe.record_arrival((1, 7), a, true), "second copy");
+        assert!(!pipe.record_arrival((1, 7), a, true, true));
+        assert!(pipe.record_arrival((1, 7), a, true, true), "second copy");
         assert!(
-            !pipe.record_arrival((1, 7), b, true),
+            !pipe.record_arrival((1, 7), b, true, true),
             "dedup is per receiver"
         );
         // sparse per-receiver subsequences of the sender's numbering
-        assert!(!pipe.record_arrival((1, 3), a, false));
+        assert!(!pipe.record_arrival((1, 3), a, false, true));
         assert_eq!(pipe.dedup.len(), 3);
         for _ in 0..3 {
             pipe.advance();
             assert_eq!(pipe.dedup.len(), 3, "a delayed copy may still land");
         }
         assert!(
-            pipe.record_arrival((1, 7), a, true),
+            pipe.record_arrival((1, 7), a, true, true),
             "the latest possible copy"
         );
         pipe.advance();
@@ -1199,13 +1218,13 @@ mod tests {
                         while pipe.tick < 6 {
                             pipe.advance();
                         }
-                        assert!(!pipe.record_arrival((0, 0), to, false));
+                        assert!(!pipe.record_arrival((0, 0), to, false, true));
                         let last = last_possible_arrival(&cfg, 5, reroute_fails);
                         while pipe.tick < last {
                             pipe.advance();
                         }
                         assert!(
-                            pipe.record_arrival((0, 0), to, false),
+                            pipe.record_arrival((0, 0), to, false, true),
                             "{cfg:?}: a copy landing at tick {last} must still be a duplicate"
                         );
                     }
@@ -1233,9 +1252,106 @@ mod tests {
         let mut pipe = FaultPipe::new(saturating, 1);
         assert_eq!((pipe.unacked_life, pipe.acked_life), (u64::MAX, u64::MAX));
         pipe.tick = u64::MAX - 2;
-        assert!(!pipe.record_arrival((0, 0), NodeHandle::from_index(0), false));
+        assert!(!pipe.record_arrival((0, 0), NodeHandle::from_index(0), false, true));
         pipe.advance();
         assert_eq!(pipe.dedup.len(), 1, "expiry tick u64::MAX: never");
+    }
+
+    /// The message size budget (DESIGN.md, "Hot-path memory discipline"):
+    /// every heartbeat probe is moved as a `Pending`, an `Envelope` and a
+    /// `Delivery`, and a move of more than 128 bytes is a `memcpy` call
+    /// where a smaller one is a few inline loads and stores. A variant that
+    /// outgrows 48 bytes belongs in a box, as `JoinV`'s payload is.
+    #[test]
+    fn a_probe_moves_inline() {
+        use std::mem::size_of;
+        let sizes = [
+            ("Message", size_of::<Message>(), 48),
+            ("Envelope", size_of::<Envelope>(), 88),
+            ("Pending", size_of::<Pending>(), 96),
+            ("Delivery", size_of::<Delivery>(), 88),
+        ];
+        for (name, size, budget) in sizes {
+            assert!(size <= budget, "{name} is {size} bytes, over {budget}");
+        }
+    }
+
+    /// A network with a pipe of `cfg` beside it, and a ping from its node 0
+    /// to its node 1 as the pump hands one to `Network::arrive`.
+    fn ping_pair(cfg: FaultConfig) -> (Network, FaultPipe, impl Fn(u64, bool) -> Envelope) {
+        use crate::config::{Algorithm, EngineConfig};
+        let engine = EngineConfig::new(Algorithm::DaiT)
+            .with_nodes(4)
+            .with_fault(cfg.clone());
+        let net = Network::new(engine, cq_relational::Catalog::new());
+        let (a, b) = (net.node_at(0), net.node_at(1));
+        let ping = move |seq, twin| Envelope {
+            from: a,
+            to: b,
+            id: Some((a.index() as u32, seq)),
+            twin,
+            msg: Message::Ping {
+                from: a.index() as u32,
+                seq,
+            },
+        };
+        (net, FaultPipe::new(cfg, 4), ping)
+    }
+
+    #[test]
+    fn only_a_copy_that_may_have_a_twin_is_recorded() {
+        let (mut net, mut pipe, ping) = ping_pair(FaultConfig::lossy(0.05, 3));
+        pipe.advance();
+        // both copies of a duplicated probe: the second is suppressed
+        net.arrive(&mut pipe, ping(0, true)).unwrap();
+        net.arrive(&mut pipe, ping(0, true)).unwrap();
+        assert_eq!(net.metrics().faults.dedup_suppressed, 1);
+        assert_eq!(pipe.dedup_len(), 1);
+        // a probe sent once is dispatched and leaves no entry behind
+        net.arrive(&mut pipe, ping(1, false)).unwrap();
+        assert_eq!(net.metrics().faults.dedup_suppressed, 1);
+        assert_eq!(pipe.dedup_len(), 1, "a single copy is not recorded");
+        assert!(pipe.outstanding.is_empty(), "probes open no window");
+    }
+
+    /// End to end through the pump: without retries, a probe is remembered
+    /// only when the pump duplicated it.
+    #[test]
+    fn the_pump_marks_only_copies_that_can_have_a_twin() {
+        use crate::config::{Algorithm, EngineConfig};
+        use crate::recovery::SuspicionConfig;
+        for (duplicate_rate, remembered) in [(0.0, false), (0.5, true)] {
+            let fault = FaultConfig {
+                loss_rate: 0.05,
+                duplicate_rate,
+                delay_rate: 0.2,
+                max_delay: 3,
+                ..FaultConfig::default()
+            };
+            let engine = EngineConfig::new(Algorithm::DaiT)
+                .with_nodes(8)
+                .with_fault(fault)
+                .with_suspicion(SuspicionConfig::active());
+            let mut net = Network::new(engine, cq_relational::Catalog::new());
+            for _ in 0..40 {
+                net.tick_now().unwrap();
+            }
+            assert!(net.metrics().recovery.heartbeats_sent > 0);
+            let entries = net.dedup_entries();
+            assert_eq!(entries > 0, remembered, "duplicate rate {duplicate_rate}");
+        }
+    }
+
+    /// The debug shadow sees every arrival: a copy marked single that
+    /// arrives twice is a pump bug, not a duplicate.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "a second arrival without a twin")]
+    fn a_single_copy_arriving_twice_panics_in_debug_builds() {
+        let (mut net, mut pipe, ping) = ping_pair(FaultConfig::lossy(0.05, 3));
+        pipe.advance();
+        net.arrive(&mut pipe, ping(7, false)).unwrap();
+        let _ = net.arrive(&mut pipe, ping(7, false));
     }
 
     #[test]

@@ -11,6 +11,7 @@ use cq_overlay::Id;
 use cq_relational::{Notification, QueryRef, RewrittenQuery, Side, Tuple};
 
 use crate::replication::ReplicaItem;
+use crate::tables::keys::ValueKey;
 use crate::wire::{wire_enum, wire_struct, Field};
 
 wire_enum! {
@@ -62,8 +63,9 @@ wire_enum! {
         }
         /// `join(q', t')` — DAI-V's combined message (Section 4.5): rewritten
         /// queries of one group plus the triggering tuple, which the evaluator
-        /// stores after matching. The payload lives in [`ValueJoin`].
-        4, JoinV, "join-v", (join: ValueJoin)
+        /// stores after matching. The payload lives in [`ValueJoin`], boxed so
+        /// that every message stays within the 48-byte size budget.
+        4, JoinV, "join-v", (join: Box<ValueJoin>)
         /// Notification delivery toward `Successor(Id(n))` for an offline
         /// subscriber (Section 4.6). Online subscribers are contacted directly
         /// by IP and never see this message.
@@ -129,7 +131,7 @@ pub struct ValueJoin {
     /// Which side of the group the tuple belongs to.
     pub side: Side,
     /// Canonical form of `valJC` (the store key).
-    pub value_key: String,
+    pub value_key: ValueKey,
     /// The value-level identifier targeted (`Hash(valJC)`).
     pub index_id: Id,
 }

@@ -487,7 +487,7 @@ impl Network {
             Message::Join { items, index_id } => {
                 self.run_protocol(at, |p, ctx| p.on_rewritten_query(ctx, items, index_id))
             }
-            Message::JoinV(join) => self.run_protocol(at, |p, ctx| p.on_join_message(ctx, join)),
+            Message::JoinV(join) => self.run_protocol(at, |p, ctx| p.on_join_message(ctx, *join)),
             Message::StoreNotifications {
                 subscriber_id,
                 notifications,

@@ -221,6 +221,8 @@ pub(crate) struct Scratch {
     /// The evaluators' verdict and ledger buffers
     /// ([`EffectCtx::take_matcher`]).
     matcher: RunMatcher,
+    /// The pairs of one [`crate::network::Network::push_direct_each`].
+    pub(crate) pairs: Vec<(NodeHandle, NodeHandle)>,
 }
 
 impl Scratch {

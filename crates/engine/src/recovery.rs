@@ -29,7 +29,7 @@
 //! runtime and every run is byte-identical to the pre-detection engine.
 
 use cq_fasthash::FxHashMap;
-use cq_overlay::{Id, NodeHandle};
+use cq_overlay::{Id, NodeHandle, Ring};
 
 use crate::error::{EngineError, Result};
 use crate::messages::Message;
@@ -211,10 +211,9 @@ pub(crate) struct Recovery {
     next_heartbeat: u64,
     /// Next tick an anti-entropy round fires.
     next_anti_entropy: u64,
-    /// Scratch for [`Network::heartbeat_round`]: this round's probers and
-    /// the current prober's targets, kept allocated across rounds.
-    probers: Vec<NodeHandle>,
-    targets: Vec<NodeHandle>,
+    /// Scratch, kept allocated across rounds: the `(prober, target)`
+    /// watches one deadline sweep confirms.
+    confirmed: Vec<(u32, u32)>,
 }
 
 impl Recovery {
@@ -230,8 +229,7 @@ impl Recovery {
             repair_pending: Vec::new(),
             next_heartbeat: 1,
             next_anti_entropy: cfg.anti_entropy_every.max(1),
-            probers: Vec::new(),
-            targets: Vec::new(),
+            confirmed: Vec::new(),
         }
     }
 
@@ -344,16 +342,14 @@ impl Network {
     /// heartbeat round, suspicion deadline sweep, anti-entropy round — each
     /// on its own cadence. A no-op when detection is disabled.
     pub(crate) fn recovery_tick(&mut self, now: u64) -> Result<()> {
-        if self.recovery.is_none() {
+        // Take-and-restore releases the &mut self borrow while the round runs.
+        let Some(mut rec) = self.recovery.take() else {
             return Ok(());
-        }
-        // Invariant: is_none() returned above; take-and-restore releases the
-        // &mut self borrow while the round runs.
-        let mut rec = self.recovery.take().expect("checked above");
+        };
         rec.now = now;
+        self.heartbeat_round(&mut rec);
         let result = self
-            .heartbeat_round(&mut rec)
-            .and_then(|()| self.sweep_deadlines(&mut rec))
+            .sweep_deadlines(&mut rec)
             .and_then(|()| self.anti_entropy_round(&mut rec));
         self.recovery = Some(rec);
         result
@@ -362,39 +358,26 @@ impl Network {
     /// Sends one round of probes: every alive node pings every entry of its
     /// *local* successor list (which may be stale — that is the point).
     /// Existing watches are re-pinged without resetting their clocks.
-    fn heartbeat_round(&mut self, rec: &mut Recovery) -> Result<()> {
+    fn heartbeat_round(&mut self, rec: &mut Recovery) {
         if rec.now < rec.next_heartbeat {
-            return Ok(());
+            return;
         }
         rec.next_heartbeat = rec.now + HEARTBEAT_EVERY;
-        let mut probers = std::mem::take(&mut rec.probers);
-        let mut targets = std::mem::take(&mut rec.targets);
-        probers.clear();
-        probers.extend(self.ring.alive_nodes());
-        for &p in &probers {
-            let slot = p.index() as u32;
-            targets.clear();
-            targets.extend(
-                self.ring
-                    .node(p)
-                    .successor_list()
-                    .iter()
-                    .copied()
-                    .filter(|t| *t != p),
-            );
-            for &t in &targets {
-                let tslot = t.index() as u32;
-                rec.watches
-                    .or_insert(slot, tslot, WatchState::Waiting { sent_at: rec.now });
-                let seq = rec.probe_seq;
-                rec.probe_seq += 1;
-                self.metrics.recovery.heartbeats_sent += 1;
-                self.push_direct(p, t, Message::Ping { from: slot, seq });
+        let probes = |ring: &Ring, out: &mut Vec<_>| {
+            for p in ring.alive_nodes() {
+                let targets = ring.node(p).successor_list().iter();
+                out.extend(targets.filter(|&&t| t != p).map(|&t| (p, t)));
             }
-        }
-        rec.probers = probers;
-        rec.targets = targets;
-        Ok(())
+        };
+        self.push_direct_each(probes, |net, p, t| {
+            let (slot, tslot) = (p.index() as u32, t.index() as u32);
+            rec.watches
+                .or_insert(slot, tslot, WatchState::Waiting { sent_at: rec.now });
+            let seq = rec.probe_seq;
+            rec.probe_seq += 1;
+            net.metrics.recovery.heartbeats_sent += 1;
+            Message::Ping { from: slot, seq }
+        });
     }
 
     /// Advances watch deadlines: waiting → suspected → confirmed. A
@@ -403,8 +386,7 @@ impl Network {
     /// detection window and opens a repair episode.
     fn sweep_deadlines(&mut self, rec: &mut Recovery) -> Result<()> {
         let now = rec.now;
-        let mut confirmed: Vec<(u32, u32)> = Vec::new();
-        let mut suspected: Vec<(u32, u32)> = Vec::new();
+        let mut confirmed = std::mem::take(&mut rec.confirmed);
         let cfg = rec.cfg;
         rec.watches.sweep(
             |p| {
@@ -416,7 +398,17 @@ impl Network {
                 WatchState::Waiting { sent_at } => {
                     if now >= sent_at + cfg.suspect_after {
                         *state = WatchState::Suspected { suspected_at: now };
-                        suspected.push((p, t));
+                        // This closure holds `self.metrics` mutably, so
+                        // it reads the tracer field, not `self.trace`.
+                        self.metrics.recovery.suspects += 1;
+                        if let Some(tracer) = &self.tracer {
+                            let (node, target) = (p, t);
+                            tracer.record(&TraceEvent::Suspect {
+                                tick: now,
+                                node,
+                                target,
+                            });
+                        }
                     }
                     true
                 }
@@ -429,16 +421,8 @@ impl Network {
                 }
             },
         );
-        for (p, t) in suspected {
-            self.metrics.recovery.suspects += 1;
-            self.trace(|| TraceEvent::Suspect {
-                tick: now,
-                node: p,
-                target: t,
-            });
-        }
-        let mut repaired = false;
-        for (p, t) in confirmed {
+        let repaired = !confirmed.is_empty();
+        for (p, t) in confirmed.drain(..) {
             let dead = !self
                 .ring
                 .node(NodeHandle::from_index(t as usize))
@@ -471,8 +455,8 @@ impl Network {
                     self.metrics.recovery.repair_ticks_total += now.saturating_sub(fail_tick);
                 }
             }
-            repaired = true;
         }
+        rec.confirmed = confirmed;
         if repaired {
             self.ring.stabilize_all(1);
             self.promote_replicas()?;
@@ -490,8 +474,8 @@ impl Network {
         let epoch = self.ring.membership_epoch();
         let mut out = Vec::with_capacity(self.ring.len() * k);
         for p in self.ring.alive_nodes() {
-            let succs = self.ring.successors_of(p, k);
-            if succs.is_empty() {
+            let mut succs = self.ring.successors_of(p, k).peekable();
+            if succs.peek().is_none() {
                 continue;
             }
             // `p` owns exactly the arc `(pred, id]` (ground truth).
@@ -526,7 +510,6 @@ impl Network {
         // Plan first (digests borrow node state), then send. Only a pair
         // whose digests differ walks the primary's tables for the diff.
         let mut plans: Vec<(NodeHandle, NodeHandle, Vec<ReplicaItem>)> = Vec::new();
-        let mut exchanges: Vec<(u32, u32, u64, u64)> = Vec::new();
         for pair in self.digest_pairs()? {
             let (p, s, (pred, id)) = (pair.primary, pair.successor, pair.arc);
             let missing = if pair.successor_digest == pair.primary_digest {
@@ -538,25 +521,17 @@ impl Network {
                     .ids_missing_from(have, pred, id);
                 missing_primary_items(&self.nodes[p.index()], &suspects, have)
             };
-            exchanges.push((
-                p.index() as u32,
-                s.index() as u32,
-                pair.primary_digest.0,
-                missing.len() as u64,
-            ));
-            if !missing.is_empty() {
-                plans.push((p, s, missing));
-            }
-        }
-        for (node, to, items, missing) in exchanges {
             self.metrics.recovery.digest_exchanges += 1;
             self.trace(|| TraceEvent::DigestExchange {
                 tick: now,
-                node,
-                to,
-                items,
-                missing,
+                node: p.index() as u32,
+                to: s.index() as u32,
+                items: pair.primary_digest.0,
+                missing: missing.len() as u64,
             });
+            if !missing.is_empty() {
+                plans.push((p, s, missing));
+            }
         }
         let clean = plans.is_empty();
         for (p, s, items) in plans {
@@ -750,7 +725,7 @@ mod tests {
         // when its primary died can do.
         let mut net = churn_net(1);
         let p = net.node_at(5);
-        let s = net.ring.successors_of(p, 1)[0];
+        let s = net.ring.successors_of(p, 1).next().unwrap();
         let id = net.ring.id_of(p);
         net.node_fail(p).unwrap();
         // Some other (false) confirmation already ran promotion under the

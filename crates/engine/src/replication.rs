@@ -24,6 +24,7 @@ use cq_overlay::Id;
 use cq_relational::{Notification, RewrittenRef};
 
 use crate::error::Result;
+use crate::tables::keys::ValueKey;
 use crate::tables::{Held, StoredQuery, StoredRewritten, StoredTuple, StoredValueTuple, Tables};
 use crate::wire::{wire_enum, wire_struct, Field};
 
@@ -43,7 +44,7 @@ wire_enum! {
             /// The query-group key.
             group: String,
             /// Canonical join-condition value.
-            value_key: String,
+            value_key: ValueKey,
             /// The stored tuple.
             [route] entry: StoredValueTuple,
         }
@@ -85,7 +86,7 @@ impl ReplicaItem {
                 group,
                 value_key,
                 entry,
-            } => hash_value_tuple(group, value_key, entry),
+            } => hash_value_tuple(group, value_key.as_str(), entry),
             ReplicaItem::Offline { id, notification } => hash_offline(*id, notification),
         }
     }

@@ -11,6 +11,7 @@
 use cq_overlay::Id;
 use cq_relational::Notification;
 
+use super::keys::ValueKey;
 use super::{Alqt, RewrittenEntry, StoredQuery, StoredTuple, StoredValueTuple, VStore, Vlqt, Vltt};
 use crate::error::Result;
 use crate::replication::{
@@ -80,7 +81,7 @@ impl Held<'_> {
             Held::Tuple(e) => ReplicaItem::Tuple(e.clone()),
             Held::ValueTuple(group, value_key, e) => ReplicaItem::ValueTuple {
                 group: group.to_string(),
-                value_key: value_key.to_string(),
+                value_key: ValueKey::from(value_key),
                 entry: e.clone(),
             },
             Held::Offline(id, n) => ReplicaItem::Offline {
@@ -105,7 +106,7 @@ impl Tables {
                 group,
                 value_key,
                 entry,
-            } => self.vstore.insert(&group, &value_key, entry),
+            } => self.vstore.insert(&group, value_key.as_str(), entry),
             ReplicaItem::Offline { id, notification } => self.offline.push((id, notification)),
         }
         Ok(true)

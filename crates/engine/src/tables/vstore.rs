@@ -16,7 +16,7 @@ use cq_fasthash::FxHashMap;
 use cq_overlay::Id;
 use cq_relational::{Side, Tuple};
 
-use super::keys::{get_or_default, lookup_key, StrPair};
+use super::keys::{get_or_default, lookup_key, StrPair, ValueKey};
 
 /// A tuple stored at a DAI-V evaluator.
 #[derive(Clone, Debug)]
@@ -103,7 +103,7 @@ impl VStore {
     pub fn extract_where(
         &mut self,
         mut pred: impl FnMut(Id) -> bool,
-    ) -> Vec<(String, String, StoredValueTuple)> {
+    ) -> Vec<(String, ValueKey, StoredValueTuple)> {
         let mut out = Vec::new();
         for (key, slots) in self.buckets.iter_mut() {
             for side_entries in slots.iter_mut() {
@@ -112,7 +112,7 @@ impl VStore {
                     if pred(side_entries[i].index_id) {
                         out.push((
                             key.a.to_string(),
-                            key.b.to_string(),
+                            ValueKey::from(&*key.b),
                             side_entries.swap_remove(i),
                         ));
                     } else {

@@ -11,7 +11,7 @@
 use std::collections::VecDeque;
 
 use cq_fasthash::FxHashMap;
-use cq_overlay::{Id, NodeHandle};
+use cq_overlay::{Id, NodeHandle, Ring};
 use cq_relational::Notification;
 
 use crate::error::Result;
@@ -78,6 +78,9 @@ pub(crate) struct Envelope {
     pub(crate) to: NodeHandle,
     /// `(sender, seq)` of the first logical message, if observed.
     pub(crate) id: Option<MsgId>,
+    /// Whether another copy of this message may arrive too (set by the
+    /// pump); only such a copy is checked against the receiver's dedup state.
+    pub(crate) twin: bool,
     /// The payload.
     pub(crate) msg: Message,
 }
@@ -193,6 +196,7 @@ impl Network {
                     from: p.from,
                     to: p.to,
                     id: first,
+                    twin: false,
                     msg: p.msg,
                 });
                 self.metrics.faults.bytes_sent[kind] += bytes;
@@ -334,18 +338,35 @@ impl Network {
         self.nodes[at.index()]
             .mirrored
             .insert(item.index_id(), item.digest_hash());
-        for succ in self.ring.successors_of(at, k) {
-            self.metrics.faults.replica_messages += 1;
-            let (tick, node, to) = (self.trace_tick(), at.index() as u32, succ.index() as u32);
-            self.trace(|| TraceEvent::Replicate { tick, node, to });
-            self.push_direct(
-                at,
-                succ,
-                Message::Replicate {
-                    item: Box::new(item.clone()),
-                },
-            );
+        let mirrors = |ring: &Ring, out: &mut Vec<_>| {
+            out.extend(ring.successors_of(at, k).map(|succ| (at, succ)));
+        };
+        self.push_direct_each(mirrors, |net, _, succ| {
+            net.metrics.faults.replica_messages += 1;
+            let (tick, node, to) = (net.trace_tick(), at.index() as u32, succ.index() as u32);
+            net.trace(|| TraceEvent::Replicate { tick, node, to });
+            Message::Replicate {
+                item: Box::new(item.clone()),
+            }
+        });
+    }
+
+    /// Sends `msg(net, from, to)` over each `(from, to)` pair `walk` lists,
+    /// in order. The ring is walked once into a kept scratch list, since
+    /// building and sending a message needs the network whole.
+    pub(crate) fn push_direct_each(
+        &mut self,
+        walk: impl FnOnce(&Ring, &mut Vec<(NodeHandle, NodeHandle)>),
+        mut msg: impl FnMut(&mut Self, NodeHandle, NodeHandle) -> Message,
+    ) {
+        let mut pairs = std::mem::take(&mut self.scratch.pairs);
+        pairs.clear();
+        walk(&self.ring, &mut pairs);
+        for &(from, to) in &pairs {
+            let m = msg(self, from, to);
+            self.push_direct(from, to, m);
         }
+        self.scratch.pairs = pairs;
     }
 
     /// Processes queued protocol messages until quiescence.

@@ -199,6 +199,7 @@ struct InFlight {
     from: cq_overlay::NodeHandle,
     to: cq_overlay::NodeHandle,
     id: Option<crate::faults::MsgId>,
+    twin: bool,
 }
 
 /// Maps an I/O failure into the transport's typed protocol error.
@@ -834,10 +835,10 @@ impl TcpTransport {
             self.dropped_after_error += 1;
             return 0;
         }
-        let Envelope { from, to, id, msg } = e;
-        match self.enqueue_frame((from.index() as u32, to.index() as u32), &msg) {
+        let (from, to, id, twin) = (e.from, e.to, e.id, e.twin);
+        match self.enqueue_frame((from.index() as u32, to.index() as u32), &e.msg) {
             Ok(appended) => {
-                self.queue.push_back(InFlight { from, to, id });
+                self.queue.push_back(InFlight { from, to, id, twin });
                 appended as u64
             }
             Err(e) => {
@@ -879,6 +880,7 @@ impl TcpTransport {
             from: env.from,
             to: env.to,
             id: env.id,
+            twin: env.twin,
             msg,
         }))
     }

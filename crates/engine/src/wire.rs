@@ -15,7 +15,7 @@
 //! bytes of frame.
 //!
 //! **One schema table per payload.** The [`Message`] table
-//! (`crate::messages`) and the [`ReplicaItem`] table (`crate::replication`)
+//! (`crate::messages`) and the [`ReplicaItem`](crate::ReplicaItem) table (`crate::replication`)
 //! declare each kind once, as a row `tag, Variant, "label", { field: Type }`.
 //! `wire_enum!` generates from a table the enum, its `KINDS` / `kind_index`
 //! / `kind`, the routing identifier read off the field marked `[route]`,
@@ -76,7 +76,7 @@ use cq_relational::{
 
 use crate::error::{EngineError, Result};
 use crate::messages::Message;
-use crate::replication::ReplicaItem;
+use crate::tables::keys::ValueKey;
 use crate::trace::TraceEvent;
 
 /// Wire-format version carried by every frame.
@@ -445,11 +445,26 @@ leaf_fields! {
     QueryKey => |s, v| put_str(s, &v.0), |r, _| r.string().map(QueryKey);
     Value => |s, v| put_value(s, v), |r, _| get_value(r);
     QueryRef => |s, v| put_query(s, v), |r, dec| get_query(r, dec);
-    Box<ReplicaItem> => |s, v| v.as_ref().put(s), |r, dec| ReplicaItem::get(r, dec).map(Box::new);
+    ValueKey => |s, v| put_str(s, v.as_str()), |r, _| r.str().map(ValueKey::from);
     Vec<Value> => |s, v| put_list(s, v), |r, dec| get_list(r, dec);
     Vec<RewrittenQuery> => |s, v| put_list(s, v), |r, dec| get_list(r, dec);
     Vec<Notification> => |s, v| put_list(s, v), |r, dec| get_list(r, dec);
     Vec<Message> => |s, v| put_list(s, v), |r, dec| get_members(r, dec);
+}
+
+/// A boxed field is its contents: written, read back and routed as they are.
+impl<T: Field> Field for Box<T> {
+    fn put<S: Sink>(&self, s: &mut S) {
+        (**self).put(s);
+    }
+
+    fn get(r: &mut Reader<'_>, dec: &mut Decoder<'_>) -> Result<Self> {
+        T::get(r, dec).map(Box::new)
+    }
+
+    fn route(&self) -> Option<Id> {
+        (**self).route()
+    }
 }
 
 impl Field for Id {
@@ -983,6 +998,7 @@ pub fn decode_trace_event(buf: &[u8]) -> Result<(TraceEvent, usize)> {
 mod tests {
     use super::*;
     use crate::messages::ValueJoin;
+    use crate::replication::ReplicaItem;
     use cq_relational::{DataType, RelationSchema};
 
     fn catalog() -> Catalog {
@@ -1117,14 +1133,14 @@ mod tests {
                 items: vec![rq.clone()],
                 index_id: Id(14),
             },
-            Message::JoinV(ValueJoin {
+            Message::JoinV(Box::new(ValueJoin {
                 group: q.group_key(),
                 items: vec![rq.clone()],
                 tuple: Arc::clone(&t),
                 side: Side::Left,
                 value_key: "i:7".into(),
                 index_id: Id(15),
-            }),
+            })),
             Message::StoreNotifications {
                 subscriber_id: Id(16),
                 notifications: vec![n.clone()],

@@ -406,10 +406,12 @@ fn receive_side_dedup_state_is_bounded_by_message_lifetime() {
     for tick in 1..=4000 {
         net.tick_now().unwrap();
         let entries = net.dedup_entries();
-        // A probe entry lives `1 + max_delay` = 4 ticks and a round fires
-        // every 4 ticks, so at most two rounds' entries are alive at once;
-        // 4 rounds leaves room for the data messages false confirmations
-        // send (replica promotion, repair).
+        // Only a copy that may have a twin is remembered: of the probes,
+        // the 5 % the pump duplicates. Such an entry lives `1 + max_delay`
+        // = 4 ticks and a round fires every 4 ticks, so entries of at most
+        // two rounds are alive at once; 4 whole rounds leaves room for the
+        // data messages false confirmations send (replica promotion,
+        // repair), which are acked and remembered longer.
         assert!(
             entries <= 4 * probes_per_round,
             "tick {tick}: {entries} dedup entries"

@@ -557,7 +557,7 @@ fn item_pool() -> Vec<ReplicaItem> {
     for (seq, group, b) in [(20, "g", 1), (21, "g", 1), (20, "h", 1), (22, "h", 4)] {
         pool.push(ReplicaItem::ValueTuple {
             group: group.into(),
-            value_key: Value::Int(b).canonical(),
+            value_key: Value::Int(b).canonical().as_str().into(),
             entry: StoredValueTuple {
                 index_id: Id(b as u64 * 7 % 16),
                 side: Side::Left,

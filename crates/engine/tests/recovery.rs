@@ -284,7 +284,7 @@ fn primary_items(st: &NodeState) -> Vec<ReplicaItem> {
             .entries()
             .map(|(group, value_key, e)| ReplicaItem::ValueTuple {
                 group: group.to_string(),
-                value_key: value_key.to_string(),
+                value_key: value_key.into(),
                 entry: e.clone(),
             }),
     );
@@ -442,8 +442,7 @@ fn equal_offline_notifications_digest_as_a_set() {
     let mirrored: usize = net
         .ring()
         .successors_of(holder, 2)
-        .iter()
-        .map(|&s| {
+        .map(|s| {
             let items = net.node_state(s).replicas.items();
             items
                 .iter()

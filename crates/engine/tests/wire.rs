@@ -193,7 +193,7 @@ fn rand_replica_item(rng: &mut StdRng, c: &Catalog) -> ReplicaItem {
         }),
         3 => ReplicaItem::ValueTuple {
             group: rand_name(rng),
-            value_key: rand_name(rng),
+            value_key: rand_name(rng).as_str().into(),
             entry: StoredValueTuple {
                 index_id: Id(rng.gen()),
                 side: Side::Right,
@@ -233,16 +233,16 @@ fn rand_message(variant: usize, rng: &mut StdRng, c: &Catalog) -> Message {
                 .collect(),
             index_id: Id(rng.gen()),
         },
-        4 => Message::JoinV(ValueJoin {
+        4 => Message::JoinV(Box::new(ValueJoin {
             group: rand_name(rng),
             items: (0..rng.gen_range(0..3usize))
                 .map(|_| rand_rewritten(rng, c))
                 .collect(),
             tuple: rand_tuple(rng, c),
             side: Side::Left,
-            value_key: rand_name(rng),
+            value_key: rand_name(rng).as_str().into(),
             index_id: Id(rng.gen()),
-        }),
+        })),
         5 => Message::StoreNotifications {
             subscriber_id: Id(rng.gen()),
             notifications: (0..rng.gen_range(0..4usize))

@@ -333,29 +333,19 @@ impl Ring {
 
     /// The `k` first alive successors of `h` clockwise around the ring
     /// (ground truth, excluding `h` itself) — the replica set a node's state
-    /// is mirrored onto. Returns fewer than `k` handles when fewer other
+    /// is mirrored onto. Yields fewer than `k` handles when fewer other
     /// nodes are alive. `h` itself may be alive or departed: a departed
-    /// node's successors are the nodes that now cover its old range.
-    pub fn successors_of(&self, h: NodeHandle, k: usize) -> Vec<NodeHandle> {
-        let mut out = Vec::with_capacity(k);
-        if k == 0 || self.by_id.is_empty() {
-            return out;
-        }
-        let id = self.id_of(h);
-        for (_, &s) in self
-            .by_id
-            .range(id.0 + 1..)
-            .chain(self.by_id.range(..=id.0))
-        {
-            if s == h {
-                continue;
-            }
-            out.push(s);
-            if out.len() == k {
-                break;
-            }
-        }
-        out
+    /// node's successors are the nodes that now cover its old range. A walk
+    /// of the membership map, allocating nothing.
+    pub fn successors_of(&self, h: NodeHandle, k: usize) -> impl Iterator<Item = NodeHandle> + '_ {
+        let id = self.id_of(h).0;
+        let after = self.by_id.range(id + 1..);
+        let wrapped = self.by_id.range(..=id);
+        after
+            .chain(wrapped)
+            .map(|(_, &s)| s)
+            .filter(move |&s| s != h)
+            .take(k)
     }
 
     // ------------------------------------------------------------------
@@ -960,20 +950,21 @@ mod tests {
         let mut ring = small_ring(12);
         let handles: Vec<_> = ring.alive_nodes().collect();
         let h = handles[3];
-        assert_eq!(ring.successors_of(h, 0), vec![]);
-        assert_eq!(ring.successors_of(h, 2), vec![handles[4], handles[5]]);
+        let succs = |ring: &Ring, h, k| ring.successors_of(h, k).collect::<Vec<_>>();
+        assert_eq!(succs(&ring, h, 0), vec![]);
+        assert_eq!(succs(&ring, h, 2), vec![handles[4], handles[5]]);
         // a dead successor is skipped
         ring.fail(handles[4]).unwrap();
-        assert_eq!(ring.successors_of(h, 2), vec![handles[5], handles[6]]);
+        assert_eq!(succs(&ring, h, 2), vec![handles[5], handles[6]]);
         // the failed node's own successors cover its old range
-        assert_eq!(ring.successors_of(handles[4], 1), vec![handles[5]]);
+        assert_eq!(succs(&ring, handles[4], 1), vec![handles[5]]);
         // wrap-around at the end of the ring, never including h itself
         let last = *handles.last().unwrap();
-        let succs = ring.successors_of(last, 3);
-        assert_eq!(succs[0], handles[0]);
-        assert!(!succs.contains(&last));
+        let wrapped = succs(&ring, last, 3);
+        assert_eq!(wrapped[0], handles[0]);
+        assert!(!wrapped.contains(&last));
         // k larger than the ring returns everyone else once
-        assert_eq!(ring.successors_of(h, 100).len(), ring.len() - 1);
+        assert_eq!(succs(&ring, h, 100).len(), ring.len() - 1);
     }
 
     #[test]
