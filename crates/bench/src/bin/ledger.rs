@@ -240,7 +240,7 @@ fn o_change(l: &Ledger, kernel: &str, sizes: [usize; 2]) -> Result<(), String> {
     )
 }
 
-const GATES: [Gate; 19] = [
+const GATES: [Gate; 20] = [
     // A Chord lookup step reads one sorted route table per hop:
     // nothing is allocated, and sixteen times the nodes cost well under 3x
     // per lookup (hops grow with log N; a scan of every pointer a node
@@ -279,6 +279,26 @@ const GATES: [Gate; 19] = [
         holds: |l| {
             allocs_below(l, "alqt-scan", ALQT, 0.01)?;
             allocs_below(l, "join-run", SCAN, 0.01)
+        },
+    },
+    // A `Join` run's counts cost its candidates plus its rewritings: each
+    // rewriting's count is one binary search in the yes verdicts, sorted
+    // once, so 50 rewritings cost about one rewriting's shape pass (2.7x
+    // while each rewriting filtered every verdict; 1.25x in BENCH_57).
+    Gate {
+        name: "join-run-counts",
+        holds: |l| {
+            let (run, scan) = (
+                l.kernel("join-run", SCAN[1])?,
+                l.kernel("vltt-scan", SCAN[1])?,
+            );
+            ensure(
+                run.ns.min < 1.6 * scan.ns.min,
+                format!(
+                    "join-run at {}: {:.0} ns/event against vltt-scan's {:.0}",
+                    run.size, run.ns.min, scan.ns.min
+                ),
+            )
         },
     },
     // A rewriting that binds one `Int` owns no heap memory: rewriting every
@@ -1225,16 +1245,17 @@ mod tests {
     /// `vlqt-insert` rows `BENCH_34.json` added, the fresh-bucket one as
     /// `BENCH_35.json` re-pinned it, the `rewrite-*` rows
     /// `BENCH_43.json` added, the `route-lookup` rows and the
-    /// `insert-e2e-bundled` row as `BENCH_54.json` wrote them, and the
-    /// `pump-probe` row `BENCH_56.json` added.
+    /// `insert-e2e-bundled` row as `BENCH_54.json` wrote them, the
+    /// `pump-probe` row `BENCH_56.json` added, and the `join-run` rows as
+    /// `BENCH_57.json` wrote them.
     fn bench_25() -> Ledger {
         let kernels = [
             ("route-lookup", 1_024, 97.7, 0.0),
             ("route-lookup", 16_384, 185.8, 0.0),
             ("vltt-scan", 1_000, 8019.4, 0.0),
             ("vltt-scan", 10_000, 94722.2, 0.0),
-            ("join-run", 1_000, 26112.0, 0.0),
-            ("join-run", 10_000, 264646.5, 0.0),
+            ("join-run", 1_000, 6761.6, 0.0),
+            ("join-run", 10_000, 80700.3, 0.0),
             ("vlqt-scan", 1_000, 26815.5, 0.0),
             ("vlqt-scan", 10_000, 429906.9, 0.0),
             ("vlqt-run", 1_000, 130.9, 0.0),
@@ -1318,17 +1339,25 @@ mod tests {
             kernel(l, name, sizes[1]).ns = flat(3.1 * small);
         }
         type Mutation = fn(&mut Ledger);
-        let cases: [(&str, Mutation); 20] = [
+        let cases: [(&str, Mutation); 21] = [
             // One `Vec` per lookup, as a path-materializing route makes.
             ("route-lookup-alloc-free", |l| {
                 kernel(l, "route-lookup", 16_384).allocs = 1.0
             }),
             ("route-lookup-log", |l| slower(l, "route-lookup", RING)),
+            // A dropped row (not `vltt-scan`'s, which `join-run-counts`
+            // reads too).
             ("scan-allocs-flat", |l| {
-                l.kernels.retain(|r| r.kernel != "vltt-scan")
+                l.kernels.retain(|r| r.kernel != "vlqt-scan")
             }),
             ("scan-alloc-free", |l| {
                 kernel(l, "join-run", 10_000).allocs = 0.02
+            }),
+            // Each rewriting filtering every yes verdict, as before the
+            // binary search.
+            ("join-run-counts", |l| {
+                let scan = l.kernel("vltt-scan", 10_000).unwrap().ns.min;
+                kernel(l, "join-run", 10_000).ns = flat(2.7 * scan)
             }),
             // One `Vec` per rewriting tuple, as the select walk collected.
             ("rewrite-alloc-free", |l| {

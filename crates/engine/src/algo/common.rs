@@ -175,9 +175,7 @@ pub(crate) fn t1_tuple_arrival(
                 continue;
             }
             checks += 1;
-            if sq.index_attr != attr {
-                continue;
-            }
+            debug_assert_eq!(sq.index_attr, attr, "ALQT buckets by index attribute");
             let dis_side = sq.index_side.other();
             let dis_attr = sq
                 .query
@@ -244,10 +242,8 @@ pub(crate) fn t1_tuple_arrival(
 /// reindexed under one identifier, so this is normally all of them; an
 /// evaluator resolves its tables once per such run instead of once per item.
 pub(crate) fn target_run_len(items: &[RewrittenQuery]) -> usize {
-    let same_bucket = |a: &RewrittenQuery, b: &RewrittenQuery| {
-        a.target() == b.target() && a.free_relation() == b.free_relation()
-    };
-    items.chunk_by(same_bucket).next().map_or(0, <[_]>::len)
+    let run = items.chunk_by(RewrittenQuery::same_bucket).next();
+    run.map_or(0, <[_]>::len)
 }
 
 /// How many of `items`' leading entries share the head's shape
@@ -293,6 +289,7 @@ pub(crate) fn attribute_target<'q>(
 /// decides the shape test once per candidate, into a verdict — no, yes
 /// with the candidate's `pubT`, or an error deferred with its `pubT` — and
 /// per rewriting only compares `insT(q)` with the yes verdicts' times: one
+/// binary search over them, sorted, in counts mode, and otherwise one
 /// integer comparison per pair. It arrives where the pairwise loop
 ///
 /// ```text
@@ -312,16 +309,16 @@ pub(crate) fn attribute_target<'q>(
 /// steady-state matching allocates nothing.
 #[derive(Debug, Default)]
 pub struct RunMatcher {
-    /// The candidates whose shape verdict is yes, in candidate order: `pubT`
-    /// and position.
+    /// The candidates whose shape verdict is yes: `pubT` and position, by
+    /// ascending `pubT` in counts mode and in candidate order otherwise.
     yes: Vec<(Timestamp, usize)>,
     /// Candidates whose shape test failed: position, `pubT`, error.
     failed: Vec<(usize, Timestamp, RelationalError)>,
     /// How many candidates the verdicts cover; `None` until decided.
     decided: Option<usize>,
-    /// The rewriting the verdicts were decided for.
+    /// The rewriting the verdicts were decided for, and whether sorted.
     #[cfg(debug_assertions)]
-    shape: Option<RewrittenQuery>,
+    shape: Option<(RewrittenQuery, bool)>,
     /// What [`Self::match_vlqt`] files VLQT ledgers with.
     ledgers: LedgerScratch,
 }
@@ -353,23 +350,24 @@ impl RunMatcher {
     /// Matches one rewriting against `candidates`, returning how many
     /// matches it produced. The first call after [`Self::reset`] decides
     /// the verdicts; until the next reset, every call must pass a rewriting
-    /// of the same shape and the same candidates.
+    /// of the same shape, the same candidates and the same retention mode.
     pub fn match_rewriting<C: AsRef<Tuple>>(
         &mut self,
         rq: RewrittenRef<'_>,
         candidates: &[C],
         matches: &mut Matches,
     ) -> cq_relational::Result<u64> {
+        let sort = matches!(matches, Matches::Counts(_));
         match self.decided {
-            None => self.decide(rq, candidates),
+            None => self.decide(rq, candidates, sort),
             Some(covered) => {
                 debug_assert_eq!(covered, candidates.len(), "candidates changed");
                 #[cfg(debug_assertions)]
                 debug_assert!(
                     self.shape
                         .as_ref()
-                        .is_some_and(|s| s.view().same_shape(&rq)),
-                    "{rq} does not have the decided shape"
+                        .is_some_and(|(s, sorted)| s.view().same_shape(&rq) && *sorted == sort),
+                    "{rq} does not have the decided shape and mode"
                 );
             }
         }
@@ -380,7 +378,8 @@ impl RunMatcher {
                 if let Some((_, _, e)) = failed {
                     return Err(e.clone());
                 }
-                let n = self.yes.iter().filter(|y| y.0 >= ins).count() as u64;
+                let n = (self.yes.len() - self.yes.partition_point(|y| y.0 < ins)) as u64;
+                debug_assert_eq!(n, self.yes.iter().filter(|y| y.0 >= ins).count() as u64);
                 if n > 0 {
                     counts.add_n(rq.query(), n);
                 }
@@ -405,8 +404,8 @@ impl RunMatcher {
         }
     }
 
-    /// Decides `shape`'s shape test for every candidate.
-    fn decide<C: AsRef<Tuple>>(&mut self, shape: RewrittenRef<'_>, candidates: &[C]) {
+    /// Decides `shape`'s shape test for every candidate, yes verdicts by `pubT` if `sort`.
+    fn decide<C: AsRef<Tuple>>(&mut self, shape: RewrittenRef<'_>, candidates: &[C], sort: bool) {
         self.yes.clear();
         self.failed.clear();
         for (at, c) in candidates.iter().enumerate() {
@@ -417,10 +416,13 @@ impl RunMatcher {
                 Err(e) => self.failed.push((at, t.pub_time(), e)),
             }
         }
+        if sort && !self.yes.is_sorted_by_key(|y| y.0) {
+            self.yes.sort_unstable_by_key(|y| y.0);
+        }
         self.decided = Some(candidates.len());
         #[cfg(debug_assertions)]
         {
-            self.shape = Some(shape.into_owned());
+            self.shape = Some((shape.into_owned(), sort));
         }
     }
 
@@ -587,4 +589,101 @@ pub(crate) fn store_value_tuple(
         fresh: true, // the VLTT keeps every arrival (no dedup key)
     });
     st.store(fx, ReplicaItem::Tuple(entry)).map(drop)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cq_relational::{parse_query, Catalog, DataType, QueryKey, RelationSchema, Value};
+
+    /// `R(A, B, C)` and `S(C, D)`, or with `R`'s attributes in the order
+    /// `C, B, A`.
+    fn catalog(reordered: bool) -> Catalog {
+        let r = if reordered {
+            ["C", "B", "A"]
+        } else {
+            ["A", "B", "C"]
+        };
+        let mut c = Catalog::new();
+        let r = RelationSchema::of("R", &r.map(|n| (n, DataType::Int))).unwrap();
+        c.register(r).unwrap();
+        let s = RelationSchema::of("S", &[("C", DataType::Int), ("D", DataType::Int)]).unwrap();
+        c.register(s).unwrap();
+        c
+    }
+
+    /// The bucket test as it read before it compared schema pointers:
+    /// target attribute and free relation by name.
+    fn same_bucket_by_name(a: &RewrittenQuery, b: &RewrittenQuery) -> bool {
+        let same_target = match (a.target(), b.target()) {
+            (
+                MatchTarget::Attribute { attr, value },
+                MatchTarget::Attribute {
+                    attr: other_attr,
+                    value: other_value,
+                },
+            ) => attr.as_bytes() == other_attr.as_bytes() && value == other_value,
+            (
+                MatchTarget::ConditionValue { value },
+                MatchTarget::ConditionValue { value: other },
+            ) => value == other,
+            _ => false,
+        };
+        same_target && a.free_relation() == b.free_relation()
+    }
+
+    /// Over rewritings of queries of one catalog, of two catalogs with equal
+    /// content and of one whose `R` lists its attributes in another order —
+    /// T1 and T2, with and without filters, attribute and value targets —
+    /// a run's length is what the by-name test makes it.
+    #[test]
+    fn target_runs_are_cut_where_names_differ() {
+        const WHERE: [&str; 5] = [
+            "R.B = S.C",
+            "R.A = S.C",
+            "R.C = S.C",
+            "R.B = S.C AND R.A = 1",
+            "R.A + R.B = S.C",
+        ];
+        let catalogs = [catalog(false), catalog(false), catalog(true)];
+        let mut items = Vec::new();
+        for (ci, c) in catalogs.iter().enumerate() {
+            for (n, cond) in WHERE.iter().enumerate() {
+                let sql = format!("SELECT R.A, S.D FROM R, S WHERE {cond}");
+                let key = QueryKey::derive(&format!("c{ci}"), n as u64);
+                let parsed = parse_query(&sql, c).unwrap();
+                let q = Arc::new(parsed.into_query(key, "n", Timestamp(0), c).unwrap());
+                for side in Side::BOTH {
+                    for v in [1, 2] {
+                        let schema = Arc::clone(c.get(q.relation(side)).unwrap());
+                        let values = vec![Value::Int(v); schema.arity()];
+                        let t = Tuple::new(schema, values, Timestamp(5), 0).unwrap();
+                        items.extend(RewrittenQuery::rewrite_value(&q, side, &t).unwrap());
+                        if let (Some(index), Some(dis)) =
+                            (q.join_attr(side), q.join_attr(side.other()))
+                        {
+                            let rq = RewrittenQuery::rewrite_attribute(&q, side, index, dis, &t);
+                            items.extend(rq.unwrap());
+                        }
+                    }
+                }
+            }
+        }
+        let mut joined = 0;
+        for a in &items {
+            for b in &items {
+                let want = 1 + usize::from(same_bucket_by_name(a, b));
+                let pair = [a.clone(), b.clone()];
+                assert_eq!(target_run_len(&pair), want, "{a} then {b}");
+                joined += usize::from(want == 2 && !Arc::ptr_eq(a.query(), b.query()));
+            }
+        }
+        assert!(joined > 0, "runs that cross queries and catalogs");
+        let want = items
+            .chunk_by(same_bucket_by_name)
+            .next()
+            .map_or(0, <[_]>::len);
+        assert_eq!(target_run_len(&items), want);
+        assert_eq!(target_run_len(&[]), 0);
+    }
 }

@@ -76,9 +76,7 @@ impl Protocol for DaiVProtocol {
                         continue;
                     }
                     checks += 1;
-                    if sq.index_attr != attr {
-                        continue;
-                    }
+                    debug_assert_eq!(sq.index_attr, attr, "ALQT buckets by index attribute");
                     let Some(rq) = RewrittenQuery::rewrite_value(&sq.query, sq.index_side, &tuple)?
                     else {
                         continue;
@@ -107,9 +105,7 @@ impl Protocol for DaiVProtocol {
                         continue;
                     }
                     checks += 1;
-                    if sq.index_attr != attr {
-                        continue; // stored under a different attribute bucket
-                    }
+                    debug_assert_eq!(sq.index_attr, attr, "ALQT buckets by index attribute");
                     if let Some(rq) =
                         RewrittenQuery::rewrite_value(&sq.query, sq.index_side, &tuple)?
                     {

@@ -780,3 +780,73 @@ proptest! {
         }
     }
 }
+
+/// Counts mode sorts a run's yes verdicts by `pubT` once and counts each
+/// rewriting with one binary search for its `insT`. Candidates published
+/// out of order — falling, interleaved, with repeated times, one of them of
+/// another shape — must count as the pairwise loop counts for every `insT`
+/// from before the first to after the last, and retention mode must still
+/// build the notifications in candidate order.
+#[test]
+fn the_run_matcher_counts_candidates_out_of_pub_time_order() {
+    let mut c = Catalog::new();
+    for rel in ["L", "R"] {
+        let schema = RelationSchema::of(rel, &[("a0", DataType::Int), ("a1", DataType::Int)]);
+        c.register(schema.unwrap()).unwrap();
+    }
+    let tuple = |rel: &str, values: [i64; 2], published: u64| {
+        let schema = Arc::clone(c.get(rel).unwrap());
+        let values = values.map(Value::Int).to_vec();
+        Tuple::new(schema, values, Timestamp(published), published).unwrap()
+    };
+    let published = [9, 2, 7, 7, 0, 5, 3, 9, 1, 4, 6, 2, 8];
+    let mut candidates: Vec<Arc<Tuple>> = published
+        .iter()
+        .enumerate()
+        .map(|(i, &at)| Arc::new(tuple("R", [1, i as i64], at)))
+        .collect();
+    candidates.insert(4, Arc::new(tuple("R", [2, 99], 6)));
+    let trigger = tuple("L", [1, -1], 20);
+    // One query per insertion time, posed in falling and then rising order.
+    let run: Vec<RewrittenQuery> = (0..=10u64)
+        .rev()
+        .chain(0..=10)
+        .map(|ins| {
+            let spec = QuerySpec {
+                key: QueryKey::derive("n", ins),
+                subscriber: format!("s{ins}"),
+                ins_time: Timestamp(ins),
+                relations: ["L".into(), "R".into()],
+                select: vec![SelectItem {
+                    side: Side::Right,
+                    attr: "a1".into(),
+                }],
+                conditions: [Expr::attr("a0"), Expr::attr("a0")],
+                filters: vec![],
+            };
+            let q = Arc::new(JoinQuery::new(spec, &c).unwrap());
+            RewrittenQuery::rewrite_attribute(&q, Side::Left, "a0", "a0", &trigger)
+                .unwrap()
+                .unwrap()
+        })
+        .collect();
+    let mut matcher = RunMatcher::default();
+    for retain in [false, true] {
+        let (want_counts, want_out, want_err) = pairwise(&run, &candidates, retain);
+        assert_eq!(want_err, None);
+        let mut matches = Matches::new(retain);
+        let mut counts = Vec::new();
+        matcher
+            .match_run(&run, &candidates, &mut matches, |n| counts.push(n))
+            .unwrap();
+        assert_eq!(counts, want_counts, "retain: {retain}");
+        assert_eq!(
+            (counts[0], counts[10]),
+            (0, 13),
+            "after the last, before the first"
+        );
+        if let Matches::Full(out) = &matches {
+            assert_eq!(out, &want_out);
+        }
+    }
+}

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use crate::error::{RelationalError, Result};
 use crate::expr::Expr;
-use crate::schema::Catalog;
+use crate::schema::{Catalog, RelationSchema};
 use crate::tuple::Tuple;
 use crate::value::{Timestamp, Value};
 
@@ -162,7 +162,9 @@ pub struct JoinQuery {
     key: QueryKey,
     subscriber: String,
     ins_time: Timestamp,
-    relations: [String; 2],
+    /// The two relations' schemas as the catalog holds them, left first: a
+    /// relation test compares these pointers before it compares names.
+    schemas: [Arc<RelationSchema>; 2],
     select: Vec<SelectItem>,
     /// Schema position of each select item in its side's relation, parallel
     /// to `select` and resolved once at validation time: rewriting and
@@ -213,7 +215,7 @@ impl JoinQuery {
                 ),
             });
         }
-        let schemas = [catalog.get(&relations[0])?, catalog.get(&relations[1])?];
+        let schemas = [catalog.get(&relations[0])?, catalog.get(&relations[1])?].map(Arc::clone);
         if select.is_empty() {
             return Err(RelationalError::UnsupportedQuery {
                 detail: "empty select list".to_string(),
@@ -237,7 +239,7 @@ impl JoinQuery {
                 schemas[side.idx()].index_of(a)?;
             }
             if let Some(a) = expr.as_single_attr() {
-                let schema = schemas[side.idx()];
+                let schema = &schemas[side.idx()];
                 let col = schema.index_of(a)?;
                 join_cols[side.idx()] = Some((Arc::clone(schema.shared_name(col)), col));
             }
@@ -246,8 +248,7 @@ impl JoinQuery {
             cond_attrs[side.idx()] = attrs.into_iter().map(str::to_string).collect();
         }
         for flt in &filters {
-            let schema = schemas[flt.side.idx()];
-            let ty = schema.type_of(&flt.attr)?;
+            let ty = schemas[flt.side.idx()].type_of(&flt.attr)?;
             if ty != flt.value.data_type() {
                 return Err(RelationalError::UnsupportedQuery {
                     detail: format!(
@@ -280,7 +281,7 @@ impl JoinQuery {
             key,
             subscriber,
             ins_time,
-            relations,
+            schemas,
             select,
             select_cols,
             conditions,
@@ -312,7 +313,22 @@ impl JoinQuery {
     /// Relation name of one side.
     #[inline]
     pub fn relation(&self, side: Side) -> &str {
-        &self.relations[side.idx()]
+        self.schemas[side.idx()].name()
+    }
+
+    /// Whether `side` of this query and `other_side` of `other` name the
+    /// same relation: one schema pointer when both were validated against
+    /// one catalog, else equal names.
+    #[inline]
+    pub fn same_relation(&self, side: Side, other: &JoinQuery, other_side: Side) -> bool {
+        same_schema(&self.schemas[side.idx()], &other.schemas[other_side.idx()])
+    }
+
+    /// Whether `tuple` is of `side`'s relation: the catalog's schema
+    /// pointer, else the name.
+    #[inline]
+    pub fn is_relation_of(&self, side: Side, tuple: &Tuple) -> bool {
+        same_schema(&self.schemas[side.idx()], tuple.schema())
     }
 
     /// The side a given relation plays in this query, if any.
@@ -423,7 +439,7 @@ impl JoinQuery {
         if tuple.pub_time() < self.ins_time {
             return Ok(false);
         }
-        if tuple.relation() != self.relation(side) {
+        if !self.is_relation_of(side, tuple) {
             return Ok(false);
         }
         self.filters_pass(side, tuple)
@@ -435,9 +451,9 @@ impl JoinQuery {
     /// *which* tuples trigger them. Select lists may differ within a group.
     pub fn group_key(&self) -> String {
         let mut s = String::with_capacity(64);
-        s.push_str(&self.relations[0]);
+        s.push_str(self.relation(Side::Left));
         s.push('|');
-        s.push_str(&self.relations[1]);
+        s.push_str(self.relation(Side::Right));
         s.push('|');
         s.push_str(&self.conditions[0].canonical());
         s.push('=');
@@ -468,7 +484,10 @@ impl fmt::Display for JoinQuery {
         write!(
             f,
             " FROM {}, {} WHERE {} = {}",
-            self.relations[0], self.relations[1], self.conditions[0], self.conditions[1]
+            self.relation(Side::Left),
+            self.relation(Side::Right),
+            self.conditions[0],
+            self.conditions[1]
         )?;
         for flt in &self.filters {
             write!(
@@ -481,6 +500,13 @@ impl fmt::Display for JoinQuery {
         }
         Ok(())
     }
+}
+
+/// Whether two schemas are of one relation: one pointer when both come from
+/// one catalog, else — across catalogs — equal relation names.
+#[inline]
+fn same_schema(a: &Arc<RelationSchema>, b: &Arc<RelationSchema>) -> bool {
+    Arc::ptr_eq(a, b) || a.name() == b.name()
 }
 
 /// Shared handle to a query, as stored in node-local tables.

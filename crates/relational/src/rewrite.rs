@@ -65,8 +65,10 @@ impl MatchTarget {
 
 /// A [`MatchTarget`] borrowed: a rewriting's own, or one read back from the
 /// keys a table files rewritings under — the attribute's name and the
-/// value's canonical form ([`ValueRef::parse_canonical`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// value's canonical form ([`ValueRef::parse_canonical`]). Two targets are
+/// equal when their attribute names are (one pointer, else equal bytes) and
+/// their values are.
+#[derive(Clone, Copy, Debug, Eq)]
 pub enum TargetRef<'a> {
     /// See [`MatchTarget::Attribute`].
     Attribute {
@@ -80,6 +82,25 @@ pub enum TargetRef<'a> {
         /// `valJC`.
         value: ValueRef<'a>,
     },
+}
+
+impl PartialEq for TargetRef<'_> {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        match (*self, *other) {
+            (
+                TargetRef::Attribute { attr, value },
+                TargetRef::Attribute {
+                    attr: other_attr,
+                    value: other_value,
+                },
+            ) => value == other_value && (std::ptr::eq(attr, other_attr) || attr == other_attr),
+            (TargetRef::ConditionValue { value }, TargetRef::ConditionValue { value: other }) => {
+                value == other
+            }
+            _ => false,
+        }
+    }
 }
 
 impl<'a> TargetRef<'a> {
@@ -347,6 +368,14 @@ impl RewriteBody {
         self.query.relation(self.free_side())
     }
 
+    /// Whether the two wait for tuples of one relation: their free sides'
+    /// schemas ([`JoinQuery::same_relation`]).
+    #[inline]
+    pub fn same_free_relation(&self, other: &RewriteBody) -> bool {
+        self.query
+            .same_relation(self.free_side(), &other.query, other.free_side())
+    }
+
     /// Publication time of the tuple that produced this rewriting.
     #[inline]
     pub fn trigger_time(&self) -> Timestamp {
@@ -373,7 +402,10 @@ impl RewriteBody {
     /// same order and free-side condition. For two rewritings of one target
     /// — the bodies of one VLQT bucket — that is
     /// [`RewrittenRef::same_shape`]. Two rewritings of one query with the
-    /// same free side compare without looking at the query.
+    /// same free side compare without looking at the query; queries of one
+    /// catalog compare schema pointers, not names
+    /// ([`JoinQuery::same_relation`]), filters only when either side has
+    /// one, and bare-attribute conditions by the schema's shared name.
     pub fn same_free_side(&self, other: &RewriteBody) -> bool {
         if self.target_col != other.target_col {
             return false;
@@ -388,9 +420,14 @@ impl RewriteBody {
                 .filter(move |f| f.side == side)
                 .map(|f| (f.attr.as_str(), &f.value))
         }
-        self.query.relation(free) == other.query.relation(other_free)
-            && free_filters(&self.query, free).eq(free_filters(&other.query, other_free))
-            && self.query.condition(free) == other.query.condition(other_free)
+        let (q, other_q) = (&*self.query, &*other.query);
+        let filtered = q.rewrite_plan(free).filtered || other_q.rewrite_plan(other_free).filtered;
+        self.same_free_relation(other)
+            && (!filtered || free_filters(q, free).eq(free_filters(other_q, other_free)))
+            && match (q.join_column(free), other_q.join_column(other_free)) {
+                (Some((a, _)), Some((b, _))) if Arc::ptr_eq(a, b) => true,
+                _ => q.condition(free) == other_q.condition(other_free),
+            }
     }
 
     /// Builds the notification for a tuple already known to match.
@@ -460,7 +497,7 @@ impl Deref for RewrittenQuery {
 /// `side`'s join attribute as `(shared name, column)` when `attr` names it.
 fn join_target<'q>(query: &'q JoinQuery, side: Side, attr: &str) -> Option<(&'q Arc<str>, u16)> {
     let (name, col) = query.join_column(side)?;
-    if **name != *attr {
+    if !std::ptr::eq(&**name, attr) && **name != *attr {
         return None;
     }
     Some((name, u16::try_from(col).ok()?))
@@ -684,6 +721,13 @@ impl RewrittenQuery {
         self.view().same_shape(&other.view())
     }
 
+    /// Whether the two are filed under one evaluator bucket: the same
+    /// target and [`RewriteBody::same_free_relation`].
+    #[inline]
+    pub fn same_bucket(&self, other: &RewrittenQuery) -> bool {
+        self.target == other.target && self.same_free_relation(other)
+    }
+
     /// Tries to match a tuple of the free relation; on success produces the
     /// notification content.
     pub fn match_tuple(&self, t: &Tuple) -> Result<Option<Notification>> {
@@ -795,7 +839,7 @@ impl<'a> RewrittenRef<'a> {
     #[inline]
     pub fn shape_matches(&self, t: &Tuple) -> Result<bool> {
         let free = self.free_side();
-        if t.relation() != self.query.relation(free) || !self.query.filters_pass(free, t)? {
+        if !self.query.is_relation_of(free, t) || !self.query.filters_pass(free, t)? {
             return Ok(false);
         }
         let at_col = self.target_col.and_then(|c| t.values().get(usize::from(c)));
@@ -1159,8 +1203,10 @@ mod tests {
         // 8 query + 24 bound values + 24 target value + 1 side, padded.
         assert_eq!(size_of::<RewriteIdentity>(), 64);
         // A query's two 6-byte rewrite plans and its 8-byte fingerprint
-        // seed cost it 24 bytes over the 336 it took without them, no more.
-        assert!(size_of::<JoinQuery>() <= 336 + 24);
+        // seed cost it 24 bytes over the 336 it took without them; holding
+        // its two schemas (16 bytes) in place of two relation-name copies
+        // (48) takes 32 back.
+        assert!(size_of::<JoinQuery>() <= 336 + 24 - 48 + 16);
         // No heap for one bound value, one allocation from two on.
         let ints = |n: i64| (0..n).map(Value::Int).collect::<BoundValues>();
         assert!(matches!(ints(0).0, Bound::Zero));
@@ -1450,5 +1496,217 @@ mod tests {
             .unwrap();
         assert!(rq.match_tuple(&r_tuple(&c, 9, 7, 6)).unwrap().is_some());
         assert!(rq.match_tuple(&r_tuple(&c, 8, 7, 6)).unwrap().is_none());
+    }
+
+    /// The relation, filter, condition and target tests as they read before
+    /// they compared the catalog's pointers: every name byte by byte. The
+    /// pointer-first definitions must answer exactly as these do.
+    mod by_name {
+        use super::*;
+
+        pub(super) fn triggered_by(q: &JoinQuery, side: Side, t: &Tuple) -> Result<bool> {
+            if t.pub_time() < q.ins_time() || t.relation() != q.relation(side) {
+                return Ok(false);
+            }
+            q.filters_pass(side, t)
+        }
+
+        pub(super) fn same_free_side(a: &RewriteBody, b: &RewriteBody) -> bool {
+            if a.target_col != b.target_col {
+                return false;
+            }
+            let (free, other_free) = (a.free_side(), b.free_side());
+            if Arc::ptr_eq(&a.query, &b.query) && free == other_free {
+                return true;
+            }
+            fn free_filters(q: &JoinQuery, side: Side) -> impl Iterator<Item = (&str, &Value)> {
+                q.filters()
+                    .iter()
+                    .filter(move |f| f.side == side)
+                    .map(|f| (f.attr.as_str(), &f.value))
+            }
+            a.query.relation(free) == b.query.relation(other_free)
+                && free_filters(&a.query, free).eq(free_filters(&b.query, other_free))
+                && a.query.condition(free) == b.query.condition(other_free)
+        }
+
+        pub(super) fn same_shape(a: &RewrittenRef<'_>, b: &RewrittenRef<'_>) -> bool {
+            let same_target = match (a.target(), b.target()) {
+                (
+                    TargetRef::Attribute { attr, value },
+                    TargetRef::Attribute {
+                        attr: other_attr,
+                        value: other_value,
+                    },
+                ) => attr.as_bytes() == other_attr.as_bytes() && value == other_value,
+                (
+                    TargetRef::ConditionValue { value },
+                    TargetRef::ConditionValue { value: other },
+                ) => value == other,
+                _ => false,
+            };
+            same_target && same_free_side(a, b)
+        }
+
+        pub(super) fn shape_matches(rq: &RewrittenRef<'_>, t: &Tuple) -> Result<bool> {
+            let free = rq.free_side();
+            if t.relation() != rq.query.relation(free) || !rq.query.filters_pass(free, t)? {
+                return Ok(false);
+            }
+            let at_col = rq.target_col.and_then(|c| t.values().get(usize::from(c)));
+            Ok(match (rq.target(), at_col) {
+                (target, Some(v)) => ValueRef::from(v) == target.value(),
+                (TargetRef::Attribute { attr, value }, None) => {
+                    ValueRef::from(t.get(attr)?) == value
+                }
+                (TargetRef::ConditionValue { value }, None) => {
+                    ValueRef::from(&rq.query.condition(free).eval(t)?) == value
+                }
+            })
+        }
+    }
+
+    /// `R(A, B, C)` and `S(C, D, E)`, or with `R`'s attributes in the order
+    /// `C, B, A`.
+    fn shape_catalog(reordered: bool) -> Catalog {
+        let r = if reordered {
+            ["C", "B", "A"]
+        } else {
+            ["A", "B", "C"]
+        };
+        let int = |n| (n, DataType::Int);
+        let mut c = Catalog::new();
+        c.register(RelationSchema::of("R", &r.map(int)).unwrap())
+            .unwrap();
+        let s = [int("C"), int("D"), ("E", DataType::Str)];
+        c.register(RelationSchema::of("S", &s).unwrap()).unwrap();
+        c
+    }
+
+    /// Every rewriting test that compares names, on queries and tuples of
+    /// one catalog, of two catalogs with equal content (their schemas in
+    /// different `Arc`s) and of a catalog whose `R` lists its attributes in
+    /// another order: T1 and T2 queries, with and without filters on either
+    /// side, rewritten to attribute targets (shared with the query, or a
+    /// name of their own) and to value targets.
+    #[test]
+    fn pointer_first_shape_tests_answer_as_names_do() {
+        const SQL: [&str; 8] = [
+            "WHERE R.B = S.C",
+            "WHERE R.B = S.C AND R.A = 1",
+            "WHERE R.B = S.C AND S.D = 2",
+            "WHERE R.A = S.C",
+            "WHERE R.C = S.C",
+            "WHERE R.A + R.B = S.C",
+            "WHERE R.A = S.C + S.D",
+            "WHERE R.A + R.B = S.C AND S.D = 1",
+        ];
+        let catalogs = [
+            shape_catalog(false),
+            shape_catalog(false),
+            shape_catalog(true),
+        ];
+        let mut queries: Vec<(usize, QueryRef)> = Vec::new();
+        for (ci, c) in catalogs.iter().enumerate() {
+            for (n, sql) in SQL.iter().enumerate() {
+                // Two queries of each text, so one catalog's queries also
+                // compare as distinct `Arc`s.
+                for copy in 0..2u64 {
+                    let sql = format!("SELECT R.A, S.D FROM R, S {sql}");
+                    let key = QueryKey::derive(&format!("c{ci}"), 2 * n as u64 + copy);
+                    let ins = Timestamp(3 * copy);
+                    let q = crate::parse_query(&sql, c)
+                        .unwrap()
+                        .into_query(key, "n", ins, c)
+                        .unwrap();
+                    queries.push((ci, Arc::new(q)));
+                }
+            }
+        }
+        let tuple = |c: &Catalog, rel: &str, v: [i64; 3], at: u64| {
+            let schema = Arc::clone(c.get(rel).unwrap());
+            let values = schema
+                .attributes()
+                .iter()
+                .zip(v)
+                .map(|(a, v)| match a.ty {
+                    DataType::Int => Value::Int(v),
+                    DataType::Str => Value::from("x"),
+                })
+                .collect();
+            Tuple::new(schema, values, Timestamp(at), 0).unwrap()
+        };
+        let mut tuples = Vec::new();
+        for c in &catalogs {
+            for rel in ["R", "S"] {
+                for (v, at) in [
+                    ([1, 2, 1], 0),
+                    ([2, 1, 2], 5),
+                    ([1, 1, 2], 5),
+                    ([2, 2, 1], 1),
+                ] {
+                    tuples.push(tuple(c, rel, v, at));
+                }
+            }
+        }
+        let mut rewritings = Vec::new();
+        for (ci, q) in &queries {
+            let c = &catalogs[*ci];
+            for side in Side::BOTH {
+                for v in [[1, 2, 1], [2, 2, 2]] {
+                    let t = tuple(c, q.relation(side), v, 9);
+                    rewritings.extend(RewrittenQuery::rewrite_value(q, side, &t).unwrap());
+                    let Some((index, dis)) = q.join_attr(side).zip(q.join_attr(side.other()))
+                    else {
+                        continue;
+                    };
+                    let rq = RewrittenQuery::rewrite_attribute(q, side, index, dis, &t).unwrap();
+                    let Some(rq) = rq else { continue };
+                    // A target attribute of its own: the join attribute's
+                    // name in another allocation, and one that is not the
+                    // join attribute.
+                    for attr in [dis, "C"] {
+                        let own = RewrittenQuery::from_parts(
+                            Arc::clone(q),
+                            side,
+                            rq.bound_values().iter().cloned().collect(),
+                            Some(&String::from(attr)),
+                            rq.target().value().clone(),
+                            rq.trigger_time(),
+                        );
+                        rewritings.push(own);
+                    }
+                    rewritings.push(rq);
+                }
+            }
+        }
+        let (mut shapes, mut free_sides) = (0, 0);
+        for a in &rewritings {
+            for b in &rewritings {
+                let want = by_name::same_shape(&a.view(), &b.view());
+                assert_eq!(a.same_shape(b), want, "same_shape({a}, {b})");
+                let want_free = by_name::same_free_side(a, b);
+                assert_eq!(a.same_free_side(b), want_free, "same_free_side({a}, {b})");
+                shapes += usize::from(want && !Arc::ptr_eq(&a.query, &b.query));
+                free_sides += usize::from(want_free);
+            }
+            for t in &tuples {
+                let want = by_name::shape_matches(&a.view(), t).map_err(|e| e.to_string());
+                let got = a.shape_matches(t).map_err(|e| e.to_string());
+                assert_eq!(got, want, "{a} against {t}");
+            }
+        }
+        for (_, q) in &queries {
+            for side in Side::BOTH {
+                for t in &tuples {
+                    let want = by_name::triggered_by(q, side, t).map_err(|e| e.to_string());
+                    let got = q.triggered_by(side, t).map_err(|e| e.to_string());
+                    assert_eq!(got, want, "{q} on {side} by {t}");
+                }
+            }
+        }
+        // The fixture reaches both answers across queries, not only within
+        // one.
+        assert!(shapes > 0 && free_sides < rewritings.len() * rewritings.len());
     }
 }

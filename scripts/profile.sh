@@ -15,12 +15,17 @@
 #    the name of the object it falls in), and
 # 4. prints, over the CPU time of all cqbench processes, the top functions
 #    by self share (leaf frame) and by inclusive share (anywhere on the
-#    stack, counted once per sample).
+#    stack, counted once per sample), and the time spent in libc leaves
+#    (memcmp, memmove, ...) by their immediate caller.
 #
 # The benchmark report itself goes to target/profile/WORKLOAD-SEED/report.txt.
 # Frames of code built without frame pointers (libc, the precompiled
 # standard library) shorten the walk: their callers' callers still show,
-# the immediate caller of a libc leaf may not. Generic std code (HashMap,
+# the immediate caller of a libc leaf may not. The third table recovers it
+# from the word at the interrupted stack pointer, which is a frameless
+# leaf's return address; for a libc function that has pushed registers or
+# made a frame, the word is something else and shows as the object it
+# points into, or [unmapped]. Generic std code (HashMap,
 # Vec, iterators) is monomorphized into the binary and is walked like any
 # other. Needs cc, nm (binutils) and python3.
 set -euo pipefail
@@ -73,11 +78,11 @@ def load(path):
                 obj = field[5] if len(field) > 5 else "[anon]"
                 maps.append((lo, hi, int(field[2], 16), obj))
             elif line.strip():
-                weight, *stack = line.split()
-                samples.append((int(weight), [int(x, 16) for x in stack]))
+                weight, at_sp, *stack = line.split()
+                samples.append((int(weight), int(at_sp, 16), [int(x, 16) for x in stack]))
     return maps, samples
 
-self_ns, incl_ns = collections.Counter(), collections.Counter()
+self_ns, incl_ns, libc_ns = collections.Counter(), collections.Counter(), collections.Counter()
 total, count, processes = 0, 0, 0
 for path in sorted(glob.glob(os.path.join(out, "cqprof.*.txt"))):
     maps, samples = load(path)
@@ -100,13 +105,15 @@ for path in sorted(glob.glob(os.path.join(out, "cqprof.*.txt"))):
                 return syms[i][1] if i >= 0 else "[cqbench]"
         return "[unmapped]"
 
-    for weight, stack in samples:
+    for weight, at_sp, stack in samples:
         total += weight
         count += 1
         names = [name(a, i == 0) for i, a in enumerate(stack)]
         self_ns[names[0]] += weight
         for n in set(names):
             incl_ns[n] += weight
+        if names[0].startswith("[libc"):
+            libc_ns[name(at_sp, False) if at_sp else "[not read]"] += weight
 
 if total == 0:
     sys.exit("no samples recorded")
@@ -115,4 +122,8 @@ for title, counter in (("self", self_ns), ("inclusive", incl_ns)):
     print(f"\n{title:>9}  function")
     for n, c in counter.most_common(30):
         print(f"{100 * c / total:8.1f}%  {n[:150]}")
+libc = sum(libc_ns.values())
+print(f"\n{'libc leaf':>9}  immediate caller ({100 * libc / total:.1f}% of CPU in libc leaves)")
+for n, c in libc_ns.most_common(30):
+    print(f"{100 * c / total:8.1f}%  {n[:150]}")
 EOF

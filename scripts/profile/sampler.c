@@ -7,11 +7,15 @@
  * the frame-pointer chain, and the CPU time the process consumed since the
  * previous sample, which weighs the sample: a process blocked in a wait
  * gets weightless samples. (CPU-time interval timers would need no weights
- * but fire on scheduler ticks, 250 Hz or less.) At exit the process writes
+ * but fire on scheduler ticks, 250 Hz or less.) It also records the word at
+ * the interrupted stack pointer: in a frameless leaf (libc's memcmp and
+ * memmove keep no frame pointer) that word is the return address into the
+ * leaf's caller, which the frame-pointer walk skips. At exit the process writes
  * `cqprof.<pid>.txt` into the directory it started in (a program may change
  * directory on the way, as git does): a copy of /proc/self/maps
  * (to find the load base of every object), then one line per sample: the
- * weight in nanoseconds, then the stack, leaf first, in hexadecimal. Every
+ * weight in nanoseconds, then the word at the stack pointer (0 when it was
+ * not read), then the stack, leaf first, in hexadecimal. Every
  * exec'd child inherits LD_PRELOAD and writes its own file; symbolization
  * happens offline.
  *
@@ -19,7 +23,8 @@
  * lie between the interrupted stack pointer and the top of the main
  * thread's stack (found in /proc/self/maps when the library loads; the
  * stack grows down from it, mapped down to the stack pointer), strictly
- * increase and be 8-byte aligned. A frame without a frame pointer (libc,
+ * increase and be 8-byte aligned; the word at the stack pointer is read
+ * under the same bounds. A frame without a frame pointer (libc,
  * hand-written assembly) ends or shortens the walk; it never faults.
  * Samples taken on other threads keep their leaf only.
  *
@@ -82,14 +87,16 @@ static void on_sigprof(int sig, siginfo_t *info, void *raw) {
     struct timespec cpu;
     clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &cpu);
     uint64_t cpu_ns = (uint64_t)cpu.tv_sec * 1000000000u + (uint64_t)cpu.tv_nsec;
-    uint64_t frames[MAX_DEPTH + 1];
+    uint64_t frames[MAX_DEPTH + 2];
     size_t depth = 0;
+    int main_stack = sp < stack_hi && stack_hi - sp < MAIN_STACK_SPAN;
     frames[depth++] = cpu_ns - cpu_seen_ns;
     cpu_seen_ns = cpu_ns;
+    frames[depth++] = main_stack && (sp & 7) == 0 ? *(const uintptr_t *)sp : 0;
     frames[depth++] = pc;
-    if (sp < stack_hi && stack_hi - sp < MAIN_STACK_SPAN) {
+    if (main_stack) {
         uintptr_t lo = sp;
-        while (depth <= MAX_DEPTH && fp >= lo && fp + 16 <= stack_hi && (fp & 7) == 0) {
+        while (depth <= MAX_DEPTH + 1 && fp >= lo && fp + 16 <= stack_hi && (fp & 7) == 0) {
             const uintptr_t *frame = (const uintptr_t *)fp;
             uintptr_t ret = frame[1];
             if (ret == 0)
