@@ -1,5 +1,6 @@
 //! The measurement ledger: one in-process run that times the Chord lookup,
-//! the join-evaluation kernels, the failure-handling kernels, the TCP hot
+//! the join-evaluation kernels, counts-mode delivery, the failure-handling
+//! kernels, the TCP hot
 //! path and every quick-registry experiment, prints one JSON object to
 //! stdout and enforces the gates in [`GATES`] on what it measured.
 //!
@@ -33,7 +34,9 @@ use std::time::Instant;
 use cq_bench::alloc_count;
 use cq_engine::algo::RunMatcher;
 use cq_engine::tables::{Alqt, StoredQuery, StoredRewritten, StoredTuple, Vlqt, Vltt};
-use cq_engine::{Algorithm, EngineConfig, FaultConfig, Matches, Network, SuspicionConfig};
+use cq_engine::{
+    Algorithm, EngineConfig, FaultConfig, Matches, Network, QueryCounts, SuspicionConfig,
+};
 use cq_overlay::{hash_key, Id, IdSpace, Ring};
 use cq_relational::{
     parse_query, Catalog, DataType, MatchTarget, QueryKey, QueryRef, RelationSchema,
@@ -54,6 +57,10 @@ const RING: [usize; 2] = [1_024, 16_384];
 /// through. Thousands of them touch most of a 16 384-node ring, and that
 /// row then reads 4-6x the small one from cache misses alone.
 const LOOKUPS: usize = 256;
+/// Distinct lookups of the `route-lookup-cold` rows: enough to touch most
+/// of the larger ring, so its row reads the cache misses a lookup pays on
+/// a ring that does not fit in cache.
+const COLD_LOOKUPS: usize = 4_096;
 /// Table sizes of the VLTT / VLQT scans and the `Join` run.
 const SCAN: [usize; 2] = [1_000, 10_000];
 /// Rewritings per `vlqt-insert` run: one `Join` message's worth, near
@@ -76,6 +83,9 @@ const PROBE_RING: usize = 32;
 const PROBE_TICKS: u64 = 4_000;
 /// Standing queries of the end-to-end insert.
 const E2E_QUERIES: usize = 50;
+/// Matched queries of one `deliver-counts` event and the subscribers that
+/// posed them: a `JoinV` run's worth.
+const DELIVER: (usize, usize) = (40, 20);
 /// Payload bytes of one pumped frame.
 const FRAME: usize = 256;
 /// Socket rows on two nodes: small (header-dominated), medium (the
@@ -240,7 +250,7 @@ fn o_change(l: &Ledger, kernel: &str, sizes: [usize; 2]) -> Result<(), String> {
     )
 }
 
-const GATES: [Gate; 20] = [
+const GATES: [Gate; 21] = [
     // A Chord lookup step reads one sorted route table per hop:
     // nothing is allocated, and sixteen times the nodes cost well under 3x
     // per lookup (hops grow with log N; a scan of every pointer a node
@@ -318,6 +328,12 @@ const GATES: [Gate; 20] = [
     Gate {
         name: "insert-e2e-allocs",
         holds: |l| allocs_below(l, "insert-e2e-bundled", [E2E_QUERIES; 2], 20.0),
+    },
+    // Counts fold into their subscribers' slots and are delivered from
+    // reused buffers: no `Arc` clone, map or name copy per delivery.
+    Gate {
+        name: "deliver-counts-alloc-free",
+        holds: |l| allocs_below(l, "deliver-counts", [DELIVER.0; 2], 0.01),
     },
     // Encode in place, one `write` per flush, pooled read, recycle.
     Gate {
@@ -510,13 +526,15 @@ fn measure(kernel: &'static str, size: usize, events: u64, mut f: impl FnMut()) 
 }
 
 /// `Ring::route_owner` on a stable `size`-node ring, from seeded origins to
-/// seeded identifiers: the lookup behind every routed message. The same
-/// [`LOOKUPS`] lookups repeat, so the nodes they visit stay cache-resident
-/// on both rings and the row measures the work per lookup.
-fn route_lookup(size: usize, events: u64) -> KernelRow {
+/// seeded identifiers: the lookup behind every routed message. `distinct`
+/// lookups repeat: [`LOOKUPS`] of them keep the nodes they visit
+/// cache-resident on both rings, so the `route-lookup` row measures the
+/// work per lookup; [`COLD_LOOKUPS`] of them (`route-lookup-cold`) add the
+/// cache misses.
+fn route_lookup(kernel: &'static str, size: usize, distinct: usize, events: u64) -> KernelRow {
     let ring = Ring::build(IdSpace::default(), size, "node-");
     let nodes: Vec<_> = ring.alive_nodes().collect();
-    let lookups: Vec<_> = (0..LOOKUPS)
+    let lookups: Vec<_> = (0..distinct)
         .map(|i| {
             let origin = hash_key(ring.space(), &format!("origin-{i}")).0 as usize;
             let target = hash_key(ring.space(), &format!("target-{i}"));
@@ -528,7 +546,7 @@ fn route_lookup(size: usize, events: u64) -> KernelRow {
         .map(|&(from, target)| ring.route_owner(from, target).unwrap().1)
         .sum();
     let mut i = 0;
-    let mut row = measure("route-lookup", size, events, || {
+    let mut row = measure(kernel, size, events, || {
         let (from, target) = lookups[i % lookups.len()];
         i += 1;
         std::hint::black_box(ring.route_owner(from, target).unwrap());
@@ -801,6 +819,32 @@ fn insert_e2e(size: usize, events: u64) -> KernelRow {
     })
 }
 
+/// One evaluator's counts-mode delivery on 256 nodes: [`DELIVER`]'s
+/// queries each add their matches, folding into their subscribers' slots,
+/// and the counts are delivered, every subscriber online.
+fn deliver_counts(events: u64) -> KernelRow {
+    let (queries, subscribers) = DELIVER;
+    let config = EngineConfig::new(Algorithm::DaiV)
+        .with_nodes(256)
+        .with_seed(7);
+    let mut net = Network::new(config, catalog());
+    for i in 0..queries {
+        let poser = net.node_at(i % subscribers);
+        net.pose_query_sql(poser, "SELECT R.A, S.D FROM R, S WHERE R.B = S.C")
+            .unwrap();
+    }
+    let posed = net.posed_queries().to_vec();
+    let from = net.node_at(subscribers);
+    let mut counts = QueryCounts::default();
+    measure("deliver-counts", queries, events, move || {
+        counts.clear();
+        for (i, query) in posed.iter().enumerate() {
+            counts.add_n(query, 1 + i as u64 % 3);
+        }
+        net.deliver_counts(from, &counts).unwrap();
+    })
+}
+
 /// One `size`-byte frame per event through a loopback
 /// [`cq_engine::frames::FrameConn`] pair: encoded in place at the write
 /// buffer's end, flushed with one `write`, read back through the
@@ -1065,8 +1109,10 @@ fn measure_ledger(check: bool) -> Ledger {
     let (scan, e2e) = if check { (200, 200) } else { (2_000, 5_000) };
     let rounds = e2e.max(1_000);
     let kernels = vec![
-        route_lookup(RING[0], scan * 10),
-        route_lookup(RING[1], scan * 10),
+        route_lookup("route-lookup", RING[0], LOOKUPS, scan * 10),
+        route_lookup("route-lookup", RING[1], LOOKUPS, scan * 10),
+        route_lookup("route-lookup-cold", RING[0], COLD_LOOKUPS, scan * 10),
+        route_lookup("route-lookup-cold", RING[1], COLD_LOOKUPS, scan * 10),
         vltt_scan(&cat, SCAN[0], scan),
         vltt_scan(&cat, SCAN[1], scan / 10),
         join_run(&cat, SCAN[0], scan / 10),
@@ -1084,6 +1130,7 @@ fn measure_ledger(check: bool) -> Ledger {
         rewrite("rewrite-value", &cat, REWRITE[0], scan),
         rewrite("rewrite-value", &cat, REWRITE[1], scan / 10),
         insert_e2e(E2E_QUERIES, e2e),
+        deliver_counts(e2e),
         socket_pump(FRAME, e2e),
         join_decode(&cat, DECODE[0], e2e),
         join_decode(&cat, DECODE[1], e2e),
@@ -1246,8 +1293,9 @@ mod tests {
     /// `BENCH_35.json` re-pinned it, the `rewrite-*` rows
     /// `BENCH_43.json` added, the `route-lookup` rows and the
     /// `insert-e2e-bundled` row as `BENCH_54.json` wrote them, the
-    /// `pump-probe` row `BENCH_56.json` added, and the `join-run` rows as
-    /// `BENCH_57.json` wrote them.
+    /// `pump-probe` row `BENCH_56.json` added, the `join-run` rows as
+    /// `BENCH_57.json` wrote them, and the `deliver-counts` row
+    /// `BENCH_58.json` added.
     fn bench_25() -> Ledger {
         let kernels = [
             ("route-lookup", 1_024, 97.7, 0.0),
@@ -1269,6 +1317,7 @@ mod tests {
             ("rewrite-value", 50, 3459.2, 0.0),
             ("rewrite-value", 1_250, 90784.9, 0.0),
             ("insert-e2e-bundled", 50, 7636.9, 16.62),
+            ("deliver-counts", DELIVER.0, 1072.2, 0.0),
             ("socket-pump", 256, 3864.3, 0.0),
             ("join-decode", 1, 1499.2, 1.0),
             ("join-decode", 50, 1463.2, 1.0),
@@ -1339,7 +1388,7 @@ mod tests {
             kernel(l, name, sizes[1]).ns = flat(3.1 * small);
         }
         type Mutation = fn(&mut Ledger);
-        let cases: [(&str, Mutation); 21] = [
+        let cases: [(&str, Mutation); 22] = [
             // One `Vec` per lookup, as a path-materializing route makes.
             ("route-lookup-alloc-free", |l| {
                 kernel(l, "route-lookup", 16_384).allocs = 1.0
@@ -1365,6 +1414,10 @@ mod tests {
             }),
             ("insert-e2e-allocs", |l| {
                 kernel(l, "insert-e2e-bundled", 50).allocs = 20.01
+            }),
+            // A by-subscriber map built per delivery.
+            ("deliver-counts-alloc-free", |l| {
+                kernel(l, "deliver-counts", DELIVER.0).allocs = 1.0
             }),
             ("socket-pump-alloc-free", |l| {
                 kernel(l, "socket-pump", 256).allocs = 0.01

@@ -554,13 +554,8 @@ fn shadow_check_vlqt(
     assert_eq!(&scan(), scanned, "VLQT ledger scan of {tuple} on {attr}");
     match (matches, &pairwise) {
         (Matches::Counts(got), Matches::Counts(want)) => {
-            let entries = |c: &crate::protocol::QueryCounts| -> Vec<(usize, u64)> {
-                let entries = c.entries().iter();
-                entries
-                    .map(|(q, n)| (Arc::as_ptr(q) as usize, *n))
-                    .collect()
-            };
-            assert_eq!(entries(got), entries(want), "VLQT ledger counts of {tuple}");
+            let (got, want) = (got.per_query(), want.per_query());
+            assert_eq!(got, want, "VLQT ledger counts of {tuple}");
             assert_eq!(
                 matches.len(),
                 pairwise.len(),

@@ -9,6 +9,7 @@
 //! stores each item once and re-mirrors it when k ≥ 1.
 
 use cq_overlay::{Id, NodeHandle};
+use cq_relational::subscriber_hash;
 
 use crate::error::{EngineError, Result};
 use crate::network::Network;
@@ -166,7 +167,7 @@ impl Network {
             });
             self.hand_over(h, items)?;
         }
-        self.subscribers.insert(me, h);
+        self.subscribers.insert(subscriber_hash(&me), &me, h);
         Ok(())
     }
 

@@ -16,7 +16,7 @@
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
-use cq_fasthash::FxHashMap;
+use cq_fasthash::NameTable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -82,8 +82,9 @@ pub struct Network {
     /// The in-protocol failure detector (`engine::recovery`); `None` (the
     /// default) leaves failure handling to oracle `stabilize` calls.
     pub(crate) recovery: Option<Box<Recovery>>,
-    /// `Key(n) → handle` for notification delivery.
-    pub(crate) subscribers: FxHashMap<String, NodeHandle>,
+    /// `Key(n) → handle` for notification delivery, found by
+    /// [`cq_relational::subscriber_hash`].
+    pub(crate) subscribers: NameTable<NodeHandle>,
     /// Log of every posed query (for oracles and tests).
     posed_queries: Vec<QueryRef>,
     /// Log of every inserted tuple (for oracles and tests).
@@ -134,7 +135,7 @@ impl Network {
             staged: pump.is_some().then(Vec::new),
             pump,
             recovery,
-            subscribers: FxHashMap::default(),
+            subscribers: NameTable::default(),
             posed_queries: Vec::new(),
             inserted_tuples: Vec::new(),
         }
@@ -348,8 +349,8 @@ impl Network {
             return Err(EngineError::UnknownNode);
         }
         self.protocol.validate_query(&query)?;
-        self.subscribers
-            .insert(query.subscriber().to_string(), node);
+        let (hash, name) = (query.subscriber_hash(), query.subscriber());
+        self.subscribers.insert(hash, name, node);
         self.posed_queries.push(Arc::clone(&query));
         self.run_protocol(node, |p, ctx| p.on_pose_query(ctx, &query))?;
         self.process_all()?;

@@ -24,7 +24,7 @@
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-use cq_fasthash::{FirstIndex, FxHashMap};
+use cq_fasthash::NameTable;
 use cq_overlay::{Id, NodeHandle, Ring};
 use cq_relational::{
     JoinQuery, Notification, QueryRef, QueryType, RewriteBody, RewrittenQuery, Tuple,
@@ -79,13 +79,13 @@ pub(crate) enum Effect {
 /// Accumulated join matches at an evaluator, one per handler invocation.
 ///
 /// With notification retention on, full bodies are built; with retention
-/// off only per-query counts are kept (delivery traffic and counters stay
+/// off only counts per subscriber are kept (delivery traffic and counters stay
 /// identical, the bodies are never materialized).
 #[derive(Debug)]
 pub enum Matches {
     /// Full notification bodies (retention on).
     Full(Vec<Notification>),
-    /// Per-query match counts (retention off).
+    /// Match counts per subscriber (retention off).
     Counts(QueryCounts),
 }
 
@@ -130,83 +130,79 @@ impl Matches {
     }
 }
 
-/// Match counts per query, in first-match order — what an evaluator
-/// accumulates per candidate when bodies are not retained.
-///
-/// A query is recognised by the address of its [`QueryRef`], so counting a
-/// match hashes one word, not the subscriber's name. The address is an
-/// optimisation key only: one query may arrive under two `Arc`s (over TCP a
-/// receiver's interner forgets, then decodes the same bytes again), which
-/// merely yields two entries. Whoever needs counts per *subscriber* folds
-/// by name ([`QueryCounts::by_subscriber`]). An entry holds its `Arc`, so no
-/// address can be reused while it is counted.
+/// Match counts per subscriber, in first-match order — what an evaluator
+/// accumulates when bodies are not retained, and what delivery sends
+/// (Section 4.6). A match folds straight into its subscriber's slot, found
+/// by the hash its query computed once ([`JoinQuery::subscriber_hash`]) and
+/// matched by name, so one query under two `Arc`s (a TCP receiver's
+/// interner forgot it) counts in one slot. The address of the query last
+/// counted spares its next match the name comparison; it holds no `Arc`,
+/// as only handlers add counts and no handler builds a query.
 #[derive(Debug, Default)]
 pub struct QueryCounts {
-    entries: Vec<(QueryRef, u64)>,
-    /// `Arc` address → position in `entries`.
-    positions: FxHashMap<usize, usize>,
+    /// Per subscriber: the count and the address of the last query.
+    pub(crate) slots: NameTable<(u64, usize)>,
     total: u64,
-    /// [`QueryCounts::by_subscriber`]'s result, `(entry naming the
-    /// subscriber, count)`, and its name index. Kept here so the fold
-    /// reuses its buffers along with the rest.
-    folded: Vec<(usize, u64)>,
-    folded_names: FirstIndex,
+    /// Debug builds log every count added, by query address, for checks
+    /// that compare counts per query ([`QueryCounts::per_query`]).
+    #[cfg(debug_assertions)]
+    added: Vec<(usize, u64)>,
 }
 
 impl QueryCounts {
     /// Records `n` matches of `query` at once — an evaluator adds a
-    /// rewriting's whole count with one probe. `n` must be positive: a query
-    /// is entered in the order of its first match.
+    /// rewriting's whole count with one probe. `n` must be positive: a
+    /// subscriber is entered in the order of its first match.
     pub fn add_n(&mut self, query: &QueryRef, n: u64) {
-        debug_assert!(n > 0, "a query is entered at its first match");
+        debug_assert!(n > 0, "a subscriber is entered at its first match");
         self.total += n;
-        let address = Arc::as_ptr(query) as usize;
-        match self.positions.get(&address) {
-            Some(&i) => self.entries[i].1 += n,
-            None => {
-                self.positions.insert(address, self.entries.len());
-                self.entries.push((Arc::clone(query), n));
+        let (address, name) = (Arc::as_ptr(query) as usize, query.subscriber());
+        #[cfg(debug_assertions)]
+        self.added.push((address, n));
+        let hash = query.subscriber_hash();
+        match self.slots.find_by(hash, |subscriber, &(_, last)| {
+            debug_assert!(
+                last != address || subscriber == name,
+                "{name}'s query moved"
+            );
+            last == address || subscriber == name
+        }) {
+            Some(i) => {
+                let (count, last) = self.slots.value_mut(i);
+                (*count, *last) = (*count + n, address);
             }
+            None => self.slots.push(hash, name, (n, address)),
         }
     }
 
     /// Empties the accumulator, keeping its buffers.
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.positions.clear();
+        self.slots.clear();
         self.total = 0;
+        #[cfg(debug_assertions)]
+        self.added.clear();
     }
 
-    /// The `(query, count)` entries, in first-match order.
-    pub fn entries(&self) -> &[(QueryRef, u64)] {
-        &self.entries
+    /// The counts per subscriber name, in first-match order.
+    pub fn by_subscriber(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.slots
+            .iter()
+            .map(|(name, _, &(count, _))| (name, count))
     }
 
-    /// The counts summed per subscriber name, in first-match order.
-    pub fn by_subscriber(&mut self) -> impl Iterator<Item = (&str, u64)> {
-        let QueryCounts {
-            entries,
-            folded,
-            folded_names,
-            ..
-        } = self;
-        folded.clear();
-        folded_names.clear();
-        for (i, (query, count)) in entries.iter().enumerate() {
-            let name = query.subscriber();
-            let hash = FirstIndex::hash(name);
-            let seen = folded_names.find(hash, |j| entries[folded[j].0].0.subscriber() == name);
-            match seen {
-                Some(j) => folded[j].1 += count,
-                None => {
-                    folded_names.file(hash, folded.len());
-                    folded.push((i, *count));
-                }
+    /// Per query address, the counts debug builds log, in first-match order
+    /// — for checks against the pairwise loop while the queries live.
+    #[cfg(debug_assertions)]
+    #[doc(hidden)]
+    pub fn per_query(&self) -> Vec<(usize, u64)> {
+        let mut folded: Vec<(usize, u64)> = Vec::new();
+        for &(query, n) in &self.added {
+            match folded.iter_mut().find(|(q, _)| *q == query) {
+                Some((_, count)) => *count += n,
+                None => folded.push((query, n)),
             }
         }
         folded
-            .iter()
-            .map(|&(i, count)| (entries[i].0.subscriber(), count))
     }
 }
 
@@ -545,5 +541,68 @@ pub(crate) trait Protocol: Send + Sync {
             "{} does not use combined join-v messages",
             self.algorithm()
         )))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cq_fasthash::FxHashMap;
+    use cq_relational::Timestamp;
+    use cq_relational::{
+        parse_query, subscriber_hash, Catalog, DataType, QueryKey, RelationSchema,
+    };
+
+    fn query(c: &Catalog, subscriber: &str, n: u64) -> QueryRef {
+        let sql = "SELECT R.A, S.D FROM R, S WHERE R.B = S.C";
+        let key = QueryKey::derive(subscriber, n);
+        let parsed = parse_query(sql, c).unwrap();
+        Arc::new(parsed.into_query(key, subscriber, Timestamp(0), c).unwrap())
+    }
+
+    /// Two subscribers whose hashes share the 32 bits a `FirstIndex` files
+    /// a position under, so that every probe for either asks about
+    /// both slots: each keeps its own count, whichever query, or `Arc` of a
+    /// query, adds to it.
+    #[test]
+    fn subscribers_sharing_a_hash_tag_keep_their_own_slots() {
+        let mut seen = FxHashMap::default();
+        let (a, b) = (0u64..)
+            .map(|i| format!("s{i}"))
+            .find_map(|name| {
+                let other = seen.insert(subscriber_hash(&name) >> 32, name.clone())?;
+                Some((other, name))
+            })
+            .unwrap();
+        assert_ne!(a, b);
+        let mut c = Catalog::new();
+        for (rel, attrs) in [("R", ["A", "B"]), ("S", ["C", "D"])] {
+            let attrs = attrs.map(|attr| (attr, DataType::Int));
+            c.register(RelationSchema::of(rel, &attrs).unwrap())
+                .unwrap();
+        }
+        let (a1, a2, b1) = (query(&c, &a, 1), query(&c, &a, 2), query(&c, &b, 1));
+        let a1_again = Arc::new(JoinQuery::clone(&a1));
+        let mut counts = QueryCounts::default();
+        for round in 0..2 {
+            counts.clear();
+            for (q, n) in [
+                (&a1, 1),
+                (&b1, 2),
+                (&a2, 3),
+                (&a1_again, 4),
+                (&b1, 5),
+                (&a1, 6),
+            ] {
+                counts.add_n(q, n);
+            }
+            let folded: Vec<(&str, u64)> = counts.by_subscriber().collect();
+            assert_eq!(folded, [(&*a, 14), (&*b, 7)], "round {round}");
+            assert_eq!(counts.total, 21);
+            let address = |q: &QueryRef| Arc::as_ptr(q) as usize;
+            let per_query = [(&a1, 7), (&b1, 7), (&a2, 3), (&a1_again, 4)];
+            let per_query = per_query.map(|(q, n)| (address(q), n));
+            assert_eq!(counts.per_query(), per_query);
+        }
     }
 }

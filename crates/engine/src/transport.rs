@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 
 use cq_fasthash::FxHashMap;
 use cq_overlay::{Id, NodeHandle, Ring};
-use cq_relational::Notification;
+use cq_relational::{subscriber_hash, Notification};
 
 use crate::error::Result;
 use crate::faults::{FaultPipe, MsgId};
@@ -21,7 +21,7 @@ use crate::jfrt::JfrtLookup;
 use crate::messages::Message;
 use crate::metrics::TrafficKind;
 use crate::network::Network;
-use crate::protocol::Matches;
+use crate::protocol::{Matches, QueryCounts};
 use crate::replication::ReplicaItem;
 use crate::trace::TraceEvent;
 
@@ -443,45 +443,45 @@ impl Network {
     pub(crate) fn deliver_matches(&mut self, from: NodeHandle, matches: Matches) -> Result<()> {
         match matches {
             Matches::Full(notifications) => self.deliver_notifications(from, notifications),
-            Matches::Counts(mut counts) => {
-                // Counts mode sends no real messages, so delivery is
-                // accounted here. A count only counts as *delivered* when
-                // the subscriber is online to receive it; offline counts are
-                // `notifications_stored_offline` only — mirroring the
-                // full-retention path, where a store happens but no inbox
-                // delivery (see DESIGN.md, "Fault model").
-                for (subscriber, count) in counts.by_subscriber() {
-                    match self.subscribers.get(subscriber) {
-                        Some(&h) if self.ring.node(h).is_alive() => {
-                            self.metrics.notifications_delivered += count;
-                            self.metrics.record_traffic(TrafficKind::Notify, 1);
-                            let (tick, node) = (self.trace_tick(), h.index() as u32);
-                            self.trace(|| TraceEvent::NotifyDelivered {
-                                tick,
-                                node,
-                                count,
-                                offline: false,
-                            });
-                        }
-                        _ => {
-                            self.metrics.notifications_stored_offline += count;
-                            let id = indexing::subscriber_id(self.ring.space(), subscriber);
-                            let (owner, hops) = self.ring.route_owner(from, id)?;
-                            self.metrics.record_traffic(TrafficKind::Notify, hops);
-                            let (tick, node) = (self.trace_tick(), owner.index() as u32);
-                            self.trace(|| TraceEvent::NotifyDelivered {
-                                tick,
-                                node,
-                                count,
-                                offline: true,
-                            });
-                        }
-                    }
-                }
+            Matches::Counts(counts) => {
+                let delivered = self.deliver_counts(from, &counts);
                 self.scratch.recycle(counts);
-                Ok(())
+                delivered
             }
         }
+    }
+
+    /// Counts-mode delivery, one batch per subscriber. It sends no real
+    /// messages, so it is accounted here: a count is *delivered* only to an
+    /// online subscriber, else only `notifications_stored_offline`, as the
+    /// full-retention path stores but reaches no inbox (DESIGN.md, "Fault
+    /// model").
+    #[doc(hidden)]
+    pub fn deliver_counts(&mut self, from: NodeHandle, counts: &QueryCounts) -> Result<()> {
+        for (subscriber, hash, &(count, _)) in counts.slots.iter() {
+            let (at, offline) = match self.subscribers.get(hash, subscriber) {
+                Some(&h) if self.ring.node(h).is_alive() => {
+                    self.metrics.notifications_delivered += count;
+                    self.metrics.record_traffic(TrafficKind::Notify, 1);
+                    (h, false)
+                }
+                _ => {
+                    self.metrics.notifications_stored_offline += count;
+                    let id = indexing::subscriber_id(self.ring.space(), subscriber);
+                    let (owner, hops) = self.ring.route_owner(from, id)?;
+                    self.metrics.record_traffic(TrafficKind::Notify, hops);
+                    (owner, true)
+                }
+            };
+            let (tick, node) = (self.trace_tick(), at.index() as u32);
+            self.trace(|| TraceEvent::NotifyDelivered {
+                tick,
+                node,
+                count,
+                offline,
+            });
+        }
+        Ok(())
     }
 
     /// Full-retention delivery: every batch becomes a real protocol message
@@ -508,7 +508,10 @@ impl Network {
                 .push(n);
         }
         for (subscriber, batch) in by_subscriber {
-            match self.subscribers.get(&subscriber) {
+            match self
+                .subscribers
+                .get(subscriber_hash(&subscriber), &subscriber)
+            {
                 Some(&h) if self.ring.node(h).is_alive() => {
                     // Online at a known IP: one direct hop.
                     self.metrics.record_traffic(TrafficKind::Notify, 1);

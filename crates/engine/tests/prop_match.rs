@@ -30,13 +30,18 @@
 //! scan exactly as the pairwise loop does: the candidate count or the first
 //! error, the counts per query address in first-match order and their
 //! total, and the notifications in order.
+//!
+//! Delivery folds the counts per subscriber as they are added, finding a
+//! subscriber's slot by the hash its query keeps. Random adds over a few
+//! subscribers, one query decoded into two `Arc`s among them, must fold
+//! exactly as a fold by name does.
 
 use std::sync::Arc;
 
 use cq_engine::algo::RunMatcher;
 use cq_engine::tables::{StoredRewritten, Vlqt};
 use cq_engine::wire::{decode_message, encode_message};
-use cq_engine::{indexing, EngineError, Matches, Message};
+use cq_engine::{indexing, EngineError, Matches, Message, QueryCounts};
 use cq_overlay::{Id, IdSpace};
 use cq_relational::{
     Attribute, BinOp, Catalog, DataType, Expr, Filter, JoinQuery, MatchTarget, Notification,
@@ -459,11 +464,7 @@ fn indexed(rq: RewrittenQuery) -> StoredRewritten {
 /// in first-match order — and total, or the notifications in order.
 fn outcome(matches: &Matches) -> (Vec<(usize, u64)>, u64, Vec<Notification>) {
     match matches {
-        Matches::Counts(counts) => {
-            let entries = counts.entries().iter();
-            let entries = entries.map(|(q, n)| (Arc::as_ptr(q) as usize, *n));
-            (entries.collect(), matches.len(), Vec::new())
-        }
+        Matches::Counts(counts) => (counts.per_query(), matches.len(), Vec::new()),
         Matches::Full(out) => (Vec::new(), matches.len(), out.clone()),
     }
 }
@@ -777,6 +778,70 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn the_subscriber_fold_is_the_fold_by_name(seed in 0u64..1 << 48) {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let c = rand_catalog(rng);
+        let base = rand_query(rng, &c, false);
+        let conditions = Side::BOTH.map(|side| base.condition(side).clone());
+        let subscribers = rng.gen_range(1..5);
+        let mut queries: Vec<QueryRef> = (0..rng.gen_range(1..9))
+            .map(|_| {
+                let subscriber = format!("s{}", rng.gen_range(0..subscribers));
+                query_on(rng, &c, conditions.clone(), base.filters().to_vec(), &subscriber)
+            })
+            .collect();
+        // One query decoded twice into two `Arc`s, as a TCP receiver decodes
+        // it again once its interner has forgotten it.
+        let mut frame = Vec::new();
+        let message = Message::IndexQuery {
+            query: Arc::clone(&queries[0]),
+            index_side: Side::Left,
+            index_attr: "a0".into(),
+            index_id: Id(1),
+        };
+        encode_message(&message, &mut frame);
+        for _ in 0..2 {
+            match decode_message(&frame, &c).expect("decodes what was encoded") {
+                (Message::IndexQuery { query, .. }, _) => queries.push(query),
+                (other, _) => panic!("decoded {other:?}"),
+            }
+        }
+        let decoded = &queries[queries.len() - 2..];
+        prop_assert!(!Arc::ptr_eq(&decoded[0], &decoded[1]));
+        let adds: Vec<(usize, u64)> = (0..rng.gen_range(1..20))
+            .map(|_| (rng.gen_range(0..queries.len()), rng.gen_range(1..4)))
+            .collect();
+
+        let mut want: Vec<(&str, u64)> = Vec::new();
+        for &(q, n) in &adds {
+            let name = queries[q].subscriber();
+            match want.iter_mut().find(|(s, _)| *s == name) {
+                Some((_, total)) => *total += n,
+                None => want.push((name, n)),
+            }
+        }
+        // Twice through one accumulator: a cleared one folds afresh.
+        let mut counts = QueryCounts::default();
+        for _ in 0..2 {
+            counts.clear();
+            for &(q, n) in &adds {
+                counts.add_n(&queries[q], n);
+            }
+            prop_assert_eq!(counts.by_subscriber().collect::<Vec<_>>(), want.clone());
+            // Per query, the two decoded `Arc`s stay apart.
+            let mut per_query: Vec<(usize, u64)> = Vec::new();
+            for &(q, n) in &adds {
+                let address = Arc::as_ptr(&queries[q]) as usize;
+                match per_query.iter_mut().find(|(a, _)| *a == address) {
+                    Some((_, total)) => *total += n,
+                    None => per_query.push((address, n)),
+                }
+            }
+            prop_assert_eq!(counts.per_query(), per_query);
         }
     }
 }

@@ -19,7 +19,9 @@
 //! ```
 //!
 //! [`FirstIndex`] is a hash index of positions in a sequence its caller
-//! owns, for sets and maps that keep their items in one `Vec`.
+//! owns, for sets and maps that keep their items in one `Vec`;
+//! [`NameTable`] is such a map from names to values, found by a hash the
+//! caller computed once.
 //!
 //! Determinism note: unlike `RandomState`, [`FxBuildHasher`] has no per-map
 //! seed, so iteration order of equal-content maps is stable within a build.
@@ -28,7 +30,7 @@
 //! whole class of accidental nondeterminism.
 
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// 64-bit Fx hasher: `state = (state rotl 5 ^ word) * K` per word, with
 /// Wang's golden-ratio constant `K`.
@@ -125,12 +127,6 @@ pub struct FirstIndex {
 }
 
 impl FirstIndex {
-    /// The hash keys are filed under. Public so that tests can construct two
-    /// keys that share it.
-    pub fn hash(key: &str) -> u64 {
-        FxBuildHasher::default().hash_one(key)
-    }
-
     /// The slots a fresh index starts with.
     const MIN_SLOTS: usize = 16;
 
@@ -196,6 +192,88 @@ impl FirstIndex {
     }
 }
 
+/// Values by name, found by a hash the caller supplies — one computed
+/// once, where the name was made, so that finding a name hashes nothing.
+///
+/// The names are kept end to end in one `String` and the entries in one
+/// `Vec`, in insertion order, over a [`FirstIndex`]; a table that is
+/// cleared and filled again allocates nothing once it has grown. Entries
+/// are never removed one by one.
+#[derive(Clone, Debug)]
+pub struct NameTable<V> {
+    names: String,
+    /// `(end of the name in names, hash, value)`: a name starts where the
+    /// previous entry's ends.
+    entries: Vec<(usize, u64, V)>,
+    index: FirstIndex,
+}
+
+impl<V> Default for NameTable<V> {
+    fn default() -> Self {
+        NameTable {
+            names: String::new(),
+            entries: Vec::new(),
+            index: FirstIndex::default(),
+        }
+    }
+}
+
+impl<V> NameTable<V> {
+    fn name(&self, i: usize) -> &str {
+        let start = i.checked_sub(1).map_or(0, |p| self.entries[p].0);
+        &self.names[start..self.entries[i].0]
+    }
+
+    /// The position of the entry filed under `hash` that `is_it` accepts,
+    /// given its name and value. `is_it` is asked only about entries whose
+    /// hash shares the bits [`FirstIndex`] files by.
+    pub fn find_by(&self, hash: u64, mut is_it: impl FnMut(&str, &V) -> bool) -> Option<usize> {
+        self.index
+            .find(hash, |i| is_it(self.name(i), &self.entries[i].2))
+    }
+
+    /// The value of `name`, whose hash is `hash`.
+    pub fn get(&self, hash: u64, name: &str) -> Option<&V> {
+        let i = self.find_by(hash, |n, _| n == name)?;
+        Some(&self.entries[i].2)
+    }
+
+    /// The value at position `i`.
+    pub fn value_mut(&mut self, i: usize) -> &mut V {
+        &mut self.entries[i].2
+    }
+
+    /// Appends `name`, whose hash is `hash`, with `value`; the caller has
+    /// found it absent.
+    pub fn push(&mut self, hash: u64, name: &str, value: V) {
+        self.index.file(hash, self.entries.len());
+        self.names.push_str(name);
+        self.entries.push((self.names.len(), hash, value));
+    }
+
+    /// Sets the value of `name`, whose hash is `hash`, appending the name
+    /// if it is absent.
+    pub fn insert(&mut self, hash: u64, name: &str, value: V) {
+        match self.find_by(hash, |n, _| n == name) {
+            Some(i) => self.entries[i].2 = value,
+            None => self.push(hash, name, value),
+        }
+    }
+
+    /// `(name, hash, value)` of every entry, in insertion order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, u64, &V)> {
+        let entries = self.entries.iter().enumerate();
+        entries.map(|(i, (_, hash, value))| (self.name(i), *hash, value))
+    }
+
+    /// Forgets every entry, keeping the capacity.
+    pub fn clear(&mut self) {
+        self.names.clear();
+        self.entries.clear();
+        self.index.clear();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,11 +330,11 @@ mod tests {
         let keys: Vec<String> = (0..1_000).map(|i| format!("subscriber-{i}")).collect();
         let mut index = FirstIndex::default();
         for (pos, key) in keys.iter().enumerate() {
-            index.file(FirstIndex::hash(key), pos);
+            index.file(hash_of(key), pos);
         }
         for (pos, key) in keys.iter().enumerate() {
             let mut asked = Vec::new();
-            let found = index.find(FirstIndex::hash(key), |i| {
+            let found = index.find(hash_of(key), |i| {
                 asked.push(i);
                 keys[i] == *key
             });
@@ -264,11 +342,39 @@ mod tests {
         }
         // A key never filed is found nowhere, and no position is asked about.
         for i in 0..1_000 {
-            let absent = FirstIndex::hash(&format!("absent-{i}"));
+            let absent = hash_of(&format!("absent-{i}"));
             assert_eq!(
                 index.find(absent, |_| panic!("asked about a position")),
                 None
             );
+        }
+    }
+
+    #[test]
+    fn a_name_table_tells_names_of_one_hash_apart() {
+        let mut table = NameTable::default();
+        for round in 0..2 {
+            table.clear();
+            // Every name under one hash: each probe asks about all of them.
+            for (i, name) in ["a", "bb", "", "ccc"].into_iter().enumerate() {
+                assert_eq!(table.get(7, name), None);
+                table.push(7, name, i);
+            }
+            table.insert(7, "bb", 10);
+            table.insert(7, "dd", 11);
+            assert_eq!(table.get(7, "bb"), Some(&10));
+            assert_eq!(table.get(7, ""), Some(&2));
+            assert_eq!(table.get(1 << 40, "bb"), None, "round {round}");
+            *table.value_mut(table.find_by(7, |_, &v| v == 3).unwrap()) += 1;
+            let all: Vec<_> = table.iter().map(|(n, h, &v)| (n, h, v)).collect();
+            let want = [
+                ("a", 7, 0),
+                ("bb", 7, 10),
+                ("", 7, 2),
+                ("ccc", 7, 4),
+                ("dd", 7, 11),
+            ];
+            assert_eq!(all, want);
         }
     }
 

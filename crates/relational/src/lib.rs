@@ -50,8 +50,8 @@ pub use expr::{BinOp, Expr};
 pub use parser::{parse_query, ParsedQuery};
 pub use query::{Filter, JoinQuery, QueryKey, QueryRef, QuerySpec, QueryType, SelectItem, Side};
 pub use rewrite::{
-    BoundValues, MatchTarget, Notification, RewriteBody, RewriteIdentity, Rewriting,
-    RewrittenQuery, RewrittenRef, TargetRef,
+    subscriber_hash, BoundValues, MatchTarget, Notification, RewriteBody, RewriteIdentity,
+    Rewriting, RewrittenQuery, RewrittenRef, TargetRef,
 };
 pub use schema::{Attribute, Catalog, RelationSchema};
 pub use tuple::Tuple;

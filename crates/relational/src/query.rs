@@ -160,7 +160,10 @@ pub(crate) enum BoundPlan {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JoinQuery {
     key: QueryKey,
-    subscriber: String,
+    subscriber: Box<str>,
+    /// [`crate::subscriber_hash`] of `subscriber`, computed once here so
+    /// that delivery finds the subscriber's slot without hashing its name.
+    subscriber_hash: u64,
     ins_time: Timestamp,
     /// The two relations' schemas as the catalog holds them, left first: a
     /// relation test compares these pointers before it compares names.
@@ -279,7 +282,8 @@ impl JoinQuery {
         Ok(JoinQuery {
             key_seed: crate::rewrite::key_seed(&key),
             key,
-            subscriber,
+            subscriber_hash: crate::subscriber_hash(&subscriber),
+            subscriber: subscriber.into_boxed_str(),
             ins_time,
             schemas,
             select,
@@ -302,6 +306,12 @@ impl JoinQuery {
     #[inline]
     pub fn subscriber(&self) -> &str {
         &self.subscriber
+    }
+
+    /// [`crate::subscriber_hash`] of [`Self::subscriber`].
+    #[inline]
+    pub fn subscriber_hash(&self) -> u64 {
+        self.subscriber_hash
     }
 
     /// Insertion time `insT(q)`.

@@ -203,6 +203,16 @@ pub(crate) fn key_seed(key: &QueryKey) -> u64 {
     h.finish()
 }
 
+/// The hash a subscriber's name is found by where matches are delivered.
+/// A query computes it once, when it is built
+/// ([`JoinQuery::subscriber_hash`]); a name that comes without a query
+/// (a notification's, a rejoining node's own) is hashed here.
+pub fn subscriber_hash(name: &str) -> u64 {
+    let mut h = Mix(0);
+    name.hash(&mut h);
+    h.finish()
+}
+
 /// The fingerprint's mixing function: Fx-style rotate-xor-multiply over
 /// 8-byte words. (`cq-fasthash` has the same function; depending on it
 /// would change this crate's dependency list, which the lock file of the

@@ -3,7 +3,6 @@
 //! "Data is described using the relational data model … different schemas can
 //! co-exist but schema mappings are not supported" (Section 3.2).
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -127,9 +126,14 @@ impl fmt::Display for RelationSchema {
 }
 
 /// A set of co-existing relation schemas known to every node.
+///
+/// A catalog holds a handful of relations and is read on every pose and
+/// every insert, so it keeps them in registration order and finds one by
+/// comparing names: a few short comparisons cost less than hashing the
+/// name.
 #[derive(Clone, Debug, Default)]
 pub struct Catalog {
-    relations: HashMap<String, Arc<RelationSchema>>,
+    relations: Vec<Arc<RelationSchema>>,
 }
 
 impl Catalog {
@@ -140,27 +144,29 @@ impl Catalog {
 
     /// Registers a schema; relation names must be unique.
     pub fn register(&mut self, schema: RelationSchema) -> Result<Arc<RelationSchema>> {
-        let name = schema.name().to_string();
-        if self.relations.contains_key(&name) {
-            return Err(RelationalError::DuplicateRelation { relation: name });
+        if self.relations.iter().any(|s| s.name() == schema.name()) {
+            return Err(RelationalError::DuplicateRelation {
+                relation: schema.name().to_string(),
+            });
         }
         let arc = Arc::new(schema);
-        self.relations.insert(name, Arc::clone(&arc));
+        self.relations.push(Arc::clone(&arc));
         Ok(arc)
     }
 
     /// Looks up a relation schema by name.
     pub fn get(&self, relation: &str) -> Result<&Arc<RelationSchema>> {
         self.relations
-            .get(relation)
+            .iter()
+            .find(|s| s.name() == relation)
             .ok_or_else(|| RelationalError::UnknownRelation {
                 relation: relation.to_string(),
             })
     }
 
-    /// Iterates over all registered schemas.
+    /// Iterates over all registered schemas, in registration order.
     pub fn relations(&self) -> impl Iterator<Item = &Arc<RelationSchema>> {
-        self.relations.values()
+        self.relations.iter()
     }
 
     /// Number of registered relations.
@@ -228,6 +234,19 @@ mod tests {
             c.register(doc_schema()),
             Err(RelationalError::DuplicateRelation { .. })
         ));
+        // Relations list in registration order, and each is found by its
+        // whole name, not a prefix.
+        for name in ["Authors", "Doc", "A"] {
+            c.register(RelationSchema::of(name, &[("Id", DataType::Int)]).unwrap())
+                .unwrap();
+        }
+        let names: Vec<&str> = c.relations().map(|s| s.name()).collect();
+        assert_eq!(names, ["Document", "Authors", "Doc", "A"]);
+        for name in names {
+            assert_eq!(c.get(name).unwrap().name(), name);
+        }
+        assert_eq!(c.len(), 4);
+        assert!(c.get("Docs").is_err() && c.get("").is_err());
     }
 
     #[test]

@@ -16,16 +16,18 @@
 # 4. prints, over the CPU time of all cqbench processes, the top functions
 #    by self share (leaf frame) and by inclusive share (anywhere on the
 #    stack, counted once per sample), and the time spent in libc leaves
-#    (memcmp, memmove, ...) by their immediate caller.
+#    (memcmp, memmove, ...) by their immediate caller, with the share of
+#    that time whose caller was found in the cqbench binary.
 #
 # The benchmark report itself goes to target/profile/WORKLOAD-SEED/report.txt.
 # Frames of code built without frame pointers (libc, the precompiled
 # standard library) shorten the walk: their callers' callers still show,
 # the immediate caller of a libc leaf may not. The third table recovers it
-# from the word at the interrupted stack pointer, which is a frameless
-# leaf's return address; for a libc function that has pushed registers or
-# made a frame, the word is something else and shows as the object it
-# points into, or [unmapped]. Generic std code (HashMap,
+# from the first of the words the sampler read from the interrupted stack
+# pointer up that points into the binary's code: the return address, which
+# sits at the stack pointer in a frameless leaf and above the registers a
+# leaf pushed otherwise. A sample with no such word shows as the object its
+# first word points into, or [unmapped]. Generic std code (HashMap,
 # Vec, iterators) is monomorphized into the binary and is walked like any
 # other. Needs cc, nm (binutils) and python3.
 set -euo pipefail
@@ -72,18 +74,20 @@ def load(path):
             if in_maps:
                 if line.startswith("samples"):
                     in_maps = False
+                    sp_words = int(line.split("sp_words=")[1])
                     continue
                 field = line.split()
                 lo, hi = (int(x, 16) for x in field[0].split("-"))
                 obj = field[5] if len(field) > 5 else "[anon]"
-                maps.append((lo, hi, int(field[2], 16), obj))
+                maps.append((lo, hi, int(field[2], 16), obj, "x" in field[1]))
             elif line.strip():
-                weight, at_sp, *stack = line.split()
-                samples.append((int(weight), int(at_sp, 16), [int(x, 16) for x in stack]))
+                weight, *words = line.split()
+                words = [int(x, 16) for x in words]
+                samples.append((int(weight), words[:sp_words], words[sp_words:]))
     return maps, samples
 
 self_ns, incl_ns, libc_ns = collections.Counter(), collections.Counter(), collections.Counter()
-total, count, processes = 0, 0, 0
+total, count, processes, attributed = 0, 0, 0, 0
 for path in sorted(glob.glob(os.path.join(out, "cqprof.*.txt"))):
     maps, samples = load(path)
     mine = [m for m in maps if os.path.realpath(m[3]) == binary]
@@ -91,21 +95,23 @@ for path in sorted(glob.glob(os.path.join(out, "cqprof.*.txt"))):
         continue  # another program the benchmark ran (git)
     processes += 1
     # PIE: the mapping at file offset 0 is where virtual address 0 loads.
-    base = min(lo for lo, _, off, _ in mine if off == 0)
+    base = min(lo for lo, _, off, _, _ in mine if off == 0)
+    text = [(lo, hi) for lo, hi, _, _, x in mine if x]
 
     @functools.cache
     def name(addr, leaf):
-        for lo, hi, _, obj in maps:
+        for lo, hi, _, obj, _ in maps:
             if lo <= addr < hi:
                 if os.path.realpath(obj) != binary:
-                    return "[" + os.path.basename(obj) + "]"
+                    # pseudo-paths such as [stack] come bracketed already
+                    return obj if obj.startswith("[") else "[" + os.path.basename(obj) + "]"
                 # a return address points past its call
                 vaddr = addr - base - (0 if leaf else 1)
                 i = bisect.bisect_right(addrs, vaddr) - 1
                 return syms[i][1] if i >= 0 else "[cqbench]"
         return "[unmapped]"
 
-    for weight, at_sp, stack in samples:
+    for weight, above_sp, stack in samples:
         total += weight
         count += 1
         names = [name(a, i == 0) for i, a in enumerate(stack)]
@@ -113,7 +119,12 @@ for path in sorted(glob.glob(os.path.join(out, "cqprof.*.txt"))):
         for n in set(names):
             incl_ns[n] += weight
         if names[0].startswith("[libc"):
-            libc_ns[name(at_sp, False) if at_sp else "[not read]"] += weight
+            ret = next((w for w in above_sp if any(lo <= w < hi for lo, hi in text)), None)
+            if ret is not None:
+                attributed += weight
+                libc_ns[name(ret, False)] += weight
+            else:
+                libc_ns[name(above_sp[0], False) if above_sp[0] else "[not read]"] += weight
 
 if total == 0:
     sys.exit("no samples recorded")
@@ -123,7 +134,8 @@ for title, counter in (("self", self_ns), ("inclusive", incl_ns)):
     for n, c in counter.most_common(30):
         print(f"{100 * c / total:8.1f}%  {n[:150]}")
 libc = sum(libc_ns.values())
-print(f"\n{'libc leaf':>9}  immediate caller ({100 * libc / total:.1f}% of CPU in libc leaves)")
+print(f"\n{'libc leaf':>9}  immediate caller ({100 * libc / total:.1f}% of CPU in libc leaves, "
+      f"{100 * attributed / total:.1f}% with a caller in the binary)")
 for n, c in libc_ns.most_common(30):
     print(f"{100 * c / total:8.1f}%  {n[:150]}")
 EOF

@@ -7,15 +7,18 @@
  * the frame-pointer chain, and the CPU time the process consumed since the
  * previous sample, which weighs the sample: a process blocked in a wait
  * gets weightless samples. (CPU-time interval timers would need no weights
- * but fire on scheduler ticks, 250 Hz or less.) It also records the word at
- * the interrupted stack pointer: in a frameless leaf (libc's memcmp and
- * memmove keep no frame pointer) that word is the return address into the
- * leaf's caller, which the frame-pointer walk skips. At exit the process writes
+ * but fire on scheduler ticks, 250 Hz or less.) It also records the
+ * SP_WORDS words from the interrupted stack pointer up: libc's leaves keep
+ * no frame pointer, so the frame-pointer walk skips their caller, and the
+ * return address into it is the word at the stack pointer (a frameless
+ * leaf such as memcmp) or a few words above it (a leaf that pushed
+ * registers or reserved stack). At exit the process writes
  * `cqprof.<pid>.txt` into the directory it started in (a program may change
  * directory on the way, as git does): a copy of /proc/self/maps
- * (to find the load base of every object), then one line per sample: the
- * weight in nanoseconds, then the word at the stack pointer (0 when it was
- * not read), then the stack, leaf first, in hexadecimal. Every
+ * (to find the load base of every object), a line
+ * `samples dropped=N sp_words=SP_WORDS`, then one line per sample: the
+ * weight in nanoseconds, then the SP_WORDS words (0 where not read), then
+ * the stack, leaf first, in hexadecimal. Every
  * exec'd child inherits LD_PRELOAD and writes its own file; symbolization
  * happens offline.
  *
@@ -23,8 +26,8 @@
  * lie between the interrupted stack pointer and the top of the main
  * thread's stack (found in /proc/self/maps when the library loads; the
  * stack grows down from it, mapped down to the stack pointer), strictly
- * increase and be 8-byte aligned; the word at the stack pointer is read
- * under the same bounds. A frame without a frame pointer (libc,
+ * increase and be 8-byte aligned; the words above the stack pointer are
+ * read under the same bounds. A frame without a frame pointer (libc,
  * hand-written assembly) ends or shortens the walk; it never faults.
  * Samples taken on other threads keep their leaf only.
  *
@@ -42,6 +45,8 @@
 
 #define INTERVAL_US 1000
 #define MAX_DEPTH 96
+/* Words read from the stack pointer up. */
+#define SP_WORDS 8
 /* 64 Mi words: untouched pages cost nothing. */
 #define BUF_WORDS (64UL << 20)
 
@@ -87,16 +92,22 @@ static void on_sigprof(int sig, siginfo_t *info, void *raw) {
     struct timespec cpu;
     clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &cpu);
     uint64_t cpu_ns = (uint64_t)cpu.tv_sec * 1000000000u + (uint64_t)cpu.tv_nsec;
-    uint64_t frames[MAX_DEPTH + 2];
+    uint64_t frames[MAX_DEPTH + SP_WORDS + 1];
     size_t depth = 0;
     int main_stack = sp < stack_hi && stack_hi - sp < MAIN_STACK_SPAN;
     frames[depth++] = cpu_ns - cpu_seen_ns;
     cpu_seen_ns = cpu_ns;
-    frames[depth++] = main_stack && (sp & 7) == 0 ? *(const uintptr_t *)sp : 0;
+    for (size_t i = 0; i < SP_WORDS; i++) {
+        uintptr_t at = sp + 8 * i;
+        frames[depth++] = main_stack && (sp & 7) == 0 && at + 8 <= stack_hi
+                              ? *(const uintptr_t *)at
+                              : 0;
+    }
     frames[depth++] = pc;
     if (main_stack) {
         uintptr_t lo = sp;
-        while (depth <= MAX_DEPTH + 1 && fp >= lo && fp + 16 <= stack_hi && (fp & 7) == 0) {
+        while (depth < MAX_DEPTH + SP_WORDS + 1 && fp >= lo && fp + 16 <= stack_hi &&
+               (fp & 7) == 0) {
             const uintptr_t *frame = (const uintptr_t *)fp;
             uintptr_t ret = frame[1];
             if (ret == 0)
@@ -162,7 +173,7 @@ __attribute__((destructor)) static void sampler_dump(void) {
     while (fgets(line, sizeof line, maps))
         fputs(line, out);
     fclose(maps);
-    fprintf(out, "samples dropped=%llu\n", (unsigned long long)dropped);
+    fprintf(out, "samples dropped=%llu sp_words=%d\n", (unsigned long long)dropped, SP_WORDS);
     for (size_t at = 0; at < used; at += buf[at] + 1) {
         fprintf(out, "%llu", (unsigned long long)buf[at + 1]);
         for (uint64_t i = 1; i < buf[at]; i++)
